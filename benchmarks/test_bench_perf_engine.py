@@ -18,6 +18,11 @@ persists the numbers to ``BENCH_core.json``):
   subprocess, at 150k users by default and the million-user workload under
   ``REPRO_FULL_BENCH=1``; ``benchmarks/record_core_bench.py`` persists the
   full-scale numbers to ``BENCH_core.json``).
+
+Wall-clock floors (the speedup ratios and the checkpoint overhead) flake on
+a loaded host, so they assert only under ``REPRO_PERF_GATES=1``, which the
+non-blocking CI ``benchmarks`` job sets.  Without it these tests time and
+print, and check only their functional results.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ from repro.markov.maps import AffineMap
 
 def _perf_users() -> int:
     return 100_000 if os.environ.get("REPRO_FULL_BENCH") == "1" else 20_000
+
+
+def _perf_gate(passed: bool, message: str) -> None:
+    """Assert a wall-clock floor, only under ``REPRO_PERF_GATES=1``."""
+    if os.environ.get("REPRO_PERF_GATES") == "1":
+        assert passed, message
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +104,7 @@ def test_bench_incremental_metrics_vs_recompute(perf_trial):
         f"\nincremental {incremental * 1e6:.1f} us/query vs recompute "
         f"{recompute * 1e3:.2f} ms/query ({speedup:,.0f}x)"
     )
-    assert speedup >= 10.0
+    _perf_gate(speedup >= 10.0, f"incremental metrics only {speedup:.1f}x faster")
     # And the fast path must stay exact.
     assert np.array_equal(
         history.running_default_rates(), history.recompute_running_default_rates()
@@ -134,7 +145,7 @@ def test_bench_vectorized_ifs_population():
         f"\nbatched {batched_time * 1e3:.2f} ms/step vs per-user loop "
         f"{fallback_time * 1e3:.1f} ms/step ({speedup:,.0f}x) at {count:,} users"
     )
-    assert speedup >= 10.0
+    _perf_gate(speedup >= 10.0, f"batched IFS stepping only {speedup:.1f}x faster")
 
 
 def test_bench_suffstats_retrain(perf_config):
@@ -166,7 +177,7 @@ def test_bench_suffstats_retrain(perf_config):
         f"{perf_config.num_users:,} users"
     )
     required = 10.0 if perf_config.num_users >= 100_000 else 4.0
-    assert speedup >= required
+    _perf_gate(speedup >= required, f"compressed refit only {speedup:.1f}x faster")
 
     # The two modes must agree on what they learned (the equivalence suite
     # pins the loop-level guarantee; this is the benchmark-side smoke check).
@@ -255,7 +266,10 @@ def test_bench_trial_batched():
     def batched_run():
         return run_experiment(config, retrain_mode="compressed", trial_batch=True)
 
-    batched_run()  # warm caches (income CDFs, numpy internals)
+    # Also warms caches (income CDFs, numpy internals).
+    batched_means = batched_run().group_mean_series()
+    for race, series in serial_run().group_mean_series().items():
+        assert np.array_equal(batched_means[race], series)
     serial_seconds = min(
         _timed(serial_run) for _ in range(3)
     )
@@ -267,7 +281,7 @@ def test_bench_trial_batched():
         f"\ntrial-batched sweep (32 x 250 x 20, compressed): serial "
         f"{serial_seconds:.3f}s vs batched {batched_seconds:.3f}s ({speedup:.2f}x)"
     )
-    assert speedup >= 2.0
+    _perf_gate(speedup >= 2.0, f"trial batching only {speedup:.2f}x faster")
 
 
 def test_bench_checkpoint_overhead(monkeypatch):
@@ -321,7 +335,7 @@ def test_bench_checkpoint_overhead(monkeypatch):
         f"{spent['seconds'] * 1e3:.1f}ms in {spent['writes']} writes over a "
         f"{total:.3f}s trial ({overhead:.2f}%)"
     )
-    assert overhead < 5.0
+    _perf_gate(overhead < 5.0, f"checkpoint writes took {overhead:.2f}% of the trial")
 
 
 def test_bench_campaign_cache():
@@ -366,7 +380,7 @@ def test_bench_campaign_cache():
         f"warm {warm_seconds:.3f}s ({speedup:.1f}x, hit rate {result.hit_rate:.2f})"
     )
     assert result.hit_rate == 1.0
-    assert speedup >= 10.0
+    _perf_gate(speedup >= 10.0, f"warm campaign sweep only {speedup:.1f}x faster")
 
 
 def _timed(fn) -> float:

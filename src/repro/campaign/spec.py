@@ -142,6 +142,24 @@ def _normalize_arm(
     return ArmRef(name=name, params=tuple(sorted(canonical.items())))
 
 
+def _resolve_race(value: object) -> Race:
+    """Return the race named by a member, a member name or a member value.
+
+    Names and values match case-insensitively (``"black"``, ``"BLACK"``,
+    ``"Black Alone"``).
+    """
+    if isinstance(value, Race):
+        return value
+    text = str(value).upper()
+    for race in Race:
+        if text in (race.name, race.value):
+            return race
+    raise ValueError(
+        f"unknown race {value!r}; known: "
+        f"{', '.join(f'{race.name} ({race.value!r})' for race in Race)}"
+    )
+
+
 def build_scenario_table(scenario: ArmRef) -> IncomeTable | None:
     """Materialise a scenario reference into its income table.
 
@@ -158,17 +176,8 @@ def build_scenario_table(scenario: ArmRef) -> IncomeTable | None:
             downshift=float(params.get("downshift", 0.35)),
         )
     if scenario.name == "widening-gap":
-        disadvantaged = params.get("disadvantaged", Race.BLACK)
-        if isinstance(disadvantaged, str):
-            try:
-                disadvantaged = Race[disadvantaged.upper().replace(" ", "_")]
-            except KeyError:
-                raise ValueError(
-                    f"unknown race {params['disadvantaged']!r}; "
-                    f"known: {', '.join(race.name for race in Race)}"
-                ) from None
         return widening_gap_scenario(
-            disadvantaged=disadvantaged,
+            disadvantaged=_resolve_race(params.get("disadvantaged", Race.BLACK)),
             annual_downshift=float(params.get("annual_downshift", 0.03)),
             start_year=int(params.get("start_year", 2010)),
         )

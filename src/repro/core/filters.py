@@ -20,7 +20,7 @@ from typing import Dict, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.credit.default_rates import DefaultRateTracker
+from repro.credit.default_rates import DefaultRateTracker, user_default_rates
 
 __all__ = [
     "LoopFilter",
@@ -211,12 +211,7 @@ class BatchedDefaultRateFilter:
         never-offered users report the prior rate, everyone else the exact
         ``1 - repayments / offers`` ratio.
         """
-        rates = np.full(
-            (self._num_trials, self._num_users), self._prior_rate, dtype=float
-        )
-        offered = self._offers > 0
-        rates[offered] = 1.0 - self._repayments[offered] / self._offers[offered]
-        return rates
+        return user_default_rates(self._offers, self._repayments, self._prior_rate)
 
     def portfolio_rates(self) -> np.ndarray:
         """Return the pooled default rate of each trial's offers so far."""

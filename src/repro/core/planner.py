@@ -1,24 +1,32 @@
 """The unified execution planner: one knob in front of three layouts.
 
-The engine grew three execution layouts, each with its own switch and its
-own rule of thumb:
+The engine grew three execution layouts, each with its own switch:
 
-* ``trial_batch`` — the lockstep tensor engine: best with one core and
-  many trials (it amortises the per-step Python dispatch, not the math);
-* ``parallel`` — the trial process pool: best with several cores and
-  several heavy trials;
-* ``num_shards``/``shard_parallel`` — the intra-trial shard pool: best
-  with several cores and one giant trial.
+* ``trial_batch`` — the lockstep tensor kernel: every trial in one
+  process, the per-user math fused across the trial axis;
+* ``parallel`` — the trial process pool: several heavy trials on several
+  cores;
+* ``num_shards``/``shard_parallel`` — the intra-trial shard pool: one
+  trial's users spread over worker processes.
 
-:func:`plan_execution` folds that folklore into code: given the workload
-shape (trials, users, steps), the host (``cpu_count``), the recording and
-retraining modes, and the checkpoint knobs, it resolves a single
-``execution`` request — ``"auto"``, ``"serial"``, ``"batch"``, ``"pool"``
-or ``"shard"`` — into an :class:`ExecutionPlan` holding the concrete
-layout switches the runner threads through.  ``"auto"`` may *compose*
-layouts (trial pooling × user sharding when cores outnumber trials); an
-optional calibration micro-bench (:func:`measure_dispatch_overhead`)
-refines the batch-vs-serial call on dispatch-bound workloads.
+:func:`plan_execution` turns the measured rules into code: given the
+workload shape (trials, users, steps), the host (``cpu_count``), the
+recording and retraining modes, and the checkpoint knobs, it resolves a
+single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"``,
+``"pool"`` or ``"shard"`` — into an :class:`ExecutionPlan` holding the
+concrete layout switches the runner threads through.  ``"auto"`` pools
+trials when there are several trials and several cores, and may *compose*
+layouts (trial pooling × user sharding when cores outnumber trials).
+Otherwise — one trial on any host, or several trials on one core — it runs
+in process on the lockstep kernel, or on the serial loop when
+checkpointing.  A single trial never goes to the shard pool under
+``"auto"``: on a 2-CPU host the pool ran a 1M-user trial slower than the
+in-process kernel, because its orchestrator records and decides serially
+while the workers wait.  An optional calibration micro-bench
+(:func:`measure_dispatch_overhead`) refines the batch-vs-serial call for
+several trials on one core.  The lockstep kernel requires the AI system's
+decisions to be 0/1, so a custom policy with other decisions runs with
+``"serial"``, whose filter truncates them to integers, not ``"auto"``.
 
 Two invariants the rest of the engine supplies and the planner preserves:
 
@@ -63,8 +71,9 @@ __all__ = [
 #: The values the ``execution`` knob accepts.
 EXECUTION_MODES = ("auto", "serial", "batch", "pool", "shard")
 
-#: Below this population size ``auto`` never reaches for the shard pool:
-#: the per-step pool round-trip costs more than the per-user math saves.
+#: Below this population size ``auto`` never composes pooled trials with
+#: the shard pool: the per-step pool round-trip costs more than the
+#: per-user math saves.
 AUTO_SHARD_MIN_USERS = 2048
 
 #: ``auto`` composes trial pooling with user sharding only when at least
@@ -322,7 +331,9 @@ def plan_execution(
     batch-vs-serial tie.  ``history_mode`` and ``retrain_mode`` are
     accepted for completeness — every layout supports both today, so they
     do not steer the choice, but the signature is the stable seam where a
-    mode-specific layout preference would land.
+    mode-specific layout preference would land.  A ``batch`` plan, which
+    ``"auto"`` returns for every in-process run that does not checkpoint,
+    requires 0/1 decisions from the AI system.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -408,85 +419,61 @@ def plan_execution(
         )
 
     # execution == "auto"
-    if trials > 1:
-        if cores > 1:
-            workers = min(trials, cores if max_workers is None else max_workers)
-            workers = max(1, workers)
-            spare = cores // workers
-            if (
-                spare >= AUTO_COMPOSE_MIN_CORES_PER_TRIAL
-                and users >= AUTO_SHARD_MIN_USERS
-            ):
-                shards = _shard_worker_count(users, spare, num_shards)
-                if shards >= 2:
-                    # Composition: pooled trials, each sharding its users
-                    # over the cores its siblings leave idle.
-                    return ExecutionPlan(
-                        execution="auto",
-                        layout="pool+shard",
-                        trial_batch=False,
-                        parallel=True,
-                        max_workers=workers,
-                        num_shards=shards,
-                        shard_parallel=True,
-                        cpu_count=cores,
-                    )
-            return ExecutionPlan(
-                execution="auto",
-                layout="pool",
-                trial_batch=False,
-                parallel=True,
-                max_workers=workers,
-                num_shards=1,
-                shard_parallel=False,
-                cpu_count=cores,
-            )
-        # One core, several trials: the lockstep tensor engine amortises
-        # the per-step dispatch — unless checkpointing forbids it, or the
-        # calibration probe says there is no dispatch worth amortising.
-        if checkpointing:
-            return serial_plan("auto")
-        if calibrate:
-            fraction = measure_dispatch_overhead(users)
-            if fraction < AUTO_BATCH_MIN_DISPATCH_FRACTION:
-                return serial_plan("auto", calibrated=True)
-            return ExecutionPlan(
-                execution="auto",
-                layout="batch",
-                trial_batch=True,
-                parallel=False,
-                max_workers=None,
-                num_shards=1,
-                shard_parallel=False,
-                cpu_count=cores,
-                calibrated=True,
-            )
+    if trials > 1 and cores > 1:
+        workers = min(trials, cores if max_workers is None else max_workers)
+        workers = max(1, workers)
+        spare = cores // workers
+        if (
+            spare >= AUTO_COMPOSE_MIN_CORES_PER_TRIAL
+            and users >= AUTO_SHARD_MIN_USERS
+        ):
+            shards = _shard_worker_count(users, spare, num_shards)
+            if shards >= 2:
+                # Composition: pooled trials, each sharding its users over
+                # the cores its siblings leave idle.
+                return ExecutionPlan(
+                    execution="auto",
+                    layout="pool+shard",
+                    trial_batch=False,
+                    parallel=True,
+                    max_workers=workers,
+                    num_shards=shards,
+                    shard_parallel=True,
+                    cpu_count=cores,
+                )
         return ExecutionPlan(
             execution="auto",
-            layout="batch",
-            trial_batch=True,
-            parallel=False,
-            max_workers=None,
+            layout="pool",
+            trial_batch=False,
+            parallel=True,
+            max_workers=workers,
             num_shards=1,
             shard_parallel=False,
             cpu_count=cores,
         )
-    # Single trial: shard it across cores when the population is big
-    # enough to pay the pool's per-step round-trip, else stay serial.
-    if cores > 1 and steps > 0 and users >= AUTO_SHARD_MIN_USERS:
-        shards = _shard_worker_count(users, cores, num_shards)
-        if shards >= 2:
-            return ExecutionPlan(
-                execution="auto",
-                layout="shard",
-                trial_batch=False,
-                parallel=False,
-                max_workers=None,
-                num_shards=shards,
-                shard_parallel=True,
-                cpu_count=cores,
-            )
-    return serial_plan("auto")
+    # In process: one trial on any host (no host has yet measured the shard
+    # pool beating it), or several trials on one core.  The lockstep kernel
+    # runs them, unless checkpointing forbids it or, for several trials,
+    # the calibration probe finds no per-step dispatch worth amortising.
+    if checkpointing:
+        return serial_plan("auto")
+    calibrated = calibrate and trials > 1
+    if (
+        calibrated
+        and measure_dispatch_overhead(users) < AUTO_BATCH_MIN_DISPATCH_FRACTION
+    ):
+        return serial_plan("auto", calibrated=True)
+    return ExecutionPlan(
+        execution="auto",
+        layout="batch",
+        trial_batch=True,
+        parallel=False,
+        max_workers=None,
+        num_shards=1,
+        shard_parallel=False,
+        cpu_count=cores,
+        calibrated=calibrated,
+    )
 
 
 @dataclass(frozen=True)

@@ -249,9 +249,11 @@ class CreditPopulation:
         the parent's draws for those users bit for bit.
         """
         shard_start, shard_stop = self._plan.shard_index_range(lo, hi)
+        codes = self._population.codes
         return CreditPopulation(
             population=SyntheticPopulation(
-                races=self._population.races[lo:hi]
+                races=self._population.races[lo:hi],
+                codes=None if codes is None else codes[lo:hi],
             ),
             income_table=self._sampler.table,
             terms=self._terms,

@@ -25,9 +25,11 @@ group series via :func:`~repro.core.metrics.group_average_series`, i.e.
 numpy evaluates as a *sequential left-to-right* accumulation over the
 group's users (the fancy-indexed intermediate is F-ordered, so the
 reduction runs over the outer iterator axis without SIMD pairwise
-blocking).  The streaming path reproduces that exact summation order with
-:func:`sequential_sum` (``np.cumsum(...)[-1]``, the same fold at C speed),
-so the per-step group sums — and hence the series — agree bit for bit.  (One
+blocking).  The streaming path reproduces that exact summation order:
+:class:`GroupFold` adds every user's value into its group's bin in user
+order with one ``np.bincount`` pass, which equals :func:`sequential_sum`
+(``np.cumsum(...)[-1]``) on each group's indices, so the per-step group
+sums — and hence the series — agree bit for bit.  (One
 documented caveat: a *single-step* history's fancy-indexed selection is
 contiguous, so numpy reduces it with SIMD pairwise blocking instead; group
 means of a one-step run can therefore differ from the full path in the
@@ -60,6 +62,7 @@ __all__ = [
     "StreamingAggregator",
     "BatchedStreamingAggregator",
     "AggregateHistory",
+    "GroupFold",
     "sequential_sum",
     "DEFAULT_RATE_BINS",
     "RATE_HISTOGRAM_LOW_THRESHOLD",
@@ -96,10 +99,16 @@ def sequential_sum(values: np.ndarray) -> float:
 def _validated_groups(
     groups: Mapping[object, np.ndarray] | None, num_users: int
 ) -> Dict[object, np.ndarray]:
-    """Validate and copy a group partition (may be empty)."""
+    """Validate and copy a group partition (may be empty).
+
+    Each group must list strictly increasing user indices, and no user may
+    belong to two groups: :class:`GroupFold` sums in user order, which is
+    the order of the sequential fold only for such index sets.
+    """
     if groups is None:
         return {}
     validated: Dict[object, np.ndarray] = {}
+    claimed = np.zeros(num_users, dtype=bool)
     for key, indices in groups.items():
         index_array = np.asarray(indices, dtype=np.intp).ravel()
         if index_array.size and (
@@ -108,11 +117,96 @@ def _validated_groups(
             raise ValueError(
                 f"group {key!r} has user indices outside [0, {num_users})"
             )
+        if np.any(index_array[1:] <= index_array[:-1]):
+            raise ValueError(
+                f"group {key!r} must list strictly increasing user indices"
+            )
+        if claimed[index_array].any():
+            raise ValueError(f"group {key!r} overlaps an earlier group")
+        claimed[index_array] = True
         validated[key] = index_array.copy()
     return validated
 
 
-class StreamingAggregator:
+class GroupFold:
+    """Per-group sums of per-user series in one ``np.bincount`` pass.
+
+    Built once from one partition per row of a ``(rows, users)`` stack,
+    each already checked by the aggregators' group validation (in range,
+    disjoint, strictly increasing): each user carries the code of its
+    group, and users in no group a shared sink code that is never read.
+    :meth:`sums` then folds every group of every row with a single
+    ``bincount``, which adds each value into its bin in user order starting
+    from ``+0.0``.  For such index sets that equals
+    ``sequential_sum(series[row][indices])`` bit for bit, save for the sign
+    of zero: a sequential fold of nothing but ``-0.0`` stays ``-0.0``.  Bins
+    that come out exactly zero are therefore refolded sequentially.
+    """
+
+    def __init__(
+        self, num_users: int, partitions: Iterable[Mapping[object, np.ndarray]]
+    ) -> None:
+        partitions = list(partitions)
+        #: ``(row, group key)`` of each folded sum, in :meth:`sums` order.
+        self.keys = [
+            (row, key) for row, groups in enumerate(partitions) for key in groups
+        ]
+        self._members = [
+            indices for groups in partitions for indices in groups.values()
+        ]
+        self._codes = np.full(
+            (len(partitions), num_users), len(self._members), dtype=np.intp
+        )
+        for code, ((row, _), indices) in enumerate(zip(self.keys, self._members)):
+            self._codes[row, indices] = code
+
+    def sums(self, series: np.ndarray) -> np.ndarray:
+        """Return each group's sum of ``series``, rows then groups in order.
+
+        ``series`` has the ``(rows, users)`` shape of the partitions (a
+        single row may also be passed flat).
+        """
+        rows = series.reshape(self._codes.shape)
+        totals = np.bincount(
+            self._codes.reshape(-1),
+            weights=rows.reshape(-1),
+            minlength=len(self._members) + 1,
+        )[:-1]
+        for code in np.flatnonzero(totals == 0.0):
+            row, _ = self.keys[code]
+            totals[code] = sequential_sum(rows[row][self._members[code]])
+        return totals
+
+
+class _FoldedGroups:
+    """Owns an aggregator's :class:`GroupFold`, which pickles leave out.
+
+    The fold's group codes (8 bytes per user) follow from the partition, so
+    pickled aggregators (checkpoints, pooled and persisted trial results)
+    omit the fold and rebuild it on load.  Aggregators pickled before the
+    fold existed load the same way.
+    """
+
+    _num_users: int
+
+    def _partitions(self) -> "list[Mapping[object, np.ndarray]]":
+        raise NotImplementedError
+
+    def _build_fold(self) -> None:
+        partitions = self._partitions()
+        self._fold = (
+            GroupFold(self._num_users, partitions) if any(partitions) else None
+        )
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {name: value for name, value in vars(self).items() if name != "_fold"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        vars(self).update(state)
+        self._build_fold()
+
+
+class StreamingAggregator(_FoldedGroups):
     """Online group-level aggregation of a closed-loop decision/action stream.
 
     The aggregator holds ``O(users)`` running state (cumulative offers,
@@ -129,8 +223,8 @@ class StreamingAggregator:
       ``(steps, users)`` matrix.
 
     Every series is bit-identical to the corresponding full-history
-    derivation (see the module docstring for why the group sums use
-    :func:`sequential_sum`).
+    derivation (see the module docstring for why the group sums are
+    sequential folds in user order).
 
     Parameters
     ----------
@@ -138,8 +232,9 @@ class StreamingAggregator:
         Number of users in the (shard of the) population.
     groups:
         Optional partition: mapping from group key (e.g. a
-        :class:`~repro.data.census.Race`) to the array of user indices in
-        that group.  Empty groups report ``nan`` series like
+        :class:`~repro.data.census.Race`) to the strictly increasing user
+        indices in that group; groups may not overlap, and users may belong
+        to no group.  Empty groups report ``nan`` series like
         :func:`~repro.core.metrics.group_average_series`.
     prior_rate:
         Portfolio default rate reported before any offer exists, matching
@@ -193,6 +288,10 @@ class StreamingAggregator:
         self._group_decision_sums = {
             key: np.empty(self._capacity) for key in self._groups
         }
+        self._build_fold()
+
+    def _partitions(self) -> "list[Mapping[object, np.ndarray]]":
+        return [self._groups]
 
     # ------------------------------------------------------------------
     # Shape
@@ -279,12 +378,14 @@ class StreamingAggregator:
         self._rate_low_counts[row] = int(
             np.count_nonzero(rates <= RATE_HISTOGRAM_LOW_THRESHOLD)
         )
-        for key, indices in self._groups.items():
-            self._group_rate_sums[key][row] = sequential_sum(rates[indices])
-            self._group_action_sums[key][row] = sequential_sum(cesaro[indices])
-            self._group_decision_sums[key][row] = sequential_sum(
-                decisions_row[indices]
-            )
+        if self._fold is not None:
+            for series, store in (
+                (rates, self._group_rate_sums),
+                (cesaro, self._group_action_sums),
+                (decisions_row, self._group_decision_sums),
+            ):
+                for (_, key), total in zip(self._fold.keys, self._fold.sums(series)):
+                    store[key][row] = total
         self._num_steps += 1
 
     def _grow(self) -> None:
@@ -616,7 +717,7 @@ class StreamingAggregator:
         return merged
 
 
-class BatchedStreamingAggregator:
+class BatchedStreamingAggregator(_FoldedGroups):
     """``T`` independent streaming aggregators advanced in lockstep.
 
     The trial-batched engine records ``T`` trials of the same closed loop
@@ -625,10 +726,11 @@ class BatchedStreamingAggregator:
     offer/repayment/action vectors and the derived ``ADR_i`` / Cesàro
     rows — are identical elementwise math, so this class keeps them
     stacked as ``(trials, users)`` arrays and updates them in single fused
-    calls.  The per-trial reductions (sums, extrema, histograms, and the
-    sequential group folds) run on contiguous rows of the stack, which is
-    the same memory layout a standalone
-    :class:`StreamingAggregator` reduces — every series of trial ``t`` is
+    calls.  The per-trial reductions (sums, extrema, histograms) run on
+    contiguous rows of the stack, which is the same memory layout a
+    standalone :class:`StreamingAggregator` reduces, and one
+    :class:`GroupFold` pass folds every trial's groups in user order, as
+    the standalone fold does for its own row — every series of trial ``t`` is
     therefore **bit-identical** to feeding trial ``t``'s stream through its
     own aggregator (pinned by ``tests/core/test_streaming.py`` and the
     batch-equivalence suite).
@@ -704,6 +806,10 @@ class BatchedStreamingAggregator:
             {key: np.empty(self._capacity) for key in groups}
             for groups in self._groups
         ]
+        self._build_fold()
+
+    def _partitions(self) -> "list[Mapping[object, np.ndarray]]":
+        return self._groups
 
     @property
     def num_trials(self) -> int:
@@ -757,8 +863,9 @@ class BatchedStreamingAggregator:
         Replays :meth:`StreamingAggregator.update` for every trial: the
         cumulative vectors and derived per-user rows update in fused 2-D
         operations (elementwise, hence row-identical), the per-step scalars
-        and group folds reduce each contiguous trial row exactly as the
-        standalone aggregator reduces its own arrays.
+        reduce each contiguous trial row exactly as the standalone
+        aggregator reduces its own arrays, and the group folds add in user
+        order per trial, as the standalone fold does.
         """
         shape = (self._num_trials, self._num_users)
         if decisions.shape != shape or actions.shape != shape:
@@ -800,17 +907,16 @@ class BatchedStreamingAggregator:
             self._rate_low_counts[trial, row] = int(
                 np.count_nonzero(low_mask[trial])
             )
-            cesaro_row = cesaro[trial]
-            for key, indices in self._groups[trial].items():
-                self._group_rate_sums[trial][key][row] = sequential_sum(
-                    rates_row[indices]
-                )
-                self._group_action_sums[trial][key][row] = sequential_sum(
-                    cesaro_row[indices]
-                )
-                self._group_decision_sums[trial][key][row] = sequential_sum(
-                    decisions_row[indices]
-                )
+        if self._fold is not None:
+            for series, store in (
+                (rates, self._group_rate_sums),
+                (cesaro, self._group_action_sums),
+                (decisions, self._group_decision_sums),
+            ):
+                for (trial, key), total in zip(
+                    self._fold.keys, self._fold.sums(series)
+                ):
+                    store[trial][key][row] = total
         self._num_steps += 1
 
     def trial_state(self, trial: int) -> Dict[str, object]:

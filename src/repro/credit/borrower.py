@@ -34,12 +34,16 @@ def affordability_state(
     cover any obligation), keeping downstream arithmetic finite.
     """
     array = np.atleast_1d(np.asarray(incomes, dtype=float))
-    states = np.empty_like(array)
-    positive = array > 0
-    z = array[positive]
-    obligations = np.asarray(terms.annual_obligation(z), dtype=float)
-    states[positive] = (z - obligations) / z
-    states[~positive] = -1e6
+    # Every income goes through the same elementwise ops, with no boolean
+    # gather or scatter; non-positive incomes enter the obligation as 0 (the
+    # principal rejects negative incomes) and their states are overwritten.
+    obligations = np.asarray(
+        terms.annual_obligation(np.maximum(array, 0.0)), dtype=float
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        states = array - obligations
+        states /= array
+    np.putmask(states, ~(array > 0), -1e6)
     return states
 
 

@@ -22,7 +22,24 @@ import numpy as np
 
 from repro.data.census import Race
 
-__all__ = ["DefaultRateTracker"]
+__all__ = ["DefaultRateTracker", "user_default_rates"]
+
+
+def user_default_rates(
+    offers: np.ndarray, repayments: np.ndarray, prior_rate: float
+) -> np.ndarray:
+    """Return ``1 - repayments / offers`` per user, ``prior_rate`` if never offered.
+
+    Masked ufuncs write only the offered entries, so no boolean gather or
+    scatter of the offered users is made; each entry is computed exactly
+    as ``1.0 - repayments[i] / offers[i]``.  Works on any shape, so the
+    stacked ``(trials, users)`` filter shares it.
+    """
+    rates = np.full(offers.shape, prior_rate, dtype=float)
+    offered = offers > 0
+    np.divide(repayments, offers, out=rates, where=offered)
+    np.subtract(1.0, rates, out=rates, where=offered)
+    return rates
 
 
 class DefaultRateTracker:
@@ -157,10 +174,7 @@ class DefaultRateTracker:
 
     def user_rates(self) -> np.ndarray:
         """Return ``ADR_i(k)`` for every user at the current step."""
-        rates = np.full(self._num_users, self._prior_rate, dtype=float)
-        offered = self._offers > 0
-        rates[offered] = 1.0 - self._repayments[offered] / self._offers[offered]
-        return rates
+        return user_default_rates(self._offers, self._repayments, self._prior_rate)
 
     def group_rates(self, groups: Mapping[Race, np.ndarray]) -> Dict[Race, float]:
         """Return ``ADR_s(k)`` for each group of user indices.

@@ -51,9 +51,16 @@ class SyntheticPopulation:
     ----------
     races:
         Tuple of :class:`~repro.data.census.Race`, one entry per user.
+    codes:
+        Optional integer form of ``races``: each user's position in
+        ``tuple(Race)``, or ``-1`` for a label matching no race.  Kept by
+        :func:`generate_population` so the per-race index sets come from
+        integer comparisons rather than one enum comparison per user and
+        race.
     """
 
     races: Tuple[Race, ...]
+    codes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -66,6 +73,11 @@ class SyntheticPopulation:
         These are the paper's subsets ``N_s``: the user indices whose race is
         ``s``.  Races with no members map to an empty index array.
         """
+        if self.codes is not None:
+            return {
+                race: np.flatnonzero(self.codes == code)
+                for code, race in enumerate(Race)
+            }
         races_array = np.asarray(self.races, dtype=object)
         return {
             race: np.flatnonzero(races_array == race) for race in Race
@@ -94,7 +106,18 @@ def generate_population(
     probabilities = np.asarray(list(spec.race_mix.values()), dtype=float)
     probabilities = probabilities / probabilities.sum()
     draws = generator.choice(len(races), size=spec.size, p=probabilities)
-    return SyntheticPopulation(races=tuple(races[index] for index in draws))
+    labels = np.empty(len(races), dtype=object)
+    labels[:] = races
+    # Each mix entry's position in tuple(Race), found with the same ``==``
+    # the per-user comparison of indices_by_race would make.
+    positions = np.array(
+        [
+            next((code for code, race in enumerate(Race) if label == race), -1)
+            for label in races
+        ],
+        dtype=np.int8,
+    )
+    return SyntheticPopulation(races=tuple(labels[draws]), codes=positions[draws])
 
 
 def default_population_inputs() -> Tuple[PopulationSpec, IncomeTable]:

@@ -48,20 +48,22 @@ machinery is batched, and those are the closed-loop components
 :func:`~repro.experiments.runner.run_trial` itself constructs.  (A policy
 returning non-binary decisions is rejected loudly: the serial filter
 truncates such values to integers before counting offers, a corner whose
-implicit semantics the batched counts do not reproduce.)
+implicit semantics the batched counts do not reproduce.  Such a policy
+runs with ``execution="serial"``; ``"auto"`` picks this engine whenever it
+runs trials in process without checkpointing.)
 
 Trade-off vs. the other execution modes: trial batching wins on few cores
 and many trials (it removes per-trial dispatch without spawning
-processes); trial-level pooling (``parallel=True``) wins when real cores
-exist and trials are few and heavy; intra-trial sharding
-(``shard_parallel``) targets single giant trials.  ``BENCH_core.json``
-(entry ``trial-batched-engine``) records the measured crossover.  That
-rule of thumb is now code: ``execution="auto"``
-(:func:`repro.core.planner.plan_execution`) selects this engine exactly
-in its winning regime — several trials on a single core, no
-checkpointing (the lockstep walk has no per-trial boundary to snapshot,
-which is why ``execution="batch"`` with checkpoint knobs is rejected at
-config time).
+processes), and at ``T = 1`` it is still the fastest way to run one trial
+in process (fused draws and decisions, no per-step dict and copy
+ceremony); trial-level pooling (``parallel=True``) wins when real cores
+exist and trials are few and heavy.  ``BENCH_core.json`` (entry
+``trial-batched-engine``) records the measured crossover.  The rule is
+code: ``execution="auto"`` (:func:`repro.core.planner.plan_execution`)
+selects this engine for several trials on a single core and for a single
+trial on any host, unless checkpointing (the lockstep walk has no
+per-trial boundary to snapshot, which is why ``execution="batch"`` with
+checkpoint knobs is rejected at config time).
 """
 
 from __future__ import annotations
@@ -445,9 +447,12 @@ class BatchedTrialRunner:
                         # diverging from that corner, the batched engine
                         # insists on the credit loop's 0/1 contract.
                         raise ValueError(
-                            "trial-batched execution requires 0/1 decisions; "
-                            "the AI system returned other values (run "
-                            "without trial_batch for non-binary decisions)"
+                            "the lockstep kernel (execution='batch', which "
+                            "'auto' plans for in-process runs, or "
+                            "trial_batch=True) requires 0/1 decisions, but "
+                            "the AI system returned other values; run with "
+                            "execution='serial', whose filter truncates "
+                            "decisions to integers before counting offers"
                         )
                     decisions[trial] = decisions_row
                     step_features.append(features)

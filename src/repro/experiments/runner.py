@@ -479,13 +479,15 @@ def run_trial(
     execution:
         Planner knob override (``None`` defers to ``config.execution``):
         resolves this single trial's layout via
-        :func:`~repro.core.planner.plan_execution` with ``trials=1``
-        (``"auto"`` picks sharded execution for large populations on
-        multi-core hosts, serial otherwise; ``"pool"`` has nothing to
-        pool over one trial and resolves to serial).  Mutually exclusive
-        with the ``shard_parallel`` override; ``num_shards`` is accepted
-        as a worker-count hint.  ``"batch"`` batches trials *across* an
-        experiment and is rejected here — use :func:`run_experiment`.
+        :func:`~repro.core.planner.plan_execution` with ``trials=1``.
+        ``"auto"`` runs the trial in process on the serial loop (through
+        :func:`run_experiment` the same plan runs it on the lockstep
+        kernel); ``"shard"`` spreads its users over a worker pool;
+        ``"pool"`` has nothing to pool over one trial and resolves to
+        serial.  Mutually exclusive with the ``shard_parallel`` override;
+        ``num_shards`` is accepted as a worker-count hint.  An explicit
+        ``"batch"`` names the lockstep kernel, which this function does
+        not run, and is rejected here — use :func:`run_experiment`.
         Every plan is bit-identical, and the plan is excluded from the
         checkpoint fingerprint, so resuming under a different plan (or
         ``cpu_count``) replays the same trajectory.
@@ -903,7 +905,11 @@ def run_experiment(
         :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
         trials, users, steps, history/retrain modes, checkpoint knobs).
         ``"auto"`` may compose layouts (pooled trials × sharded users on
-        hosts with spare cores).  Mutually exclusive with the legacy
+        hosts with spare cores); when it runs the trials in process without
+        checkpointing (one trial on any host, several on one core) it
+        picks the lockstep kernel, which requires 0/1 decisions — run a
+        policy with other decisions under ``"serial"``, whose filter
+        truncates them to integers.  Mutually exclusive with the legacy
         ``parallel``/``trial_batch``/``shard_parallel`` overrides;
         ``max_workers`` and ``num_shards`` are accepted as planner
         hints.  Every plan is bit-identical to serial, so this knob can

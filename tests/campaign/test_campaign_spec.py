@@ -19,6 +19,7 @@ from repro.campaign.spec import (
     scenario_names,
 )
 from repro.data.census import Race, default_income_table
+from repro.data.scenarios import widening_gap_scenario
 
 
 class TestArmNormalization:
@@ -153,6 +154,31 @@ class TestScenarioTables:
         assert build_scenario_table(ref) is not None
         bad = ArmRef("widening-gap", params=(("disadvantaged", "MARTIAN"),))
         with pytest.raises(ValueError, match="unknown race"):
+            build_scenario_table(bad)
+
+    @staticmethod
+    def _late_shares(table):
+        return [table.bracket_shares(2020, race).tolist() for race in Race]
+
+    def test_widening_gap_defaults_to_the_black_group(self):
+        # Regression: the bare arm used to raise KeyError('disadvantaged').
+        table = build_scenario_table(ArmRef("widening-gap"))
+        assert self._late_shares(table) == self._late_shares(
+            widening_gap_scenario(disadvantaged=Race.BLACK)
+        )
+
+    @pytest.mark.parametrize(
+        "named", [Race.WHITE, "WHITE", "white", "WHITE ALONE", "White Alone"]
+    )
+    def test_widening_gap_accepts_members_names_and_values(self, named):
+        ref = ArmRef("widening-gap", params=(("disadvantaged", named),))
+        assert self._late_shares(build_scenario_table(ref)) == self._late_shares(
+            widening_gap_scenario(disadvantaged=Race.WHITE)
+        )
+
+    def test_widening_gap_names_the_known_races_for_an_unknown_one(self):
+        bad = ArmRef("widening-gap", params=(("disadvantaged", "BLACK_ALONE"),))
+        with pytest.raises(ValueError, match="unknown race 'BLACK_ALONE'.*WHITE"):
             build_scenario_table(bad)
 
 

@@ -71,13 +71,36 @@ class TestAutoHeuristics:
         assert plan.layout == "pool"
         assert plan.max_workers == 5
 
-    def test_single_large_trial_shards(self):
-        plan = _plan("auto", trials=1, users=100_000)
-        assert plan.layout == "shard"
-        assert plan.num_shards == 8
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    @pytest.mark.parametrize("users", [200, 100_000, 1_000_000])
+    def test_single_trial_runs_in_process_on_the_lockstep_kernel(
+        self, cores, users
+    ):
+        plan = _plan("auto", trials=1, users=users, cpu_count=cores)
+        assert plan.layout == "batch"
+        assert plan.trial_batch
+        assert not (plan.parallel or plan.shard_parallel)
+        assert plan.num_shards == 1
 
-    def test_single_small_trial_stays_serial(self):
-        assert _plan("auto", trials=1, users=200).layout == "serial"
+    @pytest.mark.parametrize("knobs", [{"checkpoint_every": 3}, {"resume": True}])
+    def test_single_trial_with_checkpointing_stays_serial(self, knobs):
+        plan = _plan("auto", trials=1, users=100_000, **knobs)
+        assert plan.layout == "serial"
+        assert not plan.trial_batch
+
+    def test_single_trial_ignores_calibration(self, monkeypatch):
+        # Calibration weighs dispatch amortised across trials; one trial
+        # has none to amortise, and the kernel is the faster loop anyway.
+        monkeypatch.setattr(planner, "measure_dispatch_overhead", lambda users: 0.0)
+        plan = _plan("auto", trials=1, cpu_count=1, calibrate=True)
+        assert plan.layout == "batch"
+        assert not plan.calibrated
+
+    def test_explicit_shard_still_shards_a_single_trial(self):
+        plan = _plan("shard", trials=1, users=100_000, cpu_count=2)
+        assert plan.layout == "shard"
+        assert plan.shard_parallel
+        assert plan.num_shards == 2
 
     def test_spare_cores_compose_pool_with_shards(self):
         plan = _plan("auto", trials=2, users=100_000, cpu_count=16)

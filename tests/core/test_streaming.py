@@ -27,6 +27,25 @@ class TestStreamingAggregator:
         with pytest.raises(ValueError):
             StreamingAggregator(4, groups={"bad": np.array([0, 4])})
 
+    @pytest.mark.parametrize(
+        "groups, reason",
+        [
+            ({"a": np.array([0, 1]), "b": np.array([1, 2])}, "overlaps"),
+            ({"a": np.array([0, 2, 2])}, "strictly increasing"),
+            ({"a": np.array([2, 0])}, "strictly increasing"),
+        ],
+        ids=["overlapping", "repeated-index", "unsorted"],
+    )
+    def test_rejects_groups_the_fold_cannot_sum_in_order(self, groups, reason):
+        from repro.core.streaming import BatchedStreamingAggregator
+
+        with pytest.raises(ValueError, match=reason):
+            StreamingAggregator(4, groups=groups)
+        with pytest.raises(ValueError, match=reason):
+            BatchedStreamingAggregator(2, 4, [{}, groups])
+        with pytest.raises(ValueError, match=reason):
+            AggregateHistory(num_users=4, groups=groups)
+
     def test_rejects_wrong_row_lengths(self):
         aggregator = StreamingAggregator(3)
         with pytest.raises(ValueError):
@@ -246,6 +265,44 @@ class TestAggregateHistory:
         np.testing.assert_array_equal(
             clone.approval_rates(), history.approval_rates()
         )
+
+
+class TestAggregatorPickling:
+    def test_pickles_leave_out_the_fold_and_keep_folding_the_same(self):
+        from repro.core.streaming import BatchedStreamingAggregator
+
+        groups = {"a": np.arange(0, 1000, 2), "b": np.arange(1, 1000, 4)}
+        decisions, actions = _binary_stream(6, 1000, seed=3)
+
+        def stacked(row):
+            return np.stack([row, row[::-1]])
+
+        single = StreamingAggregator(1000, groups=groups)
+        batched = BatchedStreamingAggregator(2, 1000, [groups, {}])
+        for step in range(3):
+            single.update(decisions[step], actions[step])
+            batched.update(stacked(decisions[step]), stacked(actions[step]))
+        assert "_fold" not in single.__getstate__()
+        assert "_fold" not in batched.__getstate__()
+        single_clone = pickle.loads(pickle.dumps(single))
+        batched_clone = pickle.loads(pickle.dumps(batched))
+        for step in range(3, 6):
+            for aggregator in (single, single_clone):
+                aggregator.update(decisions[step], actions[step])
+            for aggregator in (batched, batched_clone):
+                aggregator.update(stacked(decisions[step]), stacked(actions[step]))
+        for left, right in (
+            (single, single_clone),
+            (batched.aggregator(0), batched_clone.aggregator(0)),
+        ):
+            for key, series in left.group_default_rate_series().items():
+                np.testing.assert_array_equal(
+                    series, right.group_default_rate_series()[key]
+                )
+            for key, series in left.group_action_average_series().items():
+                np.testing.assert_array_equal(
+                    series, right.group_action_average_series()[key]
+                )
 
 
 class TestSequentialSumHelper:

@@ -45,6 +45,26 @@ class TestAffordabilityState:
         # With a $50K loan the interest is 1.08, so obligations exceed income 11.
         assert affordability_state(income, fixed)[0] < affordability_state(income, proportional)[0]
 
+    @pytest.mark.parametrize("fixed_principal", [None, 50.0])
+    def test_matches_gather_scatter_reference_bit_for_bit(self, fixed_principal):
+        # Computing every entry and overwriting the non-positive ones must
+        # reproduce, on positive incomes, the state computed on the gathered
+        # positive incomes alone, and fill every other entry (zero,
+        # negative, nan, -inf).
+        terms = MortgageTerms(fixed_principal=fixed_principal)
+        rng = np.random.default_rng(7)
+        incomes = rng.lognormal(3.5, 1.0, size=(3, 400))
+        incomes[0, ::7] = 0.0
+        incomes[1, ::11] = -rng.random(incomes[1, ::11].shape) * 50.0
+        incomes[2, 5] = np.nan
+        incomes[2, 6] = -np.inf
+        incomes[2, 7] = 1e-300
+        positive = incomes > 0
+        z = incomes[positive]
+        expected = np.full_like(incomes, -1e6)
+        expected[positive] = (z - terms.annual_obligation(z)) / z
+        np.testing.assert_array_equal(affordability_state(incomes, terms), expected)
+
     @given(st.floats(min_value=0.1, max_value=500.0))
     @settings(max_examples=50, deadline=None)
     def test_state_is_bounded_above_by_one(self, income):

@@ -49,6 +49,25 @@ class TestGeneratePopulation:
         )
         assert all(race == Race.BLACK for race in population.races)
 
+    def test_races_are_the_per_user_draws_of_the_mix(self):
+        spec = PopulationSpec(size=500)
+        population = generate_population(spec, 8)
+        mix = list(spec.race_mix)
+        shares = np.asarray(list(spec.race_mix.values()))
+        draws = np.random.default_rng(8).choice(
+            len(mix), size=spec.size, p=shares / shares.sum()
+        )
+        assert population.races == tuple(mix[index] for index in draws)
+        assert all(type(race) is Race for race in population.races)
+
+    def test_integer_codes_give_the_enum_comparison_groups(self):
+        population = generate_population(PopulationSpec(size=2000), 5)
+        assert population.codes is not None
+        compared = SyntheticPopulation(races=population.races).indices_by_race()
+        for race, indices in population.indices_by_race().items():
+            assert indices.dtype == compared[race].dtype
+            np.testing.assert_array_equal(indices, compared[race])
+
 
 class TestSyntheticPopulation:
     def test_indices_by_race_partition_the_population(self, small_population):

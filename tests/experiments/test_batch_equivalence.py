@@ -210,8 +210,11 @@ class TestBatchedRunnerSurface:
         # offers; rather than silently diverging from that corner, the
         # batched engine refuses non-binary policies outright.
         class FractionalSystem:
+            def __init__(self, value):
+                self.value = value
+
             def decide(self, public_features, observation, k):
-                return np.full(public_features["income"].shape[0], 0.7)
+                return np.full(public_features["income"].shape[0], self.value)
 
             def update(self, public_features, decisions, actions, observation, k):
                 return None
@@ -220,6 +223,24 @@ class TestBatchedRunnerSurface:
         with pytest.raises(ValueError, match="0/1 decisions"):
             run_experiment(
                 config,
-                policy_factory=lambda cfg, population: FractionalSystem(),
+                policy_factory=lambda cfg, population: FractionalSystem(0.7),
                 trial_batch=True,
             )
+        # "auto" runs a single trial on the same kernel on every host, so
+        # the error names the layout that takes such decisions: the serial
+        # loop, whose filter counts 1.5 as an offer.
+        single = CaseStudyConfig(num_users=40, num_trials=1, end_year=2004)
+        with pytest.raises(ValueError, match="execution='serial'"):
+            run_experiment(
+                single,
+                policy_factory=lambda cfg, population: FractionalSystem(1.5),
+                execution="auto",
+            )
+        serial = run_experiment(
+            single,
+            policy_factory=lambda cfg, population: FractionalSystem(1.5),
+            execution="serial",
+        )
+        np.testing.assert_array_equal(
+            serial.trials[0].history.decisions_matrix(), np.full((3, 40), 1.5)
+        )

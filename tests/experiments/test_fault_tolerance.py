@@ -12,12 +12,23 @@ streams), so fault tolerance must never cost a single bit.
 
 from __future__ import annotations
 
+import copyreg
+import io
 import os
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointError, list_checkpoints
+from repro.core import checkpoint as checkpoint_module
+from repro.core.checkpoint import (
+    CheckpointError,
+    list_checkpoints,
+    read_checkpoint,
+    write_checkpoint,
+)
+from repro.core.streaming import StreamingAggregator
 from repro.core.supervision import SupervisorPolicy
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
@@ -78,6 +89,26 @@ def assert_trials_identical(left, right):
         np.testing.assert_array_equal(series, right.group_default_rates[race])
 
 
+class _PreFoldPickler(pickle.Pickler):
+    """Pickles aggregators the way builds without a group fold did.
+
+    Their whole attribute dict minus ``_fold``, bypassing the class's own
+    pickling hooks.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, StreamingAggregator):
+            state = {name: value for name, value in vars(obj).items() if name != "_fold"}
+            return copyreg.__newobj__, (type(obj),), state
+        return NotImplemented
+
+
+def _dumps_without_group_fold(payload, protocol):
+    buffer = io.BytesIO()
+    _PreFoldPickler(buffer, protocol).dump(payload)
+    return buffer.getvalue()
+
+
 def assert_experiments_identical(left, right):
     assert len(left.trials) == len(right.trials)
     for trial_left, trial_right in zip(left.trials, right.trials):
@@ -130,6 +161,47 @@ class TestCheckpointResume:
                 checkpoint_dir=str(tmp_path),
                 checkpoint_every=4,
             )
+        resumed = run_trial(
+            ft_config,
+            trial_index=0,
+            history_mode="aggregate",
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=4,
+            resume=True,
+        )
+        for race, series in golden.group_default_rates.items():
+            np.testing.assert_array_equal(series, resumed.group_default_rates[race])
+
+    def test_resume_from_snapshot_pickled_before_the_group_fold(
+        self, ft_config, tmp_path, monkeypatch
+    ):
+        # Aggregate-mode snapshots written before the aggregators owned a
+        # GroupFold pickle the aggregator's attribute dict without one.
+        # Resume must rebuild the fold, not fail on the next recorded step.
+        golden = run_trial(ft_config, trial_index=0, history_mode="aggregate")
+        install_plan([FaultSpec(site="loop_step", kind="raise", step=10)])
+        with pytest.raises(FaultInjected):
+            run_trial(
+                ft_config,
+                trial_index=0,
+                history_mode="aggregate",
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every=4,
+            )
+        newest = list_checkpoints(tmp_path, "trial-0000")[0][1]
+        payload = read_checkpoint(newest)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                checkpoint_module,
+                "pickle",
+                SimpleNamespace(
+                    dumps=_dumps_without_group_fold,
+                    HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+                ),
+            )
+            write_checkpoint(newest, payload)
+        with open(newest, "rb") as handle:
+            assert b"GroupFold" not in handle.read()
         resumed = run_trial(
             ft_config,
             trial_index=0,
@@ -604,9 +676,9 @@ class TestCrossPlanResume:
     """``execution="auto"`` resumes bit-for-bit under a different plan.
 
     Plans are excluded from checkpoint fingerprints, so a run interrupted
-    on a 1-core host must resume on an 8-core host (where ``auto`` would
-    pick a different layout) without a fingerprint rejection — and land on
-    the uninterrupted trajectory exactly.
+    on a 1-core host must resume on an 8-core host under a different
+    layout without a fingerprint rejection — and land on the uninterrupted
+    trajectory exactly.
     """
 
     def test_auto_resume_across_core_counts(
@@ -625,15 +697,15 @@ class TestCrossPlanResume:
                 checkpoint_every=3,
             )
         clear_plan()
-        # Resume on a "different host": more cores and a lowered shard
-        # threshold, so auto would now plan a sharded layout for a fresh
-        # run — the checkpoint must still be accepted and replayed.
+        # Resume on a "different host" under a different plan: auto keeps
+        # a checkpointed trial on the serial loop on any host, so the
+        # resume asks for shard workers on 8 cores — the checkpoint must
+        # still be accepted and replayed.
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
-        monkeypatch.setattr(planner, "AUTO_SHARD_MIN_USERS", 32)
         resumed = run_trial(
             ft_config,
             trial_index=0,
-            execution="auto",
+            execution="shard",
             checkpoint_dir=str(tmp_path),
             checkpoint_every=3,
             resume=True,

@@ -1,6 +1,6 @@
 """Property-based tests on the streaming aggregation subsystem.
 
-Two families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
+Three families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
 
 * **Stream/batch agreement** — feeding a random decision/action stream step
   by step must agree *bit for bit* with the batch ``recompute_*`` /
@@ -14,6 +14,10 @@ Two families of properties pin :class:`repro.core.streaming.StreamingAggregator`
   floating-point group sums merge up to reassociation error, and exactly
   whenever every partial sum is representable (dyadic action values), which
   a dedicated property asserts.
+* **One-pass group folds** — :class:`~repro.core.streaming.GroupFold`,
+  which both aggregators use, equals ``sequential_sum(values[indices])``
+  bit for bit on random partitions, with empty groups, ungrouped users,
+  signed zeros, subnormals and large magnitudes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ from hypothesis import strategies as st
 
 from repro.core.history import SimulationHistory
 from repro.core.metrics import group_average_series, group_approval_series
-from repro.core.streaming import StreamingAggregator, sequential_sum
+from repro.core.streaming import (
+    BatchedStreamingAggregator,
+    GroupFold,
+    StreamingAggregator,
+    sequential_sum,
+)
 
 
 def _random_stream(num_steps: int, num_users: int, seed: int):
@@ -239,6 +248,80 @@ class TestShardMerge:
         reference_series = reference.group_action_average_series()
         for key in groups:
             np.testing.assert_array_equal(merged_series[key], reference_series[key])
+
+
+#: Values where a fold's order and the sign of zero show: signed zeros,
+#: subnormals, the smallest normal, and magnitudes whose sums would lose
+#: the small terms under any other order (kept below overflow for 40 users).
+tricky_values = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, 0.1]
+) | st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def folded_stacks(draw):
+    """A ``(rows, users)`` value stack and one random partition per row.
+
+    Codes ``-1`` leave a user in no group; a drawn group may be empty.
+    """
+    rows = draw(st.integers(min_value=1, max_value=3))
+    users = draw(st.integers(min_value=1, max_value=40))
+    num_groups = draw(st.integers(min_value=0, max_value=4))
+    values = np.array(
+        draw(st.lists(tricky_values, min_size=rows * users, max_size=rows * users))
+    ).reshape(rows, users)
+    partitions = []
+    for _ in range(rows):
+        codes = np.array(
+            draw(
+                st.lists(
+                    st.integers(min_value=-1, max_value=num_groups - 1),
+                    min_size=users,
+                    max_size=users,
+                )
+            )
+        )
+        partitions.append(
+            {f"g{j}": np.flatnonzero(codes == j) for j in range(num_groups)}
+        )
+    return values, partitions
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestGroupFold:
+    """One ``bincount`` pass equals the per-group sequential fold, bit for bit."""
+
+    @given(folded_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_matches_the_sequential_sum(self, stack):
+        values, partitions = stack
+        fold = GroupFold(values.shape[1], partitions)
+        totals = fold.sums(values)
+        assert len(totals) == len(fold.keys)
+        for (row, key), total in zip(fold.keys, totals):
+            expected = sequential_sum(values[row][partitions[row][key]])
+            assert _bits(total) == _bits(expected)
+
+    @given(folded_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_both_aggregators_fold_like_the_sequential_sum(self, stack):
+        """The decision series is folded as given, so any value reaches the fold."""
+        values, partitions = stack
+        rows, users = values.shape
+        batched = BatchedStreamingAggregator(rows, users, partitions)
+        batched.update(values, np.zeros_like(values))
+        for row, groups in enumerate(partitions):
+            single = StreamingAggregator(users, groups=groups)
+            single.update(values[row], np.zeros(users))
+            for state in (single.export_state(), batched.trial_state(row)):
+                for key, indices in groups.items():
+                    expected = sequential_sum(values[row][indices])
+                    assert _bits(state["group_decision_sums"][key][0]) == _bits(
+                        expected
+                    )
 
 
 class TestSequentialSum:
