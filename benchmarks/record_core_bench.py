@@ -39,7 +39,7 @@ whole-trial wall clocks per mode — the refit is the central serial phase
 of the sharded runner, so this is the Amdahl number.
 
 The entry also records the trial-batched engine timings
-(``measure_trial_batched``): serial vs lockstep ``trial_batch=True``
+(``measure_trial_batched``): serial vs lockstep ``execution="batch"``
 experiment wall clocks (bit-identical by construction) at the 8-trial x
 20k-user x 20-step workload in both retrain modes, and at a 32-trial x
 1k-user Monte-Carlo sweep — the many-seeded-trials regime the batched
@@ -66,6 +66,7 @@ import json
 import os
 import subprocess
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,12 +171,12 @@ def measure_sharded(num_users: int) -> dict:
     timings: dict = {"cpu_count": os.cpu_count()}
     layouts = [
         ("sharded_trial_1shard_serial_s", {}),
-        ("sharded_trial_2shards_pool_s", dict(num_shards=2, shard_parallel=True)),
-        ("sharded_trial_8shards_pool_s", dict(num_shards=8, shard_parallel=True)),
+        ("sharded_trial_2shards_pool_s", dict(num_shards=2, execution="shard")),
+        ("sharded_trial_8shards_pool_s", dict(num_shards=8, execution="shard")),
     ]
     for key, kwargs in layouts:
         start = time.perf_counter()
-        run_trial(config, trial_index=0, **kwargs)
+        run_trial(replace(config, **kwargs), trial_index=0)
         timings[key] = round(time.perf_counter() - start, 4)
     timings["sharded_speedup_8x_vs_1_x"] = round(
         timings["sharded_trial_1shard_serial_s"]
@@ -283,7 +284,7 @@ def measure_retrain(num_users: int) -> dict:
         ("trial_compressed_warm_s", dict(retrain_mode="compressed", warm_start=True)),
     ):
         start = time.perf_counter()
-        run_trial(config, trial_index=0, **kwargs)
+        run_trial(replace(config, **kwargs), trial_index=0)
         timings[key] = round(time.perf_counter() - start, 4)
     timings["trial_speedup_compressed_x"] = round(
         timings["trial_exact_s"] / max(timings["trial_compressed_s"], 1e-9), 2
@@ -332,18 +333,14 @@ def measure_trial_batched() -> dict:
     ]
     timings: dict = {"cpu_count": os.cpu_count()}
     for key, config, kwargs in workloads:
-        run_experiment(config, trial_batch=True, **kwargs)  # warm caches
+        serial_config = replace(config, **kwargs)
+        batched_config = replace(serial_config, execution="batch")
+        run_experiment(batched_config)  # warm caches
         serial = min(
-            timeit.repeat(
-                lambda: run_experiment(config, **kwargs), number=1, repeat=2
-            )
+            timeit.repeat(lambda: run_experiment(serial_config), number=1, repeat=2)
         )
         batched = min(
-            timeit.repeat(
-                lambda: run_experiment(config, trial_batch=True, **kwargs),
-                number=1,
-                repeat=2,
-            )
+            timeit.repeat(lambda: run_experiment(batched_config), number=1, repeat=2)
         )
         timings[f"{key}_serial_s"] = round(serial, 4)
         timings[f"{key}_batched_s"] = round(batched, 4)
@@ -379,7 +376,7 @@ def measure_checkpoint_overhead() -> dict:
 
     def timed(**kwargs) -> float:
         start = time.perf_counter()
-        run_trial(config, trial_index=0, history_mode="aggregate", **kwargs)
+        run_trial(replace(config, history_mode="aggregate", **kwargs), trial_index=0)
         return time.perf_counter() - start
 
     timed()  # warm caches

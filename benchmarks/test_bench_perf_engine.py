@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,13 +259,15 @@ def test_bench_trial_batched():
     """
     from repro.experiments.runner import run_experiment
 
-    config = CaseStudyConfig(num_users=250, num_trials=32, end_year=2021)
+    config = CaseStudyConfig(
+        num_users=250, num_trials=32, end_year=2021, retrain_mode="compressed"
+    )
 
     def serial_run():
-        return run_experiment(config, retrain_mode="compressed")
+        return run_experiment(config)
 
     def batched_run():
-        return run_experiment(config, retrain_mode="compressed", trial_batch=True)
+        return run_experiment(replace(config, execution="batch"))
 
     # Also warms caches (income CDFs, numpy internals).
     batched_means = batched_run().group_mean_series()
@@ -321,11 +324,13 @@ def test_bench_checkpoint_overhead(monkeypatch):
     with tempfile.TemporaryDirectory() as snapshots:
         total = _timed(
             lambda: run_trial(
-                config,
+                replace(
+                    config,
+                    history_mode="aggregate",
+                    checkpoint_dir=snapshots,
+                    checkpoint_every=100,
+                ),
                 trial_index=0,
-                history_mode="aggregate",
-                checkpoint_dir=snapshots,
-                checkpoint_every=100,
             )
         )
     assert spent["writes"] == 4

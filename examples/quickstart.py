@@ -218,7 +218,7 @@ def compressed_variant(reference_series) -> None:
 
 
 def batched_sweep_variant() -> None:
-    """A whole Monte-Carlo sweep in lockstep (``trial_batch=True``).
+    """A whole Monte-Carlo sweep in lockstep (``execution="batch"``).
 
     The paper's figures average many seeded trials of the same loop.  The
     trial-batched engine stacks all of them into ``(trials, users)``
@@ -229,15 +229,17 @@ def batched_sweep_variant() -> None:
     fixed per-step dispatch across the whole sweep (~2.3x on a 32-trial x
     1k-user sweep; see ``BENCH_core.json`` entry ``trial-batched-engine``),
     where process pools would only add IPC; with many real cores, prefer
-    ``parallel=True`` trial pooling instead.
+    the trial pool (``execution="pool"``) instead.
     """
+    from dataclasses import replace
+
     from repro.experiments import CaseStudyConfig, run_experiment
 
-    config = CaseStudyConfig(num_users=300, num_trials=6)
-    serial = run_experiment(config, retrain_mode="compressed")
-    batched = run_experiment(config, retrain_mode="compressed", trial_batch=True)
+    config = CaseStudyConfig(num_users=300, num_trials=6, retrain_mode="compressed")
+    serial = run_experiment(config)
+    batched = run_experiment(replace(config, execution="batch"))
 
-    print("\n-- trial-batched sweep (trial_batch=True, 6 trials in lockstep) --")
+    print("\n-- trial-batched sweep (execution='batch', 6 trials in lockstep) --")
     for index, (serial_trial, batched_trial) in enumerate(
         zip(serial.trials, batched.trials)
     ):
@@ -279,6 +281,7 @@ def kill_and_resume_variant() -> None:
     import subprocess
     import sys
     import tempfile
+    from dataclasses import replace
 
     from repro.experiments import CaseStudyConfig, run_experiment
     from repro.testing.faults import FaultSpec, plan_environment
@@ -295,10 +298,10 @@ def kill_and_resume_variant() -> None:
             "import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from repro.experiments import CaseStudyConfig, run_experiment\n"
-            "run_experiment(\n"
-            "    CaseStudyConfig(num_users=300, num_trials=3, seed=11),\n"
+            "run_experiment(CaseStudyConfig(\n"
+            "    num_users=300, num_trials=3, seed=11,\n"
             "    checkpoint_dir=sys.argv[2], checkpoint_every=5,\n"
-            ")\n"
+            "))\n"
         )
         environment = dict(os.environ)
         environment.update(
@@ -319,7 +322,12 @@ def kill_and_resume_variant() -> None:
         print(f"  on disk at the crash: {', '.join(survivors)}")
 
         resumed = run_experiment(
-            config, checkpoint_dir=checkpoint_dir, checkpoint_every=5, resume=True
+            replace(
+                config,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_every=5,
+                resume=True,
+            )
         )
         for index, (golden_trial, resumed_trial) in enumerate(
             zip(golden.trials, resumed.trials)
@@ -337,7 +345,7 @@ def kill_and_resume_variant() -> None:
 
 
 def planner_variant() -> None:
-    """One knob instead of three switches (``execution="auto"``).
+    """One knob picks the layout (``execution="auto"``).
 
     Every layout shown above — the serial loop, the trial-batched
     tensor engine, the trial pool, the shared-memory shard pool — is
@@ -346,6 +354,8 @@ def planner_variant() -> None:
     workload shape (trials, users, steps, history/retrain mode,
     checkpoint knobs), picks the layout itself, and can compose two of
     them (pooled trials x sharded users) when spare cores justify it.
+    ``execution`` defaults to ``"serial"``; every other value is one
+    ``dataclasses.replace`` away.
     The knob is purely a wall-clock choice: whatever plan the planner
     picks — on whatever machine — the trajectory is bit-identical to
     the serial reference, so a config carrying ``execution="auto"`` is

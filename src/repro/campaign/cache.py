@@ -5,7 +5,7 @@ job's trajectory — the arm references plus
 :func:`~repro.experiments.runner.trajectory_fingerprint_fields` and the
 trial count — joined with the same ``\\x1f``-separated ``repr`` discipline
 as :func:`~repro.core.checkpoint.config_fingerprint`.  Execution layout
-(``execution``, worker caps, shard counts, transports) never enters the
+(``execution``, worker caps, shard counts) never enters the
 digest: every layout is bit-identical by construction, so an entry written
 by a serial run hits under pooled or sharded execution and vice versa.
 
@@ -162,23 +162,36 @@ class ResultCache:
         """Cheap existence probe (no integrity check — use :meth:`load`)."""
         return self.path_for(key).exists()
 
-    def store(self, key: str, series: CampaignJobSeries) -> Path:
-        """Persist one job's series under its key, atomically."""
+    def store(self, key: str, series: CampaignJobSeries) -> Path | None:
+        """Persist one job's series under its key, atomically.
+
+        Returns the entry's path, or ``None`` when the write failed (a
+        full disk): the failure is reported with a :class:`RuntimeWarning`
+        instead of raised, because the series it would have cached is
+        still valid — the job just recomputes on the next sweep.
+        """
         path = self.path_for(key)
-        write_checkpoint(
-            path,
-            {
-                "kind": "campaign_result",
-                "version": CACHE_VERSION,
-                "key": key,
-                "years": tuple(series.years),
-                "group_default_rates": {
-                    race.name: np.asarray(rates)
-                    for race, rates in series.group_default_rates.items()
-                },
-                "approval_rates": np.asarray(series.approval_rates),
+        payload = {
+            "kind": "campaign_result",
+            "version": CACHE_VERSION,
+            "key": key,
+            "years": tuple(series.years),
+            "group_default_rates": {
+                race.name: np.asarray(rates)
+                for race, rates in series.group_default_rates.items()
             },
-        )
+            "approval_rates": np.asarray(series.approval_rates),
+        }
+        try:
+            write_checkpoint(path, payload)
+        except OSError as error:
+            warnings.warn(
+                f"could not publish campaign job result {path} ({error}); "
+                "the job recomputes on the next sweep",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
         return path
 
     def load(self, key: str) -> CampaignJobSeries | None:

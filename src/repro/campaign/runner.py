@@ -32,7 +32,7 @@ from repro.campaign.cache import CampaignJobSeries, ResultCache, job_key
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand_campaign
 from repro.core.planner import CampaignBudget, plan_campaign_jobs, plan_execution
 from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import _run_planned_experiment
 from repro.testing.faults import fire as _fire_fault
 
 __all__ = [
@@ -174,30 +174,26 @@ def _execute_job(
 
     The job's layout is resolved by :func:`plan_execution` against
     ``cores_per_job`` — not the host's core count — which is what keeps J
-    concurrent jobs from greedily sizing J full-width pools.  The resolved
-    plan is handed to :func:`run_experiment` as concrete legacy switches,
-    so the experiment layer never re-plans on its own host view.
+    concurrent jobs from greedily sizing J full-width pools.  The
+    experiment runner executes that plan as is, so it never re-plans on
+    its own host view.
     """
+    config = job.config
     plan = plan_execution(
         spec.execution,
-        trials=job.config.num_trials,
-        users=job.config.num_users,
-        steps=job.config.num_steps,
-        history_mode=job.config.history_mode,
-        retrain_mode=job.config.retrain_mode,
+        trials=config.num_trials,
+        users=config.num_users,
+        steps=config.num_steps,
+        history_mode=config.history_mode,
+        retrain_mode=config.retrain_mode,
         cpu_count=cores_per_job,
         num_shards=spec.num_shards,
     )
-    result = run_experiment(
-        job.config,
+    result = _run_planned_experiment(
+        config,
+        plan,
         policy_factory=job.policy_factory(),
         income_table=job.income_table(),
-        parallel=plan.parallel,
-        max_workers=plan.max_workers,
-        trial_batch=plan.trial_batch,
-        num_shards=plan.num_shards,
-        shard_parallel=plan.shard_parallel,
-        shard_transport=spec.shard_transport,
         supervisor=supervisor,
     )
     return CampaignJobSeries.from_experiment(result)

@@ -257,8 +257,8 @@ class CampaignSpec:
     ``policies`` × ``population_sizes`` × ``seeds`` × ``retrain_modes``,
     with the shared calendar window, trial count, recording mode and
     warm-start flag.  Run options (``execution``, ``max_workers``,
-    ``num_shards``, ``shard_transport``) steer only *how* jobs execute —
-    every layout is bit-identical — and are excluded from cache keys.
+    ``num_shards``) steer only *how* jobs execute — every layout is
+    bit-identical — and are excluded from cache keys.
     """
 
     name: str = "campaign"
@@ -277,7 +277,6 @@ class CampaignSpec:
     execution: str = "auto"
     max_workers: int | None = None
     num_shards: int | None = None
-    shard_transport: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -321,11 +320,6 @@ class CampaignSpec:
             raise ValueError("max_workers must be positive when given")
         if self.num_shards is not None and self.num_shards <= 0:
             raise ValueError("num_shards must be positive when given")
-        if self.shard_transport not in (None, "shared", "pickle"):
-            raise ValueError(
-                'shard_transport must be "shared" or "pickle" when given, '
-                f"got {self.shard_transport!r}"
-            )
 
     @property
     def grid_size(self) -> int:
@@ -441,7 +435,7 @@ def _spec_from_mapping(data: Mapping[str, object], origin: str) -> CampaignSpec:
             f"{origin}: unknown spec key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(known))} (plus a [run] section)"
         )
-    known_run = {"execution", "max_workers", "num_shards", "shard_transport"}
+    known_run = {"execution", "max_workers", "num_shards"}
     unknown_run = sorted(set(run_options) - known_run)
     if unknown_run:
         raise ValueError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 from typing import Callable, Dict, Sequence
 
+from repro.core.planner import EXECUTION_MODES
 from repro.experiments import (
     CaseStudyConfig,
     baseline_comparison,
@@ -48,10 +49,8 @@ def _config_from_arguments(arguments: argparse.Namespace) -> CaseStudyConfig:
         seed=arguments.seed,
         history_mode=arguments.history_mode,
         num_shards=arguments.shards,
-        shard_parallel=arguments.shard_parallel,
         retrain_mode=arguments.retrain_mode,
         warm_start=arguments.warm_start,
-        trial_batch=arguments.trial_batch,
         checkpoint_dir=arguments.checkpoint_dir,
         checkpoint_every=arguments.checkpoint_every,
         resume=arguments.resume,
@@ -83,44 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker shards per trial (intra-trial parallelism); results are "
-            "bit-identical for every value — the random schedule depends only "
-            "on the population's canonical shard partition, never on the "
-            "worker count (pass --shard-parallel to actually use a process "
-            "pool; otherwise the shards run serially in-process)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-parallel",
-        action="store_true",
-        help="execute each trial's worker shards on a process pool",
-    )
-    parser.add_argument(
-        "--trial-batch",
-        action="store_true",
-        help=(
-            "run all trials in lockstep through the trial-batched tensor "
-            "engine: (trials x users) fused per-step math, bit-identical "
-            "to the serial trial loop; the winning strategy on few cores "
-            "with many trials (takes precedence over trial pooling and "
-            "ignores --shard-parallel)"
+            "worker-count hint for the intra-trial shard pool of "
+            "--execution shard (and of auto when it shards users); results "
+            "are bit-identical for every value — the random schedule "
+            "depends only on the population's canonical shard partition, "
+            "never on the worker count"
         ),
     )
     parser.add_argument(
         "--execution",
-        choices=["auto", "serial", "batch", "pool", "shard"],
-        default=None,
+        choices=EXECUTION_MODES,
+        default="serial",
         help=(
-            "one knob in front of the three execution layouts, resolved by "
-            "the planner from (cpu_count, trials, users, steps, checkpoint "
-            "knobs): 'serial' runs in-process, 'batch' runs trials in "
-            "lockstep (the tensor engine), 'pool' runs trials on a process "
-            "pool, 'shard' splits each trial's users over a worker pool, "
-            "and 'auto' picks — possibly composing pooled trials with "
-            "sharded users.  Every choice is bit-identical; this knob only "
-            "changes the wall clock.  Replaces --trial-batch and "
-            "--shard-parallel (combining them is rejected); --shards is "
-            "treated as a worker-count hint"
+            "how the run executes, resolved by the planner from "
+            "(cpu_count, trials, users, steps, checkpoint knobs): 'serial' "
+            "(default) runs in-process, 'batch' runs trials in lockstep "
+            "(the tensor engine), 'pool' runs trials on a process pool, "
+            "'shard' splits each trial's users over a worker pool, and "
+            "'auto' picks — possibly composing pooled trials with sharded "
+            "users.  Every choice is bit-identical; this knob only changes "
+            "the wall clock"
         ),
     )
     parser.add_argument(

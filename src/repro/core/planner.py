@@ -1,26 +1,25 @@
-"""The unified execution planner: one knob in front of three layouts.
+"""The execution planner: one knob picks how a run executes.
 
-The engine grew three execution layouts, each with its own switch:
+The engine has three execution layouts:
 
-* ``trial_batch`` — the lockstep tensor kernel: every trial in one
-  process, the per-user math fused across the trial axis;
-* ``parallel`` — the trial process pool: several heavy trials on several
+* the lockstep tensor kernel (``batch``): every trial in one process, the
+  per-user math fused across the trial axis;
+* the trial process pool (``pool``): several heavy trials on several
   cores;
-* ``num_shards``/``shard_parallel`` — the intra-trial shard pool: one
-  trial's users spread over worker processes.
+* the intra-trial shard pool (``shard``): one trial's users spread over
+  worker processes.
 
 :func:`plan_execution` turns the measured rules into code: given the
 workload shape (trials, users, steps), the host (``cpu_count``), the
 recording and retraining modes, and the checkpoint knobs, it resolves a
 single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"``,
-``"pool"`` or ``"shard"`` — into an :class:`ExecutionPlan` holding the
-concrete layout switches the runner threads through.  ``"auto"`` pools
-trials when there are several trials and several cores, and may *compose*
-layouts (trial pooling × user sharding when cores outnumber trials).
-Otherwise — one trial on any host, or several trials on one core — it runs
-in process on the lockstep kernel, or on the serial loop when
-checkpointing.  A single trial never goes to the shard pool under
-``"auto"``: on a 2-CPU host the pool ran a 1M-user trial slower than the
+``"pool"`` or ``"shard"`` — into an :class:`ExecutionPlan`, which the
+runner executes.  ``"auto"`` pools trials when there are several trials
+and several cores, and may *compose* layouts (trial pooling × user
+sharding when cores outnumber trials).  Otherwise — one trial on any
+host, or several trials on one core — it runs in process on the lockstep
+kernel, or on the serial loop when checkpointing.  A single trial never
+goes to the shard pool under ``"auto"``: on a 2-CPU host the pool ran a 1M-user trial slower than the
 in-process kernel, because its orchestrator records and decides serially
 while the workers wait.  An optional calibration micro-bench
 (:func:`measure_dispatch_overhead`) refines the batch-vs-serial call for
@@ -40,9 +39,8 @@ Two invariants the rest of the engine supplies and the planner preserves:
   under one plan resumes bit-identically under another — including
   ``execution="auto"`` resumed on a host with a different ``cpu_count``.
 
-Forbidden combinations (``"batch"`` × checkpointing, the ``execution``
-knob alongside the legacy layout switches) are rejected at configuration
-time by :func:`validate_execution_settings`, mirroring
+The one forbidden combination, ``"batch"`` × checkpointing, is rejected at
+configuration time by :func:`validate_execution_settings`, mirroring
 :func:`repro.experiments.config.validate_checkpoint_settings`.
 """
 
@@ -115,33 +113,18 @@ def _detect_cpu_count() -> int:
 
 
 def validate_execution_settings(
-    execution: Optional[str],
-    *,
-    parallel: bool = False,
-    trial_batch: bool = False,
-    shard_parallel: bool = False,
-    checkpoint_every: int = 0,
-    resume: bool = False,
+    execution: str, *, checkpoint_every: int = 0, resume: bool = False
 ) -> None:
     """Reject unusable ``execution`` combinations with actionable errors.
 
     Called from :class:`~repro.experiments.config.CaseStudyConfig`
-    construction and from the runners' override merges, so a bad
-    combination fails at configuration time — the same contract as
+    construction and from :func:`plan_execution`, so a bad combination
+    fails at configuration time — the same contract as
     :func:`~repro.experiments.config.validate_checkpoint_settings`.
     """
-    if execution is None:
-        return
     if execution not in EXECUTION_MODES:
         raise ValueError(
-            f"execution must be one of {EXECUTION_MODES} (or None), "
-            f"got {execution!r}"
-        )
-    if parallel or trial_batch or shard_parallel:
-        raise ValueError(
-            "the execution knob replaces the legacy layout switches: drop "
-            "parallel/trial_batch/shard_parallel when setting execution "
-            f"(got execution={execution!r})"
+            f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
         )
     if execution == "batch" and (checkpoint_every > 0 or resume):
         raise ValueError(
@@ -154,7 +137,7 @@ def validate_execution_settings(
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """The resolved layout switches of one experiment (or trial) run.
+    """The resolved layout of one experiment (or trial) run.
 
     Attributes
     ----------
@@ -164,8 +147,9 @@ class ExecutionPlan:
         The resolved headline layout: ``"serial"``, ``"batch"``,
         ``"pool"``, ``"shard"`` or the composition ``"pool+shard"``.
     trial_batch, parallel, max_workers, num_shards, shard_parallel:
-        The concrete switches the runner threads into
-        ``run_experiment``/``run_trial``/``ClosedLoop.run``.
+        The concrete layout: the lockstep kernel, the trial pool and its
+        worker count, and the shard count and pool each trial's
+        ``ClosedLoop.run`` gets.
     cpu_count:
         The core count the planner saw.  Recorded for diagnostics only —
         it is *excluded* from checkpoint fingerprints, so plans chosen on

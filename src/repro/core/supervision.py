@@ -23,6 +23,7 @@ single except clause.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ __all__ = [
     "kill_executor",
     "release_resources",
 ]
+
+#: Upper bound on how long :func:`kill_executor` waits for terminated
+#: workers to be reaped (a SIGTERM'd worker exits in milliseconds).
+_REAP_TIMEOUT_S = 10.0
 
 
 class WorkerPoolFailure(RuntimeError):
@@ -104,11 +109,18 @@ def kill_executor(executor) -> None:
 
     ``shutdown(wait=False)`` alone leaves a worker stuck in an injected (or
     organic) hang alive indefinitely; terminating the worker processes
-    first makes teardown prompt.  Best-effort by design: the private
-    ``_processes`` map is CPython's, so its absence simply degrades to the
-    plain shutdown.
+    first makes teardown prompt.  On return the pool's management thread
+    has reaped the terminated workers (waiting at most
+    ``_REAP_TIMEOUT_S``), so their exit codes are set.  Without that wait
+    the management thread and a caller's own ``Process.join`` race to
+    ``waitpid`` the same child, and the loser reports a dead worker as
+    alive.  Best-effort by design: the private ``_processes`` map and
+    management thread are CPython's, so their absence simply degrades to
+    the plain shutdown.
     """
     processes = getattr(executor, "_processes", None)
+    # shutdown() drops the executor's reference to its management thread.
+    manager = getattr(executor, "_executor_manager_thread", None)
     if processes:
         for process in list(processes.values()):
             try:
@@ -116,6 +128,10 @@ def kill_executor(executor) -> None:
             except Exception:  # pragma: no cover - already-dead process races
                 pass
     executor.shutdown(wait=False, cancel_futures=True)
+    if manager is not None and manager is not threading.current_thread():
+        # The management thread joins every worker once it sees the pool
+        # break or shut down, then exits.
+        manager.join(_REAP_TIMEOUT_S)
 
 
 def release_resources(*resources) -> None:

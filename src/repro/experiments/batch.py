@@ -56,7 +56,7 @@ Trade-off vs. the other execution modes: trial batching wins on few cores
 and many trials (it removes per-trial dispatch without spawning
 processes), and at ``T = 1`` it is still the fastest way to run one trial
 in process (fused draws and decisions, no per-step dict and copy
-ceremony); trial-level pooling (``parallel=True``) wins when real cores
+ceremony); the trial pool (``execution="pool"``) wins when real cores
 exist and trials are few and heavy.  ``BENCH_core.json`` (entry
 ``trial-batched-engine``) records the measured crossover.  The rule is
 code: ``execution="auto"`` (:func:`repro.core.planner.plan_execution`)
@@ -89,7 +89,7 @@ from repro.scoring.features import FeatureBuilder, clipped_default_rates
 from repro.scoring.suffstats import CompressedDesign, pack_rows
 from repro.utils.rng import derive_seed, shard_seed, step_generator
 
-__all__ = ["BatchedTrialRunner", "run_trials_batched"]
+__all__ = ["BatchedTrialRunner"]
 
 #: One trial's outcome: the recorded history plus the trial's population
 #: (the runner assembles :class:`~repro.experiments.runner.TrialResult`
@@ -103,21 +103,19 @@ class BatchedTrialRunner:
     Parameters
     ----------
     config:
-        The fully resolved configuration (``retrain_mode``/``warm_start``
-        overrides already merged in — the policy factory reads them off the
-        config).
+        The run's configuration; the policy factory reads its
+        ``retrain_mode``/``warm_start``, and its ``history_mode`` picks
+        the recording: ``"full"`` records per-trial
+        :class:`~repro.core.history.SimulationHistory` objects through the
+        precomputed-statistics fast ingest, ``"aggregate"`` streams all
+        trials through one
+        :class:`~repro.core.streaming.BatchedStreamingAggregator`.
     policy_factory:
         Builder of each trial's AI system, called exactly as
         :func:`~repro.experiments.runner.run_trial` calls it.
     terms, income_table:
         Optional overrides, as in ``run_trial``.  Shared across trials —
         the serial path rebuilds identical immutable objects per trial.
-    history_mode:
-        ``"full"`` records per-trial
-        :class:`~repro.core.history.SimulationHistory` objects through the
-        precomputed-statistics fast ingest; ``"aggregate"`` streams all
-        trials through one
-        :class:`~repro.core.streaming.BatchedStreamingAggregator`.
     """
 
     def __init__(
@@ -126,14 +124,8 @@ class BatchedTrialRunner:
         policy_factory,
         terms: MortgageTerms | None = None,
         income_table: IncomeTable | None = None,
-        history_mode: str = "full",
     ) -> None:
-        if history_mode not in ("full", "aggregate"):
-            raise ValueError(
-                f'history_mode must be "full" or "aggregate", got {history_mode!r}'
-            )
         self._config = config
-        self._history_mode = history_mode
         self._terms = terms or MortgageTerms(
             income_multiple=config.income_multiple,
             annual_rate=config.annual_rate,
@@ -388,7 +380,7 @@ class BatchedTrialRunner:
         num_trials = config.num_trials
         num_users = config.num_users
         num_steps = config.num_steps
-        full_mode = self._history_mode == "full"
+        full_mode = config.history_mode == "full"
         histories: List[SimulationHistory] = []
         aggregate: BatchedStreamingAggregator | None = None
         if full_mode:
@@ -448,11 +440,11 @@ class BatchedTrialRunner:
                         # insists on the credit loop's 0/1 contract.
                         raise ValueError(
                             "the lockstep kernel (execution='batch', which "
-                            "'auto' plans for in-process runs, or "
-                            "trial_batch=True) requires 0/1 decisions, but "
-                            "the AI system returned other values; run with "
-                            "execution='serial', whose filter truncates "
-                            "decisions to integers before counting offers"
+                            "'auto' plans for in-process runs) requires 0/1 "
+                            "decisions, but the AI system returned other "
+                            "values; run with execution='serial', whose "
+                            "filter truncates decisions to integers before "
+                            "counting offers"
                         )
                     decisions[trial] = decisions_row
                     step_features.append(features)
@@ -559,20 +551,3 @@ class BatchedTrialRunner:
             outcomes.append((history, population))
         return outcomes
 
-
-def run_trials_batched(
-    config: CaseStudyConfig,
-    policy_factory,
-    terms: MortgageTerms | None = None,
-    income_table: IncomeTable | None = None,
-    history_mode: str = "full",
-) -> List[TrialOutcome]:
-    """Run every trial of ``config`` in lockstep; see :class:`BatchedTrialRunner`."""
-    runner = BatchedTrialRunner(
-        config,
-        policy_factory,
-        terms=terms,
-        income_table=income_table,
-        history_mode=history_mode,
-    )
-    return runner.run()

@@ -5,6 +5,11 @@ size and race mix, the simulated calendar window, the mortgage terms, the
 repayment-model sensitivity, the scorecard cut-off, and the number of
 trials.  The defaults reproduce the paper exactly; benchmarks and tests use
 scaled-down copies via :meth:`CaseStudyConfig.scaled`.
+
+The same dataclass carries how a run executes — the ``execution`` layout,
+its worker and shard hints, and the checkpoint knobs.  It is the run's only
+configuration: the runners take no per-call overrides of its fields, so a
+variant is ``dataclasses.replace(config, execution="pool", max_workers=2)``.
 """
 
 from __future__ import annotations
@@ -24,16 +29,13 @@ __all__ = [
 
 
 def validate_checkpoint_settings(
-    checkpoint_dir: str | None,
-    checkpoint_every: int,
-    resume: bool,
-    trial_batch: bool = False,
+    checkpoint_dir: str | None, checkpoint_every: int, resume: bool
 ) -> None:
     """Reject unusable checkpoint knob combinations with actionable errors.
 
-    Called from :class:`CaseStudyConfig` construction *and* from the
-    runner's override merge, so a bad combination fails at configuration
-    time — not at step 900 of a 1000-step trial.
+    Called from :class:`CaseStudyConfig` construction, so a bad
+    combination fails at configuration time — not at step 900 of a
+    1000-step trial.
     """
     if checkpoint_every < 0:
         raise ValueError(
@@ -48,13 +50,6 @@ def validate_checkpoint_settings(
         raise ValueError(
             "resume=True needs somewhere to look for checkpoints: "
             "set checkpoint_dir (CLI: --checkpoint-dir)"
-        )
-    if trial_batch and (checkpoint_every > 0 or resume):
-        raise ValueError(
-            "checkpointing is not supported with trial_batch (the batched "
-            "engine advances all trials in lockstep with no per-trial "
-            "boundary to snapshot); disable trial_batch, or drop the "
-            "checkpoint_every/resume knobs"
         )
 
 
@@ -98,25 +93,17 @@ class CaseStudyConfig:
         two modes; per-user accessors raise
         :class:`~repro.core.history.FullHistoryRequiredError` in aggregate
         mode.
-    parallel:
-        Run the experiment's trials concurrently.  Each trial draws from its
-        own :func:`~repro.utils.rng.derive_seed` stream, so the results are
-        bit-identical to the serial path regardless of scheduling.
     max_workers:
-        Worker cap for the parallel runner (``None`` lets
-        :mod:`concurrent.futures` pick from the CPU count).
+        Worker cap of the trial pool (``None`` sizes it from the core
+        count).
     num_shards:
-        Number of worker shards the users of *one trial* are grouped onto
-        when ``shard_parallel`` is set.  The random schedule depends only
-        on the population's canonical shard partition
-        (:class:`~repro.core.sharding.ShardPlan`), never on this worker
-        count, so every value — serial or pooled — yields bit-identical
+        Worker-count hint for the intra-trial shard pool (``execution``
+        ``"shard"``, or ``"auto"`` when it composes pooled trials with
+        sharded users); the default ``1`` leaves the count to the planner.
+        The random schedule depends only on the population's canonical
+        shard partition (:class:`~repro.core.sharding.ShardPlan`), never
+        on this worker count, so every value yields bit-identical
         trajectories.
-    shard_parallel:
-        Execute each trial's worker shards on a process pool (intra-trial
-        parallelism, for when the per-trial loop is the bottleneck).  Falls
-        back to the bit-identical serial path when the trial cannot be
-        sharded (non-default filter, unpicklable population, nested pools).
     retrain_mode:
         Yearly refit strategy of the scorecard lender: ``"exact"``
         (default) runs the row-level IRLS on every user, reproducing the
@@ -133,19 +120,6 @@ class CaseStudyConfig:
         Seed each yearly refit's Newton iteration at the previous year's
         parameters.  Opt-in (changes the iteration path, not the optimum),
         so it stays off the bit-exact reproduction path.
-    trial_batch:
-        Run all of an experiment's trials in lockstep through the
-        trial-batched tensor engine
-        (:class:`~repro.experiments.batch.BatchedTrialRunner`): the
-        per-trial populations are stacked into ``(trials, users)`` columns
-        and every deterministic per-step phase is fused across the trial
-        axis, while each trial keeps its own derived random streams, AI
-        system and refits — so every trial is bit-identical to its serial
-        :func:`~repro.experiments.runner.run_trial` twin.  Batching
-        amortises the fixed per-step dispatch cost without processes,
-        which is the winning strategy on few cores with many trials;
-        it takes precedence over ``parallel`` (and ignores
-        ``shard_parallel``) when enabled.
     checkpoint_dir:
         Directory holding per-trial snapshots and completed-trial results.
         Required (and only consulted) when ``checkpoint_every`` or
@@ -156,7 +130,7 @@ class CaseStudyConfig:
         ``0`` (default) disables step checkpointing.  Because the random
         streams are stateless per ``(trial, shard, step)``, a trial
         resumed from a snapshot is bit-identical to the uninterrupted
-        run.  Incompatible with ``trial_batch``.
+        run.  Incompatible with ``execution="batch"``.
     resume:
         Pick up an interrupted experiment from ``checkpoint_dir``:
         trials with a completed result on disk are skipped outright, and a
@@ -165,19 +139,19 @@ class CaseStudyConfig:
         different configuration fails with an actionable error instead of
         silently mixing runs.
     execution:
-        One knob in front of the three execution layouts, resolved by the
-        planner (:func:`~repro.core.planner.plan_execution`):
-        ``"serial"``, ``"batch"`` (→ ``trial_batch``), ``"pool"``
-        (→ ``parallel``), ``"shard"`` (→ ``num_shards`` +
-        ``shard_parallel``), or ``"auto"``, which inspects
-        (``cpu_count``, trials, users, steps, checkpoint knobs) and may
-        *compose* layouts (pooled trials × sharded users).  Every layout
-        is bit-identical, so this is purely a performance choice — and it
-        is excluded from checkpoint fingerprints, so a run checkpointed
-        under one plan resumes under another (e.g. ``"auto"`` on a host
-        with a different core count).  Mutually exclusive with the legacy
-        ``parallel``/``trial_batch``/``shard_parallel`` switches;
-        ``None`` (default) keeps the legacy knobs in charge.
+        How the run executes, resolved by the planner
+        (:func:`~repro.core.planner.plan_execution`): ``"serial"``
+        (default) runs each trial in process on the serial loop,
+        ``"batch"`` runs every trial in lockstep on the tensor kernel
+        (:class:`~repro.experiments.batch.BatchedTrialRunner`), ``"pool"``
+        runs trials on a process pool, ``"shard"`` spreads each trial's
+        users over a worker pool, and ``"auto"`` inspects (``cpu_count``,
+        trials, users, steps, checkpoint knobs) and may *compose* layouts
+        (pooled trials × sharded users).  Every layout is bit-identical,
+        so this is purely a performance choice — and it is excluded from
+        checkpoint fingerprints, so a run checkpointed under one plan
+        resumes under another (e.g. ``"auto"`` on a host with a different
+        core count).
     """
 
     num_users: int = 1000
@@ -194,17 +168,14 @@ class CaseStudyConfig:
     income_threshold: float = 15.0
     seed: int = 20240101
     history_mode: str = "full"
-    parallel: bool = False
     max_workers: int | None = None
     num_shards: int = 1
-    shard_parallel: bool = False
     retrain_mode: str = "exact"
     warm_start: bool = False
-    trial_batch: bool = False
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
     resume: bool = False
-    execution: str | None = None
+    execution: str = "serial"
 
     def __post_init__(self) -> None:
         if self.history_mode not in ("full", "aggregate"):
@@ -225,16 +196,10 @@ class CaseStudyConfig:
             raise ValueError("max_workers must be positive when given")
         require_positive(self.num_shards, "num_shards")
         validate_checkpoint_settings(
-            self.checkpoint_dir,
-            self.checkpoint_every,
-            self.resume,
-            trial_batch=self.trial_batch,
+            self.checkpoint_dir, self.checkpoint_every, self.resume
         )
         validate_execution_settings(
             self.execution,
-            parallel=self.parallel,
-            trial_batch=self.trial_batch,
-            shard_parallel=self.shard_parallel,
             checkpoint_every=self.checkpoint_every,
             resume=self.resume,
         )

@@ -6,40 +6,40 @@ several times and aggregates the race-wise average-default-rate series into
 mean and standard-deviation bands — exactly the quantities plotted in the
 paper's Figures 3-5.
 
+A run's :class:`~repro.experiments.config.CaseStudyConfig` is its whole
+configuration: :func:`run_trial` and :func:`run_experiment` take no
+per-call overrides of its fields, so a variant is
+``dataclasses.replace(config, ...)``.  Each call resolves
+``config.execution`` into an :class:`~repro.core.planner.ExecutionPlan`
+and executes it:
+
+* ``serial`` runs the trials one after another on the serial loop;
+* ``batch`` runs every trial in lockstep through the trial-batched tensor
+  engine (:mod:`repro.experiments.batch`), which stacks the per-trial
+  populations into ``(trials, users)`` columns and fuses the deterministic
+  per-step math across the trial axis;
+* ``pool`` runs trials on a supervised process pool (the trial body is
+  numpy-crunching Python that holds the GIL, so threads could not overlap
+  it); inputs that cannot be pickled, or trials past the pool's retry
+  budget, run on the serial loop instead;
+* ``shard`` spreads each trial's users over a worker pool.
+
 Trials are embarrassingly parallel: trial ``t`` seeds its own generator via
 ``derive_seed(config.seed, "trial", t)``, so no random state is shared and
-running trials concurrently (``parallel=True`` on the config or the
-``run_experiment`` call) yields bit-identical results to the serial loop.
+every layout yields bit-identical results.
 
-Each trial records in one of two history modes (``config.history_mode`` or
-the ``history_mode`` override): ``"full"`` retains the ``(steps, users)``
-columns, ``"aggregate"`` streams the trajectory through a
-:class:`~repro.core.streaming.StreamingAggregator` and keeps only the
-group-level series the paper's figures need, bounding memory for
-million-user trials.  Group-level results are bit-identical between modes;
-per-user accessors (``user_default_rates``, ``stacked_user_series``) raise
+Each trial records in one of two history modes (``config.history_mode``):
+``"full"`` retains the ``(steps, users)`` columns, ``"aggregate"`` streams
+the trajectory through a :class:`~repro.core.streaming.StreamingAggregator`
+and keeps only the group-level series the paper's figures need, bounding
+memory for million-user trials.  Group-level results are bit-identical
+between modes; per-user accessors (``user_default_rates``,
+``stacked_user_series``) raise
 :class:`~repro.core.history.FullHistoryRequiredError` in aggregate mode.
-The runner uses a process pool (the trial body is pure numpy-crunching
-Python, which threads cannot overlap under the GIL) and falls back to the
-plain serial loop when the inputs cannot be pickled (e.g. a lambda policy
-factory) or the pool breaks at run time — threads would add concurrency
-hazards without adding speed, so serial is the only fallback.
-
-A third execution layout targets the single-core sweep: ``trial_batch``
-(config knob or ``run_experiment`` override) runs every trial in lockstep
-through the trial-batched tensor engine
-(:mod:`repro.experiments.batch`), which stacks the per-trial populations
-into ``(trials, users)`` columns and fuses the deterministic per-step
-math across the trial axis while each trial keeps its own derived random
-streams and refits.  Every batched trial is bit-identical to its serial
-:func:`run_trial` twin; batching takes precedence over ``parallel`` when
-both are enabled (it amortises dispatch without processes, the winning
-strategy on few cores with many trials).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -64,7 +64,7 @@ from repro.core.filters import DefaultRateFilter
 from repro.core.history import FullHistoryRequiredError, SimulationHistory
 from repro.core.loop import ClosedLoop
 from repro.core.metrics import group_approval_series, group_average_series
-from repro.core.planner import plan_execution
+from repro.core.planner import ExecutionPlan, plan_execution
 from repro.core.streaming import AggregateHistory
 from repro.core.population import CreditPopulation
 from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
@@ -73,8 +73,8 @@ from repro.credit.mortgage import MortgageTerms
 from repro.credit.repayment import GaussianRepaymentModel
 from repro.data.census import IncomeTable, Race, default_income_table
 from repro.data.synthetic import PopulationSpec, generate_population
-from repro.experiments.batch import run_trials_batched
-from repro.experiments.config import CaseStudyConfig, validate_checkpoint_settings
+from repro.experiments.batch import BatchedTrialRunner
+from repro.experiments.config import CaseStudyConfig
 from repro.testing.faults import fire as _fire_fault
 from repro.utils.rng import derive_seed
 
@@ -264,10 +264,6 @@ class ExperimentResult:
     config: CaseStudyConfig
     trials: Tuple[TrialResult, ...]
     group_moments: GroupSeriesMoments | None = None
-    #: The recording mode the trials actually ran with (set by
-    #: run_experiment so a ``history_mode`` override survives
-    #: ``keep_trials=False``, where no trial is left to ask).
-    resolved_history_mode: str | None = None
 
     @property
     def years(self) -> Tuple[int, ...]:
@@ -277,10 +273,6 @@ class ExperimentResult:
     @property
     def history_mode(self) -> str:
         """Return the recording mode the trials ran with."""
-        if self.trials:
-            return self.trials[0].history_mode
-        if self.resolved_history_mode is not None:
-            return self.resolved_history_mode
         return self.config.history_mode
 
     def group_mean_series(self) -> Dict[Race, np.ndarray]:
@@ -339,15 +331,13 @@ def _trial_stem(trial_index: int) -> str:
     return f"trial-{trial_index:04d}"
 
 
-def trajectory_fingerprint_fields(
-    config: CaseStudyConfig, history_mode: str | None = None
-) -> Tuple[object, ...]:
+def trajectory_fingerprint_fields(config: CaseStudyConfig) -> Tuple[object, ...]:
     """Return the config fields that steer a trial's trajectory, in order.
 
     The single source of truth for "what defines the result": population
     shape and race mix, the calendar window, mortgage and model knobs, the
     master seed, and the recording mode.  Execution layout (shards, pools,
-    batching, transports, worker caps, checkpoint plumbing) is deliberately
+    batching, worker caps, checkpoint plumbing) is deliberately
     excluded — every layout is bit-identical by construction — so both the
     per-trial checkpoint fingerprints and the campaign result cache
     (:mod:`repro.campaign.cache`) key on exactly these fields, and an entry
@@ -356,12 +346,11 @@ def trajectory_fingerprint_fields(
     The field order is frozen: reordering or renaming would silently
     invalidate every persisted trial result and campaign cache entry.
     """
-    mode = config.history_mode if history_mode is None else history_mode
     race_mix = tuple(
         sorted((race.name, float(share)) for race, share in config.race_mix.items())
     )
     return (
-        mode,
+        config.history_mode,
         config.num_users,
         config.start_year,
         config.end_year,
@@ -379,9 +368,7 @@ def trajectory_fingerprint_fields(
     )
 
 
-def _trial_fingerprint(
-    config: CaseStudyConfig, trial_index: int, history_mode: str
-) -> str:
+def _trial_fingerprint(config: CaseStudyConfig, trial_index: int) -> str:
     """Fingerprint the parameters that define one trial's trajectory.
 
     The trial index joins :func:`trajectory_fingerprint_fields` so each
@@ -390,21 +377,31 @@ def _trial_fingerprint(
     resumable.
     """
     return config_fingerprint(
-        "trial", trial_index, *trajectory_fingerprint_fields(config, history_mode)
+        "trial", trial_index, *trajectory_fingerprint_fields(config)
     )
 
 
-def _shard_hint(num_shards: int | None, config: CaseStudyConfig) -> int | None:
-    """Resolve the planner's shard-count hint from override and config.
+def _plan(config: CaseStudyConfig, trials: int) -> ExecutionPlan:
+    """Resolve ``config.execution`` for ``trials`` trials on this host.
 
-    An explicit override wins; otherwise a non-default ``config.num_shards``
-    is the hint (the CLI lands ``--shards`` there), and the default ``1``
-    means "unset" — the planner then sizes the shard pool from the core
-    count instead of being pinned to a single worker.
+    ``config.max_workers`` caps the trial pool.  A non-default
+    ``config.num_shards`` is the shard-count hint (the CLI lands
+    ``--shards`` there); the default ``1`` means "unset", so the planner
+    sizes the shard pool from the core count instead of pinning it to a
+    single worker.
     """
-    if num_shards is not None:
-        return num_shards
-    return config.num_shards if config.num_shards != 1 else None
+    return plan_execution(
+        config.execution,
+        trials=trials,
+        users=config.num_users,
+        steps=config.num_steps,
+        history_mode=config.history_mode,
+        retrain_mode=config.retrain_mode,
+        checkpoint_every=config.checkpoint_every,
+        resume=config.resume,
+        max_workers=config.max_workers,
+        num_shards=config.num_shards if config.num_shards != 1 else None,
+    )
 
 
 def run_trial(
@@ -413,24 +410,28 @@ def run_trial(
     policy_factory: PolicyFactory | None = None,
     terms: MortgageTerms | None = None,
     income_table: IncomeTable | None = None,
-    history_mode: str | None = None,
-    num_shards: int | None = None,
-    shard_parallel: bool | None = None,
-    shard_transport: str | None = None,
-    retrain_mode: str | None = None,
-    warm_start: bool | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-    resume: bool | None = None,
     supervisor: SupervisorPolicy | None = None,
-    execution: str | None = None,
 ) -> TrialResult:
     """Run one trial of the case study.
 
     Parameters
     ----------
     config:
-        The case-study configuration.
+        The case-study configuration.  Its ``execution`` is planned for
+        this one trial (:func:`~repro.core.planner.plan_execution` with
+        ``trials=1``): ``"shard"`` spreads the trial's users over a worker
+        pool; every other plan runs the trial in process on the serial
+        loop — ``"pool"`` has nothing to pool over one trial, and a
+        ``"batch"`` plan (which ``"auto"`` picks) computes the same bits
+        as the lockstep kernel at ``T = 1``.  With ``checkpoint_every >
+        0`` the trial's loop state is snapshotted crash-consistently into
+        ``checkpoint_dir`` every that many steps; with ``resume`` the
+        trial restores from its latest intact snapshot
+        (fingerprint-checked against this configuration) and continues —
+        bit-identically, because the random streams are stateless per
+        ``(trial, shard, step)``.  The plan is excluded from the
+        fingerprint, so resuming under a different plan (or
+        ``cpu_count``) replays the same trajectory.
     trial_index:
         Index of the trial; it seeds the trial's independent random stream.
     policy_factory:
@@ -440,107 +441,34 @@ def run_trial(
         Mortgage terms override (defaults to the configuration's terms).
     income_table:
         Income-table override (defaults to the embedded synthetic table).
-    history_mode:
-        Recording-mode override (``None`` defers to
-        ``config.history_mode``).  ``"aggregate"`` bounds memory by
-        streaming group-level series instead of materialising the
-        ``(steps, users)`` history; the group series are bit-identical to
-        the full-history path.
-    num_shards, shard_parallel:
-        Intra-trial sharded-execution overrides (``None`` defers to the
-        config).  The trajectory is bit-identical for every worker count,
-        serial or pooled: the random schedule depends only on the
-        population's canonical shard partition and the trial seed.
-    shard_transport:
-        Transport of the pooled shard path's per-step payloads —
-        ``"shared"`` (zero-copy shared-memory arena) or ``"pickle"``;
-        ``None`` defers to the loop's default (``"shared"``).  Pure
-        plumbing, bit-identical either way.
-    retrain_mode, warm_start:
-        Sufficient-statistics retraining overrides (``None`` defers to the
-        config); see :class:`~repro.experiments.config.CaseStudyConfig`.
-        ``"exact"`` reproduces the paper bit for bit; ``"compressed"``
-        refits in O(unique rows) with coefficients equal to solver
-        tolerance and — at paper scale — identical decision vectors.
-    checkpoint_dir, checkpoint_every, resume:
-        Fault-tolerance overrides (``None`` defers to the config).  With
-        ``checkpoint_every > 0`` the trial's loop state is snapshotted
-        crash-consistently into ``checkpoint_dir`` every that many steps;
-        with ``resume`` the trial restores from its latest intact snapshot
-        (fingerprint-checked against this configuration) and continues —
-        bit-identically, because the random streams are stateless per
-        ``(trial, shard, step)``.
     supervisor:
         :class:`~repro.core.supervision.SupervisorPolicy` for the pooled
         shard path (``None`` applies the defaults): worker death, hangs
         and raises are retried from the last checkpoint boundary with
         exponential backoff, then degrade to the bit-identical serial
         path.
-    execution:
-        Planner knob override (``None`` defers to ``config.execution``):
-        resolves this single trial's layout via
-        :func:`~repro.core.planner.plan_execution` with ``trials=1``.
-        ``"auto"`` runs the trial in process on the serial loop (through
-        :func:`run_experiment` the same plan runs it on the lockstep
-        kernel); ``"shard"`` spreads its users over a worker pool;
-        ``"pool"`` has nothing to pool over one trial and resolves to
-        serial.  Mutually exclusive with the ``shard_parallel`` override;
-        ``num_shards`` is accepted as a worker-count hint.  An explicit
-        ``"batch"`` names the lockstep kernel, which this function does
-        not run, and is rejected here — use :func:`run_experiment`.
-        Every plan is bit-identical, and the plan is excluded from the
-        checkpoint fingerprint, so resuming under a different plan (or
-        ``cpu_count``) replays the same trajectory.
     """
-    mode = config.history_mode if history_mode is None else history_mode
-    if mode not in ("full", "aggregate"):
-        raise ValueError(f'history_mode must be "full" or "aggregate", got {mode!r}')
-    shards = config.num_shards if num_shards is None else num_shards
-    pooled = config.shard_parallel if shard_parallel is None else bool(shard_parallel)
-    if shards <= 0:
-        raise ValueError("num_shards must be positive")
-    ckpt_dir = config.checkpoint_dir if checkpoint_dir is None else checkpoint_dir
-    every = config.checkpoint_every if checkpoint_every is None else checkpoint_every
-    do_resume = config.resume if resume is None else bool(resume)
-    validate_checkpoint_settings(ckpt_dir, every, do_resume)
-    exec_mode = config.execution if execution is None else execution
-    if exec_mode is not None:
-        if shard_parallel is not None:
-            raise ValueError(
-                "the execution knob replaces the legacy layout switches: "
-                "drop the shard_parallel override when setting execution"
-            )
-        if exec_mode == "batch":
-            raise ValueError(
-                'execution="batch" runs an experiment\'s trials in lockstep; '
-                "run_trial runs a single trial — use run_experiment, or "
-                "another execution mode"
-            )
-        plan = plan_execution(
-            exec_mode,
-            trials=1,
-            users=config.num_users,
-            steps=config.num_steps,
-            history_mode=mode,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            checkpoint_every=every,
-            resume=do_resume,
-            num_shards=_shard_hint(num_shards, config),
-        )
-        shards = plan.num_shards
-        pooled = plan.shard_parallel
-    if retrain_mode is not None or warm_start is not None:
-        # The policy factory reads these off the config, so overrides must
-        # land there before the factory runs.
-        config = replace(
-            config,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            warm_start=config.warm_start if warm_start is None else bool(warm_start),
-        )
+    return _run_planned_trial(
+        config,
+        _plan(config, trials=1),
+        trial_index,
+        policy_factory,
+        terms,
+        income_table,
+        supervisor,
+    )
+
+
+def _run_planned_trial(
+    config: CaseStudyConfig,
+    plan: ExecutionPlan,
+    trial_index: int,
+    policy_factory: PolicyFactory | None,
+    terms: MortgageTerms | None,
+    income_table: IncomeTable | None,
+    supervisor: SupervisorPolicy | None,
+) -> TrialResult:
+    """Run one trial on the serial loop, sharded as ``plan`` says."""
     factory = policy_factory or default_policy_factory
     trial_seed = derive_seed(config.seed, "trial", trial_index)
     rng = np.random.default_rng(trial_seed)
@@ -564,19 +492,20 @@ def run_trial(
         population=population,
         loop_filter=DefaultRateFilter(num_users=config.num_users),
     )
-    fingerprint = _trial_fingerprint(config, trial_index, mode)
-    spec = (
+    ckpt_dir = config.checkpoint_dir
+    fingerprint = _trial_fingerprint(config, trial_index)
+    checkpoint = (
         CheckpointSpec(
             directory=ckpt_dir,
             stem=_trial_stem(trial_index),
-            every=every,
+            every=config.checkpoint_every,
             fingerprint=fingerprint,
         )
-        if ckpt_dir is not None and every > 0
+        if ckpt_dir is not None and config.checkpoint_every > 0
         else None
     )
     history: SimulationHistory | AggregateHistory | None = None
-    if do_resume and ckpt_dir is not None:
+    if config.resume:
         payload = load_latest_checkpoint(
             ckpt_dir, _trial_stem(trial_index), expected_fingerprint=fingerprint
         )
@@ -590,18 +519,18 @@ def run_trial(
     # instead: the loop then reuses the restored base, replaying the
     # uninterrupted schedule exactly.
     if remaining > 0:
+        mode = config.history_mode
         history = loop.run(
             remaining,
             rng=None if history is not None else trial_seed,
             history=history,
             history_mode=mode,
             groups=population.groups if mode == "aggregate" else None,
-            num_shards=shards,
-            shard_parallel=pooled,
+            num_shards=plan.num_shards,
+            shard_parallel=plan.shard_parallel,
             retrain_mode=config.retrain_mode,
-            checkpoint=spec,
+            checkpoint=checkpoint,
             supervisor=supervisor,
-            shard_transport="shared" if shard_transport is None else shard_transport,
         )
     return _trial_result_from_history(config, history, population)
 
@@ -634,59 +563,21 @@ def _trial_result_from_history(
 def _run_trial_task(
     payload: Tuple[
         CaseStudyConfig,
+        ExecutionPlan,
         int,
         PolicyFactory | None,
         MortgageTerms | None,
         IncomeTable | None,
-        str | None,
-        int | None,
-        bool | None,
-        str | None,
-        str | None,
-        bool | None,
-        str | None,
-        int | None,
-        bool | None,
         SupervisorPolicy | None,
     ]
 ) -> TrialResult:
     """Executor entry point: run one trial from a pickled argument tuple."""
-    (
-        config,
-        trial_index,
-        policy_factory,
-        terms,
-        income_table,
-        history_mode,
-        num_shards,
-        shard_parallel,
-        shard_transport,
-        retrain_mode,
-        warm_start,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-        supervisor,
-    ) = payload
+    config, plan, trial_index, policy_factory, terms, income_table, supervisor = payload
     # Chaos-suite hook: lets a test deterministically kill/hang/fail this
     # trial's worker to exercise the supervised trial pool.
     _fire_fault("trial_worker", trial=trial_index)
-    return run_trial(
-        config,
-        trial_index=trial_index,
-        policy_factory=policy_factory,
-        terms=terms,
-        income_table=income_table,
-        history_mode=history_mode,
-        num_shards=num_shards,
-        shard_parallel=shard_parallel,
-        shard_transport=shard_transport,
-        retrain_mode=retrain_mode,
-        warm_start=warm_start,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        supervisor=supervisor,
+    return _run_planned_trial(
+        config, plan, trial_index, policy_factory, terms, income_table, supervisor
     )
 
 
@@ -716,22 +607,35 @@ def _write_trial_result(
 
     The result file is what experiment-level ``resume`` skips on: once it
     exists, the trial never reruns, so the intermediate step snapshots are
-    dead weight and are pruned away.
+    dead weight and are pruned away.  A write that fails (a full disk) is
+    reported with a :class:`RuntimeWarning` and leaves the snapshots in
+    place, so the trial reruns — or resumes from its last snapshot — on
+    the next resume.
 
     The group series travel beside the full result (which is pickled into
     an opaque ``result_bytes`` blob) so a ``keep_trials=False`` resume can
     fold the moments without reconstructing the trial's histories and
     per-user matrices.
     """
-    write_checkpoint(
-        _trial_result_path(directory, trial_index),
-        {
-            "kind": "trial_result",
-            "fingerprint": fingerprint,
-            "group_rates": dict(result.group_default_rates),
-            "result_bytes": pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-        },
-    )
+    path = _trial_result_path(directory, trial_index)
+    payload = {
+        "kind": "trial_result",
+        "fingerprint": fingerprint,
+        "group_rates": dict(result.group_default_rates),
+        "result_bytes": pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+    }
+    try:
+        write_checkpoint(path, payload)
+    except OSError as error:
+        # The trial itself succeeded; losing its result file only costs a
+        # rerun on resume, so keep the step snapshots and carry on.
+        warnings.warn(
+            f"could not persist trial {trial_index}'s result to {path} "
+            f"({error}); the trial reruns on resume",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return
     prune_checkpoints(directory, _trial_stem(trial_index), keep=0)
 
 
@@ -817,65 +721,35 @@ def run_experiment(
     policy_factory: PolicyFactory | None = None,
     terms: MortgageTerms | None = None,
     income_table: IncomeTable | None = None,
-    parallel: bool | None = None,
-    max_workers: int | None = None,
-    history_mode: str | None = None,
-    num_shards: int | None = None,
-    shard_parallel: bool | None = None,
-    shard_transport: str | None = None,
-    retrain_mode: str | None = None,
-    warm_start: bool | None = None,
-    trial_batch: bool | None = None,
     keep_trials: bool = True,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-    resume: bool | None = None,
     supervisor: SupervisorPolicy | None = None,
-    execution: str | None = None,
 ) -> ExperimentResult:
     """Run all trials of the case study and return the aggregate result.
 
     Parameters
     ----------
     config:
-        The case-study configuration.
+        The case-study configuration.  Its ``execution`` is resolved by
+        :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
+        trials, users, steps, history/retrain modes, checkpoint knobs),
+        with ``max_workers`` and ``num_shards`` as hints.  ``"auto"`` may
+        compose layouts (pooled trials × sharded users on hosts with spare
+        cores); when it runs the trials in process without checkpointing
+        (one trial on any host, several on one core) it picks the lockstep
+        kernel, which requires 0/1 decisions — run a policy with other
+        decisions under ``"serial"``, whose filter truncates them to
+        integers.  Every plan is bit-identical to serial, so the plan can
+        never change a result — only its wall clock.  With checkpointing
+        on, each running trial snapshots its loop state every
+        ``checkpoint_every`` steps and each *completed* trial persists its
+        result to ``checkpoint_dir``; with ``resume`` the experiment skips
+        trials whose results are already on disk and continues interrupted
+        trials from their latest intact snapshot — all bit-identical to
+        the uninterrupted experiment.  See :func:`run_trial`.
     policy_factory, terms, income_table:
-        Per-trial overrides, as in :func:`run_trial`.
-    history_mode:
-        Recording-mode override for every trial (``None`` defers to
-        ``config.history_mode``); see :func:`run_trial`.
-    parallel:
-        Run trials concurrently; ``None`` defers to ``config.parallel``.
-        Results are bit-identical to the serial path because every trial
-        owns an independent derived seed stream.  A non-picklable
-        ``policy_factory`` (or a broken worker pool) falls back to the
-        serial loop.
-    max_workers:
-        Worker cap for the parallel path; ``None`` defers to
-        ``config.max_workers`` (and from there to the CPU count).
-    num_shards, shard_parallel:
-        Intra-trial sharded-execution overrides forwarded to every trial
-        (``None`` defers to the config); bit-identical for every setting.
-        When trial-level parallelism is active, each trial worker applies
-        its shard settings inside its own process (nested shard pools fall
-        back to the serial shard path on platforms that forbid them —
-        still bit-identical).
-    shard_transport:
-        Shared-memory vs pickling transport of the pooled shard path,
-        forwarded to every trial (``None`` defers to the loop default,
-        ``"shared"``); see :func:`run_trial`.  Bit-identical either way.
-    retrain_mode, warm_start:
-        Sufficient-statistics retraining overrides forwarded to every
-        trial (``None`` defers to the config); see :func:`run_trial`.
-    trial_batch:
-        Run every trial in lockstep through the trial-batched tensor
-        engine (``None`` defers to ``config.trial_batch``); see
-        :class:`~repro.experiments.batch.BatchedTrialRunner`.  Every trial
-        is bit-identical to its serial twin.  Batching amortises per-step
-        dispatch across trials in one process, so it takes precedence
-        over ``parallel`` trial pooling, and the intra-trial
-        ``num_shards``/``shard_parallel`` knobs are ignored (the batched
-        engine always walks the canonical shard streams in-process).
+        Per-trial inputs, as in :func:`run_trial`.  A non-picklable
+        ``policy_factory`` (e.g. a lambda) runs the trials of a pooled
+        plan on the serial loop.
     keep_trials:
         Retain the per-trial results on the returned
         :class:`ExperimentResult` (default).  ``False`` drops each trial
@@ -883,14 +757,6 @@ def run_experiment(
         :class:`GroupSeriesMoments`, so experiments with very large trial
         counts keep ``O(steps * groups)`` memory; per-trial accessors
         (``trials``, ``stacked_user_series``) are then unavailable.
-    checkpoint_dir, checkpoint_every, resume:
-        Fault-tolerance overrides (``None`` defers to the config).  Each
-        running trial snapshots its loop state every ``checkpoint_every``
-        steps, and each *completed* trial persists its result to
-        ``checkpoint_dir``; with ``resume`` the experiment skips trials
-        whose results are already on disk and continues interrupted
-        trials from their latest intact snapshot — all bit-identical to
-        the uninterrupted experiment.  See :func:`run_trial`.
     supervisor:
         :class:`~repro.core.supervision.SupervisorPolicy` governing the
         pooled execution paths: worker death, hangs (with
@@ -898,247 +764,109 @@ def run_experiment(
         re-run on a rebuilt pool with exponential backoff, and work past
         the retry budget degrades to the bit-identical serial path with a
         :class:`RuntimeWarning` instead of crashing the experiment.
-    execution:
-        Planner knob override (``None`` defers to ``config.execution``):
-        one request — ``"auto"``, ``"serial"``, ``"batch"``, ``"pool"``
-        or ``"shard"`` — resolved into the concrete layout switches by
-        :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
-        trials, users, steps, history/retrain modes, checkpoint knobs).
-        ``"auto"`` may compose layouts (pooled trials × sharded users on
-        hosts with spare cores); when it runs the trials in process without
-        checkpointing (one trial on any host, several on one core) it
-        picks the lockstep kernel, which requires 0/1 decisions — run a
-        policy with other decisions under ``"serial"``, whose filter
-        truncates them to integers.  Mutually exclusive with the legacy
-        ``parallel``/``trial_batch``/``shard_parallel`` overrides;
-        ``max_workers`` and ``num_shards`` are accepted as planner
-        hints.  Every plan is bit-identical to serial, so this knob can
-        never change a result — only its wall clock.
     """
-    workers = config.max_workers if max_workers is None else max_workers
-    if workers is not None and workers <= 0:
-        raise ValueError("max_workers must be positive when given")
-    ckpt_dir = config.checkpoint_dir if checkpoint_dir is None else checkpoint_dir
-    every = config.checkpoint_every if checkpoint_every is None else checkpoint_every
-    do_resume = config.resume if resume is None else bool(resume)
-    resolved_mode = config.history_mode if history_mode is None else history_mode
-    exec_mode = config.execution if execution is None else execution
-    if exec_mode is not None:
-        for name, value in (
-            ("parallel", parallel),
-            ("trial_batch", trial_batch),
-            ("shard_parallel", shard_parallel),
-        ):
-            if value is not None:
-                raise ValueError(
-                    "the execution knob replaces the legacy layout switches: "
-                    f"drop the {name} override when setting execution "
-                    f"(got execution={exec_mode!r})"
-                )
-        plan = plan_execution(
-            exec_mode,
-            trials=config.num_trials,
-            users=config.num_users,
-            steps=config.num_steps,
-            history_mode=resolved_mode,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            checkpoint_every=every,
-            resume=do_resume,
-            max_workers=workers,
-            num_shards=_shard_hint(num_shards, config),
-        )
-        # The plan is fully resolved here; strip the knob off the config so
-        # the trial workers (and the batched engine) execute the concrete
-        # switches below instead of re-planning on their own host view.
-        config = replace(config, execution=None)
-        use_parallel = plan.parallel
-        use_batch = plan.trial_batch
-        if plan.parallel:
-            workers = plan.max_workers
-        num_shards = plan.num_shards
-        shard_parallel = plan.shard_parallel
-    else:
-        use_parallel = config.parallel if parallel is None else bool(parallel)
-        use_batch = config.trial_batch if trial_batch is None else bool(trial_batch)
-    validate_checkpoint_settings(ckpt_dir, every, do_resume, trial_batch=use_batch)
-    worker_count = min(config.num_trials, workers or os.cpu_count() or 1)
+    return _run_planned_experiment(
+        config,
+        _plan(config, trials=config.num_trials),
+        policy_factory,
+        terms,
+        income_table,
+        keep_trials,
+        supervisor,
+    )
+
+
+def _run_planned_experiment(
+    config: CaseStudyConfig,
+    plan: ExecutionPlan,
+    policy_factory: PolicyFactory | None = None,
+    terms: MortgageTerms | None = None,
+    income_table: IncomeTable | None = None,
+    keep_trials: bool = True,
+    supervisor: SupervisorPolicy | None = None,
+) -> ExperimentResult:
+    """Execute a resolved plan over every trial of ``config``.
+
+    :func:`run_experiment` plans against this host's cores; a campaign job
+    hands in the plan for its own share of them.  The plan is executed as
+    given, never re-planned — trial-pool workers take their shard settings
+    from it too.
+    """
     moments = GroupSeriesMoments()
-    if use_batch:
-        trials = _run_trials_batched(
-            config,
-            policy_factory,
-            terms,
-            income_table,
-            history_mode,
-            retrain_mode,
-            warm_start,
-            moments,
-            keep_trials,
-        )
-        return ExperimentResult(
-            config=config,
-            trials=tuple(trials),
-            group_moments=moments,
-            resolved_history_mode=resolved_mode,
-        )
-    # The fingerprint must describe the *effective* trajectory parameters,
-    # so the retrain_mode/warm_start overrides merge in exactly as
-    # run_trial will merge them.
-    effective = config
-    if retrain_mode is not None or warm_start is not None:
-        effective = replace(
-            config,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            warm_start=config.warm_start if warm_start is None else bool(warm_start),
-        )
     folder = _OrderedTrialFolder(moments, keep_trials)
+    if plan.trial_batch:
+        runner = BatchedTrialRunner(
+            config,
+            policy_factory or default_policy_factory,
+            terms=terms,
+            income_table=income_table,
+        )
+        for trial_index, (history, population) in enumerate(runner.run()):
+            folder.add(
+                trial_index, _trial_result_from_history(config, history, population)
+            )
+        return ExperimentResult(
+            config=config, trials=tuple(folder.trials), group_moments=moments
+        )
+    ckpt_dir = config.checkpoint_dir
     pending: List[int] = []
     for trial_index in range(config.num_trials):
         loaded = None
-        if do_resume and ckpt_dir is not None:
+        if config.resume:
             # keep_trials=False folds only the group series, so skip
             # materialising the persisted full result.
             loaded = _load_trial_result(
                 ckpt_dir,
                 trial_index,
-                _trial_fingerprint(effective, trial_index, resolved_mode),
+                _trial_fingerprint(config, trial_index),
                 need_full=keep_trials,
             )
         if loaded is not None:
             folder.add(trial_index, loaded)
         else:
             pending.append(trial_index)
-    if use_parallel and len(pending) > 1 and worker_count > 1:
+
+    def finish(trial_index: int, trial: TrialResult) -> None:
+        if ckpt_dir is not None:
+            _write_trial_result(
+                ckpt_dir, trial_index, _trial_fingerprint(config, trial_index), trial
+            )
+        folder.add(trial_index, trial)
+
+    if plan.parallel and plan.max_workers > 1 and len(pending) > 1:
         pooled = _try_run_trials_in_processes(
-            config,
-            policy_factory,
-            terms,
-            income_table,
-            min(len(pending), worker_count),
-            history_mode,
-            num_shards,
-            shard_parallel,
-            shard_transport,
-            retrain_mode,
-            warm_start,
-            pending=pending,
-            supervisor=supervisor,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=every,
-            resume=do_resume,
+            config, plan, pending, policy_factory, terms, income_table, supervisor
         )
         if pooled is not None:
             for trial_index, trial in pooled.items():
-                if ckpt_dir is not None:
-                    _write_trial_result(
-                        ckpt_dir,
-                        trial_index,
-                        _trial_fingerprint(effective, trial_index, resolved_mode),
-                        trial,
-                    )
-                folder.add(trial_index, trial)
+                finish(trial_index, trial)
             pending = [index for index in pending if index not in pooled]
     for trial_index in pending:
-        trial = run_trial(
-            config,
-            trial_index=trial_index,
-            policy_factory=policy_factory,
-            terms=terms,
-            income_table=income_table,
-            history_mode=history_mode,
-            num_shards=num_shards,
-            shard_parallel=shard_parallel,
-            shard_transport=shard_transport,
-            retrain_mode=retrain_mode,
-            warm_start=warm_start,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=every,
-            resume=do_resume,
-            supervisor=supervisor,
-        )
-        if ckpt_dir is not None:
-            _write_trial_result(
-                ckpt_dir,
+        finish(
+            trial_index,
+            _run_planned_trial(
+                config,
+                plan,
                 trial_index,
-                _trial_fingerprint(effective, trial_index, resolved_mode),
-                trial,
-            )
-        folder.add(trial_index, trial)
-    return ExperimentResult(
-        config=config,
-        trials=tuple(folder.trials),
-        group_moments=moments,
-        resolved_history_mode=resolved_mode,
-    )
-
-
-def _run_trials_batched(
-    config: CaseStudyConfig,
-    policy_factory: PolicyFactory | None,
-    terms: MortgageTerms | None,
-    income_table: IncomeTable | None,
-    history_mode: str | None,
-    retrain_mode: str | None,
-    warm_start: bool | None,
-    moments: GroupSeriesMoments,
-    keep_trials: bool,
-) -> List[TrialResult]:
-    """Run every trial through the trial-batched engine.
-
-    Mirrors :func:`run_trial`'s override handling (mode validation, the
-    ``retrain_mode``/``warm_start`` merge into the config the policy
-    factory reads) and its result assembly, so a batched trial is the
-    serial trial, bit for bit, minus the per-trial dispatch overhead.
-    """
-    mode = config.history_mode if history_mode is None else history_mode
-    if mode not in ("full", "aggregate"):
-        raise ValueError(f'history_mode must be "full" or "aggregate", got {mode!r}')
-    if retrain_mode is not None or warm_start is not None:
-        config = replace(
-            config,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
+                policy_factory,
+                terms,
+                income_table,
+                supervisor,
             ),
-            warm_start=config.warm_start if warm_start is None else bool(warm_start),
         )
-    factory = policy_factory or default_policy_factory
-    outcomes = run_trials_batched(
-        config,
-        factory,
-        terms=terms,
-        income_table=income_table,
-        history_mode=mode,
+    return ExperimentResult(
+        config=config, trials=tuple(folder.trials), group_moments=moments
     )
-    trials: List[TrialResult] = []
-    for history, population in outcomes:
-        trial = _trial_result_from_history(config, history, population)
-        moments.update(trial.group_default_rates)
-        if keep_trials:
-            trials.append(trial)
-    return trials
 
 
 def _try_run_trials_in_processes(
     config: CaseStudyConfig,
+    plan: ExecutionPlan,
+    pending: Sequence[int],
     policy_factory: PolicyFactory | None,
     terms: MortgageTerms | None,
     income_table: IncomeTable | None,
-    workers: int,
-    history_mode: str | None = None,
-    num_shards: int | None = None,
-    shard_parallel: bool | None = None,
-    shard_transport: str | None = None,
-    retrain_mode: str | None = None,
-    warm_start: bool | None = None,
-    pending: Sequence[int] | None = None,
-    supervisor: SupervisorPolicy | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 0,
-    resume: bool = False,
+    supervisor: SupervisorPolicy | None,
 ) -> Dict[int, TrialResult] | None:
     """Run trials on a supervised process pool; ``None`` for serial fallback.
 
@@ -1162,33 +890,27 @@ def _try_run_trials_in_processes(
     surfaces the trial's own deterministic error) rather than crashing on
     infrastructure failure.
     """
-    indices = list(range(config.num_trials)) if pending is None else list(pending)
+    indices = list(pending)
     if not indices:
         return {}
+    workers = min(len(indices), plan.max_workers)
     policy = supervisor or SupervisorPolicy()
-    resumable_retries = checkpoint_dir is not None and checkpoint_every > 0
+    # A retried trial may resume from the dead worker's checkpoint; the
+    # first attempt honors the config's own resume flag.
+    retry_config = (
+        replace(config, resume=True)
+        if config.checkpoint_dir is not None and config.checkpoint_every > 0
+        else config
+    )
 
     def payload_for(trial_index: int) -> tuple:
-        # A retried trial may resume from the dead worker's checkpoint;
-        # the first attempt honors the caller's resume flag.
-        attempt_resume = resume or (
-            resumable_retries and attempts[trial_index] > 0
-        )
         return (
-            config,
+            retry_config if attempts[trial_index] > 0 else config,
+            plan,
             trial_index,
             policy_factory,
             terms,
             income_table,
-            history_mode,
-            num_shards,
-            shard_parallel,
-            shard_transport,
-            retrain_mode,
-            warm_start,
-            checkpoint_dir,
-            checkpoint_every,
-            attempt_resume,
             supervisor,
         )
 
@@ -1212,22 +934,14 @@ def _try_run_trials_in_processes(
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                results[trial_index] = run_trial(
-                    config,
-                    trial_index=trial_index,
-                    policy_factory=policy_factory,
-                    terms=terms,
-                    income_table=income_table,
-                    history_mode=history_mode,
-                    num_shards=num_shards,
-                    shard_parallel=shard_parallel,
-                    shard_transport=shard_transport,
-                    retrain_mode=retrain_mode,
-                    warm_start=warm_start,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    resume=resume or resumable_retries,
-                    supervisor=supervisor,
+                results[trial_index] = _run_planned_trial(
+                    retry_config,
+                    plan,
+                    trial_index,
+                    policy_factory,
+                    terms,
+                    income_table,
+                    supervisor,
                 )
             waiting = [i for i in waiting if i not in results]
             if not waiting:

@@ -56,8 +56,7 @@ class TestJobKey:
             dict(execution="pool", max_workers=4),
             dict(execution="shard", num_shards=2),
             dict(execution="batch"),
-            dict(shard_transport="pickle"),
-            dict(shard_transport="shared", num_shards=8, max_workers=2),
+            dict(execution="auto", num_shards=8, max_workers=2),
         ):
             (twin,) = expand_campaign(
                 CampaignSpec(

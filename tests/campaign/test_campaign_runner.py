@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -20,8 +21,14 @@ from repro.campaign import (
     plan_campaign,
     run_campaign,
 )
+from repro.campaign import cache as cache_module
+from repro.campaign import runner as campaign_runner
+from repro.core import loop as loop_module
+from repro.core import planner
 from repro.core.supervision import SupervisorPolicy
 from repro.data.census import Race
+from repro.experiments import runner as experiment_runner
+from repro.experiments.batch import BatchedTrialRunner
 from repro.testing.faults import FAULTS_ENV, FaultSpec, clear_plan, plan_environment
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
@@ -118,7 +125,7 @@ class TestLayoutInvariance:
             dict(execution="pool", max_workers=2),
             dict(execution="shard", num_shards=2),
             dict(execution="batch"),
-            dict(execution="auto", shard_transport="pickle"),
+            dict(execution="auto"),
         ):
             warm = run_campaign(_spec(**options), tmp_path, cpu_count=2)
             assert warm.hit_rate == 1.0, options
@@ -150,6 +157,34 @@ class TestBudgetRouting:
         result = run_campaign(spec, tmp_path, cpu_count=8)
         assert result.budget.job_workers == 1
         assert result.budget.cores_per_job == 8
+
+    def test_each_job_runs_the_plan_for_its_own_core_slice(
+        self, tmp_path, monkeypatch
+    ):
+        # The host looks like 8 cores, where "auto" would pool each job's
+        # trials; the campaign grants every job one core, so each job must
+        # run on the lockstep kernel, in process, with no pool anywhere.
+        monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        for module in (campaign_runner, experiment_runner, loop_module):
+            monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
+        kernel_runs = []
+        original_run = BatchedTrialRunner.run
+
+        def counting_run(self):
+            kernel_runs.append(self._config.num_trials)
+            return original_run(self)
+
+        monkeypatch.setattr(BatchedTrialRunner, "run", counting_run)
+        spec = _spec()
+        assert spec.execution == "auto" and spec.num_trials >= 2
+        result = run_campaign(spec, tmp_path, cpu_count=1)
+        assert result.budget.cores_per_job == 1
+        assert result.misses == spec.grid_size
+        assert kernel_runs == [spec.num_trials] * spec.grid_size
 
 
 class TestSupervision:
@@ -200,6 +235,47 @@ class TestSupervision:
             _assert_series_equal(left.series, right.series)
         cache = ResultCache(tmp_path / "cache")
         assert all(job_key(job) in cache for job in expand_campaign(spec))
+
+
+def _full_disk(path, payload):
+    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+
+class TestFailedPublish:
+    def test_full_disk_keeps_the_computed_series(self, tmp_path, monkeypatch):
+        # A failed cache write costs the entry, never the computed job.
+        spec = _spec()
+        golden = run_campaign(spec, tmp_path / "golden", cpu_count=1)
+        monkeypatch.setattr(cache_module, "write_checkpoint", _full_disk)
+        cache_dir = tmp_path / "cache"
+        with pytest.warns(RuntimeWarning, match=r"could not publish .*\.result"):
+            result = run_campaign(spec, cache_dir, cpu_count=1)
+        assert result.misses == spec.grid_size
+        for left, right in zip(result.outcomes, golden.outcomes):
+            _assert_series_equal(left.series, right.series)
+        assert not any(cache_dir.iterdir())
+
+    def test_full_disk_on_the_job_pool_keeps_the_series(self, tmp_path, monkeypatch):
+        # Pooled workers publish their own entries.  A failed write there
+        # must not fail the job, or the pool would recompute it on every
+        # retry and then raise from the in-process fallback.
+        spec = _spec()
+        golden = run_campaign(spec, tmp_path / "golden", cpu_count=1)
+        monkeypatch.setattr(cache_module, "write_checkpoint", _full_disk)
+        cache_dir = tmp_path / "cache"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_campaign(
+                spec,
+                cache_dir,
+                cpu_count=2,
+                supervisor=SupervisorPolicy(backoff_base=0.0),
+            )
+        assert result.budget.job_workers == 2
+        assert not [w for w in caught if "retry budget" in str(w.message)]
+        for left, right in zip(result.outcomes, golden.outcomes):
+            _assert_series_equal(left.series, right.series)
+        assert not any(cache_dir.iterdir())
 
 
 class TestKillAndResume:

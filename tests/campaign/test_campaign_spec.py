@@ -76,8 +76,6 @@ class TestSpecValidation:
             CampaignSpec(retrain_modes=("fast",))
         with pytest.raises(ValueError, match="execution"):
             CampaignSpec(execution="gpu")
-        with pytest.raises(ValueError, match="shard_transport"):
-            CampaignSpec(shard_transport="rpc")
 
     def test_grid_size_is_the_axis_product(self):
         spec = CampaignSpec(
@@ -125,8 +123,8 @@ class TestExpansion:
         assert job.config.retrain_mode == "compressed"
         assert job.config.warm_start is True
         # Run options never leak into the job's config: the planner decides.
-        assert job.config.execution is None
-        assert job.config.parallel is False
+        assert job.config.execution == "serial"
+        assert job.config.num_shards == 1
 
     def test_jobs_and_factories_are_picklable(self):
         spec = CampaignSpec(policies=("parity", "epsilon-greedy"))
@@ -199,7 +197,7 @@ class TestLoading:
 
                 [run]
                 execution = "serial"
-                shard_transport = "pickle"
+                num_shards = 2
                 """
             )
         )
@@ -207,7 +205,7 @@ class TestLoading:
         assert spec.name == "demo"
         assert spec.grid_size == 4
         assert spec.execution == "serial"
-        assert spec.shard_transport == "pickle"
+        assert spec.num_shards == 2
         assert spec.scenarios[1].params == (("downshift", 0.25),)
 
     def test_json_round_trip(self, tmp_path):
@@ -237,6 +235,10 @@ class TestLoading:
         with pytest.raises(ValueError, match="unknown spec key"):
             load_campaign_spec(path)
         path.write_text('[run]\nexecutor = "serial"\n')
+        with pytest.raises(ValueError, match=r"unknown \[run\] key"):
+            load_campaign_spec(path)
+        # The shard transport is not a run option: only the loop picks it.
+        path.write_text('[run]\nshard_transport = "pickle"\n')
         with pytest.raises(ValueError, match=r"unknown \[run\] key"):
             load_campaign_spec(path)
 

@@ -170,9 +170,10 @@ class TestPlanSurface:
                 cpu_count=4,
             )
 
-    def test_validate_settings_accepts_none_with_legacy_switches(self):
-        # None means "legacy knobs in charge" — they may be set freely.
-        validate_execution_settings(None, parallel=True, trial_batch=True)
+    def test_validate_settings_rejects_none(self):
+        # None is not a layout: configs default to "serial" instead.
+        with pytest.raises(ValueError, match="execution must be one of"):
+            validate_execution_settings(None)
 
     def test_bad_inputs_are_rejected(self):
         with pytest.raises(ValueError, match="users"):

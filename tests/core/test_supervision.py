@@ -66,6 +66,16 @@ class TestKillExecutor:
             process.join(timeout=30)
             assert not process.is_alive()
 
+    def test_workers_are_reaped_when_it_returns(self):
+        # The pool's management thread reaps the workers as well; waiting
+        # for it means no caller-side join is needed to see them gone.
+        executor = ProcessPoolExecutor(max_workers=2)
+        assert list(executor.map(abs, [-1, -2], timeout=30)) == [1, 2]
+        processes = list(getattr(executor, "_processes", {}).values())
+        assert processes
+        kill_executor(executor)
+        assert all(process.exitcode is not None for process in processes)
+
     def test_tolerates_executors_without_process_map(self):
         class Plain:
             def shutdown(self, wait=True, cancel_futures=False):

@@ -18,6 +18,8 @@ contract is that every batched trial row is **bit-identical** to its serial
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,17 +48,22 @@ def paper_config() -> CaseStudyConfig:
     return CaseStudyConfig()  # 1000 users, 5 trials — the paper's scale
 
 
+def _batched(config: CaseStudyConfig, **changes) -> CaseStudyConfig:
+    """Return ``config`` on the lockstep kernel, with ``changes`` applied."""
+    return replace(config, execution="batch", **changes)
+
+
 class TestBatchedEngineGoldens:
     """The batched engine reproduces the pinned golden stream exactly."""
 
     def test_batched_experiment_matches_engine_goldens(self, small_config):
-        result = run_experiment(small_config, trial_batch=True)
+        result = run_experiment(_batched(small_config))
         assert experiment_digests(result) == ENGINE_GOLDEN
 
     def test_batched_incremental_metrics_match_recompute(self, small_config):
         # The precomputed-statistics ingest rows must satisfy the history's
         # own cross-check recomputations bit for bit.
-        result = run_experiment(small_config, trial_batch=True)
+        result = run_experiment(_batched(small_config))
         for trial in result.trials:
             history = trial.history
             assert np.array_equal(
@@ -77,10 +84,8 @@ class TestBatchedMatchesSerialAcrossModes:
 
     @pytest.mark.parametrize("retrain_mode", ["exact", "compressed"])
     def test_full_mode(self, paper_config, retrain_mode):
-        serial = run_experiment(paper_config, retrain_mode=retrain_mode)
-        batched = run_experiment(
-            paper_config, retrain_mode=retrain_mode, trial_batch=True
-        )
+        serial = run_experiment(replace(paper_config, retrain_mode=retrain_mode))
+        batched = run_experiment(_batched(paper_config, retrain_mode=retrain_mode))
         assert len(serial.trials) == len(batched.trials) == paper_config.num_trials
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
@@ -88,15 +93,9 @@ class TestBatchedMatchesSerialAcrossModes:
 
     @pytest.mark.parametrize("retrain_mode", ["exact", "compressed"])
     def test_aggregate_mode(self, paper_config, retrain_mode):
-        serial = run_experiment(
-            paper_config, history_mode="aggregate", retrain_mode=retrain_mode
-        )
-        batched = run_experiment(
-            paper_config,
-            history_mode="aggregate",
-            retrain_mode=retrain_mode,
-            trial_batch=True,
-        )
+        modes = dict(history_mode="aggregate", retrain_mode=retrain_mode)
+        serial = run_experiment(replace(paper_config, **modes))
+        batched = run_experiment(_batched(paper_config, **modes))
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_group_series_identical(serial_trial, batched_trial)
             assert np.array_equal(
@@ -115,12 +114,9 @@ class TestBatchedMatchesSerialAcrossModes:
                 batched_trial.history.decisions_matrix()
 
     def test_warm_start_cell(self, small_config):
-        serial = run_experiment(
-            small_config, retrain_mode="compressed", warm_start=True
-        )
-        batched = run_experiment(
-            small_config, retrain_mode="compressed", warm_start=True, trial_batch=True
-        )
+        modes = dict(retrain_mode="compressed", warm_start=True)
+        serial = run_experiment(replace(small_config, **modes))
+        batched = run_experiment(_batched(small_config, **modes))
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
 
@@ -142,14 +138,12 @@ class TestBatchedRunnerSurface:
             )
 
         serial = run_experiment(small_config, policy_factory=factory)
-        batched = run_experiment(
-            small_config, policy_factory=factory, trial_batch=True
-        )
+        batched = run_experiment(_batched(small_config), policy_factory=factory)
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
         # The subclassed lender behaves like the default one, so the run
         # must also equal the fast-path batched result.
-        fast = run_experiment(small_config, trial_batch=True)
+        fast = run_experiment(_batched(small_config))
         for fast_trial, batched_trial in zip(fast.trials, batched.trials):
             _assert_full_trials_identical(fast_trial, batched_trial)
 
@@ -157,7 +151,7 @@ class TestBatchedRunnerSurface:
         config = CaseStudyConfig(
             num_users=small_config.num_users,
             num_trials=small_config.num_trials,
-            trial_batch=True,
+            execution="batch",
         )
         batched = run_experiment(config)
         serial = run_experiment(small_config)
@@ -166,27 +160,17 @@ class TestBatchedRunnerSurface:
                 serial_trial.user_default_rates, batched_trial.user_default_rates
             )
 
-    def test_trial_batch_takes_precedence_over_parallel(self, small_config):
-        result = run_experiment(
-            small_config, trial_batch=True, parallel=True, max_workers=2
-        )
-        serial = run_experiment(small_config)
-        for serial_trial, batched_trial in zip(serial.trials, result.trials):
-            assert np.array_equal(
-                serial_trial.user_default_rates, batched_trial.user_default_rates
-            )
-
     def test_single_trial_batch(self):
         config = CaseStudyConfig(num_users=100, num_trials=1)
-        batched = run_experiment(config, trial_batch=True)
+        batched = run_experiment(_batched(config))
         reference = run_trial(config, trial_index=0)
         assert np.array_equal(
             batched.trials[0].user_default_rates, reference.user_default_rates
         )
 
     def test_keep_trials_false_accumulates_moments(self, small_config):
-        kept = run_experiment(small_config, trial_batch=True)
-        dropped = run_experiment(small_config, trial_batch=True, keep_trials=False)
+        kept = run_experiment(_batched(small_config))
+        dropped = run_experiment(_batched(small_config), keep_trials=False)
         assert dropped.trials == ()
         for race in Race:
             # Welford vs batch mean: equal up to float reassociation.
@@ -203,7 +187,7 @@ class TestBatchedRunnerSurface:
 
     def test_invalid_history_mode_is_rejected(self, small_config):
         with pytest.raises(ValueError):
-            run_experiment(small_config, trial_batch=True, history_mode="bogus")
+            run_experiment(_batched(small_config, history_mode="bogus"))
 
     def test_non_binary_decisions_are_rejected_loudly(self):
         # The serial filter truncates fractional decisions before counting
@@ -222,9 +206,8 @@ class TestBatchedRunnerSurface:
         config = CaseStudyConfig(num_users=40, num_trials=2)
         with pytest.raises(ValueError, match="0/1 decisions"):
             run_experiment(
-                config,
+                _batched(config),
                 policy_factory=lambda cfg, population: FractionalSystem(0.7),
-                trial_batch=True,
             )
         # "auto" runs a single trial on the same kernel on every host, so
         # the error names the layout that takes such decisions: the serial
@@ -232,14 +215,11 @@ class TestBatchedRunnerSurface:
         single = CaseStudyConfig(num_users=40, num_trials=1, end_year=2004)
         with pytest.raises(ValueError, match="execution='serial'"):
             run_experiment(
-                single,
+                replace(single, execution="auto"),
                 policy_factory=lambda cfg, population: FractionalSystem(1.5),
-                execution="auto",
             )
         serial = run_experiment(
-            single,
-            policy_factory=lambda cfg, population: FractionalSystem(1.5),
-            execution="serial",
+            single, policy_factory=lambda cfg, population: FractionalSystem(1.5)
         )
         np.testing.assert_array_equal(
             serial.trials[0].history.decisions_matrix(), np.full((3, 40), 1.5)

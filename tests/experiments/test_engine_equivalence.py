@@ -9,7 +9,7 @@ generator with per-shard, per-step derived streams
 :mod:`repro.core.sharding`), a deliberate, pinned break from the seed
 stream.  In exchange the schedule is now a pure function of ``(trial seed,
 canonical shard, step)``: bit-identical for any worker count
-(``num_shards``), serial or process-pooled (``shard_parallel``), chunked
+(``num_shards``), serial or process-pooled (``execution="shard"``), chunked
 or not — which ``test_shard_equivalence.py`` asserts against these same
 digests.
 
@@ -21,6 +21,8 @@ the planner's ``test_execution_equivalence``).  ``ENGINE_GOLDEN`` and
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +78,9 @@ class TestParallelBitIdentity:
     """Parallel trials ride independent derived-seed streams; scheduling is irrelevant."""
 
     def test_process_parallel_matches_serial(self, small_config, serial_result):
-        parallel = run_experiment(small_config, parallel=True, max_workers=2)
+        parallel = run_experiment(
+            replace(small_config, execution="pool", max_workers=2)
+        )
         assert_experiments_identical(serial_result, parallel)
 
     def test_non_picklable_factory_falls_back_to_serial(self, small_config, serial_result):
@@ -86,7 +90,8 @@ class TestParallelBitIdentity:
         )
         serial = run_experiment(small_config, policy_factory=factory)
         parallel = run_experiment(
-            small_config, policy_factory=factory, parallel=True, max_workers=2
+            replace(small_config, execution="pool", max_workers=2),
+            policy_factory=factory,
         )
         assert_experiments_identical(serial, parallel)
         # The default factory builds the identical system, so the lambda run
@@ -97,7 +102,7 @@ class TestParallelBitIdentity:
         config = CaseStudyConfig(
             num_users=small_config.num_users,
             num_trials=small_config.num_trials,
-            parallel=True,
+            execution="pool",
             max_workers=2,
         )
         parallel = run_experiment(config)
@@ -107,7 +112,7 @@ class TestParallelBitIdentity:
             )
 
     def test_single_trial_ignores_parallel_flag(self):
-        config = CaseStudyConfig(num_users=100, num_trials=1, parallel=True)
+        config = CaseStudyConfig(num_users=100, num_trials=1, execution="pool")
         result = run_experiment(config)
         reference = run_trial(config, trial_index=0)
         assert np.array_equal(
@@ -118,14 +123,15 @@ class TestParallelBitIdentity:
         with pytest.raises(ValueError):
             CaseStudyConfig(max_workers=0)
         with pytest.raises(ValueError):
-            run_experiment(
-                CaseStudyConfig(num_users=10, num_trials=2),
-                parallel=True,
+            replace(
+                CaseStudyConfig(num_users=10, num_trials=2, execution="pool"),
                 max_workers=0,
             )
 
     def test_one_worker_runs_serially(self, small_config, serial_result):
-        result = run_experiment(small_config, parallel=True, max_workers=1)
+        result = run_experiment(
+            replace(small_config, execution="pool", max_workers=1)
+        )
         for trial_left, trial_right in zip(serial_result.trials, result.trials):
             assert np.array_equal(
                 trial_left.user_default_rates, trial_right.user_default_rates

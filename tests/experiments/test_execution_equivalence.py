@@ -15,8 +15,8 @@ This suite is the consolidated harness behind that claim:
 * ``execution="auto"`` is bit-identical across *core counts* (the plan
   changes, the stream must not) — the property that makes the knob safe
   to bake into configs shared between laptops and CI runners;
-* the config knob, the ``run_experiment`` override and ``run_trial``
-  route through the same planner;
+* ``run_experiment`` and ``run_trial`` route the config knob through the
+  same planner;
 * forbidden combinations fail at configuration time with actionable
   errors, not at step 900 of a trial.
 """
@@ -30,6 +30,7 @@ import pytest
 
 from repro.core import planner
 from repro.core.streaming import AggregateHistory
+from repro.experiments import runner as runner_module
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
 
@@ -51,13 +52,13 @@ class TestExecutionModesMatchGoldens:
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_full_history_matches_engine_goldens(self, golden_config, execution):
-        result = run_experiment(golden_config, execution=execution)
+        result = run_experiment(replace(golden_config, execution=execution))
         assert experiment_digests(result) == ENGINE_GOLDEN
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_aggregate_history_matches_group_goldens(self, golden_config, execution):
         result = run_experiment(
-            golden_config, history_mode="aggregate", execution=execution
+            replace(golden_config, history_mode="aggregate", execution=execution)
         )
         observed = {}
         expected = {}
@@ -69,9 +70,7 @@ class TestExecutionModesMatchGoldens:
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_run_trial_matches_trial0_goldens(self, golden_config, execution):
-        if execution == "batch":
-            pytest.skip("run_trial rejects the batch mode (covered below)")
-        trial = run_trial(golden_config, trial_index=0, execution=execution)
+        trial = run_trial(replace(golden_config, execution=execution), trial_index=0)
         assert (
             digest(trial.history.decisions_matrix())
             == ENGINE_GOLDEN["trial0_decisions"]
@@ -82,11 +81,10 @@ class TestExecutionModesMatchGoldens:
     def test_compressed_retrain_composes_with_auto(
         self, golden_config, monkeypatch
     ):
-        serial = run_experiment(golden_config, retrain_mode="compressed")
+        compressed = replace(golden_config, retrain_mode="compressed")
+        serial = run_experiment(compressed)
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 4)
-        auto = run_experiment(
-            golden_config, retrain_mode="compressed", execution="auto"
-        )
+        auto = run_experiment(replace(compressed, execution="auto"))
         assert_experiments_identical(serial, auto)
 
 
@@ -98,28 +96,52 @@ class TestAutoIsPureWallClock:
         self, golden_config, golden_serial_result, cores, monkeypatch
     ):
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: cores)
-        result = run_experiment(golden_config, execution="auto")
+        result = run_experiment(replace(golden_config, execution="auto"))
         assert_experiments_identical(golden_serial_result, result)
 
 
 class TestKnobPlumbing:
-    """Config knob, runner override and shard hints hit the same planner."""
+    """The config knob and its shard hint reach the planner from both runners."""
 
-    def test_config_knob_routes_through_planner(
-        self, golden_config, golden_serial_result
+    def test_execution_defaults_to_serial(self):
+        assert CaseStudyConfig().execution == "serial"
+
+    @staticmethod
+    def _planner_calls(monkeypatch):
+        """Record ``(execution, trials)`` of every plan the runner makes."""
+        calls = []
+
+        def spy(execution, **workload):
+            calls.append((execution, workload["trials"]))
+            return planner.plan_execution(execution, **workload)
+
+        monkeypatch.setattr(runner_module, "plan_execution", spy)
+        return calls
+
+    def test_run_trial_plans_its_one_trial(self, golden_config, monkeypatch):
+        calls = self._planner_calls(monkeypatch)
+        run_trial(golden_config, trial_index=1)
+        assert calls == [("serial", 1)]
+
+    @pytest.mark.parametrize("execution", ["serial", "batch", "shard"])
+    def test_run_experiment_plans_once_for_every_trial(
+        self, golden_config, execution, monkeypatch
     ):
-        config = replace(golden_config, execution="auto")
-        assert_experiments_identical(golden_serial_result, run_experiment(config))
+        # One plan covers the whole run: its trials execute it as given,
+        # never re-planning per trial.
+        calls = self._planner_calls(monkeypatch)
+        run_experiment(replace(golden_config, execution=execution))
+        assert calls == [(execution, golden_config.num_trials)]
 
     def test_shard_hint_is_honoured_bit_identically(
         self, golden_config, golden_serial_result
     ):
-        config = replace(golden_config, num_shards=4)
-        result = run_experiment(config, execution="shard")
+        config = replace(golden_config, num_shards=4, execution="shard")
+        result = run_experiment(config)
         assert_experiments_identical(golden_serial_result, result)
 
     def test_run_trial_shard_matches_experiment_shard(self, golden_config):
-        trial = run_trial(golden_config, trial_index=0, execution="shard")
+        trial = run_trial(replace(golden_config, execution="shard"), trial_index=0)
         assert np.array_equal(
             trial.user_default_rates,
             run_trial(golden_config, trial_index=0).user_default_rates,
@@ -133,12 +155,9 @@ class TestForbiddenCombosFailAtConfigTime:
         with pytest.raises(ValueError, match="execution"):
             CaseStudyConfig(execution="turbo")
 
-    @pytest.mark.parametrize(
-        "legacy", [{"trial_batch": True}, {"parallel": True}, {"shard_parallel": True}]
-    )
-    def test_legacy_switches_are_rejected_with_execution(self, legacy):
-        with pytest.raises(ValueError, match="legacy layout switches"):
-            CaseStudyConfig(execution="auto", **legacy)
+    def test_none_is_not_a_mode(self):
+        with pytest.raises(ValueError, match="execution"):
+            CaseStudyConfig(execution=None)
 
     def test_batch_mode_rejects_checkpointing(self, tmp_path):
         with pytest.raises(ValueError, match="incompatible with checkpointing"):
@@ -147,13 +166,3 @@ class TestForbiddenCombosFailAtConfigTime:
                 checkpoint_dir=str(tmp_path),
                 checkpoint_every=5,
             )
-
-    def test_runner_override_rejects_legacy_overrides(self, golden_config):
-        with pytest.raises(ValueError, match="parallel override"):
-            run_experiment(golden_config, execution="auto", parallel=True)
-        with pytest.raises(ValueError, match="trial_batch override"):
-            run_experiment(golden_config, execution="serial", trial_batch=True)
-
-    def test_run_trial_rejects_batch_mode(self, golden_config):
-        with pytest.raises(ValueError, match="run_experiment"):
-            run_trial(golden_config, trial_index=0, execution="batch")

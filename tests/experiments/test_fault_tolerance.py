@@ -13,9 +13,11 @@ streams), so fault tolerance must never cost a single bit.
 from __future__ import annotations
 
 import copyreg
+import errno
 import io
 import os
 import pickle
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.streaming import StreamingAggregator
 from repro.core.supervision import SupervisorPolicy
+from repro.experiments import runner as runner_module
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
 from repro.testing.faults import (
@@ -74,6 +77,13 @@ def golden_trial(ft_config):
 @pytest.fixture(scope="module")
 def golden_experiment(ft_config):
     return run_experiment(ft_config)
+
+
+def _checkpointed(config, directory, every=0, **changes):
+    """Return ``config`` checkpointing into ``directory`` every ``every`` steps."""
+    return replace(
+        config, checkpoint_dir=str(directory), checkpoint_every=every, **changes
+    )
 
 
 def assert_trials_identical(left, right):
@@ -121,20 +131,12 @@ class TestCheckpointResume:
     def test_resumed_trial_is_bit_identical(self, ft_config, golden_trial, tmp_path):
         install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
         with pytest.raises(FaultInjected):
-            run_trial(
-                ft_config,
-                trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-            )
+            run_trial(_checkpointed(ft_config, tmp_path, 3), trial_index=0)
         # The crash left the step-3 and step-6 snapshots behind.
         assert [s for s, _ in list_checkpoints(tmp_path, "trial-0000")] == [6, 3]
         resumed = run_trial(
-            ft_config,
+            _checkpointed(ft_config, tmp_path, 3, resume=True),
             trial_index=0,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=3,
-            resume=True,
         )
         assert_trials_identical(golden_trial, resumed)
 
@@ -142,32 +144,24 @@ class TestCheckpointResume:
         self, ft_config, golden_trial, tmp_path
     ):
         resumed = run_trial(
-            ft_config,
+            _checkpointed(ft_config, tmp_path, 5, resume=True),
             trial_index=0,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=5,
-            resume=True,
         )
         assert_trials_identical(golden_trial, resumed)
 
     def test_resume_across_aggregate_history_mode(self, ft_config, tmp_path):
-        golden = run_trial(ft_config, trial_index=0, history_mode="aggregate")
+        golden = run_trial(replace(ft_config, history_mode="aggregate"), trial_index=0)
         install_plan([FaultSpec(site="loop_step", kind="raise", step=10)])
         with pytest.raises(FaultInjected):
             run_trial(
-                ft_config,
+                _checkpointed(ft_config, tmp_path, 4, history_mode="aggregate"),
                 trial_index=0,
-                history_mode="aggregate",
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=4,
             )
         resumed = run_trial(
-            ft_config,
+            _checkpointed(
+                ft_config, tmp_path, 4, history_mode="aggregate", resume=True
+            ),
             trial_index=0,
-            history_mode="aggregate",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=4,
-            resume=True,
         )
         for race, series in golden.group_default_rates.items():
             np.testing.assert_array_equal(series, resumed.group_default_rates[race])
@@ -178,15 +172,12 @@ class TestCheckpointResume:
         # Aggregate-mode snapshots written before the aggregators owned a
         # GroupFold pickle the aggregator's attribute dict without one.
         # Resume must rebuild the fold, not fail on the next recorded step.
-        golden = run_trial(ft_config, trial_index=0, history_mode="aggregate")
+        golden = run_trial(replace(ft_config, history_mode="aggregate"), trial_index=0)
         install_plan([FaultSpec(site="loop_step", kind="raise", step=10)])
         with pytest.raises(FaultInjected):
             run_trial(
-                ft_config,
+                _checkpointed(ft_config, tmp_path, 4, history_mode="aggregate"),
                 trial_index=0,
-                history_mode="aggregate",
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=4,
             )
         newest = list_checkpoints(tmp_path, "trial-0000")[0][1]
         payload = read_checkpoint(newest)
@@ -203,34 +194,27 @@ class TestCheckpointResume:
         with open(newest, "rb") as handle:
             assert b"GroupFold" not in handle.read()
         resumed = run_trial(
-            ft_config,
+            _checkpointed(
+                ft_config, tmp_path, 4, history_mode="aggregate", resume=True
+            ),
             trial_index=0,
-            history_mode="aggregate",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=4,
-            resume=True,
         )
         for race, series in golden.group_default_rates.items():
             np.testing.assert_array_equal(series, resumed.group_default_rates[race])
 
     def test_resume_across_compressed_retrain_mode(self, ft_config, tmp_path):
-        golden = run_trial(ft_config, trial_index=0, retrain_mode="compressed")
+        golden = run_trial(replace(ft_config, retrain_mode="compressed"), trial_index=0)
         install_plan([FaultSpec(site="loop_step", kind="raise", step=7)])
         with pytest.raises(FaultInjected):
             run_trial(
-                ft_config,
+                _checkpointed(ft_config, tmp_path, 3, retrain_mode="compressed"),
                 trial_index=0,
-                retrain_mode="compressed",
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
             )
         resumed = run_trial(
-            ft_config,
+            _checkpointed(
+                ft_config, tmp_path, 3, retrain_mode="compressed", resume=True
+            ),
             trial_index=0,
-            retrain_mode="compressed",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=3,
-            resume=True,
         )
         assert_trials_identical(golden, resumed)
 
@@ -239,12 +223,7 @@ class TestCheckpointResume:
     ):
         install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
         with pytest.raises(FaultInjected):
-            run_trial(
-                ft_config,
-                trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-            )
+            run_trial(_checkpointed(ft_config, tmp_path, 3), trial_index=0)
         # Tear the newest snapshot (step 6) the way a mid-rename power cut
         # would; recovery must detect it and fall back to step 3.
         newest = list_checkpoints(tmp_path, "trial-0000")[0][1]
@@ -252,11 +231,8 @@ class TestCheckpointResume:
             handle.truncate(os.path.getsize(newest) // 2)
         with pytest.warns(RuntimeWarning, match="skipping unreadable checkpoint"):
             resumed = run_trial(
-                ft_config,
+                _checkpointed(ft_config, tmp_path, 3, resume=True),
                 trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-                resume=True,
             )
         assert_trials_identical(golden_trial, resumed)
 
@@ -274,19 +250,11 @@ class TestCheckpointResume:
             ]
         )
         with pytest.raises(FaultInjected):
-            run_trial(
-                ft_config,
-                trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-            )
+            run_trial(_checkpointed(ft_config, tmp_path, 3), trial_index=0)
         with pytest.warns(RuntimeWarning, match="skipping unreadable checkpoint"):
             resumed = run_trial(
-                ft_config,
+                _checkpointed(ft_config, tmp_path, 3, resume=True),
                 trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-                resume=True,
             )
         assert_trials_identical(golden_trial, resumed)
 
@@ -295,75 +263,89 @@ class TestCheckpointResume:
     ):
         install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
         with pytest.raises(FaultInjected):
-            run_trial(
-                ft_config,
-                trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-            )
+            run_trial(_checkpointed(ft_config, tmp_path, 3), trial_index=0)
         other = CaseStudyConfig(num_users=60, num_trials=3, seed=425)
         with pytest.raises(CheckpointError, match="different\\s+configuration"):
-            run_trial(
-                other,
-                trial_index=0,
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
-                resume=True,
-            )
+            run_trial(_checkpointed(other, tmp_path, 3, resume=True), trial_index=0)
 
 
 class TestExperimentResume:
     def test_completed_trials_are_skipped_on_resume(
         self, ft_config, golden_experiment, tmp_path
     ):
-        first = run_experiment(ft_config, checkpoint_dir=str(tmp_path))
+        first = run_experiment(_checkpointed(ft_config, tmp_path))
         assert_experiments_identical(golden_experiment, first)
 
         def exploding_factory(config, population):  # pragma: no cover - must not run
             raise AssertionError("resume re-ran an already-completed trial")
 
         resumed = run_experiment(
-            ft_config,
+            _checkpointed(ft_config, tmp_path, resume=True),
             policy_factory=exploding_factory,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
         )
         assert_experiments_identical(golden_experiment, resumed)
 
     def test_partial_experiment_resumes_the_missing_trials(
         self, ft_config, golden_experiment, tmp_path
     ):
-        run_experiment(ft_config, checkpoint_dir=str(tmp_path))
+        run_experiment(_checkpointed(ft_config, tmp_path))
         # Lose trial 1's persisted result; resume must re-run exactly it.
         (tmp_path / "trial-0001.result").unlink()
-        resumed = run_experiment(
-            ft_config, checkpoint_dir=str(tmp_path), resume=True
-        )
+        resumed = run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
         assert_experiments_identical(golden_experiment, resumed)
 
     def test_unreadable_result_file_is_rerun_with_warning(
         self, ft_config, golden_experiment, tmp_path
     ):
-        run_experiment(ft_config, checkpoint_dir=str(tmp_path))
+        run_experiment(_checkpointed(ft_config, tmp_path))
         (tmp_path / "trial-0002.result").write_bytes(b"garbage")
         with pytest.warns(RuntimeWarning, match="re-running trial 2"):
-            resumed = run_experiment(
-                ft_config, checkpoint_dir=str(tmp_path), resume=True
-            )
+            resumed = run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
         assert_experiments_identical(golden_experiment, resumed)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{}, {"execution": "pool", "max_workers": 2}],
+        ids=["serial", "pool"],
+    )
+    def test_failed_result_write_keeps_the_computed_experiment(
+        self, ft_config, golden_experiment, tmp_path, monkeypatch, layout
+    ):
+        # A full disk while persisting a finished trial costs its result
+        # file, never the computed trial.  The parent persists pooled
+        # trials as they arrive, so the pool must not lose them either.
+        def full_disk(path, payload):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "write_checkpoint", full_disk)
+            with pytest.warns(RuntimeWarning, match="could not persist") as caught:
+                result = run_experiment(
+                    _checkpointed(ft_config, tmp_path, **layout),
+                    supervisor=FAST_SUPERVISOR,
+                )
+        assert_experiments_identical(golden_experiment, result)
+        for index in range(ft_config.num_trials):
+            assert any(
+                f"trial-{index:04d}.result" in str(warning.message)
+                for warning in caught
+            )
+        assert not any("pool failure" in str(w.message) for w in caught)
+        assert not any(tmp_path.iterdir())
+        # The next resume finds nothing on disk and recomputes every trial.
+        resumed = run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
+        assert_experiments_identical(golden_experiment, resumed)
+        assert len(list(tmp_path.glob("*.result"))) == ft_config.num_trials
 
 
 class TestSupervisedShardPool:
     """The intra-trial shard pool survives death, raises, and hangs."""
 
-    def _pooled(self, ft_config, tmp_path, **kwargs):
+    def _pooled(self, ft_config, tmp_path, **changes):
         return run_trial(
-            ft_config,
+            replace(ft_config, num_shards=2, execution="shard", **changes),
             trial_index=0,
-            num_shards=2,
-            shard_parallel=True,
             supervisor=FAST_SUPERVISOR,
-            **kwargs,
         )
 
     def test_worker_kill_is_retried_bit_identically(
@@ -479,6 +461,11 @@ class TestSupervisedShardPool:
         assert list_checkpoints(snapshots, "trial-0000")
 
 
+def _trial_pool(config):
+    """Return ``config`` on a two-worker trial pool."""
+    return replace(config, execution="pool", max_workers=2)
+
+
 class TestSupervisedTrialPool:
     """Satellite (a): a worker death mid-experiment no longer sinks it."""
 
@@ -493,10 +480,7 @@ class TestSupervisedTrialPool:
         )
         with pytest.warns(RuntimeWarning, match="parallel trial pool failure"):
             recovered = run_experiment(
-                ft_config,
-                parallel=True,
-                max_workers=2,
-                supervisor=FAST_SUPERVISOR,
+                _trial_pool(ft_config), supervisor=FAST_SUPERVISOR
             )
         assert_experiments_identical(golden_experiment, recovered)
 
@@ -509,12 +493,7 @@ class TestSupervisedTrialPool:
                 state_dir=tmp_path,
             )
         )
-        recovered = run_experiment(
-            ft_config,
-            parallel=True,
-            max_workers=2,
-            supervisor=FAST_SUPERVISOR,
-        )
+        recovered = run_experiment(_trial_pool(ft_config), supervisor=FAST_SUPERVISOR)
         assert_experiments_identical(golden_experiment, recovered)
 
     def test_exhausted_trial_budget_degrades_to_serial(
@@ -531,9 +510,7 @@ class TestSupervisedTrialPool:
         )
         with pytest.warns(RuntimeWarning, match="exhausted its retry budget"):
             recovered = run_experiment(
-                ft_config,
-                parallel=True,
-                max_workers=2,
+                _trial_pool(ft_config),
                 supervisor=SupervisorPolicy(max_retries=0, backoff_base=0.0),
             )
         assert_experiments_identical(golden_experiment, recovered)
@@ -555,17 +532,12 @@ class TestSupervisedTrialPool:
         )
         with pytest.warns(RuntimeWarning, match="parallel trial pool failure"):
             first = run_experiment(
-                ft_config,
-                parallel=True,
-                max_workers=2,
+                _trial_pool(_checkpointed(ft_config, snapshots)),
                 supervisor=FAST_SUPERVISOR,
-                checkpoint_dir=str(snapshots),
             )
         assert_experiments_identical(golden_experiment, first)
         os.environ.pop(FAULTS_ENV)
-        resumed = run_experiment(
-            ft_config, checkpoint_dir=str(snapshots), resume=True
-        )
+        resumed = run_experiment(_checkpointed(ft_config, snapshots, resume=True))
         assert_experiments_identical(golden_experiment, resumed)
 
 
@@ -580,14 +552,11 @@ class TestSharedMemoryHygiene:
     oracle; each scenario asserts the set of segments is unchanged.
     """
 
-    def _pooled(self, ft_config, **kwargs):
+    def _pooled(self, ft_config):
         return run_trial(
-            ft_config,
+            replace(ft_config, num_shards=2, execution="shard"),
             trial_index=0,
-            num_shards=2,
-            shard_parallel=True,
             supervisor=FAST_SUPERVISOR,
-            **kwargs,
         )
 
     def test_clean_pooled_run_leaves_no_segments(self, ft_config, golden_trial):
@@ -690,11 +659,8 @@ class TestCrossPlanResume:
         install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
         with pytest.raises(FaultInjected):
             run_trial(
-                ft_config,
+                _checkpointed(ft_config, tmp_path, 3, execution="auto"),
                 trial_index=0,
-                execution="auto",
-                checkpoint_dir=str(tmp_path),
-                checkpoint_every=3,
             )
         clear_plan()
         # Resume on a "different host" under a different plan: auto keeps
@@ -703,12 +669,8 @@ class TestCrossPlanResume:
         # still be accepted and replayed.
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
         resumed = run_trial(
-            ft_config,
+            _checkpointed(ft_config, tmp_path, 3, execution="shard", resume=True),
             trial_index=0,
-            execution="shard",
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=3,
-            resume=True,
         )
         assert_trials_identical(golden_trial, resumed)
 
@@ -718,16 +680,11 @@ class TestCrossPlanResume:
         from repro.core import planner
 
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 1)
-        first = run_experiment(
-            ft_config, execution="auto", checkpoint_dir=str(tmp_path)
-        )
+        first = run_experiment(_checkpointed(ft_config, tmp_path, execution="auto"))
         assert_experiments_identical(golden_experiment, first)
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
         resumed = run_experiment(
-            ft_config,
-            execution="auto",
-            checkpoint_dir=str(tmp_path),
-            resume=True,
+            _checkpointed(ft_config, tmp_path, execution="auto", resume=True)
         )
         assert_experiments_identical(golden_experiment, resumed)
 
@@ -746,24 +703,3 @@ class TestKnobValidation:
     def test_negative_checkpoint_every_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-negative"):
             CaseStudyConfig(checkpoint_dir=str(tmp_path), checkpoint_every=-1)
-
-    def test_trial_batch_is_incompatible_with_checkpointing(self, tmp_path):
-        with pytest.raises(ValueError, match="trial_batch"):
-            CaseStudyConfig(
-                checkpoint_dir=str(tmp_path), checkpoint_every=5, trial_batch=True
-            )
-
-    def test_run_trial_override_is_validated(self, tiny_config):
-        with pytest.raises(ValueError, match="--checkpoint-dir"):
-            run_trial(tiny_config, trial_index=0, resume=True)
-
-    def test_run_experiment_override_is_validated(self, tiny_config):
-        with pytest.raises(ValueError, match="--checkpoint-dir"):
-            run_experiment(tiny_config, checkpoint_every=3)
-        with pytest.raises(ValueError, match="trial_batch"):
-            run_experiment(
-                tiny_config,
-                trial_batch=True,
-                checkpoint_dir="/tmp/x",
-                checkpoint_every=3,
-            )

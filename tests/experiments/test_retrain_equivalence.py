@@ -22,19 +22,21 @@ The suite pins:
 * warm-started refits: same decision vectors at paper scale.
 
 The CI retrain-matrix job runs this file once per (mode, execution) cell
-with ``REPRO_TEST_RETRAIN_MODE`` / ``REPRO_TEST_EXECUTION`` set; without
-the variables every combination is covered.
+with ``REPRO_TEST_RETRAIN_MODE`` / ``REPRO_TEST_EXECUTION`` set; the
+execution values are the planner's layout names (``serial``, ``shard``,
+``batch``).  Without the variables every combination is covered.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.experiments.config import CaseStudyConfig
-from repro.experiments.runner import run_trial
+from repro.experiments.runner import run_experiment, run_trial
 
 from tests.experiments.harness import ENGINE_GOLDEN, digest
 
@@ -52,39 +54,28 @@ def _executions() -> tuple:
     override = os.environ.get("REPRO_TEST_EXECUTION")
     if override:
         return (override,)
-    return ("serial", "sharded", "batched")
+    return ("serial", "shard", "batch")
 
 
 MODES = _modes()
 EXECUTIONS = _executions()
 
 
-def _shard_kwargs(execution: str) -> dict:
-    if execution == "sharded":
-        return dict(num_shards=2, shard_parallel=True)
-    return {}
-
-
 def _execution_trial(config, trial_index: int, retrain_mode: str, execution: str):
     """Run one trial under the given execution layout.
 
-    ``serial`` and ``sharded`` drive :func:`run_trial` directly;
-    ``batched`` routes through the trial-batched engine
-    (``run_experiment(..., trial_batch=True)``), whose trial rows are
-    bit-identical to their serial twins — so every retrain-mode guarantee
-    must hold there cell for cell too.
+    ``serial`` and ``shard`` (two pooled worker shards) drive
+    :func:`run_trial` directly; ``batch`` runs the whole experiment on the
+    trial-batched engine, whose trial rows are bit-identical to their
+    serial twins — so every retrain-mode guarantee must hold there cell
+    for cell too.
     """
-    if execution == "batched":
-        from repro.experiments.runner import run_experiment
-
-        result = run_experiment(config, retrain_mode=retrain_mode, trial_batch=True)
-        return result.trials[trial_index]
-    return run_trial(
-        config,
-        trial_index=trial_index,
-        retrain_mode=retrain_mode,
-        **_shard_kwargs(execution),
+    config = replace(
+        config, retrain_mode=retrain_mode, execution=execution, num_shards=2
     )
+    if execution == "batch":
+        return run_experiment(config).trials[trial_index]
+    return run_trial(config, trial_index=trial_index)
 
 
 def _final_card_points(trial_seed: int, num_users: int, mode: str, **kwargs):
@@ -106,7 +97,7 @@ def _final_card_points(trial_seed: int, num_users: int, mode: str, **kwargs):
         population=population,
         loop_filter=DefaultRateFilter(num_users=num_users),
     )
-    history = loop.run(19, rng=trial_seed, **_shard_kwargs("serial"))
+    history = loop.run(19, rng=trial_seed)
     card = system.lender.scorecard
     points = {factor.name: factor.points for factor in card.factors}
     points["__base__"] = card.base_score
@@ -146,7 +137,7 @@ class TestCompressedMatchesExact:
         if "compressed" not in MODES:
             pytest.skip("matrix cell covers exact mode only")
         config = CaseStudyConfig(num_users=1000, num_trials=1, seed=seed)
-        exact = run_trial(config, trial_index=0, retrain_mode="exact")
+        exact = run_trial(config, trial_index=0)
         compressed = _execution_trial(config, 0, "compressed", execution)
         assert np.array_equal(
             exact.history.decisions_matrix(), compressed.history.decisions_matrix()
@@ -173,16 +164,12 @@ class TestPooledCompressedIsBitIdentical:
 
     @pytest.mark.parametrize("num_shards", [2, 8])
     def test_pooled_equals_serial_compressed(self, num_shards):
-        if "compressed" not in MODES or "sharded" not in EXECUTIONS:
+        if "compressed" not in MODES or "shard" not in EXECUTIONS:
             pytest.skip("matrix cell does not cover pooled compressed runs")
-        config = CaseStudyConfig(num_users=400, num_trials=1)
-        serial = run_trial(config, trial_index=0, retrain_mode="compressed")
+        config = CaseStudyConfig(num_users=400, num_trials=1, retrain_mode="compressed")
+        serial = run_trial(config, trial_index=0)
         pooled = run_trial(
-            config,
-            trial_index=0,
-            retrain_mode="compressed",
-            num_shards=num_shards,
-            shard_parallel=True,
+            replace(config, num_shards=num_shards, execution="shard"), trial_index=0
         )
         assert np.array_equal(
             serial.history.decisions_matrix(), pooled.history.decisions_matrix()
@@ -194,7 +181,7 @@ class TestPooledCompressedIsBitIdentical:
 
     def test_pooled_central_fit_sees_the_exact_merged_table(self):
         """The orchestrator's merged table equals one-pass compression."""
-        if "compressed" not in MODES or "sharded" not in EXECUTIONS:
+        if "compressed" not in MODES or "shard" not in EXECUTIONS:
             pytest.skip("matrix cell does not cover pooled compressed runs")
         from repro.core.ai_system import CreditScoringSystem
         from repro.core.filters import DefaultRateFilter
@@ -230,11 +217,9 @@ class TestWarmStart:
     def test_warm_start_keeps_paper_scale_decisions(self):
         if "compressed" not in MODES:
             pytest.skip("matrix cell covers exact mode only")
-        config = CaseStudyConfig(num_users=1000, num_trials=1)
-        cold = run_trial(config, trial_index=0, retrain_mode="compressed")
-        warm = run_trial(
-            config, trial_index=0, retrain_mode="compressed", warm_start=True
-        )
+        config = CaseStudyConfig(num_users=1000, num_trials=1, retrain_mode="compressed")
+        cold = run_trial(config, trial_index=0)
+        warm = run_trial(replace(config, warm_start=True), trial_index=0)
         assert np.array_equal(
             cold.history.decisions_matrix(), warm.history.decisions_matrix()
         )

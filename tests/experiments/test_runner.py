@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,7 @@ class TestGroupSeriesMoments:
 
     def test_keep_trials_false_keeps_the_resolved_history_mode(self, small_config):
         slim = run_experiment(
-            small_config, history_mode="aggregate", keep_trials=False
+            replace(small_config, history_mode="aggregate"), keep_trials=False
         )
         assert slim.history_mode == "aggregate"
 
@@ -156,7 +158,7 @@ class TestGroupSeriesMoments:
         from repro.experiments.fig4_user_adr import fig4_user_adr
 
         slim = run_experiment(
-            small_config, history_mode="aggregate", keep_trials=False
+            replace(small_config, history_mode="aggregate"), keep_trials=False
         )
         with pytest.raises(ValueError, match="keep_trials=True"):
             fig4_user_adr(result=slim)

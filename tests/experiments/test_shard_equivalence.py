@@ -2,8 +2,8 @@
 
 The sharded engine's invariant is that a trial's trajectory is a pure
 function of ``(trial seed, canonical shard partition, step)`` — the worker
-count (``num_shards``), the executor kind (``shard_parallel``) and the
-history mode are pure execution details.  This suite pins that invariant
+count (``num_shards``), the executor kind (``execution`` ``"serial"`` or
+``"shard"``) and the history mode are pure execution details.  This suite pins that invariant
 against the same golden digests as ``test_engine_equivalence.py``:
 
 * group-level series digests for ``num_shards in {1, 2, 8}``, serial and
@@ -21,10 +21,12 @@ The CI shard-matrix job runs this file once per worker count with
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import planner
 from repro.core.streaming import AggregateHistory
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
@@ -58,18 +60,14 @@ def reference_trial(small_config):
 
 
 class TestShardCountInvariance:
-    """num_shards x shard_parallel x history_mode -> one golden stream."""
+    """num_shards x execution x history_mode -> one golden stream."""
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("shard_parallel", [False, True])
-    def test_full_mode_matches_goldens(
-        self, small_config, num_shards, shard_parallel
-    ):
+    @pytest.mark.parametrize("execution", ["serial", "shard"])
+    def test_full_mode_matches_goldens(self, small_config, num_shards, execution):
         trial = run_trial(
-            small_config,
+            replace(small_config, num_shards=num_shards, execution=execution),
             trial_index=0,
-            num_shards=num_shards,
-            shard_parallel=shard_parallel,
         )
         assert group_digests(trial) == expected_group_digests()
         assert digest(trial.user_default_rates) == ENGINE_GOLDEN["trial0_user_rates"]
@@ -88,16 +86,18 @@ class TestShardCountInvariance:
         )
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("shard_parallel", [False, True])
+    @pytest.mark.parametrize("execution", ["serial", "shard"])
     def test_aggregate_mode_matches_goldens(
-        self, small_config, num_shards, shard_parallel
+        self, small_config, num_shards, execution
     ):
         trial = run_trial(
-            small_config,
+            replace(
+                small_config,
+                history_mode="aggregate",
+                num_shards=num_shards,
+                execution=execution,
+            ),
             trial_index=0,
-            history_mode="aggregate",
-            num_shards=num_shards,
-            shard_parallel=shard_parallel,
         )
         assert isinstance(trial.history, AggregateHistory)
         assert group_digests(trial) == expected_group_digests()
@@ -215,15 +215,23 @@ class TestPooledStateReconciliation:
 class TestExperimentLevelComposition:
     """Intra-trial sharding composes with trial-level parallelism."""
 
-    def test_shard_parallel_composes_with_trial_parallel(self, small_config):
-        serial = run_experiment(small_config)
-        composed = run_experiment(
-            small_config,
-            parallel=True,
-            max_workers=2,
-            num_shards=2,
-            shard_parallel=True,
+    def test_shard_parallel_composes_with_trial_parallel(self, monkeypatch):
+        # auto composes pooled trials with sharded users once every pooled
+        # trial has two cores to itself and the population is big enough.
+        monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 4)
+        config = CaseStudyConfig(
+            num_users=planner.AUTO_SHARD_MIN_USERS, num_trials=2, end_year=2006
         )
+        composed_config = replace(config, execution="auto")
+        plan = planner.plan_execution(
+            "auto",
+            trials=config.num_trials,
+            users=config.num_users,
+            steps=config.num_steps,
+        )
+        assert plan.layout == "pool+shard"
+        serial = run_experiment(config)
+        composed = run_experiment(composed_config)
         assert len(serial.trials) == len(composed.trials)
         for left, right in zip(serial.trials, composed.trials):
             assert np.array_equal(left.user_default_rates, right.user_default_rates)
@@ -233,7 +241,7 @@ class TestExperimentLevelComposition:
             num_users=small_config.num_users,
             num_trials=1,
             num_shards=2,
-            shard_parallel=True,
+            execution="shard",
         )
         result = run_experiment(config)
         assert np.array_equal(
@@ -244,7 +252,7 @@ class TestExperimentLevelComposition:
         with pytest.raises(ValueError):
             CaseStudyConfig(num_shards=0)
         with pytest.raises(ValueError):
-            run_trial(small_config, trial_index=0, num_shards=-1)
+            replace(small_config, num_shards=-1)
 
 
 class TestChunkedShardedRuns:

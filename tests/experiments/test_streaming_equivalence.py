@@ -21,6 +21,8 @@ execution in aggregate mode, and chunked aggregate runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from repro.experiments.config import CaseStudyConfig
 from repro.experiments.fig3_race_adr import fig3_race_adr
 from repro.experiments.fig4_user_adr import fig4_user_adr
 from repro.experiments.fig5_density import fig5_density
-from repro.experiments.runner import run_experiment, run_trial
+from repro.experiments.runner import run_experiment
 
 from tests.experiments.harness import expected_group_digests, group_digests
 
@@ -52,7 +54,7 @@ def full_small(golden_serial_result):
 
 @pytest.fixture(scope="module")
 def aggregate_small(small_config):
-    return run_experiment(small_config, history_mode="aggregate")
+    return run_experiment(replace(small_config, history_mode="aggregate"))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def full_paper(paper_config):
 
 @pytest.fixture(scope="module")
 def aggregate_paper(paper_config):
-    return run_experiment(paper_config, history_mode="aggregate")
+    return run_experiment(replace(paper_config, history_mode="aggregate"))
 
 
 def assert_group_series_bit_identical(full_experiment, aggregate_experiment):
@@ -233,7 +235,7 @@ class TestAggregateModeSurface:
         with pytest.raises(ValueError):
             CaseStudyConfig(history_mode="columnar")
         with pytest.raises(ValueError):
-            run_trial(CaseStudyConfig(num_users=10), history_mode="nope")
+            replace(CaseStudyConfig(num_users=10), history_mode="nope")
 
 
 class TestAggregateParallelAndChunked:
@@ -241,7 +243,9 @@ class TestAggregateParallelAndChunked:
 
     def test_parallel_aggregate_matches_serial(self, small_config, aggregate_small):
         parallel = run_experiment(
-            small_config, history_mode="aggregate", parallel=True, max_workers=2
+            replace(
+                small_config, history_mode="aggregate", execution="pool", max_workers=2
+            )
         )
         for serial_trial, parallel_trial in zip(
             aggregate_small.trials, parallel.trials

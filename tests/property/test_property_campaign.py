@@ -3,8 +3,8 @@
 Two families pin the content address's contract:
 
 * **Layout invariance.**  For any grid cell, the key is identical under
-  every combination of the spec's run options (``execution``,
-  ``max_workers``, ``num_shards``, ``shard_transport``) — the structural
+  every combination of the run options (``execution``, ``max_workers``,
+  ``num_shards``) — the structural
   property that lets an entry written by a serial sweep hit under pooled
   or sharded execution.  The key digests
   :func:`~repro.experiments.runner.trajectory_fingerprint_fields`, which
@@ -63,12 +63,9 @@ TRAJECTORY = st.fixed_dictionaries(
 
 LAYOUTS = st.fixed_dictionaries(
     {
-        "execution": st.sampled_from([None, "auto", "serial", "batch", "pool", "shard"]),
-        "parallel": st.booleans(),
+        "execution": st.sampled_from(["auto", "serial", "batch", "pool", "shard"]),
         "max_workers": st.sampled_from([None, 1, 2, 8]),
         "num_shards": st.sampled_from([1, 2, 8]),
-        "shard_parallel": st.booleans(),
-        "trial_batch": st.booleans(),
     }
 )
 
@@ -80,26 +77,7 @@ def _job(scenario: ArmRef, policy: ArmRef, config: CaseStudyConfig) -> CampaignJ
 
 
 def _config(fields: dict, layout: dict | None = None) -> CaseStudyConfig:
-    overrides = dict(fields)
-    if layout:
-        execution = layout["execution"]
-        if execution is not None:
-            # The execution knob is mutually exclusive with the legacy
-            # switches; exercise it with the hints it does accept.
-            overrides.update(
-                execution=execution,
-                max_workers=layout["max_workers"],
-                num_shards=layout["num_shards"],
-            )
-        else:
-            overrides.update(
-                parallel=layout["parallel"],
-                max_workers=layout["max_workers"],
-                num_shards=layout["num_shards"],
-                shard_parallel=layout["shard_parallel"],
-                trial_batch=layout["trial_batch"],
-            )
-    return CaseStudyConfig(**overrides)
+    return CaseStudyConfig(**fields, **(layout or {}))
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,10 +62,8 @@ def _golden(seed: int, history_mode: str, retrain_mode: str):
     if key not in _GOLDENS:
         clear_plan()
         _GOLDENS[key] = run_trial(
-            _config(seed),
+            replace(_config(seed), history_mode=history_mode, retrain_mode=retrain_mode),
             trial_index=0,
-            history_mode=history_mode,
-            retrain_mode=retrain_mode,
         )
     return _GOLDENS[key]
 
@@ -100,28 +99,19 @@ class TestResumeBitIdentity:
         golden = _golden(seed, history_mode, retrain_mode)
         clear_plan()
         with tempfile.TemporaryDirectory() as snapshots:
+            config = replace(
+                _config(seed),
+                history_mode=history_mode,
+                retrain_mode=retrain_mode,
+                num_shards=num_shards,
+                checkpoint_dir=snapshots,
+                checkpoint_every=every,
+            )
             install_plan([FaultSpec(site="loop_step", kind="raise", step=cut)])
             try:
                 with pytest.raises(FaultInjected):
-                    run_trial(
-                        _config(seed),
-                        trial_index=0,
-                        history_mode=history_mode,
-                        retrain_mode=retrain_mode,
-                        num_shards=num_shards,
-                        checkpoint_dir=snapshots,
-                        checkpoint_every=every,
-                    )
-                resumed = run_trial(
-                    _config(seed),
-                    trial_index=0,
-                    history_mode=history_mode,
-                    retrain_mode=retrain_mode,
-                    num_shards=num_shards,
-                    checkpoint_dir=snapshots,
-                    checkpoint_every=every,
-                    resume=True,
-                )
+                    run_trial(config, trial_index=0)
+                resumed = run_trial(replace(config, resume=True), trial_index=0)
             finally:
                 clear_plan()
         _assert_same_trajectory(golden, resumed, history_mode)
@@ -143,10 +133,11 @@ class TestResumeBitIdentity:
                 "from repro.experiments.config import CaseStudyConfig\n"
                 "from repro.experiments.runner import run_trial\n"
                 "run_trial(\n"
-                "    CaseStudyConfig(num_users=30, num_trials=1, seed=0, end_year=2012),\n"
+                "    CaseStudyConfig(\n"
+                "        num_users=30, num_trials=1, seed=0, end_year=2012,\n"
+                "        checkpoint_dir=sys.argv[2], checkpoint_every=2,\n"
+                "    ),\n"
                 "    trial_index=0,\n"
-                "    checkpoint_dir=sys.argv[2],\n"
-                "    checkpoint_every=2,\n"
                 ")\n"
             )
             environment = dict(os.environ)
@@ -165,11 +156,10 @@ class TestResumeBitIdentity:
             )
             assert victim.returncode == KILL_EXIT_CODE, victim.stderr.decode()
             resumed = run_trial(
-                _config(0),
+                replace(
+                    _config(0), checkpoint_dir=snapshots, checkpoint_every=2, resume=True
+                ),
                 trial_index=0,
-                checkpoint_dir=snapshots,
-                checkpoint_every=2,
-                resume=True,
             )
         _assert_same_trajectory(golden, resumed, "full")
 

@@ -17,9 +17,8 @@ Three families of invariants over arbitrary workload shapes and hosts:
   bench record or checkpoint without losing identity.
 
 Forbidden combinations are covered as rejection properties: the batch
-mode with checkpoint knobs, the ``execution`` knob alongside any legacy
-layout switch, and degenerate inputs all raise ``ValueError`` before any
-work starts.
+mode with checkpoint knobs, an unknown mode, and degenerate inputs all
+raise ``ValueError`` before any work starts.
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.planner import (
-    EXECUTION_MODES,
-    ExecutionPlan,
-    plan_execution,
-    validate_execution_settings,
-)
+from repro.core.planner import EXECUTION_MODES, ExecutionPlan, plan_execution
 from repro.core.sharding import max_worker_shards
 
 LAYOUTS = ("serial", "batch", "pool", "shard", "pool+shard")
@@ -147,15 +141,6 @@ class TestForbiddenCombosAreRejected:
                 checkpoint_every=checkpoint_every,
                 resume=resume,
             )
-
-    @given(
-        execution=st.sampled_from(EXECUTION_MODES),
-        legacy=st.sampled_from(("parallel", "trial_batch", "shard_parallel")),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_legacy_switches_never_combine_with_execution(self, execution, legacy):
-        with pytest.raises(ValueError, match="legacy layout switches"):
-            validate_execution_settings(execution, **{legacy: True})
 
     @given(trials=st.integers(max_value=0))
     @settings(max_examples=20, deadline=None)

@@ -38,9 +38,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--retrain-mode", "subsampled", "fig3"])
 
-    def test_trial_batch_flag_is_parsed(self):
-        assert not build_parser().parse_args(["fig3"]).trial_batch
-        assert build_parser().parse_args(["--trial-batch", "fig3"]).trial_batch
+    def test_execution_flag_is_the_only_layout_flag(self):
+        assert build_parser().parse_args(["fig3"]).execution == "serial"
+        assert (
+            build_parser().parse_args(["--execution", "batch", "fig3"]).execution
+            == "batch"
+        )
+        for retired in ("--trial-batch", "--shard-parallel"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([retired, "fig3"])
 
     def test_checkpoint_flags_are_parsed(self):
         arguments = build_parser().parse_args(["fig3"])
@@ -78,6 +84,17 @@ class TestCommands:
         assert "Table I" in output
         assert "4.953" in output
 
+    @pytest.mark.parametrize("command", ["table1", "all"])
+    def test_command_runs_under_the_batch_layout(self, command, capsys):
+        # table1 (also part of "all") runs one trial through run_trial,
+        # which runs a batch plan on the serial loop: the same bits as the
+        # default layout.
+        flags = ["--users", "60", "--trials", "1"]
+        assert main([*flags, command]) == 0
+        serial = capsys.readouterr().out
+        assert main([*flags, "--execution", "batch", command]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_fig3_prints_the_race_series(self, capsys):
         assert main(["--users", "80", "--trials", "1", "fig3"]) == 0
         output = capsys.readouterr().out
@@ -105,7 +122,7 @@ class TestCommands:
     def test_fig3_runs_trial_batched(self, capsys):
         assert (
             main(
-                ["--users", "80", "--trials", "2", "--trial-batch", "fig3"]
+                ["--users", "80", "--trials", "2", "--execution", "batch", "fig3"]
             )
             == 0
         )
