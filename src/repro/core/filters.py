@@ -20,6 +20,7 @@ from typing import Dict, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.sharding import UserChunkMap, whole_population
 from repro.credit.default_rates import DefaultRateTracker, user_default_rates
 
 __all__ = [
@@ -187,31 +188,65 @@ class BatchedDefaultRateFilter:
         """Return how many lockstep steps have been recorded."""
         return self._steps_recorded
 
-    def update(self, decisions: np.ndarray, actions: np.ndarray) -> None:
+    def update(
+        self,
+        decisions: np.ndarray,
+        actions: np.ndarray,
+        map_users: UserChunkMap | None = None,
+    ) -> None:
         """Fold one lockstep step of ``(trials, users)`` decisions/actions.
 
         Mirrors ``T`` independent :meth:`DefaultRateFilter.update` calls:
         offers accumulate the 0/1 decisions, repayments the actions of
         offered users.  Inputs are trusted 0/1 float arrays (the batched
-        engine produces them); only shapes are validated here.
+        engine produces them); only shapes are validated here.  The fold
+        is elementwise, so ``map_users`` may split it over user chunks on
+        several threads (the default folds every user on this thread).
         """
         shape = (self._num_trials, self._num_users)
         if decisions.shape != shape or actions.shape != shape:
             raise ValueError(
                 f"decisions and actions must both have shape {shape}"
             )
-        self._offers += decisions
-        self._repayments += actions * decisions
+
+        def fold(users: slice) -> None:
+            offers = self._offers[:, users]
+            repayments = self._repayments[:, users]
+            offered = decisions[:, users]
+            offers += offered
+            repayments += actions[:, users] * offered
+
+        (map_users or whole_population)(fold)
         self._steps_recorded += 1
 
-    def user_rates(self) -> np.ndarray:
+    def user_rates(
+        self,
+        out: np.ndarray | None = None,
+        map_users: UserChunkMap | None = None,
+    ) -> np.ndarray:
         """Return the stacked ``ADR_i(k)`` matrix, one row per trial.
 
         Row-wise bit-identical to :meth:`DefaultRateTracker.user_rates`:
         never-offered users report the prior rate, everyone else the exact
-        ``1 - repayments / offers`` ratio.
+        ``1 - repayments / offers`` ratio.  ``out``, when given, receives
+        the matrix; ``map_users`` is as in :meth:`update`.
         """
-        return user_default_rates(self._offers, self._repayments, self._prior_rate)
+        rates = (
+            np.empty((self._num_trials, self._num_users), dtype=float)
+            if out is None
+            else out
+        )
+
+        def fold(users: slice) -> None:
+            user_default_rates(
+                self._offers[:, users],
+                self._repayments[:, users],
+                self._prior_rate,
+                out=rates[:, users],
+            )
+
+        (map_users or whole_population)(fold)
+        return rates
 
     def portfolio_rates(self) -> np.ndarray:
         """Return the pooled default rate of each trial's offers so far."""

@@ -179,7 +179,9 @@ def _grown(old: np.ndarray, capacity: int, filled: int) -> np.ndarray:
 
 
 def running_default_rates_from_cums(
-    offers_cum: np.ndarray, repayments_cum: np.ndarray
+    offers_cum: np.ndarray,
+    repayments_cum: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return ``ADR_i`` from cumulative offers/repayments (the shared fold).
 
@@ -189,13 +191,16 @@ def running_default_rates_from_cums(
     streaming :class:`~repro.core.streaming.StreamingAggregator`.  Keeping
     it in one place is what makes the cross-mode bit-identity guarantee
     structural rather than two formulas kept in sync by convention.
+    ``out``, when given, receives the rates (it must not overlap the
+    inputs).
     """
+    never_offered = ~(offers_cum > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            offers_cum > 0,
-            1.0 - repayments_cum / np.maximum(offers_cum, 1e-12),
-            0.0,
-        )
+        rates = np.maximum(offers_cum, 1e-12, out=out)
+        np.divide(repayments_cum, rates, out=rates)
+        np.subtract(1.0, rates, out=rates)
+    np.copyto(rates, 0.0, where=never_offered)
+    return rates
 
 
 class SimulationHistory:

@@ -3,7 +3,8 @@
 The engine has three execution layouts:
 
 * the lockstep tensor kernel (``batch``): every trial in one process, the
-  per-user math fused across the trial axis;
+  per-user math fused across the trial axis and split over kernel threads
+  along the user axis;
 * the trial process pool (``pool``): several heavy trials on several
   cores;
 * the intra-trial shard pool (``shard``): one trial's users spread over
@@ -26,6 +27,20 @@ while the workers wait.  An optional calibration micro-bench
 several trials on one core.  The lockstep kernel requires the AI system's
 decisions to be 0/1, so a custom policy with other decisions runs with
 ``"serial"``, whose filter truncates them to integers, not ``"auto"``.
+
+A ``batch`` plan also sizes the kernel's threads, in
+``ExecutionPlan.max_workers``: the smallest of the usable cores, the
+``max_workers`` cap, the canonical shard count (each thread steps a chunk
+of whole shards, see :mod:`repro.experiments.batch`) and the population's
+share at :data:`KERNEL_MIN_USERS_PER_THREAD` users a thread, a minimum
+measured on a 2-CPU host.  A 1M-user trial gets a thread per core; a
+paper-size campaign job on its one-core slice gets one thread and runs
+inline, without a pool.
+
+The usable cores are the process's affinity mask
+(``os.sched_getaffinity``, falling back to ``os.cpu_count()`` where the
+platform has no mask): under ``taskset`` or a container CPU set the
+host's CPU count overstates them.
 
 Two invariants the rest of the engine supplies and the planner preserves:
 
@@ -83,6 +98,14 @@ AUTO_COMPOSE_MIN_CORES_PER_TRIAL = 2
 #: to amortise and ``auto`` keeps the serial loop.
 AUTO_BATCH_MIN_DISPATCH_FRACTION = 0.01
 
+#: Fewest users per lockstep-kernel thread.  Each thread's chunk must be
+#: large enough that its kernels outlast the hand-offs between threads.
+#: On a 2-CPU host (numpy 2.4; one trial, 20 steps, aggregate history,
+#: compressed refit; median of 3-15 runs) two threads ran 32,000 users
+#: 1.18x and 48,000 users 1.06x slower than one thread, and 64,000 users
+#: 1.18x, 100,000 users 1.45x and 1,000,000 users 1.63x faster.
+KERNEL_MIN_USERS_PER_THREAD = 32_768
+
 
 #: Per-process memos of the host probes.  The core count cannot change
 #: under a running interpreter, and the dispatch-overhead micro-bench is a
@@ -95,9 +118,10 @@ _DISPATCH_MEMO: Dict[int, float] = {}
 def reset_planner_caches() -> None:
     """Forget the memoized cpu-count and dispatch-overhead probes.
 
-    Test seam: suites that monkeypatch ``os.cpu_count`` (rather than the
-    :func:`_detect_cpu_count` function itself) or want a fresh calibration
-    probe call this between cases.
+    Test seam: suites that monkeypatch the probes ``os.sched_getaffinity``
+    and ``os.cpu_count`` (rather than the :func:`_detect_cpu_count`
+    function itself) or want a fresh calibration probe call this between
+    cases.
     """
     global _CPU_COUNT_MEMO
     _CPU_COUNT_MEMO = None
@@ -105,10 +129,19 @@ def reset_planner_caches() -> None:
 
 
 def _detect_cpu_count() -> int:
-    """Return the host's CPU count (monkeypatchable seam for tests)."""
+    """Return the CPUs this process may run on (monkeypatchable seam).
+
+    The affinity mask, where the platform has one, not ``os.cpu_count()``:
+    under ``taskset`` or a container's CPU set the host count overstates
+    the usable cores, and every pool and kernel thread sized from it would
+    share them.
+    """
     global _CPU_COUNT_MEMO
     if _CPU_COUNT_MEMO is None:
-        _CPU_COUNT_MEMO = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            _CPU_COUNT_MEMO = len(os.sched_getaffinity(0)) or 1
+        else:
+            _CPU_COUNT_MEMO = os.cpu_count() or 1
     return _CPU_COUNT_MEMO
 
 
@@ -146,12 +179,16 @@ class ExecutionPlan:
     layout:
         The resolved headline layout: ``"serial"``, ``"batch"``,
         ``"pool"``, ``"shard"`` or the composition ``"pool+shard"``.
-    trial_batch, parallel, max_workers, num_shards, shard_parallel:
-        The concrete layout: the lockstep kernel, the trial pool and its
-        worker count, and the shard count and pool each trial's
-        ``ClosedLoop.run`` gets.
+    trial_batch, parallel, num_shards, shard_parallel:
+        The concrete layout: the lockstep kernel, the trial pool, and the
+        shard count and pool each trial's ``ClosedLoop.run`` gets.
+    max_workers:
+        The trial pool's worker count, or a ``batch`` plan's kernel thread
+        count: the threads that run the lockstep kernel's per-user phases,
+        one chunk of whole canonical shards each (``None`` means one).
     cpu_count:
-        The core count the planner saw.  Recorded for diagnostics only —
+        The usable core count the planner saw (the process's affinity
+        mask, not the host's CPU count).  Recorded for diagnostics only —
         it is *excluded* from checkpoint fingerprints, so plans chosen on
         different hosts resume each other's checkpoints bit-identically.
     calibrated:
@@ -186,6 +223,8 @@ class ExecutionPlan:
             raise ValueError("a sharded plan needs at least two worker shards")
         if self.parallel and (self.max_workers is None or self.max_workers < 1):
             raise ValueError("a pooled plan needs a positive worker count")
+        if self.trial_batch and self.max_workers is not None and self.max_workers < 1:
+            raise ValueError("a batched plan needs a positive kernel thread count")
         if self.cpu_count < 1:
             raise ValueError("cpu_count must be positive")
 
@@ -228,7 +267,11 @@ class ExecutionPlan:
         if self.parallel:
             pieces.append(f"{self.max_workers} trial workers")
         if self.trial_batch:
-            pieces.append("lockstep trials")
+            threads = self.max_workers or 1
+            pieces.append(
+                f"lockstep trials on {threads} kernel thread"
+                + ("s" if threads > 1 else "")
+            )
         if self.shard_parallel:
             pieces.append(f"{self.num_shards} shard workers")
         if not (self.parallel or self.trial_batch or self.shard_parallel):
@@ -278,6 +321,22 @@ def measure_dispatch_overhead(users: int, probes: int = 3) -> float:
     return fraction
 
 
+def _kernel_thread_count(
+    users: int, cores: int, requested: Optional[int]
+) -> int:
+    """Resolve a ``batch`` plan's kernel thread count.
+
+    The smallest of the usable cores, the ``max_workers`` cap, the
+    canonical shard count (a chunk is made of whole shards) and the
+    population's share at :data:`KERNEL_MIN_USERS_PER_THREAD` users a
+    thread, and at least one.
+    """
+    threads = min(cores, max_worker_shards(users), users // KERNEL_MIN_USERS_PER_THREAD)
+    if requested is not None:
+        threads = min(threads, int(requested))
+    return max(1, threads)
+
+
 def _shard_worker_count(
     users: int, cores: int, requested: Optional[int]
 ) -> int:
@@ -317,7 +376,8 @@ def plan_execution(
     do not steer the choice, but the signature is the stable seam where a
     mode-specific layout preference would land.  A ``batch`` plan, which
     ``"auto"`` returns for every in-process run that does not checkpoint,
-    requires 0/1 decisions from the AI system.
+    requires 0/1 decisions from the AI system; its ``max_workers`` is the
+    kernel thread count, capped by ``max_workers``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -366,7 +426,7 @@ def plan_execution(
             layout="batch",
             trial_batch=True,
             parallel=False,
-            max_workers=None,
+            max_workers=_kernel_thread_count(users, cores, max_workers),
             num_shards=1,
             shard_parallel=False,
             cpu_count=cores,
@@ -452,7 +512,7 @@ def plan_execution(
         layout="batch",
         trial_batch=True,
         parallel=False,
-        max_workers=None,
+        max_workers=_kernel_thread_count(users, cores, max_workers),
         num_shards=1,
         shard_parallel=False,
         cpu_count=cores,

@@ -32,7 +32,7 @@ serial engine would use for those shards).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -40,9 +40,26 @@ __all__ = [
     "NUM_CANONICAL_SHARDS",
     "ShardPlan",
     "PopulationShard",
+    "UserChunkMap",
     "max_worker_shards",
     "shard_population",
+    "whole_population",
 ]
+
+_Result = TypeVar("_Result")
+
+#: A chunk map calls ``work(users)`` once per range of a partition of the
+#: user axis (``users`` is a ``slice``), possibly on several threads, and
+#: returns the results in range order once every call has finished.  The
+#: lockstep kernel's ranges are runs of whole canonical shards (see
+#: :mod:`repro.experiments.batch`).
+UserChunkMap = Callable[[Callable[[slice], _Result]], List[_Result]]
+
+
+def whole_population(work: Callable[[slice], _Result]) -> List[_Result]:
+    """The default chunk map: one range holding every user, on this thread."""
+    return [work(slice(None))]
+
 
 #: Canonical number of user shards per population.  Part of the pinned
 #: random stream: every population is partitioned into this many contiguous

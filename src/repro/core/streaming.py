@@ -57,6 +57,7 @@ from repro.core.history import (
     _readonly,
     running_default_rates_from_cums,
 )
+from repro.core.sharding import UserChunkMap, whole_population
 
 __all__ = [
     "StreamingAggregator",
@@ -78,6 +79,17 @@ DEFAULT_RATE_BINS = 20
 #: Threshold of the dedicated low-rate counter (the paper's "share of users
 #: with ADR <= 0.10" summary of Figure 5).
 RATE_HISTOGRAM_LOW_THRESHOLD = 0.10
+
+
+def _sum_of_squares(values: np.ndarray) -> float:
+    """Return ``sum(values ** 2)`` of a 1-D float array, off BLAS.
+
+    ``np.einsum`` reduces in its own compiled loop, with no ``(users)``
+    squared temporary, and leaves no BLAS worker thread spin-waiting after
+    the call, which a threaded ``np.dot`` does.  Both aggregators use this
+    one expression, so their series stay bitwise equal.
+    """
+    return float(np.einsum("i,i->", values, values))
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -370,8 +382,7 @@ class StreamingAggregator(_FoldedGroups):
             else 1.0 - repayments_total / offers_total
         )
         self._rate_sums[row] = float(rates.sum())
-        # dot avoids materialising an O(users) squared temporary.
-        self._rate_sumsqs[row] = float(np.dot(rates, rates))
+        self._rate_sumsqs[row] = _sum_of_squares(rates)
         self._rate_mins[row] = float(rates.min())
         self._rate_maxs[row] = float(rates.max())
         self._rate_hist[row], _ = np.histogram(rates, bins=self._rate_edges)
@@ -779,6 +790,9 @@ class BatchedStreamingAggregator(_FoldedGroups):
         self._offers_cum = np.zeros(shape, dtype=float)
         self._repayments_cum = np.zeros(shape, dtype=float)
         self._actions_cum = np.zeros(shape, dtype=float)
+        # The current step's ADR_i and Cesàro rows, rewritten in place.
+        self._step_rates = np.empty(shape, dtype=float)
+        self._step_cesaro = np.empty(shape, dtype=float)
         # Per-trial O(steps) series, stacked as (trials, capacity).
         series_shape = (self._num_trials, self._capacity)
         self._approvals = np.empty(series_shape, dtype=float)
@@ -857,7 +871,12 @@ class BatchedStreamingAggregator(_FoldedGroups):
                     series[key] = _grown(series[key], new_capacity, filled)
         self._capacity = new_capacity
 
-    def update(self, decisions: np.ndarray, actions: np.ndarray) -> None:
+    def update(
+        self,
+        decisions: np.ndarray,
+        actions: np.ndarray,
+        map_users: UserChunkMap | None = None,
+    ) -> None:
         """Fold one lockstep step of ``(trials, users)`` decisions/actions.
 
         Replays :meth:`StreamingAggregator.update` for every trial: the
@@ -866,6 +885,13 @@ class BatchedStreamingAggregator(_FoldedGroups):
         reduce each contiguous trial row exactly as the standalone
         aggregator reduces its own arrays, and the group folds add in user
         order per trial, as the standalone fold does.
+
+        ``map_users`` may split the elementwise part over user chunks on
+        several threads (by default it runs in one piece on this thread).
+        The chunks also count the rate histogram and the low-rate users:
+        integer counts, exact under any split.  Every sum whose value
+        depends on the order of its terms runs afterwards on this thread,
+        over whole trial rows.
         """
         shape = (self._num_trials, self._num_users)
         if decisions.shape != shape or actions.shape != shape:
@@ -875,14 +901,38 @@ class BatchedStreamingAggregator(_FoldedGroups):
         if self._num_steps >= self._capacity:
             self._grow()
         row = self._num_steps
-        self._offers_cum += decisions
-        self._repayments_cum += actions * decisions
-        self._actions_cum += actions
-        rates = running_default_rates_from_cums(
-            self._offers_cum, self._repayments_cum
-        )
-        cesaro = self._actions_cum / float(row + 1)
-        low_mask = rates <= RATE_HISTOGRAM_LOW_THRESHOLD
+        rates = self._step_rates
+        cesaro = self._step_cesaro
+
+        def fold(users: slice) -> tuple:
+            offered = decisions[:, users]
+            acted = actions[:, users]
+            offers_cum = self._offers_cum[:, users]
+            repayments_cum = self._repayments_cum[:, users]
+            actions_cum = self._actions_cum[:, users]
+            chunk_cesaro = cesaro[:, users]
+            offers_cum += offered
+            # The Cesàro rows hold actions * decisions until their turn.
+            repayments_cum += np.multiply(acted, offered, out=chunk_cesaro)
+            actions_cum += acted
+            chunk_rates = running_default_rates_from_cums(
+                offers_cum, repayments_cum, out=rates[:, users]
+            )
+            np.divide(actions_cum, float(row + 1), out=chunk_cesaro)
+            histograms = np.stack(
+                [
+                    np.histogram(trial_rates, bins=self._rate_edges)[0]
+                    for trial_rates in chunk_rates
+                ]
+            )
+            lows = np.count_nonzero(
+                chunk_rates <= RATE_HISTOGRAM_LOW_THRESHOLD, axis=1
+            )
+            return histograms, lows
+
+        counts = (map_users or whole_population)(fold)
+        self._rate_hist[:, row] = sum(histograms for histograms, _ in counts)
+        self._rate_low_counts[:, row] = sum(lows for _, lows in counts)
         for trial in range(self._num_trials):
             decisions_row = decisions[trial]
             rates_row = rates[trial]
@@ -898,15 +948,9 @@ class BatchedStreamingAggregator(_FoldedGroups):
                 else 1.0 - repayments_total / offers_total
             )
             self._rate_sums[trial, row] = float(rates_row.sum())
-            self._rate_sumsqs[trial, row] = float(np.dot(rates_row, rates_row))
+            self._rate_sumsqs[trial, row] = _sum_of_squares(rates_row)
             self._rate_mins[trial, row] = float(rates_row.min())
             self._rate_maxs[trial, row] = float(rates_row.max())
-            self._rate_hist[trial, row], _ = np.histogram(
-                rates_row, bins=self._rate_edges
-            )
-            self._rate_low_counts[trial, row] = int(
-                np.count_nonzero(low_mask[trial])
-            )
         if self._fold is not None:
             for series, store in (
                 (rates, self._group_rate_sums),

@@ -26,12 +26,14 @@ __all__ = ["affordability_state", "BorrowerState"]
 def affordability_state(
     incomes: Sequence[float] | np.ndarray | float,
     terms: MortgageTerms,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return the state ``x_i(k)`` of equation (10) for each income.
 
     Incomes are in thousands of dollars.  Non-positive incomes produce a
     state of ``-inf`` replaced by a large negative number (the user cannot
-    cover any obligation), keeping downstream arithmetic finite.
+    cover any obligation), keeping downstream arithmetic finite.  ``out``,
+    when given, receives the states (it must not overlap ``incomes``).
     """
     array = np.atleast_1d(np.asarray(incomes, dtype=float))
     # Every income goes through the same elementwise ops, with no boolean
@@ -41,9 +43,9 @@ def affordability_state(
         terms.annual_obligation(np.maximum(array, 0.0)), dtype=float
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        states = array - obligations
+        states = np.subtract(array, obligations, out=out)
         states /= array
-    np.putmask(states, ~(array > 0), -1e6)
+    np.copyto(states, -1e6, where=~(array > 0))
     return states
 
 

@@ -26,16 +26,24 @@ __all__ = ["DefaultRateTracker", "user_default_rates"]
 
 
 def user_default_rates(
-    offers: np.ndarray, repayments: np.ndarray, prior_rate: float
+    offers: np.ndarray,
+    repayments: np.ndarray,
+    prior_rate: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return ``1 - repayments / offers`` per user, ``prior_rate`` if never offered.
 
     Masked ufuncs write only the offered entries, so no boolean gather or
     scatter of the offered users is made; each entry is computed exactly
     as ``1.0 - repayments[i] / offers[i]``.  Works on any shape, so the
-    stacked ``(trials, users)`` filter shares it.
+    stacked ``(trials, users)`` filter shares it; ``out``, when given,
+    receives the rates.
     """
-    rates = np.full(offers.shape, prior_rate, dtype=float)
+    if out is None:
+        rates = np.full(offers.shape, prior_rate, dtype=float)
+    else:
+        rates = out
+        rates.fill(prior_rate)
     offered = offers > 0
     np.divide(repayments, offers, out=rates, where=offered)
     np.subtract(1.0, rates, out=rates, where=offered)

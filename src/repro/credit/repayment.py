@@ -46,7 +46,9 @@ class GaussianRepaymentModel:
         require_positive(self.sensitivity, "sensitivity")
 
     def repayment_probability(
-        self, affordability: Sequence[float] | np.ndarray | float
+        self,
+        affordability: Sequence[float] | np.ndarray | float,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Return ``P(repay)`` for each affordability state.
 
@@ -60,10 +62,14 @@ class GaussianRepaymentModel:
         by a regression test and the engine goldens) and preserves shape:
         any input dimensionality is supported, so the trial-batched engine
         can evaluate a whole ``(trials, users)`` block in one call.
+        ``out``, when given, receives the probabilities; it may be the
+        ``affordability`` array itself.
         """
         states = np.atleast_1d(np.asarray(affordability, dtype=float))
-        probabilities = ndtr(self.sensitivity * states)
-        probabilities = np.where(states <= 0.0, 0.0, probabilities)
+        nonpositive = states <= 0.0
+        probabilities = np.multiply(self.sensitivity, states, out=out)
+        ndtr(probabilities, out=probabilities)
+        np.copyto(probabilities, 0.0, where=nonpositive)
         return probabilities
 
     def sample_repayments(

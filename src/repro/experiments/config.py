@@ -94,7 +94,8 @@ class CaseStudyConfig:
         :class:`~repro.core.history.FullHistoryRequiredError` in aggregate
         mode.
     max_workers:
-        Worker cap of the trial pool (``None`` sizes it from the core
+        Worker cap of the trial pool, and of the lockstep kernel's threads
+        under a ``batch`` plan (``None`` sizes both from the usable core
         count).
     num_shards:
         Worker-count hint for the intra-trial shard pool (``execution``

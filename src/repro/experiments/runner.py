@@ -384,7 +384,8 @@ def _trial_fingerprint(config: CaseStudyConfig, trial_index: int) -> str:
 def _plan(config: CaseStudyConfig, trials: int) -> ExecutionPlan:
     """Resolve ``config.execution`` for ``trials`` trials on this host.
 
-    ``config.max_workers`` caps the trial pool.  A non-default
+    ``config.max_workers`` caps the trial pool and, under a ``batch``
+    plan, the lockstep kernel's threads.  A non-default
     ``config.num_shards`` is the shard-count hint (the CLI lands
     ``--shards`` there); the default ``1`` means "unset", so the planner
     sizes the shard pool from the core count instead of pinning it to a
@@ -800,6 +801,7 @@ def _run_planned_experiment(
             policy_factory or default_policy_factory,
             terms=terms,
             income_table=income_table,
+            threads=plan.max_workers or 1,
         )
         for trial_index, (history, population) in enumerate(runner.run()):
             folder.add(

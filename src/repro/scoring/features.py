@@ -19,6 +19,7 @@ __all__ = ["income_code", "clipped_default_rates", "FeatureBuilder"]
 
 def clipped_default_rates(
     previous_default_rates: Sequence[float] | np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Validate previous average default rates and clip them to ``[0, 1]``.
 
@@ -27,14 +28,15 @@ def clipped_default_rates(
     further out raises.  Every retraining route — the row-level design
     matrix, the lender's compressed path and the sharded workers' count
     tables — shares this one definition, so serial and pooled runs can
-    never disagree on which rates are acceptable.
+    never disagree on which rates are acceptable.  ``out``, when given,
+    receives the clipped rates.
     """
     rates = np.asarray(previous_default_rates, dtype=float)
     if rates.size and (
         float(rates.min()) < -1e-9 or float(rates.max()) > 1 + 1e-9
     ):
         raise ValueError("previous_default_rates must lie in [0, 1]")
-    return np.clip(rates, 0.0, 1.0)
+    return np.clip(rates, 0.0, 1.0, out=out)
 
 
 def income_code(incomes: Sequence[float] | np.ndarray, threshold: float = 15.0) -> np.ndarray:

@@ -94,11 +94,15 @@ def pack_rows(
     rate_bits = (rates + 0.0).view(np.uint64)
     if rates.size and int(rate_bits.max()) > int(_ONE_BITS):
         raise ValueError("previous_rates must be finite and lie in [0, 1]")
-    return (
-        rate_bits
-        | (_binary_bits(income_codes, "income_codes") << _CODE_BIT)
-        | (_binary_bits(labels, "labels") << _LABEL_BIT)
-    )
+    # The bit columns are fresh arrays, so they shift and merge in place.
+    for column, name, bit in (
+        (income_codes, "income_codes", _CODE_BIT),
+        (labels, "labels", _LABEL_BIT),
+    ):
+        bits = _binary_bits(column, name)
+        bits <<= bit
+        rate_bits |= bits
+    return rate_bits
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,31 @@ class TestBatchedDefaultRateFilter:
                 assert portfolios[t] == observation["portfolio_rate"]
         assert batched.steps_recorded == steps
 
+    def test_any_user_chunking_gives_identical_bits(self):
+        from repro.core.filters import BatchedDefaultRateFilter
+
+        trials, users, steps = 3, 41, 5
+        decisions, actions = self._random_streams(trials, users, steps, 4)
+        calls = []
+
+        def uneven(work):
+            calls.append(None)
+            return [work(part) for part in (slice(0, 7), slice(7, 30), slice(30, None))]
+
+        whole = BatchedDefaultRateFilter(trials, users, prior_rate=0.1)
+        chunked = BatchedDefaultRateFilter(trials, users, prior_rate=0.1)
+        out = np.full((trials, users), -1.0)
+        for k in range(steps):
+            whole.update(decisions[k], actions[k])
+            chunked.update(decisions[k], actions[k], map_users=uneven)
+            rates = chunked.user_rates(out=out, map_users=uneven)
+            assert rates is out
+            assert whole.user_rates().tobytes() == rates.tobytes()
+            assert (
+                whole.portfolio_rates().tobytes() == chunked.portfolio_rates().tobytes()
+            )
+        assert len(calls) == 2 * steps
+
     def test_tracker_for_trial_round_trip(self):
         from repro.core.filters import BatchedDefaultRateFilter
 

@@ -118,6 +118,51 @@ class TestAutoHeuristics:
         assert plan.cpu_count == 3
 
 
+class TestKernelThreads:
+    """A ``batch`` plan carries the lockstep kernel's thread count."""
+
+    def test_giant_trial_gets_a_thread_per_core(self):
+        plan = _plan("auto", trials=1, users=1_000_000, cpu_count=2)
+        assert plan.layout == "batch"
+        assert plan.max_workers == 2
+        assert "2 kernel threads" in plan.describe()
+
+    def test_campaign_job_runs_one_inline_chunk(self):
+        # A campaign_grid job: one core of the budget, 1000 users.
+        plan = _plan("auto", trials=5, users=1000, cpu_count=1)
+        assert plan.layout == "batch"
+        assert plan.max_workers == 1
+        assert "1 kernel thread " in plan.describe()
+
+    def test_small_populations_stay_on_one_thread(self):
+        users = 2 * planner.KERNEL_MIN_USERS_PER_THREAD - 1
+        assert _plan("batch", users=users, cpu_count=8).max_workers == 1
+        assert _plan("batch", users=users + 1, cpu_count=8).max_workers == 2
+
+    def test_caps(self, monkeypatch):
+        assert _plan("batch", users=10_000_000, cpu_count=64).max_workers == 8
+        assert _plan("batch", users=10_000_000, max_workers=3).max_workers == 3
+        monkeypatch.setattr(planner, "KERNEL_MIN_USERS_PER_THREAD", 1)
+        assert _plan("batch", users=3, cpu_count=8).max_workers == 3
+
+    def test_plan_round_trips_the_thread_count(self):
+        plan = _plan("auto", trials=1, users=1_000_000, cpu_count=4)
+        assert ExecutionPlan.from_dict(plan.to_dict()) == plan
+
+    def test_plan_rejects_a_nonpositive_thread_count(self):
+        with pytest.raises(ValueError, match="kernel thread"):
+            ExecutionPlan(
+                execution="batch",
+                layout="batch",
+                trial_batch=True,
+                parallel=False,
+                max_workers=0,
+                num_shards=1,
+                shard_parallel=False,
+                cpu_count=4,
+            )
+
+
 class TestCalibration:
     def test_negligible_dispatch_keeps_the_serial_loop(self, monkeypatch):
         monkeypatch.setattr(planner, "measure_dispatch_overhead", lambda users: 0.0)
@@ -190,6 +235,23 @@ class TestPlanSurface:
             plan_execution("auto", trials=1, users=10, steps=5, max_workers=0)
 
 
+def _patch_cpu_probes(monkeypatch, usable, calls=None):
+    """Make both host probes report ``usable`` cores (counting calls)."""
+
+    def affinity(pid):
+        if calls is not None:
+            calls.append("affinity")
+        return set(range(usable))
+
+    def cpu_count():
+        if calls is not None:
+            calls.append("cpu_count")
+        return usable
+
+    monkeypatch.setattr(planner.os, "sched_getaffinity", affinity, raising=False)
+    monkeypatch.setattr(planner.os, "cpu_count", cpu_count)
+
+
 class TestPlannerMemos:
     @pytest.fixture(autouse=True)
     def _fresh_caches(self):
@@ -199,23 +261,38 @@ class TestPlannerMemos:
 
     def test_cpu_count_is_probed_once_per_process(self, monkeypatch):
         calls = []
-
-        def counting_cpu_count():
-            calls.append(None)
-            return 6
-
-        monkeypatch.setattr(planner.os, "cpu_count", counting_cpu_count)
+        _patch_cpu_probes(monkeypatch, 6, calls)
         assert planner._detect_cpu_count() == 6
         assert planner._detect_cpu_count() == 6
         assert len(calls) == 1  # second call served from the memo
 
     def test_reset_forgets_the_cpu_memo(self, monkeypatch):
-        monkeypatch.setattr(planner.os, "cpu_count", lambda: 6)
+        _patch_cpu_probes(monkeypatch, 6)
         assert planner._detect_cpu_count() == 6
-        monkeypatch.setattr(planner.os, "cpu_count", lambda: 2)
+        _patch_cpu_probes(monkeypatch, 2)
         assert planner._detect_cpu_count() == 6  # memo still in charge
         planner.reset_planner_caches()
         assert planner._detect_cpu_count() == 2
+
+    def test_affinity_mask_limits_the_usable_cores(self, monkeypatch):
+        # Under `taskset -c 0` on an 8-CPU host: one usable core, so no
+        # trial pool, one campaign job at a time, one kernel thread.
+        monkeypatch.setattr(
+            planner.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
+        assert planner._detect_cpu_count() == 1
+        plan = plan_execution("auto", trials=4, users=1000, steps=5)
+        assert plan.layout == "batch"
+        assert plan.cpu_count == 1
+        assert plan_campaign_jobs(24).job_workers == 1
+        giant = plan_execution("auto", trials=1, users=1_000_000, steps=20)
+        assert giant.max_workers == 1
+
+    def test_without_an_affinity_probe_the_cpu_count_is_used(self, monkeypatch):
+        monkeypatch.delattr(planner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 3)
+        assert planner._detect_cpu_count() == 3
 
     def test_dispatch_probe_is_memoized_on_the_capped_size(self):
         first = measure_dispatch_overhead(500, probes=1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -379,6 +380,54 @@ class TestBatchedStreamingAggregator:
                 np.testing.assert_array_equal(
                     stacked.group_approval_series()[key], series
                 )
+
+    def test_sum_of_squares_makes_no_blas_call(self, monkeypatch):
+        # A threaded BLAS ddot leaves its worker spin-waiting after each
+        # call; both aggregators must reduce without np.dot.
+        def no_dot(*args, **kwargs):
+            raise AssertionError("np.dot called")
+
+        monkeypatch.setattr(np, "dot", no_dot)
+        batched, singles = self._run_pair(trials=2, users=3001, steps=4, seed=17)
+        for t, single in enumerate(singles):
+            state = single.export_state()
+            np.testing.assert_array_equal(
+                batched.aggregator(t).rate_sumsq_series(), single.rate_sumsq_series()
+            )
+            rates = np.where(
+                state["offers_cum"] > 0,
+                1.0 - state["repayments_cum"] / np.maximum(state["offers_cum"], 1e-12),
+                0.0,
+            )
+            exact = math.fsum(float(value) ** 2 for value in rates)
+            assert single.rate_sumsq_series()[-1] == pytest.approx(exact, rel=1e-12)
+
+    def test_any_user_chunking_gives_identical_bits(self):
+        from repro.core.streaming import BatchedStreamingAggregator
+
+        trials, users = 3, 53
+        groups = [self._groups(users, 40 + t) for t in range(trials)]
+        whole = BatchedStreamingAggregator(trials, users, groups)
+        chunked = BatchedStreamingAggregator(trials, users, groups)
+
+        def uneven(work):
+            parts = (slice(0, 11), slice(11, 12), slice(12, None))
+            return [work(part) for part in parts]
+
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
+            actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
+            whole.update(decisions, actions)
+            chunked.update(decisions, actions, map_users=uneven)
+        for t in range(trials):
+            left, right = whole.trial_state(t), chunked.trial_state(t)
+            for key, value in left.items():
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == right[key].tobytes(), key
+                elif isinstance(value, dict):
+                    for group, series in value.items():
+                        assert series.tobytes() == right[key][group].tobytes(), key
 
     def test_extracted_aggregator_is_live(self):
         # The per-trial snapshot must keep aggregating like its twin.
