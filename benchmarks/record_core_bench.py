@@ -15,28 +15,18 @@ regression target of ``test_bench_streaming_memory_ceiling``.
 Usage::
 
     PYTHONPATH=src python benchmarks/record_core_bench.py \
-        [--label LABEL] [--users N] [--memory-users N | --skip-memory] \
-        [--skip-sharded]
+        [--label LABEL] [--users N] [--memory-users N | --skip-memory]
 
-The entry also records the sharded-trial layout timings (1 serial shard
-vs. 2 and 8 pooled worker shards at the benchmark scale, all
-bit-identical) together with ``cpu_count``: the pooled layouts only pay
-off on multi-core hosts, so the ratio is meaningless without the core
-count next to it.
+Earlier entries also hold the retired process shard pool's layout and
+transport timings (``sharded_trial_*``, ``sharedmem_*``); they stay in
+``BENCH_core.json`` as history.
 
-The entry also records the pooled shard *transport* timings
-(``measure_sharedmem``): the same 8-shard pooled workload driven once over
-the zero-copy ``multiprocessing.shared_memory`` arena and once over the
-per-step pickle baseline, with a ``TransportMeter`` recording the bytes
-each transport actually moved per step — the shared path must move zero
-pickled user-sized payloads.
-
-Finally the entry records the retrain-mode timings (``measure_retrain``):
+The entry records the retrain-mode timings (``measure_retrain``):
 the per-year refit in ``exact`` (row-level IRLS) vs ``compressed``
 (sufficient-statistics count table) mode on a training set captured from a
 real loop step, the unique-row count the compression collapses to, and the
-whole-trial wall clocks per mode — the refit is the central serial phase
-of the sharded runner, so this is the Amdahl number.
+whole-trial wall clocks per mode — the refit is a serial phase of every
+step, so this is the Amdahl number.
 
 The entry also records the trial-batched engine timings
 (``measure_trial_batched``): serial vs lockstep ``execution="batch"``
@@ -150,111 +140,6 @@ def measure(num_users: int) -> dict:
         "ifs_respond_batched_ms": round(ifs_batched_ms, 3),
         "ifs_respond_per_user_loop_ms": round(ifs_loop_ms, 1),
         "ifs_speedup_x": round(ifs_loop_ms / max(ifs_batched_ms, 1e-9), 1),
-    }
-
-
-def measure_sharded(num_users: int) -> dict:
-    """Time the sharded-trial layouts (1 serial, 2 and 8 pooled workers).
-
-    Results are bit-identical across layouts by construction (the random
-    schedule depends only on the canonical shard partition), so this is a
-    pure wall-clock comparison.  The pooled layouts can only beat the
-    serial one when real cores exist: each step still retrains the
-    scorecard centrally (Amdahl's serial fraction), and on a single-CPU
-    host the per-step gather/scatter IPC is pure overhead — which is why
-    ``cpu_count`` is recorded alongside the timings.
-    """
-    from repro.experiments.config import CaseStudyConfig
-    from repro.experiments.runner import run_trial
-
-    config = CaseStudyConfig(num_users=num_users, num_trials=1, end_year=2021)
-    timings: dict = {"cpu_count": os.cpu_count()}
-    layouts = [
-        ("sharded_trial_1shard_serial_s", {}),
-        ("sharded_trial_2shards_pool_s", dict(num_shards=2, execution="shard")),
-        ("sharded_trial_8shards_pool_s", dict(num_shards=8, execution="shard")),
-    ]
-    for key, kwargs in layouts:
-        start = time.perf_counter()
-        run_trial(replace(config, **kwargs), trial_index=0)
-        timings[key] = round(time.perf_counter() - start, 4)
-    timings["sharded_speedup_8x_vs_1_x"] = round(
-        timings["sharded_trial_1shard_serial_s"]
-        / max(timings["sharded_trial_8shards_pool_s"], 1e-9),
-        2,
-    )
-    return timings
-
-
-def measure_sharedmem(num_users: int) -> dict:
-    """Time the pooled shard step transports: shared-memory arena vs pickle.
-
-    Both transports run the identical 8-shard pooled layout (the
-    trajectories are bit-identical by construction — the transport moves
-    the same numbers, it just moves them differently), so the comparison
-    isolates the per-step message cost: the ``pickle`` baseline serialises
-    every worker's feature/action/rate rows plus the scattered decision
-    slices through the pool's pipes each step, while the ``shared``
-    transport memcpys them through one ``multiprocessing.shared_memory``
-    arena and sends only constant-size coordination tokens.  A
-    :class:`~repro.core.shardmem.TransportMeter` installed around each run
-    records the per-step bytes each transport actually moved — the
-    structural win that holds on any host — next to the wall clocks, which
-    only separate once real cores exist (on a single-CPU host both sides
-    are dominated by the same serialized compute, so ``cpu_count`` travels
-    with the numbers).
-    """
-    from repro.core import (
-        ClosedLoop,
-        CreditPopulation,
-        CreditScoringSystem,
-        DefaultRateFilter,
-    )
-    from repro.core.shardmem import TransportMeter, set_transport_meter
-    from repro.credit.lender import Lender
-    from repro.data import PopulationSpec, generate_population
-
-    num_steps = 20
-
-    def timed(transport: str) -> tuple[float, TransportMeter]:
-        synthetic = generate_population(PopulationSpec(size=num_users), rng=7)
-        population = CreditPopulation(population=synthetic, start_year=2002)
-        loop = ClosedLoop(
-            ai_system=CreditScoringSystem(Lender(cutoff=0.4, warm_up_rounds=2)),
-            population=population,
-            loop_filter=DefaultRateFilter(num_users=num_users),
-        )
-        meter = TransportMeter()
-        set_transport_meter(meter)
-        try:
-            start = time.perf_counter()
-            loop.run(
-                num_steps,
-                rng=7,
-                history_mode="aggregate",
-                groups=population.groups,
-                num_shards=8,
-                shard_parallel=True,
-                shard_transport=transport,
-            )
-            elapsed = time.perf_counter() - start
-        finally:
-            set_transport_meter(None)
-        return elapsed, meter
-
-    shared_s, shared_meter = timed("shared")
-    pickle_s, pickle_meter = timed("pickle")
-    return {
-        "sharedmem_8shards_shared_s": round(shared_s, 4),
-        "sharedmem_8shards_pickle_s": round(pickle_s, 4),
-        "sharedmem_wall_clock_speedup_x": round(pickle_s / max(shared_s, 1e-9), 2),
-        "sharedmem_per_step_shared_bytes": int(shared_meter.per_step_shared()),
-        "sharedmem_per_step_pickled_bytes_on_shared_path": int(
-            shared_meter.per_step_pickled()
-        ),
-        "sharedmem_per_step_pickled_bytes_baseline": int(
-            pickle_meter.per_step_pickled()
-        ),
     }
 
 
@@ -477,16 +362,6 @@ def main() -> None:
         help="skip the (slow) subprocess memory probes",
     )
     parser.add_argument(
-        "--skip-sharded",
-        action="store_true",
-        help="skip the sharded-trial layout timings",
-    )
-    parser.add_argument(
-        "--skip-sharedmem",
-        action="store_true",
-        help="skip the shared-memory vs pickle shard-transport timings",
-    )
-    parser.add_argument(
         "--skip-retrain",
         action="store_true",
         help="skip the retrain-mode (exact vs compressed) timings",
@@ -509,10 +384,6 @@ def main() -> None:
     args = parser.parse_args()
 
     timings = measure(args.users)
-    if not args.skip_sharded:
-        timings.update(measure_sharded(args.users))
-    if not args.skip_sharedmem:
-        timings.update(measure_sharedmem(args.users))
     if not args.skip_retrain:
         timings.update(measure_retrain(args.users))
     if not args.skip_trial_batch:

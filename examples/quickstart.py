@@ -6,13 +6,13 @@ lender, the cumulative default-rate filter — runs the loop over 2002-2020,
 and prints the two assessments the paper's definitions ask for.
 
 It then reruns the same simulation through each engine variant in turn —
-streaming aggregation, sharded execution, sufficient-statistics
-retraining, the trial-batched sweep, a kill-and-resume demonstration of
-the fault-tolerant checkpointing, the unified execution planner
-(``execution="auto"``) that picks among all of the above by itself, and
-finally a declarative scenario campaign swept twice through the
-content-addressed result cache — showing at every step that the
-trajectory stays bit-identical.
+streaming aggregation, the lockstep kernel on one and two threads,
+sufficient-statistics retraining, the trial-batched sweep, a
+kill-and-resume demonstration of the fault-tolerant checkpointing, the
+unified execution planner (``execution="auto"``) that picks among all of
+the above by itself, and finally a declarative scenario campaign swept
+twice through the content-addressed result cache — showing at every step
+that the trajectory stays bit-identical.
 
 Run with::
 
@@ -130,47 +130,48 @@ def streaming_variant(full_history_series) -> None:
     except Exception as error:  # FullHistoryRequiredError: per-user rows were dropped
         print(f"  per-user accessors fail loudly: {type(error).__name__}")
 
-    sharded_variant(series)
+    kernel_threads_variant(series)
 
 
-def sharded_variant(reference_series) -> None:
-    """The same simulation with intra-trial sharded execution.
+def kernel_threads_variant(reference_series) -> None:
+    """The lockstep kernel on one thread and on two.
 
     The population is always partitioned into canonical user shards, each
-    on its own derived random stream, so *how* the shards execute — all in
-    this process, or grouped onto worker processes with
-    ``shard_parallel=True`` — never changes a single bit of the
-    trajectory.  On a multi-core machine the pooled layout divides the
-    population phases (income draws, repayments, shard filters) across
-    workers while the scorecard retrain stays central; here it is shown at
-    toy scale purely for the bit-identity.
+    on its own derived random stream.  The lockstep kernel
+    (``execution="batch"``) steps runs of whole shards on threads — one
+    per usable core from 65,536 users up — so the thread count never
+    changes a single bit of the trajectory.  ``max_workers`` caps the
+    count, and the plan names the count it picked (a one-core host runs
+    both variants on one thread).
     """
-    num_users = 400
-    num_years = 19
+    from dataclasses import replace
 
-    synthetic = generate_population(PopulationSpec(size=num_users), rng=7)
-    population = CreditPopulation(population=synthetic, start_year=2002)
-    loop = ClosedLoop(
-        ai_system=CreditScoringSystem(Lender(cutoff=0.4, warm_up_rounds=2)),
-        population=population,
-        loop_filter=DefaultRateFilter(num_users=num_users),
-    )
-    history = loop.run(
-        num_years,
-        rng=7,
+    from repro.core.planner import plan_execution
+    from repro.experiments import CaseStudyConfig, run_experiment
+
+    config = CaseStudyConfig(
+        num_users=65_536,
+        num_trials=1,
         history_mode="aggregate",
-        groups=population.groups,
-        num_shards=4,
-        shard_parallel=True,
+        retrain_mode="compressed",
+        execution="batch",
     )
-
-    print("\n-- sharded variant (num_shards=4, shard_parallel=True) --")
-    series = history.group_default_rate_series()
-    for race in Race:
-        identical = bool(np.array_equal(series[race], reference_series[race]))
-        print(
-            f"  {race.value:<12} bit-identical to the serial run: {identical}"
+    print("\n-- lockstep kernel threads (execution='batch', max_workers 1 vs 2) --")
+    series = {}
+    for threads in (1, 2):
+        variant = replace(config, max_workers=threads)
+        plan = plan_execution(
+            variant.execution,
+            trials=variant.num_trials,
+            users=variant.num_users,
+            steps=variant.num_steps,
+            max_workers=threads,
         )
+        print(f"  max_workers={threads}: {plan.describe()}")
+        series[threads] = run_experiment(variant).trials[0].group_default_rates
+    for race in Race:
+        identical = bool(np.array_equal(series[1][race], series[2][race]))
+        print(f"  {race.value:<12} 2 threads bit-identical to 1: {identical}")
 
     compressed_variant(reference_series)
 
@@ -348,12 +349,10 @@ def planner_variant() -> None:
     """One knob picks the layout (``execution="auto"``).
 
     Every layout shown above — the serial loop, the trial-batched
-    tensor engine, the trial pool, the shared-memory shard pool — is
-    now composed behind the unified execution planner.
-    ``execution="auto"`` inspects the host's core count and the
-    workload shape (trials, users, steps, history/retrain mode,
-    checkpoint knobs), picks the layout itself, and can compose two of
-    them (pooled trials x sharded users) when spare cores justify it.
+    tensor engine and its threads, the trial pool — sits behind the
+    unified execution planner.  ``execution="auto"`` inspects the host's
+    core count and the workload shape (trials, users, steps,
+    history/retrain mode, checkpoint knobs) and picks the layout itself.
     ``execution`` defaults to ``"serial"``; every other value is one
     ``dataclasses.replace`` away.
     The knob is purely a wall-clock choice: whatever plan the planner

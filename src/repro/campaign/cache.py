@@ -5,9 +5,9 @@ job's trajectory — the arm references plus
 :func:`~repro.experiments.runner.trajectory_fingerprint_fields` and the
 trial count — joined with the same ``\\x1f``-separated ``repr`` discipline
 as :func:`~repro.core.checkpoint.config_fingerprint`.  Execution layout
-(``execution``, worker caps, shard counts) never enters the
-digest: every layout is bit-identical by construction, so an entry written
-by a serial run hits under pooled or sharded execution and vice versa.
+(``execution``, worker caps, kernel threads) never enters the digest:
+every layout is bit-identical by construction, so an entry written by a
+serial run hits under pooled or batched execution and vice versa.
 
 Entries are crash-consistent files written through the checkpoint envelope
 (temp file + fsync + atomic rename + payload digest), holding the compact

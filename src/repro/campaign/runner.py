@@ -187,7 +187,6 @@ def _execute_job(
         history_mode=config.history_mode,
         retrain_mode=config.retrain_mode,
         cpu_count=cores_per_job,
-        num_shards=spec.num_shards,
     )
     result = _run_planned_experiment(
         config,

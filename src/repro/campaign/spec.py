@@ -256,9 +256,9 @@ class CampaignSpec:
     Grid axes (part of every job's cache identity): ``scenarios`` ×
     ``policies`` × ``population_sizes`` × ``seeds`` × ``retrain_modes``,
     with the shared calendar window, trial count, recording mode and
-    warm-start flag.  Run options (``execution``, ``max_workers``,
-    ``num_shards``) steer only *how* jobs execute — every layout is
-    bit-identical — and are excluded from cache keys.
+    warm-start flag.  Run options (``execution``, ``max_workers``) steer
+    only *how* jobs execute — every layout is bit-identical — and are
+    excluded from cache keys.
     """
 
     name: str = "campaign"
@@ -276,7 +276,6 @@ class CampaignSpec:
     # Run options — pure execution plumbing, never part of a cache key.
     execution: str = "auto"
     max_workers: int | None = None
-    num_shards: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -318,8 +317,6 @@ class CampaignSpec:
             )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError("max_workers must be positive when given")
-        if self.num_shards is not None and self.num_shards <= 0:
-            raise ValueError("num_shards must be positive when given")
 
     @property
     def grid_size(self) -> int:
@@ -435,7 +432,7 @@ def _spec_from_mapping(data: Mapping[str, object], origin: str) -> CampaignSpec:
             f"{origin}: unknown spec key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(known))} (plus a [run] section)"
         )
-    known_run = {"execution", "max_workers", "num_shards"}
+    known_run = {"execution", "max_workers"}
     unknown_run = sorted(set(run_options) - known_run)
     if unknown_run:
         raise ValueError(

@@ -48,7 +48,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> CaseStudyConfig:
     shared = dict(
         seed=arguments.seed,
         history_mode=arguments.history_mode,
-        num_shards=arguments.shards,
         retrain_mode=arguments.retrain_mode,
         warm_start=arguments.warm_start,
         checkpoint_dir=arguments.checkpoint_dir,
@@ -78,18 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="use the paper-scale configuration (1000 users, 5 trials)"
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "worker-count hint for the intra-trial shard pool of "
-            "--execution shard (and of auto when it shards users); results "
-            "are bit-identical for every value — the random schedule "
-            "depends only on the population's canonical shard partition, "
-            "never on the worker count"
-        ),
-    )
-    parser.add_argument(
         "--execution",
         choices=EXECUTION_MODES,
         default="serial",
@@ -97,11 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
             "how the run executes, resolved by the planner from "
             "(cpu_count, trials, users, steps, checkpoint knobs): 'serial' "
             "(default) runs in-process, 'batch' runs trials in lockstep "
-            "(the tensor engine), 'pool' runs trials on a process pool, "
-            "'shard' splits each trial's users over a worker pool, and "
-            "'auto' picks — possibly composing pooled trials with sharded "
-            "users.  Every choice is bit-identical; this knob only changes "
-            "the wall clock"
+            "on the tensor engine, whose threads spread each trial's users "
+            "over the cores, 'pool' runs trials on a process pool, and "
+            "'auto' picks one of them ('shard' is a second name for "
+            "'batch').  Every choice is bit-identical; this knob only "
+            "changes the wall clock"
         ),
     )
     parser.add_argument(

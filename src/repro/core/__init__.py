@@ -48,12 +48,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.loop import ClosedLoop
 from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure
-from repro.core.sharding import (
-    NUM_CANONICAL_SHARDS,
-    PopulationShard,
-    ShardPlan,
-    shard_population,
-)
+from repro.core.sharding import NUM_CANONICAL_SHARDS, ShardPlan
 from repro.core.history import (
     FullHistoryRequiredError,
     SimulationHistory,
@@ -106,8 +101,6 @@ __all__ = [
     "write_checkpoint",
     "NUM_CANONICAL_SHARDS",
     "ShardPlan",
-    "PopulationShard",
-    "shard_population",
     "SimulationHistory",
     "StepRecord",
     "AggregateHistory",

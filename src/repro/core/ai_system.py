@@ -25,7 +25,6 @@ import numpy as np
 from repro.credit.lender import Lender
 from repro.scoring.cutoff import CutoffPolicy
 from repro.scoring.scorecard import Scorecard
-from repro.scoring.suffstats import CompressedDesign
 
 __all__ = [
     "AISystem",
@@ -68,15 +67,7 @@ class CreditScoringSystem:
     warm-up years everyone is approved.  ``update`` refits the logistic
     model on this step's repayments against the features that were visible
     when the decision was made, then rebuilds the scorecard for the next
-    step.
-
-    The system also speaks the *sufficient-statistics retraining* protocol
-    of the sharded closed loop: :attr:`suffstats_spec` publishes what a
-    worker shard needs to compress its slice of the training set into a
-    :class:`~repro.scoring.suffstats.CompressedDesign` count table, and
-    :meth:`update_from_suffstats` refits centrally from the merged table in
-    O(unique rows).  The orchestrator only uses it when the wrapped lender's
-    ``retrain_mode`` is ``"compressed"``.
+    step.  The refit follows the wrapped lender's ``retrain_mode``.
     """
 
     def __init__(self, lender: Lender | None = None) -> None:
@@ -87,25 +78,6 @@ class CreditScoringSystem:
     def lender(self) -> Lender:
         """Return the wrapped lender."""
         return self._lender
-
-    @property
-    def retrain_mode(self) -> str:
-        """Return the wrapped lender's refit strategy."""
-        return self._lender.retrain_mode
-
-    @property
-    def suffstats_spec(self) -> Dict[str, object]:
-        """Return the shard-side compression recipe of the retraining set.
-
-        Workers compress ``(income code, previous rate, repayment)`` rows of
-        offered users; all they need beyond their own slices is the income
-        threshold of the code indicator and the name of the public feature
-        carrying the raw incomes.
-        """
-        return {
-            "feature": "income",
-            "income_threshold": self._lender.feature_builder.income_threshold,
-        }
 
     @property
     def last_scores(self) -> np.ndarray | None:
@@ -142,15 +114,6 @@ class CreditScoringSystem:
             np.asarray(actions, dtype=float),
             offered=np.asarray(decisions, dtype=float),
         )
-
-    def update_from_suffstats(self, table: CompressedDesign, k: int) -> None:
-        """Refit the scorecard from a merged shard count table.
-
-        ``table`` must already be restricted to offered users (the shard
-        compression passes the decisions as the ``offered`` mask) and merged
-        across all shards; the refit then touches only the unique rows.
-        """
-        self._lender.retrain_from_suffstats(table)
 
     def export_state(self) -> Dict[str, object]:
         """Return a picklable snapshot of the system's mutable state.

@@ -58,11 +58,9 @@ class DefaultRateFilter:
     The observation contains ``user_default_rates`` (one entry per user) and
     the pooled ``portfolio_rate``.
 
-    The filter is *shardable*: a population split across workers can run
-    one filter per user shard and recombine with :meth:`merge` (exactly —
-    offers and repayments are integer counts), or ship raw state around
-    via :meth:`export_state`/:meth:`from_state`.  This is the mergeability
-    the ROADMAP's sharded-population runner requires.
+    Its cumulative state round-trips through :meth:`export_state` and
+    :meth:`import_state`, which the checkpoint layer uses for step
+    snapshots.
     """
 
     def __init__(self, num_users: int, prior_rate: float = 0.0) -> None:
@@ -77,49 +75,13 @@ class DefaultRateFilter:
         """Return a picklable snapshot of the filter's cumulative state."""
         return self._tracker.export_state()
 
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "DefaultRateFilter":
-        """Rebuild a filter from an :meth:`export_state` snapshot."""
-        restored = cls.__new__(cls)
-        restored._tracker = DefaultRateTracker.from_state(state)
-        return restored
-
     def import_state(self, state: Dict[str, object]) -> None:
         """Replace this filter's cumulative state in place.
 
-        The sharded orchestrator uses this at the end of a pooled run to
-        fold the merged worker filters back into the loop's own filter
-        object, so callers holding a reference to it see the final state.
+        A loop restored from a step snapshot uses this, so callers holding
+        a reference to the filter see the restored state.
         """
         self._tracker = DefaultRateTracker.from_state(state)
-
-    def shard_slice(self, lo: int, hi: int) -> "DefaultRateFilter":
-        """Return a fresh filter over users ``[lo, hi)``.
-
-        Only a filter that has not folded in any step can be sliced (the
-        per-user cumulative state of a running filter would have to be
-        split, which the sharded runner never needs: workers start from a
-        fresh filter and merge at the end).
-        """
-        if self._tracker.steps_recorded != 0:
-            raise ValueError("only a fresh DefaultRateFilter can be sliced")
-        if not 0 <= lo < hi <= self._tracker.num_users:
-            raise ValueError("invalid user range")
-        return DefaultRateFilter(hi - lo, prior_rate=self._tracker.prior_rate)
-
-    def merge(self, other: "DefaultRateFilter") -> "DefaultRateFilter":
-        """Merge two filters that observed disjoint user shards.
-
-        Both shards must have folded in the same number of steps with the
-        same prior rate; ``other``'s users are appended after ``self``'s.
-        The merged filter's observation is exactly that of an unsharded
-        filter over the concatenated population.
-        """
-        if not isinstance(other, DefaultRateFilter):
-            raise TypeError("can only merge with another DefaultRateFilter")
-        merged = DefaultRateFilter.__new__(DefaultRateFilter)
-        merged._tracker = self._tracker.merge(other._tracker)
-        return merged
 
     def observation(self) -> Observation:
         """Return the current per-user and pooled default rates."""

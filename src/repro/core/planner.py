@@ -1,28 +1,22 @@
 """The execution planner: one knob picks how a run executes.
 
-The engine has three execution layouts:
+Besides the serial loop, the engine has two execution layouts:
 
 * the lockstep tensor kernel (``batch``): every trial in one process, the
   per-user math fused across the trial axis and split over kernel threads
-  along the user axis;
+  along the user axis — the one way to spread a trial's users over cores;
 * the trial process pool (``pool``): several heavy trials on several
-  cores;
-* the intra-trial shard pool (``shard``): one trial's users spread over
-  worker processes.
+  cores.
 
 :func:`plan_execution` turns the measured rules into code: given the
 workload shape (trials, users, steps), the host (``cpu_count``), the
 recording and retraining modes, and the checkpoint knobs, it resolves a
-single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"``,
-``"pool"`` or ``"shard"`` — into an :class:`ExecutionPlan`, which the
-runner executes.  ``"auto"`` pools trials when there are several trials
-and several cores, and may *compose* layouts (trial pooling × user
-sharding when cores outnumber trials).  Otherwise — one trial on any
-host, or several trials on one core — it runs in process on the lockstep
-kernel, or on the serial loop when checkpointing.  A single trial never
-goes to the shard pool under ``"auto"``: on a 2-CPU host the pool ran a 1M-user trial slower than the
-in-process kernel, because its orchestrator records and decides serially
-while the workers wait.  An optional calibration micro-bench
+single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"`` or
+``"pool"`` — into an :class:`ExecutionPlan`, which the runner executes.
+``"auto"`` pools trials when there are several trials and several cores.
+Otherwise — one trial on any host, or several trials on one core — it
+runs in process on the lockstep kernel, or on the serial loop when
+checkpointing.  An optional calibration micro-bench
 (:func:`measure_dispatch_overhead`) refines the batch-vs-serial call for
 several trials on one core.  The lockstep kernel requires the AI system's
 decisions to be 0/1, so a custom policy with other decisions runs with
@@ -57,6 +51,10 @@ Two invariants the rest of the engine supplies and the planner preserves:
 The one forbidden combination, ``"batch"`` × checkpointing, is rejected at
 configuration time by :func:`validate_execution_settings`, mirroring
 :func:`repro.experiments.config.validate_checkpoint_settings`.
+
+``"shard"`` named the retired process shard pool.  It is kept for the
+benchmark harness until its next change, as a second name for ``"batch"``:
+validated and planned exactly like it.
 """
 
 from __future__ import annotations
@@ -81,17 +79,13 @@ __all__ = [
     "measure_dispatch_overhead",
 ]
 
-#: The values the ``execution`` knob accepts.
+#: The values the ``execution`` knob accepts.  ``"shard"`` is a second name
+#: for ``"batch"``, kept for the benchmark harness until its next change
+#: (``perfbench/workloads.py`` plans it and builds configs with it).
 EXECUTION_MODES = ("auto", "serial", "batch", "pool", "shard")
 
-#: Below this population size ``auto`` never composes pooled trials with
-#: the shard pool: the per-step pool round-trip costs more than the
-#: per-user math saves.
-AUTO_SHARD_MIN_USERS = 2048
-
-#: ``auto`` composes trial pooling with user sharding only when at least
-#: this many cores are left per pooled trial.
-AUTO_COMPOSE_MIN_CORES_PER_TRIAL = 2
+#: The modes that run the lockstep kernel.
+_KERNEL_MODES = ("batch", "shard")
 
 #: Calibration threshold: when the measured per-step dispatch overhead is
 #: below this fraction of a step's vectorized work, batching has nothing
@@ -159,9 +153,9 @@ def validate_execution_settings(
         raise ValueError(
             f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
         )
-    if execution == "batch" and (checkpoint_every > 0 or resume):
+    if execution in _KERNEL_MODES and (checkpoint_every > 0 or resume):
         raise ValueError(
-            'execution="batch" is incompatible with checkpointing (the '
+            f"execution={execution!r} is incompatible with checkpointing (the "
             "batched engine advances all trials in lockstep with no "
             "per-trial boundary to snapshot); pick another execution mode, "
             "or drop the checkpoint_every/resume knobs"
@@ -177,11 +171,9 @@ class ExecutionPlan:
     execution:
         The requested knob value (``"auto"``, ``"serial"``, ...).
     layout:
-        The resolved headline layout: ``"serial"``, ``"batch"``,
-        ``"pool"``, ``"shard"`` or the composition ``"pool+shard"``.
-    trial_batch, parallel, num_shards, shard_parallel:
-        The concrete layout: the lockstep kernel, the trial pool, and the
-        shard count and pool each trial's ``ClosedLoop.run`` gets.
+        The resolved layout: ``"serial"``, ``"batch"`` or ``"pool"``.
+    trial_batch, parallel:
+        The concrete layout: the lockstep kernel, or the trial pool.
     max_workers:
         The trial pool's worker count, or a ``batch`` plan's kernel thread
         count: the threads that run the lockstep kernel's per-user phases,
@@ -200,27 +192,30 @@ class ExecutionPlan:
     trial_batch: bool
     parallel: bool
     max_workers: Optional[int]
-    num_shards: int
-    shard_parallel: bool
     cpu_count: int
     calibrated: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
 
+    @property
+    def shard_parallel(self) -> bool:
+        """Always ``False``: no plan runs the retired process shard pool.
+
+        Kept for the benchmark harness until its next change
+        (``perfbench/workloads.py`` reads it).
+        """
+        return False
+
     def validate(self) -> None:
         """Assert the plan's internal consistency (no forbidden combos)."""
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {self.execution!r}")
-        if self.trial_batch and (self.parallel or self.shard_parallel):
+        if self.trial_batch and self.parallel:
             raise ValueError(
-                "a batched plan cannot also pool trials or shards (the "
-                "batched engine owns every trial in one process)"
+                "a batched plan cannot also pool trials (the batched engine "
+                "owns every trial in one process)"
             )
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        if self.shard_parallel and self.num_shards < 2:
-            raise ValueError("a sharded plan needs at least two worker shards")
         if self.parallel and (self.max_workers is None or self.max_workers < 1):
             raise ValueError("a pooled plan needs a positive worker count")
         if self.trial_batch and self.max_workers is not None and self.max_workers < 1:
@@ -236,8 +231,6 @@ class ExecutionPlan:
             "trial_batch": self.trial_batch,
             "parallel": self.parallel,
             "max_workers": self.max_workers,
-            "num_shards": self.num_shards,
-            "shard_parallel": self.shard_parallel,
             "cpu_count": self.cpu_count,
             "calibrated": self.calibrated,
         }
@@ -255,8 +248,6 @@ class ExecutionPlan:
                 if payload.get("max_workers") is None
                 else int(payload["max_workers"])
             ),
-            num_shards=int(payload["num_shards"]),
-            shard_parallel=bool(payload["shard_parallel"]),
             cpu_count=int(payload["cpu_count"]),
             calibrated=bool(payload.get("calibrated", False)),
         )
@@ -272,9 +263,7 @@ class ExecutionPlan:
                 f"lockstep trials on {threads} kernel thread"
                 + ("s" if threads > 1 else "")
             )
-        if self.shard_parallel:
-            pieces.append(f"{self.num_shards} shard workers")
-        if not (self.parallel or self.trial_batch or self.shard_parallel):
+        if not (self.parallel or self.trial_batch):
             pieces.append("in-process")
         return ", ".join(pieces) + f" (saw {self.cpu_count} cpu)"
 
@@ -337,21 +326,6 @@ def _kernel_thread_count(
     return max(1, threads)
 
 
-def _shard_worker_count(
-    users: int, cores: int, requested: Optional[int]
-) -> int:
-    """Resolve the shard-pool worker count for one trial.
-
-    Capped by the canonical shard count (extra workers would idle — see
-    :func:`~repro.core.sharding.max_worker_shards`) and the population
-    size; an explicit request wins over the core count.
-    """
-    ceiling = max_worker_shards(users)
-    if requested is not None:
-        return max(1, min(int(requested), ceiling))
-    return max(1, min(max(cores, 2), ceiling))
-
-
 def plan_execution(
     execution: str,
     *,
@@ -364,7 +338,6 @@ def plan_execution(
     resume: bool = False,
     cpu_count: Optional[int] = None,
     max_workers: Optional[int] = None,
-    num_shards: Optional[int] = None,
     calibrate: bool = False,
 ) -> ExecutionPlan:
     """Resolve an ``execution`` request into an :class:`ExecutionPlan`.
@@ -410,8 +383,6 @@ def plan_execution(
             trial_batch=False,
             parallel=False,
             max_workers=None,
-            num_shards=1,
-            shard_parallel=False,
             cpu_count=cores,
             calibrated=calibrated,
         )
@@ -419,16 +390,14 @@ def plan_execution(
     if execution == "serial":
         return serial_plan("serial")
 
-    if execution == "batch":
+    if execution in _KERNEL_MODES:
         # validate_execution_settings above already rejected checkpointing.
         return ExecutionPlan(
-            execution="batch",
+            execution=execution,
             layout="batch",
             trial_batch=True,
             parallel=False,
             max_workers=_kernel_thread_count(users, cores, max_workers),
-            num_shards=1,
-            shard_parallel=False,
             cpu_count=cores,
         )
 
@@ -442,63 +411,24 @@ def plan_execution(
             trial_batch=False,
             parallel=True,
             max_workers=max(1, workers),
-            num_shards=1,
-            shard_parallel=False,
-            cpu_count=cores,
-        )
-
-    if execution == "shard":
-        shards = _shard_worker_count(users, cores, num_shards)
-        if shards < 2:
-            return serial_plan("shard")  # one-user-ish populations
-        return ExecutionPlan(
-            execution="shard",
-            layout="shard",
-            trial_batch=False,
-            parallel=False,
-            max_workers=None,
-            num_shards=shards,
-            shard_parallel=True,
             cpu_count=cores,
         )
 
     # execution == "auto"
     if trials > 1 and cores > 1:
         workers = min(trials, cores if max_workers is None else max_workers)
-        workers = max(1, workers)
-        spare = cores // workers
-        if (
-            spare >= AUTO_COMPOSE_MIN_CORES_PER_TRIAL
-            and users >= AUTO_SHARD_MIN_USERS
-        ):
-            shards = _shard_worker_count(users, spare, num_shards)
-            if shards >= 2:
-                # Composition: pooled trials, each sharding its users over
-                # the cores its siblings leave idle.
-                return ExecutionPlan(
-                    execution="auto",
-                    layout="pool+shard",
-                    trial_batch=False,
-                    parallel=True,
-                    max_workers=workers,
-                    num_shards=shards,
-                    shard_parallel=True,
-                    cpu_count=cores,
-                )
         return ExecutionPlan(
             execution="auto",
             layout="pool",
             trial_batch=False,
             parallel=True,
-            max_workers=workers,
-            num_shards=1,
-            shard_parallel=False,
+            max_workers=max(1, workers),
             cpu_count=cores,
         )
-    # In process: one trial on any host (no host has yet measured the shard
-    # pool beating it), or several trials on one core.  The lockstep kernel
-    # runs them, unless checkpointing forbids it or, for several trials,
-    # the calibration probe finds no per-step dispatch worth amortising.
+    # In process: one trial on any host, or several trials on one core.
+    # The lockstep kernel runs them, unless checkpointing forbids it or,
+    # for several trials, the calibration probe finds no per-step dispatch
+    # worth amortising.
     if checkpointing:
         return serial_plan("auto")
     calibrated = calibrate and trials > 1
@@ -513,8 +443,6 @@ def plan_execution(
         trial_batch=True,
         parallel=False,
         max_workers=_kernel_thread_count(users, cores, max_workers),
-        num_shards=1,
-        shard_parallel=False,
         cpu_count=cores,
         calibrated=calibrated,
     )
@@ -526,10 +454,10 @@ class CampaignBudget:
 
     A campaign runs many independent experiments (jobs).  Left to itself,
     every job would hand :func:`plan_execution` the *whole* host core
-    count and greedily size its own trial/shard pools — J concurrent jobs
-    would then oversubscribe the machine J times over.  The budget instead
-    runs ``job_workers`` jobs side by side and grants each a
-    ``cores_per_job`` slice, which is the ``cpu_count`` its
+    count and greedily size its own trial pool and kernel threads — J
+    concurrent jobs would then oversubscribe the machine J times over.
+    The budget instead runs ``job_workers`` jobs side by side and grants
+    each a ``cores_per_job`` slice, which is the ``cpu_count`` its
     :func:`plan_execution` call sees.
 
     Attributes
@@ -585,11 +513,12 @@ def plan_campaign_jobs(
     """Split the host's cores across a campaign's pending jobs.
 
     Jobs are whole independent experiments, so running them side by side
-    parallelizes everything — including the central refit that caps the
-    shard pool's speedup — with zero synchronization.  The budget therefore
-    maximizes ``job_workers`` first (up to the core count and the optional
-    ``max_workers`` cap) and only leaves ``cores_per_job > 1`` when cores
-    outnumber jobs; each concurrent job must then hand its
+    parallelizes everything — including the per-step refits and group
+    folds that stay on the lockstep kernel's calling thread — with zero
+    synchronization.  The budget therefore maximizes ``job_workers`` first
+    (up to the core count and the optional ``max_workers`` cap) and only
+    leaves ``cores_per_job > 1`` when cores outnumber jobs; each concurrent
+    job must then hand its
     ``cores_per_job`` slice to :func:`plan_execution` as ``cpu_count``
     instead of letting the planner see the whole host.
     """

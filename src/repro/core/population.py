@@ -13,9 +13,9 @@ population's :class:`~repro.core.sharding.ShardPlan`.  The sharded form is
 what :class:`~repro.core.loop.ClosedLoop` drives: each shard's draws come
 from its own derived stream
 (:func:`~repro.utils.rng.shard_step_generator`), so the trajectory is
-independent of how many worker processes execute the shards, and a worker
-holding only a ``shard_slice`` of the population reproduces exactly the
-draws the serial engine makes for those shards.
+independent of how the shards are grouped for execution: the lockstep
+kernel's threads, each drawing a run of whole shards, reproduce exactly the
+draws the closed loop makes here.
 
 Two populations are provided: :class:`CreditPopulation`, the paper's
 mortgage borrowers (income redrawn yearly from the census-like table,
@@ -27,7 +27,7 @@ systems matching the abstract user model of Section VI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -104,11 +104,9 @@ class CreditPopulation:
     repayment action follows the Gaussian conditional-independence model of
     equation (11).
 
-    The population is *shardable*: it owns a canonical
-    :class:`~repro.core.sharding.ShardPlan`, draws incomes and repayments
-    shard by shard when given per-shard generators, and can be sliced into
-    contiguous sub-populations (:meth:`shard_slice`) whose draws replay the
-    parent's exactly for the same shard streams.
+    The population is *sharded*: it owns a canonical
+    :class:`~repro.core.sharding.ShardPlan` and draws incomes and
+    repayments shard by shard when given per-shard generators.
 
     Parameters
     ----------
@@ -123,10 +121,6 @@ class CreditPopulation:
         The repayment model (defaults to the paper's sensitivity of 5).
     start_year:
         Calendar year corresponding to step ``k = 0`` (paper: 2002).
-    shard_plan:
-        Partition override used by :meth:`shard_slice` to keep a slice on
-        the parent's canonical shard boundaries; defaults to the canonical
-        plan for the population size.
     """
 
     def __init__(
@@ -136,7 +130,6 @@ class CreditPopulation:
         terms: MortgageTerms | None = None,
         repayment_model: GaussianRepaymentModel | None = None,
         start_year: int = 2002,
-        shard_plan: ShardPlan | None = None,
     ) -> None:
         self._population = population
         self._sampler = IncomeSampler(income_table or default_income_table())
@@ -150,14 +143,11 @@ class CreditPopulation:
         # reused by every step's income draw instead of rebuilding an
         # object-dtype race array and boolean masks per step.
         self._race_indices = population.indices_by_race()
-        plan = shard_plan or ShardPlan.canonical(population.size)
-        if plan.num_users != population.size:
-            raise ValueError("shard_plan must cover exactly the population")
-        self._plan = plan
+        self._plan = ShardPlan.canonical(population.size)
         # Per-shard race partitions, re-based to each shard's local indices:
         # shard s's income draw is then a self-contained sample over its own
-        # contiguous user range, identical whether it runs in the parent
-        # population or in a shard_slice on a worker.
+        # contiguous user range, which the lockstep kernel replays shard by
+        # shard (see shard_race_partition).
         self._shard_race_indices: List[Dict[Race, np.ndarray]] = []
         for lo, hi in self._plan.bounds:
             local: Dict[Race, np.ndarray] = {}
@@ -175,18 +165,6 @@ class CreditPopulation:
     def shard_plan(self) -> ShardPlan:
         """Return the canonical shard partition of this population."""
         return self._plan
-
-    @property
-    def feature_channels(self) -> Tuple[str, ...]:
-        """Return the names of the public-feature arrays ``begin_step`` emits.
-
-        Declared statically so the pooled shard path can size its
-        shared-memory arena (one float64 channel row per name) before the
-        first step runs; must match the keys of every ``begin_step``
-        return.  Populations without this property fall back to the
-        pickled per-step transport.
-        """
-        return ("income",)
 
     @property
     def races(self) -> np.ndarray:
@@ -239,28 +217,6 @@ class CreditPopulation:
     def year_of_step(self, k: int) -> int:
         """Return the calendar year corresponding to step ``k``."""
         return self._start_year + k
-
-    def shard_slice(self, lo: int, hi: int) -> "CreditPopulation":
-        """Return the sub-population over users ``[lo, hi)``.
-
-        The range must be a union of consecutive canonical shards; the
-        slice's internal plan is the localized restriction of the parent's,
-        so driving it with the same (global-shard) generators reproduces
-        the parent's draws for those users bit for bit.
-        """
-        shard_start, shard_stop = self._plan.shard_index_range(lo, hi)
-        codes = self._population.codes
-        return CreditPopulation(
-            population=SyntheticPopulation(
-                races=self._population.races[lo:hi],
-                codes=None if codes is None else codes[lo:hi],
-            ),
-            income_table=self._sampler.table,
-            terms=self._terms,
-            repayment_model=self._repayment_model,
-            start_year=self._start_year,
-            shard_plan=self._plan.localized(shard_start, shard_stop),
-        )
 
     def export_shard_state(self) -> Dict[str, object]:
         """Return the mutable per-user state of the current step."""
@@ -369,14 +325,13 @@ class IFSPopulation:
         Allow the batched path.  Set to ``False`` to force the per-user
         reference loop (used by the equivalence tests and benchmarks).
     shard_plan:
-        Partition override used by :meth:`shard_slice`; defaults to the
-        canonical plan for the population size.
+        The canonical shard partition of the users (derived, not passed).
     """
 
     users: Sequence[SignalDependentIFS]
     initial_states: Sequence[np.ndarray]
     vectorize: bool = True
-    shard_plan: ShardPlan | None = None
+    shard_plan: ShardPlan = field(init=False)
     # Exactly one of the two state stores is active: a (users, dim) matrix on
     # the batched path, a list of per-user vectors on the fallback path.
     _states: list | None = field(init=False, repr=False)
@@ -395,10 +350,7 @@ class IFSPopulation:
             np.atleast_1d(np.asarray(state, dtype=float)).copy()
             for state in self.initial_states
         ]
-        if self.shard_plan is None:
-            self.shard_plan = ShardPlan.canonical(len(self.users))
-        elif self.shard_plan.num_users != len(self.users):
-            raise ValueError("shard_plan must cover exactly the population")
+        self.shard_plan = ShardPlan.canonical(len(self.users))
         self._batch_groups = self._structural_groups(states)
         if self._batch_groups is not None:
             self._state_matrix = np.stack(states)
@@ -463,21 +415,6 @@ class IFSPopulation:
         if self._state_matrix is not None:
             return [row.copy() for row in self._state_matrix]
         return [state.copy() for state in self._states]
-
-    def shard_slice(self, lo: int, hi: int) -> "IFSPopulation":
-        """Return the sub-population over users ``[lo, hi)``.
-
-        The range must be a union of consecutive canonical shards; the
-        slice starts from the users' *current* states, so a worker can take
-        over mid-simulation.
-        """
-        shard_start, shard_stop = self.shard_plan.shard_index_range(lo, hi)
-        return IFSPopulation(
-            users=list(self.users[lo:hi]),
-            initial_states=self.states[lo:hi],
-            vectorize=self.vectorize,
-            shard_plan=self.shard_plan.localized(shard_start, shard_stop),
-        )
 
     def export_shard_state(self) -> Dict[str, object]:
         """Return the users' current private states."""

@@ -1,48 +1,42 @@
-"""Shard plans: the canonical partition behind intra-trial sharded execution.
+"""Shard plans: the canonical partition of a population's users.
 
 One trial of the closed loop is a serial walk over time steps, but within a
 step every stochastic population quantity (incomes, repayments, IFS moves)
-is independent across users.  The sharded engine exploits that by
-partitioning the users of a population into contiguous *shards* and giving
-each shard its own derived random stream
-(:func:`repro.utils.rng.shard_step_generator`).
+is independent across users.  The engine exploits that by partitioning the
+users of a population into contiguous *shards* and giving each shard its
+own derived random stream (:func:`repro.utils.rng.shard_step_generator`).
 
 The partition is **canonical**: a population of ``n`` users is always split
 into ``min(NUM_CANONICAL_SHARDS, n)`` contiguous ranges, regardless of how
-many workers later execute them.  The random schedule is therefore a
+many threads later execute them.  The random schedule is therefore a
 function of ``(base seed, shard index, step)`` alone, so
 
-* running the shards serially in one process,
-* running them on any number of worker processes (``num_shards`` workers
-  each own a contiguous run of canonical shards), and
-* resuming a chunked run
+* running the shards serially on the closed loop,
+* running them on the lockstep kernel's threads (each thread steps a
+  contiguous run of canonical shards, see :meth:`ShardPlan.worker_ranges`
+  and :mod:`repro.experiments.batch`), and
+* resuming a chunked or checkpointed run
 
 all produce bit-identical trajectories.  The canonical shard count is part
 of the engine's pinned random stream (like the seed derivation labels):
 changing :data:`NUM_CANONICAL_SHARDS` changes every simulated trajectory
 and requires re-goldening the equivalence suites.
 
-:class:`ShardPlan` is the value object describing the partition;
-:class:`PopulationShard` bundles one worker's slice of a population (a
-sub-population over a contiguous user range plus the *global* canonical
-shard indices it executes, so the worker derives exactly the streams the
-serial engine would use for those shards).
+:class:`ShardPlan` is the value object describing the partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, List, Tuple, TypeVar
 
 import numpy as np
 
 __all__ = [
     "NUM_CANONICAL_SHARDS",
     "ShardPlan",
-    "PopulationShard",
     "UserChunkMap",
     "max_worker_shards",
-    "shard_population",
     "whole_population",
 ]
 
@@ -159,10 +153,11 @@ class ShardPlan:
         """Assign canonical shards to ``num_workers`` contiguous groups.
 
         Returns ``(shard_start, shard_stop)`` half-open *shard-index* ranges,
-        one per worker, following :func:`numpy.array_split` sizing.  Workers
-        beyond the shard count are dropped (``min(num_workers, num_shards)``
-        groups are returned), so asking for more workers than shards
-        degrades gracefully instead of creating idle workers.
+        one per worker (a lockstep-kernel thread), following
+        :func:`numpy.array_split` sizing.  Workers beyond the shard count
+        are dropped (``min(num_workers, num_shards)`` groups are returned),
+        so asking for more workers than shards degrades gracefully instead
+        of creating idle workers.
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -176,79 +171,15 @@ class ShardPlan:
             cursor += size
         return ranges
 
-    def localized(self, shard_start: int, shard_stop: int) -> "ShardPlan":
-        """Return the sub-plan of shards ``[shard_start, shard_stop)``.
-
-        The returned plan's bounds are re-based to the worker's local user
-        range (its first shard starts at 0), which is what a sliced
-        sub-population uses internally; the *global* shard indices — and
-        hence the random streams — are carried separately by
-        :class:`PopulationShard`.
-        """
-        if not 0 <= shard_start < shard_stop <= self.num_shards:
-            raise ValueError("invalid shard range")
-        offset = self.bounds[shard_start][0]
-        bounds = tuple(
-            (lo - offset, hi - offset)
-            for lo, hi in self.bounds[shard_start:shard_stop]
-        )
-        return ShardPlan(
-            num_users=self.bounds[shard_stop - 1][1] - offset, bounds=bounds
-        )
-
     def user_range(self, shard_start: int, shard_stop: int) -> Tuple[int, int]:
         """Return the global user range covered by a shard-index range."""
         if not 0 <= shard_start < shard_stop <= self.num_shards:
             raise ValueError("invalid shard range")
         return self.bounds[shard_start][0], self.bounds[shard_stop - 1][1]
 
-    def shard_index_range(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Return the shard-index range whose shards cover users ``[lo, hi)``.
-
-        The inverse of :meth:`user_range`: the user range must be a union
-        of consecutive shards (this is what population ``shard_slice``
-        implementations validate against).
-        """
-        starts = [bound[0] for bound in self.bounds]
-        stops = [bound[1] for bound in self.bounds]
-        if lo not in starts or hi not in stops:
-            raise ValueError(
-                f"[{lo}, {hi}) is not a union of consecutive canonical shards"
-            )
-        return starts.index(lo), stops.index(hi) + 1
-
-
-@dataclass(frozen=True)
-class PopulationShard:
-    """One worker's slice of a sharded population.
-
-    Attributes
-    ----------
-    population:
-        The sub-population over the worker's contiguous user range (built
-        with the population's ``shard_slice``); its internal plan is the
-        localized restriction of the parent's canonical plan.
-    shard_ids:
-        The *global* canonical shard indices this worker executes, in
-        order.  Workers derive their random streams from these, so the
-        draws are identical to the serial engine's for the same shards.
-    lo, hi:
-        The global user range ``[lo, hi)`` the worker owns.
-    """
-
-    population: object
-    shard_ids: Tuple[int, ...]
-    lo: int
-    hi: int
-
-    @property
-    def num_users(self) -> int:
-        """Return the number of users in the shard."""
-        return self.hi - self.lo
-
 
 def max_worker_shards(num_users: int) -> int:
-    """Return the most shard workers a population of ``num_users`` can use.
+    """Return the most workers a population of ``num_users`` can split over.
 
     The canonical partition caps useful parallelism at
     :data:`NUM_CANONICAL_SHARDS` (extra workers would own no shards — see
@@ -258,25 +189,3 @@ def max_worker_shards(num_users: int) -> int:
     if num_users <= 0:
         raise ValueError("num_users must be positive")
     return min(NUM_CANONICAL_SHARDS, num_users)
-
-
-def shard_population(population, num_workers: int) -> List[PopulationShard]:
-    """Slice ``population`` into per-worker :class:`PopulationShard` pieces.
-
-    The population must expose ``shard_plan`` and ``shard_slice``; workers
-    own contiguous runs of the canonical shards per
-    :meth:`ShardPlan.worker_ranges`.
-    """
-    plan: ShardPlan = population.shard_plan
-    shards: List[PopulationShard] = []
-    for shard_start, shard_stop in plan.worker_ranges(num_workers):
-        lo, hi = plan.user_range(shard_start, shard_stop)
-        shards.append(
-            PopulationShard(
-                population=population.shard_slice(lo, hi),
-                shard_ids=tuple(range(shard_start, shard_stop)),
-                lo=lo,
-                hi=hi,
-            )
-        )
-    return shards

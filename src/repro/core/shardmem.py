@@ -1,351 +1,52 @@
-"""Zero-copy shared-memory transport for the pooled shard path.
+"""What is left of the retired shard pool's shared-memory transport.
 
-PR 3's pooled shard execution moved every per-step payload — the workers'
-public-feature slices, the orchestrator's decision vector, the workers'
-action and rate slices — through pickled executor messages, which made
-8 workers *slower* than the serial loop on one CPU (``BENCH_core.json``
-``sharded-execution``).  This module replaces that transport with one
-POSIX shared-memory segment per worker pool:
+The process shard pool moved each step's feature, decision and action rows
+through a POSIX shared-memory segment.  The pool is gone: the lockstep
+kernel (:mod:`repro.experiments.batch`) spreads a trial's users over
+threads of one process, so nothing crosses a process boundary per step and
+nothing is allocated in ``/dev/shm``.
 
-* the orchestrator allocates a ``(channels, num_users)`` float64 tensor
-  (feature channels + ``decisions``/``actions``/``user_rates``) plus a
-  ``(workers, 2)`` scalar table for the per-worker offer/repayment totals;
-* each worker maps the segment once at pool start and thereafter writes
-  its shard's slice ``[lo, hi)`` in place — the per-step executor messages
-  shrink to booleans (and, under sufficient-statistics retraining, the
-  tiny :class:`~repro.scoring.suffstats.CompressedDesign` count tables);
-* the orchestrator reads whole channel rows back as copies, which are
-  bit-identical to the old concatenation of pickled slices (same float64
-  values, same order), so the engine's golden digests are untouched.
-
-Lifecycle is the delicate part.  The *orchestrator* owns the segment: it
-unlinks exactly once, on pool shutdown — which the supervised pool reaches
-on success, on worker death/hang (before the rebuild allocates a fresh
-arena), and on the serial fallback.  *Workers* only attach; on Python
-3.11/3.12 the stdlib registers every attach with the ``resource_tracker``,
-which would both spam "leaked shared_memory" warnings and unlink segments
-still in use when a worker exits — so :meth:`SharedMemoryArena.attach`
-unregisters the attachment immediately (Python 3.13+ exposes
-``track=False`` for the same purpose).  The chaos suite in
-``tests/experiments/test_fault_tolerance.py`` pins that no ``/dev/shm``
-segment survives injected worker kills, pool rebuilds, or the serial
-degrade.
+Kept for the benchmark harness until its next change: ``perfbench/run.py``
+imports these three names, checks for leaked segments and reports the two
+per-step byte counts, which now always read zero.
 """
 
 from __future__ import annotations
 
 import os
-import secrets
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
+__all__ = ["TransportMeter", "set_transport_meter", "live_segments"]
 
-__all__ = [
-    "SEGMENT_PREFIX",
-    "ArenaSpec",
-    "SharedMemoryArena",
-    "TransportMeter",
-    "set_transport_meter",
-    "transport_meter",
-    "live_segments",
-]
-
-#: Name prefix of every segment this module creates.  The chaos suite lists
-#: ``/dev/shm`` entries with this prefix before and after injected worker
-#: failures to assert nothing leaked.
-SEGMENT_PREFIX = "repro-shm-"
-
-_SCALAR_SLOTS = 2  # per-worker (offers_total, repayments_total)
-
-
-def _shared_memory():
-    """Import the stdlib module lazily so import errors surface per use."""
-    from multiprocessing import shared_memory
-
-    return shared_memory
-
-
-class _suppress_tracker_registration:
-    """Keep a ``SharedMemory`` attach out of the resource tracker.
-
-    On Python < 3.13 every ``SharedMemory`` construction registers the
-    segment with the ``resource_tracker`` — creator and attacher alike.
-    Forked workers share the orchestrator's tracker process and its cache
-    is a *set*, so a worker-side attach-then-unregister would erase the
-    orchestrator's own registration (and the eventual unlink would log a
-    spurious ``KeyError`` in the tracker).  Suppressing the registration
-    during the attach leaves the tracker exactly as the creator set it up:
-    one registration, cleared once by ``unlink``.  Python 3.13+ exposes
-    ``track=False`` for the same purpose.
-    """
-
-    def __enter__(self):
-        from multiprocessing import resource_tracker
-
-        self._module = resource_tracker
-        self._original = resource_tracker.register
-
-        def _register(name, rtype):  # pragma: no cover - trivial shim
-            if rtype != "shared_memory":
-                self._original(name, rtype)
-
-        resource_tracker.register = _register
-        return self
-
-    def __exit__(self, *exc_info):
-        self._module.register = self._original
-        return False
-
-
-@dataclass(frozen=True)
-class ArenaSpec:
-    """Picklable descriptor a worker needs to attach an arena.
-
-    Attributes
-    ----------
-    name:
-        The shared-memory segment name.
-    channels:
-        All channel names, in tensor row order (feature channels first,
-        then ``decisions``, ``actions``, ``user_rates``).
-    feature_channels:
-        The population's public-feature channel names (the prefix of
-        ``channels`` the workers write during ``begin_step``).
-    num_users, num_workers:
-        Tensor row width and scalar-table height.
-    """
-
-    name: str
-    channels: Tuple[str, ...]
-    feature_channels: Tuple[str, ...]
-    num_users: int
-    num_workers: int
-
-
-class SharedMemoryArena:
-    """One pool's shared tensor: channel rows plus per-worker scalars."""
-
-    def __init__(self, spec: ArenaSpec, shm, owner: bool) -> None:
-        self.spec = spec
-        self._shm = shm
-        self._owner = owner
-        self._closed = False
-        self._unlinked = False
-        tensor_items = len(spec.channels) * spec.num_users
-        buffer = shm.buf
-        self._tensor = np.frombuffer(
-            buffer, dtype=np.float64, count=tensor_items
-        ).reshape(len(spec.channels), spec.num_users)
-        self._scalars = np.frombuffer(
-            buffer,
-            dtype=np.float64,
-            count=spec.num_workers * _SCALAR_SLOTS,
-            offset=tensor_items * 8,
-        ).reshape(spec.num_workers, _SCALAR_SLOTS)
-        self._index: Dict[str, int] = {
-            channel: row for row, channel in enumerate(spec.channels)
-        }
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        feature_channels: Sequence[str],
-        num_users: int,
-        num_workers: int,
-    ) -> "SharedMemoryArena":
-        """Allocate a fresh arena (orchestrator side; owns the segment)."""
-        if num_users <= 0:
-            raise ValueError("num_users must be positive")
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        features = tuple(str(name) for name in feature_channels)
-        reserved = ("decisions", "actions", "user_rates")
-        overlap = set(features) & set(reserved)
-        if overlap:
-            raise ValueError(
-                f"feature channels collide with reserved names: {sorted(overlap)}"
-            )
-        channels = features + reserved
-        size = (len(channels) * num_users + num_workers * _SCALAR_SLOTS) * 8
-        name = f"{SEGMENT_PREFIX}{os.getpid():x}-{secrets.token_hex(4)}"
-        shm = _shared_memory().SharedMemory(name=name, create=True, size=size)
-        spec = ArenaSpec(
-            name=name,
-            channels=channels,
-            feature_channels=features,
-            num_users=int(num_users),
-            num_workers=int(num_workers),
-        )
-        arena = cls(spec, shm, owner=True)
-        arena._tensor.fill(0.0)
-        arena._scalars.fill(0.0)
-        return arena
-
-    @classmethod
-    def attach(cls, spec: ArenaSpec) -> "SharedMemoryArena":
-        """Map an existing arena (worker side; never unlinks)."""
-        with _suppress_tracker_registration():
-            shm = _shared_memory().SharedMemory(name=spec.name)
-        return cls(spec, shm, owner=False)
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-
-    @property
-    def feature_channels(self) -> Tuple[str, ...]:
-        """Return the population's feature channel names."""
-        return self.spec.feature_channels
-
-    def write_channel(self, channel: str, lo: int, hi: int, values) -> None:
-        """Write ``values`` into rows ``[lo, hi)`` of a channel in place."""
-        self._tensor[self._index[channel], lo:hi] = np.asarray(
-            values, dtype=float
-        ).ravel()
-
-    def read_channel(self, channel: str) -> np.ndarray:
-        """Return a *copy* of a whole channel row.
-
-        Copying at the transport edge keeps the orchestrator's arrays
-        independent of the workers' next-step writes — one memcpy instead
-        of a pickle round-trip, and bit-identical values either way.
-        """
-        return self._tensor[self._index[channel]].copy()
-
-    def read_channel_slice(self, channel: str, lo: int, hi: int) -> np.ndarray:
-        """Return a copy of rows ``[lo, hi)`` of a channel."""
-        return self._tensor[self._index[channel], lo:hi].copy()
-
-    def write_scalars(self, worker: int, offers: float, repayments: float) -> None:
-        """Record one worker's step totals in its scalar row."""
-        self._scalars[worker, 0] = float(offers)
-        self._scalars[worker, 1] = float(repayments)
-
-    def scalar_totals(self) -> Tuple[float, float]:
-        """Sum the per-worker scalar rows in worker order.
-
-        Plain Python float accumulation in ascending worker order — the
-        exact summation the pickled transport performed over the gathered
-        responses, so the pooled portfolio rate is unchanged bit for bit.
-        """
-        offers = sum(float(value) for value in self._scalars[:, 0])
-        repayments = sum(float(value) for value in self._scalars[:, 1])
-        return offers, repayments
-
-    def per_step_bytes(self) -> int:
-        """Return the bytes exchanged through the arena in one loop step.
-
-        Feature channels are written by workers and read back once, the
-        decision row is written once and read by workers, the action/rate
-        rows are written by workers and read back once; the scalar table
-        moves once.  Counted single-direction (the number of payload bytes
-        that previously crossed the executor pipes as pickles).
-        """
-        rows = len(self.spec.channels)
-        return (
-            rows * self.spec.num_users + self.spec.num_workers * _SCALAR_SLOTS
-        ) * 8
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        # Release the numpy views before closing the mmap, or BufferError.
-        self._tensor = None
-        self._scalars = None
-        try:
-            self._shm.close()
-        except Exception:
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (owner only; idempotent)."""
-        if self._unlinked or not self._owner:
-            return
-        self._unlinked = True
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    def destroy(self) -> None:
-        """Close and (for the owner) unlink; safe to call repeatedly."""
-        self.close()
-        self.unlink()
+#: Name prefix of the segments the retired shard pool created.
+_SEGMENT_PREFIX = "repro-shm-"
 
 
 def live_segments() -> Tuple[str, ...]:
-    """Return the names of this module's segments currently in ``/dev/shm``.
+    """Return the names of ``/dev/shm`` entries with the shard pool's prefix.
 
-    The chaos suite's leak oracle: compared before/after injected worker
-    kills, pool rebuilds and serial fallbacks.  Returns an empty tuple on
-    platforms without a ``/dev/shm`` (the arena itself still works there;
-    only this introspection is POSIX-specific).
+    Nothing in the package creates one any more, so a name listed here was
+    left behind by another process.  Returns an empty tuple on platforms
+    without a ``/dev/shm``.
     """
     try:
         entries = os.listdir("/dev/shm")
     except OSError:
         return ()
-    return tuple(sorted(name for name in entries if name.startswith(SEGMENT_PREFIX)))
-
-
-# ----------------------------------------------------------------------
-# Transport metering (bench/test instrumentation; off by default)
-# ----------------------------------------------------------------------
+    return tuple(sorted(name for name in entries if name.startswith(_SEGMENT_PREFIX)))
 
 
 class TransportMeter:
-    """Counts the bytes the pooled shard path moves, by transport kind.
-
-    ``pickled_bytes`` counts payloads serialized through the executor pipes
-    (measured with real ``pickle.dumps`` sizes); ``shared_bytes`` counts
-    bytes exchanged through the arena tensor.  ``steps`` counts the loop
-    steps metered, so benches can report per-step figures.  Metering is
-    orchestrator-side only and costs nothing unless a meter is installed.
-    """
-
-    def __init__(self) -> None:
-        self.pickled_bytes = 0
-        self.shared_bytes = 0
-        self.steps = 0
-
-    def add_pickled(self, nbytes: int) -> None:
-        self.pickled_bytes += int(nbytes)
-
-    def add_shared(self, nbytes: int) -> None:
-        self.shared_bytes += int(nbytes)
-
-    def note_step(self) -> None:
-        self.steps += 1
+    """Per-step bytes moved between processes: none, so both figures are 0."""
 
     def per_step_pickled(self) -> float:
-        """Return the average pickled payload bytes per metered step."""
-        return self.pickled_bytes / self.steps if self.steps else 0.0
+        """Return the pickled payload bytes per loop step."""
+        return 0.0
 
     def per_step_shared(self) -> float:
-        """Return the average shared-memory bytes per metered step."""
-        return self.shared_bytes / self.steps if self.steps else 0.0
-
-
-_METER: Optional[TransportMeter] = None
+        """Return the shared-memory bytes per loop step."""
+        return 0.0
 
 
 def set_transport_meter(meter: Optional[TransportMeter]) -> None:
-    """Install (or clear, with ``None``) the process-wide transport meter."""
-    global _METER
-    _METER = meter
-
-
-def transport_meter() -> Optional[TransportMeter]:
-    """Return the installed transport meter, if any."""
-    return _METER
+    """Accept a meter (or ``None``); no transport reports to it."""

@@ -35,13 +35,12 @@ contiguous, so numpy reduces it with SIMD pairwise blocking instead; group
 means of a one-step run can therefore differ from the full path in the
 last ulp.  Every real simulation spans many steps.)
 
-Sharding note: :meth:`StreamingAggregator.merge` combines two aggregators
-that observed *disjoint user shards* of the same simulation.  Integer-like
-cumulative state (offers, repayments, counts, minima/maxima) merges
-exactly; the floating-point group sums merge as ``sum_a + sum_b``, which
-differs from the single-stream sequential fold by at most the usual
-last-ulp reassociation error (the property suite asserts exactness for
-dyadic inputs and tight agreement in general).
+Sharding note: the lockstep kernel splits the users into chunks of whole
+canonical shards on threads, but its chunks only update the elementwise
+per-user state and count the integer rate histograms, which are exact
+under any split (:meth:`BatchedStreamingAggregator.update`).  Every sum
+whose value depends on the order of its terms runs once over the whole
+row, so the sequential fold order above holds under any thread count.
 """
 
 from __future__ import annotations
@@ -241,7 +240,7 @@ class StreamingAggregator(_FoldedGroups):
     Parameters
     ----------
     num_users:
-        Number of users in the (shard of the) population.
+        Number of users in the population.
     groups:
         Optional partition: mapping from group key (e.g. a
         :class:`~repro.data.census.Race`) to the strictly increasing user
@@ -515,18 +514,16 @@ class StreamingAggregator(_FoldedGroups):
         return self._rate_low_counts[: self._num_steps].copy()
 
     # ------------------------------------------------------------------
-    # Sharding
+    # State
     # ------------------------------------------------------------------
 
     def export_state(self) -> Dict[str, object]:
         """Return a picklable snapshot of the aggregator's running state.
 
-        The snapshot is what a sharded runner ships between workers: the
-        per-user cumulative vectors, the per-step series (trimmed to the
-        filled rows) and the group partition.  ``merge`` consumes two live
-        aggregators; the ``export_state``/:meth:`from_state` pair exists so
-        transports that cannot pickle the object itself can still move the
-        state around.
+        The per-user cumulative vectors, the per-step series (trimmed to
+        the filled rows) and the group partition: everything
+        :meth:`from_state` needs to rebuild a live aggregator (the batched
+        aggregator hands out per-trial aggregators this way).
         """
         filled = self._num_steps
         return {
@@ -564,7 +561,7 @@ class StreamingAggregator(_FoldedGroups):
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "StreamingAggregator":
-        """Rebuild a live (mergeable, updatable) aggregator from a snapshot."""
+        """Rebuild a live (updatable) aggregator from a snapshot."""
         aggregator = cls(
             int(state["num_users"]),
             groups=state["groups"],  # type: ignore[arg-type]
@@ -628,104 +625,6 @@ class StreamingAggregator(_FoldedGroups):
                     )
                 getattr(aggregator, attribute)[group_key][:filled] = value
         return aggregator
-
-    def merge(self, other: "StreamingAggregator") -> "StreamingAggregator":
-        """Merge two aggregators that observed disjoint user shards.
-
-        Both shards must have aggregated the same number of steps with the
-        same group keys and prior rate; ``other``'s users are appended
-        after ``self``'s (its group indices are shifted by
-        ``self.num_users``).  Cumulative per-user state, counts and
-        minima/maxima merge exactly; the floating-point group sums merge
-        as ``sum_a + sum_b``, which can differ from a single concatenated
-        stream's sequential fold in the last ulp.
-        """
-        if not isinstance(other, StreamingAggregator):
-            raise TypeError("can only merge with another StreamingAggregator")
-        if self._num_steps != other._num_steps:
-            raise ValueError(
-                "cannot merge aggregators with different step counts "
-                f"({self._num_steps} != {other._num_steps})"
-            )
-        if self._prior_rate != other._prior_rate:
-            raise ValueError("cannot merge aggregators with different prior rates")
-        if tuple(self._groups) != tuple(other._groups):
-            raise ValueError("cannot merge aggregators with different group keys")
-        if self._rate_bins != other._rate_bins:
-            raise ValueError(
-                "cannot merge aggregators with different histogram binnings"
-            )
-        merged_groups = {
-            key: np.concatenate(
-                [self._groups[key], other._groups[key] + self._num_users]
-            )
-            for key in self._groups
-        }
-        merged = StreamingAggregator(
-            self._num_users + other._num_users,
-            groups=merged_groups,
-            prior_rate=self._prior_rate,
-            rate_bins=self._rate_bins,
-        )
-        filled = self._num_steps
-        while merged._capacity < filled:
-            merged._grow()
-        merged._num_steps = filled
-        merged._offers_cum = np.concatenate([self._offers_cum, other._offers_cum])
-        merged._repayments_cum = np.concatenate(
-            [self._repayments_cum, other._repayments_cum]
-        )
-        merged._actions_cum = np.concatenate([self._actions_cum, other._actions_cum])
-        merged._decision_sums[:filled] = (
-            self._decision_sums[:filled] + other._decision_sums[:filled]
-        )
-        total_users = merged._num_users
-        merged._approvals[:filled] = merged._decision_sums[:filled] / total_users
-        merged._offers_totals[:filled] = (
-            self._offers_totals[:filled] + other._offers_totals[:filled]
-        )
-        merged._repayments_totals[:filled] = (
-            self._repayments_totals[:filled] + other._repayments_totals[:filled]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            merged._portfolio[:filled] = np.where(
-                merged._offers_totals[:filled] == 0,
-                self._prior_rate,
-                1.0
-                - merged._repayments_totals[:filled]
-                / np.maximum(merged._offers_totals[:filled], 1e-300),
-            )
-        merged._rate_sums[:filled] = self._rate_sums[:filled] + other._rate_sums[:filled]
-        merged._rate_sumsqs[:filled] = (
-            self._rate_sumsqs[:filled] + other._rate_sumsqs[:filled]
-        )
-        merged._rate_mins[:filled] = np.minimum(
-            self._rate_mins[:filled], other._rate_mins[:filled]
-        )
-        merged._rate_maxs[:filled] = np.maximum(
-            self._rate_maxs[:filled], other._rate_maxs[:filled]
-        )
-        # Histogram and threshold counts are integers: pooling is exact.
-        merged._rate_hist[:filled] = (
-            self._rate_hist[:filled] + other._rate_hist[:filled]
-        )
-        merged._rate_low_counts[:filled] = (
-            self._rate_low_counts[:filled] + other._rate_low_counts[:filled]
-        )
-        for key in self._groups:
-            merged._group_rate_sums[key][:filled] = (
-                self._group_rate_sums[key][:filled]
-                + other._group_rate_sums[key][:filled]
-            )
-            merged._group_action_sums[key][:filled] = (
-                self._group_action_sums[key][:filled]
-                + other._group_action_sums[key][:filled]
-            )
-            merged._group_decision_sums[key][:filled] = (
-                self._group_decision_sums[key][:filled]
-                + other._group_decision_sums[key][:filled]
-            )
-        return merged
 
 
 class BatchedStreamingAggregator(_FoldedGroups):

@@ -1,17 +1,17 @@
 """Supervised worker-pool execution: timeouts, retries, backoff, teardown.
 
-Both pooled execution layers (the intra-trial shard pool in
-:mod:`repro.core.loop` and the trial pool in
-:mod:`repro.experiments.runner`) share one failure model: a worker can
+Two supervised process pools are left: the trial pool in
+:mod:`repro.experiments.runner` and the campaign job pool in
+:mod:`repro.campaign.runner`.  They share one failure model: a worker can
 *die* (OOM kill, SIGKILL — surfaces as ``BrokenProcessPool``), *hang*
 (surfaces as a future that never completes), or *raise*.  The supervisor
-contract is the same in both layers:
+contract is the same in both pools:
 
 1. every gather goes through a deadline so a hung worker becomes a
    detected failure instead of a stuck experiment;
 2. a detected failure is retried — after an exponential backoff — from the
-   last consistent snapshot (a checkpoint boundary, or the start of the
-   unit of work), with the broken pool torn down and rebuilt;
+   last consistent snapshot (a trial's checkpoint boundary, or the start
+   of the unit of work), with the broken pool torn down and rebuilt;
 3. when the retry budget is exhausted the work degrades to the
    bit-identical serial path with a structured :class:`RuntimeWarning`,
    never a crashed experiment.
@@ -31,7 +31,6 @@ __all__ = [
     "SupervisorPolicy",
     "WorkerPoolFailure",
     "kill_executor",
-    "release_resources",
 ]
 
 #: Upper bound on how long :func:`kill_executor` waits for terminated
@@ -61,10 +60,9 @@ class SupervisorPolicy:
     timeout:
         Liveness deadline in seconds for worker futures.  ``None`` (the
         default) waits forever — hung-worker detection is opt-in because a
-        correct deadline is workload-dependent.  The shard pool applies it
-        per gathered step-phase; the trial pool treats it as "some trial
-        must complete within this window" and resets it on every
-        completion, so it bounds *stall*, not total runtime.
+        correct deadline is workload-dependent.  Both pools treat it as
+        "some unit of work must complete within this window" and reset it
+        on every completion, so it bounds *stall*, not total runtime.
     backoff_base, backoff_factor, backoff_max:
         Exponential backoff between retries: attempt ``n`` sleeps
         ``min(backoff_base * backoff_factor**(n-1), backoff_max)`` seconds.
@@ -132,27 +130,3 @@ def kill_executor(executor) -> None:
         # The management thread joins every worker once it sees the pool
         # break or shut down, then exits.
         manager.join(_REAP_TIMEOUT_S)
-
-
-def release_resources(*resources) -> None:
-    """Best-effort ``destroy()``/``close()`` of pool-owned resources.
-
-    Supervised teardown must release OS-level resources (shared-memory
-    arenas, open stores) on *every* exit route — including ones reached
-    because something else is already failing — so release failures are
-    swallowed: cleanup can never mask the original error.  ``None``
-    entries are skipped, letting callers pass optional resources straight
-    through.
-    """
-    for resource in resources:
-        if resource is None:
-            continue
-        closer = getattr(resource, "destroy", None) or getattr(
-            resource, "close", None
-        )
-        if closer is None:
-            continue
-        try:
-            closer()
-        except Exception:  # pragma: no cover - cleanup must not mask errors
-            pass

@@ -127,8 +127,8 @@ class DefaultRateTracker:
         """Return a picklable snapshot of the tracker's cumulative state.
 
         The snapshot contains everything needed to reconstruct the tracker
-        with :meth:`from_state` — the hook a sharded runner uses to ship
-        per-shard filter state between workers.
+        with :meth:`from_state` — the hook step snapshots and the lockstep
+        kernel's per-trial trackers use.
         """
         return {
             "num_users": self._num_users,
@@ -152,33 +152,6 @@ class DefaultRateTracker:
         tracker._repayments = repayments.copy()
         tracker._steps_recorded = int(state["steps_recorded"])
         return tracker
-
-    def merge(self, other: "DefaultRateTracker") -> "DefaultRateTracker":
-        """Merge two trackers that observed disjoint user shards.
-
-        The shards must have recorded the same number of steps with the
-        same prior rate; ``other``'s users are appended after ``self``'s.
-        Offers and repayments are small integer counts, so the merged
-        tracker's rates are exactly those of an unsharded tracker over the
-        concatenated population.  This is the mergeability the ROADMAP's
-        sharded-population runner requires of the loop filter.
-        """
-        if not isinstance(other, DefaultRateTracker):
-            raise TypeError("can only merge with another DefaultRateTracker")
-        if self._steps_recorded != other._steps_recorded:
-            raise ValueError(
-                "cannot merge trackers with different step counts "
-                f"({self._steps_recorded} != {other._steps_recorded})"
-            )
-        if self._prior_rate != other._prior_rate:
-            raise ValueError("cannot merge trackers with different prior rates")
-        merged = DefaultRateTracker(
-            self._num_users + other._num_users, prior_rate=self._prior_rate
-        )
-        merged._offers = np.concatenate([self._offers, other._offers])
-        merged._repayments = np.concatenate([self._repayments, other._repayments])
-        merged._steps_recorded = self._steps_recorded
-        return merged
 
     def user_rates(self) -> np.ndarray:
         """Return ``ADR_i(k)`` for every user at the current step."""

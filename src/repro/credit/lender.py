@@ -255,10 +255,10 @@ class Lender:
         )
 
     def retrain_from_suffstats(self, table: CompressedDesign) -> Scorecard:
-        """Refit from a pre-aggregated count table (sharded retraining).
+        """Refit from a pre-aggregated count table (chunked retraining).
 
-        The sharded closed-loop runner builds one
-        :class:`~repro.scoring.suffstats.CompressedDesign` per worker shard
+        The lockstep kernel builds one
+        :class:`~repro.scoring.suffstats.CompressedDesign` per thread chunk
         and merges them by exact integer addition; this entry point runs the
         tiny O(unique rows) central fit on the merged table.  The degenerate
         cases mirror :meth:`retrain`'s `offered` handling: a table with

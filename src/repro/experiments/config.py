@@ -7,7 +7,7 @@ trials.  The defaults reproduce the paper exactly; benchmarks and tests use
 scaled-down copies via :meth:`CaseStudyConfig.scaled`.
 
 The same dataclass carries how a run executes — the ``execution`` layout,
-its worker and shard hints, and the checkpoint knobs.  It is the run's only
+its worker cap, and the checkpoint knobs.  It is the run's only
 configuration: the runners take no per-call overrides of its fields, so a
 variant is ``dataclasses.replace(config, execution="pool", max_workers=2)``.
 """
@@ -97,34 +97,27 @@ class CaseStudyConfig:
         Worker cap of the trial pool, and of the lockstep kernel's threads
         under a ``batch`` plan (``None`` sizes both from the usable core
         count).
-    num_shards:
-        Worker-count hint for the intra-trial shard pool (``execution``
-        ``"shard"``, or ``"auto"`` when it composes pooled trials with
-        sharded users); the default ``1`` leaves the count to the planner.
-        The random schedule depends only on the population's canonical
-        shard partition (:class:`~repro.core.sharding.ShardPlan`), never
-        on this worker count, so every value yields bit-identical
-        trajectories.
     retrain_mode:
         Yearly refit strategy of the scorecard lender: ``"exact"``
         (default) runs the row-level IRLS on every user, reproducing the
         paper bit for bit; ``"compressed"`` deduplicates the degenerate
         ``(income code, previous rate, label)`` training set into a
         :class:`~repro.scoring.suffstats.CompressedDesign` count table so
-        each IRLS iteration costs O(unique rows) instead of O(users) — in
-        the pooled sharded path the tables are built per worker shard and
-        merged by exact integer addition, removing the refit's O(users)
-        central scan.  Compressed coefficients agree with exact to solver
-        tolerance; the equivalence suite pins identical decision vectors at
-        paper scale.
+        each IRLS iteration costs O(unique rows) instead of O(users) — the
+        lockstep kernel builds the tables per thread chunk and merges them
+        by exact integer addition.  Compressed coefficients agree with
+        exact to solver tolerance; the equivalence suite pins identical
+        decision vectors at paper scale.
     warm_start:
         Seed each yearly refit's Newton iteration at the previous year's
         parameters.  Opt-in (changes the iteration path, not the optimum),
         so it stays off the bit-exact reproduction path.
     checkpoint_dir:
-        Directory holding per-trial snapshots and completed-trial results.
-        Required (and only consulted) when ``checkpoint_every`` or
-        ``resume`` is set.
+        Directory holding per-trial step snapshots and completed-trial
+        results.  Required when ``checkpoint_every`` or ``resume`` is
+        set.  Whenever it is set, ``run_experiment`` saves every completed
+        trial's result there, under every ``execution`` mode, so a later
+        ``resume`` skips that trial.
     checkpoint_every:
         Snapshot each trial's full loop state every this many steps,
         written crash-consistently (see :mod:`repro.core.checkpoint`).
@@ -144,15 +137,16 @@ class CaseStudyConfig:
         (:func:`~repro.core.planner.plan_execution`): ``"serial"``
         (default) runs each trial in process on the serial loop,
         ``"batch"`` runs every trial in lockstep on the tensor kernel
-        (:class:`~repro.experiments.batch.BatchedTrialRunner`), ``"pool"``
-        runs trials on a process pool, ``"shard"`` spreads each trial's
-        users over a worker pool, and ``"auto"`` inspects (``cpu_count``,
-        trials, users, steps, checkpoint knobs) and may *compose* layouts
-        (pooled trials × sharded users).  Every layout is bit-identical,
-        so this is purely a performance choice — and it is excluded from
-        checkpoint fingerprints, so a run checkpointed under one plan
-        resumes under another (e.g. ``"auto"`` on a host with a different
-        core count).
+        (:class:`~repro.experiments.batch.BatchedTrialRunner`), whose
+        threads spread each trial's users over the usable cores,
+        ``"pool"`` runs trials on a process pool, and ``"auto"`` inspects
+        (``cpu_count``, trials, users, steps, checkpoint knobs) and picks
+        one of them.  ``"shard"`` is a second name for ``"batch"``, kept
+        for the benchmark harness until its next change.  Every layout is
+        bit-identical, so this is purely a performance choice — and it is
+        excluded from checkpoint fingerprints, so a run checkpointed under
+        one plan resumes under another (e.g. ``"auto"`` on a host with a
+        different core count).
     """
 
     num_users: int = 1000
@@ -170,7 +164,6 @@ class CaseStudyConfig:
     seed: int = 20240101
     history_mode: str = "full"
     max_workers: int | None = None
-    num_shards: int = 1
     retrain_mode: str = "exact"
     warm_start: bool = False
     checkpoint_dir: str | None = None
@@ -195,7 +188,6 @@ class CaseStudyConfig:
             raise ValueError("warm_up_rounds must be non-negative")
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError("max_workers must be positive when given")
-        require_positive(self.num_shards, "num_shards")
         validate_checkpoint_settings(
             self.checkpoint_dir, self.checkpoint_every, self.resume
         )

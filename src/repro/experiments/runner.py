@@ -21,8 +21,11 @@ and executes it:
 * ``pool`` runs trials on a supervised process pool (the trial body is
   numpy-crunching Python that holds the GIL, so threads could not overlap
   it); inputs that cannot be pickled, or trials past the pool's retry
-  budget, run on the serial loop instead;
-* ``shard`` spreads each trial's users over a worker pool.
+  budget, run on the serial loop instead.
+
+The lockstep kernel is the one layout that spreads a trial's users over
+cores: its per-user phases run on threads, one chunk of whole canonical
+shards each.  (``shard`` is a second name for ``batch``.)
 
 Trials are embarrassingly parallel: trial ``t`` seeds its own generator via
 ``derive_seed(config.seed, "trial", t)``, so no random state is shared and
@@ -336,12 +339,12 @@ def trajectory_fingerprint_fields(config: CaseStudyConfig) -> Tuple[object, ...]
 
     The single source of truth for "what defines the result": population
     shape and race mix, the calendar window, mortgage and model knobs, the
-    master seed, and the recording mode.  Execution layout (shards, pools,
-    batching, worker caps, checkpoint plumbing) is deliberately
-    excluded — every layout is bit-identical by construction — so both the
-    per-trial checkpoint fingerprints and the campaign result cache
-    (:mod:`repro.campaign.cache`) key on exactly these fields, and an entry
-    written under one layout is valid under every other.
+    master seed, and the recording mode.  Execution layout (pools,
+    batching, kernel threads, worker caps, checkpoint plumbing) is
+    deliberately excluded — every layout is bit-identical by construction —
+    so both the per-trial checkpoint fingerprints and the campaign result
+    cache (:mod:`repro.campaign.cache`) key on exactly these fields, and an
+    entry written under one layout is valid under every other.
 
     The field order is frozen: reordering or renaming would silently
     invalidate every persisted trial result and campaign cache entry.
@@ -385,11 +388,7 @@ def _plan(config: CaseStudyConfig, trials: int) -> ExecutionPlan:
     """Resolve ``config.execution`` for ``trials`` trials on this host.
 
     ``config.max_workers`` caps the trial pool and, under a ``batch``
-    plan, the lockstep kernel's threads.  A non-default
-    ``config.num_shards`` is the shard-count hint (the CLI lands
-    ``--shards`` there); the default ``1`` means "unset", so the planner
-    sizes the shard pool from the core count instead of pinning it to a
-    single worker.
+    plan, the lockstep kernel's threads.
     """
     return plan_execution(
         config.execution,
@@ -401,7 +400,6 @@ def _plan(config: CaseStudyConfig, trials: int) -> ExecutionPlan:
         checkpoint_every=config.checkpoint_every,
         resume=config.resume,
         max_workers=config.max_workers,
-        num_shards=config.num_shards if config.num_shards != 1 else None,
     )
 
 
@@ -411,28 +409,23 @@ def run_trial(
     policy_factory: PolicyFactory | None = None,
     terms: MortgageTerms | None = None,
     income_table: IncomeTable | None = None,
-    supervisor: SupervisorPolicy | None = None,
 ) -> TrialResult:
-    """Run one trial of the case study.
+    """Run one trial of the case study on the serial loop.
 
     Parameters
     ----------
     config:
-        The case-study configuration.  Its ``execution`` is planned for
-        this one trial (:func:`~repro.core.planner.plan_execution` with
-        ``trials=1``): ``"shard"`` spreads the trial's users over a worker
-        pool; every other plan runs the trial in process on the serial
-        loop — ``"pool"`` has nothing to pool over one trial, and a
-        ``"batch"`` plan (which ``"auto"`` picks) computes the same bits
-        as the lockstep kernel at ``T = 1``.  With ``checkpoint_every >
-        0`` the trial's loop state is snapshotted crash-consistently into
-        ``checkpoint_dir`` every that many steps; with ``resume`` the
-        trial restores from its latest intact snapshot
+        The case-study configuration.  Its ``execution`` does not change
+        how one trial runs: every value runs it in process on the serial
+        loop, which computes the same bits as the lockstep kernel at
+        ``T = 1`` (``"pool"`` has nothing to pool over one trial).  With
+        ``checkpoint_every > 0`` the trial's loop state is snapshotted
+        crash-consistently into ``checkpoint_dir`` every that many steps;
+        with ``resume`` the trial restores from its latest intact snapshot
         (fingerprint-checked against this configuration) and continues —
         bit-identically, because the random streams are stateless per
-        ``(trial, shard, step)``.  The plan is excluded from the
-        fingerprint, so resuming under a different plan (or
-        ``cpu_count``) replays the same trajectory.
+        ``(trial, shard, step)``.  The layout is excluded from the
+        fingerprint, so a snapshot written by any layout resumes here.
     trial_index:
         Index of the trial; it seeds the trial's independent random stream.
     policy_factory:
@@ -442,34 +435,7 @@ def run_trial(
         Mortgage terms override (defaults to the configuration's terms).
     income_table:
         Income-table override (defaults to the embedded synthetic table).
-    supervisor:
-        :class:`~repro.core.supervision.SupervisorPolicy` for the pooled
-        shard path (``None`` applies the defaults): worker death, hangs
-        and raises are retried from the last checkpoint boundary with
-        exponential backoff, then degrade to the bit-identical serial
-        path.
     """
-    return _run_planned_trial(
-        config,
-        _plan(config, trials=1),
-        trial_index,
-        policy_factory,
-        terms,
-        income_table,
-        supervisor,
-    )
-
-
-def _run_planned_trial(
-    config: CaseStudyConfig,
-    plan: ExecutionPlan,
-    trial_index: int,
-    policy_factory: PolicyFactory | None,
-    terms: MortgageTerms | None,
-    income_table: IncomeTable | None,
-    supervisor: SupervisorPolicy | None,
-) -> TrialResult:
-    """Run one trial on the serial loop, sharded as ``plan`` says."""
     factory = policy_factory or default_policy_factory
     trial_seed = derive_seed(config.seed, "trial", trial_index)
     rng = np.random.default_rng(trial_seed)
@@ -514,11 +480,10 @@ def _run_planned_trial(
             history = loop.restore_snapshot(payload)
     remaining = config.num_steps - (0 if history is None else history.num_steps)
     # The trial seed itself is the base of the shard streams (the
-    # population generation above consumed an unrelated generator); an
-    # integer base is what lets pooled workers re-derive any shard's stream
-    # without shipping generator state.  A resumed trial passes rng=None
-    # instead: the loop then reuses the restored base, replaying the
-    # uninterrupted schedule exactly.
+    # population generation above consumed an unrelated generator), the
+    # same base the lockstep kernel derives every shard's stream from.  A
+    # resumed trial passes rng=None instead: the loop then reuses the
+    # restored base, replaying the uninterrupted schedule exactly.
     if remaining > 0:
         mode = config.history_mode
         history = loop.run(
@@ -527,11 +492,7 @@ def _run_planned_trial(
             history=history,
             history_mode=mode,
             groups=population.groups if mode == "aggregate" else None,
-            num_shards=plan.num_shards,
-            shard_parallel=plan.shard_parallel,
-            retrain_mode=config.retrain_mode,
             checkpoint=checkpoint,
-            supervisor=supervisor,
         )
     return _trial_result_from_history(config, history, population)
 
@@ -564,22 +525,18 @@ def _trial_result_from_history(
 def _run_trial_task(
     payload: Tuple[
         CaseStudyConfig,
-        ExecutionPlan,
         int,
         PolicyFactory | None,
         MortgageTerms | None,
         IncomeTable | None,
-        SupervisorPolicy | None,
     ]
 ) -> TrialResult:
     """Executor entry point: run one trial from a pickled argument tuple."""
-    config, plan, trial_index, policy_factory, terms, income_table, supervisor = payload
+    config, trial_index, policy_factory, terms, income_table = payload
     # Chaos-suite hook: lets a test deterministically kill/hang/fail this
     # trial's worker to exercise the supervised trial pool.
     _fire_fault("trial_worker", trial=trial_index)
-    return _run_planned_trial(
-        config, plan, trial_index, policy_factory, terms, income_table, supervisor
-    )
+    return run_trial(config, trial_index, policy_factory, terms, income_table)
 
 
 def _trial_result_path(directory: str, trial_index: int) -> Path:
@@ -733,17 +690,17 @@ def run_experiment(
         The case-study configuration.  Its ``execution`` is resolved by
         :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
         trials, users, steps, history/retrain modes, checkpoint knobs),
-        with ``max_workers`` and ``num_shards`` as hints.  ``"auto"`` may
-        compose layouts (pooled trials × sharded users on hosts with spare
-        cores); when it runs the trials in process without checkpointing
-        (one trial on any host, several on one core) it picks the lockstep
-        kernel, which requires 0/1 decisions — run a policy with other
-        decisions under ``"serial"``, whose filter truncates them to
-        integers.  Every plan is bit-identical to serial, so the plan can
-        never change a result — only its wall clock.  With checkpointing
-        on, each running trial snapshots its loop state every
-        ``checkpoint_every`` steps and each *completed* trial persists its
-        result to ``checkpoint_dir``; with ``resume`` the experiment skips
+        with ``max_workers`` as a cap.  ``"auto"`` pools several trials on
+        several cores; when it runs the trials in process without
+        checkpointing (one trial on any host, several on one core) it
+        picks the lockstep kernel, which requires 0/1 decisions — run a
+        policy with other decisions under ``"serial"``, whose filter
+        truncates them to integers.  Every plan is bit-identical to
+        serial, so the plan can never change a result — only its wall
+        clock.  With ``checkpoint_dir`` set, each *completed* trial
+        persists its result there under every plan; with checkpointing
+        on, each running trial also snapshots its loop state every
+        ``checkpoint_every`` steps; with ``resume`` the experiment skips
         trials whose results are already on disk and continues interrupted
         trials from their latest intact snapshot — all bit-identical to
         the uninterrupted experiment.  See :func:`run_trial`.
@@ -760,11 +717,11 @@ def run_experiment(
         (``trials``, ``stacked_user_series``) are then unavailable.
     supervisor:
         :class:`~repro.core.supervision.SupervisorPolicy` governing the
-        pooled execution paths: worker death, hangs (with
-        ``supervisor.timeout``) and raises are detected, lost trials are
-        re-run on a rebuilt pool with exponential backoff, and work past
-        the retry budget degrades to the bit-identical serial path with a
-        :class:`RuntimeWarning` instead of crashing the experiment.
+        trial pool: worker death, hangs (with ``supervisor.timeout``) and
+        raises are detected, lost trials are re-run on a rebuilt pool with
+        exponential backoff, and trials past the retry budget degrade to
+        the bit-identical serial path with a :class:`RuntimeWarning`
+        instead of crashing the experiment.
     """
     return _run_planned_experiment(
         config,
@@ -790,11 +747,21 @@ def _run_planned_experiment(
 
     :func:`run_experiment` plans against this host's cores; a campaign job
     hands in the plan for its own share of them.  The plan is executed as
-    given, never re-planned — trial-pool workers take their shard settings
-    from it too.
+    given, never re-planned.  Every layout hands its completed trials to
+    the same ``finish``, so with ``checkpoint_dir`` set each one's result
+    is saved whichever layout computed it.
     """
     moments = GroupSeriesMoments()
     folder = _OrderedTrialFolder(moments, keep_trials)
+    ckpt_dir = config.checkpoint_dir
+
+    def finish(trial_index: int, trial: TrialResult) -> None:
+        if ckpt_dir is not None:
+            _write_trial_result(
+                ckpt_dir, trial_index, _trial_fingerprint(config, trial_index), trial
+            )
+        folder.add(trial_index, trial)
+
     if plan.trial_batch:
         runner = BatchedTrialRunner(
             config,
@@ -804,13 +771,12 @@ def _run_planned_experiment(
             threads=plan.max_workers or 1,
         )
         for trial_index, (history, population) in enumerate(runner.run()):
-            folder.add(
+            finish(
                 trial_index, _trial_result_from_history(config, history, population)
             )
         return ExperimentResult(
             config=config, trials=tuple(folder.trials), group_moments=moments
         )
-    ckpt_dir = config.checkpoint_dir
     pending: List[int] = []
     for trial_index in range(config.num_trials):
         loaded = None
@@ -828,13 +794,6 @@ def _run_planned_experiment(
         else:
             pending.append(trial_index)
 
-    def finish(trial_index: int, trial: TrialResult) -> None:
-        if ckpt_dir is not None:
-            _write_trial_result(
-                ckpt_dir, trial_index, _trial_fingerprint(config, trial_index), trial
-            )
-        folder.add(trial_index, trial)
-
     if plan.parallel and plan.max_workers > 1 and len(pending) > 1:
         pooled = _try_run_trials_in_processes(
             config, plan, pending, policy_factory, terms, income_table, supervisor
@@ -846,15 +805,7 @@ def _run_planned_experiment(
     for trial_index in pending:
         finish(
             trial_index,
-            _run_planned_trial(
-                config,
-                plan,
-                trial_index,
-                policy_factory,
-                terms,
-                income_table,
-                supervisor,
-            ),
+            run_trial(config, trial_index, policy_factory, terms, income_table),
         )
     return ExperimentResult(
         config=config, trials=tuple(folder.trials), group_moments=moments
@@ -908,12 +859,10 @@ def _try_run_trials_in_processes(
     def payload_for(trial_index: int) -> tuple:
         return (
             retry_config if attempts[trial_index] > 0 else config,
-            plan,
             trial_index,
             policy_factory,
             terms,
             income_table,
-            supervisor,
         )
 
     attempts: Dict[int, int] = {index: 0 for index in indices}
@@ -936,14 +885,8 @@ def _try_run_trials_in_processes(
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                results[trial_index] = _run_planned_trial(
-                    retry_config,
-                    plan,
-                    trial_index,
-                    policy_factory,
-                    terms,
-                    income_table,
-                    supervisor,
+                results[trial_index] = run_trial(
+                    retry_config, trial_index, policy_factory, terms, income_table
                 )
             waiting = [i for i in waiting if i not in results]
             if not waiting:

@@ -26,9 +26,9 @@ def clipped_default_rates(
     Values up to ``1e-9`` outside the interval are tolerated (float noise
     from upstream aggregation) and clipped exactly onto it; anything
     further out raises.  Every retraining route — the row-level design
-    matrix, the lender's compressed path and the sharded workers' count
-    tables — shares this one definition, so serial and pooled runs can
-    never disagree on which rates are acceptable.  ``out``, when given,
+    matrix, the lender's compressed path and the lockstep kernel's
+    per-chunk count tables — shares this one definition, so serial and
+    batched runs can never disagree on which rates are acceptable.  ``out``, when given,
     receives the clipped rates.
     """
     rates = np.asarray(previous_default_rates, dtype=float)

@@ -25,9 +25,9 @@ is independent of the input permutation.
 Count tables are also *shard-mergeable*: the multiplicities are ``int64``
 counts, so merging per-shard tables by exact integer addition reproduces the
 whole-population table bit for bit (:meth:`CompressedDesign.merge` /
-:func:`merge_tables`).  The sharded closed-loop runner uses this to move the
-per-year refit's O(users) scan onto the workers, leaving only a tiny
-O(unique rows) central fit.
+:func:`merge_tables`).  The lockstep kernel uses this to build each thread
+chunk's table next to its users, leaving only a tiny O(unique rows) merge
+and fit on the calling thread.
 """
 
 from __future__ import annotations

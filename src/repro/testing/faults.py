@@ -1,6 +1,6 @@
 """Deterministic fault injection for the fault-tolerance chaos suite.
 
-The execution layer (serial loop, shard worker pool, trial worker pool,
+The execution layer (serial loop, trial worker pool, campaign job pool,
 checkpoint writer) calls :func:`fire` at well-known *sites*.  When no plan
 is installed the hook is a single module-global check — production runs pay
 nothing.  A test installs a plan of :class:`FaultSpec` entries, each naming
@@ -22,8 +22,8 @@ call then *deterministically* injects one of four failure kinds:
 
 Plans travel to pool workers through the ``REPRO_FAULTS`` environment
 variable (a JSON document; worker processes inherit the parent's
-environment), so a single test can arrange for e.g. *shard worker 1 to die
-at step 3 of the run* without cooperating code in the worker.
+environment), so a single test can arrange for e.g. *the worker running
+trial 1 to die* without cooperating code in the worker.
 
 ``once`` semantics (the default) arm a fault for exactly one firing *across
 processes*: before executing, the harness claims a marker file in the
@@ -241,12 +241,11 @@ def fire(
     """Fire any armed fault matching ``site`` and the given coordinates.
 
     The known sites are ``"loop_step"`` (serial loop, per step),
-    ``"shard_worker_begin"``/``"shard_worker_respond"`` (inside a shard
-    worker process, per shard and step), ``"trial_worker"`` (inside a
-    trial-pool worker, per trial), ``"campaign_job"`` (before a campaign
-    job runs — pooled worker or in-process; ``trial`` carries the job
-    index), and ``"checkpoint_write"`` (after a checkpoint file lands on
-    disk; supplies ``path`` for torn writes).
+    ``"trial_worker"`` (inside a trial-pool worker, per trial),
+    ``"campaign_job"`` (before a campaign job runs — pooled worker or
+    in-process; ``trial`` carries the job index), and
+    ``"checkpoint_write"`` (after a checkpoint file lands on disk; supplies
+    ``path`` for torn writes).
     """
     plan = _active_plan()
     if plan is None:

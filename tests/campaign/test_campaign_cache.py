@@ -54,9 +54,9 @@ class TestJobKey:
         for options in (
             dict(execution="serial"),
             dict(execution="pool", max_workers=4),
-            dict(execution="shard", num_shards=2),
+            dict(execution="shard"),
             dict(execution="batch"),
-            dict(execution="auto", num_shards=8, max_workers=2),
+            dict(execution="auto", max_workers=2),
         ):
             (twin,) = expand_campaign(
                 CampaignSpec(

@@ -23,7 +23,6 @@ from repro.campaign import (
 )
 from repro.campaign import cache as cache_module
 from repro.campaign import runner as campaign_runner
-from repro.core import loop as loop_module
 from repro.core import planner
 from repro.core.supervision import SupervisorPolicy
 from repro.data.census import Race
@@ -123,7 +122,7 @@ class TestLayoutInvariance:
         assert cold.misses == serial.grid_size
         for options in (
             dict(execution="pool", max_workers=2),
-            dict(execution="shard", num_shards=2),
+            dict(execution="shard"),
             dict(execution="batch"),
             dict(execution="auto"),
         ):
@@ -169,7 +168,7 @@ class TestBudgetRouting:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
-        for module in (campaign_runner, experiment_runner, loop_module):
+        for module in (campaign_runner, experiment_runner):
             monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
         kernel_runs = []
         original_run = BatchedTrialRunner.run

@@ -124,7 +124,7 @@ class TestExpansion:
         assert job.config.warm_start is True
         # Run options never leak into the job's config: the planner decides.
         assert job.config.execution == "serial"
-        assert job.config.num_shards == 1
+        assert job.config.max_workers is None
 
     def test_jobs_and_factories_are_picklable(self):
         spec = CampaignSpec(policies=("parity", "epsilon-greedy"))
@@ -197,7 +197,7 @@ class TestLoading:
 
                 [run]
                 execution = "serial"
-                num_shards = 2
+                max_workers = 2
                 """
             )
         )
@@ -205,7 +205,7 @@ class TestLoading:
         assert spec.name == "demo"
         assert spec.grid_size == 4
         assert spec.execution == "serial"
-        assert spec.num_shards == 2
+        assert spec.max_workers == 2
         assert spec.scenarios[1].params == (("downshift", 0.25),)
 
     def test_json_round_trip(self, tmp_path):
@@ -237,10 +237,11 @@ class TestLoading:
         path.write_text('[run]\nexecutor = "serial"\n')
         with pytest.raises(ValueError, match=r"unknown \[run\] key"):
             load_campaign_spec(path)
-        # The shard transport is not a run option: only the loop picks it.
-        path.write_text('[run]\nshard_transport = "pickle"\n')
-        with pytest.raises(ValueError, match=r"unknown \[run\] key"):
-            load_campaign_spec(path)
+        # The retired shard-pool knobs are not run options any more.
+        for key, value in (("num_shards", "2"), ("shard_transport", '"pickle"')):
+            path.write_text(f"[run]\n{key} = {value}\n")
+            with pytest.raises(ValueError, match=r"unknown \[run\] key"):
+                load_campaign_spec(path)
 
     def test_scalar_axis_is_rejected(self, tmp_path):
         path = tmp_path / "grid.toml"

@@ -113,3 +113,47 @@ class TestCreditScoringSystem:
 
     def test_satisfies_the_protocol(self):
         assert isinstance(CreditScoringSystem(), AISystem)
+
+
+class TestCreditScoringSystemState:
+    """export/import_state: how step snapshots carry the credit system."""
+
+    @staticmethod
+    def _trained_system():
+        rng = np.random.default_rng(5)
+        incomes = rng.uniform(5.0, 120.0, 200)
+        system = CreditScoringSystem(Lender(warm_up_rounds=1))
+        observation = observation_for(200)
+        decisions = system.decide({"income": incomes}, observation, 0)
+        actions = (incomes > 20.0).astype(float)
+        system.update({"income": incomes}, decisions, actions, observation, 0)
+        system.decide({"income": incomes}, observation_for(200, 1.0 - actions), 1)
+        return system, incomes, actions
+
+    def test_round_trip_restores_scores_and_the_next_decision(self):
+        system, incomes, actions = self._trained_system()
+        restored = CreditScoringSystem(Lender(warm_up_rounds=1))
+        restored.import_state(system.export_state())
+        np.testing.assert_array_equal(restored.last_scores, system.last_scores)
+        observation = observation_for(200, 1.0 - actions)
+        np.testing.assert_array_equal(
+            restored.decide({"income": incomes}, observation, 2),
+            system.decide({"income": incomes}, observation, 2),
+        )
+
+    def test_state_scores_are_detached_copies(self):
+        system, _, _ = self._trained_system()
+        before = system.last_scores.copy()
+        state = system.export_state()
+        state["last_scores"][:] = -1.0
+        np.testing.assert_array_equal(system.last_scores, before)
+        restored = CreditScoringSystem(Lender(warm_up_rounds=1))
+        restored.import_state(system.export_state())
+        restored.last_scores[:] = -2.0
+        np.testing.assert_array_equal(system.last_scores, before)
+
+    def test_fresh_state_has_no_scores(self):
+        restored = CreditScoringSystem()
+        restored.import_state(CreditScoringSystem().export_state())
+        assert restored.last_scores is None
+        assert restored.lender.scorecard is None

@@ -31,8 +31,8 @@ class TestDefaultRateFilter:
         assert isinstance(DefaultRateFilter(2), LoopFilter)
 
 
-class TestDefaultRateFilterSharding:
-    """merge/state-export: the prerequisites of the sharded-population runner."""
+class TestDefaultRateFilterState:
+    """export/import state: how step snapshots carry the filter."""
 
     @staticmethod
     def _run_filter(num_users, decisions, actions, prior_rate=0.0):
@@ -41,63 +41,13 @@ class TestDefaultRateFilterSharding:
             loop_filter.update(np.asarray(decision_row), np.asarray(action_row), step)
         return loop_filter
 
-    def test_merge_matches_the_unsharded_filter_exactly(self):
-        rng = np.random.default_rng(42)
-        num_users, num_steps, split = 20, 7, 8
-        decisions = rng.integers(0, 2, size=(num_steps, num_users)).astype(float)
-        actions = rng.integers(0, 2, size=(num_steps, num_users)).astype(float) * decisions
-
-        whole = self._run_filter(num_users, decisions, actions)
-        shard_a = self._run_filter(split, decisions[:, :split], actions[:, :split])
-        shard_b = self._run_filter(
-            num_users - split, decisions[:, split:], actions[:, split:]
-        )
-        merged = shard_a.merge(shard_b)
-
-        merged_observation = merged.observation()
-        whole_observation = whole.observation()
-        # Offers/repayments are integer counts, so the merge is exact.
-        np.testing.assert_array_equal(
-            merged_observation["user_default_rates"],
-            whole_observation["user_default_rates"],
-        )
-        assert merged_observation["portfolio_rate"] == whole_observation["portfolio_rate"]
-        assert merged.tracker.steps_recorded == whole.tracker.steps_recorded
-        np.testing.assert_array_equal(merged.tracker.offers, whole.tracker.offers)
-        np.testing.assert_array_equal(
-            merged.tracker.repayments, whole.tracker.repayments
-        )
-
-    def test_merged_filter_keeps_accepting_updates(self):
-        shard_a = self._run_filter(2, [np.ones(2)], [np.ones(2)])
-        shard_b = self._run_filter(3, [np.ones(3)], [np.zeros(3)])
-        merged = shard_a.merge(shard_b)
-        observation = merged.update(np.ones(5), np.ones(5), 1)
-        assert observation["user_default_rates"].shape == (5,)
-        assert merged.tracker.steps_recorded == 2
-
-    def test_merge_rejects_mismatched_step_counts(self):
-        shard_a = self._run_filter(2, [np.ones(2)], [np.ones(2)])
-        shard_b = DefaultRateFilter(2)
-        with pytest.raises(ValueError):
-            shard_a.merge(shard_b)
-
-    def test_merge_rejects_mismatched_priors(self):
-        shard_a = DefaultRateFilter(2, prior_rate=0.0)
-        shard_b = DefaultRateFilter(2, prior_rate=0.5)
-        with pytest.raises(ValueError):
-            shard_a.merge(shard_b)
-
-    def test_merge_rejects_foreign_objects(self):
-        with pytest.raises(TypeError):
-            DefaultRateFilter(2).merge(CumulativeAverageFilter(2))
-
     def test_state_round_trip_preserves_the_observation(self):
         loop_filter = self._run_filter(
             3, [np.array([1, 1, 0]), np.ones(3)], [np.array([1, 0, 0]), np.ones(3)],
             prior_rate=0.25,
         )
-        restored = DefaultRateFilter.from_state(loop_filter.export_state())
+        restored = DefaultRateFilter(3)
+        restored.import_state(loop_filter.export_state())
         np.testing.assert_array_equal(
             restored.observation()["user_default_rates"],
             loop_filter.observation()["user_default_rates"],

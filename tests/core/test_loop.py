@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from repro.core.ai_system import ConstantDecisionSystem, CreditScoringSystem
+from repro.core.checkpoint import (
+    CheckpointError,
+    CheckpointSpec,
+    deserialize_payload,
+    list_checkpoints,
+    read_checkpoint,
+    serialize_payload,
+)
 from repro.core.filters import CumulativeAverageFilter, DefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.loop import ClosedLoop
 from repro.core.population import CreditPopulation
+from repro.core.sharding import ShardPlan
 from repro.credit.lender import Lender
 from repro.data.synthetic import PopulationSpec, generate_population
 
@@ -193,47 +202,198 @@ class TestStreamBaseResolution:
         )
 
 
-class TestSuffstatsProtocolResolution:
-    """The pooled suffstats protocol engages only on a complete, matching spec."""
+class TestChunkedRuns:
+    """Chunked runs replay the stateless per-(shard, step) streams exactly."""
 
-    def _loop(self, system) -> ClosedLoop:
+    @staticmethod
+    def _build() -> ClosedLoop:
         population = CreditPopulation(
-            population=generate_population(PopulationSpec(size=30), 1)
+            population=generate_population(
+                PopulationSpec(size=50), np.random.default_rng(1)
+            )
         )
         return ClosedLoop(
-            ai_system=system,
+            ai_system=CreditScoringSystem(Lender(warm_up_rounds=2)),
             population=population,
-            loop_filter=DefaultRateFilter(num_users=30),
+            loop_filter=DefaultRateFilter(num_users=50),
         )
 
-    def test_compressed_credit_system_resolves_a_spec(self):
-        loop = self._loop(CreditScoringSystem(Lender(retrain_mode="compressed")))
-        spec = loop._resolve_suffstats_spec(None)
-        assert spec == {"feature": "income", "income_threshold": 15.0}
+    def test_chunked_run_matches_single_run(self):
+        whole = self._build().run(10, rng=77)
+        loop = self._build()
+        history = loop.run(4, rng=77)
+        history = loop.run(6, history=history)
+        assert np.array_equal(whole.decisions_matrix(), history.decisions_matrix())
+        assert np.array_equal(whole.actions_matrix(), history.actions_matrix())
 
-    def test_exact_system_never_engages_the_protocol(self):
-        loop = self._loop(CreditScoringSystem(Lender()))
-        assert loop._resolve_suffstats_spec(None) is None
-        # Explicit "compressed" cannot be forced onto an exact-mode system.
-        assert loop._resolve_suffstats_spec("compressed") is None
+    def test_diagnostic_step_does_not_perturb_a_continuation(self):
+        whole = self._build().run(10, rng=77)
+        loop = self._build()
+        history = loop.run(4, rng=77)
+        # A diagnostic peek resolves its own (entropy) base per call and
+        # must not clobber the continuation's schedule.  It does advance
+        # the filter/AI state, so the continuation's *decisions* legally
+        # differ — but the incomes depend only on (base, shard, step), so
+        # they prove the rng=77 schedule survived the peek.
+        loop.step(99)
+        resumed = loop.run(6, history=history)
+        assert np.array_equal(
+            whole.public_feature_matrix("income")[4:],
+            resumed.public_feature_matrix("income")[4:],
+        )
 
-    def test_explicit_exact_disables_the_protocol(self):
-        loop = self._loop(CreditScoringSystem(Lender(retrain_mode="compressed")))
-        assert loop._resolve_suffstats_spec("exact") is None
 
-    def test_incomplete_spec_is_rejected_at_eligibility_time(self):
-        """Regression: a spec missing income_threshold used to pass the
-        guard and KeyError inside a worker process mid-trial."""
+class TestShardStreams:
+    """The loop hands a population one stream per canonical shard."""
 
-        class IncompleteSpecSystem(CreditScoringSystem):
-            @property
-            def suffstats_spec(self):
-                return {"feature": "income"}
+    @staticmethod
+    def _build(size=50) -> ClosedLoop:
+        population = CreditPopulation(
+            population=generate_population(
+                PopulationSpec(size=size), np.random.default_rng(2)
+            )
+        )
+        return ClosedLoop(
+            ai_system=CreditScoringSystem(Lender(warm_up_rounds=2)),
+            population=population,
+            loop_filter=DefaultRateFilter(num_users=size),
+        )
 
-        loop = self._loop(IncompleteSpecSystem(Lender(retrain_mode="compressed")))
-        assert loop._resolve_suffstats_spec(None) is None
+    def test_shard_aware_population_runs_its_canonical_plan(self):
+        loop = self._build(size=50)
+        assert loop.shard_plan == ShardPlan.canonical(50)
+        assert loop.shard_plan == loop.population.shard_plan
 
-    def test_invalid_retrain_mode_is_rejected_by_run(self):
-        loop = self._loop(CreditScoringSystem(Lender()))
-        with pytest.raises(ValueError):
-            loop.run(1, rng=0, retrain_mode="subsampled")
+    def test_population_without_a_plan_gets_one_whole_stream(self):
+        class SingleStreamPopulation:
+            """A population that knows nothing of shards."""
+
+            num_users = 5
+
+            def __init__(self):
+                self.streams = []
+
+            def begin_step(self, k, rng):
+                self.streams.append(rng)
+                return {"income": rng.random(5)}
+
+            def respond(self, decisions, k, rng):
+                self.streams.append(rng)
+                return (rng.random(5) < 0.5).astype(float) * decisions
+
+        population = SingleStreamPopulation()
+        loop = ClosedLoop(
+            ai_system=ConstantDecisionSystem(decision=1),
+            population=population,
+            loop_filter=CumulativeAverageFilter(num_users=5),
+        )
+        assert loop.shard_plan == ShardPlan.single(5)
+        loop.run(3, rng=4)
+        assert len(population.streams) == 6
+        assert all(isinstance(s, np.random.Generator) for s in population.streams)
+        # respond continues the stream begin_step drew from in the same step.
+        for step in range(3):
+            assert population.streams[2 * step] is population.streams[2 * step + 1]
+
+    def test_step_draws_the_streams_a_run_draws(self):
+        record = self._build().step(0, rng=31)
+        history = self._build().run(1, rng=31)
+        np.testing.assert_array_equal(
+            record.public_features["income"], history.public_feature_matrix("income")[0]
+        )
+        np.testing.assert_array_equal(record.actions, history.actions_matrix()[0])
+
+
+class TestSnapshots:
+    """export_snapshot/restore_snapshot: what a step snapshot carries."""
+
+    @staticmethod
+    def _build(size=40, generic=False) -> ClosedLoop:
+        population = CreditPopulation(
+            population=generate_population(
+                PopulationSpec(size=size), np.random.default_rng(4)
+            )
+        )
+        if generic:
+            system, loop_filter = (
+                ConstantDecisionSystem(decision=1),
+                CumulativeAverageFilter(num_users=size),
+            )
+        else:
+            system, loop_filter = (
+                CreditScoringSystem(Lender(warm_up_rounds=2)),
+                DefaultRateFilter(num_users=size),
+            )
+        return ClosedLoop(ai_system=system, population=population, loop_filter=loop_filter)
+
+    @staticmethod
+    def _round_trip(payload):
+        return deserialize_payload(serialize_payload(payload))
+
+    def test_restored_loop_continues_bit_identically(self):
+        whole = self._build().run(8, rng=21)
+        first = self._build()
+        payload = self._round_trip(first.export_snapshot(first.run(5, rng=21)))
+        second = self._build()
+        resumed = second.run(3, history=second.restore_snapshot(payload))
+        np.testing.assert_array_equal(whole.decisions_matrix(), resumed.decisions_matrix())
+        np.testing.assert_array_equal(whole.actions_matrix(), resumed.actions_matrix())
+        np.testing.assert_array_equal(
+            whole.public_feature_matrix("income"),
+            resumed.public_feature_matrix("income"),
+        )
+
+    def test_credit_loop_components_travel_as_state(self):
+        loop = self._build()
+        payload = loop.export_snapshot(loop.run(3, rng=2))
+        assert payload["step"] == 3
+        assert payload["num_users"] == 40
+        for component in ("filter", "ai_system", "population"):
+            assert payload[component]["kind"] == "state"
+
+    def test_components_without_state_hooks_travel_whole(self):
+        loop = self._build(generic=True)
+        payload = self._round_trip(loop.export_snapshot(loop.run(3, rng=2)))
+        assert payload["filter"]["kind"] == "object"
+        assert payload["ai_system"]["kind"] == "object"
+        fresh = self._build(generic=True)
+        fresh.restore_snapshot(payload)
+        assert fresh.loop_filter is payload["filter"]["object"]
+        assert fresh.ai_system is payload["ai_system"]["object"]
+        np.testing.assert_array_equal(
+            fresh.loop_filter.observation()["average_action"],
+            loop.loop_filter.observation()["average_action"],
+        )
+
+    def test_export_needs_a_run_in_progress(self):
+        with pytest.raises(ValueError, match="no run in progress"):
+            self._build().export_snapshot(SimulationHistory())
+
+    def test_restore_rejects_another_population_size(self):
+        loop = self._build()
+        payload = loop.export_snapshot(loop.run(2, rng=3))
+        with pytest.raises(CheckpointError, match="40 users"):
+            self._build(size=30).restore_snapshot(payload)
+
+    def test_restore_rejects_a_step_the_history_does_not_hold(self):
+        loop = self._build()
+        payload = dict(loop.export_snapshot(loop.run(2, rng=3)))
+        payload["step"] = 5
+        with pytest.raises(CheckpointError, match="inconsistent"):
+            self._build().restore_snapshot(payload)
+
+    def test_run_snapshots_at_every_boundary(self, tmp_path):
+        loop = self._build()
+        spec = CheckpointSpec(directory=str(tmp_path), stem="loop", every=2, keep=10)
+        whole = loop.run(7, rng=5, checkpoint=spec)
+        snapshots = list_checkpoints(tmp_path, "loop")
+        assert [step for step, _ in snapshots] == [6, 4, 2]
+        assert spec.load_latest()["step"] == 6
+        # Every snapshot, not just the newest, resumes to the same run.
+        for step, path in snapshots:
+            fresh = self._build()
+            restored = fresh.restore_snapshot(read_checkpoint(path))
+            resumed = fresh.run(7 - step, history=restored)
+            np.testing.assert_array_equal(
+                whole.decisions_matrix(), resumed.decisions_matrix()
+            )

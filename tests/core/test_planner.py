@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import planner
@@ -26,7 +28,7 @@ class TestExplicitModes:
     def test_serial_is_serial(self):
         plan = _plan("serial")
         assert plan.layout == "serial"
-        assert not (plan.parallel or plan.trial_batch or plan.shard_parallel)
+        assert not (plan.parallel or plan.trial_batch)
 
     def test_batch_routes_to_the_tensor_engine(self):
         plan = _plan("batch")
@@ -43,17 +45,17 @@ class TestExplicitModes:
         assert plan.layout == "serial"
         assert plan.execution == "pool"  # the request is preserved
 
-    def test_shard_caps_at_the_canonical_shard_count(self):
-        plan = _plan("shard", trials=1, users=100_000)
-        assert plan.layout == "shard"
-        assert plan.num_shards == 8  # NUM_CANONICAL_SHARDS
-        assert plan.shard_parallel
+    @pytest.mark.parametrize("users", [1, 1000, 1_000_000])
+    def test_shard_is_a_second_name_for_batch(self, users):
+        shard = _plan("shard", trials=1, users=users)
+        batch = _plan("batch", trials=1, users=users)
+        assert shard.execution == "shard"
+        assert replace(shard, execution="batch") == batch
+        assert not shard.shard_parallel
 
-    def test_shard_honours_an_explicit_shard_hint(self):
-        assert _plan("shard", num_shards=4).num_shards == 4
-
-    def test_shard_with_a_tiny_population_degrades_to_serial(self):
-        assert _plan("shard", users=1).layout == "serial"
+    def test_shard_rejects_checkpointing_like_batch(self):
+        with pytest.raises(ValueError, match="incompatible with checkpointing"):
+            _plan("shard", checkpoint_every=3)
 
 
 class TestAutoHeuristics:
@@ -79,8 +81,7 @@ class TestAutoHeuristics:
         plan = _plan("auto", trials=1, users=users, cpu_count=cores)
         assert plan.layout == "batch"
         assert plan.trial_batch
-        assert not (plan.parallel or plan.shard_parallel)
-        assert plan.num_shards == 1
+        assert not plan.parallel
 
     @pytest.mark.parametrize("knobs", [{"checkpoint_every": 3}, {"resume": True}])
     def test_single_trial_with_checkpointing_stays_serial(self, knobs):
@@ -96,17 +97,14 @@ class TestAutoHeuristics:
         assert plan.layout == "batch"
         assert not plan.calibrated
 
-    def test_explicit_shard_still_shards_a_single_trial(self):
-        plan = _plan("shard", trials=1, users=100_000, cpu_count=2)
-        assert plan.layout == "shard"
-        assert plan.shard_parallel
-        assert plan.num_shards == 2
-
-    def test_spare_cores_compose_pool_with_shards(self):
-        plan = _plan("auto", trials=2, users=100_000, cpu_count=16)
-        assert plan.layout == "pool+shard"
+    @pytest.mark.parametrize("users", [4096, 100_000])
+    def test_spare_cores_still_plan_a_plain_pool(self, users):
+        # Cores beyond one per trial stay idle: only the lockstep kernel
+        # spreads a trial's users over cores, and it runs in process.
+        plan = _plan("auto", trials=2, users=users, steps=5, cpu_count=8)
+        assert plan.layout == "pool"
         assert plan.max_workers == 2
-        assert plan.shard_parallel and plan.num_shards >= 2
+        assert not plan.trial_batch
 
     def test_no_spare_cores_means_no_composition(self):
         plan = _plan("auto", trials=8, users=100_000, cpu_count=8)
@@ -157,8 +155,6 @@ class TestKernelThreads:
                 trial_batch=True,
                 parallel=False,
                 max_workers=0,
-                num_shards=1,
-                shard_parallel=False,
                 cpu_count=4,
             )
 
@@ -197,21 +193,6 @@ class TestPlanSurface:
                 trial_batch=True,
                 parallel=True,
                 max_workers=2,
-                num_shards=1,
-                shard_parallel=False,
-                cpu_count=4,
-            )
-
-    def test_plan_rejects_single_shard_pools(self):
-        with pytest.raises(ValueError, match="two worker shards"):
-            ExecutionPlan(
-                execution="shard",
-                layout="shard",
-                trial_batch=False,
-                parallel=False,
-                max_workers=None,
-                num_shards=1,
-                shard_parallel=True,
                 cpu_count=4,
             )
 

@@ -1,20 +1,16 @@
-"""Unit tests for the canonical shard plans behind intra-trial sharding."""
+"""Unit tests for the canonical shard plans and the per-shard streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.population import CreditPopulation, IFSPopulation
 from repro.core.sharding import (
     NUM_CANONICAL_SHARDS,
-    PopulationShard,
     ShardPlan,
-    shard_population,
+    max_worker_shards,
+    whole_population,
 )
-from repro.data.synthetic import PopulationSpec, generate_population
-from repro.markov.ifs import SignalDependentIFS
-from repro.markov.maps import AffineMap
 from repro.utils.rng import derive_seed, shard_seed, shard_step_generator
 
 
@@ -60,17 +56,46 @@ class TestShardPlan:
             for (_, stop), (start, _) in zip(ranges, ranges[1:]):
                 assert stop == start
 
-    def test_localized_rebases_bounds(self):
-        plan = ShardPlan.canonical(100)
-        local = plan.localized(2, 5)
-        assert local.bounds[0][0] == 0
-        assert local.num_users == plan.user_range(2, 5)[1] - plan.user_range(2, 5)[0]
-        assert local.num_shards == 3
-
     def test_slices_match_bounds(self):
         plan = ShardPlan.canonical(30)
         joined = np.concatenate([np.arange(30)[s] for s in plan.slices()])
         assert np.array_equal(joined, np.arange(30))
+
+    def test_with_shards_validates_the_count(self):
+        assert ShardPlan.with_shards(10, 10).sizes == (1,) * 10
+        for bad in (0, 11):
+            with pytest.raises(ValueError, match="num_shards"):
+                ShardPlan.with_shards(10, bad)
+        with pytest.raises(ValueError):
+            ShardPlan.with_shards(0, 1)
+
+    def test_worker_ranges_reject_nonpositive_counts(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            ShardPlan.canonical(100).worker_ranges(0)
+
+    def test_user_range_spans_whole_shards(self):
+        plan = ShardPlan.canonical(1003)  # sizes 126 x 3, then 125 x 5
+        assert plan.user_range(0, 1) == (0, 126)
+        assert plan.user_range(2, 5) == (252, 628)
+        assert plan.user_range(0, plan.num_shards) == (0, 1003)
+        for start, stop in ((0, 0), (3, 2), (-1, 2), (7, 9)):
+            with pytest.raises(ValueError, match="invalid shard range"):
+                plan.user_range(start, stop)
+
+
+class TestWorkerCeiling:
+    def test_max_worker_shards_caps_at_shards_and_users(self):
+        assert max_worker_shards(1) == 1
+        assert max_worker_shards(5) == 5
+        assert max_worker_shards(10_000) == NUM_CANONICAL_SHARDS
+        with pytest.raises(ValueError):
+            max_worker_shards(0)
+
+    def test_default_chunk_map_runs_one_whole_range_inline(self):
+        calls = []
+        results = whole_population(lambda users: calls.append(users) or len(calls))
+        assert calls == [slice(None)]
+        assert results == [1]
 
 
 class TestShardStreams:
@@ -83,68 +108,3 @@ class TestShardStreams:
         assert np.array_equal(a, b)
         c = shard_step_generator(9, 2, 8).random(5)
         assert not np.array_equal(a, c)
-
-
-class TestShardPopulationHelper:
-    def _population(self, size=100):
-        return CreditPopulation(
-            population=generate_population(
-                PopulationSpec(size=size), np.random.default_rng(0)
-            )
-        )
-
-    def test_shards_cover_the_population(self):
-        population = self._population()
-        shards = shard_population(population, 3)
-        assert all(isinstance(shard, PopulationShard) for shard in shards)
-        assert shards[0].lo == 0
-        assert shards[-1].hi == population.num_users
-        covered = sorted(
-            shard_id for shard in shards for shard_id in shard.shard_ids
-        )
-        assert covered == list(range(population.shard_plan.num_shards))
-
-    def test_credit_shard_slice_replays_parent_draws(self):
-        population = self._population()
-        plan = population.shard_plan
-        rngs = [shard_step_generator(5, s, 0) for s in range(plan.num_shards)]
-        full = population.begin_step(0, rngs)["income"]
-        shard = shard_population(population, 4)[1]
-        worker_rngs = [
-            shard_step_generator(5, s, 0) for s in shard.shard_ids
-        ]
-        piece = shard.population.begin_step(0, worker_rngs)["income"]
-        assert np.array_equal(full[shard.lo : shard.hi], piece)
-
-    def test_shard_slice_rejects_unaligned_ranges(self):
-        population = self._population()
-        with pytest.raises(ValueError):
-            population.shard_slice(1, population.num_users)
-
-    def test_ifs_shard_slice_replays_parent_draws(self):
-        shared = SignalDependentIFS(
-            transition_maps=(AffineMap.scalar(0.5, 0.0), AffineMap.scalar(0.5, 0.5)),
-            transition_probabilities=lambda s: [0.8, 0.2] if s > 0.5 else [0.3, 0.7],
-            output_maps=(AffineMap.scalar(1.0, 0.0), AffineMap.scalar(0.0, 1.0)),
-            output_probabilities=lambda s: [0.6, 0.4] if s > 0.5 else [0.1, 0.9],
-        )
-        n = 64
-        states = [np.array([0.01 * i]) for i in range(n)]
-        decisions = (np.arange(n) % 2).astype(float)
-
-        full = IFSPopulation(users=[shared] * n, initial_states=states)
-        plan = full.shard_plan
-        rngs = [shard_step_generator(3, s, 0) for s in range(plan.num_shards)]
-        full_actions = full.respond(decisions, 0, rngs)
-
-        lo, hi = plan.bounds[1][0], plan.bounds[3][1]
-        worker = IFSPopulation(
-            users=[shared] * n, initial_states=states
-        ).shard_slice(lo, hi)
-        worker_rngs = [shard_step_generator(3, s, 0) for s in (1, 2, 3)]
-        worker_actions = worker.respond(decisions[lo:hi], 0, worker_rngs)
-        assert np.array_equal(full_actions[lo:hi], worker_actions)
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(full.states[lo:hi], worker.states)
-        )

@@ -1,135 +1,53 @@
-"""Unit tests of the shared-memory arena and the transport meter."""
+"""Unit tests of what is left of the shared-memory transport module.
+
+The process shard pool and its ``/dev/shm`` arena are retired; the module
+keeps the leak oracle and the transport meter that the benchmark harness
+imports.  Nothing in the package maps shared memory any more, so the
+meter reads zero and no run leaves a segment behind.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
-from repro.core.shardmem import (
-    SEGMENT_PREFIX,
-    ArenaSpec,
-    SharedMemoryArena,
-    TransportMeter,
-    live_segments,
-    set_transport_meter,
-    transport_meter,
-)
+from repro.core import shardmem
+from repro.core.shardmem import TransportMeter, live_segments, set_transport_meter
+from repro.experiments.config import CaseStudyConfig
+from repro.experiments.runner import run_experiment
 
 
-@pytest.fixture
-def arena():
-    arena = SharedMemoryArena.create(("income",), num_users=10, num_workers=2)
-    yield arena
-    arena.destroy()
+class TestLiveSegments:
+    def test_lists_only_the_retired_prefix_in_order(self, monkeypatch):
+        entries = ["repro-shm-b", "other", "repro-shm-a", "sem.repro-shm-c"]
+        monkeypatch.setattr(shardmem.os, "listdir", lambda path: list(entries))
+        assert live_segments() == ("repro-shm-a", "repro-shm-b")
 
+    def test_a_missing_dev_shm_reads_as_empty(self, monkeypatch):
+        def missing(path):
+            raise FileNotFoundError(path)
 
-class TestArenaDataPlane:
-    def test_channels_round_trip_bit_identically(self, arena):
-        values = np.linspace(0.0, 1.0, 10)
-        arena.write_channel("income", 0, 10, values)
-        assert np.array_equal(arena.read_channel("income"), values)
-        # Slice writes by two workers reassemble the exact full row.
-        left, right = values[:6] * 3.0, values[6:] * 7.0
-        arena.write_channel("actions", 0, 6, left)
-        arena.write_channel("actions", 6, 10, right)
-        assert np.array_equal(
-            arena.read_channel("actions"), np.concatenate([left, right])
-        )
-        assert np.array_equal(arena.read_channel_slice("actions", 6, 10), right)
-
-    def test_reads_are_copies(self, arena):
-        arena.write_channel("decisions", 0, 10, np.ones(10))
-        row = arena.read_channel("decisions")
-        row[:] = 0.0
-        assert np.array_equal(arena.read_channel("decisions"), np.ones(10))
-
-    def test_scalar_totals_sum_in_worker_order(self, arena):
-        arena.write_scalars(1, offers=5.0, repayments=2.0)
-        arena.write_scalars(0, offers=3.0, repayments=1.0)
-        offers, repayments = arena.scalar_totals()
-        assert offers == 8.0 and repayments == 3.0
-
-    def test_fresh_arena_is_zeroed(self, arena):
-        assert arena.scalar_totals() == (0.0, 0.0)
-        assert np.array_equal(arena.read_channel("user_rates"), np.zeros(10))
-
-    def test_per_step_bytes_counts_the_tensor_and_scalars(self, arena):
-        # 4 channels x 10 users + 2 workers x 2 scalars, 8 bytes each.
-        assert arena.per_step_bytes() == (4 * 10 + 2 * 2) * 8
-
-
-class TestArenaLifecycle:
-    def test_attach_sees_the_creators_writes(self, arena):
-        arena.write_channel("income", 0, 10, np.full(10, 4.5))
-        attached = SharedMemoryArena.attach(arena.spec)
-        try:
-            assert np.array_equal(attached.read_channel("income"), np.full(10, 4.5))
-            attached.write_channel("income", 0, 3, np.zeros(3))
-            assert arena.read_channel("income")[0] == 0.0
-        finally:
-            attached.close()
-
-    def test_segment_name_carries_the_module_prefix(self, arena):
-        assert arena.spec.name.startswith(SEGMENT_PREFIX)
-        assert arena.spec.name in live_segments()
-
-    def test_destroy_removes_the_segment_and_is_idempotent(self):
-        arena = SharedMemoryArena.create(("income",), num_users=4, num_workers=1)
-        name = arena.spec.name
-        arena.destroy()
-        assert name not in live_segments()
-        arena.destroy()  # second call is a no-op
-        arena.close()
-
-    def test_attachment_close_never_unlinks(self, arena):
-        attached = SharedMemoryArena.attach(arena.spec)
-        attached.close()
-        attached.unlink()  # non-owner: must be a no-op
-        assert arena.spec.name in live_segments()
-
-    def test_reserved_channel_collision_is_rejected(self):
-        with pytest.raises(ValueError, match="reserved"):
-            SharedMemoryArena.create(
-                ("income", "decisions"), num_users=4, num_workers=1
-            )
-
-    def test_degenerate_sizes_are_rejected(self):
-        with pytest.raises(ValueError, match="num_users"):
-            SharedMemoryArena.create(("income",), num_users=0, num_workers=1)
-        with pytest.raises(ValueError, match="num_workers"):
-            SharedMemoryArena.create(("income",), num_users=4, num_workers=0)
-
-    def test_spec_is_plain_data(self, arena):
-        spec = arena.spec
-        assert isinstance(spec, ArenaSpec)
-        assert spec.channels == ("income", "decisions", "actions", "user_rates")
-        assert spec.feature_channels == ("income",)
-        assert spec.num_users == 10 and spec.num_workers == 2
+        monkeypatch.setattr(shardmem.os, "listdir", missing)
+        assert live_segments() == ()
 
 
 class TestTransportMeter:
-    def test_counters_and_per_step_figures(self):
-        meter = TransportMeter()
-        meter.add_pickled(100)
-        meter.add_shared(400)
-        meter.note_step()
-        meter.add_shared(400)
-        meter.note_step()
-        assert meter.pickled_bytes == 100
-        assert meter.shared_bytes == 800
-        assert meter.per_step_pickled() == 50.0
-        assert meter.per_step_shared() == 400.0
-
-    def test_zero_steps_divide_safely(self):
-        meter = TransportMeter()
-        assert meter.per_step_pickled() == 0.0
-        assert meter.per_step_shared() == 0.0
-
-    def test_process_wide_install_and_clear(self):
+    @pytest.mark.parametrize("execution", ["pool", "batch"])
+    def test_runs_move_nothing_through_shared_memory(self, execution):
+        before = live_segments()
         meter = TransportMeter()
         set_transport_meter(meter)
         try:
-            assert transport_meter() is meter
+            run_experiment(
+                replace(
+                    CaseStudyConfig(num_users=60, num_trials=2, end_year=2006),
+                    execution=execution,
+                    max_workers=2,
+                )
+            )
         finally:
             set_transport_meter(None)
-        assert transport_meter() is None
+        assert meter.per_step_shared() == 0.0
+        assert meter.per_step_pickled() == 0.0
+        assert live_segments() == before

@@ -113,20 +113,6 @@ class TestStreamingAggregator:
             aggregator.approval_rate_series(), decisions.mean(axis=1)
         )
 
-    def test_merge_validates_compatibility(self):
-        left = StreamingAggregator(2, groups={"a": np.array([0])})
-        right = StreamingAggregator(2, groups={"a": np.array([0])})
-        left.update(np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            left.merge(right)  # step counts differ
-        right.update(np.ones(2), np.ones(2))
-        other_keys = StreamingAggregator(2, groups={"b": np.array([0])})
-        other_keys.update(np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            left.merge(other_keys)
-        with pytest.raises(TypeError):
-            left.merge(object())
-
     def test_from_state_rebuilds_a_live_aggregator(self):
         groups = {"a": np.array([0, 2]), "b": np.array([1])}
         aggregator = StreamingAggregator(3, groups=groups, prior_rate=0.1)

@@ -97,3 +97,35 @@ class TestValidation:
         tracker = DefaultRateTracker(2)
         with pytest.raises(ValueError):
             tracker.record([0, 1], [1, 1])
+
+
+class TestStateRoundTrip:
+    """export_state/from_state: how snapshots and the kernel carry a tracker."""
+
+    def test_from_state_rebuilds_an_equivalent_tracker(self):
+        tracker = DefaultRateTracker(3, prior_rate=0.2)
+        tracker.record([1, 1, 0], [1, 0, 0])
+        tracker.record([1, 0, 1], [0, 0, 1])
+        rebuilt = DefaultRateTracker.from_state(tracker.export_state())
+        np.testing.assert_array_equal(rebuilt.user_rates(), tracker.user_rates())
+        assert rebuilt.portfolio_rate() == tracker.portfolio_rate()
+        assert rebuilt.steps_recorded == 2
+        # The rebuilt tracker keeps counting from where the original stood.
+        for each in (tracker, rebuilt):
+            each.record([1, 1, 1], [1, 1, 0])
+        np.testing.assert_array_equal(rebuilt.user_rates(), tracker.user_rates())
+        # An untouched user still reports the prior.
+        fresh = DefaultRateTracker.from_state(DefaultRateTracker(2, 0.3).export_state())
+        np.testing.assert_allclose(fresh.user_rates(), [0.3, 0.3])
+
+    def test_from_state_rejects_mismatched_repayments(self):
+        state = DefaultRateTracker(3).export_state()
+        state["repayments"] = np.zeros(4)
+        with pytest.raises(ValueError, match="one entry per user"):
+            DefaultRateTracker.from_state(state)
+
+    def test_rebuilt_tracker_owns_its_arrays(self):
+        state = DefaultRateTracker(2).export_state()
+        rebuilt = DefaultRateTracker.from_state(state)
+        state["offers"][:] = 5.0
+        np.testing.assert_array_equal(rebuilt.offers, [0.0, 0.0])

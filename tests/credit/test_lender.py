@@ -207,3 +207,34 @@ class TestDecisions:
 
     def test_cutoff_property_matches_construction(self):
         assert Lender(cutoff=0.7).cutoff == pytest.approx(0.7)
+
+
+class TestLearningState:
+    """export/import_state: how step snapshots carry the lender."""
+
+    def test_round_trip_reproduces_the_next_decision(self):
+        incomes, previous_rates, repayments = training_data()
+        lender = Lender(warm_up_rounds=1)
+        lender.decide(incomes, previous_rates)
+        lender.retrain(incomes, previous_rates, repayments)
+        restored = Lender(warm_up_rounds=1)
+        restored.import_state(lender.export_state())
+        assert restored.rounds_seen == lender.rounds_seen == 1
+        # The card is rebuilt from the model, so it carries the same points.
+        assert restored.scorecard is not lender.scorecard
+        assert restored.scorecard.base_score == lender.scorecard.base_score
+        assert [(f.name, f.points) for f in restored.scorecard.factors] == [
+            (f.name, f.points) for f in lender.scorecard.factors
+        ]
+        left = lender.decide(incomes, previous_rates)
+        right = restored.decide(incomes, previous_rates)
+        np.testing.assert_array_equal(left.decisions, right.decisions)
+        np.testing.assert_array_equal(left.scores, right.scores)
+
+    def test_untrained_state_clears_the_model(self):
+        lender = Lender()
+        incomes, previous_rates, repayments = training_data()
+        lender.retrain(incomes, previous_rates, repayments)
+        lender.import_state(Lender().export_state())
+        assert lender.scorecard is None
+        assert lender.rounds_seen == 0

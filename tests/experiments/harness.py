@@ -2,11 +2,12 @@
 
 Five suites pin the engine's pinned random stream from different angles —
 the sharded engine itself (``test_engine_equivalence``), streaming
-aggregation (``test_streaming_equivalence``), shard/worker layouts
-(``test_shard_equivalence``), retrain modes (``test_retrain_equivalence``)
-and the trial-batched engine (``test_batch_equivalence``) — and the
-planner-facing ``test_execution_equivalence`` pins every ``execution``
-mode to the same stream.  They all share ONE source of truth, this module:
+aggregation (``test_streaming_equivalence``), retrain modes
+(``test_retrain_equivalence``), the trial-batched engine
+(``test_batch_equivalence``) and its thread counts
+(``test_kernel_threads``) — and the planner-facing
+``test_execution_equivalence`` pins every ``execution`` mode to the same
+stream.  They all share ONE source of truth, this module:
 
 * :data:`ENGINE_GOLDEN` — the golden SHA-256 digests of
   ``run_experiment(CaseStudyConfig().scaled(num_users=200, num_trials=2))``.
@@ -55,9 +56,9 @@ def digest(array: np.ndarray) -> str:
 
 #: Captured from the sharded engine (the pre-sharding goldens from seed
 #: commit 445c387 were retired with the derived-stream break).  One set of
-#: hashes pins every engine generation: serial, streaming-aggregate,
-#: pooled shards, the trial-batched tensor engine, and every layout the
-#: execution planner composes from them.
+#: hashes pins every engine generation: serial, streaming-aggregate, the
+#: trial-batched tensor engine at any thread count, and every layout the
+#: execution planner picks from them.
 ENGINE_GOLDEN = {
     "trial0_decisions": "b8837abc827e91fd",
     "trial0_actions": "dbd00c78385e948a",
@@ -84,7 +85,8 @@ ENGINE_GOLDEN = {
 }
 
 
-#: Every value of the ``execution`` knob, in the order the suites sweep it.
+#: Every value of the ``execution`` knob, in the order the suites sweep it
+#: (``shard`` is a second name for ``batch``).
 EXECUTION_MODES = ("serial", "batch", "pool", "shard", "auto")
 
 

@@ -224,3 +224,15 @@ class TestBatchedRunnerSurface:
         np.testing.assert_array_equal(
             serial.trials[0].history.decisions_matrix(), np.full((3, 40), 1.5)
         )
+
+    def test_shard_alias_rejects_non_binary_decisions_like_batch(self):
+        class HalfSystem:
+            def decide(self, public_features, observation, k):
+                return np.full(public_features["income"].shape[0], 0.5)
+
+            def update(self, public_features, decisions, actions, observation, k):
+                return None
+
+        config = CaseStudyConfig(num_users=40, num_trials=2, execution="shard")
+        with pytest.raises(ValueError, match="0/1 decisions"):
+            run_experiment(config, policy_factory=lambda cfg, population: HalfSystem())

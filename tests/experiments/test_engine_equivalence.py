@@ -8,15 +8,15 @@ generator with per-shard, per-step derived streams
 (``derive_seed(trial_seed, "shard", s)`` then ``"step", k`` — see
 :mod:`repro.core.sharding`), a deliberate, pinned break from the seed
 stream.  In exchange the schedule is now a pure function of ``(trial seed,
-canonical shard, step)``: bit-identical for any worker count
-(``num_shards``), serial or process-pooled (``execution="shard"``), chunked
-or not — which ``test_shard_equivalence.py`` asserts against these same
-digests.
+canonical shard, step)``: bit-identical for any lockstep-kernel thread
+count (``test_kernel_threads.py``), any execution layout
+(``test_execution_equivalence.py``) and chunked or not
+(``tests/core/test_loop.py``), against these same digests.
 
 The registry itself, the digest helpers and the differential assertions
 live in :mod:`tests.experiments.harness` — one source of truth shared by
-every equivalence suite (engine, streaming, shard, retrain, batch, and
-the planner's ``test_execution_equivalence``).  ``ENGINE_GOLDEN`` and
+every equivalence suite (engine, streaming, retrain, batch, and the
+planner's ``test_execution_equivalence``).  ``ENGINE_GOLDEN`` and
 ``digest`` are re-exported here for backward compatibility.
 """
 

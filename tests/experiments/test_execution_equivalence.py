@@ -1,8 +1,8 @@
 """Cross-layout differential suite: every ``execution`` mode, one stream.
 
-The execution planner (:mod:`repro.core.planner`) composes the serial
-loop, the trial-batched tensor engine, the trial process pool and the
-shared-memory shard pool behind one knob.  Its contract is that the knob
+The execution planner (:mod:`repro.core.planner`) puts the serial loop,
+the trial-batched tensor engine and the trial process pool behind one
+knob.  Its contract is that the knob
 is *purely* a wall-clock choice: whatever layout the planner picks — on
 whatever machine — the trajectories are bit-identical to the serial
 reference pinned by :data:`tests.experiments.harness.ENGINE_GOLDEN`.
@@ -15,8 +15,8 @@ This suite is the consolidated harness behind that claim:
 * ``execution="auto"`` is bit-identical across *core counts* (the plan
   changes, the stream must not) — the property that makes the knob safe
   to bake into configs shared between laptops and CI runners;
-* ``run_experiment`` and ``run_trial`` route the config knob through the
-  same planner;
+* ``run_experiment`` plans once per run, and ``run_trial`` runs the
+  serial loop without planning;
 * forbidden combinations fail at configuration time with actionable
   errors, not at step 900 of a trial.
 """
@@ -101,7 +101,7 @@ class TestAutoIsPureWallClock:
 
 
 class TestKnobPlumbing:
-    """The config knob and its shard hint reach the planner from both runners."""
+    """The config knob reaches the planner from ``run_experiment``."""
 
     def test_execution_defaults_to_serial(self):
         assert CaseStudyConfig().execution == "serial"
@@ -118,10 +118,17 @@ class TestKnobPlumbing:
         monkeypatch.setattr(runner_module, "plan_execution", spy)
         return calls
 
-    def test_run_trial_plans_its_one_trial(self, golden_config, monkeypatch):
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_run_trial_runs_the_serial_loop_without_planning(
+        self, golden_config, execution, monkeypatch
+    ):
         calls = self._planner_calls(monkeypatch)
-        run_trial(golden_config, trial_index=1)
-        assert calls == [("serial", 1)]
+        trial = run_trial(replace(golden_config, execution=execution), trial_index=0)
+        assert calls == []
+        assert (
+            digest(trial.history.decisions_matrix())
+            == ENGINE_GOLDEN["trial0_decisions"]
+        )
 
     @pytest.mark.parametrize("execution", ["serial", "batch", "shard"])
     def test_run_experiment_plans_once_for_every_trial(
@@ -132,13 +139,6 @@ class TestKnobPlumbing:
         calls = self._planner_calls(monkeypatch)
         run_experiment(replace(golden_config, execution=execution))
         assert calls == [(execution, golden_config.num_trials)]
-
-    def test_shard_hint_is_honoured_bit_identically(
-        self, golden_config, golden_serial_result
-    ):
-        config = replace(golden_config, num_shards=4, execution="shard")
-        result = run_experiment(config)
-        assert_experiments_identical(golden_serial_result, result)
 
     def test_run_trial_shard_matches_experiment_shard(self, golden_config):
         trial = run_trial(replace(golden_config, execution="shard"), trial_index=0)
@@ -166,3 +166,12 @@ class TestForbiddenCombosFailAtConfigTime:
                 checkpoint_dir=str(tmp_path),
                 checkpoint_every=5,
             )
+
+    @pytest.mark.parametrize(
+        "knobs", [{"checkpoint_every": 5}, {"resume": True}], ids=["every", "resume"]
+    )
+    def test_shard_alias_rejects_checkpointing_like_batch(self, tmp_path, knobs):
+        # "shard" is batch's second name, so it names the same kernel,
+        # which has no per-trial boundary to snapshot or resume from.
+        with pytest.raises(ValueError, match="execution='shard'.*checkpointing"):
+            CaseStudyConfig(execution="shard", checkpoint_dir=str(tmp_path), **knobs)

@@ -1,10 +1,10 @@
-"""Chaos suite: checkpoint/resume and supervised pools under injected faults.
+"""Chaos suite: checkpoint/resume and the trial pool under injected faults.
 
 Every scenario follows the same shape: run the scaled case study once,
 uninterrupted, as the golden; then run it again with a deterministic fault
-armed (worker kill, raised exception, hang, torn checkpoint write) at a
-chosen ``(trial, shard, step)`` coordinate; recover — supervised retry,
-serial fallback, or explicit ``resume`` — and assert the recovered
+armed (worker kill, raised exception, hang, torn or failed checkpoint
+write) at a chosen ``(trial, step)`` coordinate; recover — supervised
+retry, serial fallback, or explicit ``resume`` — and assert the recovered
 trajectory is **bit-identical** to the golden.  Bit-identity is the paper
 repository's core invariant (stateless per ``(trial, shard, step)`` random
 streams), so fault tolerance must never cost a single bit.
@@ -17,6 +17,7 @@ import errno
 import io
 import os
 import pickle
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ import pytest
 from repro.core import checkpoint as checkpoint_module
 from repro.core.checkpoint import (
     CheckpointError,
+    checkpoint_path,
     list_checkpoints,
     read_checkpoint,
     write_checkpoint,
@@ -43,11 +45,6 @@ from repro.testing.faults import (
     install_plan,
     plan_environment,
 )
-
-#: 60 users over the paper's 19 years: two pooled workers split the eight
-#: canonical shards as ids [0..3] (worker 0) and [4..7] (worker 1), so a
-#: fault pinned to ``shard=4`` lands in worker 1.
-WORKER1_SHARD = 4
 
 #: A supervisor that retries instantly (chaos tests should not sleep) and
 #: treats >5 s of silence as a hang — orders of magnitude above a step.
@@ -337,128 +334,134 @@ class TestExperimentResume:
         assert_experiments_identical(golden_experiment, resumed)
         assert len(list(tmp_path.glob("*.result"))) == ft_config.num_trials
 
-
-class TestSupervisedShardPool:
-    """The intra-trial shard pool survives death, raises, and hangs."""
-
-    def _pooled(self, ft_config, tmp_path, **changes):
-        return run_trial(
-            replace(ft_config, num_shards=2, execution="shard", **changes),
-            trial_index=0,
-            supervisor=FAST_SUPERVISOR,
-        )
-
-    def test_worker_kill_is_retried_bit_identically(
-        self, ft_config, golden_trial, tmp_path
+    @pytest.mark.parametrize(
+        "execution", ["serial", "batch", "pool", "shard", "auto"]
+    )
+    def test_every_execution_mode_saves_the_same_results(
+        self, ft_config, golden_experiment, tmp_path, execution
     ):
-        os.environ.update(
-            plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_begin",
-                        kind="kill",
-                        shard=WORKER1_SHARD,
-                        step=5,
-                    )
-                ],
-                state_dir=tmp_path,
-            )
-        )
-        with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
-            recovered = self._pooled(ft_config, tmp_path)
-        assert_trials_identical(golden_trial, recovered)
+        directory = tmp_path / execution
+        result = run_experiment(_checkpointed(ft_config, directory, execution=execution))
+        assert_experiments_identical(golden_experiment, result)
+        expected = [f"trial-{index:04d}.result" for index in range(ft_config.num_trials)]
+        assert sorted(path.name for path in directory.iterdir()) == expected
+        for trial, name in zip(golden_experiment.trials, expected):
+            saved = read_checkpoint(directory / name)["group_rates"]
+            for race, series in trial.group_default_rates.items():
+                np.testing.assert_array_equal(saved[race], series)
 
-    def test_worker_exception_is_retried_bit_identically(
-        self, ft_config, golden_trial, tmp_path
-    ):
-        os.environ.update(
-            plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_respond",
-                        kind="raise",
-                        shard=0,
-                        step=3,
-                    )
-                ],
-                state_dir=tmp_path,
-            )
-        )
-        with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
-            recovered = self._pooled(ft_config, tmp_path)
-        assert_trials_identical(golden_trial, recovered)
+        def exploding_factory(config, population):  # pragma: no cover - must not run
+            raise AssertionError("resume re-ran a trial whose result was saved")
 
-    def test_hung_worker_times_out_and_is_retried(
-        self, ft_config, golden_trial, tmp_path
-    ):
-        os.environ.update(
-            plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_begin",
-                        kind="hang",
-                        shard=WORKER1_SHARD,
-                        step=4,
-                        delay=3600.0,
-                    )
-                ],
-                state_dir=tmp_path,
-            )
+        resumed = run_experiment(
+            _checkpointed(ft_config, directory, resume=True),
+            policy_factory=exploding_factory,
         )
-        with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
-            recovered = self._pooled(ft_config, tmp_path)
-        assert_trials_identical(golden_trial, recovered)
+        assert_experiments_identical(golden_experiment, resumed)
 
-    def test_exhausted_budget_degrades_to_serial(
-        self, ft_config, golden_trial, tmp_path
+
+    @pytest.mark.parametrize("execution", ["serial", "pool", "auto"])
+    def test_kernel_results_resume_under_every_resumable_layout(
+        self, ft_config, golden_experiment, tmp_path, execution
     ):
-        # once=False: the fault fires on every attempt, so the pool can
-        # never get past step 2 and the retry budget runs dry.
-        os.environ.update(
-            plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_begin",
-                        kind="raise",
-                        shard=0,
-                        step=2,
-                        once=False,
-                    )
-                ],
-                state_dir=tmp_path,
-            )
+        # The kernel cannot resume itself (it has no per-trial boundary),
+        # but the results it saved are the same files every other layout
+        # skips on.
+        run_experiment(_checkpointed(ft_config, tmp_path, execution="batch"))
+
+        def exploding_factory(config, population):  # pragma: no cover - must not run
+            raise AssertionError("resume re-ran a trial whose result was saved")
+
+        resumed = run_experiment(
+            _checkpointed(
+                ft_config, tmp_path, execution=execution, max_workers=2, resume=True
+            ),
+            policy_factory=exploding_factory,
         )
-        with pytest.warns(RuntimeWarning, match="serial path"):
-            recovered = self._pooled(ft_config, tmp_path)
-        assert_trials_identical(golden_trial, recovered)
+        assert_experiments_identical(golden_experiment, resumed)
 
-    def test_kill_with_checkpoints_retries_from_the_boundary(
-        self, ft_config, golden_trial, tmp_path
+
+class TestFailedSnapshotWrites:
+    """A full disk costs step snapshots, never the trial computing past them."""
+
+    @staticmethod
+    def _fail_snapshot_writes(patch, from_step=0):
+        """Make ``.ckpt`` writes of step ``from_step`` on raise ``ENOSPC``."""
+        real_write = checkpoint_module.write_checkpoint
+
+        def write(path, payload):
+            if str(path).endswith(".ckpt") and int(payload["step"]) >= from_step:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return real_write(path, payload)
+
+        patch.setattr(checkpoint_module, "write_checkpoint", write)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{}, {"execution": "pool", "max_workers": 2}],
+        ids=["serial", "pool"],
+    )
+    def test_lost_snapshots_keep_the_computed_experiment(
+        self, ft_config, golden_experiment, tmp_path, monkeypatch, layout
     ):
-        state = tmp_path / "faults"
         snapshots = tmp_path / "snapshots"
-        os.environ.update(
-            plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_begin",
-                        kind="kill",
-                        shard=WORKER1_SHARD,
-                        step=11,
-                    )
-                ],
-                state_dir=state,
+        log = tmp_path / "warnings.log"
+
+        def log_warning(message, category, filename, lineno, file=None, line=None):
+            # Pool workers are forked inside the block and inherit this
+            # hook, so their warnings land in the same file.
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{category.__name__}: {message}\n")
+
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = log_warning
+            self._fail_snapshot_writes(patch)
+            result = run_experiment(
+                _checkpointed(ft_config, snapshots, 2, **layout),
+                supervisor=FAST_SUPERVISOR,
             )
+        assert_experiments_identical(golden_experiment, result)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        lost = [line for line in lines if "could not write the step snapshot" in line]
+        assert all(line.startswith("RuntimeWarning: ") for line in lost)
+        expected = [
+            str(checkpoint_path(snapshots, f"trial-{index:04d}", step))
+            for index in range(ft_config.num_trials)
+            for step in range(2, ft_config.num_steps + 1, 2)
+        ]
+        assert len(lost) == len(expected) == 27
+        for path in expected:
+            assert sum(path in line for line in lost) == 1
+        assert not any("pool failure" in line for line in lines)
+        assert sorted(path.name for path in snapshots.iterdir()) == [
+            f"trial-{index:04d}.result" for index in range(ft_config.num_trials)
+        ]
+
+    def test_a_later_lost_snapshot_leaves_the_earlier_resume_point(
+        self, ft_config, golden_trial, tmp_path, monkeypatch
+    ):
+        install_plan([FaultSpec(site="loop_step", kind="raise", step=14)])
+        with monkeypatch.context() as patch:
+            self._fail_snapshot_writes(patch, from_step=9)
+            with pytest.warns(RuntimeWarning, match="could not write") as caught:
+                with pytest.raises(FaultInjected):
+                    run_trial(_checkpointed(ft_config, tmp_path, 3), trial_index=0)
+        lost = [
+            str(warning.message)
+            for warning in caught
+            if "could not write the step snapshot" in str(warning.message)
+        ]
+        assert len(lost) == 2
+        for message, step in zip(lost, (9, 12)):
+            assert str(checkpoint_path(tmp_path, "trial-0000", step)) in message
+        # Only the failed snapshots are missing: the ones that landed
+        # stay, and the newest of them is the resume point.
+        assert [step for step, _ in list_checkpoints(tmp_path, "trial-0000")] == [6, 3]
+        resumed = run_trial(
+            _checkpointed(ft_config, tmp_path, 3, resume=True), trial_index=0
         )
-        with pytest.warns(RuntimeWarning, match="retrying from step 9"):
-            recovered = self._pooled(
-                ft_config,
-                tmp_path,
-                checkpoint_dir=str(snapshots),
-                checkpoint_every=3,
-            )
-        assert_trials_identical(golden_trial, recovered)
-        assert list_checkpoints(snapshots, "trial-0000")
+        assert_trials_identical(golden_trial, resumed)
 
 
 def _trial_pool(config):
@@ -541,104 +544,66 @@ class TestSupervisedTrialPool:
         assert_experiments_identical(golden_experiment, resumed)
 
 
-class TestSharedMemoryHygiene:
-    """No ``/dev/shm`` segment survives any pool exit route.
-
-    The pooled shard path now moves its per-step payloads through one
-    shared-memory arena per pool (:mod:`repro.core.shardmem`).  The
-    orchestrator owns the segment and must unlink it on *every* exit:
-    clean shutdown, worker kill/hang followed by a pool rebuild, and the
-    exhausted-budget serial fallback.  ``live_segments()`` is the leak
-    oracle; each scenario asserts the set of segments is unchanged.
-    """
-
-    def _pooled(self, ft_config):
-        return run_trial(
-            replace(ft_config, num_shards=2, execution="shard"),
-            trial_index=0,
-            supervisor=FAST_SUPERVISOR,
-        )
-
-    def test_clean_pooled_run_leaves_no_segments(self, ft_config, golden_trial):
-        from repro.core.shardmem import live_segments
-
-        before = live_segments()
-        recovered = self._pooled(ft_config)
-        assert_trials_identical(golden_trial, recovered)
-        assert live_segments() == before
-
-    @pytest.mark.parametrize(
-        "kind,extra",
-        [("kill", {}), ("raise", {}), ("hang", {"delay": 3600.0})],
-        ids=["kill", "raise", "hang"],
-    )
-    def test_rebuild_after_worker_failure_leaves_no_segments(
-        self, ft_config, golden_trial, tmp_path, kind, extra
+    def test_hung_worker_times_out_and_is_retried(
+        self, ft_config, golden_experiment, tmp_path
     ):
-        from repro.core.shardmem import live_segments
-
-        before = live_segments()
         os.environ.update(
             plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_begin",
-                        kind=kind,
-                        shard=WORKER1_SHARD,
-                        step=5,
-                        **extra,
-                    )
-                ],
+                [FaultSpec(site="trial_worker", kind="hang", trial=1, delay=3600.0)],
                 state_dir=tmp_path,
             )
         )
-        with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
-            recovered = self._pooled(ft_config)
-        assert_trials_identical(golden_trial, recovered)
-        assert live_segments() == before
+        # A tight deadline keeps the test short; a spurious timeout on a
+        # slow host only costs a bit-identical retry.
+        supervisor = SupervisorPolicy(max_retries=2, timeout=2.0, backoff_base=0.0)
+        with pytest.warns(RuntimeWarning, match="supervision timeout"):
+            recovered = run_experiment(_trial_pool(ft_config), supervisor=supervisor)
+        assert_experiments_identical(golden_experiment, recovered)
 
-    def test_serial_fallback_leaves_no_segments(
-        self, ft_config, golden_trial, tmp_path
+    @staticmethod
+    def _log_restored_steps(patch, log):
+        """Append the step of every snapshot a loop restores to ``log``.
+
+        Pool workers are forked after the patch, so they log too.
+        """
+        from repro.core.loop import ClosedLoop
+
+        real_restore = ClosedLoop.restore_snapshot
+
+        def restore(self, payload):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{int(payload['step'])}\n")
+            return real_restore(self, payload)
+
+        patch.setattr(ClosedLoop, "restore_snapshot", restore)
+
+    @pytest.mark.parametrize("kind", ["kill", "raise"])
+    def test_kill_with_checkpoints_retries_from_the_boundary(
+        self, ft_config, golden_experiment, tmp_path, monkeypatch, kind
     ):
-        from repro.core.shardmem import live_segments
-
-        before = live_segments()
+        # The first trial to reach step 11 fails there; its retry picks
+        # up the step-9 snapshot the failed attempt left, not step 0.
+        state = tmp_path / "faults"
+        snapshots = tmp_path / "snapshots"
+        log = tmp_path / "restored.log"
         os.environ.update(
             plan_environment(
-                [
-                    FaultSpec(
-                        site="shard_worker_respond",
-                        kind="raise",
-                        shard=0,
-                        step=2,
-                        once=False,
-                    )
-                ],
-                state_dir=tmp_path,
+                [FaultSpec(site="loop_step", kind=kind, step=11)], state_dir=state
             )
         )
-        with pytest.warns(RuntimeWarning, match="serial path"):
-            recovered = self._pooled(ft_config)
-        assert_trials_identical(golden_trial, recovered)
-        assert live_segments() == before
-
-    def test_pickle_transport_remains_available_and_identical(
-        self, ft_config, golden_trial
-    ):
-        # The pickled fallback transport stays bit-identical to the arena
-        # path (and is what populations without feature_channels use).
-        from repro.core.shardmem import TransportMeter, set_transport_meter
-
-        meter = TransportMeter()
-        set_transport_meter(meter)
-        try:
-            shared = self._pooled(ft_config)
-        finally:
-            set_transport_meter(None)
-        assert_trials_identical(golden_trial, shared)
-        # The arena moved every per-step payload: nothing was pickled.
-        assert meter.shared_bytes > 0
-        assert meter.pickled_bytes == 0
+        with monkeypatch.context() as patch:
+            self._log_restored_steps(patch, log)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                recovered = run_experiment(
+                    _trial_pool(_checkpointed(ft_config, snapshots, 3)),
+                    supervisor=FAST_SUPERVISOR,
+                )
+        assert_experiments_identical(golden_experiment, recovered)
+        assert 9 in [int(line) for line in log.read_text().split()]
+        pool_failures = [w for w in caught if "pool failure" in str(w.message)]
+        # A dead worker breaks the pool; a raise only retries its trial.
+        assert bool(pool_failures) == (kind == "kill")
 
 
 class TestCrossPlanResume:
@@ -663,13 +628,12 @@ class TestCrossPlanResume:
                 trial_index=0,
             )
         clear_plan()
-        # Resume on a "different host" under a different plan: auto keeps
-        # a checkpointed trial on the serial loop on any host, so the
-        # resume asks for shard workers on 8 cores — the checkpoint must
-        # still be accepted and replayed.
+        # Resume on a "different host" under a different execution value:
+        # the layout is not part of the fingerprint, so the checkpoint
+        # must still be accepted and replayed.
         monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
         resumed = run_trial(
-            _checkpointed(ft_config, tmp_path, 3, execution="shard", resume=True),
+            _checkpointed(ft_config, tmp_path, 3, execution="pool", resume=True),
             trial_index=0,
         )
         assert_trials_identical(golden_trial, resumed)

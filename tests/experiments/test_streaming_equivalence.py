@@ -108,8 +108,8 @@ class TestSmallScaleEquivalence:
 
         ``ENGINE_GOLDEN`` pins the sharded full-history engine; asserting
         the same digests against the streaming path extends the pin across
-        both recording modes (and, via ``test_shard_equivalence.py``, every
-        pooled execution layout).
+        both recording modes (and, via ``test_execution_equivalence.py``,
+        every execution layout).
         """
         observed = {}
         expected = {}

@@ -3,10 +3,9 @@
 Two families pin the content address's contract:
 
 * **Layout invariance.**  For any grid cell, the key is identical under
-  every combination of the run options (``execution``, ``max_workers``,
-  ``num_shards``) — the structural
-  property that lets an entry written by a serial sweep hit under pooled
-  or sharded execution.  The key digests
+  every combination of the run options (``execution``, ``max_workers``)
+  — the structural property that lets an entry written by a serial sweep
+  hit under pooled or batched execution.  The key digests
   :func:`~repro.experiments.runner.trajectory_fingerprint_fields`, which
   simply does not contain those knobs, so the property is exact, not
   statistical.
@@ -65,7 +64,6 @@ LAYOUTS = st.fixed_dictionaries(
     {
         "execution": st.sampled_from(["auto", "serial", "batch", "pool", "shard"]),
         "max_workers": st.sampled_from([None, 1, 2, 8]),
-        "num_shards": st.sampled_from([1, 2, 8]),
     }
 )
 

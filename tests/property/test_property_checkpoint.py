@@ -88,13 +88,12 @@ class TestResumeBitIdentity:
         seed=st.integers(min_value=0, max_value=3),
         history_mode=st.sampled_from(["full", "aggregate"]),
         retrain_mode=st.sampled_from(["exact", "compressed"]),
-        num_shards=st.sampled_from([1, 2, 4]),
         cut=st.integers(min_value=1, max_value=NUM_STEPS - 1),
         every=st.integers(min_value=1, max_value=NUM_STEPS + 2),
     )
     @settings(max_examples=40, deadline=None)
     def test_interrupt_anywhere_resume_bit_identically(
-        self, seed, history_mode, retrain_mode, num_shards, cut, every
+        self, seed, history_mode, retrain_mode, cut, every
     ):
         golden = _golden(seed, history_mode, retrain_mode)
         clear_plan()
@@ -103,7 +102,6 @@ class TestResumeBitIdentity:
                 _config(seed),
                 history_mode=history_mode,
                 retrain_mode=retrain_mode,
-                num_shards=num_shards,
                 checkpoint_dir=snapshots,
                 checkpoint_every=every,
             )

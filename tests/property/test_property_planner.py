@@ -7,8 +7,8 @@ Three families of invariants over arbitrary workload shapes and hosts:
   :func:`~repro.core.planner.plan_execution` returns an
   :class:`~repro.core.planner.ExecutionPlan` that passes its own
   ``validate()``, never pairs the batched engine with pools or
-  checkpointing, never exceeds the canonical shard ceiling, and never
-  pools more trial workers than trials.
+  checkpointing, never runs more kernel threads than the canonical shard
+  ceiling, and never pools more trial workers than trials.
 * **Planning is deterministic.**  Fixed inputs (with ``calibrate=False``)
   produce equal plans — the property that makes ``execution="auto"``
   reproducible in CI matrix cells and resumable across runs.
@@ -17,8 +17,9 @@ Three families of invariants over arbitrary workload shapes and hosts:
   bench record or checkpoint without losing identity.
 
 Forbidden combinations are covered as rejection properties: the batch
-mode with checkpoint knobs, an unknown mode, and degenerate inputs all
-raise ``ValueError`` before any work starts.
+mode (and its second name, ``shard``) with checkpoint knobs, an unknown
+mode, and degenerate inputs all raise ``ValueError`` before any work
+starts.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from hypothesis import strategies as st
 from repro.core.planner import EXECUTION_MODES, ExecutionPlan, plan_execution
 from repro.core.sharding import max_worker_shards
 
-LAYOUTS = ("serial", "batch", "pool", "shard", "pool+shard")
+LAYOUTS = ("serial", "batch", "pool")
 
 
 @st.composite
 def plan_inputs(draw):
     execution = draw(st.sampled_from(EXECUTION_MODES))
-    if execution == "batch":
+    if execution in ("batch", "shard"):
         # The only checkpoint knobs batch accepts are the disabled ones.
         checkpoint_every, resume = 0, False
     else:
@@ -55,7 +56,6 @@ def plan_inputs(draw):
         resume=resume,
         cpu_count=draw(st.integers(min_value=1, max_value=256)),
         max_workers=draw(st.none() | st.integers(min_value=1, max_value=64)),
-        num_shards=draw(st.none() | st.integers(min_value=1, max_value=64)),
     )
 
 
@@ -69,7 +69,7 @@ class TestPlansAreAlwaysWellFormed:
         assert plan.layout in LAYOUTS
         assert plan.cpu_count == inputs["cpu_count"]
         # The batched engine owns every trial in one process.
-        assert not (plan.trial_batch and (plan.parallel or plan.shard_parallel))
+        assert not (plan.trial_batch and plan.parallel)
         # Checkpointing runs never land on the batched engine.
         if inputs["checkpoint_every"] > 0 or inputs["resume"]:
             assert not plan.trial_batch
@@ -78,29 +78,27 @@ class TestPlansAreAlwaysWellFormed:
             assert 1 <= plan.max_workers <= inputs["trials"]
             if inputs["max_workers"] is not None:
                 assert plan.max_workers <= inputs["max_workers"]
-        # Shard workers stay within the canonical ceiling.
-        if plan.shard_parallel:
-            assert 2 <= plan.num_shards <= max_worker_shards(inputs["users"])
+        # Kernel threads stay within the canonical ceiling.
+        if plan.trial_batch:
+            assert 1 <= plan.max_workers <= max_worker_shards(inputs["users"])
+        # No plan runs the retired process shard pool.
+        assert not plan.shard_parallel
         # A serial layout carries no stray switches.
         if plan.layout == "serial":
             assert not plan.trial_batch
             assert not plan.parallel
-            assert not plan.shard_parallel
-            assert plan.num_shards == 1
 
     @given(inputs=plan_inputs())
     @settings(max_examples=100, deadline=None)
     def test_layout_matches_switches(self, inputs):
         plan = plan_execution(**inputs)
         expected = {
-            (False, False, False): "serial",
-            (True, False, False): "batch",
-            (False, True, False): "pool",
-            (False, False, True): "shard",
-            (False, True, True): "pool+shard",
-        }[(plan.trial_batch, plan.parallel, plan.shard_parallel)]
+            (False, False): "serial",
+            (True, False): "batch",
+            (False, True): "pool",
+        }[(plan.trial_batch, plan.parallel)]
         assert plan.layout == expected
-        assert plan.layout.split("+")[0] in plan.describe()
+        assert plan.layout in plan.describe()
 
 
 class TestPlanningIsDeterministic:
@@ -127,14 +125,17 @@ class TestPlansRoundTrip:
 
 class TestForbiddenCombosAreRejected:
     @given(
+        execution=st.sampled_from(("batch", "shard")),
         checkpoint_every=st.integers(min_value=1, max_value=16),
         resume=st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_batch_never_plans_with_checkpointing(self, checkpoint_every, resume):
+    def test_batch_never_plans_with_checkpointing(
+        self, execution, checkpoint_every, resume
+    ):
         with pytest.raises(ValueError, match="incompatible with checkpointing"):
             plan_execution(
-                "batch",
+                execution,
                 trials=4,
                 users=100,
                 steps=10,

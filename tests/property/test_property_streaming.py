@@ -1,6 +1,6 @@
 """Property-based tests on the streaming aggregation subsystem.
 
-Three families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
+Two families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
 
 * **Stream/batch agreement** — feeding a random decision/action stream step
   by step must agree *bit for bit* with the batch ``recompute_*`` /
@@ -8,12 +8,6 @@ Three families of properties pin :class:`repro.core.streaming.StreamingAggregato
   on the materialised ``(steps, users)`` matrices (the aggregator replays
   the exact float operations of the full-history engine, including the
   sequential group summation order — see ``sequential_sum``).
-* **Shard merge** — aggregating two disjoint user shards and merging must
-  equal aggregating the concatenated stream.  Integer-valued state (offer
-  and repayment counts, minima/maxima, group sizes) merges exactly; the
-  floating-point group sums merge up to reassociation error, and exactly
-  whenever every partial sum is representable (dyadic action values), which
-  a dedicated property asserts.
 * **One-pass group folds** — :class:`~repro.core.streaming.GroupFold`,
   which both aggregators use, equals ``sequential_sum(values[indices])``
   bit for bit on random partitions, with empty groups, ungrouped users,
@@ -140,114 +134,6 @@ class TestStreamMatchesBatchRecompute:
         np.testing.assert_allclose(
             aggregator.rate_sum_series(), rates.sum(axis=1), rtol=1e-12, atol=1e-12
         )
-
-
-class TestShardMerge:
-    @given(stream_shapes, seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_merge_equals_concatenated_stream(self, shape, seed):
-        num_steps, num_users = shape
-        total_users = 2 * num_users + 1  # deliberately uneven shards
-        decisions, actions = _random_stream(num_steps, total_users, seed)
-        groups = _random_partition(total_users, seed + 4)
-        split = num_users
-
-        def restrict(indices, lower, upper):
-            shard = indices[(indices >= lower) & (indices < upper)]
-            return shard - lower
-
-        groups_a = {key: restrict(idx, 0, split) for key, idx in groups.items()}
-        groups_b = {
-            key: restrict(idx, split, total_users) for key, idx in groups.items()
-        }
-        shard_a = _fill_aggregator(
-            decisions[:, :split], actions[:, :split], groups_a
-        )
-        shard_b = _fill_aggregator(
-            decisions[:, split:], actions[:, split:], groups_b
-        )
-        merged = shard_a.merge(shard_b)
-        reference = _fill_aggregator(decisions, actions, groups)
-
-        assert merged.num_users == reference.num_users
-        assert merged.num_steps == reference.num_steps
-        assert merged.group_sizes == reference.group_sizes
-        for key in groups:
-            np.testing.assert_array_equal(
-                np.sort(merged.group_indices()[key]), reference.group_indices()[key]
-            )
-        # Integer-valued cumulative state merges exactly.
-        np.testing.assert_array_equal(
-            merged.export_state()["offers_cum"], reference.export_state()["offers_cum"]
-        )
-        np.testing.assert_array_equal(
-            merged.export_state()["repayments_cum"],
-            reference.export_state()["repayments_cum"],
-        )
-        np.testing.assert_array_equal(
-            merged.rate_min_series(), reference.rate_min_series()
-        )
-        np.testing.assert_array_equal(
-            merged.rate_max_series(), reference.rate_max_series()
-        )
-        # 0/1 decision sums are exact in float64, so approvals merge exactly.
-        np.testing.assert_array_equal(
-            merged.approval_rate_series(), reference.approval_rate_series()
-        )
-        np.testing.assert_array_equal(
-            merged.portfolio_rate_series(), reference.portfolio_rate_series()
-        )
-        # Group rate sums are sums of quotients: merged as sum_a + sum_b,
-        # equal to the single-stream sequential fold up to reassociation.
-        merged_rates = merged.group_default_rate_series()
-        reference_rates = reference.group_default_rate_series()
-        for key in groups:
-            np.testing.assert_allclose(
-                merged_rates[key], reference_rates[key], rtol=1e-12, atol=1e-12
-            )
-
-    @given(
-        st.integers(min_value=1, max_value=2),
-        st.integers(min_value=1, max_value=20),
-        seeds,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_is_exact_for_dyadic_action_averages(
-        self, num_steps, num_users, seed
-    ):
-        """With dyadic action values and power-of-two Cesàro divisors every
-        intermediate float is exact, so the merged group averages are
-        bit-identical to the concatenated-stream aggregation (no
-        reassociation error exists).  Longer streams divide by non-powers
-        of two and fall back to the tolerance-based property above."""
-        rng = np.random.default_rng(seed)
-        total_users = 2 * num_users
-        decisions = np.ones((num_steps, total_users))
-        # Multiples of 1/8 with small magnitude: exactly representable, and
-        # closed under the (bounded) additions the aggregator performs.
-        actions = rng.integers(0, 9, size=(num_steps, total_users)) / 8.0
-        groups = _random_partition(total_users, seed + 5)
-
-        def restrict(indices, lower, upper):
-            shard = indices[(indices >= lower) & (indices < upper)]
-            return shard - lower
-
-        groups_a = {key: restrict(idx, 0, num_users) for key, idx in groups.items()}
-        groups_b = {
-            key: restrict(idx, num_users, total_users) for key, idx in groups.items()
-        }
-        shard_a = _fill_aggregator(
-            decisions[:, :num_users], actions[:, :num_users], groups_a
-        )
-        shard_b = _fill_aggregator(
-            decisions[:, num_users:], actions[:, num_users:], groups_b
-        )
-        merged = shard_a.merge(shard_b)
-        reference = _fill_aggregator(decisions, actions, groups)
-        merged_series = merged.group_action_average_series()
-        reference_series = reference.group_action_average_series()
-        for key in groups:
-            np.testing.assert_array_equal(merged_series[key], reference_series[key])
 
 
 #: Values where a fold's order and the sign of zero show: signed zeros,

@@ -44,7 +44,7 @@ class TestParser:
             build_parser().parse_args(["--execution", "batch", "fig3"]).execution
             == "batch"
         )
-        for retired in ("--trial-batch", "--shard-parallel"):
+        for retired in ("--trial-batch", "--shard-parallel", "--shards"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([retired, "fig3"])
 
@@ -93,6 +93,17 @@ class TestCommands:
         assert main([*flags, command]) == 0
         serial = capsys.readouterr().out
         assert main([*flags, "--execution", "batch", command]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("execution", ["batch", "pool", "auto", "shard"])
+    def test_every_layout_prints_the_serial_tables(self, execution, capsys):
+        # fig3 runs a whole experiment, so each layout really runs: the
+        # kernel (batch, and shard, its second name), the trial pool, and
+        # whatever auto plans on this host.
+        flags = ["--users", "60", "--trials", "3"]
+        assert main([*flags, "fig3"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*flags, "--execution", execution, "fig3"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_fig3_prints_the_race_series(self, capsys):

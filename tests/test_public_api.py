@@ -80,3 +80,42 @@ def test_public_functions_have_docstrings():
         member = getattr(repro, name)
         if callable(member):
             assert member.__doc__, f"repro.{name} is missing a docstring"
+
+
+def _imports_by_module():
+    """Map each ``repro`` module to the dotted names it imports."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(("repro", *path.relative_to(root).with_suffix("").parts))
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        found[module.removesuffix(".__init__")] = names
+    return found
+
+
+def test_only_the_trial_and_job_pools_start_processes():
+    """Two supervised process pools, no more: trials and campaign jobs."""
+    spawners = {
+        module
+        for module, names in _imports_by_module().items()
+        if "concurrent.futures.ProcessPoolExecutor" in names
+        or any(name.split(".")[0] == "multiprocessing" for name in names)
+    }
+    assert spawners == {"repro.experiments.runner", "repro.campaign.runner"}
+
+
+def test_no_module_maps_shared_memory():
+    """Per-step data never crosses a process boundary through /dev/shm."""
+    for module, names in _imports_by_module().items():
+        assert not any("shared_memory" in name for name in names), module
