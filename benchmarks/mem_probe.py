@@ -3,7 +3,8 @@
 Each probe runs one closed-loop trial in a **fresh subprocess** and reports
 the child's peak resident set size (``ru_maxrss``), so the measurements are
 isolated from the parent and from each other (peak RSS is monotonic within
-a process).  Three probes bracket the recording subsystem:
+a process).  Three probes bracket the recording subsystem of the serial
+loop:
 
 * ``floor`` — the identical trial with recording discarded entirely: the
   memory cost of the *simulation itself* (population, lender retraining,
@@ -16,6 +17,11 @@ a process).  Three probes bracket the recording subsystem:
 ``peak - floor`` is the memory attributable to the recorder, which is the
 quantity the streaming refactor targets: the full-history recorder scales
 as O(steps * users), the streaming one as O(users).
+
+A fourth probe, ``kernel``, runs the same trial the way ``execution="auto"``
+runs every single trial in process: ``run_experiment`` on the lockstep
+kernel (``execution="batch"``, one kernel thread per usable core) with
+aggregate history.
 """
 
 from __future__ import annotations
@@ -92,6 +98,23 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+#: The trial on the lockstep kernel with aggregate history; prints the
+#: child's peak RSS in KiB.
+_KERNEL_SNIPPET = """
+import resource, sys
+sys.path.insert(0, {src!r})
+from repro.experiments.config import CaseStudyConfig
+from repro.experiments.runner import run_experiment
+config = CaseStudyConfig(
+    num_users={users}, num_trials=1, end_year=2021, history_mode="aggregate",
+    execution="batch",
+)
+result = run_experiment(config)
+assert result.trials[0].history.num_steps == config.num_steps
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 def _run_probe(snippet: str) -> float:
     """Run one probe subprocess and return its peak RSS in MiB."""
     completed = subprocess.run(
@@ -115,17 +138,24 @@ def floor_peak_rss_mb(num_users: int) -> float:
     return _run_probe(_FLOOR_SNIPPET.format(src=_SRC_PATH, users=num_users))
 
 
+def kernel_peak_rss_mb(num_users: int) -> float:
+    """Return the peak RSS (MiB) of the trial on the lockstep kernel."""
+    return _run_probe(_KERNEL_SNIPPET.format(src=_SRC_PATH, users=num_users))
+
+
 def measure_history_memory(num_users: int) -> dict:
-    """Measure all three probes and derive the recorder-attributable sizes."""
+    """Measure all four probes and derive the recorder-attributable sizes."""
     floor = floor_peak_rss_mb(num_users)
     full = trial_peak_rss_mb(num_users, "full")
     aggregate = trial_peak_rss_mb(num_users, "aggregate")
+    kernel = kernel_peak_rss_mb(num_users)
     full_overhead = max(full - floor, 0.0)
     aggregate_overhead = max(aggregate - floor, 0.0)
     return {
         "floor_peak_rss_mb": round(floor, 1),
         "full_peak_rss_mb": round(full, 1),
         "aggregate_peak_rss_mb": round(aggregate, 1),
+        "kernel_peak_rss_mb": round(kernel, 1),
         "full_history_overhead_mb": round(full_overhead, 1),
         "aggregate_history_overhead_mb": round(aggregate_overhead, 1),
         "memory_ratio_x": round(full_overhead / max(aggregate_overhead, 1e-9), 1),

@@ -206,16 +206,28 @@ def _streaming_budgets(num_users: int) -> tuple[float, float]:
     return 48.0, 288.0
 
 
+def _kernel_peak_budget(num_users: int) -> float:
+    """Return the lockstep kernel probe's absolute peak budget in MiB.
+
+    ~2x headroom over measured values, as for the other probes (kernel
+    peak ~383 MiB at 1M users and ~108 MiB at 150k, on 2 kernel threads).
+    """
+    return 768.0 if num_users >= 1_000_000 else 224.0
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="relies on Linux ru_maxrss units")
 def test_bench_streaming_memory_ceiling():
     """Streaming recording must be bounded and >=10x leaner than full history.
 
-    Three subprocess probes (see ``mem_probe``): the no-recorder simulation
-    floor, a full-history trial and an aggregate-mode trial.  The recorder
-    overhead (peak minus floor) is the quantity the streaming subsystem
-    bounds: full history materialises O(steps * users) columns while the
-    aggregator keeps O(users) running state, so the gap must be at least
-    10x and the streaming overhead must stay inside a fixed budget.
+    Four subprocess probes (see ``mem_probe``): the no-recorder simulation
+    floor, a full-history trial, an aggregate-mode trial and the same
+    aggregate trial on the lockstep kernel, which ``execution="auto"``
+    runs for every single trial in process.  The recorder overhead (peak
+    minus floor) is the quantity the streaming subsystem bounds: full
+    history materialises O(steps * users) columns while the aggregator
+    keeps O(users) running state, so the gap must be at least 10x and the
+    streaming overhead must stay inside a fixed budget; the kernel's peak
+    has its own budget.
     """
     import mem_probe
 
@@ -227,7 +239,8 @@ def test_bench_streaming_memory_ceiling():
         f"{measured['floor_peak_rss_mb']:.0f} MiB; recorder overhead full "
         f"{measured['full_history_overhead_mb']:.0f} MiB vs streaming "
         f"{measured['aggregate_history_overhead_mb']:.0f} MiB "
-        f"({measured['memory_ratio_x']:.0f}x)"
+        f"({measured['memory_ratio_x']:.0f}x); kernel peak "
+        f"{measured['kernel_peak_rss_mb']:.0f} MiB"
     )
     assert measured["aggregate_history_overhead_mb"] <= overhead_budget, (
         "streaming recorder overhead exceeded its budget: "
@@ -236,6 +249,11 @@ def test_bench_streaming_memory_ceiling():
     assert measured["aggregate_peak_rss_mb"] <= peak_budget, (
         "streaming-mode trial exceeded its absolute peak-RSS budget: "
         f"{measured['aggregate_peak_rss_mb']} MiB > {peak_budget} MiB"
+    )
+    kernel_budget = _kernel_peak_budget(num_users)
+    assert measured["kernel_peak_rss_mb"] <= kernel_budget, (
+        "the lockstep kernel's aggregate trial exceeded its peak-RSS budget: "
+        f"{measured['kernel_peak_rss_mb']} MiB > {kernel_budget} MiB"
     )
     assert measured["memory_ratio_x"] >= 10.0, (
         "full-history recorder should cost >=10x the streaming recorder, got "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from repro.utils.validation import require_in_range
 
@@ -117,7 +117,9 @@ def estimate_long_run_average(
     means = batch_means(window, num_batches)
     estimate = float(window.mean())
     standard_error = float(means.std(ddof=1) / np.sqrt(means.size))
-    t_critical = float(stats.t.ppf(0.5 + confidence / 2.0, df=means.size - 1))
+    # stdtrit is the Student-t quantile kernel that scipy.stats' t.ppf
+    # evaluates (same bits), without importing scipy.stats.
+    t_critical = float(stdtrit(means.size - 1, 0.5 + confidence / 2.0))
     return LongRunEstimate(
         estimate=estimate,
         standard_error=standard_error,

@@ -16,10 +16,11 @@ refreshed observation.
 
 from __future__ import annotations
 
-from typing import Dict, Protocol, runtime_checkable
+from typing import Dict, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.core.history import _readonly
 from repro.core.sharding import UserChunkMap, whole_population
 from repro.credit.default_rates import DefaultRateTracker, user_default_rates
 
@@ -108,15 +109,24 @@ class BatchedDefaultRateFilter:
     ratio, the pooled portfolio rate) is identical across trials.  This
     class keeps the ``T`` trackers' cumulative state stacked as ``(trials,
     users)`` arrays so one fused call replaces ``T`` scalar-dispatch
-    updates.
+    updates.  These count rows are the run's one copy of the per-user
+    counts: the lockstep kernel's streaming aggregator reads them
+    (:class:`~repro.core.streaming.BatchedStreamingAggregator`).
+
+    Inputs follow the kernel's contract: 0/1 decisions, and repayments
+    (actions) only where offered; they are trusted, not checked.  A step
+    folds in user chunks (:meth:`fold`, elementwise, so chunks may run on
+    several threads), each returning its per-trial offer and repayment
+    counts, which :meth:`finish_step` adds into running per-trial totals.
+    The counts are small integers, exact in float under any split and
+    order, so the totals equal the sums of the count rows and the
+    portfolio rates never re-sum those rows.
 
     Row ``t`` is bit-identical, at every step, to a plain
-    :class:`DefaultRateFilter` over trial ``t``'s stream: the counts are
-    small integers (exact in float), the rate fold uses the same masked
-    division as :meth:`DefaultRateTracker.user_rates`, and the portfolio
-    ratio sums each row contiguously exactly like the per-trial
-    ``tracker.offers.sum()``.  Pinned by ``tests/core/test_filters.py`` and
-    the batch-equivalence suite.
+    :class:`DefaultRateFilter` over trial ``t``'s stream: the rate row is
+    the shared :func:`~repro.credit.default_rates.user_default_rates`, and
+    the portfolio ratio divides the same integer totals.  Pinned by
+    ``tests/core/test_filters.py`` and the batch-equivalence suite.
     """
 
     def __init__(
@@ -133,6 +143,10 @@ class BatchedDefaultRateFilter:
         self._prior_rate = float(prior_rate)
         self._offers = np.zeros((num_trials, num_users), dtype=float)
         self._repayments = np.zeros((num_trials, num_users), dtype=float)
+        # Per-trial offer and repayment counts of the last step, and their
+        # running totals.
+        self._step_counts = np.zeros((2, num_trials), dtype=float)
+        self._totals = np.zeros((2, num_trials), dtype=float)
         self._steps_recorded = 0
 
     @property
@@ -146,40 +160,96 @@ class BatchedDefaultRateFilter:
         return self._num_users
 
     @property
+    def prior_rate(self) -> float:
+        """Return the rate reported for never-offered users."""
+        return self._prior_rate
+
+    @property
     def steps_recorded(self) -> int:
         """Return how many lockstep steps have been recorded."""
         return self._steps_recorded
+
+    @property
+    def offers(self) -> np.ndarray:
+        """Return a read-only view of the ``(trials, users)`` offer counts."""
+        return _readonly(self._offers.view())
+
+    @property
+    def repayments(self) -> np.ndarray:
+        """Return a read-only view of the ``(trials, users)`` repayment counts."""
+        return _readonly(self._repayments.view())
+
+    @property
+    def step_counts(self) -> np.ndarray:
+        """Return the last step's per-trial offer and repayment counts.
+
+        Shape ``(2, trials)``: offers in row 0, repayments in row 1.
+        """
+        return self._step_counts.copy()
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Return the running per-trial totals, laid out as :attr:`step_counts`."""
+        return self._totals.copy()
+
+    def fold(
+        self,
+        users: slice,
+        decisions: np.ndarray,
+        actions: np.ndarray,
+        rates_out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Fold one user chunk of a step; return its ``(2, trials)`` counts.
+
+        Offers accumulate the chunk's decisions and repayments its actions;
+        the result holds, per trial, the chunk's offers (row 0) and
+        repayments (row 1).  ``rates_out``, when given, receives the
+        chunk's updated ``ADR_i(k)`` columns.  Once every chunk of a step
+        has folded, :meth:`finish_step` takes the chunks' counts.
+        """
+        offers = self._offers[:, users]
+        repayments = self._repayments[:, users]
+        offered = decisions[:, users]
+        repaid = actions[:, users]
+        offers += offered
+        repayments += repaid
+        if rates_out is not None:
+            user_default_rates(
+                offers, repayments, self._prior_rate, out=rates_out[:, users]
+            )
+        return np.stack((offered.sum(axis=1), repaid.sum(axis=1)))
+
+    def finish_step(self, chunk_counts: Sequence[np.ndarray]) -> None:
+        """Add every chunk's :meth:`fold` counts into the step and the totals."""
+        self._step_counts = np.add.reduce(list(chunk_counts))
+        self._totals += self._step_counts
+        self._steps_recorded += 1
 
     def update(
         self,
         decisions: np.ndarray,
         actions: np.ndarray,
         map_users: UserChunkMap | None = None,
+        rates_out: np.ndarray | None = None,
     ) -> None:
         """Fold one lockstep step of ``(trials, users)`` decisions/actions.
 
-        Mirrors ``T`` independent :meth:`DefaultRateFilter.update` calls:
-        offers accumulate the 0/1 decisions, repayments the actions of
-        offered users.  Inputs are trusted 0/1 float arrays (the batched
-        engine produces them); only shapes are validated here.  The fold
-        is elementwise, so ``map_users`` may split it over user chunks on
-        several threads (the default folds every user on this thread).
+        Mirrors ``T`` independent :meth:`DefaultRateFilter.update` calls;
+        only shapes are validated here.  ``map_users`` may split the
+        :meth:`fold` over user chunks on several threads (the default
+        folds every user on this thread); ``rates_out`` is as in
+        :meth:`fold`.
         """
         shape = (self._num_trials, self._num_users)
         if decisions.shape != shape or actions.shape != shape:
             raise ValueError(
                 f"decisions and actions must both have shape {shape}"
             )
-
-        def fold(users: slice) -> None:
-            offers = self._offers[:, users]
-            repayments = self._repayments[:, users]
-            offered = decisions[:, users]
-            offers += offered
-            repayments += actions[:, users] * offered
-
-        (map_users or whole_population)(fold)
-        self._steps_recorded += 1
+        self.finish_step(
+            (map_users or whole_population)(
+                lambda users: self.fold(users, decisions, actions, rates_out)
+            )
+        )
 
     def user_rates(
         self,
@@ -211,19 +281,19 @@ class BatchedDefaultRateFilter:
         return rates
 
     def portfolio_rates(self) -> np.ndarray:
-        """Return the pooled default rate of each trial's offers so far."""
-        rates = np.empty(self._num_trials, dtype=float)
-        for trial in range(self._num_trials):
-            # Per-row contiguous sums reproduce the per-trial tracker's
-            # reduction order exactly (same length, same layout).
-            total_offers = float(self._offers[trial].sum())
-            if total_offers == 0:
-                rates[trial] = self._prior_rate
-            else:
-                rates[trial] = float(
-                    1.0 - self._repayments[trial].sum() / total_offers
-                )
-        return rates
+        """Return the pooled default rate of each trial's offers so far.
+
+        The same branch and float ops as
+        :meth:`DefaultRateTracker.portfolio_rate`, on the running totals,
+        which equal the tracker's row sums exactly.
+        """
+        offers, repayments = self._totals.tolist()
+        return np.array(
+            [
+                self._prior_rate if total_offers == 0 else 1.0 - repaid / total_offers
+                for total_offers, repaid in zip(offers, repayments)
+            ]
+        )
 
     def tracker_for_trial(self, trial: int) -> DefaultRateTracker:
         """Return trial ``trial``'s state as a standalone tracker."""

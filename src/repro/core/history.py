@@ -39,6 +39,8 @@ from typing import Dict, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.credit.default_rates import user_default_rates
+
 __all__ = ["StepRecord", "SimulationHistory", "FullHistoryRequiredError"]
 
 
@@ -176,31 +178,6 @@ def _grown(old: np.ndarray, capacity: int, filled: int) -> np.ndarray:
     fresh = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
     fresh[:filled] = old[:filled]
     return fresh
-
-
-def running_default_rates_from_cums(
-    offers_cum: np.ndarray,
-    repayments_cum: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Return ``ADR_i`` from cumulative offers/repayments (the shared fold).
-
-    This is the single definition of the per-user running default rate —
-    "offered but not repaid", rate 0 before any offer — used by **both**
-    recording modes: :class:`SimulationHistory`'s incremental layer and the
-    streaming :class:`~repro.core.streaming.StreamingAggregator`.  Keeping
-    it in one place is what makes the cross-mode bit-identity guarantee
-    structural rather than two formulas kept in sync by convention.
-    ``out``, when given, receives the rates (it must not overlap the
-    inputs).
-    """
-    never_offered = ~(offers_cum > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = np.maximum(offers_cum, 1e-12, out=out)
-        np.divide(repayments_cum, rates, out=rates)
-        np.subtract(1.0, rates, out=rates)
-    np.copyto(rates, 0.0, where=never_offered)
-    return rates
 
 
 class SimulationHistory:
@@ -366,8 +343,8 @@ class SimulationHistory:
 
         The caller **must** supply exactly what the incremental layer would
         compute for this step — ``running_rates`` equal to
-        :func:`running_default_rates_from_cums` over the history's
-        cumulative 0/1 decisions/actions, ``running_actions`` the Cesàro
+        :func:`~repro.credit.default_rates.user_default_rates` over the
+        history's cumulative 0/1 decisions/actions, ``running_actions`` the Cesàro
         row, ``approval`` the decision mean — or the stored series (and the
         ``recompute_*`` cross-checks) would silently disagree.  The batch
         equivalence suite pins this bit for bit.  Mixing with the plain
@@ -502,7 +479,7 @@ class SimulationHistory:
         self._offers_cum += decisions_row
         self._repayments_cum += actions_row * decisions_row
         self._actions_cum += actions_row
-        self._running_rates[row, :] = running_default_rates_from_cums(
+        self._running_rates[row, :] = user_default_rates(
             self._offers_cum, self._repayments_cum
         )
         self._running_actions[row, :] = self._actions_cum / float(row + 1)

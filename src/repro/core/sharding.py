@@ -28,14 +28,16 @@ and requires re-goldening the equivalence suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 __all__ = [
     "NUM_CANONICAL_SHARDS",
     "ShardPlan",
+    "TaskRunner",
     "UserChunkMap",
+    "in_order",
     "max_worker_shards",
     "whole_population",
 ]
@@ -53,6 +55,19 @@ UserChunkMap = Callable[[Callable[[slice], _Result]], List[_Result]]
 def whole_population(work: Callable[[slice], _Result]) -> List[_Result]:
     """The default chunk map: one range holding every user, on this thread."""
     return [work(slice(None))]
+
+
+#: A task runner calls each of a sequence of independent zero-argument
+#: tasks once, possibly several at a time on different threads, and
+#: returns once every task has finished.  The lockstep kernel runs the
+#: streaming aggregator's whole-row reductions this way.
+TaskRunner = Callable[[Sequence[Callable[[], object]]], object]
+
+
+def in_order(tasks: Sequence[Callable[[], object]]) -> None:
+    """The default task runner: every task in turn, on this thread."""
+    for task in tasks:
+        task()
 
 
 #: Canonical number of user shards per population.  Part of the pinned

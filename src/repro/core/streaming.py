@@ -36,27 +36,27 @@ means of a one-step run can therefore differ from the full path in the
 last ulp.  Every real simulation spans many steps.)
 
 Sharding note: the lockstep kernel splits the users into chunks of whole
-canonical shards on threads, but its chunks only update the elementwise
-per-user state and count the integer rate histograms, which are exact
-under any split (:meth:`BatchedStreamingAggregator.update`).  Every sum
-whose value depends on the order of its terms runs once over the whole
-row, so the sequential fold order above holds under any thread count.
+canonical shards on threads.  In a chunk, :meth:`BatchedStreamingAggregator.fold`
+writes only elementwise per-user state (the Cesàro row) and makes only
+reductions that are exact under any split: ``ADR_i`` min and max, the
+integer rate histograms and low-rate counts, and per-group decision
+counts (sums of 0/1 decisions are integers).  Every sum whose value
+depends on the order of its terms (the ``ADR_i`` and Cesàro group folds,
+the ``ADR_i`` sum and sum of squares) runs once over the whole row, as one
+of four tasks that may run side by side, so the sequential fold order
+above holds under any thread count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.history import (
-    FullHistoryRequiredError,
-    StepRecord,
-    _grown,
-    _readonly,
-    running_default_rates_from_cums,
-)
-from repro.core.sharding import UserChunkMap, whole_population
+from repro.core.filters import BatchedDefaultRateFilter
+from repro.core.history import FullHistoryRequiredError, StepRecord, _grown, _readonly
+from repro.core.sharding import TaskRunner, UserChunkMap, in_order, whole_population
+from repro.credit.default_rates import user_default_rates
 
 __all__ = [
     "StreamingAggregator",
@@ -177,12 +177,35 @@ class GroupFold:
         ``series`` has the ``(rows, users)`` shape of the partitions (a
         single row may also be passed flat).
         """
-        rows = series.reshape(self._codes.shape)
         totals = np.bincount(
             self._codes.reshape(-1),
-            weights=rows.reshape(-1),
+            weights=series.reshape(-1),
             minlength=len(self._members) + 1,
         )[:-1]
+        return self.refold_zeros(totals, series)
+
+    def counts(self, values: np.ndarray, users: slice = slice(None)) -> np.ndarray:
+        """Return each group's sum of 0/1 ``values`` over the ``users`` columns.
+
+        Such sums are integer counts, exact under any split of the users
+        and in any order, so per-chunk counts add up to the whole-row
+        :meth:`sums` bit for bit, save for the sign of zero, which
+        :meth:`refold_zeros` settles once the chunks are added.  One
+        ``bincount`` per row, over contiguous columns.
+        """
+        rows = values.reshape(len(self._codes), -1)
+        totals = np.zeros(len(self._members) + 1)
+        for codes, row in zip(self._codes[:, users], rows[:, users]):
+            totals += np.bincount(codes, weights=row, minlength=totals.size)
+        return totals[:-1]
+
+    def refold_zeros(self, totals: np.ndarray, series: np.ndarray) -> np.ndarray:
+        """Refold sequentially, in place, the ``totals`` that are exactly zero.
+
+        A ``bincount`` bin starts from ``+0.0``; the sequential fold of a
+        group holding nothing but ``-0.0`` stays ``-0.0``.
+        """
+        rows = series.reshape(self._codes.shape)
         for code in np.flatnonzero(totals == 0.0):
             row, _ = self.keys[code]
             totals[code] = sequential_sum(rows[row][self._members[code]])
@@ -248,7 +271,8 @@ class StreamingAggregator(_FoldedGroups):
         to no group.  Empty groups report ``nan`` series like
         :func:`~repro.core.metrics.group_average_series`.
     prior_rate:
-        Portfolio default rate reported before any offer exists, matching
+        Default rate of a user never offered credit, and portfolio rate
+        before any offer exists, as in
         :class:`~repro.credit.default_rates.DefaultRateTracker`.
     """
 
@@ -364,8 +388,8 @@ class StreamingAggregator(_FoldedGroups):
         self._offers_cum += decisions_row
         self._repayments_cum += actions_row * decisions_row
         self._actions_cum += actions_row
-        rates = running_default_rates_from_cums(
-            self._offers_cum, self._repayments_cum
+        rates = user_default_rates(
+            self._offers_cum, self._repayments_cum, self._prior_rate
         )
         cesaro = self._actions_cum / float(row + 1)
         self._approvals[row] = np.mean(decisions_row)
@@ -627,56 +651,73 @@ class StreamingAggregator(_FoldedGroups):
         return aggregator
 
 
+class _ChunkReductions(NamedTuple):
+    """One user chunk's share of a step: every reduction exact under any split."""
+
+    rate_mins: np.ndarray
+    rate_maxs: np.ndarray
+    rate_hist: np.ndarray
+    rate_low_counts: np.ndarray
+    group_decisions: np.ndarray | None
+
+
 class BatchedStreamingAggregator(_FoldedGroups):
     """``T`` independent streaming aggregators advanced in lockstep.
 
     The trial-batched engine records ``T`` trials of the same closed loop
-    side by side.  Each trial's aggregate series are defined over its own
-    user stream, but the expensive per-step state updates — the cumulative
-    offer/repayment/action vectors and the derived ``ADR_i`` / Cesàro
-    rows — are identical elementwise math, so this class keeps them
-    stacked as ``(trials, users)`` arrays and updates them in single fused
-    calls.  The per-trial reductions (sums, extrema, histograms) run on
-    contiguous rows of the stack, which is the same memory layout a
-    standalone :class:`StreamingAggregator` reduces, and one
-    :class:`GroupFold` pass folds every trial's groups in user order, as
-    the standalone fold does for its own row — every series of trial ``t`` is
-    therefore **bit-identical** to feeding trial ``t``'s stream through its
-    own aggregator (pinned by ``tests/core/test_streaming.py`` and the
-    batch-equivalence suite).
+    side by side, over one stacked
+    :class:`~repro.core.filters.BatchedDefaultRateFilter`.  The aggregator
+    owns no per-user counts: it reads the filter's offer and repayment
+    counts, its per-trial step counts and totals, and the ``ADR_i(k)`` row
+    the filter writes each step.  In the credit loop a user repays only
+    when offered, so the running action sums a standalone
+    :class:`StreamingAggregator` keeps equal the repayment counts, and the
+    Cesàro row is ``repayments / (k + 1)``.  That row, rewritten in place
+    every step, is the aggregator's only ``(trials, users)`` array.
+
+    Inputs follow the lockstep kernel's contract, the filter's: 0/1
+    decisions, and repayments (actions) only where offered.  The
+    standalone aggregator, which keeps its own counts, folds any floats.
+
+    A step is :meth:`fold` on each user chunk (chunks may run on several
+    threads), then one :meth:`finish_step`; :meth:`update` runs both.
+    The chunks make every reduction that is exact under any split, and
+    the approvals, decision sums, totals and portfolio rates come from
+    the filter's per-trial counts, so no count row is summed again.  The
+    four reductions whose bits depend on the order of their terms run over
+    whole rows, as the standalone aggregator runs them.  Every series of
+    trial ``t`` is therefore **bit-identical** to feeding trial ``t``'s
+    stream through its own :class:`StreamingAggregator` (pinned by
+    ``tests/core/test_streaming.py``,
+    ``tests/property/test_property_streaming.py`` and the batch-equivalence
+    suite).
 
     Parameters
     ----------
-    num_trials:
-        Number of stacked trials.
-    num_users:
-        Users per trial.
+    rate_filter:
+        The stacked filter whose counts and rates the aggregator reads;
+        each step it folds before the aggregator does.  Its prior rate is
+        the aggregator's.
     groups_per_trial:
         One group partition per trial (trials draw independent populations,
         so the race index sets differ row by row).
-    prior_rate, rate_bins:
+    rate_bins:
         As in :class:`StreamingAggregator`, shared by every trial.
     """
 
     def __init__(
         self,
-        num_trials: int,
-        num_users: int,
+        rate_filter: BatchedDefaultRateFilter,
         groups_per_trial: "list[Mapping[object, np.ndarray] | None]",
-        prior_rate: float = 0.0,
         rate_bins: int = DEFAULT_RATE_BINS,
     ) -> None:
-        if num_trials <= 0:
-            raise ValueError("num_trials must be positive")
-        if num_users <= 0:
-            raise ValueError("num_users must be positive")
         if rate_bins < 2:
             raise ValueError("rate_bins must be at least 2")
-        if len(groups_per_trial) != num_trials:
+        if len(groups_per_trial) != rate_filter.num_trials:
             raise ValueError("groups_per_trial must have one partition per trial")
-        self._num_trials = int(num_trials)
-        self._num_users = int(num_users)
-        self._prior_rate = float(prior_rate)
+        self._rate_filter = rate_filter
+        self._num_trials = rate_filter.num_trials
+        self._num_users = rate_filter.num_users
         self._rate_bins = int(rate_bins)
         self._rate_edges = np.linspace(0.0, 1.0, self._rate_bins + 1)
         self._groups = [
@@ -684,14 +725,8 @@ class BatchedStreamingAggregator(_FoldedGroups):
         ]
         self._num_steps = 0
         self._capacity = _INITIAL_CAPACITY
-        shape = (self._num_trials, self._num_users)
-        # Fused O(trials * users) running state (one array, not T).
-        self._offers_cum = np.zeros(shape, dtype=float)
-        self._repayments_cum = np.zeros(shape, dtype=float)
-        self._actions_cum = np.zeros(shape, dtype=float)
-        # The current step's ADR_i and Cesàro rows, rewritten in place.
-        self._step_rates = np.empty(shape, dtype=float)
-        self._step_cesaro = np.empty(shape, dtype=float)
+        # The current step's Cesàro row, rewritten in place.
+        self._cesaro = np.empty((self._num_trials, self._num_users), dtype=float)
         # Per-trial O(steps) series, stacked as (trials, capacity).
         series_shape = (self._num_trials, self._capacity)
         self._approvals = np.empty(series_shape, dtype=float)
@@ -734,6 +769,11 @@ class BatchedStreamingAggregator(_FoldedGroups):
         """Return the number of lockstep-aggregated steps."""
         return self._num_steps
 
+    @property
+    def rate_filter(self) -> BatchedDefaultRateFilter:
+        """Return the stacked filter whose counts the aggregator reads."""
+        return self._rate_filter
+
     def _grow(self) -> None:
         new_capacity = max(_INITIAL_CAPACITY, self._capacity * 2)
         filled = self._num_steps
@@ -770,106 +810,156 @@ class BatchedStreamingAggregator(_FoldedGroups):
                     series[key] = _grown(series[key], new_capacity, filled)
         self._capacity = new_capacity
 
-    def update(
-        self,
-        decisions: np.ndarray,
-        actions: np.ndarray,
-        map_users: UserChunkMap | None = None,
-    ) -> None:
-        """Fold one lockstep step of ``(trials, users)`` decisions/actions.
-
-        Replays :meth:`StreamingAggregator.update` for every trial: the
-        cumulative vectors and derived per-user rows update in fused 2-D
-        operations (elementwise, hence row-identical), the per-step scalars
-        reduce each contiguous trial row exactly as the standalone
-        aggregator reduces its own arrays, and the group folds add in user
-        order per trial, as the standalone fold does.
-
-        ``map_users`` may split the elementwise part over user chunks on
-        several threads (by default it runs in one piece on this thread).
-        The chunks also count the rate histogram and the low-rate users:
-        integer counts, exact under any split.  Every sum whose value
-        depends on the order of its terms runs afterwards on this thread,
-        over whole trial rows.
-        """
-        shape = (self._num_trials, self._num_users)
-        if decisions.shape != shape or actions.shape != shape:
+    def _require_filter_steps(self, steps: int) -> None:
+        recorded = self._rate_filter.steps_recorded
+        if recorded != steps:
             raise ValueError(
-                f"decisions and actions must both have shape {shape}"
+                f"the rate filter has folded {recorded} steps where the "
+                f"aggregator expects {steps}: the filter folds each step "
+                "first, then the aggregator"
             )
-        if self._num_steps >= self._capacity:
-            self._grow()
-        row = self._num_steps
-        rates = self._step_rates
-        cesaro = self._step_cesaro
 
-        def fold(users: slice) -> tuple:
-            offered = decisions[:, users]
-            acted = actions[:, users]
-            offers_cum = self._offers_cum[:, users]
-            repayments_cum = self._repayments_cum[:, users]
-            actions_cum = self._actions_cum[:, users]
-            chunk_cesaro = cesaro[:, users]
-            offers_cum += offered
-            # The Cesàro rows hold actions * decisions until their turn.
-            repayments_cum += np.multiply(acted, offered, out=chunk_cesaro)
-            actions_cum += acted
-            chunk_rates = running_default_rates_from_cums(
-                offers_cum, repayments_cum, out=rates[:, users]
-            )
-            np.divide(actions_cum, float(row + 1), out=chunk_cesaro)
-            histograms = np.stack(
+    def fold(
+        self, users: slice, decisions: np.ndarray, rates: np.ndarray
+    ) -> _ChunkReductions:
+        """Fold one user chunk of a step; return its exact reductions.
+
+        Runs once the filter has folded the same chunk of the step:
+        ``rates`` is the ``(trials, users)`` ``ADR_i(k)`` row the filter
+        wrote, and only its ``users`` columns are read.  Writes the chunk's
+        Cesàro columns and returns its ``ADR_i`` min and max, rate
+        histogram, low-rate count and per-group decision counts, for
+        :meth:`finish_step`.
+        """
+        np.divide(
+            self._rate_filter.repayments[:, users],
+            float(self._num_steps + 1),
+            out=self._cesaro[:, users],
+        )
+        chunk_rates = rates[:, users]
+        return _ChunkReductions(
+            rate_mins=chunk_rates.min(axis=1, initial=np.inf),
+            rate_maxs=chunk_rates.max(axis=1, initial=-np.inf),
+            rate_hist=np.stack(
                 [
                     np.histogram(trial_rates, bins=self._rate_edges)[0]
                     for trial_rates in chunk_rates
                 ]
-            )
-            lows = np.count_nonzero(
+            ),
+            rate_low_counts=np.count_nonzero(
                 chunk_rates <= RATE_HISTOGRAM_LOW_THRESHOLD, axis=1
-            )
-            return histograms, lows
+            ),
+            group_decisions=(
+                None if self._fold is None else self._fold.counts(decisions, users)
+            ),
+        )
 
-        counts = (map_users or whole_population)(fold)
-        self._rate_hist[:, row] = sum(histograms for histograms, _ in counts)
-        self._rate_low_counts[:, row] = sum(lows for _, lows in counts)
-        for trial in range(self._num_trials):
-            decisions_row = decisions[trial]
-            rates_row = rates[trial]
-            self._approvals[trial, row] = np.mean(decisions_row)
-            self._decision_sums[trial, row] = float(decisions_row.sum())
-            offers_total = float(self._offers_cum[trial].sum())
-            repayments_total = float(self._repayments_cum[trial].sum())
-            self._offers_totals[trial, row] = offers_total
-            self._repayments_totals[trial, row] = repayments_total
-            self._portfolio[trial, row] = (
-                self._prior_rate
-                if offers_total == 0
-                else 1.0 - repayments_total / offers_total
+    def finish_step(
+        self,
+        decisions: np.ndarray,
+        rates: np.ndarray,
+        chunks: Sequence[_ChunkReductions],
+        run_tasks: TaskRunner | None = None,
+    ) -> None:
+        """Record one step from every chunk's :meth:`fold` result.
+
+        Merges the chunks' reductions by integer addition and min/max.
+        ``decisions`` and ``rates`` are the step's whole rows, as given to
+        :meth:`fold`.  ``run_tasks`` runs the four reductions whose bits
+        depend on the order of their terms, over whole rows, as
+        independent tasks: the ``ADR_i`` and Cesàro group folds
+        (:class:`GroupFold`, user order) and the ``ADR_i`` sum and sum of
+        squares (contiguous trial rows).  By default they run one after
+        another on this thread.
+        """
+        self._require_filter_steps(self._num_steps + 1)
+        if self._num_steps >= self._capacity:
+            self._grow()
+        row = self._num_steps
+        step_offers = self._rate_filter.step_counts[0]
+        # np.mean of a 0/1 row is its exact count over the user count.
+        self._approvals[:, row] = step_offers / self._num_users
+        self._decision_sums[:, row] = step_offers
+        self._offers_totals[:, row], self._repayments_totals[:, row] = (
+            self._rate_filter.totals
+        )
+        self._portfolio[:, row] = self._rate_filter.portfolio_rates()
+        self._rate_mins[:, row] = np.minimum.reduce([c.rate_mins for c in chunks])
+        self._rate_maxs[:, row] = np.maximum.reduce([c.rate_maxs for c in chunks])
+        self._rate_hist[:, row] = np.add.reduce([c.rate_hist for c in chunks])
+        self._rate_low_counts[:, row] = np.add.reduce(
+            [c.rate_low_counts for c in chunks]
+        )
+
+        def sum_rates() -> None:
+            for trial, trial_rates in enumerate(rates):
+                self._rate_sums[trial, row] = float(trial_rates.sum())
+
+        def sum_squares() -> None:
+            for trial, trial_rates in enumerate(rates):
+                self._rate_sumsqs[trial, row] = _sum_of_squares(trial_rates)
+
+        tasks = [sum_rates, sum_squares]
+        fold = self._fold
+        if fold is not None:
+            counts = np.add.reduce([c.group_decisions for c in chunks])
+            self._store(
+                self._group_decision_sums, row, fold.refold_zeros(counts, decisions)
             )
-            self._rate_sums[trial, row] = float(rates_row.sum())
-            self._rate_sumsqs[trial, row] = _sum_of_squares(rates_row)
-            self._rate_mins[trial, row] = float(rates_row.min())
-            self._rate_maxs[trial, row] = float(rates_row.max())
-        if self._fold is not None:
-            for series, store in (
-                (rates, self._group_rate_sums),
-                (cesaro, self._group_action_sums),
-                (decisions, self._group_decision_sums),
-            ):
-                for (trial, key), total in zip(
-                    self._fold.keys, self._fold.sums(series)
-                ):
-                    store[trial][key][row] = total
+            tasks = [
+                lambda: self._store(self._group_rate_sums, row, fold.sums(rates)),
+                lambda: self._store(
+                    self._group_action_sums, row, fold.sums(self._cesaro)
+                ),
+            ] + tasks
+        (run_tasks or in_order)(tasks)
         self._num_steps += 1
 
+    def _store(
+        self, store: "list[Dict[object, np.ndarray]]", row: int, totals: np.ndarray
+    ) -> None:
+        for (trial, key), total in zip(self._fold.keys, totals):
+            store[trial][key][row] = total
+
+    def update(
+        self,
+        decisions: np.ndarray,
+        rates: np.ndarray,
+        map_users: UserChunkMap | None = None,
+        run_tasks: TaskRunner | None = None,
+    ) -> None:
+        """Fold one lockstep step of ``(trials, users)`` decisions.
+
+        Call once the filter has folded the step; ``rates`` is the
+        ``ADR_i(k)`` row it wrote (or :meth:`BatchedDefaultRateFilter.user_rates`).
+        Replays :meth:`StreamingAggregator.update` for every trial.
+        ``map_users`` may split :meth:`fold` over user chunks on several
+        threads and ``run_tasks`` may run the whole-row reductions side by
+        side (by default everything runs in one piece on this thread).
+        """
+        shape = (self._num_trials, self._num_users)
+        if decisions.shape != shape or rates.shape != shape:
+            raise ValueError(f"decisions and rates must both have shape {shape}")
+        self._require_filter_steps(self._num_steps + 1)
+        chunks = (map_users or whole_population)(
+            lambda users: self.fold(users, decisions, rates)
+        )
+        self.finish_step(decisions, rates, chunks, run_tasks)
+
     def trial_state(self, trial: int) -> Dict[str, object]:
-        """Return trial ``trial``'s state as a standalone-aggregator snapshot."""
+        """Return trial ``trial``'s state as a standalone-aggregator snapshot.
+
+        The cumulative vectors are the filter's counts (the action sums
+        are the repayments), so the filter must be at the same step.
+        """
         if not 0 <= trial < self._num_trials:
             raise ValueError("trial index out of range")
+        self._require_filter_steps(self._num_steps)
         filled = self._num_steps
+        repayments = self._rate_filter.repayments[trial]
         return {
             "num_users": self._num_users,
-            "prior_rate": self._prior_rate,
+            "prior_rate": self._rate_filter.prior_rate,
             "num_steps": filled,
             "groups": {
                 key: indices.copy() for key, indices in self._groups[trial].items()
@@ -877,9 +967,9 @@ class BatchedStreamingAggregator(_FoldedGroups):
             "rate_bins": self._rate_bins,
             "rate_hist": self._rate_hist[trial, :filled].copy(),
             "rate_low_counts": self._rate_low_counts[trial, :filled].copy(),
-            "offers_cum": self._offers_cum[trial].copy(),
-            "repayments_cum": self._repayments_cum[trial].copy(),
-            "actions_cum": self._actions_cum[trial].copy(),
+            "offers_cum": self._rate_filter.offers[trial].copy(),
+            "repayments_cum": repayments.copy(),
+            "actions_cum": repayments.copy(),
             "approvals": self._approvals[trial, :filled].copy(),
             "decision_sums": self._decision_sums[trial, :filled].copy(),
             "offers_totals": self._offers_totals[trial, :filled].copy(),

@@ -30,9 +30,11 @@ def affordability_state(
 ) -> np.ndarray:
     """Return the state ``x_i(k)`` of equation (10) for each income.
 
-    Incomes are in thousands of dollars.  Non-positive incomes produce a
-    state of ``-inf`` replaced by a large negative number (the user cannot
-    cover any obligation), keeping downstream arithmetic finite.  ``out``,
+    Incomes are in thousands of dollars.  Non-positive incomes, and
+    positive incomes so small that the obligation ratio overflows to
+    ``-inf``, get a large negative floor instead (the user cannot cover any
+    obligation), keeping downstream arithmetic finite and raising no
+    floating-point error under any caller's ``np.errstate``.  ``out``,
     when given, receives the states (it must not overlap ``incomes``).
     """
     array = np.atleast_1d(np.asarray(incomes, dtype=float))
@@ -42,10 +44,12 @@ def affordability_state(
     obligations = np.asarray(
         terms.annual_obligation(np.maximum(array, 0.0)), dtype=float
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         states = np.subtract(array, obligations, out=out)
         states /= array
-    np.copyto(states, -1e6, where=~(array > 0))
+    floored = ~(array > 0)
+    floored |= states == -np.inf
+    np.copyto(states, -1e6, where=floored)
     return states
 
 

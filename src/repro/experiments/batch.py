@@ -20,15 +20,27 @@ Chunks and kernel threads
 Along the user axis a step works in *chunks*: contiguous runs of whole
 canonical shards (:class:`~repro.core.sharding.ShardPlan`), one per kernel
 thread.  A chunk owns every ``(trial, shard, step)`` generator of its
-shards, so it runs these phases without reading another chunk's users:
+shards, so a step is one pass over the chunks, each running, without
+reading another chunk's users:
 
 * the draws and the income mapping;
 * affordability, the fused decision, the probit and the actions;
 * the refit's key packing and a count table per trial, which the calling
   thread merges with :func:`~repro.scoring.suffstats.merge_tables` (exact
   integer addition);
-* the filter update and the aggregator's elementwise state (through the
-  ``map_users`` argument of their methods).
+* the filter fold (:meth:`~repro.core.filters.BatchedDefaultRateFilter.fold`):
+  the offer and repayment counts, the chunk's ``ADR_i(k)`` columns and its
+  per-trial offer and repayment counts;
+* the recorder's share: in aggregate mode
+  :meth:`~repro.core.streaming.BatchedStreamingAggregator.fold` (the
+  Cesàro columns, ``ADR_i`` min and max, the rate histogram and low-rate
+  count, per-group decision counts), in full mode the Cesàro columns.
+
+Every reduction a chunk makes is exact under any split (integer counts,
+min and max), so the calling thread merges the chunks' results by integer
+addition and min/max.  The per-trial offer and repayment counts give the
+approvals, the decision sums, the running offer/repayment totals and the
+portfolio rates, so no count row is ever summed again.
 
 :meth:`BatchedTrialRunner.run` creates a ``ThreadPoolExecutor`` for the
 chunks after the first, which the calling thread steps itself, and shuts
@@ -39,14 +51,17 @@ the ``max_workers`` of the ``batch`` plan
 (:func:`~repro.core.planner.plan_execution`).  Each chunk writes only its
 own columns of preallocated ``(trials, users)`` step buffers.
 
-The calling thread keeps, over whole trial rows, every reduction whose
-value depends on the order of its terms (the group folds of rates and
-Cesàro averages, the rate and sum-of-squares totals) and the other
-per-trial sums and folds, plus the refits, the generic per-trial
-``decide``/``update`` path and full-history recording.  A chunk reduces
-across users only into integer counts (count tables, the rate histogram),
-which are exact under any split.  So neither the chunking nor the thread
-count changes any bit of any trial.
+Four reductions have bits that depend on the order of their terms: the
+``ADR_i`` and Cesàro group folds, and the ``ADR_i`` sum and sum of
+squares.  In aggregate mode they run once the chunk pass is done, over
+whole trial rows and unchanged, as four independent tasks spread over the
+kernel threads (:meth:`_KernelThreads.run_tasks`: with two threads, the
+calling thread runs the rate fold and the rate sums while a worker runs
+the Cesàro fold and the sums of squares).  They are the only per-user
+work outside the chunk pass.  The calling thread also keeps the refits,
+the generic per-trial ``decide``/``update`` path and full-history
+recording.  So neither the chunking nor the thread count changes any bit
+of any trial.
 
 Bit-identity contract
 ---------------------
@@ -67,9 +82,12 @@ nothing about the random schedule or the per-trial arithmetic changes:
   regression tests and the batch-equivalence suite);
 * the fused phases are elementwise, so evaluating them on a stacked
   ``(trials, users)`` block — or on any chunk of its columns — produces
-  the identical bits row by row; every per-trial reduction (portfolio
-  sums, approval means, group folds) runs over a contiguous trial row —
-  the same reduction the serial engine runs over its own arrays;
+  the identical bits row by row; the reductions of 0/1 values (offer and
+  repayment totals, approvals, group decision counts) are integer counts,
+  equal under any split to the serial engine's sums; every other
+  order-dependent reduction (rate sums, group folds) runs over a
+  contiguous trial row — the same reduction the serial engine runs over
+  its own arrays;
 * the phases that are genuinely per-trial stay per-trial: each trial's AI
   system ``decide``/``update`` (scorecard scoring, the yearly refit — T
   tiny independent IRLS fits per step under
@@ -110,6 +128,7 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -118,6 +137,7 @@ from repro.core.ai_system import AISystem, CreditScoringSystem
 from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.population import CreditPopulation
+from repro.core.sharding import in_order
 from repro.core.streaming import AggregateHistory, BatchedStreamingAggregator
 from repro.credit.borrower import affordability_state
 from repro.credit.lender import Lender
@@ -146,6 +166,15 @@ _Result = TypeVar("_Result")
 #: Per-trial ``(T, 1)`` columns of the fused decision: base score, income
 #: code points, rate points and cut-off.
 _Scorecards = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: One chunk's step record: the filter's ``(2, trials)`` offer and
+#: repayment counts, and the aggregator's chunk reductions (``None`` in
+#: full-history mode).
+_ChunkRecord = Tuple[np.ndarray, object]
+
+#: Folds one chunk's step (its users, the step index) into the filter and
+#: the recorder.
+_ChunkRecorder = Callable[[slice, int], _ChunkRecord]
 
 
 @dataclass(frozen=True)
@@ -180,27 +209,39 @@ class _KernelThreads:
             else None
         )
 
-    def map(self, work: Callable[[_Chunk], _Result]) -> List[_Result]:
-        """Run ``work`` on every chunk; return the results in chunk order.
+    def _spread(self, calls: Sequence[Callable[[], _Result]]) -> List[_Result]:
+        """Run the first call here and the rest on the pool; return in order.
 
-        Each worker runs its chunk in a copy of the caller's context, so
-        the caller's numpy error state (``np.errstate``) governs every
-        chunk.  A failure re-raises the first failing chunk's exception, as
-        one thread stepping the chunks in order would; errors of later
-        chunks go unreported, and chunks still running finish when
-        :meth:`shutdown` joins their threads.
+        Each worker runs its call in a copy of the caller's context, so the
+        caller's numpy error state (``np.errstate``) governs every call.  A
+        failure re-raises the first failing call's exception, as one thread
+        making the calls in order would; errors of later calls go
+        unreported, and calls still running finish when :meth:`shutdown`
+        joins their threads.
         """
-        first, *rest = self.chunks  # no rest, and no pool, for one chunk
+        first, *rest = calls  # no rest, and no pool, for one chunk
         futures = [
-            self._executor.submit(contextvars.copy_context().run, work, chunk)
-            for chunk in rest
+            self._executor.submit(contextvars.copy_context().run, call)
+            for call in rest
         ]
-        results = [work(first)]
+        results = [first()]
         return results + [future.result() for future in futures]
 
-    def map_users(self, work: Callable[[slice], _Result]) -> List[_Result]:
-        """The :data:`~repro.core.sharding.UserChunkMap` over the chunks."""
-        return self.map(lambda chunk: work(chunk.users))
+    def map(self, work: Callable[[_Chunk], _Result]) -> List[_Result]:
+        """Run ``work`` on every chunk; return the results in chunk order."""
+        return self._spread([partial(work, chunk) for chunk in self.chunks])
+
+    def run_tasks(self, tasks: Sequence[Callable[[], object]]) -> None:
+        """The :data:`~repro.core.sharding.TaskRunner` over the kernel threads.
+
+        With ``n`` threads, lane ``i`` runs tasks ``i``, ``i + n``, ... in
+        turn; the calling thread runs lane 0.
+        """
+        width = min(len(tasks), len(self.chunks))
+        if width:
+            self._spread(
+                [partial(in_order, tasks[lane::width]) for lane in range(width)]
+            )
 
     def shutdown(self) -> None:
         """Join the kernel threads."""
@@ -233,7 +274,6 @@ class _StepBuffers:
         # previous step; the two rate buffers swap roles every step.
         self.rates_before = np.empty(shape, dtype=float)
         self.rates_after = np.empty(shape, dtype=float)
-        self.actions_cum = np.zeros(shape, dtype=float) if full_mode else None
         self.running_actions = np.empty(shape, dtype=float) if full_mode else None
 
 
@@ -461,11 +501,10 @@ class BatchedTrialRunner:
         probabilities = self._model.repayment_probability(states, out=states)
         np.less(buffers.actions[:, users], probabilities, out=buffers.repaid[:, users])
 
-    def _act(self, chunk: _Chunk, k: int, buffers: _StepBuffers) -> np.ndarray:
+    def _act(self, chunk: _Chunk, buffers: _StepBuffers) -> np.ndarray:
         """Write one chunk's actions; return its offered mask.
 
-        A user acts (repays) when offered and ``u < P(repay)``; the full
-        history's Cesàro row follows from the running action sums.
+        A user acts (repays) when offered and ``u < P(repay)``.
         """
         users = chunk.users
         offered = np.not_equal(
@@ -475,12 +514,6 @@ class BatchedTrialRunner:
             buffers.repaid[:, users], offered, out=buffers.repaid[:, users]
         )
         buffers.actions[:, users] = repaid
-        if buffers.actions_cum is not None:
-            actions_cum = buffers.actions_cum[:, users]
-            actions_cum += buffers.actions[:, users]
-            np.divide(
-                actions_cum, float(k + 1), out=buffers.running_actions[:, users]
-            )
         return offered
 
     def _fused_round(self) -> Tuple[bool, _Scorecards | None]:
@@ -531,7 +564,8 @@ class BatchedTrialRunner:
         year: int,
         scorecards: _Scorecards | None,
         buffers: _StepBuffers,
-    ) -> List[CompressedDesign]:
+        record: _ChunkRecorder,
+    ) -> Tuple[List[CompressedDesign], _ChunkRecord]:
         """Run one chunk's whole step on the default decision stack.
 
         The decision replicates ``T`` :meth:`~repro.credit.lender.Lender.decide`
@@ -545,7 +579,9 @@ class BatchedTrialRunner:
         ``retrain_mode="compressed"`` the chunk also packs every trial's
         ``(code, rate, label)`` rows — the key layout the per-trial
         ``Lender._retrain_compressed`` builds — and returns one count table
-        per trial of its offered rows.
+        per trial of its offered rows.  Last, ``record`` folds the chunk
+        into the filter and the recorder; its result comes back with the
+        tables.
         """
         self._respond(chunk, k, year, buffers)
         stack = self._fast_stack
@@ -574,14 +610,15 @@ class BatchedTrialRunner:
             np.add(bases, scores, out=scores)
             scores += decisions
             np.greater(scores, cutoffs, out=decisions)
-        offered = self._act(chunk, k, buffers)
-        if not compressed:
-            return []
-        keys = pack_rows(codes, clipped_rates, buffers.repaid[:, users])
-        return [
-            CompressedDesign.from_key_array(trial_keys[trial_offered])
-            for trial_keys, trial_offered in zip(keys, offered)
-        ]
+        offered = self._act(chunk, buffers)
+        tables = []
+        if compressed:
+            keys = pack_rows(codes, clipped_rates, buffers.repaid[:, users])
+            tables = [
+                CompressedDesign.from_key_array(trial_keys[trial_offered])
+                for trial_keys, trial_offered in zip(keys, offered)
+            ]
+        return tables, record(users, k)
 
     def _generic_decisions(
         self, k: int, buffers: _StepBuffers, portfolio: np.ndarray
@@ -639,20 +676,42 @@ class BatchedTrialRunner:
         num_trials = config.num_trials
         num_steps = config.num_steps
         full_mode = config.history_mode == "full"
+        batched_filter = BatchedDefaultRateFilter(num_trials, config.num_users)
         histories: List[SimulationHistory] = []
         aggregate: BatchedStreamingAggregator | None = None
         if full_mode:
             histories = [SimulationHistory() for _ in range(num_trials)]
         else:
             aggregate = BatchedStreamingAggregator(
-                num_trials,
-                config.num_users,
+                batched_filter,
                 [population.groups for population in self._populations],
             )
-        batched_filter = BatchedDefaultRateFilter(num_trials, config.num_users)
         buffers = _StepBuffers(num_trials, config.num_users, full_mode)
         batched_filter.user_rates(out=buffers.rates_before)
         portfolio_before = batched_filter.portfolio_rates()
+
+        def record(users: slice, k: int) -> _ChunkRecord:
+            """Fold one chunk's step into the filter, then the recorder."""
+            counts = batched_filter.fold(
+                users, buffers.decisions, buffers.actions, buffers.rates_after
+            )
+            if aggregate is not None:
+                return counts, aggregate.fold(
+                    users, buffers.decisions, buffers.rates_after
+                )
+            # Full history's Cesàro row: a user repays only when offered,
+            # so the running action sums are the repayment counts.
+            np.divide(
+                batched_filter.repayments[:, users],
+                float(k + 1),
+                out=buffers.running_actions[:, users],
+            )
+            return counts, None
+
+        def act_and_record(chunk: _Chunk, k: int) -> _ChunkRecord:
+            self._act(chunk, buffers)
+            return record(chunk.users, k)
+
         for k in range(num_steps):
             year = config.start_year + k
             fused, scorecards = (
@@ -660,16 +719,19 @@ class BatchedTrialRunner:
             )
             step_features: List[Dict[str, np.ndarray]] = []
             if fused:
-                tables = threads.map(
-                    lambda chunk: self._fused_step(chunk, k, year, scorecards, buffers)
+                results = threads.map(
+                    lambda chunk: self._fused_step(
+                        chunk, k, year, scorecards, buffers, record
+                    )
                 )
-                self._fused_update(tables, buffers)
+                records = [chunk_record for _, chunk_record in results]
+                self._fused_update([tables for tables, _ in results], buffers)
             else:
                 threads.map(lambda chunk: self._respond(chunk, k, year, buffers))
                 step_features, step_observations = self._generic_decisions(
                     k, buffers, portfolio_before
                 )
-                threads.map(lambda chunk: self._act(chunk, k, buffers))
+                records = threads.map(lambda chunk: act_and_record(chunk, k))
                 for trial, system in enumerate(self._ai_systems):
                     # The delayed-feedback retrain, exactly the serial call;
                     # the decision and action rows are views of step
@@ -681,12 +743,12 @@ class BatchedTrialRunner:
                         step_observations[trial],
                         k,
                     )
-            batched_filter.update(buffers.decisions, buffers.actions, threads.map_users)
-            rates_after = batched_filter.user_rates(
-                out=buffers.rates_after, map_users=threads.map_users
-            )
+            batched_filter.finish_step([counts for counts, _ in records])
+            rates_after = buffers.rates_after
             portfolio_after = batched_filter.portfolio_rates()
             if full_mode:
+                # np.mean of a 0/1 row is its exact count over the user count.
+                approvals = batched_filter.step_counts[0] / config.num_users
                 for trial in range(num_trials):
                     histories[trial].record_step_precomputed(
                         k,
@@ -705,11 +767,16 @@ class BatchedTrialRunner:
                         },
                         running_rates=rates_after[trial],
                         running_actions=buffers.running_actions[trial],
-                        approval=float(np.mean(buffers.decisions[trial])),
+                        approval=float(approvals[trial]),
                     )
             else:
                 assert aggregate is not None
-                aggregate.update(buffers.decisions, buffers.actions, threads.map_users)
+                aggregate.finish_step(
+                    buffers.decisions,
+                    rates_after,
+                    [chunk for _, chunk in records],
+                    threads.run_tasks,
+                )
             buffers.rates_before, buffers.rates_after = (
                 rates_after,
                 buffers.rates_before,

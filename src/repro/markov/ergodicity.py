@@ -12,13 +12,15 @@ point that rolls them into an :class:`ErgodicityReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.markov.system import MarkovSystem
 from repro.utils.rng import spawn_generator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "is_strongly_connected",
@@ -31,6 +33,10 @@ __all__ = [
 
 
 def _as_digraph(adjacency: np.ndarray) -> nx.DiGraph:
+    # networkx is imported where a graph is built, so importing the package
+    # does not load it.
+    import networkx as nx
+
     matrix = np.asarray(adjacency, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("adjacency must be a square matrix")
@@ -47,6 +53,8 @@ def is_strongly_connected(adjacency: np.ndarray) -> bool:
     This is the paper's condition for the *existence* of an invariant measure
     of the closed loop.
     """
+    import networkx as nx
+
     graph = _as_digraph(adjacency)
     if graph.number_of_nodes() == 1:
         return True
@@ -61,6 +69,8 @@ def is_aperiodic(adjacency: np.ndarray) -> bool:
     must itself be aperiodic.  A graph with no cycles at all is reported as
     not aperiodic (it has no recurrent behaviour to speak of).
     """
+    import networkx as nx
+
     graph = _as_digraph(adjacency)
     if graph.number_of_nodes() == 1:
         # A single vertex is aperiodic iff it has a self-loop.

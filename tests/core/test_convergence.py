@@ -69,6 +69,22 @@ class TestEstimateLongRunAverage:
         with pytest.raises(ValueError):
             estimate_long_run_average(np.ones(100), confidence=1.0)
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("num_batches", [2, 3, 10, 40, 400])
+    def test_interval_equals_the_student_t_ppf_interval(self, confidence, num_batches):
+        from scipy import stats
+
+        series = np.random.default_rng(num_batches).random(num_batches * 5)
+        result = estimate_long_run_average(
+            series, num_batches=num_batches, confidence=confidence, burn_in=0.0
+        )
+        t_critical = float(stats.t.ppf(0.5 + confidence / 2.0, df=num_batches - 1))
+        assert result.halfwidth == t_critical * result.standard_error
+        assert result.interval == (
+            result.estimate - t_critical * result.standard_error,
+            result.estimate + t_critical * result.standard_error,
+        )
+
     @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=30, deadline=None)
     def test_halfwidth_is_non_negative(self, num_batches, seed):

@@ -126,7 +126,7 @@ class TestRecordStepPrecomputed:
         return decisions, actions, incomes
 
     def _build_pair(self, users=30, steps=6, seed=17, precompute_until=None):
-        from repro.core.history import running_default_rates_from_cums
+        from repro.credit.default_rates import user_default_rates
 
         decisions, actions, incomes = self._streams(users, steps, seed)
         plain = SimulationHistory()
@@ -150,9 +150,7 @@ class TestRecordStepPrecomputed:
                     decisions[k],
                     actions[k],
                     observation,
-                    running_rates=running_default_rates_from_cums(
-                        offers_cum, repayments_cum
-                    ),
+                    running_rates=user_default_rates(offers_cum, repayments_cum),
                     running_actions=actions_cum / float(k + 1),
                     approval=float(np.mean(decisions[k])),
                 )

@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import FullHistoryRequiredError, StepRecord
 from repro.core.streaming import AggregateHistory, StreamingAggregator, sequential_sum
 
@@ -43,7 +44,7 @@ class TestStreamingAggregator:
         with pytest.raises(ValueError, match=reason):
             StreamingAggregator(4, groups=groups)
         with pytest.raises(ValueError, match=reason):
-            BatchedStreamingAggregator(2, 4, [{}, groups])
+            BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 4), [{}, groups])
         with pytest.raises(ValueError, match=reason):
             AggregateHistory(num_users=4, groups=groups)
 
@@ -264,11 +265,18 @@ class TestAggregatorPickling:
         def stacked(row):
             return np.stack([row, row[::-1]])
 
+        def update_batched(aggregator, step):
+            rows = stacked(decisions[step])
+            aggregator.rate_filter.update(rows, stacked(actions[step]))
+            aggregator.update(rows, aggregator.rate_filter.user_rates())
+
         single = StreamingAggregator(1000, groups=groups)
-        batched = BatchedStreamingAggregator(2, 1000, [groups, {}])
+        batched = BatchedStreamingAggregator(
+            BatchedDefaultRateFilter(2, 1000), [groups, {}]
+        )
         for step in range(3):
             single.update(decisions[step], actions[step])
-            batched.update(stacked(decisions[step]), stacked(actions[step]))
+            update_batched(batched, step)
         assert "_fold" not in single.__getstate__()
         assert "_fold" not in batched.__getstate__()
         single_clone = pickle.loads(pickle.dumps(single))
@@ -277,7 +285,7 @@ class TestAggregatorPickling:
             for aggregator in (single, single_clone):
                 aggregator.update(decisions[step], actions[step])
             for aggregator in (batched, batched_clone):
-                aggregator.update(stacked(decisions[step]), stacked(actions[step]))
+                update_batched(aggregator, step)
         for left, right in (
             (single, single_clone),
             (batched.aggregator(0), batched_clone.aggregator(0)),
@@ -314,14 +322,16 @@ class TestBatchedStreamingAggregator:
 
         rng = np.random.default_rng(seed)
         groups = [self._groups(users, seed + t) for t in range(trials)]
-        batched = BatchedStreamingAggregator(trials, users, groups, prior_rate=0.0)
+        rate_filter = BatchedDefaultRateFilter(trials, users, prior_rate=0.0)
+        batched = BatchedStreamingAggregator(rate_filter, groups)
         singles = [
             StreamingAggregator(users, groups=groups[t]) for t in range(trials)
         ]
         for _ in range(steps):
             decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
             actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
-            batched.update(decisions, actions)
+            rate_filter.update(decisions, actions)
+            batched.update(decisions, rate_filter.user_rates())
             for t in range(trials):
                 singles[t].update(decisions[t], actions[t])
         return batched, singles
@@ -393,19 +403,34 @@ class TestBatchedStreamingAggregator:
 
         trials, users = 3, 53
         groups = [self._groups(users, 40 + t) for t in range(trials)]
-        whole = BatchedStreamingAggregator(trials, users, groups)
-        chunked = BatchedStreamingAggregator(trials, users, groups)
+        whole = BatchedStreamingAggregator(
+            BatchedDefaultRateFilter(trials, users), groups
+        )
+        chunked = BatchedStreamingAggregator(
+            BatchedDefaultRateFilter(trials, users), groups
+        )
 
         def uneven(work):
             parts = (slice(0, 11), slice(11, 12), slice(12, None))
             return [work(part) for part in parts]
 
+        def reversed_tasks(tasks):
+            for task in reversed(tasks):
+                task()
+
         rng = np.random.default_rng(3)
+        rates = np.empty((trials, users))
         for _ in range(6):
             decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
             actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
-            whole.update(decisions, actions)
-            chunked.update(decisions, actions, map_users=uneven)
+            whole.rate_filter.update(decisions, actions)
+            whole.update(decisions, whole.rate_filter.user_rates())
+            chunked.rate_filter.update(
+                decisions, actions, map_users=uneven, rates_out=rates
+            )
+            chunked.update(
+                decisions, rates, map_users=uneven, run_tasks=reversed_tasks
+            )
         for t in range(trials):
             left, right = whole.trial_state(t), chunked.trial_state(t)
             for key, value in left.items():
@@ -453,11 +478,39 @@ class TestBatchedStreamingAggregator:
         from repro.core.streaming import BatchedStreamingAggregator
 
         with pytest.raises(ValueError):
-            BatchedStreamingAggregator(0, 5, [])
+            BatchedStreamingAggregator(BatchedDefaultRateFilter(0, 5), [])
         with pytest.raises(ValueError):
-            BatchedStreamingAggregator(2, 5, [None])  # one partition per trial
-        batched = BatchedStreamingAggregator(2, 5, [None, None])
+            # one partition per trial
+            BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 5), [None])
+        batched = BatchedStreamingAggregator(
+            BatchedDefaultRateFilter(2, 5), [None, None]
+        )
         with pytest.raises(ValueError):
             batched.update(np.ones((2, 4)), np.ones((2, 4)))
         with pytest.raises(ValueError):
             batched.trial_state(2)
+        # The filter folds each step first; the aggregator never runs ahead
+        # of it, and a snapshot needs both at the same step.
+        with pytest.raises(ValueError, match="filter folds each step first"):
+            batched.update(np.ones((2, 5)), np.zeros((2, 5)))
+        batched.rate_filter.update(np.ones((2, 5)), np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="filter folds each step first"):
+            batched.trial_state(0)
+        batched.update(np.ones((2, 5)), batched.rate_filter.user_rates())
+        assert batched.trial_state(0)["num_steps"] == 1
+
+    def test_owns_no_per_user_row_besides_the_cesaro_row(self):
+        """The counts live in the filter: one copy of them per run."""
+        batched, _ = self._run_pair(trials=2, users=7, steps=3, seed=2)
+        per_user = [
+            name
+            for name, value in vars(batched).items()
+            if isinstance(value, np.ndarray) and value.shape == (2, 7)
+        ]
+        assert per_user == ["_cesaro"]
+        state = batched.trial_state(1)
+        repayments = batched.rate_filter.repayments[1]
+        offers = batched.rate_filter.offers[1]
+        np.testing.assert_array_equal(state["offers_cum"], offers)
+        np.testing.assert_array_equal(state["repayments_cum"], repayments)
+        np.testing.assert_array_equal(state["actions_cum"], repayments)

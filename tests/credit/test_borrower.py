@@ -32,6 +32,23 @@ class TestAffordabilityState:
         terms = MortgageTerms()
         assert affordability_state(0.0, terms)[0] <= -1e5
 
+    @pytest.mark.parametrize("fixed_principal", [None, 50.0])
+    def test_overflowing_incomes_get_the_finite_floor(self, fixed_principal):
+        # obligation / income overflows for these positive incomes; they
+        # take the non-positive incomes' floor, with no floating-point
+        # error even when the caller raises on overflow, while finite
+        # states keep their bits.
+        terms = MortgageTerms(fixed_principal=fixed_principal)
+        incomes = np.array([5e-324, 1e-308, 0.0, 1e-300, 50.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            states = affordability_state(incomes, terms)
+        assert np.all(np.isfinite(states))
+        np.testing.assert_array_equal(states[:3], [-1e6, -1e6, -1e6])
+        z = incomes[3:]
+        np.testing.assert_array_equal(
+            states[3:], (z - terms.annual_obligation(z)) / z
+        )
+
     def test_vectorised_over_incomes(self):
         terms = MortgageTerms()
         states = affordability_state([20.0, 50.0, 100.0], terms)

@@ -12,6 +12,11 @@ Two families of properties pin :class:`repro.core.streaming.StreamingAggregator`
   which both aggregators use, equals ``sequential_sum(values[indices])``
   bit for bit on random partitions, with empty groups, ungrouped users,
   signed zeros, subnormals and large magnitudes.
+* **Lockstep recording** — the stacked filter plus
+  :class:`~repro.core.streaming.BatchedStreamingAggregator`, folded in
+  uneven user chunks, equals one standalone aggregator and one
+  :class:`~repro.credit.default_rates.DefaultRateTracker` per trial, bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.metrics import group_average_series, group_approval_series
 from repro.core.streaming import (
@@ -28,6 +34,7 @@ from repro.core.streaming import (
     StreamingAggregator,
     sequential_sum,
 )
+from repro.credit.default_rates import DefaultRateTracker
 
 
 def _random_stream(num_steps: int, num_users: int, seed: int):
@@ -194,20 +201,28 @@ class TestGroupFold:
     @given(folded_stacks())
     @settings(max_examples=60, deadline=None)
     def test_both_aggregators_fold_like_the_sequential_sum(self, stack):
-        """The decision series is folded as given, so any value reaches the fold."""
+        """The standalone aggregator folds its decision row as given, so any
+        value reaches the fold; the batched one takes the kernel's 0/1
+        decisions (here with signed zeros), which it counts per chunk."""
         values, partitions = stack
         rows, users = values.shape
-        batched = BatchedStreamingAggregator(rows, users, partitions)
-        batched.update(values, np.zeros_like(values))
         for row, groups in enumerate(partitions):
             single = StreamingAggregator(users, groups=groups)
             single.update(values[row], np.zeros(users))
-            for state in (single.export_state(), batched.trial_state(row)):
-                for key, indices in groups.items():
-                    expected = sequential_sum(values[row][indices])
-                    assert _bits(state["group_decision_sums"][key][0]) == _bits(
-                        expected
-                    )
+            state = single.export_state()
+            for key, indices in groups.items():
+                expected = sequential_sum(values[row][indices])
+                assert _bits(state["group_decision_sums"][key][0]) == _bits(expected)
+        binary = np.where(values > 0, 1.0, np.copysign(0.0, values))
+        rate_filter = BatchedDefaultRateFilter(rows, users)
+        batched = BatchedStreamingAggregator(rate_filter, partitions)
+        rate_filter.update(binary, np.zeros_like(binary))
+        batched.update(binary, rate_filter.user_rates())
+        for row, groups in enumerate(partitions):
+            state = batched.trial_state(row)
+            for key, indices in groups.items():
+                expected = sequential_sum(binary[row][indices])
+                assert _bits(state["group_decision_sums"][key][0]) == _bits(expected)
 
 
 class TestSequentialSum:
@@ -248,3 +263,135 @@ class TestSequentialSum:
             [sequential_sum(series[k][indices]) / indices.size for k in range(num_steps)]
         )
         np.testing.assert_array_equal(streamed, reference)
+
+
+@st.composite
+def lockstep_streams(draw):
+    """Stacked 0/1 offer streams, per-trial partitions and a chunk map.
+
+    Repayments happen only where offered; a drawn flag writes the zero
+    decisions as ``-0.0``.  Every partition has an empty group and a
+    one-member group besides 0-3 drawn ones, and users may be in no group.
+    The chunk map splits the users into 1-8 uneven ranges.
+    """
+    trials = draw(st.integers(min_value=1, max_value=3))
+    users = draw(st.integers(min_value=1, max_value=60))
+    steps = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(seeds))
+    offer_share = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    decisions = (rng.random((steps, trials, users)) < offer_share).astype(float)
+    actions = (rng.random((steps, trials, users)) < 0.6) * decisions
+    if draw(st.booleans()):
+        decisions[decisions == 0.0] = -0.0
+    num_groups = draw(st.integers(min_value=0, max_value=3))
+    partitions = []
+    for _ in range(trials):
+        labels = rng.integers(-1, num_groups, size=users)
+        single = int(rng.integers(users))
+        labels[single] = num_groups
+        groups = {f"g{j}": np.flatnonzero(labels == j) for j in range(num_groups)}
+        groups["one"] = np.array([single])
+        groups["empty"] = np.array([], dtype=np.intp)
+        partitions.append(groups)
+    cuts = sorted(
+        draw(
+            st.sets(
+                st.integers(min_value=1, max_value=max(users - 1, 1)),
+                max_size=min(7, users - 1),
+            )
+        )
+    )
+    bounds = [0, *cuts, users]
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return decisions, actions, partitions, chunks
+
+
+def _series(aggregator: StreamingAggregator):
+    yield "approvals", aggregator.approval_rate_series()
+    yield "portfolio", aggregator.portfolio_rate_series()
+    yield "rate_sums", aggregator.rate_sum_series()
+    yield "rate_sumsqs", aggregator.rate_sumsq_series()
+    yield "rate_mins", aggregator.rate_min_series()
+    yield "rate_maxs", aggregator.rate_max_series()
+    yield "rate_hist", aggregator.rate_histogram_series()
+    yield "rate_lows", aggregator.rate_low_count_series()
+    for name, groups in (
+        ("group_rates", aggregator.group_default_rate_series()),
+        ("group_actions", aggregator.group_action_average_series()),
+        ("group_approvals", aggregator.group_approval_series()),
+    ):
+        for key, series in groups.items():
+            yield f"{name}[{key}]", series
+
+
+def _assert_same_state(left, right):
+    assert left.keys() == right.keys()
+    for key, value in left.items():
+        other = right[key]
+        if isinstance(value, dict):
+            assert value.keys() == other.keys(), key
+            for group, series in value.items():
+                assert series.tobytes() == other[group].tobytes(), (key, group)
+        elif isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype, key
+            assert value.tobytes() == other.tobytes(), key
+        else:
+            assert value == other, key
+
+
+class TestLockstepRecording:
+    """The kernel's recording equals one standalone recorder per trial."""
+
+    @given(lockstep_streams())
+    @settings(max_examples=120, deadline=None)
+    def test_chunked_lockstep_recording_matches_standalone_trials(self, stream):
+        decisions, actions, partitions, chunks = stream
+        steps, trials, users = decisions.shape
+
+        def chunk_map(work):
+            return [work(users_slice) for users_slice in chunks]
+
+        def tasks_backwards(tasks):
+            for task in reversed(tasks):
+                task()
+
+        rate_filter = BatchedDefaultRateFilter(trials, users)
+        batched = BatchedStreamingAggregator(rate_filter, partitions)
+        singles = [StreamingAggregator(users, groups=groups) for groups in partitions]
+        trackers = [DefaultRateTracker(users) for _ in range(trials)]
+        rates = np.empty((trials, users))
+        for k in range(steps):
+            # The kernel's order: per chunk, the filter then the recorder;
+            # then both finish the step.
+            records = []
+            for users_slice in chunks:
+                counts = rate_filter.fold(
+                    users_slice, decisions[k], actions[k], rates_out=rates
+                )
+                records.append(
+                    (counts, batched.fold(users_slice, decisions[k], rates))
+                )
+            rate_filter.finish_step([counts for counts, _ in records])
+            batched.finish_step(
+                decisions[k], rates, [chunk for _, chunk in records], tasks_backwards
+            )
+            portfolio = rate_filter.portfolio_rates()
+            for t in range(trials):
+                singles[t].update(decisions[k, t], actions[k, t])
+                trackers[t].record(decisions[k, t], actions[k, t])
+                assert _bits(portfolio[t]) == _bits(trackers[t].portfolio_rate())
+                assert rates[t].tobytes() == trackers[t].user_rates().tobytes()
+        twin = BatchedStreamingAggregator(
+            BatchedDefaultRateFilter(trials, users), partitions
+        )
+        for k in range(steps):
+            twin.rate_filter.update(decisions[k], actions[k], map_users=chunk_map)
+            twin.update(
+                decisions[k], twin.rate_filter.user_rates(), map_users=chunk_map
+            )
+        for t, single in enumerate(singles):
+            _assert_same_state(batched.trial_state(t), single.export_state())
+            _assert_same_state(twin.trial_state(t), single.export_state())
+            stacked = batched.aggregator(t)
+            for (name, left), (_, right) in zip(_series(stacked), _series(single)):
+                assert left.tobytes() == right.tobytes(), name

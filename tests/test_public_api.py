@@ -119,3 +119,20 @@ def test_no_module_maps_shared_memory():
     """Per-step data never crosses a process boundary through /dev/shm."""
     for module, names in _imports_by_module().items():
         assert not any("shared_memory" in name for name in names), module
+
+
+def test_importing_the_package_leaves_out_scipy_stats_and_networkx():
+    """``import repro`` stays lean: neither heavy module loads with it."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys; sys.path.insert(0, {src!r}); import repro; "
+        "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))"
+    ).format(src=src)
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]"
