@@ -21,7 +21,6 @@ from typing import Dict, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.history import _readonly
-from repro.core.sharding import UserChunkMap, whole_population
 from repro.credit.default_rates import DefaultRateTracker, user_default_rates
 
 __all__ = [
@@ -114,7 +113,7 @@ class BatchedDefaultRateFilter:
     (:class:`~repro.core.streaming.BatchedStreamingAggregator`).
 
     Inputs follow the kernel's contract: 0/1 decisions, and repayments
-    (actions) only where offered; they are trusted, not checked.  A step
+    (actions) only where offered; only their shapes are checked.  A step
     folds in user chunks (:meth:`fold`, elementwise, so chunks may run on
     several threads), each returning its per-trial offer and repayment
     counts, which :meth:`finish_step` adds into running per-trial totals.
@@ -197,26 +196,32 @@ class BatchedDefaultRateFilter:
         users: slice,
         decisions: np.ndarray,
         actions: np.ndarray,
-        rates_out: np.ndarray | None = None,
+        rates_out: np.ndarray,
     ) -> np.ndarray:
         """Fold one user chunk of a step; return its ``(2, trials)`` counts.
 
-        Offers accumulate the chunk's decisions and repayments its actions;
-        the result holds, per trial, the chunk's offers (row 0) and
-        repayments (row 1).  ``rates_out``, when given, receives the
-        chunk's updated ``ADR_i(k)`` columns.  Once every chunk of a step
-        has folded, :meth:`finish_step` takes the chunks' counts.
+        ``decisions``, ``actions`` and ``rates_out`` are the step's whole
+        ``(trials, users)`` rows; only their ``users`` columns are touched.
+        Offers accumulate the chunk's decisions and repayments its actions,
+        and ``rates_out`` receives the chunk's updated ``ADR_i(k)``
+        columns.  The result holds, per trial, the chunk's offers (row 0)
+        and repayments (row 1).  Once every chunk of a step has folded,
+        :meth:`finish_step` takes the chunks' counts.
         """
+        shape = (self._num_trials, self._num_users)
+        if any(rows.shape != shape for rows in (decisions, actions, rates_out)):
+            raise ValueError(
+                f"decisions, actions and rates_out must all have shape {shape}"
+            )
         offers = self._offers[:, users]
         repayments = self._repayments[:, users]
         offered = decisions[:, users]
         repaid = actions[:, users]
         offers += offered
         repayments += repaid
-        if rates_out is not None:
-            user_default_rates(
-                offers, repayments, self._prior_rate, out=rates_out[:, users]
-            )
+        user_default_rates(
+            offers, repayments, self._prior_rate, out=rates_out[:, users]
+        )
         return np.stack((offered.sum(axis=1), repaid.sum(axis=1)))
 
     def finish_step(self, chunk_counts: Sequence[np.ndarray]) -> None:
@@ -225,60 +230,17 @@ class BatchedDefaultRateFilter:
         self._totals += self._step_counts
         self._steps_recorded += 1
 
-    def update(
-        self,
-        decisions: np.ndarray,
-        actions: np.ndarray,
-        map_users: UserChunkMap | None = None,
-        rates_out: np.ndarray | None = None,
-    ) -> None:
-        """Fold one lockstep step of ``(trials, users)`` decisions/actions.
-
-        Mirrors ``T`` independent :meth:`DefaultRateFilter.update` calls;
-        only shapes are validated here.  ``map_users`` may split the
-        :meth:`fold` over user chunks on several threads (the default
-        folds every user on this thread); ``rates_out`` is as in
-        :meth:`fold`.
-        """
-        shape = (self._num_trials, self._num_users)
-        if decisions.shape != shape or actions.shape != shape:
-            raise ValueError(
-                f"decisions and actions must both have shape {shape}"
-            )
-        self.finish_step(
-            (map_users or whole_population)(
-                lambda users: self.fold(users, decisions, actions, rates_out)
-            )
-        )
-
-    def user_rates(
-        self,
-        out: np.ndarray | None = None,
-        map_users: UserChunkMap | None = None,
-    ) -> np.ndarray:
+    def user_rates(self, out: np.ndarray | None = None) -> np.ndarray:
         """Return the stacked ``ADR_i(k)`` matrix, one row per trial.
 
         Row-wise bit-identical to :meth:`DefaultRateTracker.user_rates`:
         never-offered users report the prior rate, everyone else the exact
         ``1 - repayments / offers`` ratio.  ``out``, when given, receives
-        the matrix; ``map_users`` is as in :meth:`update`.
+        the matrix.
         """
-        rates = (
-            np.empty((self._num_trials, self._num_users), dtype=float)
-            if out is None
-            else out
+        return user_default_rates(
+            self._offers, self._repayments, self._prior_rate, out=out
         )
-
-        def fold(users: slice) -> None:
-            user_default_rates(
-                self._offers[:, users],
-                self._repayments[:, users],
-                self._prior_rate,
-                out=rates[:, users],
-            )
-
-        (map_users or whole_population)(fold)
-        return rates
 
     def portfolio_rates(self) -> np.ndarray:
         """Return the pooled default rate of each trial's offers so far.

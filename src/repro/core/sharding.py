@@ -28,47 +28,15 @@ and requires re-goldening the equivalence suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = [
     "NUM_CANONICAL_SHARDS",
     "ShardPlan",
-    "TaskRunner",
-    "UserChunkMap",
-    "in_order",
     "max_worker_shards",
-    "whole_population",
 ]
-
-_Result = TypeVar("_Result")
-
-#: A chunk map calls ``work(users)`` once per range of a partition of the
-#: user axis (``users`` is a ``slice``), possibly on several threads, and
-#: returns the results in range order once every call has finished.  The
-#: lockstep kernel's ranges are runs of whole canonical shards (see
-#: :mod:`repro.experiments.batch`).
-UserChunkMap = Callable[[Callable[[slice], _Result]], List[_Result]]
-
-
-def whole_population(work: Callable[[slice], _Result]) -> List[_Result]:
-    """The default chunk map: one range holding every user, on this thread."""
-    return [work(slice(None))]
-
-
-#: A task runner calls each of a sequence of independent zero-argument
-#: tasks once, possibly several at a time on different threads, and
-#: returns once every task has finished.  The lockstep kernel runs the
-#: streaming aggregator's whole-row reductions this way.
-TaskRunner = Callable[[Sequence[Callable[[], object]]], object]
-
-
-def in_order(tasks: Sequence[Callable[[], object]]) -> None:
-    """The default task runner: every task in turn, on this thread."""
-    for task in tasks:
-        task()
-
 
 #: Canonical number of user shards per population.  Part of the pinned
 #: random stream: every population is partitioned into this many contiguous

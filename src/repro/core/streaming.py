@@ -42,9 +42,9 @@ reductions that are exact under any split: ``ADR_i`` min and max, the
 integer rate histograms and low-rate counts, and per-group decision
 counts (sums of 0/1 decisions are integers).  Every sum whose value
 depends on the order of its terms (the ``ADR_i`` and Cesàro group folds,
-the ``ADR_i`` sum and sum of squares) runs once over the whole row, as one
-of four tasks that may run side by side, so the sequential fold order
-above holds under any thread count.
+the ``ADR_i`` sum and sum of squares) runs once over the whole row, after
+the chunks (:meth:`BatchedStreamingAggregator.finish_step`), so the
+sequential fold order above holds under any thread count.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import FullHistoryRequiredError, StepRecord, _grown, _readonly
-from repro.core.sharding import TaskRunner, UserChunkMap, in_order, whole_population
 from repro.credit.default_rates import user_default_rates
 
 __all__ = [
@@ -271,9 +270,9 @@ class StreamingAggregator(_FoldedGroups):
         to no group.  Empty groups report ``nan`` series like
         :func:`~repro.core.metrics.group_average_series`.
     prior_rate:
-        Default rate of a user never offered credit, and portfolio rate
-        before any offer exists, as in
-        :class:`~repro.credit.default_rates.DefaultRateTracker`.
+        Portfolio default rate reported before any offer exists, matching
+        :class:`~repro.credit.default_rates.DefaultRateTracker`.  A user
+        never offered credit has ``ADR_i = 0``, as in the full history.
     """
 
     def __init__(
@@ -384,13 +383,12 @@ class StreamingAggregator(_FoldedGroups):
         row = self._num_steps
         # Replay, term by term, SimulationHistory._update_running_stats so
         # the derived per-user rows are bit-identical to the full engine;
-        # the rate fold itself is the shared single definition.
+        # the rate fold itself is the shared single definition, at the full
+        # history's prior of 0 (the prior rate is only the portfolio's).
         self._offers_cum += decisions_row
         self._repayments_cum += actions_row * decisions_row
         self._actions_cum += actions_row
-        rates = user_default_rates(
-            self._offers_cum, self._repayments_cum, self._prior_rate
-        )
+        rates = user_default_rates(self._offers_cum, self._repayments_cum)
         cesaro = self._actions_cum / float(row + 1)
         self._approvals[row] = np.mean(decisions_row)
         self._decision_sums[row] = float(decisions_row.sum())
@@ -680,7 +678,7 @@ class BatchedStreamingAggregator(_FoldedGroups):
     standalone aggregator, which keeps its own counts, folds any floats.
 
     A step is :meth:`fold` on each user chunk (chunks may run on several
-    threads), then one :meth:`finish_step`; :meth:`update` runs both.
+    threads), then one :meth:`finish_step`.
     The chunks make every reduction that is exact under any split, and
     the approvals, decision sums, totals and portfolio rates come from
     the filter's per-trial counts, so no count row is summed again.  The
@@ -696,8 +694,9 @@ class BatchedStreamingAggregator(_FoldedGroups):
     ----------
     rate_filter:
         The stacked filter whose counts and rates the aggregator reads;
-        each step it folds before the aggregator does.  Its prior rate is
-        the aggregator's.
+        each step it folds before the aggregator does.  Its prior rate
+        must be 0: never-offered users then have ``ADR_i = 0``, as in the
+        full history, and the portfolio rate is 0 before any offer.
     groups_per_trial:
         One group partition per trial (trials draw independent populations,
         so the race index sets differ row by row).
@@ -715,6 +714,11 @@ class BatchedStreamingAggregator(_FoldedGroups):
             raise ValueError("rate_bins must be at least 2")
         if len(groups_per_trial) != rate_filter.num_trials:
             raise ValueError("groups_per_trial must have one partition per trial")
+        if rate_filter.prior_rate != 0.0:
+            raise ValueError(
+                "the rate filter's prior rate must be 0: its ADR_i rows are "
+                "the aggregator's, which are 0 for never-offered users"
+            )
         self._rate_filter = rate_filter
         self._num_trials = rate_filter.num_trials
         self._num_users = rate_filter.num_users
@@ -831,6 +835,9 @@ class BatchedStreamingAggregator(_FoldedGroups):
         histogram, low-rate count and per-group decision counts, for
         :meth:`finish_step`.
         """
+        shape = (self._num_trials, self._num_users)
+        if decisions.shape != shape or rates.shape != shape:
+            raise ValueError(f"decisions and rates must both have shape {shape}")
         np.divide(
             self._rate_filter.repayments[:, users],
             float(self._num_steps + 1),
@@ -859,18 +866,15 @@ class BatchedStreamingAggregator(_FoldedGroups):
         decisions: np.ndarray,
         rates: np.ndarray,
         chunks: Sequence[_ChunkReductions],
-        run_tasks: TaskRunner | None = None,
     ) -> None:
         """Record one step from every chunk's :meth:`fold` result.
 
         Merges the chunks' reductions by integer addition and min/max.
         ``decisions`` and ``rates`` are the step's whole rows, as given to
-        :meth:`fold`.  ``run_tasks`` runs the four reductions whose bits
-        depend on the order of their terms, over whole rows, as
-        independent tasks: the ``ADR_i`` and Cesàro group folds
-        (:class:`GroupFold`, user order) and the ``ADR_i`` sum and sum of
-        squares (contiguous trial rows).  By default they run one after
-        another on this thread.
+        :meth:`fold`.  Then runs, over whole rows, the four reductions
+        whose bits depend on the order of their terms: the ``ADR_i`` sum
+        and sum of squares (contiguous trial rows) and the ``ADR_i`` and
+        Cesàro group folds (:class:`GroupFold`, user order).
         """
         self._require_filter_steps(self._num_steps + 1)
         if self._num_steps >= self._capacity:
@@ -890,29 +894,17 @@ class BatchedStreamingAggregator(_FoldedGroups):
         self._rate_low_counts[:, row] = np.add.reduce(
             [c.rate_low_counts for c in chunks]
         )
-
-        def sum_rates() -> None:
-            for trial, trial_rates in enumerate(rates):
-                self._rate_sums[trial, row] = float(trial_rates.sum())
-
-        def sum_squares() -> None:
-            for trial, trial_rates in enumerate(rates):
-                self._rate_sumsqs[trial, row] = _sum_of_squares(trial_rates)
-
-        tasks = [sum_rates, sum_squares]
+        for trial, trial_rates in enumerate(rates):
+            self._rate_sums[trial, row] = float(trial_rates.sum())
+            self._rate_sumsqs[trial, row] = _sum_of_squares(trial_rates)
         fold = self._fold
         if fold is not None:
             counts = np.add.reduce([c.group_decisions for c in chunks])
             self._store(
                 self._group_decision_sums, row, fold.refold_zeros(counts, decisions)
             )
-            tasks = [
-                lambda: self._store(self._group_rate_sums, row, fold.sums(rates)),
-                lambda: self._store(
-                    self._group_action_sums, row, fold.sums(self._cesaro)
-                ),
-            ] + tasks
-        (run_tasks or in_order)(tasks)
+            self._store(self._group_rate_sums, row, fold.sums(rates))
+            self._store(self._group_action_sums, row, fold.sums(self._cesaro))
         self._num_steps += 1
 
     def _store(
@@ -920,31 +912,6 @@ class BatchedStreamingAggregator(_FoldedGroups):
     ) -> None:
         for (trial, key), total in zip(self._fold.keys, totals):
             store[trial][key][row] = total
-
-    def update(
-        self,
-        decisions: np.ndarray,
-        rates: np.ndarray,
-        map_users: UserChunkMap | None = None,
-        run_tasks: TaskRunner | None = None,
-    ) -> None:
-        """Fold one lockstep step of ``(trials, users)`` decisions.
-
-        Call once the filter has folded the step; ``rates`` is the
-        ``ADR_i(k)`` row it wrote (or :meth:`BatchedDefaultRateFilter.user_rates`).
-        Replays :meth:`StreamingAggregator.update` for every trial.
-        ``map_users`` may split :meth:`fold` over user chunks on several
-        threads and ``run_tasks`` may run the whole-row reductions side by
-        side (by default everything runs in one piece on this thread).
-        """
-        shape = (self._num_trials, self._num_users)
-        if decisions.shape != shape or rates.shape != shape:
-            raise ValueError(f"decisions and rates must both have shape {shape}")
-        self._require_filter_steps(self._num_steps + 1)
-        chunks = (map_users or whole_population)(
-            lambda users: self.fold(users, decisions, rates)
-        )
-        self.finish_step(decisions, rates, chunks, run_tasks)
 
     def trial_state(self, trial: int) -> Dict[str, object]:
         """Return trial ``trial``'s state as a standalone-aggregator snapshot.

@@ -53,15 +53,13 @@ own columns of preallocated ``(trials, users)`` step buffers.
 
 Four reductions have bits that depend on the order of their terms: the
 ``ADR_i`` and Cesàro group folds, and the ``ADR_i`` sum and sum of
-squares.  In aggregate mode they run once the chunk pass is done, over
-whole trial rows and unchanged, as four independent tasks spread over the
-kernel threads (:meth:`_KernelThreads.run_tasks`: with two threads, the
-calling thread runs the rate fold and the rate sums while a worker runs
-the Cesàro fold and the sums of squares).  They are the only per-user
-work outside the chunk pass.  The calling thread also keeps the refits,
-the generic per-trial ``decide``/``update`` path and full-history
-recording.  So neither the chunking nor the thread count changes any bit
-of any trial.
+squares.  In aggregate mode the calling thread runs them once the chunk
+pass is done, one after another over whole trial rows and unchanged
+(:meth:`~repro.core.streaming.BatchedStreamingAggregator.finish_step`).
+They are the only per-user work outside the chunk pass.  The calling
+thread also keeps the refits, the generic per-trial ``decide``/``update``
+path and full-history recording.  So neither the chunking nor the thread
+count changes any bit of any trial.
 
 Bit-identity contract
 ---------------------
@@ -128,7 +126,6 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -137,7 +134,6 @@ from repro.core.ai_system import AISystem, CreditScoringSystem
 from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.population import CreditPopulation
-from repro.core.sharding import in_order
 from repro.core.streaming import AggregateHistory, BatchedStreamingAggregator
 from repro.credit.borrower import affordability_state
 from repro.credit.lender import Lender
@@ -166,15 +162,6 @@ _Result = TypeVar("_Result")
 #: Per-trial ``(T, 1)`` columns of the fused decision: base score, income
 #: code points, rate points and cut-off.
 _Scorecards = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-#: One chunk's step record: the filter's ``(2, trials)`` offer and
-#: repayment counts, and the aggregator's chunk reductions (``None`` in
-#: full-history mode).
-_ChunkRecord = Tuple[np.ndarray, object]
-
-#: Folds one chunk's step (its users, the step index) into the filter and
-#: the recorder.
-_ChunkRecorder = Callable[[slice, int], _ChunkRecord]
 
 
 @dataclass(frozen=True)
@@ -209,39 +196,23 @@ class _KernelThreads:
             else None
         )
 
-    def _spread(self, calls: Sequence[Callable[[], _Result]]) -> List[_Result]:
-        """Run the first call here and the rest on the pool; return in order.
-
-        Each worker runs its call in a copy of the caller's context, so the
-        caller's numpy error state (``np.errstate``) governs every call.  A
-        failure re-raises the first failing call's exception, as one thread
-        making the calls in order would; errors of later calls go
-        unreported, and calls still running finish when :meth:`shutdown`
-        joins their threads.
-        """
-        first, *rest = calls  # no rest, and no pool, for one chunk
-        futures = [
-            self._executor.submit(contextvars.copy_context().run, call)
-            for call in rest
-        ]
-        results = [first()]
-        return results + [future.result() for future in futures]
-
     def map(self, work: Callable[[_Chunk], _Result]) -> List[_Result]:
-        """Run ``work`` on every chunk; return the results in chunk order."""
-        return self._spread([partial(work, chunk) for chunk in self.chunks])
+        """Run ``work`` on every chunk; return the results in chunk order.
 
-    def run_tasks(self, tasks: Sequence[Callable[[], object]]) -> None:
-        """The :data:`~repro.core.sharding.TaskRunner` over the kernel threads.
-
-        With ``n`` threads, lane ``i`` runs tasks ``i``, ``i + n``, ... in
-        turn; the calling thread runs lane 0.
+        Each worker runs its chunk in a copy of the caller's context, so
+        the caller's numpy error state (``np.errstate``) governs every
+        chunk.  A failure re-raises the first failing chunk's exception, as
+        one thread stepping the chunks in order would; errors of later
+        chunks go unreported, and chunks still running finish when
+        :meth:`shutdown` joins their threads.
         """
-        width = min(len(tasks), len(self.chunks))
-        if width:
-            self._spread(
-                [partial(in_order, tasks[lane::width]) for lane in range(width)]
-            )
+        first, *rest = self.chunks  # no rest, and no pool, for one chunk
+        futures = [
+            self._executor.submit(contextvars.copy_context().run, work, chunk)
+            for chunk in rest
+        ]
+        results = [work(first)]
+        return results + [future.result() for future in futures]
 
     def shutdown(self) -> None:
         """Join the kernel threads."""
@@ -564,8 +535,7 @@ class BatchedTrialRunner:
         year: int,
         scorecards: _Scorecards | None,
         buffers: _StepBuffers,
-        record: _ChunkRecorder,
-    ) -> Tuple[List[CompressedDesign], _ChunkRecord]:
+    ) -> List[CompressedDesign]:
         """Run one chunk's whole step on the default decision stack.
 
         The decision replicates ``T`` :meth:`~repro.credit.lender.Lender.decide`
@@ -579,9 +549,7 @@ class BatchedTrialRunner:
         ``retrain_mode="compressed"`` the chunk also packs every trial's
         ``(code, rate, label)`` rows — the key layout the per-trial
         ``Lender._retrain_compressed`` builds — and returns one count table
-        per trial of its offered rows.  Last, ``record`` folds the chunk
-        into the filter and the recorder; its result comes back with the
-        tables.
+        per trial of its offered rows.
         """
         self._respond(chunk, k, year, buffers)
         stack = self._fast_stack
@@ -611,14 +579,13 @@ class BatchedTrialRunner:
             scores += decisions
             np.greater(scores, cutoffs, out=decisions)
         offered = self._act(chunk, buffers)
-        tables = []
-        if compressed:
-            keys = pack_rows(codes, clipped_rates, buffers.repaid[:, users])
-            tables = [
-                CompressedDesign.from_key_array(trial_keys[trial_offered])
-                for trial_keys, trial_offered in zip(keys, offered)
-            ]
-        return tables, record(users, k)
+        if not compressed:
+            return []
+        keys = pack_rows(codes, clipped_rates, buffers.repaid[:, users])
+        return [
+            CompressedDesign.from_key_array(trial_keys[trial_offered])
+            for trial_keys, trial_offered in zip(keys, offered)
+        ]
 
     def _generic_decisions(
         self, k: int, buffers: _StepBuffers, portfolio: np.ndarray
@@ -690,8 +657,12 @@ class BatchedTrialRunner:
         batched_filter.user_rates(out=buffers.rates_before)
         portfolio_before = batched_filter.portfolio_rates()
 
-        def record(users: slice, k: int) -> _ChunkRecord:
-            """Fold one chunk's step into the filter, then the recorder."""
+        def record(users: slice, k: int) -> Tuple[np.ndarray, object]:
+            """Fold one chunk's step into the filter, then the recorder.
+
+            Returns the filter's ``(2, trials)`` offer and repayment counts
+            and the aggregator's chunk reductions (``None`` in full mode).
+            """
             counts = batched_filter.fold(
                 users, buffers.decisions, buffers.actions, buffers.rates_after
             )
@@ -708,10 +679,6 @@ class BatchedTrialRunner:
             )
             return counts, None
 
-        def act_and_record(chunk: _Chunk, k: int) -> _ChunkRecord:
-            self._act(chunk, buffers)
-            return record(chunk.users, k)
-
         for k in range(num_steps):
             year = config.start_year + k
             fused, scorecards = (
@@ -720,18 +687,20 @@ class BatchedTrialRunner:
             step_features: List[Dict[str, np.ndarray]] = []
             if fused:
                 results = threads.map(
-                    lambda chunk: self._fused_step(
-                        chunk, k, year, scorecards, buffers, record
+                    lambda chunk: (
+                        self._fused_step(chunk, k, year, scorecards, buffers),
+                        record(chunk.users, k),
                     )
                 )
-                records = [chunk_record for _, chunk_record in results]
                 self._fused_update([tables for tables, _ in results], buffers)
             else:
                 threads.map(lambda chunk: self._respond(chunk, k, year, buffers))
                 step_features, step_observations = self._generic_decisions(
                     k, buffers, portfolio_before
                 )
-                records = threads.map(lambda chunk: act_and_record(chunk, k))
+                results = threads.map(
+                    lambda chunk: (self._act(chunk, buffers), record(chunk.users, k))
+                )
                 for trial, system in enumerate(self._ai_systems):
                     # The delayed-feedback retrain, exactly the serial call;
                     # the decision and action rows are views of step
@@ -743,6 +712,7 @@ class BatchedTrialRunner:
                         step_observations[trial],
                         k,
                     )
+            records = [chunk_record for _, chunk_record in results]
             batched_filter.finish_step([counts for counts, _ in records])
             rates_after = buffers.rates_after
             portfolio_after = batched_filter.portfolio_rates()
@@ -772,10 +742,7 @@ class BatchedTrialRunner:
             else:
                 assert aggregate is not None
                 aggregate.finish_step(
-                    buffers.decisions,
-                    rates_after,
-                    [chunk for _, chunk in records],
-                    threads.run_tasks,
+                    buffers.decisions, rates_after, [chunk for _, chunk in records]
                 )
             buffers.rates_before, buffers.rates_after = (
                 rates_after,

@@ -13,6 +13,7 @@ from repro.core.filters import (
     IntegralFilter,
     LoopFilter,
 )
+from tests.core.lockstep import record_step
 
 
 class TestDefaultRateFilter:
@@ -167,8 +168,9 @@ class TestBatchedDefaultRateFilter:
         batched = BatchedDefaultRateFilter(trials, users, prior_rate=0.25)
         singles = [DefaultRateFilter(users, prior_rate=0.25) for _ in range(trials)]
         for k in range(steps):
-            batched.update(decisions[k], actions[k])
+            written = record_step(batched, decisions[k], actions[k])
             rates = batched.user_rates()
+            assert written.tobytes() == rates.tobytes()
             portfolios = batched.portfolio_rates()
             for t in range(trials):
                 observation = singles[t].update(decisions[k, t], actions[k, t], k)
@@ -183,25 +185,22 @@ class TestBatchedDefaultRateFilter:
 
         trials, users, steps = 3, 41, 5
         decisions, actions = self._random_streams(trials, users, steps, 4)
-        calls = []
-
-        def uneven(work):
-            calls.append(None)
-            return [work(part) for part in (slice(0, 7), slice(7, 30), slice(30, None))]
-
+        uneven = (slice(0, 7), slice(7, 30), slice(30, None))
         whole = BatchedDefaultRateFilter(trials, users, prior_rate=0.1)
         chunked = BatchedDefaultRateFilter(trials, users, prior_rate=0.1)
         out = np.full((trials, users), -1.0)
         for k in range(steps):
-            whole.update(decisions[k], actions[k])
-            chunked.update(decisions[k], actions[k], map_users=uneven)
-            rates = chunked.user_rates(out=out, map_users=uneven)
+            whole_rates = record_step(whole, decisions[k], actions[k])
+            chunked_rates = record_step(chunked, decisions[k], actions[k], parts=uneven)
+            assert whole_rates.tobytes() == chunked_rates.tobytes()
+            rates = chunked.user_rates(out=out)
             assert rates is out
             assert whole.user_rates().tobytes() == rates.tobytes()
             assert (
                 whole.portfolio_rates().tobytes() == chunked.portfolio_rates().tobytes()
             )
-        assert len(calls) == 2 * steps
+            assert whole.step_counts.tobytes() == chunked.step_counts.tobytes()
+            assert whole.totals.tobytes() == chunked.totals.tobytes()
 
     def test_tracker_for_trial_round_trip(self):
         from repro.core.filters import BatchedDefaultRateFilter
@@ -210,7 +209,7 @@ class TestBatchedDefaultRateFilter:
         decisions, actions = self._random_streams(trials, users, steps, 9)
         batched = BatchedDefaultRateFilter(trials, users)
         for k in range(steps):
-            batched.update(decisions[k], actions[k])
+            record_step(batched, decisions[k], actions[k])
         for t in range(trials):
             tracker = batched.tracker_for_trial(t)
             assert tracker.steps_recorded == steps
@@ -228,5 +227,8 @@ class TestBatchedDefaultRateFilter:
         with pytest.raises(ValueError):
             BatchedDefaultRateFilter(2, 5, prior_rate=1.5)
         batched = BatchedDefaultRateFilter(2, 5)
+        wrong, right = np.ones((2, 4)), np.ones((2, 5))
         with pytest.raises(ValueError):
-            batched.update(np.ones((2, 4)), np.ones((2, 4)))
+            batched.fold(slice(None), wrong, wrong, np.empty((2, 5)))
+        with pytest.raises(ValueError):
+            batched.fold(slice(None), right, right, np.empty((2, 4)))

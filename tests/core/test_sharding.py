@@ -9,7 +9,6 @@ from repro.core.sharding import (
     NUM_CANONICAL_SHARDS,
     ShardPlan,
     max_worker_shards,
-    whole_population,
 )
 from repro.utils.rng import derive_seed, shard_seed, shard_step_generator
 
@@ -90,12 +89,6 @@ class TestWorkerCeiling:
         assert max_worker_shards(10_000) == NUM_CANONICAL_SHARDS
         with pytest.raises(ValueError):
             max_worker_shards(0)
-
-    def test_default_chunk_map_runs_one_whole_range_inline(self):
-        calls = []
-        results = whole_population(lambda users: calls.append(users) or len(calls))
-        assert calls == [slice(None)]
-        assert results == [1]
 
 
 class TestShardStreams:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.filters import BatchedDefaultRateFilter
-from repro.core.history import FullHistoryRequiredError, StepRecord
+from repro.core.history import FullHistoryRequiredError, SimulationHistory, StepRecord
+from repro.core.metrics import group_average_series
 from repro.core.streaming import AggregateHistory, StreamingAggregator, sequential_sum
+from tests.core.lockstep import record_step
 
 
 def _binary_stream(num_steps: int, num_users: int, seed: int = 0):
@@ -96,6 +98,51 @@ class TestStreamingAggregator:
         )
         np.testing.assert_allclose(
             aggregator.group_action_average_series()["all"], [0.5, 0.5]
+        )
+
+    def test_prior_rate_moves_only_the_portfolio_series(self):
+        # A never-offered user has ADR_i = 0 in the full history whatever
+        # the portfolio prior, so every rate series still matches it.
+        groups = {"a": np.array([0, 2]), "b": np.array([1, 3])}
+        decisions, actions = _binary_stream(6, 4, seed=5)
+        decisions[:2] = 0.0  # no offer before step 2
+        decisions[2, 0] = 1.0
+        decisions[:, 3] = 0.0  # user 3 is never offered
+        actions *= decisions
+        history = SimulationHistory()
+        plain = StreamingAggregator(4, groups=groups)
+        with_prior = StreamingAggregator(4, groups=groups, prior_rate=0.3)
+        for step in range(6):
+            history.record_step(step, {}, decisions[step], actions[step], {})
+            plain.update(decisions[step], actions[step])
+            with_prior.update(decisions[step], actions[step])
+        full = group_average_series(history.recompute_running_default_rates(), groups)
+        for key in groups:
+            assert (
+                with_prior.group_default_rate_series()[key].tobytes()
+                == full[key].tobytes()
+            )
+        for name in (
+            "rate_sum_series",
+            "rate_sumsq_series",
+            "rate_min_series",
+            "rate_max_series",
+            "rate_histogram_series",
+            "rate_low_count_series",
+        ):
+            assert (
+                getattr(with_prior, name)().tobytes() == getattr(plain, name)().tobytes()
+            ), name
+        assert with_prior.rate_min_series()[-1] == 0.0
+        portfolio = with_prior.portfolio_rate_series()
+        np.testing.assert_array_equal(portfolio[:2], [0.3, 0.3])
+        np.testing.assert_array_equal(portfolio[2:], plain.portfolio_rate_series()[2:])
+        # A resumed aggregator keeps the same semantics.
+        restored = StreamingAggregator.from_state(with_prior.export_state())
+        restored.update(decisions[5], actions[5])
+        with_prior.update(decisions[5], actions[5])
+        assert (
+            restored.rate_sum_series().tobytes() == with_prior.rate_sum_series().tobytes()
         )
 
     def test_empty_group_reports_nan_series(self):
@@ -266,9 +313,12 @@ class TestAggregatorPickling:
             return np.stack([row, row[::-1]])
 
         def update_batched(aggregator, step):
-            rows = stacked(decisions[step])
-            aggregator.rate_filter.update(rows, stacked(actions[step]))
-            aggregator.update(rows, aggregator.rate_filter.user_rates())
+            record_step(
+                aggregator.rate_filter,
+                stacked(decisions[step]),
+                stacked(actions[step]),
+                aggregator,
+            )
 
         single = StreamingAggregator(1000, groups=groups)
         batched = BatchedStreamingAggregator(
@@ -330,8 +380,7 @@ class TestBatchedStreamingAggregator:
         for _ in range(steps):
             decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
             actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
-            rate_filter.update(decisions, actions)
-            batched.update(decisions, rate_filter.user_rates())
+            record_step(rate_filter, decisions, actions, batched)
             for t in range(trials):
                 singles[t].update(decisions[t], actions[t])
         return batched, singles
@@ -410,27 +459,16 @@ class TestBatchedStreamingAggregator:
             BatchedDefaultRateFilter(trials, users), groups
         )
 
-        def uneven(work):
-            parts = (slice(0, 11), slice(11, 12), slice(12, None))
-            return [work(part) for part in parts]
-
-        def reversed_tasks(tasks):
-            for task in reversed(tasks):
-                task()
-
+        uneven = (slice(0, 11), slice(11, 12), slice(12, None))
         rng = np.random.default_rng(3)
-        rates = np.empty((trials, users))
         for _ in range(6):
             decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
             actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
-            whole.rate_filter.update(decisions, actions)
-            whole.update(decisions, whole.rate_filter.user_rates())
-            chunked.rate_filter.update(
-                decisions, actions, map_users=uneven, rates_out=rates
+            whole_rates = record_step(whole.rate_filter, decisions, actions, whole)
+            chunked_rates = record_step(
+                chunked.rate_filter, decisions, actions, chunked, parts=uneven
             )
-            chunked.update(
-                decisions, rates, map_users=uneven, run_tasks=reversed_tasks
-            )
+            assert whole_rates.tobytes() == chunked_rates.tobytes()
         for t in range(trials):
             left, right = whole.trial_state(t), chunked.trial_state(t)
             for key, value in left.items():
@@ -482,21 +520,31 @@ class TestBatchedStreamingAggregator:
         with pytest.raises(ValueError):
             # one partition per trial
             BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 5), [None])
+        with pytest.raises(ValueError, match="prior rate must be 0"):
+            # the aggregator's ADR_i rows are the filter's
+            BatchedStreamingAggregator(
+                BatchedDefaultRateFilter(2, 5, prior_rate=0.2), [None, None]
+            )
         batched = BatchedStreamingAggregator(
             BatchedDefaultRateFilter(2, 5), [None, None]
         )
         with pytest.raises(ValueError):
-            batched.update(np.ones((2, 4)), np.ones((2, 4)))
+            batched.fold(slice(None), np.ones((2, 4)), np.ones((2, 4)))
         with pytest.raises(ValueError):
             batched.trial_state(2)
         # The filter folds each step first; the aggregator never runs ahead
         # of it, and a snapshot needs both at the same step.
+        decisions, rates = np.ones((2, 5)), np.zeros((2, 5))
         with pytest.raises(ValueError, match="filter folds each step first"):
-            batched.update(np.ones((2, 5)), np.zeros((2, 5)))
-        batched.rate_filter.update(np.ones((2, 5)), np.zeros((2, 5)))
+            batched.finish_step(
+                decisions, rates, [batched.fold(slice(None), decisions, rates)]
+            )
+        record_step(batched.rate_filter, decisions, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="filter folds each step first"):
             batched.trial_state(0)
-        batched.update(np.ones((2, 5)), batched.rate_filter.user_rates())
+        batched.finish_step(
+            decisions, rates, [batched.fold(slice(None), decisions, rates)]
+        )
         assert batched.trial_state(0)["num_steps"] == 1
 
     def test_owns_no_per_user_row_besides_the_cesaro_row(self):

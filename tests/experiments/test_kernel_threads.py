@@ -15,8 +15,7 @@ These suites pin that contract:
   interval stays bit-identical;
 * a failure inside one chunk surfaces exactly as under one thread, and
   leaves no kernel thread behind;
-* an aggregate-mode step is one chunk pass plus one round of the four
-  whole-row reductions, which spread over the kernel threads.
+* a fused step is one chunk pass in either history mode.
 """
 
 from __future__ import annotations
@@ -383,23 +382,15 @@ class TestOneChunkPassPerStep:
         self, threaded_host, golden_config, monkeypatch, history_mode
     ):
         # The filter fold, the rate row and the recorder's per-chunk work
-        # run inside the step's one chunk pass; in aggregate mode the four
-        # order-dependent whole-row reductions then run as one round of
-        # tasks, and nothing else runs per user.
-        maps, rounds = [], []
+        # run inside the step's one chunk pass.
+        maps = []
         original_map = batch._KernelThreads.map
-        original_tasks = batch._KernelThreads.run_tasks
 
         def counting_map(threads, work):
             maps.append(len(threads.chunks))
             return original_map(threads, work)
 
-        def counting_tasks(threads, tasks):
-            rounds.append(len(tasks))
-            return original_tasks(threads, tasks)
-
         monkeypatch.setattr(batch._KernelThreads, "map", counting_map)
-        monkeypatch.setattr(batch._KernelThreads, "run_tasks", counting_tasks)
         config = replace(
             golden_config,
             execution="batch",
@@ -410,44 +401,3 @@ class TestOneChunkPassPerStep:
         for index, trial in enumerate(result.trials):
             assert group_digests(trial, index) == expected_group_digests(index)
         assert maps == [3] * config.num_steps
-        rounds_per_step = [4] if history_mode == "aggregate" else []
-        assert rounds == rounds_per_step * config.num_steps
-
-    def test_tasks_spread_over_the_kernel_threads_in_lanes(self):
-        threads = batch._KernelThreads([None, None, None])
-        lock = threading.Lock()
-        ran = {}
-
-        def task(index):
-            def run():
-                with lock:
-                    ran[index] = threading.current_thread().name
-
-            return run
-
-        try:
-            threads.run_tasks([task(index) for index in range(5)])
-            threads.run_tasks([])
-        finally:
-            threads.shutdown()
-        assert sorted(ran) == [0, 1, 2, 3, 4]
-        # Lane i takes tasks i and i + 3 in turn; the calling thread runs
-        # lane 0 and the pool the others (an idle worker may take two).
-        caller = threading.current_thread().name
-        assert ran[0] == ran[3] == caller
-        assert ran[1] == ran[4]
-        for index in (1, 2):
-            assert ran[index].startswith(KERNEL_THREAD_PREFIX)
-
-    def test_a_failing_task_raises_like_a_failing_chunk(self):
-        threads = batch._KernelThreads([None, None])
-
-        def failing():
-            raise FloatingPointError("a reduction failed")
-
-        try:
-            with pytest.raises(FloatingPointError, match="a reduction failed"):
-                threads.run_tasks([lambda: None, failing])
-        finally:
-            threads.shutdown()
-        assert not _kernel_threads_alive()

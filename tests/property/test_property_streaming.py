@@ -1,6 +1,6 @@
 """Property-based tests on the streaming aggregation subsystem.
 
-Two families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
+Three families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
 
 * **Stream/batch agreement** — feeding a random decision/action stream step
   by step must agree *bit for bit* with the batch ``recompute_*`` /
@@ -35,6 +35,7 @@ from repro.core.streaming import (
     sequential_sum,
 )
 from repro.credit.default_rates import DefaultRateTracker
+from tests.core.lockstep import record_step
 
 
 def _random_stream(num_steps: int, num_users: int, seed: int):
@@ -216,8 +217,7 @@ class TestGroupFold:
         binary = np.where(values > 0, 1.0, np.copysign(0.0, values))
         rate_filter = BatchedDefaultRateFilter(rows, users)
         batched = BatchedStreamingAggregator(rate_filter, partitions)
-        rate_filter.update(binary, np.zeros_like(binary))
-        batched.update(binary, rate_filter.user_rates())
+        record_step(rate_filter, binary, np.zeros_like(binary), batched)
         for row, groups in enumerate(partitions):
             state = batched.trial_state(row)
             for key, indices in groups.items():
@@ -347,33 +347,13 @@ class TestLockstepRecording:
     def test_chunked_lockstep_recording_matches_standalone_trials(self, stream):
         decisions, actions, partitions, chunks = stream
         steps, trials, users = decisions.shape
-
-        def chunk_map(work):
-            return [work(users_slice) for users_slice in chunks]
-
-        def tasks_backwards(tasks):
-            for task in reversed(tasks):
-                task()
-
         rate_filter = BatchedDefaultRateFilter(trials, users)
         batched = BatchedStreamingAggregator(rate_filter, partitions)
         singles = [StreamingAggregator(users, groups=groups) for groups in partitions]
         trackers = [DefaultRateTracker(users) for _ in range(trials)]
-        rates = np.empty((trials, users))
         for k in range(steps):
-            # The kernel's order: per chunk, the filter then the recorder;
-            # then both finish the step.
-            records = []
-            for users_slice in chunks:
-                counts = rate_filter.fold(
-                    users_slice, decisions[k], actions[k], rates_out=rates
-                )
-                records.append(
-                    (counts, batched.fold(users_slice, decisions[k], rates))
-                )
-            rate_filter.finish_step([counts for counts, _ in records])
-            batched.finish_step(
-                decisions[k], rates, [chunk for _, chunk in records], tasks_backwards
+            rates = record_step(
+                rate_filter, decisions[k], actions[k], batched, parts=chunks
             )
             portfolio = rate_filter.portfolio_rates()
             for t in range(trials):
@@ -381,17 +361,8 @@ class TestLockstepRecording:
                 trackers[t].record(decisions[k, t], actions[k, t])
                 assert _bits(portfolio[t]) == _bits(trackers[t].portfolio_rate())
                 assert rates[t].tobytes() == trackers[t].user_rates().tobytes()
-        twin = BatchedStreamingAggregator(
-            BatchedDefaultRateFilter(trials, users), partitions
-        )
-        for k in range(steps):
-            twin.rate_filter.update(decisions[k], actions[k], map_users=chunk_map)
-            twin.update(
-                decisions[k], twin.rate_filter.user_rates(), map_users=chunk_map
-            )
         for t, single in enumerate(singles):
             _assert_same_state(batched.trial_state(t), single.export_state())
-            _assert_same_state(twin.trial_state(t), single.export_state())
             stacked = batched.aggregator(t)
             for (name, left), (_, right) in zip(_series(stacked), _series(single)):
                 assert left.tobytes() == right.tobytes(), name
