@@ -104,44 +104,76 @@ class BatchedDefaultRateFilter:
     The trial-batched engine runs ``T`` trials of the same closed loop side
     by side; each trial owns an independent
     :class:`~repro.credit.default_rates.DefaultRateTracker`, but the
-    per-step arithmetic (integer offer/repayment counts, the ``ADR_i``
-    ratio, the pooled portfolio rate) is identical across trials.  This
-    class keeps the ``T`` trackers' cumulative state stacked as ``(trials,
-    users)`` arrays so one fused call replaces ``T`` scalar-dispatch
-    updates.  These count rows are the run's one copy of the per-user
-    counts: the lockstep kernel's streaming aggregator reads them
+    per-step arithmetic is identical across trials, so this class keeps
+    the ``T`` trackers' state stacked as ``(trials, users)`` rows.  These
+    rows are the run's one copy of the per-user counts: the lockstep
+    kernel's streaming aggregator reads them
     (:class:`~repro.core.streaming.BatchedStreamingAggregator`).
 
-    Inputs follow the kernel's contract: 0/1 decisions, and repayments
-    (actions) only where offered; only their shapes are checked.  A step
-    folds in user chunks (:meth:`fold`, elementwise, so chunks may run on
-    several threads), each returning its per-trial offer and repayment
-    counts, which :meth:`finish_step` adds into running per-trial totals.
-    The counts are small integers, exact in float under any split and
-    order, so the totals equal the sums of the count rows and the
-    portfolio rates never re-sum those rows.
+    **Cells.**  A user's whole filter state is its offer count ``o`` and
+    repayment count ``r``, with ``r <= o <= S`` over a run of ``S`` steps.
+    The filter keeps the pair as one unsigned integer *cell*
+    ``o * (S + 1) + r``, a point of an ``(S + 1) x (S + 1)`` grid: a
+    ``uint16`` row up to 255 steps (2 bytes per user, where two float
+    count rows took 16) and ``uint32`` beyond.  Every per-user float is a
+    function of the cell, read from a table built once over the grid with
+    the shared functions: :attr:`cell_rates` (``ADR_i`` through
+    :func:`~repro.credit.default_rates.user_default_rates`),
+    :attr:`cell_offers` and :attr:`cell_repayments`.  Each entry has the
+    bits a float-count filter computes for the same counts, so a table read
+    (:meth:`read`) equals that filter's elementwise work.  A cell with
+    ``r > o`` cannot occur; its entries repeat the never-offered cell's, so
+    every table stays in its functions' domain.  Consumers build their own
+    tables from these: the kernel's clipped rates and refit keys, the
+    aggregator's histogram bins.
+
+    Inputs follow the kernel's contract: boolean offer and repayment masks,
+    repayments only where offered.  A step folds in user chunks
+    (:meth:`fold`, elementwise, so chunks may run on several threads),
+    each returning its per-trial offer and repayment counts, which
+    :meth:`finish_step` adds into running per-trial totals.  The counts
+    are small integers, exact in float under any split and order, so the
+    portfolio rates never re-sum a row.
 
     Row ``t`` is bit-identical, at every step, to a plain
-    :class:`DefaultRateFilter` over trial ``t``'s stream: the rate row is
-    the shared :func:`~repro.credit.default_rates.user_default_rates`, and
-    the portfolio ratio divides the same integer totals.  Pinned by
-    ``tests/core/test_filters.py`` and the batch-equivalence suite.
+    :class:`DefaultRateFilter` over trial ``t``'s stream.  Pinned by
+    ``tests/core/test_filters.py`` and the lockstep-recording property of
+    ``tests/property/test_property_streaming.py``.
     """
 
     def __init__(
-        self, num_trials: int, num_users: int, prior_rate: float = 0.0
+        self,
+        num_trials: int,
+        num_users: int,
+        num_steps: int,
+        prior_rate: float = 0.0,
     ) -> None:
         if num_trials <= 0:
             raise ValueError("num_trials must be positive")
         if num_users <= 0:
             raise ValueError("num_users must be positive")
+        if num_steps < 0:
+            raise ValueError("num_steps must be non-negative")
         if not 0.0 <= prior_rate <= 1.0:
             raise ValueError("prior_rate must lie in [0, 1]")
+        stride = num_steps + 1
+        if stride * stride > 1 << 32:
+            raise ValueError("num_steps must be below 65,536")
         self._num_trials = int(num_trials)
         self._num_users = int(num_users)
+        self._num_steps = int(num_steps)
         self._prior_rate = float(prior_rate)
-        self._offers = np.zeros((num_trials, num_users), dtype=float)
-        self._repayments = np.zeros((num_trials, num_users), dtype=float)
+        dtype = np.uint16 if stride * stride <= 1 << 16 else np.uint32
+        self._stride = dtype(stride)
+        self._cells = np.zeros((num_trials, num_users), dtype=dtype)
+        offers, repayments = np.divmod(np.arange(stride * stride), stride)
+        self._cell_offers = _readonly(offers.astype(float))
+        self._cell_repayments = _readonly(repayments.astype(float))
+        rates = user_default_rates(
+            self._cell_offers, self._cell_repayments, self._prior_rate
+        )
+        np.copyto(rates, self._prior_rate, where=repayments > offers)
+        self._cell_rates = _readonly(rates)
         # Per-trial offer and repayment counts of the last step, and their
         # running totals.
         self._step_counts = np.zeros((2, num_trials), dtype=float)
@@ -159,6 +191,11 @@ class BatchedDefaultRateFilter:
         return self._num_users
 
     @property
+    def num_steps(self) -> int:
+        """Return the step count ``S`` the cells can hold."""
+        return self._num_steps
+
+    @property
     def prior_rate(self) -> float:
         """Return the rate reported for never-offered users."""
         return self._prior_rate
@@ -169,14 +206,52 @@ class BatchedDefaultRateFilter:
         return self._steps_recorded
 
     @property
+    def cells(self) -> np.ndarray:
+        """Return a read-only view of the ``(trials, users)`` cells."""
+        return _readonly(self._cells.view())
+
+    @property
+    def cell_offers(self) -> np.ndarray:
+        """Return the offer count ``o`` of each cell, as floats."""
+        return self._cell_offers
+
+    @property
+    def cell_repayments(self) -> np.ndarray:
+        """Return the repayment count ``r`` of each cell, as floats."""
+        return self._cell_repayments
+
+    @property
+    def cell_rates(self) -> np.ndarray:
+        """Return ``ADR_i`` of each cell (the prior where ``o = 0``)."""
+        return self._cell_rates
+
+    def read(
+        self,
+        table: np.ndarray,
+        cells: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Return ``table`` at each of ``cells`` (by default all of them).
+
+        ``table`` has one entry per grid cell; ``cells`` is any block of
+        :attr:`cells`.  ``np.take`` in ``"clip"`` mode gathers without the
+        bounds-checking buffer of its default mode (every cell lies on the
+        grid): on ``uint16`` cells it is about 2.5x faster than fancy
+        indexing.  ``out``, when given, receives the values.
+        """
+        return np.take(
+            table, self._cells if cells is None else cells, out=out, mode="clip"
+        )
+
+    @property
     def offers(self) -> np.ndarray:
-        """Return a read-only view of the ``(trials, users)`` offer counts."""
-        return _readonly(self._offers.view())
+        """Return the ``(trials, users)`` offer counts, read from the cells."""
+        return self.read(self._cell_offers)
 
     @property
     def repayments(self) -> np.ndarray:
-        """Return a read-only view of the ``(trials, users)`` repayment counts."""
-        return _readonly(self._repayments.view())
+        """Return the ``(trials, users)`` repayment counts, read from the cells."""
+        return self.read(self._cell_repayments)
 
     @property
     def step_counts(self) -> np.ndarray:
@@ -194,35 +269,46 @@ class BatchedDefaultRateFilter:
     def fold(
         self,
         users: slice,
-        decisions: np.ndarray,
-        actions: np.ndarray,
+        offered: np.ndarray,
+        repaid: np.ndarray,
         rates_out: np.ndarray,
     ) -> np.ndarray:
         """Fold one user chunk of a step; return its ``(2, trials)`` counts.
 
-        ``decisions``, ``actions`` and ``rates_out`` are the step's whole
-        ``(trials, users)`` rows; only their ``users`` columns are touched.
-        Offers accumulate the chunk's decisions and repayments its actions,
-        and ``rates_out`` receives the chunk's updated ``ADR_i(k)``
-        columns.  The result holds, per trial, the chunk's offers (row 0)
-        and repayments (row 1).  Once every chunk of a step has folded,
-        :meth:`finish_step` takes the chunks' counts.
+        ``offered`` and ``repaid`` are the step's boolean ``(trials,
+        users)`` masks and ``rates_out`` a float row of that shape; only
+        their ``users`` columns are touched.  Each chunk cell gains
+        ``offered * (S + 1) + repaid``, and ``rates_out`` receives the
+        chunk's updated ``ADR_i(k)`` columns, read from :attr:`cell_rates`.
+        A repayment without an offer is rejected before any cell moves: it
+        would spill into the next row of the grid.  The result holds, per
+        trial, the chunk's offers (row 0) and repayments (row 1).  Once
+        every chunk of a step has folded, :meth:`finish_step` takes the
+        chunks' counts.
         """
         shape = (self._num_trials, self._num_users)
-        if any(rows.shape != shape for rows in (decisions, actions, rates_out)):
+        if any(rows.shape != shape for rows in (offered, repaid, rates_out)):
             raise ValueError(
-                f"decisions, actions and rates_out must all have shape {shape}"
+                f"offered, repaid and rates_out must all have shape {shape}"
             )
-        offers = self._offers[:, users]
-        repayments = self._repayments[:, users]
-        offered = decisions[:, users]
-        repaid = actions[:, users]
-        offers += offered
-        repayments += repaid
-        user_default_rates(
-            offers, repayments, self._prior_rate, out=rates_out[:, users]
-        )
-        return np.stack((offered.sum(axis=1), repaid.sum(axis=1)))
+        if offered.dtype != np.bool_ or repaid.dtype != np.bool_:
+            raise ValueError("offered and repaid must be boolean masks")
+        if self._steps_recorded >= self._num_steps:
+            raise ValueError(f"the cells hold {self._num_steps} steps, all recorded")
+        chunk_offered = offered[:, users]
+        chunk_repaid = repaid[:, users]
+        if np.any(chunk_repaid > chunk_offered):
+            raise ValueError("a user cannot repay a mortgage that was not offered")
+        cells = self._cells[:, users]
+        cells += chunk_offered * self._stride
+        cells += chunk_repaid
+        self.read(self._cell_rates, cells, out=rates_out[:, users])
+        return np.stack(
+            (
+                np.count_nonzero(chunk_offered, axis=1),
+                np.count_nonzero(chunk_repaid, axis=1),
+            )
+        ).astype(float)
 
     def finish_step(self, chunk_counts: Sequence[np.ndarray]) -> None:
         """Add every chunk's :meth:`fold` counts into the step and the totals."""
@@ -238,9 +324,7 @@ class BatchedDefaultRateFilter:
         ``1 - repayments / offers`` ratio.  ``out``, when given, receives
         the matrix.
         """
-        return user_default_rates(
-            self._offers, self._repayments, self._prior_rate, out=out
-        )
+        return self.read(self._cell_rates, out=out)
 
     def portfolio_rates(self) -> np.ndarray:
         """Return the pooled default rate of each trial's offers so far.
@@ -261,12 +345,13 @@ class BatchedDefaultRateFilter:
         """Return trial ``trial``'s state as a standalone tracker."""
         if not 0 <= trial < self._num_trials:
             raise ValueError("trial index out of range")
+        cells = self._cells[trial]
         return DefaultRateTracker.from_state(
             {
                 "num_users": self._num_users,
                 "prior_rate": self._prior_rate,
-                "offers": self._offers[trial].copy(),
-                "repayments": self._repayments[trial].copy(),
+                "offers": self.read(self._cell_offers, cells),
+                "repayments": self.read(self._cell_repayments, cells),
                 "steps_recorded": self._steps_recorded,
             }
         )

@@ -37,10 +37,11 @@ last ulp.  Every real simulation spans many steps.)
 
 Sharding note: the lockstep kernel splits the users into chunks of whole
 canonical shards on threads.  In a chunk, :meth:`BatchedStreamingAggregator.fold`
-writes only elementwise per-user state (the Cesàro row) and makes only
-reductions that are exact under any split: ``ADR_i`` min and max, the
-integer rate histograms and low-rate counts, and per-group decision
-counts (sums of 0/1 decisions are integers).  Every sum whose value
+reads tables at the filter's integer cells, writes only elementwise
+per-user state (the Cesàro row) and makes only reductions that are exact
+under any split: ``ADR_i`` min and max, the integer rate histograms and
+low-rate counts, and per-group decision counts (sums of 0/1 decisions are
+integers).  Every sum whose value
 depends on the order of its terms (the ``ADR_i`` and Cesàro group folds,
 the ``ADR_i`` sum and sum of squares) runs once over the whole row, after
 the chunks (:meth:`BatchedStreamingAggregator.finish_step`), so the
@@ -88,6 +89,26 @@ def _sum_of_squares(values: np.ndarray) -> float:
     one expression, so their series stay bitwise equal.
     """
     return float(np.einsum("i,i->", values, values))
+
+
+def rate_bin_codes(rates: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Return ``2 * bin + low`` for each rate in ``[edges[0], edges[-1]]``.
+
+    ``bin`` is the rate's ``np.histogram`` bin over the edge array: with
+    explicit edges ``np.histogram`` counts ``x`` in bin ``i`` when
+    ``edges[i] <= x < edges[i + 1]``, the last bin closed on the right,
+    which is the number of interior edges ``<= x``.  ``low`` is
+    ``x <= RATE_HISTOGRAM_LOW_THRESHOLD``.  So ``np.bincount`` of a row's
+    codes with ``minlength=2 * bins``, reshaped to ``(bins, 2)``, gives
+    the row's histogram (summed over the last axis) and its low-rate count
+    (the sum of column 1).  The lockstep aggregator builds these codes
+    once per run, one per cell of the filter's grid.
+    """
+    codes = np.searchsorted(edges[1:-1], rates, side="right")
+    codes *= 2
+    codes += rates <= RATE_HISTOGRAM_LOW_THRESHOLD
+    # Narrow codes gather and count faster than intp ones.
+    return codes.astype(np.uint16 if 2 * edges.size <= 1 << 16 else np.uint32)
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -590,23 +611,6 @@ class StreamingAggregator(_FoldedGroups):
             prior_rate=float(state["prior_rate"]),
             rate_bins=int(state.get("rate_bins", DEFAULT_RATE_BINS)),
         )
-        filled = int(state["num_steps"])
-        while aggregator._capacity < filled:
-            aggregator._grow()
-        aggregator._num_steps = filled
-        rate_hist = np.asarray(
-            state.get("rate_hist", np.zeros((filled, aggregator._rate_bins))),
-            dtype=np.int64,
-        )
-        if rate_hist.shape != (filled, aggregator._rate_bins):
-            raise ValueError("state 'rate_hist' must be (num_steps, rate_bins)")
-        aggregator._rate_hist[:filled] = rate_hist
-        rate_low = np.asarray(
-            state.get("rate_low_counts", np.zeros(filled)), dtype=np.int64
-        ).ravel()
-        if rate_low.shape != (filled,):
-            raise ValueError("state 'rate_low_counts' must have one entry per step")
-        aggregator._rate_low_counts[:filled] = rate_low
         for attribute, key in (
             ("_offers_cum", "offers_cum"),
             ("_repayments_cum", "repayments_cum"),
@@ -615,7 +619,29 @@ class StreamingAggregator(_FoldedGroups):
             value = np.asarray(state[key], dtype=float).ravel()
             if value.shape != (aggregator._num_users,):
                 raise ValueError(f"state {key!r} must have one entry per user")
-            setattr(aggregator, attribute, value.copy())
+            np.copyto(getattr(aggregator, attribute), value)
+        aggregator._load_series(state)
+        return aggregator
+
+    def _load_series(self, state: Mapping[str, object]) -> None:
+        """Take a snapshot's per-step series (everything but the per-user rows)."""
+        filled = int(state["num_steps"])
+        while self._capacity < filled:
+            self._grow()
+        self._num_steps = filled
+        rate_hist = np.asarray(
+            state.get("rate_hist", np.zeros((filled, self._rate_bins))),
+            dtype=np.int64,
+        )
+        if rate_hist.shape != (filled, self._rate_bins):
+            raise ValueError("state 'rate_hist' must be (num_steps, rate_bins)")
+        self._rate_hist[:filled] = rate_hist
+        rate_low = np.asarray(
+            state.get("rate_low_counts", np.zeros(filled)), dtype=np.int64
+        ).ravel()
+        if rate_low.shape != (filled,):
+            raise ValueError("state 'rate_low_counts' must have one entry per step")
+        self._rate_low_counts[:filled] = rate_low
         for attribute, key in (
             ("_approvals", "approvals"),
             ("_decision_sums", "decision_sums"),
@@ -630,14 +656,14 @@ class StreamingAggregator(_FoldedGroups):
             value = np.asarray(state[key], dtype=float).ravel()
             if value.shape != (filled,):
                 raise ValueError(f"state {key!r} must have one entry per step")
-            getattr(aggregator, attribute)[:filled] = value
+            getattr(self, attribute)[:filled] = value
         for attribute, key in (
             ("_group_rate_sums", "group_rate_sums"),
             ("_group_action_sums", "group_action_sums"),
             ("_group_decision_sums", "group_decision_sums"),
         ):
             series = state[key]
-            if set(series) != set(aggregator._groups):  # type: ignore[arg-type]
+            if set(series) != set(self._groups):  # type: ignore[arg-type]
                 raise ValueError(f"state {key!r} must cover exactly the group keys")
             for group_key, values in series.items():  # type: ignore[union-attr]
                 value = np.asarray(values, dtype=float).ravel()
@@ -645,8 +671,7 @@ class StreamingAggregator(_FoldedGroups):
                     raise ValueError(
                         f"state {key!r}[{group_key!r}] must have one entry per step"
                     )
-                getattr(aggregator, attribute)[group_key][:filled] = value
-        return aggregator
+                getattr(self, attribute)[group_key][:filled] = value
 
 
 class _ChunkReductions(NamedTuple):
@@ -665,13 +690,17 @@ class BatchedStreamingAggregator(_FoldedGroups):
     The trial-batched engine records ``T`` trials of the same closed loop
     side by side, over one stacked
     :class:`~repro.core.filters.BatchedDefaultRateFilter`.  The aggregator
-    owns no per-user counts: it reads the filter's offer and repayment
-    counts, its per-trial step counts and totals, and the ``ADR_i(k)`` row
-    the filter writes each step.  In the credit loop a user repays only
-    when offered, so the running action sums a standalone
-    :class:`StreamingAggregator` keeps equal the repayment counts, and the
-    Cesàro row is ``repayments / (k + 1)``.  That row, rewritten in place
-    every step, is the aggregator's only ``(trials, users)`` array.
+    owns no per-user counts: it reads the filter's cells, its per-trial
+    step counts and totals, and the ``ADR_i(k)`` row the filter writes each
+    step.  In the credit loop a user repays only when offered, so the
+    running action sums a standalone :class:`StreamingAggregator` keeps
+    equal the repayment counts, and the Cesàro row is ``r / (k + 1)`` with
+    ``r`` read from the filter's :attr:`~repro.core.filters.BatchedDefaultRateFilter.cell_repayments`
+    table.  That row, rewritten in place every step, is the aggregator's
+    only ``(trials, users)`` array.  A cell's rate-histogram bin and
+    low-rate flag come from one more table, built once from the filter's
+    ``ADR_i`` table (:func:`rate_bin_codes`), so a chunk's histogram is one
+    ``bincount``.
 
     Inputs follow the lockstep kernel's contract, the filter's: 0/1
     decisions, and repayments (actions) only where offered.  The
@@ -693,7 +722,7 @@ class BatchedStreamingAggregator(_FoldedGroups):
     Parameters
     ----------
     rate_filter:
-        The stacked filter whose counts and rates the aggregator reads;
+        The stacked filter whose cells and rates the aggregator reads;
         each step it folds before the aggregator does.  Its prior rate
         must be 0: never-offered users then have ``ADR_i = 0``, as in the
         full history, and the portfolio rate is 0 before any offer.
@@ -731,6 +760,7 @@ class BatchedStreamingAggregator(_FoldedGroups):
         self._capacity = _INITIAL_CAPACITY
         # The current step's Cesàro row, rewritten in place.
         self._cesaro = np.empty((self._num_trials, self._num_users), dtype=float)
+        self._rate_codes = rate_bin_codes(rate_filter.cell_rates, self._rate_edges)
         # Per-trial O(steps) series, stacked as (trials, capacity).
         series_shape = (self._num_trials, self._capacity)
         self._approvals = np.empty(series_shape, dtype=float)
@@ -830,32 +860,30 @@ class BatchedStreamingAggregator(_FoldedGroups):
 
         Runs once the filter has folded the same chunk of the step:
         ``rates`` is the ``(trials, users)`` ``ADR_i(k)`` row the filter
-        wrote, and only its ``users`` columns are read.  Writes the chunk's
-        Cesàro columns and returns its ``ADR_i`` min and max, rate
-        histogram, low-rate count and per-group decision counts, for
-        :meth:`finish_step`.
+        wrote, and only its ``users`` columns are read, as are the chunk's
+        cells.  Writes the chunk's Cesàro columns and returns its ``ADR_i``
+        min and max, rate histogram, low-rate count and per-group decision
+        counts, for :meth:`finish_step`.
         """
         shape = (self._num_trials, self._num_users)
         if decisions.shape != shape or rates.shape != shape:
             raise ValueError(f"decisions and rates must both have shape {shape}")
-        np.divide(
-            self._rate_filter.repayments[:, users],
-            float(self._num_steps + 1),
-            out=self._cesaro[:, users],
+        rate_filter = self._rate_filter
+        cells = rate_filter.cells[:, users]
+        cesaro = rate_filter.read(
+            rate_filter.cell_repayments, cells, out=self._cesaro[:, users]
         )
+        np.divide(cesaro, float(self._num_steps + 1), out=cesaro)
+        codes = rate_filter.read(self._rate_codes, cells)
+        counts = np.stack(
+            [np.bincount(row, minlength=2 * self._rate_bins) for row in codes]
+        ).reshape(self._num_trials, self._rate_bins, 2)
         chunk_rates = rates[:, users]
         return _ChunkReductions(
             rate_mins=chunk_rates.min(axis=1, initial=np.inf),
             rate_maxs=chunk_rates.max(axis=1, initial=-np.inf),
-            rate_hist=np.stack(
-                [
-                    np.histogram(trial_rates, bins=self._rate_edges)[0]
-                    for trial_rates in chunk_rates
-                ]
-            ),
-            rate_low_counts=np.count_nonzero(
-                chunk_rates <= RATE_HISTOGRAM_LOW_THRESHOLD, axis=1
-            ),
+            rate_hist=counts.sum(axis=2),
+            rate_low_counts=counts[:, :, 1].sum(axis=1),
             group_decisions=(
                 None if self._fold is None else self._fold.counts(decisions, users)
             ),
@@ -914,55 +942,58 @@ class BatchedStreamingAggregator(_FoldedGroups):
             store[trial][key][row] = total
 
     def trial_state(self, trial: int) -> Dict[str, object]:
-        """Return trial ``trial``'s state as a standalone-aggregator snapshot.
+        """Return trial ``trial``'s state as a standalone-aggregator snapshot."""
+        return self.aggregator(trial).export_state()
 
-        The cumulative vectors are the filter's counts (the action sums
-        are the repayments), so the filter must be at the same step.
+    def aggregator(self, trial: int) -> StreamingAggregator:
+        """Return a live standalone aggregator holding trial ``trial``'s state.
+
+        Its running rows are written once, straight from the filter's
+        cells (the action sums are the repayments), so the filter must be
+        at the same step.  The per-step series are copied in.
         """
         if not 0 <= trial < self._num_trials:
             raise ValueError("trial index out of range")
         self._require_filter_steps(self._num_steps)
+        rate_filter = self._rate_filter
+        aggregator = StreamingAggregator(
+            self._num_users,
+            groups=self._groups[trial],
+            prior_rate=rate_filter.prior_rate,
+            rate_bins=self._rate_bins,
+        )
+        cells = rate_filter.cells[trial]
+        rate_filter.read(rate_filter.cell_offers, cells, out=aggregator._offers_cum)
+        rate_filter.read(
+            rate_filter.cell_repayments, cells, out=aggregator._repayments_cum
+        )
+        np.copyto(aggregator._actions_cum, aggregator._repayments_cum)
         filled = self._num_steps
-        repayments = self._rate_filter.repayments[trial]
-        return {
-            "num_users": self._num_users,
-            "prior_rate": self._rate_filter.prior_rate,
-            "num_steps": filled,
-            "groups": {
-                key: indices.copy() for key, indices in self._groups[trial].items()
-            },
-            "rate_bins": self._rate_bins,
-            "rate_hist": self._rate_hist[trial, :filled].copy(),
-            "rate_low_counts": self._rate_low_counts[trial, :filled].copy(),
-            "offers_cum": self._rate_filter.offers[trial].copy(),
-            "repayments_cum": repayments.copy(),
-            "actions_cum": repayments.copy(),
-            "approvals": self._approvals[trial, :filled].copy(),
-            "decision_sums": self._decision_sums[trial, :filled].copy(),
-            "offers_totals": self._offers_totals[trial, :filled].copy(),
-            "repayments_totals": self._repayments_totals[trial, :filled].copy(),
-            "portfolio": self._portfolio[trial, :filled].copy(),
-            "rate_sums": self._rate_sums[trial, :filled].copy(),
-            "rate_sumsqs": self._rate_sumsqs[trial, :filled].copy(),
-            "rate_mins": self._rate_mins[trial, :filled].copy(),
-            "rate_maxs": self._rate_maxs[trial, :filled].copy(),
-            "group_rate_sums": {
-                key: self._group_rate_sums[trial][key][:filled].copy()
-                for key in self._groups[trial]
-            },
-            "group_action_sums": {
-                key: self._group_action_sums[trial][key][:filled].copy()
-                for key in self._groups[trial]
-            },
-            "group_decision_sums": {
-                key: self._group_decision_sums[trial][key][:filled].copy()
-                for key in self._groups[trial]
-            },
-        }
-
-    def aggregator(self, trial: int) -> StreamingAggregator:
-        """Return a live standalone aggregator holding trial ``trial``'s state."""
-        return StreamingAggregator.from_state(self.trial_state(trial))
+        aggregator._load_series(
+            {
+                "num_steps": filled,
+                "rate_hist": self._rate_hist[trial, :filled],
+                "rate_low_counts": self._rate_low_counts[trial, :filled],
+                "approvals": self._approvals[trial, :filled],
+                "decision_sums": self._decision_sums[trial, :filled],
+                "offers_totals": self._offers_totals[trial, :filled],
+                "repayments_totals": self._repayments_totals[trial, :filled],
+                "portfolio": self._portfolio[trial, :filled],
+                "rate_sums": self._rate_sums[trial, :filled],
+                "rate_sumsqs": self._rate_sumsqs[trial, :filled],
+                "rate_mins": self._rate_mins[trial, :filled],
+                "rate_maxs": self._rate_maxs[trial, :filled],
+                **{
+                    name: {key: sums[:filled] for key, sums in series[trial].items()}
+                    for name, series in (
+                        ("group_rate_sums", self._group_rate_sums),
+                        ("group_action_sums", self._group_action_sums),
+                        ("group_decision_sums", self._group_decision_sums),
+                    )
+                },
+            }
+        )
+        return aggregator
 
 
 class AggregateHistory:

@@ -29,22 +29,21 @@ def user_default_rates(
     offers: np.ndarray,
     repayments: np.ndarray,
     prior_rate: float = 0.0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return ``1 - repayments / offers`` per user, ``prior_rate`` if never offered.
 
-    The one definition of ``ADR_i(k)``: the trackers and filters, the full
-    history's running rows and both streaming aggregators all call it, so
+    The one definition of ``ADR_i(k)``: the trackers and filters (the
+    lockstep filter through its table of each cell's rate), the full
+    history's running rows and the streaming aggregator all call it, so
     every recording mode and layout computes the same bits.  Every entry
     goes through the same unmasked ops (the offer counts are clamped away
     from zero, then never-offered users are overwritten with the prior),
     with no boolean gather or scatter; an offered entry is exactly
-    ``1.0 - repayments[i] / offers[i]``.  Works on any shape; ``out``,
-    when given, receives the rates (it must not overlap the inputs).
+    ``1.0 - repayments[i] / offers[i]``.  Works on any shape.
     """
     never_offered = ~(offers > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rates = np.maximum(offers, 1e-12, out=out)
+        rates = np.maximum(offers, 1e-12)
         np.divide(repayments, rates, out=rates)
         np.subtract(1.0, rates, out=rates)
     np.copyto(rates, prior_rate, where=never_offered)

@@ -90,20 +90,23 @@ class IncomeSampler:
         generator's ``random(size)`` output reproduces
         ``generator.choice(len(INCOME_BRACKETS), size=size, p=shares)`` bit
         for bit.  ``searchsorted(cdf, u, side="right")`` — what ``choice``
-        computes — equals the count of CDF entries ``<= u`` (ties go
-        right on both routes), so large blocks take nine branchless
-        comparison passes instead of per-element binary searches with
-        data-dependent branches (~2.7x on the trial-batched engine's
-        pooled per-race blocks); small blocks keep ``searchsorted``, whose
-        fixed cost is lower.  Both routes return identical indices for
-        every input, so the cutover is purely a speed choice.
+        computes — equals the number of CDF entries minus the count of
+        entries ``> u`` (ties go right on both routes), so large blocks
+        take nine branchless comparison passes instead of per-element
+        binary searches with data-dependent branches (~2.7x on the
+        trial-batched engine's pooled per-race blocks); small blocks keep
+        ``searchsorted``, whose fixed cost is lower.  Both routes return
+        identical indices for every input, so the cutover is purely a speed
+        choice: a NaN compares false with every entry and, as
+        ``searchsorted`` sorts it last, lands past the last bracket on both
+        (so :meth:`incomes_from_uniforms` raises ``IndexError`` for it).
         """
         cdf = self.bracket_cdf(year, race)
         if uniforms.size < 4096:
             return cdf.searchsorted(uniforms, side="right").astype(np.int64)
-        indices = np.zeros(uniforms.shape, dtype=np.int64)
+        indices = np.full(uniforms.shape, cdf.size, dtype=np.int64)
         for boundary in cdf:
-            indices += uniforms >= boundary
+            indices -= uniforms < boundary
         return indices
 
     def incomes_from_uniforms(

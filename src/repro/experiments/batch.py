@@ -25,12 +25,11 @@ reading another chunk's users:
 
 * the draws and the income mapping;
 * affordability, the fused decision, the probit and the actions;
-* the refit's key packing and a count table per trial, which the calling
-  thread merges with :func:`~repro.scoring.suffstats.merge_tables` (exact
-  integer addition);
+* a refit count table per trial, which the calling thread merges with
+  :func:`~repro.scoring.suffstats.merge_tables` (exact integer addition);
 * the filter fold (:meth:`~repro.core.filters.BatchedDefaultRateFilter.fold`):
-  the offer and repayment counts, the chunk's ``ADR_i(k)`` columns and its
-  per-trial offer and repayment counts;
+  the chunk's cells, its ``ADR_i(k)`` columns and its per-trial offer and
+  repayment counts;
 * the recorder's share: in aggregate mode
   :meth:`~repro.core.streaming.BatchedStreamingAggregator.fold` (the
   Cesàro columns, ``ADR_i`` min and max, the rate histogram and low-rate
@@ -60,6 +59,37 @@ They are the only per-user work outside the chunk pass.  The calling
 thread also keeps the refits, the generic per-trial ``decide``/``update``
 path and full-history recording.  So neither the chunking nor the thread
 count changes any bit of any trial.
+
+Cells and tables
+----------------
+
+A user's filter state is its offer and repayment counts ``o`` and ``r``,
+which the stacked filter keeps as one unsigned integer cell
+``o * (S + 1) + r`` (``uint16`` up to 255 steps, ``uint32`` beyond).
+Every per-user map of that state is a function of the cell, so the run
+builds each once, as a table over the ``(S + 1) ** 2`` cells, with the
+same functions the serial engine applies per user; a step then reads it at
+each user's cell (``np.take``) and computes no per-user ``ADR_i``,
+clipping, key packing or histogram bin:
+
+* the decision reads the clipped previous ``ADR_i``
+  (:func:`~repro.scoring.features.clipped_default_rates` of the filter's
+  ``ADR_i`` table) into its score arithmetic, before the chunk's fold;
+* the refit counts each trial's offered rows from the cells' ranked key
+  bits plus the code and label bits, with one ``bincount``
+  (:class:`~repro.scoring.suffstats.CellKeys`);
+* the fold adds ``offered * (S + 1) + repaid`` to the cells and writes
+  ``ADR_i`` from the filter's table;
+* the Cesàro row is ``r / (k + 1)``, ``r`` read from the repayment table;
+* the rate histogram and the low-rate count come from one ``bincount`` of
+  each cell's bin code (:func:`~repro.core.streaming.rate_bin_codes`).
+
+No step does work in proportion to the grid (441 cells at 20 steps), so a
+long run with few users pays nothing for the tables.  Every table entry is
+the serial engine's function of the same integers, so each trial keeps its
+bits.  After the last step the runner drops its step buffers and chunk
+maps, then builds each trial's standalone rows once, straight from the
+cells.  A runner therefore runs once.
 
 Bit-identity contract
 ---------------------
@@ -144,7 +174,7 @@ from repro.data.synthetic import PopulationSpec, generate_population
 from repro.experiments.config import CaseStudyConfig
 from repro.scoring.cutoff import CutoffPolicy
 from repro.scoring.features import FeatureBuilder, clipped_default_rates
-from repro.scoring.suffstats import CompressedDesign, merge_tables, pack_rows
+from repro.scoring.suffstats import CellKeys, CompressedDesign, merge_tables
 from repro.utils.rng import derive_seed, shard_seed, step_generator
 
 __all__ = ["BatchedTrialRunner"]
@@ -224,10 +254,16 @@ class _StepBuffers:
     """The ``(trials, users)`` arrays one step's phases write in place.
 
     Several are reused within a step: the affordability states become the
-    repayment probabilities and then the clipped rates; the repayment
-    uniforms land in ``actions``, which the step's actions overwrite once
-    they are compared; ``decisions`` holds the rate term of the scores
-    until the cut-off writes the decisions over it.
+    repayment probabilities and then the clipped previous rates, read from
+    the clipped-rate table at each user's cell before the chunk's filter
+    fold (the row-level refit reads them there); the repayment uniforms
+    land in ``actions``, which the step's actions overwrite once they are
+    compared; ``decisions`` holds the rate term of the scores until the
+    cut-off writes the decisions over it.  ``rates`` is the one ``ADR_i``
+    row: the filter fold writes each chunk's rates from the cells, so until
+    a chunk folds, its columns still hold the previous step's rates, which
+    the generic decide reads.  The runner drops the buffers after the last
+    step, before it builds the trials' results.
     """
 
     def __init__(self, trials: int, users: int, full_mode: bool) -> None:
@@ -241,11 +277,23 @@ class _StepBuffers:
         self.codes = np.empty(shape, dtype=bool)
         self.offered = np.empty(shape, dtype=bool)
         self.repaid = np.empty(shape, dtype=bool)
-        # The observation entering a step is the filter state left by the
-        # previous step; the two rate buffers swap roles every step.
-        self.rates_before = np.empty(shape, dtype=float)
-        self.rates_after = np.empty(shape, dtype=float)
+        self.rates = np.empty(shape, dtype=float)
         self.running_actions = np.empty(shape, dtype=float) if full_mode else None
+
+
+class _CellTables:
+    """What a fused step reads of the filter state: its cells and tables.
+
+    Built once per run from the stacked filter: the clipped ``ADR_i`` of
+    each cell (:func:`~repro.scoring.features.clipped_default_rates`,
+    validated once) and, under the compressed refit, the cells' refit keys
+    (:class:`~repro.scoring.suffstats.CellKeys`).
+    """
+
+    def __init__(self, rate_filter: BatchedDefaultRateFilter, compressed: bool) -> None:
+        self.rate_filter = rate_filter
+        self.clipped_rates = clipped_default_rates(rate_filter.cell_rates)
+        self.refit_keys = CellKeys(self.clipped_rates) if compressed else None
 
 
 class BatchedTrialRunner:
@@ -534,6 +582,7 @@ class BatchedTrialRunner:
         k: int,
         year: int,
         scorecards: _Scorecards | None,
+        tables: _CellTables,
         buffers: _StepBuffers,
     ) -> List[CompressedDesign]:
         """Run one chunk's whole step on the default decision stack.
@@ -545,29 +594,29 @@ class BatchedTrialRunner:
         per-trial coefficients broadcast down the trial axis — the
         identical ``base + points * code``, then ``+= points * rate``
         operation order of
-        :meth:`~repro.scoring.scorecard.Scorecard.score_matrix`.  Under
-        ``retrain_mode="compressed"`` the chunk also packs every trial's
-        ``(code, rate, label)`` rows — the key layout the per-trial
-        ``Lender._retrain_compressed`` builds — and returns one count table
-        per trial of its offered rows.
+        :meth:`~repro.scoring.scorecard.Scorecard.score_matrix`.  The
+        clipped rates are a table read of the cells the chunk's filter fold
+        has not moved yet.  Under ``retrain_mode="compressed"`` the chunk
+        also counts every trial's offered ``(code, rate, label)`` rows —
+        the key layout the per-trial ``Lender._retrain_compressed`` builds —
+        into one count table per trial, from the cells' refit keys.
         """
         self._respond(chunk, k, year, buffers)
         stack = self._fast_stack
-        compressed = stack["compressed_retrain"]
         users = chunk.users
         decisions = buffers.decisions[:, users]
         scores = buffers.scores[:, users]
-        if scorecards is not None or compressed:
-            codes = np.greater_equal(
-                buffers.incomes[:, users],
-                stack["income_threshold"],
-                out=buffers.codes[:, users],
-            )
-            # The probabilities are compared already; their columns now
-            # hold the clipped rates.
-            clipped_rates = clipped_default_rates(
-                buffers.rates_before[:, users], out=buffers.probabilities[:, users]
-            )
+        codes = np.greater_equal(
+            buffers.incomes[:, users],
+            stack["income_threshold"],
+            out=buffers.codes[:, users],
+        )
+        cells = tables.rate_filter.cells[:, users]
+        # The probabilities are compared already; their columns now hold
+        # the clipped previous rates.
+        clipped_rates = tables.rate_filter.read(
+            tables.clipped_rates, cells, out=buffers.probabilities[:, users]
+        )
         if scorecards is None:
             decisions.fill(1.0)
             scores.fill(np.nan)
@@ -579,13 +628,11 @@ class BatchedTrialRunner:
             scores += decisions
             np.greater(scores, cutoffs, out=decisions)
         offered = self._act(chunk, buffers)
-        if not compressed:
+        if tables.refit_keys is None:
             return []
-        keys = pack_rows(codes, clipped_rates, buffers.repaid[:, users])
-        return [
-            CompressedDesign.from_key_array(trial_keys[trial_offered])
-            for trial_keys, trial_offered in zip(keys, offered)
-        ]
+        return tables.refit_keys.tables(
+            cells, codes, buffers.repaid[:, users], offered
+        )
 
     def _generic_decisions(
         self, k: int, buffers: _StepBuffers, portfolio: np.ndarray
@@ -600,7 +647,7 @@ class BatchedTrialRunner:
             # copies the incomes; the filter copies its rates).
             features = {"income": buffers.incomes[trial].copy()}
             observation: Dict[str, np.ndarray | float] = {
-                "user_default_rates": buffers.rates_before[trial].copy(),
+                "user_default_rates": buffers.rates[trial].copy(),
                 "portfolio_rate": float(portfolio[trial]),
             }
             decisions_row = np.asarray(
@@ -631,19 +678,57 @@ class BatchedTrialRunner:
         return step_features, step_observations
 
     def run(self) -> List[TrialOutcome]:
-        """Execute every trial in lockstep and return the per-trial outcomes."""
+        """Execute every trial in lockstep and return the per-trial outcomes.
+
+        A runner runs once: the run trains its lenders and releases its
+        chunk maps, so a second call raises :class:`RuntimeError`.
+        """
+        if self._chunks is None:
+            raise RuntimeError(
+                "BatchedTrialRunner.run() runs once: the first call trained "
+                "this runner's lenders and released its chunk maps, so a "
+                "second call would run a different experiment; build a new "
+                "runner to run the trials again"
+            )
         threads = _KernelThreads(self._chunks)
+        self._chunks = None
         try:
-            return self._run(threads)
+            recorders = self._step_all(threads)
         finally:
             threads.shutdown()
+        # The step buffers died with _step_all, and the chunk maps with the
+        # threads: each trial's result rows are built after them.
+        del threads
+        aggregate, histories = recorders
+        outcomes: List[TrialOutcome] = []
+        for trial, population in enumerate(self._populations):
+            if aggregate is None:
+                history: SimulationHistory | AggregateHistory = histories[trial]
+            else:
+                history = AggregateHistory.from_aggregator(aggregate.aggregator(trial))
+            outcomes.append((history, population))
+        return outcomes
 
-    def _run(self, threads: _KernelThreads) -> List[TrialOutcome]:
+    def _step_all(
+        self, threads: _KernelThreads
+    ) -> Tuple[BatchedStreamingAggregator | None, List[SimulationHistory]]:
+        """Run every step; return the aggregate recorder or the histories.
+
+        Leaves each population holding its final step state, as a serial
+        trial would.
+        """
         config = self._config
         num_trials = config.num_trials
         num_steps = config.num_steps
         full_mode = config.history_mode == "full"
-        batched_filter = BatchedDefaultRateFilter(num_trials, config.num_users)
+        batched_filter = BatchedDefaultRateFilter(
+            num_trials, config.num_users, num_steps
+        )
+        tables = (
+            None
+            if self._fast_stack is None
+            else _CellTables(batched_filter, self._fast_stack["compressed_retrain"])
+        )
         histories: List[SimulationHistory] = []
         aggregate: BatchedStreamingAggregator | None = None
         if full_mode:
@@ -654,8 +739,8 @@ class BatchedTrialRunner:
                 [population.groups for population in self._populations],
             )
         buffers = _StepBuffers(num_trials, config.num_users, full_mode)
-        batched_filter.user_rates(out=buffers.rates_before)
-        portfolio_before = batched_filter.portfolio_rates()
+        batched_filter.user_rates(out=buffers.rates)
+        portfolio = batched_filter.portfolio_rates()
 
         def record(users: slice, k: int) -> Tuple[np.ndarray, object]:
             """Fold one chunk's step into the filter, then the recorder.
@@ -664,19 +749,18 @@ class BatchedTrialRunner:
             and the aggregator's chunk reductions (``None`` in full mode).
             """
             counts = batched_filter.fold(
-                users, buffers.decisions, buffers.actions, buffers.rates_after
+                users, buffers.offered, buffers.repaid, buffers.rates
             )
             if aggregate is not None:
-                return counts, aggregate.fold(
-                    users, buffers.decisions, buffers.rates_after
-                )
+                return counts, aggregate.fold(users, buffers.decisions, buffers.rates)
             # Full history's Cesàro row: a user repays only when offered,
             # so the running action sums are the repayment counts.
-            np.divide(
-                batched_filter.repayments[:, users],
-                float(k + 1),
+            running_actions = batched_filter.read(
+                batched_filter.cell_repayments,
+                batched_filter.cells[:, users],
                 out=buffers.running_actions[:, users],
             )
+            np.divide(running_actions, float(k + 1), out=running_actions)
             return counts, None
 
         for k in range(num_steps):
@@ -688,15 +772,15 @@ class BatchedTrialRunner:
             if fused:
                 results = threads.map(
                     lambda chunk: (
-                        self._fused_step(chunk, k, year, scorecards, buffers),
+                        self._fused_step(chunk, k, year, scorecards, tables, buffers),
                         record(chunk.users, k),
                     )
                 )
-                self._fused_update([tables for tables, _ in results], buffers)
+                self._fused_update([chunk_tables for chunk_tables, _ in results], buffers)
             else:
                 threads.map(lambda chunk: self._respond(chunk, k, year, buffers))
                 step_features, step_observations = self._generic_decisions(
-                    k, buffers, portfolio_before
+                    k, buffers, portfolio
                 )
                 results = threads.map(
                     lambda chunk: (self._act(chunk, buffers), record(chunk.users, k))
@@ -714,8 +798,7 @@ class BatchedTrialRunner:
                     )
             records = [chunk_record for _, chunk_record in results]
             batched_filter.finish_step([counts for counts, _ in records])
-            rates_after = buffers.rates_after
-            portfolio_after = batched_filter.portfolio_rates()
+            portfolio = batched_filter.portfolio_rates()
             if full_mode:
                 # np.mean of a 0/1 row is its exact count over the user count.
                 approvals = batched_filter.step_counts[0] / config.num_users
@@ -732,46 +815,38 @@ class BatchedTrialRunner:
                         buffers.decisions[trial],
                         buffers.actions[trial],
                         {
-                            "user_default_rates": rates_after[trial],
-                            "portfolio_rate": float(portfolio_after[trial]),
+                            "user_default_rates": buffers.rates[trial],
+                            "portfolio_rate": float(portfolio[trial]),
                         },
-                        running_rates=rates_after[trial],
+                        running_rates=buffers.rates[trial],
                         running_actions=buffers.running_actions[trial],
                         approval=float(approvals[trial]),
                     )
             else:
                 assert aggregate is not None
                 aggregate.finish_step(
-                    buffers.decisions, rates_after, [chunk for _, chunk in records]
+                    buffers.decisions, buffers.rates, [chunk for _, chunk in records]
                 )
-            buffers.rates_before, buffers.rates_after = (
-                rates_after,
-                buffers.rates_before,
-            )
-            portfolio_before = portfolio_after
-        outcomes: List[TrialOutcome] = []
-        for trial in range(num_trials):
-            population = self._populations[trial]
-            if num_steps > 0:
-                # Leave the population holding its final step state, as a
-                # serial trial would.
+        if num_steps > 0:
+            if fused:
+                # The lenders' last-scores caches are rows of the scores
+                # buffer; give each its own copy so the buffer can go.
+                for trial, system in enumerate(self._ai_systems):
+                    system._last_scores = buffers.scores[trial].copy()
+            for trial, population in enumerate(self._populations):
                 incomes = buffers.incomes[trial]
+                # The probabilities are spent: their row takes the final
+                # affordability, which the population copies.
                 population.import_shard_state(
                     0,
                     {
                         "incomes": incomes,
-                        "affordability": affordability_state(incomes, self._terms),
+                        "affordability": affordability_state(
+                            incomes, self._terms, out=buffers.probabilities[trial]
+                        ),
                     },
                 )
-            if full_mode:
-                history: SimulationHistory | AggregateHistory = histories[trial]
-            else:
-                assert aggregate is not None
-                history = AggregateHistory.from_aggregator(
-                    aggregate.aggregator(trial)
-                )
-            outcomes.append((history, population))
-        return outcomes
+        return aggregate, histories
 
     def _fused_update(
         self, tables: List[List[CompressedDesign]], buffers: _StepBuffers
@@ -798,9 +873,11 @@ class BatchedTrialRunner:
                 )
         else:
             for trial, lender in enumerate(lenders):
+                # The probabilities' row holds the clipped previous rates,
+                # which the lender's own clipping leaves as they are.
                 lender.retrain(
                     buffers.incomes[trial],
-                    buffers.rates_before[trial],
+                    buffers.probabilities[trial],
                     buffers.actions[trial],
                     offered=buffers.decisions[trial],
                 )

@@ -19,24 +19,22 @@ __all__ = ["income_code", "clipped_default_rates", "FeatureBuilder"]
 
 def clipped_default_rates(
     previous_default_rates: Sequence[float] | np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Validate previous average default rates and clip them to ``[0, 1]``.
 
     Values up to ``1e-9`` outside the interval are tolerated (float noise
     from upstream aggregation) and clipped exactly onto it; anything
     further out raises.  Every retraining route — the row-level design
-    matrix, the lender's compressed path and the lockstep kernel's
-    per-chunk count tables — shares this one definition, so serial and
-    batched runs can never disagree on which rates are acceptable.  ``out``, when given,
-    receives the clipped rates.
+    matrix, the lender's compressed path and the lockstep kernel's table of
+    each filter cell's clipped rate — shares this one definition, so serial
+    and batched runs can never disagree on which rates are acceptable.
     """
     rates = np.asarray(previous_default_rates, dtype=float)
     if rates.size and (
         float(rates.min()) < -1e-9 or float(rates.max()) > 1 + 1e-9
     ):
         raise ValueError("previous_default_rates must lie in [0, 1]")
-    return np.clip(rates, 0.0, 1.0, out=out)
+    return np.clip(rates, 0.0, 1.0)
 
 
 def income_code(incomes: Sequence[float] | np.ndarray, threshold: float = 15.0) -> np.ndarray:

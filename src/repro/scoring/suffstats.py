@@ -28,6 +28,12 @@ whole-population table bit for bit (:meth:`CompressedDesign.merge` /
 :func:`merge_tables`).  The lockstep kernel uses this to build each thread
 chunk's table next to its users, leaving only a tiny O(unique rows) merge
 and fit on the calling thread.
+
+In the kernel a row's previous rate is itself a table read: each user's
+filter state is one integer cell
+(:class:`~repro.core.filters.BatchedDefaultRateFilter`), so
+:class:`CellKeys` packs and validates each cell's rate once per run and
+counts a chunk's keys with a ``bincount`` of small integer indices.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 
 from repro.scoring.logistic import _CLIP
 
-__all__ = ["CompressedDesign", "merge_tables", "pack_rows"]
+__all__ = ["CellKeys", "CompressedDesign", "merge_tables", "pack_rows"]
 
 _CODE_BIT = np.uint64(63)
 _LABEL_BIT = np.uint64(62)
@@ -245,3 +251,77 @@ def merge_tables(tables: Iterable[CompressedDesign]) -> CompressedDesign:
     merged_counts = np.zeros(unique_keys.shape[0], dtype=np.int64)
     np.add.at(merged_counts, inverse, all_counts)
     return CompressedDesign(keys=unique_keys, counts=merged_counts)
+
+
+class CellKeys:
+    """Count tables of ``(code, rate, label)`` rows whose rate is a cell's.
+
+    Built once per run from ``cell_rates``, the previous rate of each cell
+    of the lockstep filter's grid, packed (and so validated) by
+    :func:`pack_rows`.  The distinct rate bits are ranked in ascending
+    order.  A row's key then has the index
+    ``(2 * code + label) * distinct + rank(cell)``; the code and label bits
+    sit above the rate bits of a key, so the indices sort exactly as the
+    keys do, and counting the indices counts the keys.  :meth:`tables`
+    equals :meth:`CompressedDesign.from_key_array` of the rows' packed keys
+    bit for bit, with no per-row ``uint64`` work and no sort of the rows.
+    """
+
+    def __init__(self, cell_rates: np.ndarray) -> None:
+        rates = np.asarray(cell_rates, dtype=float).ravel()
+        zeros = np.zeros(rates.shape, dtype=bool)
+        rate_keys, ranks = np.unique(
+            pack_rows(zeros, rates, zeros), return_inverse=True
+        )
+        self._distinct = np.uint32(rate_keys.size)
+        # Indices stay below 8 * distinct (see tables), so narrow integers
+        # hold them: a narrow gather and sum is faster than an intp one.
+        self._dtype = np.uint16 if 8 * rate_keys.size <= 1 << 16 else np.uint32
+        self._ranks = ranks.astype(self._dtype)
+        code, label = _ONE << _CODE_BIT, _ONE << _LABEL_BIT
+        # The key of each index: the ranked rate keys under the (code,
+        # label) blocks (0, 0), (0, 1), (1, 0) and (1, 1), in key order.
+        self._keys = np.concatenate(
+            [rate_keys | high for high in (np.uint64(0), label, code, code | label)]
+        )
+
+    def tables(
+        self,
+        cells: np.ndarray,
+        codes: np.ndarray,
+        labels: np.ndarray,
+        offered: np.ndarray,
+    ) -> "list[CompressedDesign]":
+        """Return one count table per row of the offered rows.
+
+        ``cells`` (indices into ``cell_rates``) and the boolean ``codes``,
+        ``labels`` and ``offered`` masks share one ``(rows, users)`` shape;
+        row ``i``'s table counts the ``(code, cell rate, label)`` keys
+        where ``offered`` is set.  Each row takes one ``np.bincount`` over
+        the key indices, or ``np.unique`` when the indices outnumber the
+        row's users, so no call does work in proportion to the cells.
+        """
+        bins = 4 * int(self._distinct)
+        # Block 2 * code + label, plus 4 for a row nobody offered: blocks
+        # 4 and 6 hold the rows the tables leave out.
+        block = codes.view(np.uint8) << 1
+        block |= labels.view(np.uint8)
+        block |= (~offered).view(np.uint8) << 2
+        index = np.multiply(block, self._distinct, dtype=self._dtype)
+        index += np.take(self._ranks, cells, mode="clip")
+        tables = []
+        for row in index:
+            if bins <= row.size:
+                counts = np.bincount(row, minlength=bins)[:bins]
+                present = np.flatnonzero(counts)
+                counts = counts[present]
+            else:
+                present, counts = np.unique(row, return_counts=True)
+                kept = np.searchsorted(present, bins)
+                present, counts = present[:kept], counts[:kept]
+            tables.append(
+                CompressedDesign(
+                    keys=self._keys[present], counts=counts.astype(np.int64)
+                )
+            )
+        return tables

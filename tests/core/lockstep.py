@@ -10,13 +10,15 @@ def record_step(rate_filter, decisions, actions, aggregator=None, parts=(slice(N
 
     Each part (a slice of users) folds into ``rate_filter`` and then into
     ``aggregator`` when one is given, part by part; then the filter and the
-    aggregator finish the step.  Returns the ``ADR_i(k)`` row the filter
-    wrote.
+    aggregator finish the step.  The filter takes the kernel's boolean
+    offer and repayment masks of the 0/1 ``decisions`` and ``actions``.
+    Returns the ``ADR_i(k)`` row the filter wrote.
     """
+    offered, repaid = decisions != 0.0, actions != 0.0
     rates = np.empty(decisions.shape)
     records = []
     for users in parts:
-        counts = rate_filter.fold(users, decisions, actions, rates)
+        counts = rate_filter.fold(users, offered, repaid, rates)
         chunk = None if aggregator is None else aggregator.fold(users, decisions, rates)
         records.append((counts, chunk))
     rate_filter.finish_step([counts for counts, _ in records])

@@ -165,7 +165,7 @@ class TestBatchedDefaultRateFilter:
 
         trials, users, steps = 4, 50, 6
         decisions, actions = self._random_streams(trials, users, steps, 3)
-        batched = BatchedDefaultRateFilter(trials, users, prior_rate=0.25)
+        batched = BatchedDefaultRateFilter(trials, users, steps, prior_rate=0.25)
         singles = [DefaultRateFilter(users, prior_rate=0.25) for _ in range(trials)]
         for k in range(steps):
             written = record_step(batched, decisions[k], actions[k])
@@ -186,8 +186,8 @@ class TestBatchedDefaultRateFilter:
         trials, users, steps = 3, 41, 5
         decisions, actions = self._random_streams(trials, users, steps, 4)
         uneven = (slice(0, 7), slice(7, 30), slice(30, None))
-        whole = BatchedDefaultRateFilter(trials, users, prior_rate=0.1)
-        chunked = BatchedDefaultRateFilter(trials, users, prior_rate=0.1)
+        whole = BatchedDefaultRateFilter(trials, users, steps, prior_rate=0.1)
+        chunked = BatchedDefaultRateFilter(trials, users, steps, prior_rate=0.1)
         out = np.full((trials, users), -1.0)
         for k in range(steps):
             whole_rates = record_step(whole, decisions[k], actions[k])
@@ -207,7 +207,7 @@ class TestBatchedDefaultRateFilter:
 
         trials, users, steps = 3, 20, 4
         decisions, actions = self._random_streams(trials, users, steps, 9)
-        batched = BatchedDefaultRateFilter(trials, users)
+        batched = BatchedDefaultRateFilter(trials, users, steps)
         for k in range(steps):
             record_step(batched, decisions[k], actions[k])
         for t in range(trials):
@@ -221,13 +221,13 @@ class TestBatchedDefaultRateFilter:
         from repro.core.filters import BatchedDefaultRateFilter
 
         with pytest.raises(ValueError):
-            BatchedDefaultRateFilter(0, 5)
+            BatchedDefaultRateFilter(0, 5, 1)
         with pytest.raises(ValueError):
-            BatchedDefaultRateFilter(2, 0)
+            BatchedDefaultRateFilter(2, 0, 1)
         with pytest.raises(ValueError):
-            BatchedDefaultRateFilter(2, 5, prior_rate=1.5)
-        batched = BatchedDefaultRateFilter(2, 5)
-        wrong, right = np.ones((2, 4)), np.ones((2, 5))
+            BatchedDefaultRateFilter(2, 5, 1, prior_rate=1.5)
+        batched = BatchedDefaultRateFilter(2, 5, 1)
+        wrong, right = np.ones((2, 4), dtype=bool), np.ones((2, 5), dtype=bool)
         with pytest.raises(ValueError):
             batched.fold(slice(None), wrong, wrong, np.empty((2, 5)))
         with pytest.raises(ValueError):

@@ -46,7 +46,7 @@ class TestStreamingAggregator:
         with pytest.raises(ValueError, match=reason):
             StreamingAggregator(4, groups=groups)
         with pytest.raises(ValueError, match=reason):
-            BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 4), [{}, groups])
+            BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 4, 1), [{}, groups])
         with pytest.raises(ValueError, match=reason):
             AggregateHistory(num_users=4, groups=groups)
 
@@ -322,7 +322,7 @@ class TestAggregatorPickling:
 
         single = StreamingAggregator(1000, groups=groups)
         batched = BatchedStreamingAggregator(
-            BatchedDefaultRateFilter(2, 1000), [groups, {}]
+            BatchedDefaultRateFilter(2, 1000, 6), [groups, {}]
         )
         for step in range(3):
             single.update(decisions[step], actions[step])
@@ -372,7 +372,7 @@ class TestBatchedStreamingAggregator:
 
         rng = np.random.default_rng(seed)
         groups = [self._groups(users, seed + t) for t in range(trials)]
-        rate_filter = BatchedDefaultRateFilter(trials, users, prior_rate=0.0)
+        rate_filter = BatchedDefaultRateFilter(trials, users, steps, prior_rate=0.0)
         batched = BatchedStreamingAggregator(rate_filter, groups)
         singles = [
             StreamingAggregator(users, groups=groups[t]) for t in range(trials)
@@ -453,10 +453,10 @@ class TestBatchedStreamingAggregator:
         trials, users = 3, 53
         groups = [self._groups(users, 40 + t) for t in range(trials)]
         whole = BatchedStreamingAggregator(
-            BatchedDefaultRateFilter(trials, users), groups
+            BatchedDefaultRateFilter(trials, users, 6), groups
         )
         chunked = BatchedStreamingAggregator(
-            BatchedDefaultRateFilter(trials, users), groups
+            BatchedDefaultRateFilter(trials, users, 6), groups
         )
 
         uneven = (slice(0, 11), slice(11, 12), slice(12, None))
@@ -516,17 +516,17 @@ class TestBatchedStreamingAggregator:
         from repro.core.streaming import BatchedStreamingAggregator
 
         with pytest.raises(ValueError):
-            BatchedStreamingAggregator(BatchedDefaultRateFilter(0, 5), [])
+            BatchedStreamingAggregator(BatchedDefaultRateFilter(0, 5, 1), [])
         with pytest.raises(ValueError):
             # one partition per trial
-            BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 5), [None])
+            BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 5, 1), [None])
         with pytest.raises(ValueError, match="prior rate must be 0"):
             # the aggregator's ADR_i rows are the filter's
             BatchedStreamingAggregator(
-                BatchedDefaultRateFilter(2, 5, prior_rate=0.2), [None, None]
+                BatchedDefaultRateFilter(2, 5, 1, prior_rate=0.2), [None, None]
             )
         batched = BatchedStreamingAggregator(
-            BatchedDefaultRateFilter(2, 5), [None, None]
+            BatchedDefaultRateFilter(2, 5, 1), [None, None]
         )
         with pytest.raises(ValueError):
             batched.fold(slice(None), np.ones((2, 4)), np.ones((2, 4)))

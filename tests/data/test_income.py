@@ -92,6 +92,44 @@ class TestCachedBracketCdf:
         direct = sampler.sample(2012, Race.BLACK, 200, np.random.default_rng(5))
         np.testing.assert_array_equal(from_uniforms, direct)
 
+    @staticmethod
+    def _edge_values(cdf):
+        """NaN, 0.0, every CDF boundary and its two neighbours, and 1.0."""
+        values = [np.nan, 0.0, 1.0]
+        for boundary in cdf:
+            values += [
+                np.nextafter(boundary, -np.inf),
+                boundary,
+                np.nextafter(boundary, np.inf),
+            ]
+        return values
+
+    @pytest.mark.parametrize("race", list(Race))
+    def test_both_bracket_routes_agree_on_every_input(self, sampler, race):
+        # 4,095 draws take the searchsorted route, 4,096 the comparison
+        # route; each block repeats one edge value.
+        cdf = sampler.bracket_cdf(2010, race)
+        for value in self._edge_values(cdf):
+            expected = int(cdf.searchsorted(value, side="right"))
+            for size in (4095, 4096):
+                brackets = sampler.brackets_from_uniforms(
+                    2010, race, np.full(size, value)
+                )
+                assert brackets.dtype == np.int64
+                assert set(brackets.tolist()) == {expected}, (value, size)
+
+    def test_nan_uniforms_raise_on_both_routes(self, sampler):
+        # NaN lands past the last bracket on both routes, so no NaN draw
+        # turns into a plausible income.
+        for size in (4095, 4096):
+            uniforms = np.full(size, np.nan)
+            brackets = sampler.brackets_from_uniforms(2010, Race.WHITE, uniforms)
+            assert set(brackets.tolist()) == {len(INCOME_BRACKETS)}
+            with pytest.raises(IndexError):
+                sampler.incomes_from_uniforms(
+                    2010, Race.WHITE, uniforms, np.zeros(size)
+                )
+
 
 class TestSamplePopulation:
     def test_one_income_per_user(self, sampler, rng):

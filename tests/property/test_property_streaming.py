@@ -16,7 +16,8 @@ Three families of properties pin :class:`repro.core.streaming.StreamingAggregato
   :class:`~repro.core.streaming.BatchedStreamingAggregator`, folded in
   uneven user chunks, equals one standalone aggregator and one
   :class:`~repro.credit.default_rates.DefaultRateTracker` per trial, bit
-  for bit.
+  for bit, over short streams and over 254-256 steps, where the filter's
+  integer cells fill ``uint16`` and then need ``uint32``.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class TestGroupFold:
                 expected = sequential_sum(values[row][indices])
                 assert _bits(state["group_decision_sums"][key][0]) == _bits(expected)
         binary = np.where(values > 0, 1.0, np.copysign(0.0, values))
-        rate_filter = BatchedDefaultRateFilter(rows, users)
+        rate_filter = BatchedDefaultRateFilter(rows, users, 1)
         batched = BatchedStreamingAggregator(rate_filter, partitions)
         record_step(rate_filter, binary, np.zeros_like(binary), batched)
         for row, groups in enumerate(partitions):
@@ -306,6 +307,33 @@ def lockstep_streams(draw):
     return decisions, actions, partitions, chunks
 
 
+@st.composite
+def long_lockstep_streams(draw):
+    """Few users over 254, 255 or 256 steps: both sides of ``uint16`` cells.
+
+    User 0 of every trial is offered and repays at every step, so its cell
+    ends on the grid's last point, ``(S + 1) ** 2 - 1`` (65,535 at 255
+    steps, the largest ``uint16``).  The other users draw their offers and
+    repayments; the chunk map splits the users unevenly.
+    """
+    steps = draw(st.sampled_from([254, 255, 256]))
+    trials = draw(st.integers(min_value=1, max_value=2))
+    users = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(seeds))
+    offer_share = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    decisions = (rng.random((steps, trials, users)) < offer_share).astype(float)
+    actions = (rng.random((steps, trials, users)) < 0.6) * decisions
+    decisions[:, :, 0] = 1.0
+    actions[:, :, 0] = 1.0
+    partitions = []
+    for _ in range(trials):
+        labels = rng.integers(-1, 2, size=users)
+        partitions.append({f"g{j}": np.flatnonzero(labels == j) for j in range(2)})
+    cut = draw(st.integers(min_value=1, max_value=users - 1))
+    chunks = [slice(0, cut), slice(cut, users)]
+    return decisions, actions, partitions, chunks
+
+
 def _series(aggregator: StreamingAggregator):
     yield "approvals", aggregator.approval_rate_series()
     yield "portfolio", aggregator.portfolio_rate_series()
@@ -347,7 +375,7 @@ class TestLockstepRecording:
     def test_chunked_lockstep_recording_matches_standalone_trials(self, stream):
         decisions, actions, partitions, chunks = stream
         steps, trials, users = decisions.shape
-        rate_filter = BatchedDefaultRateFilter(trials, users)
+        rate_filter = BatchedDefaultRateFilter(trials, users, steps)
         batched = BatchedStreamingAggregator(rate_filter, partitions)
         singles = [StreamingAggregator(users, groups=groups) for groups in partitions]
         trackers = [DefaultRateTracker(users) for _ in range(trials)]
@@ -366,3 +394,30 @@ class TestLockstepRecording:
             stacked = batched.aggregator(t)
             for (name, left), (_, right) in zip(_series(stacked), _series(single)):
                 assert left.tobytes() == right.tobytes(), name
+
+    @given(long_lockstep_streams())
+    @settings(max_examples=12, deadline=None)
+    def test_cells_past_the_uint16_grid_match_standalone_trials(self, stream):
+        decisions, actions, partitions, chunks = stream
+        steps, trials, users = decisions.shape
+        rate_filter = BatchedDefaultRateFilter(trials, users, steps)
+        assert rate_filter.cells.dtype == (np.uint16 if steps <= 255 else np.uint32)
+        batched = BatchedStreamingAggregator(rate_filter, partitions)
+        singles = [StreamingAggregator(users, groups=groups) for groups in partitions]
+        trackers = [DefaultRateTracker(users) for _ in range(trials)]
+        for k in range(steps):
+            rates = record_step(
+                rate_filter, decisions[k], actions[k], batched, parts=chunks
+            )
+            portfolio = rate_filter.portfolio_rates()
+            for t in range(trials):
+                singles[t].update(decisions[k, t], actions[k, t])
+                trackers[t].record(decisions[k, t], actions[k, t])
+                assert _bits(portfolio[t]) == _bits(trackers[t].portfolio_rate())
+                assert rates[t].tobytes() == trackers[t].user_rates().tobytes()
+        assert (rate_filter.cells[:, 0] == (steps + 1) ** 2 - 1).all()
+        for t, single in enumerate(singles):
+            tracker = rate_filter.tracker_for_trial(t)
+            assert tracker.offers.tobytes() == trackers[t].offers.tobytes()
+            assert tracker.repayments.tobytes() == trackers[t].repayments.tobytes()
+            _assert_same_state(batched.trial_state(t), single.export_state())
