@@ -114,18 +114,19 @@ class BatchedDefaultRateFilter:
     repayment count ``r``, with ``r <= o <= S`` over a run of ``S`` steps.
     The filter keeps the pair as one unsigned integer *cell*
     ``o * (S + 1) + r``, a point of an ``(S + 1) x (S + 1)`` grid: a
-    ``uint16`` row up to 255 steps (2 bytes per user, where two float
-    count rows took 16) and ``uint32`` beyond.  Every per-user float is a
-    function of the cell, read from a table built once over the grid with
-    the shared functions: :attr:`cell_rates` (``ADR_i`` through
+    ``uint16`` row (2 bytes per user) up to 255 steps, ``uint32`` beyond.
+    Every per-user float is a function of the cell, read from a table
+    built once over the grid with the shared functions: :attr:`cell_rates`
+    (``ADR_i`` through
     :func:`~repro.credit.default_rates.user_default_rates`),
     :attr:`cell_offers` and :attr:`cell_repayments`.  Each entry has the
-    bits a float-count filter computes for the same counts, so a table read
-    (:meth:`read`) equals that filter's elementwise work.  A cell with
-    ``r > o`` cannot occur; its entries repeat the never-offered cell's, so
-    every table stays in its functions' domain.  Consumers build their own
-    tables from these: the kernel's clipped rates and refit keys, the
-    aggregator's histogram bins.
+    bits a :class:`~repro.credit.default_rates.DefaultRateTracker`
+    computes for the same counts, so a table read (:meth:`read`) equals
+    the tracker's elementwise work.  A cell with ``r > o`` cannot occur;
+    its entries repeat the never-offered cell's, so every table stays in
+    its functions' domain.  Consumers build their own tables from these:
+    the kernel's clipped rates and refit keys, the aggregator's histogram
+    bins.
 
     Inputs follow the kernel's contract: boolean offer and repayment masks,
     repayments only where offered.  A step folds in user chunks

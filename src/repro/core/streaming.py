@@ -41,11 +41,11 @@ reads tables at the filter's integer cells, writes only elementwise
 per-user state (the Cesàro row) and makes only reductions that are exact
 under any split: ``ADR_i`` min and max, the integer rate histograms and
 low-rate counts, and per-group decision counts (sums of 0/1 decisions are
-integers).  Every sum whose value
-depends on the order of its terms (the ``ADR_i`` and Cesàro group folds,
-the ``ADR_i`` sum and sum of squares) runs once over the whole row, after
-the chunks (:meth:`BatchedStreamingAggregator.finish_step`), so the
-sequential fold order above holds under any thread count.
+integers).  Every sum whose value depends on the order of its terms (the
+``ADR_i`` and Cesàro group folds, the ``ADR_i`` sum and sum of squares)
+runs once over the whole row, after the chunks
+(:meth:`BatchedStreamingAggregator.finish_step`), so the sequential fold
+order above holds under any thread count.
 """
 
 from __future__ import annotations
@@ -565,8 +565,7 @@ class StreamingAggregator(_FoldedGroups):
 
         The per-user cumulative vectors, the per-step series (trimmed to
         the filled rows) and the group partition: everything
-        :meth:`from_state` needs to rebuild a live aggregator (the batched
-        aggregator hands out per-trial aggregators this way).
+        :meth:`from_state` needs to rebuild a live aggregator.
         """
         filled = self._num_steps
         return {

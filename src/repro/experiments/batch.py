@@ -76,7 +76,8 @@ clipping, key packing or histogram bin:
   (:func:`~repro.scoring.features.clipped_default_rates` of the filter's
   ``ADR_i`` table) into its score arithmetic, before the chunk's fold;
 * the refit counts each trial's offered rows from the cells' ranked key
-  bits plus the code and label bits, with one ``bincount``
+  bits plus the code and label bits, with one ``bincount`` (``np.unique``
+  when the key indices outnumber the users)
   (:class:`~repro.scoring.suffstats.CellKeys`);
 * the fold adds ``offered * (S + 1) + repaid`` to the cells and writes
   ``ADR_i`` from the filter's table;

@@ -264,7 +264,8 @@ class CellKeys:
     sit above the rate bits of a key, so the indices sort exactly as the
     keys do, and counting the indices counts the keys.  :meth:`tables`
     equals :meth:`CompressedDesign.from_key_array` of the rows' packed keys
-    bit for bit, with no per-row ``uint64`` work and no sort of the rows.
+    bit for bit, with no per-row ``uint64`` work; only a row with fewer
+    users than key indices sorts (its small indices, in ``np.unique``).
     """
 
     def __init__(self, cell_rates: np.ndarray) -> None:
