@@ -126,7 +126,9 @@ class BatchedDefaultRateFilter:
     its entries repeat the never-offered cell's, so every table stays in
     its functions' domain.  Consumers build their own tables from these:
     the kernel's clipped rates and refit keys, the aggregator's histogram
-    bins.
+    bins.  So a run pays for its tables in proportion to ``(S + 1) ** 2``
+    (24 bytes a cell here), whatever its population; the planner bounds
+    the kernel's steps (:data:`~repro.core.planner.KERNEL_MAX_STEPS`).
 
     Inputs follow the kernel's contract: boolean offer and repayment masks,
     repayments only where offered.  A step folds in user chunks
@@ -192,11 +194,6 @@ class BatchedDefaultRateFilter:
         return self._num_users
 
     @property
-    def num_steps(self) -> int:
-        """Return the step count ``S`` the cells can hold."""
-        return self._num_steps
-
-    @property
     def prior_rate(self) -> float:
         """Return the rate reported for never-offered users."""
         return self._prior_rate
@@ -243,16 +240,6 @@ class BatchedDefaultRateFilter:
         return np.take(
             table, self._cells if cells is None else cells, out=out, mode="clip"
         )
-
-    @property
-    def offers(self) -> np.ndarray:
-        """Return the ``(trials, users)`` offer counts, read from the cells."""
-        return self.read(self._cell_offers)
-
-    @property
-    def repayments(self) -> np.ndarray:
-        """Return the ``(trials, users)`` repayment counts, read from the cells."""
-        return self.read(self._cell_repayments)
 
     @property
     def step_counts(self) -> np.ndarray:

@@ -16,9 +16,9 @@ single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"`` or
 ``"auto"`` pools trials when there are several trials and several cores.
 Otherwise — one trial on any host, or several trials on one core — it
 runs in process on the lockstep kernel, or on the serial loop when
-checkpointing.  An optional calibration micro-bench
-(:func:`measure_dispatch_overhead`) refines the batch-vs-serial call for
-several trials on one core.  The lockstep kernel requires the AI system's
+checkpointing or past the kernel's :data:`KERNEL_MAX_STEPS`.  An optional
+calibration micro-bench (:func:`measure_dispatch_overhead`) refines the
+batch-vs-serial call for several trials on one core.  The lockstep kernel requires the AI system's
 decisions to be 0/1, so a custom policy with other decisions runs with
 ``"serial"``, whose filter truncates them to integers, not ``"auto"``.
 
@@ -48,8 +48,9 @@ Two invariants the rest of the engine supplies and the planner preserves:
   under one plan resumes bit-identically under another — including
   ``execution="auto"`` resumed on a host with a different ``cpu_count``.
 
-The one forbidden combination, ``"batch"`` × checkpointing, is rejected at
-configuration time by :func:`validate_execution_settings`, mirroring
+The forbidden combinations, ``"batch"`` × checkpointing and ``"batch"``
+past :data:`KERNEL_MAX_STEPS` steps, are rejected at configuration time by
+:func:`validate_execution_settings`, mirroring
 :func:`repro.experiments.config.validate_checkpoint_settings`.
 
 ``"shard"`` named the retired process shard pool.  It is kept for the
@@ -100,6 +101,17 @@ AUTO_BATCH_MIN_DISPATCH_FRACTION = 0.01
 #: 1.18x, 100,000 users 1.45x and 1,000,000 users 1.63x faster.
 KERNEL_MIN_USERS_PER_THREAD = 32_768
 
+#: Most steps the lockstep kernel runs.  It keeps each user's filter state
+#: as a cell of an ``(S + 1) x (S + 1)`` grid and builds, once per run,
+#: tables with an entry per cell (see :mod:`repro.experiments.batch`):
+#: about 48 bytes a cell kept and 85 while they are built, and 0.12-0.18
+#: us a cell to build on a 2-CPU host.  At 1,023 steps (2**20 cells) that
+#: is 48 MiB kept, 84 MiB at the peak and 0.17 s, whatever the population;
+#: at 300 steps 4 MiB and 11 ms.  ``"auto"`` runs a longer
+#: horizon on the serial loop, and ``"batch"`` rejects it at configuration
+#: time.
+KERNEL_MAX_STEPS = 1023
+
 
 #: Per-process memos of the host probes.  The core count cannot change
 #: under a running interpreter, and the dispatch-overhead micro-bench is a
@@ -140,7 +152,11 @@ def _detect_cpu_count() -> int:
 
 
 def validate_execution_settings(
-    execution: str, *, checkpoint_every: int = 0, resume: bool = False
+    execution: str,
+    *,
+    steps: int = 0,
+    checkpoint_every: int = 0,
+    resume: bool = False,
 ) -> None:
     """Reject unusable ``execution`` combinations with actionable errors.
 
@@ -152,6 +168,13 @@ def validate_execution_settings(
     if execution not in EXECUTION_MODES:
         raise ValueError(
             f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
+        )
+    if execution in _KERNEL_MODES and steps > KERNEL_MAX_STEPS:
+        raise ValueError(
+            f"execution={execution!r} runs at most {KERNEL_MAX_STEPS} steps, "
+            f"this run has {steps} (the lockstep kernel's per-run tables grow "
+            "with the square of the step count); pick execution='auto', "
+            "which runs a longer horizon on the serial loop, or 'serial'"
         )
     if execution in _KERNEL_MODES and (checkpoint_every > 0 or resume):
         raise ValueError(
@@ -348,9 +371,10 @@ def plan_execution(
     accepted for completeness — every layout supports both today, so they
     do not steer the choice, but the signature is the stable seam where a
     mode-specific layout preference would land.  A ``batch`` plan, which
-    ``"auto"`` returns for every in-process run that does not checkpoint,
-    requires 0/1 decisions from the AI system; its ``max_workers`` is the
-    kernel thread count, capped by ``max_workers``.
+    ``"auto"`` returns for every in-process run that does not checkpoint
+    and has at most :data:`KERNEL_MAX_STEPS` steps, requires 0/1 decisions
+    from the AI system; its ``max_workers`` is the kernel thread count,
+    capped by ``max_workers``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -369,7 +393,7 @@ def plan_execution(
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be positive when given")
     validate_execution_settings(
-        execution, checkpoint_every=checkpoint_every, resume=resume
+        execution, steps=steps, checkpoint_every=checkpoint_every, resume=resume
     )
     cores = _detect_cpu_count() if cpu_count is None else int(cpu_count)
     if cores < 1:
@@ -426,10 +450,10 @@ def plan_execution(
             cpu_count=cores,
         )
     # In process: one trial on any host, or several trials on one core.
-    # The lockstep kernel runs them, unless checkpointing forbids it or,
-    # for several trials, the calibration probe finds no per-step dispatch
-    # worth amortising.
-    if checkpointing:
+    # The lockstep kernel runs them, unless checkpointing or a horizon past
+    # its step bound forbids it or, for several trials, the calibration
+    # probe finds no per-step dispatch worth amortising.
+    if checkpointing or steps > KERNEL_MAX_STEPS:
         return serial_plan("auto")
     calibrated = calibrate and trials > 1
     if (

@@ -193,6 +193,7 @@ class CaseStudyConfig:
         )
         validate_execution_settings(
             self.execution,
+            steps=self.num_steps,
             checkpoint_every=self.checkpoint_every,
             resume=self.resume,
         )

@@ -264,8 +264,12 @@ class CellKeys:
     sit above the rate bits of a key, so the indices sort exactly as the
     keys do, and counting the indices counts the keys.  :meth:`tables`
     equals :meth:`CompressedDesign.from_key_array` of the rows' packed keys
-    bit for bit, with no per-row ``uint64`` work; only a row with fewer
-    users than key indices sorts (its small indices, in ``np.unique``).
+    bit for bit, with no per-row ``uint64`` work.  A ``bincount`` has four
+    bins per distinct rate, which grow with the grid (~110,000 at 300
+    steps), so a row with fewer users than bins sorts its small indices
+    in ``np.unique`` instead.  On a 2-CPU host, 8 trials x 1,000 users x
+    300 steps ran in 1.50 s a run that way against 1.88 s with a
+    ``bincount`` for every row (medians of 10 interleaved pairs).
     """
 
     def __init__(self, cell_rates: np.ndarray) -> None:

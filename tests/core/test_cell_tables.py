@@ -90,8 +90,12 @@ class TestFilterCells:
         )
         np.testing.assert_array_equal(counts, [[2.0, 2.0], [1.0, 1.0]])
         np.testing.assert_array_equal(rates, rate_filter.user_rates())
-        np.testing.assert_array_equal(rate_filter.offers, offered.astype(float))
-        np.testing.assert_array_equal(rate_filter.repayments, repaid.astype(float))
+        np.testing.assert_array_equal(
+            rate_filter.read(rate_filter.cell_offers), offered.astype(float)
+        )
+        np.testing.assert_array_equal(
+            rate_filter.read(rate_filter.cell_repayments), repaid.astype(float)
+        )
 
     def test_fold_rejects_a_repayment_without_an_offer(self):
         rate_filter = BatchedDefaultRateFilter(2, 3, 4)

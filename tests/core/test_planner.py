@@ -16,6 +16,8 @@ from repro.core.planner import (
     plan_execution,
     validate_execution_settings,
 )
+from repro.experiments import CaseStudyConfig
+from repro.experiments.batch import BatchedTrialRunner
 
 
 def _plan(execution, **overrides):
@@ -157,6 +159,46 @@ class TestKernelThreads:
                 max_workers=0,
                 cpu_count=4,
             )
+
+
+class TestKernelStepBound:
+    """The kernel's per-run tables grow with the square of the steps."""
+
+    def test_batch_past_the_bound_is_rejected_at_configuration(self):
+        start = CaseStudyConfig().start_year
+        steps = planner.KERNEL_MAX_STEPS + 1
+        message = (
+            f"execution='batch' runs at most {planner.KERNEL_MAX_STEPS} steps, "
+            f"this run has {steps}"
+        )
+        with pytest.raises(ValueError, match=message):
+            CaseStudyConfig(end_year=start + steps - 1, execution="batch")
+        with pytest.raises(ValueError, match="runs at most"):
+            _plan("shard", steps=steps)
+        # At the bound, and on every other layout past it, the run plans.
+        CaseStudyConfig(
+            end_year=start + planner.KERNEL_MAX_STEPS - 1, execution="batch"
+        )
+        for execution in ("auto", "serial", "pool"):
+            CaseStudyConfig(end_year=start + steps - 1, execution=execution)
+
+    @pytest.mark.parametrize("trials, cores", [(1, 2), (3, 1)])
+    def test_auto_runs_a_longer_horizon_on_the_serial_loop(self, trials, cores):
+        inputs = dict(trials=trials, users=1000, cpu_count=cores)
+        at_bound = plan_execution("auto", steps=planner.KERNEL_MAX_STEPS, **inputs)
+        assert at_bound.layout == "batch"
+        past = plan_execution("auto", steps=planner.KERNEL_MAX_STEPS + 1, **inputs)
+        assert past.layout == "serial"
+
+    def test_the_runner_checks_the_bound_before_it_builds_populations(self):
+        start = CaseStudyConfig().start_year
+        config = CaseStudyConfig(
+            num_users=10, end_year=start + planner.KERNEL_MAX_STEPS
+        )
+        built = []
+        with pytest.raises(ValueError, match="runs at most"):
+            BatchedTrialRunner(config, lambda *args: built.append(args))
+        assert built == []
 
 
 class TestCalibration:

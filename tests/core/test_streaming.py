@@ -557,8 +557,9 @@ class TestBatchedStreamingAggregator:
         ]
         assert per_user == ["_cesaro"]
         state = batched.trial_state(1)
-        repayments = batched.rate_filter.repayments[1]
-        offers = batched.rate_filter.offers[1]
+        rate_filter = batched.rate_filter
+        repayments = rate_filter.read(rate_filter.cell_repayments)[1]
+        offers = rate_filter.read(rate_filter.cell_offers)[1]
         np.testing.assert_array_equal(state["offers_cum"], offers)
         np.testing.assert_array_equal(state["repayments_cum"], repayments)
         np.testing.assert_array_equal(state["actions_cum"], repayments)
