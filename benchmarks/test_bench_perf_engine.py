@@ -210,7 +210,7 @@ def _kernel_peak_budget(num_users: int) -> float:
     """Return the lockstep kernel probe's absolute peak budget in MiB.
 
     ~2x headroom over measured values, as for the other probes (kernel
-    peak ~358 MiB at 1M users and ~104 MiB at 150k, on 2 kernel threads;
+    peak ~330 MiB at 1M users and ~104 MiB at 150k, on 2 kernel threads;
     the probe's row-level refit sets the 1M peak).
     """
     return 768.0 if num_users >= 1_000_000 else 224.0

@@ -24,12 +24,13 @@ decisions to be 0/1, so a custom policy with other decisions runs with
 
 A ``batch`` plan also sizes the kernel's threads, in
 ``ExecutionPlan.max_workers``: the smallest of the usable cores, the
-``max_workers`` cap, the canonical shard count (each thread steps a chunk
-of whole shards, see :mod:`repro.experiments.batch`) and the population's
-share at :data:`KERNEL_MIN_USERS_PER_THREAD` users a thread, a minimum
-measured on a 2-CPU host.  A 1M-user trial gets a thread per core; a
-paper-size campaign job on its one-core slice gets one thread and runs
-inline, without a pool.
+``max_workers`` cap, the canonical shard count (each thread steps a lane
+of whole shards, see :mod:`repro.experiments.batch`) and the run's
+user-trials (trials times users) at :data:`KERNEL_MIN_USERS_PER_THREAD`
+a thread, a minimum measured on a 2-CPU host.  A 1M-user trial gets a
+thread per core, and so do 32 trials of 20,000 users; a paper-size
+campaign job on its one-core slice gets one thread and runs inline,
+without a pool.
 
 The usable cores are the process's affinity mask
 (``os.sched_getaffinity``, falling back to ``os.cpu_count()`` where the
@@ -93,12 +94,17 @@ _KERNEL_MODES = ("batch", "shard")
 #: to amortise and ``auto`` keeps the serial loop.
 AUTO_BATCH_MIN_DISPATCH_FRACTION = 0.01
 
-#: Fewest users per lockstep-kernel thread.  Each thread's chunk must be
-#: large enough that its kernels outlast the hand-offs between threads.
-#: On a 2-CPU host (numpy 2.4; one trial, 20 steps, aggregate history,
+#: Fewest user-trials (trials x users) per lockstep-kernel thread.  A
+#: thread's lane spans every trial, so its work is its users times the
+#: trials, and that work must outlast the hand-offs between threads.  On
+#: a 2-CPU host (numpy 2.4; one trial, 20 steps, aggregate history,
 #: compressed refit; median of 3-15 runs) two threads ran 32,000 users
 #: 1.18x and 48,000 users 1.06x slower than one thread, and 64,000 users
-#: 1.18x, 100,000 users 1.45x and 1,000,000 users 1.63x faster.
+#: 1.18x, 100,000 users 1.45x and 1,000,000 users 1.63x faster.  Over
+#: trials (19 steps, medians of 4 interleaved rounds), two threads ran 32
+#: trials x 20,000 users 1.34x faster than one (2.27 -> 1.70 s; aggregate
+#: history, compressed refit), and 5 trials x 1,000 users 0.69x as fast
+#: (full history, exact refit, a campaign job's shape).
 KERNEL_MIN_USERS_PER_THREAD = 32_768
 
 #: Most steps the lockstep kernel runs.  It keeps each user's filter state
@@ -334,16 +340,20 @@ def measure_dispatch_overhead(users: int, probes: int = 3) -> float:
 
 
 def _kernel_thread_count(
-    users: int, cores: int, requested: Optional[int]
+    trials: int, users: int, cores: int, requested: Optional[int]
 ) -> int:
     """Resolve a ``batch`` plan's kernel thread count.
 
     The smallest of the usable cores, the ``max_workers`` cap, the
-    canonical shard count (a chunk is made of whole shards) and the
-    population's share at :data:`KERNEL_MIN_USERS_PER_THREAD` users a
-    thread, and at least one.
+    canonical shard count (a lane is made of whole shards) and the run's
+    share at :data:`KERNEL_MIN_USERS_PER_THREAD` user-trials a thread, and
+    at least one.
     """
-    threads = min(cores, max_worker_shards(users), users // KERNEL_MIN_USERS_PER_THREAD)
+    threads = min(
+        cores,
+        max_worker_shards(users),
+        trials * users // KERNEL_MIN_USERS_PER_THREAD,
+    )
     if requested is not None:
         threads = min(threads, int(requested))
     return max(1, threads)
@@ -421,7 +431,7 @@ def plan_execution(
             layout="batch",
             trial_batch=True,
             parallel=False,
-            max_workers=_kernel_thread_count(users, cores, max_workers),
+            max_workers=_kernel_thread_count(trials, users, cores, max_workers),
             cpu_count=cores,
         )
 
@@ -466,7 +476,7 @@ def plan_execution(
         layout="batch",
         trial_batch=True,
         parallel=False,
-        max_workers=_kernel_thread_count(users, cores, max_workers),
+        max_workers=_kernel_thread_count(trials, users, cores, max_workers),
         cpu_count=cores,
         calibrated=calibrated,
     )

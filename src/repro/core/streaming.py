@@ -35,15 +35,15 @@ contiguous, so numpy reduces it with SIMD pairwise blocking instead; group
 means of a one-step run can therefore differ from the full path in the
 last ulp.  Every real simulation spans many steps.)
 
-Sharding note: the lockstep kernel splits the users into chunks of whole
-canonical shards on threads.  In a chunk, :meth:`BatchedStreamingAggregator.fold`
+Sharding note: the lockstep kernel splits the users into blocks of whole
+canonical shards on threads.  In a block, :meth:`BatchedStreamingAggregator.fold`
 reads tables at the filter's integer cells, writes only elementwise
 per-user state (the Cesàro row) and makes only reductions that are exact
 under any split: ``ADR_i`` min and max, the integer rate histograms and
 low-rate counts, and per-group decision counts (sums of 0/1 decisions are
 integers).  Every sum whose value depends on the order of its terms (the
 ``ADR_i`` and Cesàro group folds, the ``ADR_i`` sum and sum of squares)
-runs once over the whole row, after the chunks
+runs once over the whole row, after the blocks
 (:meth:`BatchedStreamingAggregator.finish_step`), so the sequential fold
 order above holds under any thread count.
 """

@@ -258,7 +258,7 @@ class Lender:
         """Refit from a pre-aggregated count table (chunked retraining).
 
         The lockstep kernel builds one
-        :class:`~repro.scoring.suffstats.CompressedDesign` per thread chunk
+        :class:`~repro.scoring.suffstats.CompressedDesign` per user block
         and merges them by exact integer addition; this entry point runs the
         tiny O(unique rows) central fit on the merged table.  The degenerate
         cases mirror :meth:`retrain`'s `offered` handling: a table with

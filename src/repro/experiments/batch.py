@@ -14,51 +14,59 @@ integer counts, the running-statistics rows of the full history and the
 streaming group aggregation — runs as single fused calls over the trial
 axis.
 
-Chunks and kernel threads
--------------------------
+Lanes and blocks
+----------------
 
-Along the user axis a step works in *chunks*: contiguous runs of whole
-canonical shards (:class:`~repro.core.sharding.ShardPlan`), one per kernel
-thread.  A chunk owns every ``(trial, shard, step)`` generator of its
-shards, so a step is one pass over the chunks, each running, without
-reading another chunk's users:
+Along the user axis each kernel thread steps a *lane*: a contiguous run of
+whole canonical shards (:meth:`~repro.core.sharding.ShardPlan.worker_ranges`).
+A lane steps its shards as a sequence of *blocks*, each the longest run of
+its consecutive shards whose user-trials (trials times users) stay within
+:data:`KERNEL_BLOCK_USER_TRIALS`, so every per-user temporary of a step
+is the size of a block, not of a lane.  A block owns every
+``(trial, shard, step)`` generator of its shards, so a step is one pass
+over the lanes, each block running, without reading another block's
+users:
 
-* the draws and the income mapping;
+* the draws, into its lane's draw scratch, and the income mapping;
 * affordability, the fused decision, the probit and the actions;
 * a refit count table per trial, which the calling thread merges with
   :func:`~repro.scoring.suffstats.merge_tables` (exact integer addition);
 * the filter fold (:meth:`~repro.core.filters.BatchedDefaultRateFilter.fold`):
-  the chunk's cells, its ``ADR_i(k)`` columns and its per-trial offer and
+  the block's cells, its ``ADR_i(k)`` columns and its per-trial offer and
   repayment counts;
 * the recorder's share: in aggregate mode
   :meth:`~repro.core.streaming.BatchedStreamingAggregator.fold` (the
   Cesàro columns, ``ADR_i`` min and max, the rate histogram and low-rate
   count, per-group decision counts), in full mode the Cesàro columns.
 
-Every reduction a chunk makes is exact under any split (integer counts,
-min and max), so the calling thread merges the chunks' results by integer
+Every reduction a block makes is exact under any split (integer counts,
+min and max), so the calling thread merges the blocks' results by integer
 addition and min/max.  The per-trial offer and repayment counts give the
 approvals, the decision sums, the running offer/repayment totals and the
 portfolio rates, so no count row is ever summed again.
 
 :meth:`BatchedTrialRunner.run` creates a ``ThreadPoolExecutor`` for the
-chunks after the first, which the calling thread steps itself, and shuts
-it down when the run ends.  numpy and scipy release the GIL in these
+lanes after the first, which the calling thread steps itself, and shuts
+it down when the steps end.  numpy and scipy release the GIL in these
 kernels, so the threads use separate cores.  With one thread the single
-whole-population chunk runs inline, without a pool.  The thread count is
-the ``max_workers`` of the ``batch`` plan
-(:func:`~repro.core.planner.plan_execution`).  Each chunk writes only its
-own columns of preallocated ``(trials, users)`` step buffers.
+lane runs inline, without a pool.  The thread count is the
+``max_workers`` of the ``batch`` plan
+(:func:`~repro.core.planner.plan_execution`).  Each block writes only its
+own columns of preallocated ``(trials, users)`` step buffers, and draws
+its income uniforms into the first ``trials * 2 * users`` doubles of its
+lane's scratch, which is sized for the lane's widest block.  Its maps
+from those draws to the income slots hold block-local positions.
 
 Four reductions have bits that depend on the order of their terms: the
 ``ADR_i`` and Cesàro group folds, and the ``ADR_i`` sum and sum of
-squares.  In aggregate mode the calling thread runs them once the chunk
-pass is done, one after another over whole trial rows and unchanged
+squares.  In aggregate mode the calling thread runs them once the pass
+over the lanes is done, one after another over whole trial rows and
+unchanged
 (:meth:`~repro.core.streaming.BatchedStreamingAggregator.finish_step`).
-They are the only per-user work outside the chunk pass.  The calling
-thread also keeps the refits, the generic per-trial ``decide``/``update``
-path and full-history recording.  So neither the chunking nor the thread
-count changes any bit of any trial.
+They are the only per-user work outside that pass.  The calling thread
+also keeps the refits, the generic per-trial ``decide``/``update`` path
+and full-history recording.  So neither the lanes, the blocks nor the
+thread count change any bit of any trial.
 
 Cells and tables
 ----------------
@@ -74,7 +82,7 @@ clipping, key packing or histogram bin:
 
 * the decision reads the clipped previous ``ADR_i``
   (:func:`~repro.scoring.features.clipped_default_rates` of the filter's
-  ``ADR_i`` table) into its score arithmetic, before the chunk's fold;
+  ``ADR_i`` table) into its score arithmetic, before the block's fold;
 * the refit counts each trial's offered rows from the cells' ranked key
   bits plus the code and label bits, with one ``bincount`` (``np.unique``
   when the key indices outnumber the users)
@@ -96,9 +104,10 @@ proportion to its users, not to the grid: each table read is a gather,
 and the refit counts with a ``bincount`` only while its bins (four per
 distinct rate) do not outnumber a row's users.  Every table entry is the
 serial engine's function of the same integers, so each trial keeps its
-bits.  After the last step the runner drops its step buffers and chunk
-maps, then builds each trial's standalone rows once, straight from the
-cells.  A runner therefore runs once.
+bits.  After the last step the runner drops its lanes (their block maps
+and draw scratch) and every step row but the three the lenders and
+populations copy, then builds each trial's standalone rows once, straight
+from the cells.  A runner therefore runs once.
 
 Bit-identity contract
 ---------------------
@@ -118,7 +127,7 @@ nothing about the random schedule or the per-trial arithmetic changes:
   path's separate draws double for double (pinned by the income-sampler
   regression tests and the batch-equivalence suite);
 * the fused phases are elementwise, so evaluating them on a stacked
-  ``(trials, users)`` block — or on any chunk of its columns — produces
+  ``(trials, users)`` matrix — or on any block of its columns — produces
   the identical bits row by row; the reductions of 0/1 values (offer and
   repayment totals, approvals, group decision counts) are integer counts,
   equal under any split to the serial engine's sums; every other
@@ -174,6 +183,7 @@ from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.planner import validate_execution_settings
 from repro.core.population import CreditPopulation
+from repro.core.sharding import ShardPlan
 from repro.core.streaming import AggregateHistory, BatchedStreamingAggregator
 from repro.credit.borrower import affordability_state
 from repro.credit.lender import Lender
@@ -197,6 +207,22 @@ TrialOutcome = Tuple[SimulationHistory | AggregateHistory, CreditPopulation]
 #: Name prefix of the kernel's worker threads.
 KERNEL_THREAD_PREFIX = "repro-kernel"
 
+#: Most user-trials (trials x users) in a kernel block, unless one shard
+#: holds more.  A step's per-user temporaries and a lane's draw scratch
+#: scale with it, not with the population.  Smaller blocks cost time for
+#: little memory.  On a 2-CPU host (numpy 2.4; one trial, 20 steps,
+#: aggregate history, compressed refit; medians of 5 interleaved runs,
+#: traced peak bytes a user):
+#:
+#: * 100,000 users, one thread: one block, 0.266 s and 165 B; blocks of
+#:   50,000, 25,000 and 12,500 users took 1.03x, 1.08x and 1.21x as long
+#:   for 146, 129 and 125 B;
+#: * 400,000 users, one thread: blocks of 100,000 (this bound), 1.03 s and
+#:   127 B; one block 1.14 s and 164 B; blocks of 200,000 1.19 s and 145 B;
+#: * 1,000,000 users, two threads: one-shard blocks of 125,000, 1.76-1.84 s
+#:   and 127 B; one block a lane 1.78 s and 164 B.
+KERNEL_BLOCK_USER_TRIALS = 2**17
+
 _Result = TypeVar("_Result")
 
 #: Per-trial ``(T, 1)`` columns of the fused decision: base score, income
@@ -204,60 +230,104 @@ _Result = TypeVar("_Result")
 _Scorecards = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """A run of whole canonical shards: the unit of per-user step work.
+def _lane_blocks(
+    plan: ShardPlan, trials: int, threads: int
+) -> List[List[Tuple[int, int]]]:
+    """Return each lane's blocks as ``(shard_start, shard_stop)`` ranges.
 
-    ``races`` lists, per race present, where the race's bracket and
-    in-bracket uniforms lie in the flat draw buffer and which flat income
-    slots they fill, over every trial of the chunk's shards.
+    The lanes are ``plan.worker_ranges(threads)``.  A block is the longest
+    run of a lane's consecutive shards whose user-trials (``trials`` times
+    its users) stay within :data:`KERNEL_BLOCK_USER_TRIALS`; a shard larger
+    than that is a block on its own.
+    """
+    lanes = []
+    for first, stop in plan.worker_ranges(threads):
+        blocks = []
+        start = first
+        for shard in range(first + 1, stop):
+            lo, hi = plan.user_range(start, shard + 1)
+            if trials * (hi - lo) > KERNEL_BLOCK_USER_TRIALS:
+                blocks.append((start, shard))
+                start = shard
+        blocks.append((start, stop))
+        lanes.append(blocks)
+    return lanes
+
+
+def _positions(runs: List[np.ndarray], bound: int) -> np.ndarray:
+    """Concatenate index runs below ``bound``, as ``int32`` where that holds them."""
+    dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.intp
+    return np.concatenate(runs, dtype=dtype)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A run of a lane's consecutive whole shards: the unit of per-user step work.
+
+    ``draws`` is the block's ``(trials, 2 * users)`` view of its lane's
+    draw scratch.  ``races`` lists, per race present, where the race's
+    bracket and in-bracket uniforms lie in the flattened ``draws`` and
+    which income slots they fill (flat positions in the ``(trials,
+    users)`` rows, counted from the block's first user), over every trial
+    of the block's shards.
     """
 
     users: slice
     shards: Tuple[int, ...]
+    draws: np.ndarray
     races: Tuple[Tuple[Race, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 class _KernelThreads:
-    """Runs per-chunk work on kernel threads, or inline for one chunk.
+    """Runs per-block work on the kernel's lanes, one thread a lane.
 
-    The calling thread is one of the kernel threads: it runs the first
-    chunk itself while a pool of ``len(chunks) - 1`` workers runs the rest.
+    A lane is one thread's blocks, stepped in order.  The calling thread is
+    one of the kernel threads: it runs lane 0 itself while a pool of
+    ``len(lanes) - 1`` workers runs the rest; one lane runs inline.
     """
 
-    def __init__(self, chunks: Sequence[_Chunk]) -> None:
-        self.chunks = tuple(chunks)
+    def __init__(self, lanes: Sequence[Sequence[_Block]]) -> None:
+        self.lanes = tuple(tuple(lane) for lane in lanes)
         self._executor = (
             ThreadPoolExecutor(
-                max_workers=len(self.chunks) - 1,
+                max_workers=len(self.lanes) - 1,
                 thread_name_prefix=KERNEL_THREAD_PREFIX,
             )
-            if len(self.chunks) > 1
+            if len(self.lanes) > 1
             else None
         )
 
-    def map(self, work: Callable[[_Chunk], _Result]) -> List[_Result]:
-        """Run ``work`` on every chunk; return the results in chunk order.
+    def map(self, work: Callable[[_Block], _Result]) -> List[_Result]:
+        """Run ``work`` on every block; return the results in block order.
 
-        Each worker runs its chunk in a copy of the caller's context, so
-        the caller's numpy error state (``np.errstate``) governs every
-        chunk.  A failure re-raises the first failing chunk's exception, as
-        one thread stepping the chunks in order would; errors of later
-        chunks go unreported, and chunks still running finish when
-        :meth:`shutdown` joins their threads.
+        Each lane runs its blocks in order, and each worker runs its lane
+        in a copy of the caller's context, so the caller's numpy error
+        state (``np.errstate``) governs every block.  A lane stops at its
+        first failing block, and the lanes are read in order, so a failure
+        re-raises the first failing block's exception, as one thread
+        stepping the blocks in order would; errors of later lanes go
+        unreported, and lanes still running finish when :meth:`shutdown`
+        joins their threads.
         """
-        first, *rest = self.chunks  # no rest, and no pool, for one chunk
+
+        def run(lane: Tuple[_Block, ...]) -> List[_Result]:
+            return [work(block) for block in lane]
+
+        first, *rest = self.lanes  # no rest, and no pool, for one lane
         futures = [
-            self._executor.submit(contextvars.copy_context().run, work, chunk)
-            for chunk in rest
+            self._executor.submit(contextvars.copy_context().run, run, lane)
+            for lane in rest
         ]
-        results = [work(first)]
-        return results + [future.result() for future in futures]
+        results = run(first)
+        for future in futures:
+            results.extend(future.result())
+        return results
 
     def shutdown(self) -> None:
-        """Join the kernel threads."""
+        """Join the kernel threads and drop the lanes: maps and draw scratch."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        self.lanes = ()
 
 
 class _StepBuffers:
@@ -265,20 +335,20 @@ class _StepBuffers:
 
     Several are reused within a step: the affordability states become the
     repayment probabilities and then the clipped previous rates, read from
-    the clipped-rate table at each user's cell before the chunk's filter
+    the clipped-rate table at each user's cell before the block's filter
     fold (the row-level refit reads them there); the repayment uniforms
     land in ``actions``, which the step's actions overwrite once they are
     compared; ``decisions`` holds the rate term of the scores until the
     cut-off writes the decisions over it.  ``rates`` is the one ``ADR_i``
-    row: the filter fold writes each chunk's rates from the cells, so until
-    a chunk folds, its columns still hold the previous step's rates, which
-    the generic decide reads.  The runner drops the buffers after the last
-    step, before it builds the trials' results.
+    row: the filter fold writes each block's rates from the cells, so until
+    a block folds, its columns still hold the previous step's rates, which
+    the generic decide reads.  The income uniforms are not here: each lane
+    draws them into its own scratch, a block at a time.  After the last
+    step, :meth:`release` drops every row the hand-over does not read.
     """
 
     def __init__(self, trials: int, users: int, full_mode: bool) -> None:
         shape = (trials, users)
-        self.draws = np.empty((trials, 2 * users), dtype=float)
         self.incomes = np.empty(shape, dtype=float)
         self.probabilities = np.empty(shape, dtype=float)
         self.decisions = np.empty(shape, dtype=float)
@@ -289,6 +359,11 @@ class _StepBuffers:
         self.repaid = np.empty(shape, dtype=bool)
         self.rates = np.empty(shape, dtype=float)
         self.running_actions = np.empty(shape, dtype=float) if full_mode else None
+
+    def release(self) -> None:
+        """Drop every row but the incomes, probabilities and scores."""
+        self.decisions = self.actions = self.rates = self.running_actions = None
+        self.codes = self.offered = self.repaid = None
 
 
 class _CellTables:
@@ -326,8 +401,8 @@ class BatchedTrialRunner:
         Optional overrides, as in ``run_trial``.  Shared across trials —
         the serial path rebuilds identical immutable objects per trial.
     threads:
-        Kernel threads, one user chunk each (capped by the canonical shard
-        count).  Any count gives bit-identical trials.
+        Kernel threads, one lane of user blocks each (capped by the
+        canonical shard count).  Any count gives bit-identical trials.
     """
 
     def __init__(
@@ -381,65 +456,81 @@ class BatchedTrialRunner:
             [shard_seed(base, shard) for shard in range(self._plan.num_shards)]
             for base in self._trial_seeds
         ]
-        self._chunks = self._build_chunks(threads)
+        self._lanes = self._build_lanes(threads)
         self._fast_stack = self._resolve_fast_stack()
 
-    def _build_chunks(self, threads: int) -> List[_Chunk]:
-        """Split the shards into one chunk per thread, with its draw layout.
+    def _build_lanes(self, threads: int) -> List[List[_Block]]:
+        """Split the shards into lanes of blocks, each lane with one scratch.
 
-        Each ``(trial, shard, step)`` generator's income uniforms form one
-        ``random(2 * shard_size)`` block at offset ``2 * lo`` of the trial's
-        row in a ``(trials, 2 * users)`` buffer.  Within a block the serial
-        draw order is, per race segment (table order, skipping empty ones),
-        the bracket uniforms then the in-bracket uniforms.  Per chunk and
-        race, flat index arrays record where those uniforms lie and which
-        flat income slots they fill, so a chunk maps all its trials' and
-        shards' draws with one bracket search and one scatter per race.
+        A lane's draw scratch is sized for its widest block; each of its
+        blocks draws into the scratch's first ``trials * 2 * users``
+        doubles (:meth:`_block`).
         """
+        num_trials = self._config.num_trials
+        lanes: List[List[_Block]] = []
+        for shard_ranges in _lane_blocks(self._plan, num_trials, threads):
+            widest = max(
+                hi - lo for lo, hi in (self._plan.user_range(*r) for r in shard_ranges)
+            )
+            scratch = np.empty(num_trials * 2 * widest, dtype=float)
+            lanes.append([self._block(*r, scratch) for r in shard_ranges])
+        return lanes
+
+    def _block(self, first: int, stop: int, scratch: np.ndarray) -> _Block:
+        """Lay out the draws of shards ``[first, stop)`` in ``scratch``.
+
+        The block's draws are a ``(trials, 2 * users)`` view of the
+        scratch.  Each ``(trial, shard, step)`` generator's income uniforms
+        form one ``random(2 * shard_size)`` run at offset
+        ``2 * (lo - start)`` of the trial's row, ``start`` being the
+        block's first user.  Within a run the serial draw order is, per
+        race segment (table order, skipping empty ones), the bracket
+        uniforms then the in-bracket uniforms.  Per race, flat index
+        arrays record where those uniforms lie and which income slots they
+        fill, so the block maps all its trials' and shards' draws with one
+        bracket search and one scatter per race.
+        """
+        num_trials = self._config.num_trials
         num_users = self._config.num_users
         races = self._table.races
-        partitions = [
-            population.shard_race_partition() for population in self._populations
-        ]
-        chunks: List[_Chunk] = []
-        for first, stop in self._plan.worker_ranges(threads):
-            shards = tuple(range(first, stop))
-            brackets: Dict[Race, List[np.ndarray]] = {race: [] for race in races}
-            widths: Dict[Race, List[np.ndarray]] = {race: [] for race in races}
-            targets: Dict[Race, List[np.ndarray]] = {race: [] for race in races}
-            for trial, partition in enumerate(partitions):
-                for shard in shards:
-                    lo, _ = self._plan.bounds[shard]
-                    block = trial * 2 * num_users + 2 * lo
-                    offset = 0
-                    for race in races:
-                        local = partition[shard].get(race)
-                        if local is None or not local.size:
-                            continue
-                        count = local.size
-                        positions = np.arange(block + offset, block + offset + count)
-                        brackets[race].append(positions)
-                        widths[race].append(positions + count)
-                        targets[race].append(trial * num_users + lo + local)
-                        offset += 2 * count
-            lo, hi = self._plan.user_range(first, stop)
-            chunks.append(
-                _Chunk(
-                    users=slice(lo, hi),
-                    shards=shards,
-                    races=tuple(
-                        (
-                            race,
-                            np.concatenate(brackets[race]),
-                            np.concatenate(widths[race]),
-                            np.concatenate(targets[race]),
-                        )
-                        for race in races
-                        if brackets[race]
-                    ),
+        start, end = self._plan.user_range(first, stop)
+        width = end - start
+        brackets: Dict[Race, List[np.ndarray]] = {race: [] for race in races}
+        widths: Dict[Race, List[np.ndarray]] = {race: [] for race in races}
+        targets: Dict[Race, List[np.ndarray]] = {race: [] for race in races}
+        for trial, population in enumerate(self._populations):
+            partition = population.shard_race_partition()
+            for shard in range(first, stop):
+                lo, _ = self._plan.bounds[shard]
+                run = trial * 2 * width + 2 * (lo - start)
+                offset = 0
+                for race in races:
+                    local = partition[shard].get(race)
+                    if local is None or not local.size:
+                        continue
+                    count = local.size
+                    positions = np.arange(run + offset, run + offset + count)
+                    brackets[race].append(positions)
+                    widths[race].append(positions + count)
+                    targets[race].append(trial * num_users + lo - start + local)
+                    offset += 2 * count
+        draws_size = num_trials * 2 * width
+        incomes_size = (num_trials - 1) * num_users + width
+        return _Block(
+            users=slice(start, end),
+            shards=tuple(range(first, stop)),
+            draws=scratch[:draws_size].reshape(num_trials, 2 * width),
+            races=tuple(
+                (
+                    race,
+                    _positions(brackets[race], draws_size),
+                    _positions(widths[race], draws_size),
+                    _positions(targets[race], incomes_size),
                 )
-            )
-        return chunks
+                for race in races
+                if brackets[race]
+            ),
+        )
 
     def _resolve_fast_stack(self) -> Dict[str, object] | None:
         """Detect the default decision stack, or ``None`` for the generic path.
@@ -474,7 +565,7 @@ class BatchedTrialRunner:
             "lenders": [system.lender for system in self._ai_systems],
             "income_threshold": thresholds.pop(),
             "cutoff_column": np.asarray(cutoffs, dtype=float)[:, None],
-            # With every lender in compressed mode each chunk packs its
+            # With every lender in compressed mode each block packs its
             # training rows into suffstats keys in one fused pass over its
             # (trials, users) columns and counts them per trial; each trial
             # then refits from its merged count table through the
@@ -496,33 +587,35 @@ class BatchedTrialRunner:
         return tuple(self._ai_systems)
 
     def _respond(
-        self, chunk: _Chunk, k: int, year: int, buffers: _StepBuffers
+        self, block: _Block, k: int, year: int, buffers: _StepBuffers
     ) -> None:
-        """Draw one chunk's step and compare its repayment uniforms.
+        """Draw one block's step and compare its repayment uniforms.
 
         Two ``random`` calls per ``(trial, shard)`` cover the serial path's
         entire generator consumption for the step — bracket and in-bracket
-        uniforms per race segment (``begin_step``), then the repayment
-        uniforms (``respond``) — in the identical stream order.  The chunk
-        then maps its incomes, computes affordability and the probit, and
-        records which users would repay if offered (``u < P(repay)``).
+        uniforms per race segment (``begin_step``), into the lane's scratch,
+        then the repayment uniforms (``respond``), into ``actions`` — in the
+        identical stream order.  The block then maps its incomes, computes
+        affordability and the probit, and records which users would repay
+        if offered (``u < P(repay)``).
         """
         bounds = self._plan.bounds
+        start = block.users.start
         for trial, seeds in enumerate(self._shard_seeds):
-            draws = buffers.draws[trial]
+            draws = block.draws[trial]
             uniforms = buffers.actions[trial]
-            for shard in chunk.shards:
+            for shard in block.shards:
                 lo, hi = bounds[shard]
                 generator = step_generator(seeds[shard], k)
-                generator.random(out=draws[2 * lo : 2 * hi])
+                generator.random(out=draws[2 * (lo - start) : 2 * (hi - start)])
                 generator.random(out=uniforms[lo:hi])
-        flat_draws = buffers.draws.reshape(-1)
-        flat_incomes = buffers.incomes.reshape(-1)
-        for race, bracket_idx, width_idx, target_idx in chunk.races:
+        flat_draws = block.draws.reshape(-1)
+        flat_incomes = buffers.incomes.reshape(-1)[start:]
+        for race, bracket_idx, width_idx, target_idx in block.races:
             flat_incomes[target_idx] = self._sampler.incomes_from_uniforms(
                 year, race, flat_draws[bracket_idx], flat_draws[width_idx]
             )
-        users = chunk.users
+        users = block.users
         states = affordability_state(
             buffers.incomes[:, users],
             self._terms,
@@ -531,12 +624,12 @@ class BatchedTrialRunner:
         probabilities = self._model.repayment_probability(states, out=states)
         np.less(buffers.actions[:, users], probabilities, out=buffers.repaid[:, users])
 
-    def _act(self, chunk: _Chunk, buffers: _StepBuffers) -> np.ndarray:
-        """Write one chunk's actions; return its offered mask.
+    def _act(self, block: _Block, buffers: _StepBuffers) -> np.ndarray:
+        """Write one block's actions; return its offered mask.
 
         A user acts (repays) when offered and ``u < P(repay)``.
         """
-        users = chunk.users
+        users = block.users
         offered = np.not_equal(
             buffers.decisions[:, users], 0.0, out=buffers.offered[:, users]
         )
@@ -589,14 +682,14 @@ class BatchedTrialRunner:
 
     def _fused_step(
         self,
-        chunk: _Chunk,
+        block: _Block,
         k: int,
         year: int,
         scorecards: _Scorecards | None,
         tables: _CellTables,
         buffers: _StepBuffers,
     ) -> List[CompressedDesign]:
-        """Run one chunk's whole step on the default decision stack.
+        """Run one block's whole step on the default decision stack.
 
         The decision replicates ``T`` :meth:`~repro.credit.lender.Lender.decide`
         calls: during warm-up everyone is approved and scores are ``nan``;
@@ -606,15 +699,15 @@ class BatchedTrialRunner:
         identical ``base + points * code``, then ``+= points * rate``
         operation order of
         :meth:`~repro.scoring.scorecard.Scorecard.score_matrix`.  The
-        clipped rates are a table read of the cells the chunk's filter fold
-        has not moved yet.  Under ``retrain_mode="compressed"`` the chunk
+        clipped rates are a table read of the cells the block's filter fold
+        has not moved yet.  Under ``retrain_mode="compressed"`` the block
         also counts every trial's offered ``(code, rate, label)`` rows —
         the key layout the per-trial ``Lender._retrain_compressed`` builds —
         into one count table per trial, from the cells' refit keys.
         """
-        self._respond(chunk, k, year, buffers)
+        self._respond(block, k, year, buffers)
         stack = self._fast_stack
-        users = chunk.users
+        users = block.users
         decisions = buffers.decisions[:, users]
         scores = buffers.scores[:, users]
         codes = np.greater_equal(
@@ -638,7 +731,7 @@ class BatchedTrialRunner:
             np.add(bases, scores, out=scores)
             scores += decisions
             np.greater(scores, cutoffs, out=decisions)
-        offered = self._act(chunk, buffers)
+        offered = self._act(block, buffers)
         if tables.refit_keys is None:
             return []
         return tables.refit_keys.tables(
@@ -692,25 +785,23 @@ class BatchedTrialRunner:
         """Execute every trial in lockstep and return the per-trial outcomes.
 
         A runner runs once: the run trains its lenders and releases its
-        chunk maps, so a second call raises :class:`RuntimeError`.
+        lanes, so a second call raises :class:`RuntimeError`.
         """
-        if self._chunks is None:
+        if self._lanes is None:
             raise RuntimeError(
                 "BatchedTrialRunner.run() runs once: the first call trained "
-                "this runner's lenders and released its chunk maps, so a "
+                "this runner's lenders and released its lanes, so a "
                 "second call would run a different experiment; build a new "
                 "runner to run the trials again"
             )
-        threads = _KernelThreads(self._chunks)
-        self._chunks = None
+        threads = _KernelThreads(self._lanes)
+        self._lanes = None
         try:
-            recorders = self._step_all(threads)
+            aggregate, histories = self._step_all(threads)
         finally:
             threads.shutdown()
-        # The step buffers died with _step_all, and the chunk maps with the
-        # threads: each trial's result rows are built after them.
-        del threads
-        aggregate, histories = recorders
+        # The lanes and the step buffers died in _step_all: each trial's
+        # result rows are built after them.
         outcomes: List[TrialOutcome] = []
         for trial, population in enumerate(self._populations):
             if aggregate is None:
@@ -726,7 +817,10 @@ class BatchedTrialRunner:
         """Run every step; return the aggregate recorder or the histories.
 
         Leaves each population holding its final step state, as a serial
-        trial would.
+        trial would.  Before the lenders and populations copy their final
+        rows, it shuts the threads down, which drops the lanes' block maps
+        and draw scratch, and releases every step row the copies do not
+        read.
         """
         config = self._config
         num_trials = config.num_trials
@@ -754,10 +848,10 @@ class BatchedTrialRunner:
         portfolio = batched_filter.portfolio_rates()
 
         def record(users: slice, k: int) -> Tuple[np.ndarray, object]:
-            """Fold one chunk's step into the filter, then the recorder.
+            """Fold one block's step into the filter, then the recorder.
 
             Returns the filter's ``(2, trials)`` offer and repayment counts
-            and the aggregator's chunk reductions (``None`` in full mode).
+            and the aggregator's block reductions (``None`` in full mode).
             """
             counts = batched_filter.fold(
                 users, buffers.offered, buffers.repaid, buffers.rates
@@ -782,19 +876,19 @@ class BatchedTrialRunner:
             step_features: List[Dict[str, np.ndarray]] = []
             if fused:
                 results = threads.map(
-                    lambda chunk: (
-                        self._fused_step(chunk, k, year, scorecards, tables, buffers),
-                        record(chunk.users, k),
+                    lambda block: (
+                        self._fused_step(block, k, year, scorecards, tables, buffers),
+                        record(block.users, k),
                     )
                 )
-                self._fused_update([chunk_tables for chunk_tables, _ in results], buffers)
+                self._fused_update([block_tables for block_tables, _ in results], buffers)
             else:
-                threads.map(lambda chunk: self._respond(chunk, k, year, buffers))
+                threads.map(lambda block: self._respond(block, k, year, buffers))
                 step_features, step_observations = self._generic_decisions(
                     k, buffers, portfolio
                 )
                 results = threads.map(
-                    lambda chunk: (self._act(chunk, buffers), record(chunk.users, k))
+                    lambda block: (self._act(block, buffers), record(block.users, k))
                 )
                 for trial, system in enumerate(self._ai_systems):
                     # The delayed-feedback retrain, exactly the serial call;
@@ -807,7 +901,7 @@ class BatchedTrialRunner:
                         step_observations[trial],
                         k,
                     )
-            records = [chunk_record for _, chunk_record in results]
+            records = [block_record for _, block_record in results]
             batched_filter.finish_step([counts for counts, _ in records])
             portfolio = batched_filter.portfolio_rates()
             if full_mode:
@@ -836,27 +930,34 @@ class BatchedTrialRunner:
             else:
                 assert aggregate is not None
                 aggregate.finish_step(
-                    buffers.decisions, buffers.rates, [chunk for _, chunk in records]
+                    buffers.decisions, buffers.rates, [block for _, block in records]
                 )
-        if num_steps > 0:
-            if fused:
-                # The lenders' last-scores caches are rows of the scores
-                # buffer; give each its own copy so the buffer can go.
-                for trial, system in enumerate(self._ai_systems):
-                    system._last_scores = buffers.scores[trial].copy()
-            for trial, population in enumerate(self._populations):
-                incomes = buffers.incomes[trial]
-                # The probabilities are spent: their row takes the final
-                # affordability, which the population copies.
-                population.import_shard_state(
-                    0,
-                    {
-                        "incomes": incomes,
-                        "affordability": affordability_state(
-                            incomes, self._terms, out=buffers.probabilities[trial]
-                        ),
-                    },
-                )
+        if num_steps == 0:
+            return aggregate, histories
+        # The probabilities are spent: their rows take the final
+        # affordability, a block at a time, which the populations copy.
+        threads.map(
+            lambda block: affordability_state(
+                buffers.incomes[:, block.users],
+                self._terms,
+                out=buffers.probabilities[:, block.users],
+            )
+        )
+        threads.shutdown()
+        buffers.release()
+        if fused:
+            # The lenders' last-scores caches are rows of the scores
+            # buffer; give each its own copy so the buffer can go.
+            for trial, system in enumerate(self._ai_systems):
+                system._last_scores = buffers.scores[trial].copy()
+        for trial, population in enumerate(self._populations):
+            population.import_shard_state(
+                0,
+                {
+                    "incomes": buffers.incomes[trial],
+                    "affordability": buffers.probabilities[trial],
+                },
+            )
         return aggregate, histories
 
     def _fused_update(
@@ -868,7 +969,7 @@ class BatchedTrialRunner:
         as in the serial ``decide``.  The delayed-feedback retrain is what
         ``CreditScoringSystem.update`` does, minus the dict and copy
         ceremony (the lender never mutates its inputs): under
-        ``retrain_mode="compressed"`` each trial merges its chunks' count
+        ``retrain_mode="compressed"`` each trial merges its blocks' count
         tables and refits through ``retrain_from_suffstats`` (identical
         degenerate-mask handling included) — T tiny independent
         O(unique rows) refits per step.
@@ -880,7 +981,7 @@ class BatchedTrialRunner:
         if self._fast_stack["compressed_retrain"]:
             for trial, lender in enumerate(lenders):
                 lender.retrain_from_suffstats(
-                    merge_tables(chunk_tables[trial] for chunk_tables in tables)
+                    merge_tables(block_tables[trial] for block_tables in tables)
                 )
         else:
             for trial, lender in enumerate(lenders):

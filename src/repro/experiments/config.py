@@ -104,7 +104,7 @@ class CaseStudyConfig:
         ``(income code, previous rate, label)`` training set into a
         :class:`~repro.scoring.suffstats.CompressedDesign` count table so
         each IRLS iteration costs O(unique rows) instead of O(users) — the
-        lockstep kernel builds the tables per thread chunk and merges them
+        lockstep kernel builds the tables per user block and merges them
         by exact integer addition.  Compressed coefficients agree with
         exact to solver tolerance; the equivalence suite pins identical
         decision vectors at paper scale.

@@ -24,8 +24,8 @@ and executes it:
   budget, run on the serial loop instead.
 
 The lockstep kernel is the one layout that spreads a trial's users over
-cores: its per-user phases run on threads, one chunk of whole canonical
-shards each.  (``shard`` is a second name for ``batch``.)
+cores: its per-user phases run on threads, one lane of whole canonical
+shards each, stepped in blocks.  (``shard`` is a second name for ``batch``.)
 
 Trials are embarrassingly parallel: trial ``t`` seeds its own generator via
 ``derive_seed(config.seed, "trial", t)``, so no random state is shared and

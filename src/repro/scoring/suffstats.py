@@ -25,15 +25,15 @@ is independent of the input permutation.
 Count tables are also *shard-mergeable*: the multiplicities are ``int64``
 counts, so merging per-shard tables by exact integer addition reproduces the
 whole-population table bit for bit (:meth:`CompressedDesign.merge` /
-:func:`merge_tables`).  The lockstep kernel uses this to build each thread
-chunk's table next to its users, leaving only a tiny O(unique rows) merge
+:func:`merge_tables`).  The lockstep kernel uses this to build each user
+block's table next to its users, leaving only a tiny O(unique rows) merge
 and fit on the calling thread.
 
 In the kernel a row's previous rate is itself a table read: each user's
 filter state is one integer cell
 (:class:`~repro.core.filters.BatchedDefaultRateFilter`), so
 :class:`CellKeys` packs and validates each cell's rate once per run and
-counts a chunk's keys with a ``bincount`` of small integer indices.
+counts a block's keys with a ``bincount`` of small integer indices.
 """
 
 from __future__ import annotations

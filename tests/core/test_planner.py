@@ -129,6 +129,7 @@ class TestKernelThreads:
 
     def test_campaign_job_runs_one_inline_chunk(self):
         # A campaign_grid job: one core of the budget, 1000 users.
+        assert plan_campaign_jobs(24, cpu_count=2).cores_per_job == 1
         plan = _plan("auto", trials=5, users=1000, cpu_count=1)
         assert plan.layout == "batch"
         assert plan.max_workers == 1
@@ -136,8 +137,19 @@ class TestKernelThreads:
 
     def test_small_populations_stay_on_one_thread(self):
         users = 2 * planner.KERNEL_MIN_USERS_PER_THREAD - 1
-        assert _plan("batch", users=users, cpu_count=8).max_workers == 1
-        assert _plan("batch", users=users + 1, cpu_count=8).max_workers == 2
+        assert _plan("batch", trials=1, users=users, cpu_count=8).max_workers == 1
+        assert (
+            _plan("batch", trials=1, users=users + 1, cpu_count=8).max_workers == 2
+        )
+
+    def test_threads_count_user_trials(self):
+        # A lane spans every trial: 32 trials of 20,000 users get a thread
+        # per core, 5 trials of 1,000 users still one.
+        assert _plan("batch", trials=32, users=20_000, cpu_count=2).max_workers == 2
+        assert _plan("batch", trials=5, users=1000, cpu_count=2).max_workers == 1
+        user_trials = 2 * planner.KERNEL_MIN_USERS_PER_THREAD
+        assert _plan("batch", trials=4, users=user_trials // 4).max_workers == 2
+        assert _plan("batch", trials=4, users=user_trials // 4 - 1).max_workers == 1
 
     def test_caps(self, monkeypatch):
         assert _plan("batch", users=10_000_000, cpu_count=64).max_workers == 8

@@ -1,21 +1,23 @@
-"""The lockstep kernel's user chunks and threads change no bit of any trial.
+"""The lockstep kernel's lanes and blocks change no bit of any trial.
 
-:mod:`repro.experiments.batch` runs each step's per-user phases over
-chunks of whole canonical shards, one per kernel thread, and keeps every
+:mod:`repro.experiments.batch` gives each kernel thread a lane of whole
+canonical shards, which it steps as a sequence of blocks, and keeps every
 order-dependent reduction on the calling thread over whole trial rows.
 These suites pin that contract:
 
 * the golden experiment reproduces the pinned stream at 1, 2, 3 and 8
   kernel threads (3 threads split the 8 shards unevenly) in every
-  ``history_mode`` x ``retrain_mode`` cell;
-* a hypothesis property over users, trials and threads compares every
-  aggregate series, the filter state and the refit coefficients with the
-  1-thread run, bit for bit;
+  ``history_mode`` x ``retrain_mode`` cell, with one block per lane and
+  with one shard per block;
+* the block layout of the sizes the benchmark and the memory pins run;
+* a hypothesis property over users, trials, threads and block sizes
+  compares every aggregate series, the filter state and the refit
+  coefficients with the 1-thread run, bit for bit;
 * a stress run with more threads than cores and a tiny GIL switch
   interval stays bit-identical;
-* a failure inside one chunk surfaces exactly as under one thread, and
+* a failure inside one block surfaces exactly as under one thread, and
   leaves no kernel thread behind;
-* a fused step is one chunk pass in either history mode.
+* a fused step is one pass over the lanes in either history mode.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,19 +60,27 @@ MODES = [
 
 @pytest.fixture
 def threaded_host(monkeypatch):
-    """An 8-core host whose kernel threads each take any chunk size."""
+    """An 8-core host whose kernel threads each take any lane size."""
     monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
     monkeypatch.setattr(planner, "KERNEL_MIN_USERS_PER_THREAD", 1)
 
 
+@pytest.fixture(params=["lane", "shard"])
+def blocking(request, monkeypatch):
+    """One block per lane (the golden size's layout), or one per shard."""
+    if request.param == "shard":
+        monkeypatch.setattr(batch, "KERNEL_BLOCK_USER_TRIALS", 1)
+    return request.param
+
+
 @pytest.fixture
-def chunk_widths(monkeypatch):
-    """Record the user width of every chunk the kernel steps."""
+def block_widths(monkeypatch):
+    """Record the user width of every block the kernel steps."""
     widths = []
     original = batch.affordability_state
 
     def recording(incomes, terms, out=None):
-        if incomes.ndim == 2:  # a chunk's (trials, users) columns
+        if incomes.ndim == 2:  # a block's (trials, users) columns
             widths.append(incomes.shape[-1])
         return original(incomes, terms, out=out)
 
@@ -77,18 +88,17 @@ def chunk_widths(monkeypatch):
     return widths
 
 
-def _expected_widths(users: int, threads: int) -> set:
+def _expected_widths(trials: int, users: int, threads: int) -> set:
     plan = ShardPlan.canonical(users)
     return {
         hi - lo
-        for lo, hi in (
-            plan.user_range(first, stop) for first, stop in plan.worker_ranges(threads)
-        )
+        for lane in batch._lane_blocks(plan, trials, threads)
+        for lo, hi in (plan.user_range(first, stop) for first, stop in lane)
     }
 
 
-def _chunk_bounds(incomes: np.ndarray) -> tuple:
-    """The user range of a chunk's ``(trials, users)`` view of the incomes."""
+def _block_bounds(incomes: np.ndarray) -> tuple:
+    """The user range of a block's ``(trials, users)`` view of the incomes."""
     start = (
         incomes.__array_interface__["data"][0]
         - incomes.base.__array_interface__["data"][0]
@@ -106,15 +116,16 @@ def _kernel_threads_alive() -> list:
     return alive
 
 
-class TestChunkedGoldens:
-    """The golden experiment at every kernel thread count."""
+class TestBlockedGoldens:
+    """The golden experiment at every kernel thread count and blocking."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     @pytest.mark.parametrize("history_mode, retrain_mode", MODES)
     def test_every_thread_count_reproduces_the_serial_stream(
         self,
         threaded_host,
-        chunk_widths,
+        blocking,
+        block_widths,
         golden_config,
         golden_serial_result,
         threads,
@@ -130,8 +141,12 @@ class TestChunkedGoldens:
         assert f"{threads} kernel thread" in plan.describe()
         result = run_experiment(config)
         # The per-thread minimum is patched down, so the 200 users really
-        # split into one chunk per thread (3 threads: 3 + 3 + 2 shards).
-        assert set(chunk_widths) == _expected_widths(config.num_users, threads)
+        # split into one lane per thread (3 threads: 3 + 3 + 2 shards), a
+        # block per lane or per shard.
+        widths = _expected_widths(config.num_trials, config.num_users, threads)
+        assert set(block_widths) == widths
+        if blocking == "shard":
+            assert widths == {config.num_users // 8}
         serial = (
             golden_serial_result
             if modes == dict(history_mode="full", retrain_mode="exact")
@@ -153,11 +168,17 @@ class TestChunkedGoldens:
             assert experiment_digests(result) == ENGINE_GOLDEN
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_generic_decide_path_chunks_identically(
-        self, threaded_host, chunk_widths, golden_config, golden_serial_result, threads
+    def test_generic_decide_path_blocks_identically(
+        self,
+        threaded_host,
+        blocking,
+        block_widths,
+        golden_config,
+        golden_serial_result,
+        threads,
     ):
         # A lender subclass takes the per-trial decide/update path, whose
-        # chunks draw and act around the calling thread's decisions.
+        # blocks draw and act around the calling thread's decisions.
         class SubclassedLender(Lender):
             pass
 
@@ -170,7 +191,9 @@ class TestChunkedGoldens:
 
         config = replace(golden_config, execution="batch", max_workers=threads)
         result = run_experiment(config, policy_factory=factory)
-        assert set(chunk_widths) == _expected_widths(config.num_users, threads)
+        assert set(block_widths) == _expected_widths(
+            config.num_trials, config.num_users, threads
+        )
         for serial_trial, trial in zip(golden_serial_result.trials, result.trials):
             assert_full_trials_identical(serial_trial, trial)
         assert experiment_digests(result) == ENGINE_GOLDEN
@@ -184,6 +207,36 @@ class TestChunkedGoldens:
         monkeypatch.setattr(batch, "ThreadPoolExecutor", no_pool)
         config = replace(golden_config, execution="batch", max_workers=1)
         assert experiment_digests(run_experiment(config)) == ENGINE_GOLDEN
+
+
+#: Two lanes of four one-shard blocks.
+ONE_SHARD_LANES = [[(shard, shard + 1) for shard in range(lo, lo + 4)] for lo in (0, 4)]
+
+
+class TestBlockLayout:
+    """Blocks of the sizes the benchmark and memory pins run, from the plan."""
+
+    @pytest.mark.parametrize(
+        "trials, users, cores, lanes",
+        [
+            # giant_trial: one-shard blocks of 125,000 users.
+            (1, 1_000_000, 2, ONE_SHARD_LANES),
+            # Shards past the bound are blocks on their own.
+            (1, 2_000_000, 2, ONE_SHARD_LANES),
+            (32, 20_000, 2, ONE_SHARD_LANES),
+            (1, 400_000, 1, [[(0, 2), (2, 4), (4, 6), (6, 8)]]),
+            (1, 100_000, 1, [[(0, 8)]]),
+            # A campaign_grid job, and 32 paper-size trials on one thread.
+            (5, 1000, 1, [[(0, 8)]]),
+            (32, 1000, 2, [[(0, 8)]]),
+        ],
+    )
+    def test_layout(self, trials, users, cores, lanes):
+        threads = planner.plan_execution(
+            "batch", trials=trials, users=users, steps=20, cpu_count=cores
+        ).max_workers
+        assert len(lanes) == threads
+        assert batch._lane_blocks(ShardPlan.canonical(users), trials, threads) == lanes
 
 
 def _run_kernel(config: CaseStudyConfig, threads: int):
@@ -252,7 +305,7 @@ def _assert_runs_identical(config, reference, other) -> None:
             assert _state_bytes(fit_a.coefficients) == _state_bytes(fit_b.coefficients)
 
 
-class TestAnyChunkingIsBitIdentical:
+class TestAnyBlockingIsBitIdentical:
     @settings(
         max_examples=30,
         deadline=None,
@@ -267,6 +320,7 @@ class TestAnyChunkingIsBitIdentical:
         history_mode=st.sampled_from(["full", "aggregate"]),
         retrain_mode=st.sampled_from(["exact", "compressed"]),
         seed=st.integers(min_value=0, max_value=2**16),
+        block_user_trials=st.sampled_from([1, 50, 200, batch.KERNEL_BLOCK_USER_TRIALS]),
     )
     def test_threads_never_change_a_trial(
         self,
@@ -278,6 +332,7 @@ class TestAnyChunkingIsBitIdentical:
         history_mode,
         retrain_mode,
         seed,
+        block_user_trials,
     ):
         config = CaseStudyConfig(
             num_users=users,
@@ -290,7 +345,9 @@ class TestAnyChunkingIsBitIdentical:
             seed=seed,
             execution="batch",
         )
-        reference, threaded = _outcome(config, 1), _outcome(config, threads)
+        reference = _outcome(config, 1)
+        with mock.patch.object(batch, "KERNEL_BLOCK_USER_TRIALS", block_user_trials):
+            threaded = _outcome(config, threads)
         if isinstance(reference[0], type):
             assert threaded == reference  # the same failure, word for word
         else:
@@ -320,17 +377,24 @@ class TestAnyChunkingIsBitIdentical:
         assert not _kernel_threads_alive()
 
 
-class TestChunkFailure:
+class TestBlockFailure:
     @staticmethod
-    def _fail_in_one_chunk(monkeypatch, num_users, which):
-        """Make affordability raise for the chunk holding the first or last user."""
+    def _fail_at(monkeypatch, users):
+        """Make affordability raise in every block holding one of ``users``.
+
+        The error names the first of them in the block, so it tells which
+        block raised it.
+        """
         original = batch.affordability_state
 
         def failing(incomes, terms, out=None):
             if incomes.ndim == 2:
-                start, stop = _chunk_bounds(incomes)
-                if (start == 0) if which == "first" else (stop == num_users):
-                    raise FloatingPointError("affordability overflowed in a chunk")
+                start, stop = _block_bounds(incomes)
+                held = [user for user in users if start <= user < stop]
+                if held:
+                    raise FloatingPointError(
+                        f"affordability overflowed at user {held[0]}"
+                    )
             return original(incomes, terms, out=out)
 
         monkeypatch.setattr(batch, "affordability_state", failing)
@@ -339,13 +403,13 @@ class TestChunkFailure:
     def test_workers_follow_the_callers_numpy_error_state(
         self, threaded_host, golden_config, monkeypatch, threads
     ):
-        # The last chunk overflows: under np.errstate(over="raise") that
+        # The last block overflows: under np.errstate(over="raise") that
         # must raise on a worker thread exactly as on the calling thread.
         original = batch.affordability_state
         num_users = golden_config.num_users
 
         def overflowing(incomes, terms, out=None):
-            if incomes.ndim == 2 and _chunk_bounds(incomes)[1] == num_users:
+            if incomes.ndim == 2 and _block_bounds(incomes)[1] == num_users:
                 np.multiply(np.float64(1e308), 10.0)
             return original(incomes, terms, out=out)
 
@@ -359,13 +423,24 @@ class TestChunkFailure:
         assert errors[threads] == errors[1]
         assert not _kernel_threads_alive()
 
-    # The first chunk runs on the calling thread, the last on a worker.
-    @pytest.mark.parametrize("which", ["first", "last"])
+    # The first block runs on the calling thread, the last on a worker; from
+    # the middle on, blocks of several lanes fail, and the first in block
+    # order (user 100) must be the one reported.
+    @pytest.mark.parametrize("which", ["first", "last", "from the middle on"])
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_error_matches_one_thread_and_no_thread_survives(
-        self, threaded_host, golden_config, monkeypatch, threads, which
+        self, threaded_host, blocking, golden_config, monkeypatch, threads, which
     ):
-        self._fail_in_one_chunk(monkeypatch, golden_config.num_users, which)
+        num_users = golden_config.num_users
+        users = {
+            "first": [0],
+            "last": [num_users - 1],
+            # The first user of each shard in the second half.
+            "from the middle on": list(
+                range(num_users // 2, num_users, num_users // 8)
+            ),
+        }[which]
+        self._fail_at(monkeypatch, users)
         errors = {}
         for count in (1, threads):
             config = replace(golden_config, execution="batch", max_workers=count)
@@ -373,22 +448,29 @@ class TestChunkFailure:
                 run_experiment(config)
             errors[count] = (type(info.value), str(info.value))
         assert errors[threads] == errors[1]
+        assert str(errors[1][1]).endswith(f"user {users[0]}")
         assert not _kernel_threads_alive()
 
 
-class TestOneChunkPassPerStep:
+class TestOneLanePassPerStep:
     @pytest.mark.parametrize("history_mode", ["full", "aggregate"])
-    def test_a_fused_step_is_one_chunk_pass(
-        self, threaded_host, golden_config, monkeypatch, history_mode
+    def test_a_fused_step_is_one_pass_over_the_lanes(
+        self, threaded_host, blocking, golden_config, monkeypatch, history_mode
     ):
-        # The filter fold, the rate row and the recorder's per-chunk work
-        # run inside the step's one chunk pass.
-        maps = []
+        # The filter fold, the rate row and the recorder's per-block work
+        # run inside the step's one pass over the lanes, each block once.
+        passes = []
         original_map = batch._KernelThreads.map
 
         def counting_map(threads, work):
-            maps.append(len(threads.chunks))
-            return original_map(threads, work)
+            blocks = []
+
+            def counted(block):
+                blocks.append(block.users)
+                return work(block)
+
+            passes.append((len(threads.lanes), blocks))
+            return original_map(threads, counted)
 
         monkeypatch.setattr(batch._KernelThreads, "map", counting_map)
         config = replace(
@@ -400,4 +482,8 @@ class TestOneChunkPassPerStep:
         result = run_experiment(config)
         for index, trial in enumerate(result.trials):
             assert group_digests(trial, index) == expected_group_digests(index)
-        assert maps == [3] * config.num_steps
+        blocks = 3 if blocking == "lane" else 8
+        # One pass a step, and one for the final affordability.
+        assert [(lanes, len(users)) for lanes, users in passes] == [
+            (3, blocks)
+        ] * (config.num_steps + 1)
