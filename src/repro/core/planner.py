@@ -26,11 +26,13 @@ A ``batch`` plan also sizes the kernel's threads, in
 ``ExecutionPlan.max_workers``: the smallest of the usable cores, the
 ``max_workers`` cap, the canonical shard count (each thread steps a lane
 of whole shards, see :mod:`repro.experiments.batch`) and the run's
-user-trials (trials times users) at :data:`KERNEL_MIN_USERS_PER_THREAD`
-a thread, a minimum measured on a 2-CPU host.  A 1M-user trial gets a
-thread per core, and so do 32 trials of 20,000 users; a paper-size
-campaign job on its one-core slice gets one thread and runs inline,
-without a pool.
+user-trials (trials times users) at
+:data:`KERNEL_MIN_USER_TRIALS_PER_THREAD` a thread and users at
+:data:`KERNEL_MIN_USERS_PER_THREAD` a thread, minimums measured on a
+2-CPU host.  A 1M-user trial gets a thread per core, and so do 32 trials
+of 20,000 users; 128 trials of 5,000 users get one thread, and so does a
+paper-size campaign job on its one-core slice, which runs inline, without
+a pool.
 
 The usable cores are the process's affinity mask
 (``os.sched_getaffinity``, falling back to ``os.cpu_count()`` where the
@@ -105,7 +107,19 @@ AUTO_BATCH_MIN_DISPATCH_FRACTION = 0.01
 #: trials x 20,000 users 1.34x faster than one (2.27 -> 1.70 s; aggregate
 #: history, compressed refit), and 5 trials x 1,000 users 0.69x as fast
 #: (full history, exact refit, a campaign job's shape).
-KERNEL_MIN_USERS_PER_THREAD = 32_768
+KERNEL_MIN_USER_TRIALS_PER_THREAD = 32_768
+
+#: Fewest users per lockstep-kernel thread, whatever the trials.  A lane's
+#: step makes a few numpy calls per trial row; on short rows they hold the
+#: GIL about as long as they compute, so two threads contend instead of
+#: overlapping.  On a 2-CPU host (numpy 2.4; 19 steps, aggregate history,
+#: compressed refit; medians of 7-9 interleaved rounds) two threads ran,
+#: against one, lanes of 1,250 users (256 trials x 2,500) 0.92x as fast,
+#: of 2,500 users (16, 24, 32 and 128 trials x 5,000) 0.87-1.03x, of 5,000
+#: users 0.84-1.01x at 8 and 12 trials x 10,000 but 1.15x and 1.14x at 16
+#: and 64, and of 10,000 users or more (4-32 trials x 20,000, 2 and 4
+#: trials x 40,000) 1.01-1.51x.
+KERNEL_MIN_USERS_PER_THREAD = 5_000
 
 #: Most steps the lockstep kernel runs.  It keeps each user's filter state
 #: as a cell of an ``(S + 1) x (S + 1)`` grid and builds, once per run,
@@ -345,14 +359,16 @@ def _kernel_thread_count(
     """Resolve a ``batch`` plan's kernel thread count.
 
     The smallest of the usable cores, the ``max_workers`` cap, the
-    canonical shard count (a lane is made of whole shards) and the run's
-    share at :data:`KERNEL_MIN_USERS_PER_THREAD` user-trials a thread, and
+    canonical shard count (a lane is made of whole shards), the run's
+    share at :data:`KERNEL_MIN_USER_TRIALS_PER_THREAD` user-trials a
+    thread and at :data:`KERNEL_MIN_USERS_PER_THREAD` users a thread, and
     at least one.
     """
     threads = min(
         cores,
         max_worker_shards(users),
-        trials * users // KERNEL_MIN_USERS_PER_THREAD,
+        trials * users // KERNEL_MIN_USER_TRIALS_PER_THREAD,
+        users // KERNEL_MIN_USERS_PER_THREAD,
     )
     if requested is not None:
         threads = min(threads, int(requested))

@@ -21,11 +21,12 @@ Along the user axis each kernel thread steps a *lane*: a contiguous run of
 whole canonical shards (:meth:`~repro.core.sharding.ShardPlan.worker_ranges`).
 A lane steps its shards as a sequence of *blocks*, each the longest run of
 its consecutive shards whose user-trials (trials times users) stay within
-:data:`KERNEL_BLOCK_USER_TRIALS`, so every per-user temporary of a step
-is the size of a block, not of a lane.  A block owns every
-``(trial, shard, step)`` generator of its shards, so a step is one pass
-over the lanes, each block running, without reading another block's
-users:
+:data:`KERNEL_BLOCK_USER_TRIALS`, widened shard by shard to at least
+:data:`KERNEL_BLOCK_MIN_USERS` users where the lane allows, so every
+per-user temporary of a step is the size of a block, not of a lane.  A
+block owns every ``(trial, shard, step)`` generator of its shards, so a
+step is one pass over the lanes, each block running, without reading
+another block's users:
 
 * the draws, into its lane's draw scratch, and the income mapping;
 * affordability, the fused decision, the probit and the actions;
@@ -223,6 +224,26 @@ KERNEL_THREAD_PREFIX = "repro-kernel"
 #:   and 127 B; one block a lane 1.78 s and 164 B.
 KERNEL_BLOCK_USER_TRIALS = 2**17
 
+#: Fewest users in a kernel block before it may close (a lane's last block
+#: may hold fewer).  A block's step makes a few calls per trial row (the
+#: refit count tables, the fold's bincounts, the group counts), and the
+#: calling thread merges a count table per block and trial, so many
+#: narrow blocks cost time in proportion to the trials.  On a 2-CPU host
+#: (numpy 2.4; 19 steps, aggregate history, compressed refit; medians of
+#: 5-7 interleaved runs; the time against one block a lane):
+#:
+#: * one thread: blocks of 312 users (256 trials x 2,500) 1.39x; of 625
+#:   (128 x 5,000) 1.21x; of 1,250 1.12x, 1.16x and 1.06x (256 x 2,500,
+#:   128 x 5,000, 64 x 10,000); of 2,500 1.09x, 0.98x and 0.95x (128 x
+#:   5,000, 64 x 10,000, 32 x 20,000); of 5,000 0.98x, 0.91x and 0.97x
+#:   (64 x 10,000, 32 x 20,000, 16 x 40,000);
+#: * two threads: blocks of 625 and 1,250 users (128 x 5,000) 1.10x and
+#:   1.04x; of 2,500 and 5,000 (32 x 20,000) 0.99x and 0.92x;
+#: * against stepping each lane in one piece (one process a run, medians
+#:   of 10 interleaved pairs), 32 trials x 20,000 users in blocks of 5,000
+#:   took 2.33 -> 2.21 s on one thread and 1.96 -> 1.94 s on two.
+KERNEL_BLOCK_MIN_USERS = 5_000
+
 _Result = TypeVar("_Result")
 
 #: Per-trial ``(T, 1)`` columns of the fused decision: base score, income
@@ -237,16 +258,22 @@ def _lane_blocks(
 
     The lanes are ``plan.worker_ranges(threads)``.  A block is the longest
     run of a lane's consecutive shards whose user-trials (``trials`` times
-    its users) stay within :data:`KERNEL_BLOCK_USER_TRIALS`; a shard larger
-    than that is a block on its own.
+    its users) stay within :data:`KERNEL_BLOCK_USER_TRIALS`, except that a
+    block takes the next shard while it holds fewer than
+    :data:`KERNEL_BLOCK_MIN_USERS` users; a shard larger than the bound is
+    a block on its own.
     """
     lanes = []
     for first, stop in plan.worker_ranges(threads):
         blocks = []
         start = first
         for shard in range(first + 1, stop):
-            lo, hi = plan.user_range(start, shard + 1)
-            if trials * (hi - lo) > KERNEL_BLOCK_USER_TRIALS:
+            lo, mid = plan.user_range(start, shard)
+            hi = plan.bounds[shard][1]
+            if (
+                mid - lo >= KERNEL_BLOCK_MIN_USERS
+                and trials * (hi - lo) > KERNEL_BLOCK_USER_TRIALS
+            ):
                 blocks.append((start, shard))
                 start = shard
         blocks.append((start, stop))

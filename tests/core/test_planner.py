@@ -136,7 +136,7 @@ class TestKernelThreads:
         assert "1 kernel thread " in plan.describe()
 
     def test_small_populations_stay_on_one_thread(self):
-        users = 2 * planner.KERNEL_MIN_USERS_PER_THREAD - 1
+        users = 2 * planner.KERNEL_MIN_USER_TRIALS_PER_THREAD - 1
         assert _plan("batch", trials=1, users=users, cpu_count=8).max_workers == 1
         assert (
             _plan("batch", trials=1, users=users + 1, cpu_count=8).max_workers == 2
@@ -147,13 +147,22 @@ class TestKernelThreads:
         # per core, 5 trials of 1,000 users still one.
         assert _plan("batch", trials=32, users=20_000, cpu_count=2).max_workers == 2
         assert _plan("batch", trials=5, users=1000, cpu_count=2).max_workers == 1
-        user_trials = 2 * planner.KERNEL_MIN_USERS_PER_THREAD
+        user_trials = 2 * planner.KERNEL_MIN_USER_TRIALS_PER_THREAD
         assert _plan("batch", trials=4, users=user_trials // 4).max_workers == 2
         assert _plan("batch", trials=4, users=user_trials // 4 - 1).max_workers == 1
+
+    def test_threads_need_wide_lanes(self):
+        # However many trials, a thread's lane holds enough users: 128
+        # trials of 5,000 users stay on one thread.
+        assert _plan("batch", trials=128, users=5000, cpu_count=2).max_workers == 1
+        users = 2 * planner.KERNEL_MIN_USERS_PER_THREAD
+        assert _plan("batch", trials=64, users=users, cpu_count=2).max_workers == 2
+        assert _plan("batch", trials=64, users=users - 1, cpu_count=2).max_workers == 1
 
     def test_caps(self, monkeypatch):
         assert _plan("batch", users=10_000_000, cpu_count=64).max_workers == 8
         assert _plan("batch", users=10_000_000, max_workers=3).max_workers == 3
+        monkeypatch.setattr(planner, "KERNEL_MIN_USER_TRIALS_PER_THREAD", 1)
         monkeypatch.setattr(planner, "KERNEL_MIN_USERS_PER_THREAD", 1)
         assert _plan("batch", users=3, cpu_count=8).max_workers == 3
 

@@ -7,9 +7,10 @@ These suites pin that contract:
 
 * the golden experiment reproduces the pinned stream at 1, 2, 3 and 8
   kernel threads (3 threads split the 8 shards unevenly) in every
-  ``history_mode`` x ``retrain_mode`` cell, with one block per lane and
-  with one shard per block;
-* the block layout of the sizes the benchmark and the memory pins run;
+  ``history_mode`` x ``retrain_mode`` cell, with one block per lane and,
+  below 8 threads, with one shard per block;
+* the block layout of the sizes the benchmark and the memory pins run,
+  and of many trials, whose blocks keep a minimum width;
 * a hypothesis property over users, trials, threads and block sizes
   compares every aggregate series, the filter state and the refit
   coefficients with the 1-thread run, bit for bit;
@@ -62,6 +63,7 @@ MODES = [
 def threaded_host(monkeypatch):
     """An 8-core host whose kernel threads each take any lane size."""
     monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 8)
+    monkeypatch.setattr(planner, "KERNEL_MIN_USER_TRIALS_PER_THREAD", 1)
     monkeypatch.setattr(planner, "KERNEL_MIN_USERS_PER_THREAD", 1)
 
 
@@ -70,6 +72,7 @@ def blocking(request, monkeypatch):
     """One block per lane (the golden size's layout), or one per shard."""
     if request.param == "shard":
         monkeypatch.setattr(batch, "KERNEL_BLOCK_USER_TRIALS", 1)
+        monkeypatch.setattr(batch, "KERNEL_BLOCK_MIN_USERS", 1)
     return request.param
 
 
@@ -116,10 +119,20 @@ def _kernel_threads_alive() -> list:
     return alive
 
 
+#: The golden runs' (blocking, threads) pairs.  At 8 threads each of the
+#: golden population's 8 shards is a lane of its own, so one block per
+#: shard would repeat one block per lane.
+GOLDEN_BLOCKINGS = [("lane", threads) for threads in (1, 2, 3, 8)] + [
+    ("shard", threads) for threads in (1, 2, 3)
+]
+
+
 class TestBlockedGoldens:
     """The golden experiment at every kernel thread count and blocking."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "blocking, threads", GOLDEN_BLOCKINGS, indirect=["blocking"]
+    )
     @pytest.mark.parametrize("history_mode, retrain_mode", MODES)
     def test_every_thread_count_reproduces_the_serial_stream(
         self,
@@ -223,9 +236,13 @@ class TestBlockLayout:
             (1, 1_000_000, 2, ONE_SHARD_LANES),
             # Shards past the bound are blocks on their own.
             (1, 2_000_000, 2, ONE_SHARD_LANES),
-            (32, 20_000, 2, ONE_SHARD_LANES),
             (1, 400_000, 1, [[(0, 2), (2, 4), (4, 6), (6, 8)]]),
             (1, 100_000, 1, [[(0, 8)]]),
+            # Many trials: blocks widen to 5,000 users where the lane allows.
+            (32, 20_000, 2, [[(0, 2), (2, 4)], [(4, 6), (6, 8)]]),
+            (16, 40_000, 1, [[(shard, shard + 1) for shard in range(8)]]),
+            (64, 10_000, 2, [[(0, 4)], [(4, 8)]]),
+            (128, 5000, 2, [[(0, 8)]]),
             # A campaign_grid job, and 32 paper-size trials on one thread.
             (5, 1000, 1, [[(0, 8)]]),
             (32, 1000, 2, [[(0, 8)]]),
@@ -321,6 +338,7 @@ class TestAnyBlockingIsBitIdentical:
         retrain_mode=st.sampled_from(["exact", "compressed"]),
         seed=st.integers(min_value=0, max_value=2**16),
         block_user_trials=st.sampled_from([1, 50, 200, batch.KERNEL_BLOCK_USER_TRIALS]),
+        block_min_users=st.sampled_from([1, 40, batch.KERNEL_BLOCK_MIN_USERS]),
     )
     def test_threads_never_change_a_trial(
         self,
@@ -333,6 +351,7 @@ class TestAnyBlockingIsBitIdentical:
         retrain_mode,
         seed,
         block_user_trials,
+        block_min_users,
     ):
         config = CaseStudyConfig(
             num_users=users,
@@ -346,7 +365,11 @@ class TestAnyBlockingIsBitIdentical:
             execution="batch",
         )
         reference = _outcome(config, 1)
-        with mock.patch.object(batch, "KERNEL_BLOCK_USER_TRIALS", block_user_trials):
+        with mock.patch.multiple(
+            batch,
+            KERNEL_BLOCK_USER_TRIALS=block_user_trials,
+            KERNEL_BLOCK_MIN_USERS=block_min_users,
+        ):
             threaded = _outcome(config, threads)
         if isinstance(reference[0], type):
             assert threaded == reference  # the same failure, word for word
