@@ -1,19 +1,17 @@
-"""Shared retrain-benchmark probes.
+"""Refit probes: the engine refit against the row-level reference.
 
-Both the persistent recorder (``record_core_bench.py``) and the regression
-gate (``test_bench_perf_engine.py::test_bench_suffstats_retrain``) time the
-yearly refit on the *same* training set, captured from a real closed-loop
-step — so the two can never drift apart and silently measure different
-things.  The capture hooks a :class:`CreditScoringSystem` subclass into a
-full trial and snapshots the delayed-feedback arrays of year ~12, where the
-previous-rate column carries the small-integer-ratio degeneracy the
-sufficient-statistics compression exploits.
+The regression gate (``test_bench_perf_engine.py::test_bench_suffstats_retrain``)
+times both refits on the *same* training set, captured from a real
+closed-loop step.  The capture hooks a :class:`CreditScoringSystem`
+subclass into a full trial and snapshots the delayed-feedback arrays of
+year ~12, where the previous-rate column carries the small-integer-ratio
+degeneracy the engine's count table exploits.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -21,6 +19,9 @@ from repro.core.ai_system import CreditScoringSystem
 from repro.credit.lender import Lender
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_trial
+from repro.scoring.logistic import LogisticRegression
+
+from tests.oracle.refit import RowLevelLender
 
 #: The captured retrain inputs: (incomes, previous rates, actions, decisions).
 RetrainRows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -54,14 +55,32 @@ def capture_retrain_rows(config: CaseStudyConfig) -> RetrainRows:
     return captured["rows"]
 
 
-def time_retrain(mode: str, rows: RetrainRows, repeats: int = 9) -> float:
-    """Return the median seconds of one ``Lender.retrain`` in ``mode``."""
+def _refit(lender: Lender, rows: RetrainRows) -> LogisticRegression:
     incomes, rates, actions, decisions = rows
-    lender = Lender(retrain_mode=mode)
-    lender.retrain(incomes, rates, actions, offered=decisions)  # warm-up
+    lender.retrain(incomes, rates, actions, offered=decisions)
+    return lender.export_state()["model"]
+
+
+def engine_refit(rows: RetrainRows) -> LogisticRegression:
+    """Refit as the loop does (``Lender.retrain``); return the fitted model."""
+    return _refit(Lender(), rows)
+
+
+def row_level_refit(rows: RetrainRows) -> LogisticRegression:
+    """Refit with the row-level reference (``RowLevelLender.retrain``)."""
+    return _refit(RowLevelLender(), rows)
+
+
+def median_seconds(
+    refit: Callable[[RetrainRows], LogisticRegression],
+    rows: RetrainRows,
+    repeats: int = 9,
+) -> float:
+    """Return the median seconds of one ``refit(rows)``, after a warm-up."""
+    refit(rows)
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        lender.retrain(incomes, rates, actions, offered=decisions)
+        refit(rows)
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))

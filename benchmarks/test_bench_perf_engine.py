@@ -2,8 +2,7 @@
 
 Times the three hot paths the columnar rewrite targets, at a 20k-user
 default scale (set ``REPRO_FULL_BENCH=1`` for the full 100k-user x 20-step
-workload; ``benchmarks/record_core_bench.py`` runs the full scale and
-persists the numbers to ``BENCH_core.json``):
+workload; ``perfbench/`` is the repeatable end-to-end benchmark):
 
 * one full closed-loop trial with the paper's retraining lender;
 * the incremental derived-metrics path versus the seed engine's
@@ -16,8 +15,7 @@ persists the numbers to ``BENCH_core.json``):
   floor must stay inside a fixed budget and be at least 10x smaller than
   the full-history recorder's overhead (each mode measured in its own
   subprocess, at 150k users by default and the million-user workload under
-  ``REPRO_FULL_BENCH=1``; ``benchmarks/record_core_bench.py`` persists the
-  full-scale numbers to ``BENCH_core.json``).
+  ``REPRO_FULL_BENCH=1``).
 
 Wall-clock floors (the speedup ratios and the checkpoint overhead) flake on
 a loaded host, so they assert only under ``REPRO_PERF_GATES=1``, which the
@@ -150,44 +148,44 @@ def test_bench_vectorized_ifs_population():
 
 
 def test_bench_suffstats_retrain(perf_config):
-    """The sufficient-statistics refit must beat the row-level IRLS.
+    """The engine's count-table refit must beat the row-level reference.
 
     The training set is captured from a real loop step (year ~12), so the
     rate column carries the small-integer-ratio degeneracy the count table
     collapses.  The required speedup scales with the population: the
-    compression's O(n log n) key sort amortises against the exact path's
+    count table's O(n log n) key sort amortises against the reference's
     O(n) *per IRLS iteration*, so the ratio grows with n — >=10x at the
     full 100k benchmark scale (the acceptance number recorded in
     ``BENCH_core.json``), >=4x at the scaled-down default.
     """
     import retrain_probe
 
-    from repro.credit.lender import Lender
-
     rows = retrain_probe.capture_retrain_rows(perf_config)
-    incomes, rates, actions, decisions = rows
     timings = {
-        mode: retrain_probe.time_retrain(mode, rows)
-        for mode in ("exact", "compressed")
+        name: retrain_probe.median_seconds(refit, rows)
+        for name, refit in (
+            ("reference", retrain_probe.row_level_refit),
+            ("engine", retrain_probe.engine_refit),
+        )
     }
 
-    speedup = timings["exact"] / max(timings["compressed"], 1e-12)
+    speedup = timings["reference"] / max(timings["engine"], 1e-12)
     print(
-        f"\nretrain exact {timings['exact'] * 1e3:.2f} ms vs compressed "
-        f"{timings['compressed'] * 1e3:.2f} ms ({speedup:.1f}x) at "
+        f"\nrow-level reference refit {timings['reference'] * 1e3:.2f} ms vs "
+        f"engine refit {timings['engine'] * 1e3:.2f} ms ({speedup:.1f}x) at "
         f"{perf_config.num_users:,} users"
     )
     required = 10.0 if perf_config.num_users >= 100_000 else 4.0
-    _perf_gate(speedup >= required, f"compressed refit only {speedup:.1f}x faster")
+    _perf_gate(speedup >= required, f"engine refit only {speedup:.1f}x faster")
 
-    # The two modes must agree on what they learned (the equivalence suite
-    # pins the loop-level guarantee; this is the benchmark-side smoke check).
-    exact_card = Lender().retrain(incomes, rates, actions, offered=decisions)
-    compressed_card = Lender(retrain_mode="compressed").retrain(
-        incomes, rates, actions, offered=decisions
+    # Both fits must agree on what they learned (the reference suite pins
+    # the loop-level guarantee; this is the benchmark-side smoke check).
+    engine = retrain_probe.engine_refit(rows)
+    reference = retrain_probe.row_level_refit(rows)
+    assert abs(engine.intercept - reference.intercept) < 1e-9
+    np.testing.assert_allclose(
+        engine.coefficients, reference.coefficients, rtol=0.0, atol=1e-9
     )
-    for left, right in zip(exact_card.factors, compressed_card.factors):
-        assert abs(left.points - right.points) < 1e-9
 
 
 def _memory_bench_users() -> int:
@@ -278,9 +276,7 @@ def test_bench_trial_batched():
     """
     from repro.experiments.runner import run_experiment
 
-    config = CaseStudyConfig(
-        num_users=250, num_trials=32, end_year=2021, retrain_mode="compressed"
-    )
+    config = CaseStudyConfig(num_users=250, num_trials=32, end_year=2021)
 
     def serial_run():
         return run_experiment(config)
@@ -300,7 +296,7 @@ def test_bench_trial_batched():
     )
     speedup = serial_seconds / max(batched_seconds, 1e-12)
     print(
-        f"\ntrial-batched sweep (32 x 250 x 20, compressed): serial "
+        f"\ntrial-batched sweep (32 x 250 x 20): serial "
         f"{serial_seconds:.3f}s vs batched {batched_seconds:.3f}s ({speedup:.2f}x)"
     )
     _perf_gate(speedup >= 2.0, f"trial batching only {speedup:.2f}x faster")
@@ -365,7 +361,7 @@ def test_bench_checkpoint_overhead(monkeypatch):
 def test_bench_campaign_cache():
     """A warm campaign sweep must be all cache hits and >= 10x faster.
 
-    CI scale: an 8-job grid (2 policies x 2 seeds x 2 retrain modes, each
+    CI scale: an 8-job grid (2 policies x 4 seeds, each
     job 2 trials x 150 users x 5 steps) swept twice from the same
     content-addressed cache.  The cold pass computes and publishes every
     job; the warm pass never simulates — it is bounded by sha256 hashing
@@ -385,8 +381,7 @@ def test_bench_campaign_cache():
         name="bench",
         policies=("retraining", "static"),
         population_sizes=(150,),
-        seeds=(1, 2),
-        retrain_modes=("exact", "compressed"),
+        seeds=(1, 2, 3, 4),
         num_trials=2,
         start_year=2002,
         end_year=2006,

@@ -6,8 +6,8 @@ lender, the cumulative default-rate filter — runs the loop over 2002-2020,
 and prints the two assessments the paper's definitions ask for.
 
 It then reruns the same simulation through each engine variant in turn —
-streaming aggregation, the lockstep kernel on one and two threads,
-sufficient-statistics retraining, the trial-batched sweep, a
+streaming aggregation, the lockstep kernel on one and two threads, the
+trial-batched sweep, a
 kill-and-resume demonstration of the fault-tolerant checkpointing, the
 unified execution planner (``execution="auto"``) that picks among all of
 the above by itself, and finally a declarative scenario campaign swept
@@ -130,10 +130,10 @@ def streaming_variant(full_history_series) -> None:
     except Exception as error:  # FullHistoryRequiredError: per-user rows were dropped
         print(f"  per-user accessors fail loudly: {type(error).__name__}")
 
-    kernel_threads_variant(series)
+    kernel_threads_variant()
 
 
-def kernel_threads_variant(reference_series) -> None:
+def kernel_threads_variant() -> None:
     """The lockstep kernel on one thread and on two.
 
     The population is always partitioned into canonical user shards, each
@@ -153,7 +153,6 @@ def kernel_threads_variant(reference_series) -> None:
         num_users=65_536,
         num_trials=1,
         history_mode="aggregate",
-        retrain_mode="compressed",
         execution="batch",
     )
     print("\n-- lockstep kernel threads (execution='batch', max_workers 1 vs 2) --")
@@ -172,48 +171,6 @@ def kernel_threads_variant(reference_series) -> None:
     for race in Race:
         identical = bool(np.array_equal(series[1][race], series[2][race]))
         print(f"  {race.value:<12} 2 threads bit-identical to 1: {identical}")
-
-    compressed_variant(reference_series)
-
-
-def compressed_variant(reference_series) -> None:
-    """The same simulation with sufficient-statistics retraining.
-
-    The yearly logistic refit is the dominant phase at scale, but its
-    training set is massively degenerate: the income code is binary, the
-    previous average default rate is a ratio of small integer counts, and
-    the label is binary.  ``retrain_mode="compressed"`` deduplicates the
-    rows into a count table (exact sufficient statistics) so each refit
-    costs O(unique rows) instead of O(users) — at 100k users the refit
-    drops ~14x and the whole trial ~2.2x.  The compressed coefficients
-    agree with the exact ones to solver tolerance, and at paper scale the
-    decision vectors — and therefore the whole trajectory — are identical,
-    as shown below.  (The bit-exact reproduction path stays the default:
-    ``retrain_mode="exact"``.)
-    """
-    num_users = 400
-    num_years = 19
-
-    synthetic = generate_population(PopulationSpec(size=num_users), rng=7)
-    population = CreditPopulation(population=synthetic, start_year=2002)
-    loop = ClosedLoop(
-        ai_system=CreditScoringSystem(
-            Lender(cutoff=0.4, warm_up_rounds=2, retrain_mode="compressed")
-        ),
-        population=population,
-        loop_filter=DefaultRateFilter(num_users=num_users),
-    )
-    history = loop.run(
-        num_years, rng=7, history_mode="aggregate", groups=population.groups
-    )
-
-    print("\n-- compressed variant (retrain_mode='compressed') --")
-    series = history.group_default_rate_series()
-    for race in Race:
-        identical = bool(np.array_equal(series[race], reference_series[race]))
-        print(
-            f"  {race.value:<12} identical trajectory to the exact refit: {identical}"
-        )
 
     batched_sweep_variant()
 
@@ -236,7 +193,7 @@ def batched_sweep_variant() -> None:
 
     from repro.experiments import CaseStudyConfig, run_experiment
 
-    config = CaseStudyConfig(num_users=300, num_trials=6, retrain_mode="compressed")
+    config = CaseStudyConfig(num_users=300, num_trials=6)
     serial = run_experiment(config)
     batched = run_experiment(replace(config, execution="batch"))
 
@@ -352,7 +309,7 @@ def planner_variant() -> None:
     tensor engine and its threads, the trial pool — sits behind the
     unified execution planner.  ``execution="auto"`` inspects the host's
     core count and the workload shape (trials, users, steps,
-    history/retrain mode, checkpoint knobs) and picks the layout itself.
+    history mode, checkpoint knobs) and picks the layout itself.
     ``execution`` defaults to ``"serial"``; every other value is one
     ``dataclasses.replace`` away.
     The knob is purely a wall-clock choice: whatever plan the planner

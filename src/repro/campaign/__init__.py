@@ -6,7 +6,7 @@ layer runs the cross product the paper's discussion section gestures at —
 twice:
 
 * :class:`~repro.campaign.spec.CampaignSpec` declares a grid of income
-  scenario × policy arm × population size × seed × retrain mode, loadable
+  scenario × policy arm × population size × seed, loadable
   from TOML/JSON, and expands into concrete
   :class:`~repro.campaign.spec.CampaignJob` configurations.
 * :class:`~repro.campaign.cache.ResultCache` is a content-addressed store

@@ -35,7 +35,8 @@ from repro.experiments.runner import ExperimentResult, trajectory_fingerprint_fi
 __all__ = ["CACHE_VERSION", "CampaignJobSeries", "ResultCache", "job_key"]
 
 #: Bump to invalidate every existing cache entry on a format change.
-CACHE_VERSION = 1
+#: Version 2: the refit knobs left the trajectory fields, so every key moved.
+CACHE_VERSION = 2
 
 
 def job_key(job: CampaignJob) -> str:

@@ -31,7 +31,12 @@ from typing import Dict, List, Tuple
 from repro.campaign.cache import CampaignJobSeries, ResultCache, job_key
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand_campaign
 from repro.core.planner import CampaignBudget, plan_campaign_jobs, plan_execution
-from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
+from repro.core.supervision import (
+    SupervisorPolicy,
+    WorkerPoolFailure,
+    is_picklable,
+    kill_executor,
+)
 from repro.experiments.runner import _run_planned_experiment
 from repro.testing.faults import fire as _fire_fault
 
@@ -81,8 +86,7 @@ class CampaignPlan:
             f"({len(self.spec.scenarios)} scenario(s) x "
             f"{len(self.spec.policies)} policy arm(s) x "
             f"{len(self.spec.population_sizes)} population size(s) x "
-            f"{len(self.spec.seeds)} seed(s) x "
-            f"{len(self.spec.retrain_modes)} retrain mode(s))",
+            f"{len(self.spec.seeds)} seed(s))",
             f"cache: {self.num_cached} hit(s), {self.num_pending} to run",
             f"budget: {self.budget.describe()}",
             f"execution: {self.spec.execution!r} per job",
@@ -185,7 +189,6 @@ def _execute_job(
         users=config.num_users,
         steps=config.num_steps,
         history_mode=config.history_mode,
-        retrain_mode=config.retrain_mode,
         cpu_count=cores_per_job,
     )
     result = _run_planned_experiment(
@@ -214,14 +217,6 @@ def _run_campaign_job(
     series = _execute_job(job, spec, cores_per_job, supervisor)
     ResultCache(cache_dir).store(key, series)
     return series
-
-
-def _is_picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
 
 
 def _run_jobs_supervised(
@@ -381,7 +376,7 @@ def run_campaign(
         pooled = (
             budget.job_workers > 1
             and len(pending) > 1
-            and _is_picklable(
+            and is_picklable(
                 (pending[0], spec, str(cache.directory), keys[pending[0].index],
                  budget.cores_per_job, supervisor)
             )

@@ -1,7 +1,7 @@
 """Declarative campaign specifications and their expansion into jobs.
 
 A campaign is a grid: income scenario × policy arm × population size ×
-seed × retrain mode.  The spec is pure data — arm *references* by
+seed.  The spec is pure data — arm *references* by
 registered name plus keyword parameters, never live objects — so it can be
 written in TOML/JSON, hashed into cache keys, and pickled to worker
 processes.  :func:`expand_campaign` turns the grid into concrete
@@ -196,12 +196,7 @@ class _ArmFactory:
     arm: ArmRef
 
     def _lender(self, config: CaseStudyConfig) -> Lender:
-        return Lender(
-            cutoff=config.cutoff,
-            warm_up_rounds=config.warm_up_rounds,
-            retrain_mode=config.retrain_mode,
-            warm_start=config.warm_start,
-        )
+        return Lender(cutoff=config.cutoff, warm_up_rounds=config.warm_up_rounds)
 
     def __call__(
         self, config: CaseStudyConfig, population: CreditPopulation
@@ -254,11 +249,10 @@ class CampaignSpec:
     """Declarative grid of closed-loop experiments.
 
     Grid axes (part of every job's cache identity): ``scenarios`` ×
-    ``policies`` × ``population_sizes`` × ``seeds`` × ``retrain_modes``,
-    with the shared calendar window, trial count, recording mode and
-    warm-start flag.  Run options (``execution``, ``max_workers``) steer
-    only *how* jobs execute — every layout is bit-identical — and are
-    excluded from cache keys.
+    ``policies`` × ``population_sizes`` × ``seeds``, with the shared
+    calendar window, trial count and recording mode.  Run options
+    (``execution``, ``max_workers``) steer only *how* jobs execute — every
+    layout is bit-identical — and are excluded from cache keys.
     """
 
     name: str = "campaign"
@@ -270,8 +264,6 @@ class CampaignSpec:
     start_year: int = 2002
     end_year: int = 2020
     history_mode: str = "aggregate"
-    retrain_modes: Tuple[str, ...] = ("exact",)
-    warm_start: bool = False
     race_mix: Mapping[Race, float] | None = None
     # Run options — pure execution plumbing, never part of a cache key.
     execution: str = "auto"
@@ -290,13 +282,10 @@ class CampaignSpec:
         )
         object.__setattr__(self, "population_sizes", tuple(self.population_sizes))
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "retrain_modes", tuple(self.retrain_modes))
         if not self.scenarios or not self.policies:
             raise ValueError("a campaign needs at least one scenario and one policy")
-        if not self.population_sizes or not self.seeds or not self.retrain_modes:
-            raise ValueError(
-                "population_sizes, seeds and retrain_modes must be non-empty"
-            )
+        if not self.population_sizes or not self.seeds:
+            raise ValueError("population_sizes and seeds must be non-empty")
         for size in self.population_sizes:
             if int(size) <= 0:
                 raise ValueError(f"population sizes must be positive, got {size}")
@@ -306,11 +295,6 @@ class CampaignSpec:
             raise ValueError(
                 f'history_mode must be "full" or "aggregate", got {self.history_mode!r}'
             )
-        for mode in self.retrain_modes:
-            if mode not in ("exact", "compressed"):
-                raise ValueError(
-                    f'retrain modes must be "exact" or "compressed", got {mode!r}'
-                )
         if self.execution not in EXECUTION_MODES:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
@@ -326,7 +310,6 @@ class CampaignSpec:
             * len(self.policies)
             * len(self.population_sizes)
             * len(self.seeds)
-            * len(self.retrain_modes)
         )
 
 
@@ -358,50 +341,46 @@ class CampaignJob:
 def expand_campaign(spec: CampaignSpec) -> Tuple[CampaignJob, ...]:
     """Expand a spec's grid into concrete jobs, in deterministic order.
 
-    The product order (scenario, policy, population size, seed, retrain
-    mode) is part of the campaign's observable behaviour: job indices are
-    stable across runs, which is what the chaos suite's "kill job K,
-    resume" cell relies on.
+    The product order (scenario, policy, population size, seed) is part
+    of the campaign's observable behaviour: job indices are stable across
+    runs, which is what the chaos suite's "kill job K, resume" cell relies
+    on.
     """
     jobs = []
     for scenario in spec.scenarios:
         for policy in spec.policies:
             for size in spec.population_sizes:
                 for seed in spec.seeds:
-                    for retrain_mode in spec.retrain_modes:
-                        config = CaseStudyConfig(
-                            num_users=int(size),
-                            num_trials=spec.num_trials,
-                            start_year=spec.start_year,
-                            end_year=spec.end_year,
-                            **(
-                                {"race_mix": dict(spec.race_mix)}
-                                if spec.race_mix is not None
-                                else {}
-                            ),
-                            seed=int(seed),
-                            history_mode=spec.history_mode,
-                            retrain_mode=retrain_mode,
-                            warm_start=spec.warm_start,
+                    config = CaseStudyConfig(
+                        num_users=int(size),
+                        num_trials=spec.num_trials,
+                        start_year=spec.start_year,
+                        end_year=spec.end_year,
+                        **(
+                            {"race_mix": dict(spec.race_mix)}
+                            if spec.race_mix is not None
+                            else {}
+                        ),
+                        seed=int(seed),
+                        history_mode=spec.history_mode,
+                    )
+                    job_id = "/".join(
+                        (
+                            scenario.label(),
+                            policy.label(),
+                            f"u{int(size)}",
+                            f"seed{int(seed)}",
                         )
-                        job_id = "/".join(
-                            (
-                                scenario.label(),
-                                policy.label(),
-                                f"u{int(size)}",
-                                f"seed{int(seed)}",
-                                retrain_mode,
-                            )
+                    )
+                    jobs.append(
+                        CampaignJob(
+                            index=len(jobs),
+                            job_id=job_id,
+                            scenario=scenario,
+                            policy=policy,
+                            config=config,
                         )
-                        jobs.append(
-                            CampaignJob(
-                                index=len(jobs),
-                                job_id=job_id,
-                                scenario=scenario,
-                                policy=policy,
-                                config=config,
-                            )
-                        )
+                    )
     return tuple(jobs)
 
 
@@ -423,8 +402,6 @@ def _spec_from_mapping(data: Mapping[str, object], origin: str) -> CampaignSpec:
         "start_year",
         "end_year",
         "history_mode",
-        "retrain_modes",
-        "warm_start",
     }
     unknown = sorted(set(payload) - known)
     if unknown:
@@ -441,7 +418,7 @@ def _spec_from_mapping(data: Mapping[str, object], origin: str) -> CampaignSpec:
         )
     kwargs: Dict[str, object] = {}
     for key, value in payload.items():
-        if key in ("scenarios", "policies", "population_sizes", "seeds", "retrain_modes"):
+        if key in ("scenarios", "policies", "population_sizes", "seeds"):
             if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
                 raise ValueError(f"{origin}: {key} must be an array")
             kwargs[key] = tuple(value)

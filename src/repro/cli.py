@@ -48,8 +48,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> CaseStudyConfig:
     shared = dict(
         seed=arguments.seed,
         history_mode=arguments.history_mode,
-        retrain_mode=arguments.retrain_mode,
-        warm_start=arguments.warm_start,
         checkpoint_dir=arguments.checkpoint_dir,
         checkpoint_every=arguments.checkpoint_every,
         resume=arguments.resume,
@@ -69,6 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the tables and figures of the closed-loop equal-impact paper.",
+        epilog=(
+            "The lender's yearly refit always fits its logistic scorecard "
+            "on a count table of the offered users' (income code, previous "
+            "default rate, repayment) rows, from a cold start."
+        ),
     )
     parser.add_argument("--users", type=int, default=300, help="users per trial (default 300)")
     parser.add_argument("--trials", type=int, default=2, help="number of trials (default 2)")
@@ -89,28 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'auto' picks one of them ('shard' is a second name for "
             "'batch').  Every choice is bit-identical; this knob only "
             "changes the wall clock"
-        ),
-    )
-    parser.add_argument(
-        "--retrain-mode",
-        choices=["exact", "compressed"],
-        default="exact",
-        help=(
-            "yearly scorecard refit strategy: 'exact' (default) runs the "
-            "row-level IRLS over every user, reproducing the paper bit for "
-            "bit; 'compressed' deduplicates the degenerate training set "
-            "into a sufficient-statistics count table so each refit costs "
-            "O(unique rows) — coefficients agree to solver tolerance and "
-            "decisions are identical at paper scale"
-        ),
-    )
-    parser.add_argument(
-        "--warm-start",
-        action="store_true",
-        help=(
-            "seed each yearly refit at the previous year's parameters "
-            "(fewer Newton iterations; changes the iteration path, not the "
-            "optimum, so it is off by default)"
         ),
     )
     parser.add_argument(

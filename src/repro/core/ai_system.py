@@ -67,7 +67,8 @@ class CreditScoringSystem:
     warm-up years everyone is approved.  ``update`` refits the logistic
     model on this step's repayments against the features that were visible
     when the decision was made, then rebuilds the scorecard for the next
-    step.  The refit follows the wrapped lender's ``retrain_mode``.
+    step.  The refit is the lender's count-table fit
+    (:meth:`~repro.credit.lender.Lender.retrain`).
     """
 
     def __init__(self, lender: Lender | None = None) -> None:

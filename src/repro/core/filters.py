@@ -31,10 +31,27 @@ __all__ = [
     "ExponentialMovingAverageFilter",
     "IntegralFilter",
     "AnomalyClippingFilter",
+    "require_binary_decisions",
 ]
 
 #: Observation type: named aggregate signals.
 Observation = Dict[str, np.ndarray | float]
+
+
+def require_binary_decisions(decisions: np.ndarray) -> None:
+    """Reject credit decisions other than 0 and 1.
+
+    The default-rate filter counts an offer for each 1, and no other value
+    has a meaning there.  The serial filter and the lockstep kernel both
+    refuse such decisions through this check, so every layout takes or
+    refuses the same policies.
+    """
+    values = np.asarray(decisions)
+    if np.any((values != 0.0) & (values != 1.0)):
+        raise ValueError(
+            "the credit loop requires 0/1 decisions, but the AI system "
+            "returned other values"
+        )
 
 
 @runtime_checkable
@@ -93,8 +110,9 @@ class DefaultRateFilter:
     def update(
         self, decisions: np.ndarray, actions: np.ndarray, k: int
     ) -> Observation:
-        """Record one step of offers and repayments."""
-        self._tracker.record(decisions.astype(int), actions.astype(int))
+        """Record one step of offers and repayments (0/1 decisions only)."""
+        require_binary_decisions(decisions)
+        self._tracker.record(decisions, actions.astype(int))
         return self.observation()
 
 

@@ -10,7 +10,7 @@ Besides the serial loop, the engine has two execution layouts:
 
 :func:`plan_execution` turns the measured rules into code: given the
 workload shape (trials, users, steps), the host (``cpu_count``), the
-recording and retraining modes, and the checkpoint knobs, it resolves a
+recording mode and the checkpoint knobs, it resolves a
 single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"`` or
 ``"pool"`` — into an :class:`ExecutionPlan`, which the runner executes.
 ``"auto"`` pools trials when there are several trials and several cores.
@@ -18,9 +18,9 @@ Otherwise — one trial on any host, or several trials on one core — it
 runs in process on the lockstep kernel, or on the serial loop when
 checkpointing or past the kernel's :data:`KERNEL_MAX_STEPS`.  An optional
 calibration micro-bench (:func:`measure_dispatch_overhead`) refines the
-batch-vs-serial call for several trials on one core.  The lockstep kernel requires the AI system's
-decisions to be 0/1, so a custom policy with other decisions runs with
-``"serial"``, whose filter truncates them to integers, not ``"auto"``.
+batch-vs-serial call for several trials on one core.  Every layout
+requires the AI system's decisions to be 0/1 and refuses others with the
+same error, so a plan never decides whether a policy runs.
 
 A ``batch`` plan also sizes the kernel's threads, in
 ``ExecutionPlan.max_workers``: the smallest of the usable cores, the
@@ -382,7 +382,7 @@ def plan_execution(
     users: int,
     steps: int,
     history_mode: str = "full",
-    retrain_mode: str = "exact",
+    retrain_mode: str = "compressed",
     checkpoint_every: int = 0,
     resume: bool = False,
     cpu_count: Optional[int] = None,
@@ -393,14 +393,14 @@ def plan_execution(
 
     Deterministic for fixed inputs (``cpu_count`` included; it defaults to
     the live core count) unless ``calibrate`` lets the micro-bench break a
-    batch-vs-serial tie.  ``history_mode`` and ``retrain_mode`` are
-    accepted for completeness — every layout supports both today, so they
-    do not steer the choice, but the signature is the stable seam where a
-    mode-specific layout preference would land.  A ``batch`` plan, which
-    ``"auto"`` returns for every in-process run that does not checkpoint
-    and has at most :data:`KERNEL_MAX_STEPS` steps, requires 0/1 decisions
-    from the AI system; its ``max_workers`` is the kernel thread count,
-    capped by ``max_workers``.
+    batch-vs-serial tie.  ``history_mode`` is accepted for completeness —
+    every layout supports both modes, so it does not steer the choice, but
+    the signature is the stable seam where a mode-specific layout
+    preference would land.  ``retrain_mode`` accepts only
+    ``"compressed"``, the one refit, and steers nothing.  A ``batch``
+    plan, which ``"auto"`` returns for every in-process run that does not
+    checkpoint and has at most :data:`KERNEL_MAX_STEPS` steps, has the
+    kernel thread count as its ``max_workers``, capped by ``max_workers``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -412,9 +412,12 @@ def plan_execution(
         raise ValueError(
             f'history_mode must be "full" or "aggregate", got {history_mode!r}'
         )
-    if retrain_mode not in ("exact", "compressed"):
+    # Shim: the loop has one refit, but the benchmark harness still passes
+    # retrain_mode="compressed" (perfbench/workloads.py).  Delete the
+    # parameter in its next change (ROADMAP item 7).
+    if retrain_mode != "compressed":
         raise ValueError(
-            f'retrain_mode must be "exact" or "compressed", got {retrain_mode!r}'
+            f'retrain_mode accepts only "compressed", got {retrain_mode!r}'
         )
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be positive when given")

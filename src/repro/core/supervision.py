@@ -23,6 +23,7 @@ single except clause.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 __all__ = [
     "SupervisorPolicy",
     "WorkerPoolFailure",
+    "is_picklable",
     "kill_executor",
 ]
 
@@ -100,6 +102,19 @@ class SupervisorPolicy:
         delay = self.backoff_delay(attempt)
         if delay > 0:
             time.sleep(delay)
+
+
+def is_picklable(value: object) -> bool:
+    """Return whether ``value`` pickles, i.e. can travel to a pool worker.
+
+    Both pools probe their first payload with this before they spawn, and
+    run in process when it fails.
+    """
+    try:
+        pickle.dumps(value)
+        return True
+    except Exception:
+        return False
 
 
 def kill_executor(executor) -> None:

@@ -2,9 +2,9 @@
 
 Each year the lender
 
-1. assembles the design matrix (income code, previous average default rate)
-   for every user,
-2. refits a logistic regression whose label is last year's repayment action,
+1. counts its training rows (income code, previous average default rate,
+   last year's repayment action as the label) into a count table,
+2. refits a logistic regression on the table's unique rows,
 3. converts the fitted model into a scorecard (the yearly "Table I"), and
 4. approves every user whose score exceeds the fixed cut-off (0.4).
 
@@ -27,8 +27,6 @@ from repro.scoring.scorecard import Scorecard
 from repro.scoring.suffstats import CompressedDesign
 
 __all__ = ["LenderDecision", "Lender"]
-
-_RETRAIN_MODES = ("exact", "compressed")
 
 
 @dataclass(frozen=True)
@@ -72,19 +70,14 @@ class Lender:
         Builder of the (income code, previous ADR) design matrix.
     l2_penalty:
         Ridge penalty of the yearly logistic refit.
-    retrain_mode:
-        ``"exact"`` (default) refits on the row-level training set;
-        ``"compressed"`` first deduplicates it into a
-        :class:`~repro.scoring.suffstats.CompressedDesign` count table and
-        routes the refit through the weighted IRLS path, so each Newton
-        iteration costs O(unique rows) instead of O(users).  Both modes
-        optimise the same objective; the compressed coefficients agree with
-        the exact ones to solver tolerance (the equivalence suite pins
-        identical decision vectors at paper scale).
-    warm_start:
-        Seed each refit's Newton iteration at the previous year's
-        parameters instead of zero.  Opt-in: it changes the iteration path
-        (not the optimum), so it stays off the default reproduction path.
+
+    Every refit counts its training rows into a
+    :class:`~repro.scoring.suffstats.CompressedDesign` table and fits the
+    weighted IRLS on the unique rows, so each Newton iteration costs
+    O(unique rows) instead of O(users).  It optimises the penalised
+    likelihood of the row-level fit, takes the same Newton steps from the
+    same cold start, and agrees with it to solver tolerance (the reference
+    suite pins identical trajectories at paper scale).
     """
 
     def __init__(
@@ -93,21 +86,13 @@ class Lender:
         warm_up_rounds: int = 2,
         feature_builder: FeatureBuilder | None = None,
         l2_penalty: float = 1e-3,
-        retrain_mode: str = "exact",
-        warm_start: bool = False,
     ) -> None:
         if warm_up_rounds < 0:
             raise ValueError("warm_up_rounds must be non-negative")
-        if retrain_mode not in _RETRAIN_MODES:
-            raise ValueError(
-                f'retrain_mode must be one of {_RETRAIN_MODES}, got {retrain_mode!r}'
-            )
         self._cutoff_policy = CutoffPolicy(cutoff=cutoff)
         self._warm_up_rounds = warm_up_rounds
         self._feature_builder = feature_builder or FeatureBuilder()
         self._l2_penalty = l2_penalty
-        self._retrain_mode = retrain_mode
-        self._warm_start = bool(warm_start)
         self._rounds_seen = 0
         self._scorecard: Scorecard | None = None
         self._model: LogisticRegression | None = None
@@ -116,16 +101,6 @@ class Lender:
     def cutoff(self) -> float:
         """Return the decision cut-off."""
         return self._cutoff_policy.cutoff
-
-    @property
-    def retrain_mode(self) -> str:
-        """Return the refit strategy (``"exact"`` or ``"compressed"``)."""
-        return self._retrain_mode
-
-    @property
-    def warm_start(self) -> bool:
-        """Return whether refits warm-start at the previous parameters."""
-        return self._warm_start
 
     @property
     def feature_builder(self) -> FeatureBuilder:
@@ -179,43 +154,11 @@ class Lender:
         Scorecard
             The freshly trained scorecard (also stored on the lender).
         """
-        if self._retrain_mode == "compressed":
-            return self._retrain_compressed(
-                incomes, previous_default_rates, repayments, offered
-            )
-        features = self._feature_builder.design_matrix(incomes, previous_default_rates)
-        labels = np.asarray(repayments, dtype=float).ravel()
-        if offered is not None:
-            mask = np.asarray(offered, dtype=float).ravel() == 1.0
-            if mask.shape[0] != features.shape[0]:
-                raise ValueError("offered mask must have one entry per user")
-            if mask.sum() < 2:
-                return self._degenerate_offered_mask()
-            features = features[mask]
-            labels = labels[mask]
-        model = LogisticRegression(l2_penalty=self._l2_penalty)
-        model.fit(features, labels, initial_parameters=self._warm_start_parameters())
-        return self._install_model(model)
-
-    def _retrain_compressed(
-        self,
-        incomes: Sequence[float] | np.ndarray,
-        previous_default_rates: Sequence[float] | np.ndarray,
-        repayments: Sequence[int] | np.ndarray,
-        offered: Sequence[int] | np.ndarray | None,
-    ) -> Scorecard:
-        """The O(unique rows) refit: compress first, never build (n, 2).
-
-        Semantically this is the exact path with
-        :class:`~repro.scoring.suffstats.CompressedDesign` in between —
-        same feature definitions (income code, rates clipped to [0, 1]
-        after the same tolerance check), same ``offered`` handling — but it
-        skips materialising the row-level design matrix, so the whole step
-        is a few O(users) passes plus one sort of packed 64-bit keys.
-        """
         # The boolean comparison IS the income code (income_code merely
         # casts it to float); CompressedDesign takes the bool column
-        # without a cast or a redundant binary check.
+        # without a cast or a redundant binary check.  No row-level design
+        # matrix is built: the step is a few O(users) passes plus one sort
+        # of packed 64-bit keys.
         codes = (
             np.asarray(incomes, dtype=float).ravel()
             >= self._feature_builder.income_threshold
@@ -223,13 +166,11 @@ class Lender:
         rates = np.asarray(previous_default_rates, dtype=float).ravel()
         if codes.shape != rates.shape:
             raise ValueError("incomes and previous_default_rates must align")
-        labels = np.asarray(repayments, dtype=float).ravel()
-        if offered is not None:
-            mask_array = np.asarray(offered, dtype=float).ravel()
-            if mask_array.shape[0] != codes.shape[0]:
-                raise ValueError("offered mask must have one entry per user")
         table = CompressedDesign.from_arrays(
-            codes, clipped_default_rates(rates), labels, offered=offered
+            codes,
+            clipped_default_rates(rates),
+            np.asarray(repayments, dtype=float).ravel(),
+            offered=offered,
         )
         if offered is not None and table.num_rows < 2:
             return self._degenerate_offered_mask()
@@ -274,13 +215,6 @@ class Lender:
             )
         return self._fit_from_table(table)
 
-    def _warm_start_parameters(self) -> np.ndarray | None:
-        """Return the previous fit's ``[intercept, *coefficients]``, or None."""
-        if not self._warm_start or self._model is None:
-            return None
-        fit = self._model.fit_result
-        return np.concatenate([[fit.intercept], fit.coefficients])
-
     def _fit_from_table(self, table: CompressedDesign) -> Scorecard:
         """Run the weighted O(unique rows) refit on a count table."""
         model = LogisticRegression(l2_penalty=self._l2_penalty)
@@ -288,7 +222,6 @@ class Lender:
             table.design_matrix(),
             table.labels,
             sample_weights=table.counts,
-            initial_parameters=self._warm_start_parameters(),
         )
         return self._install_model(model)
 
@@ -311,7 +244,7 @@ class Lender:
         The state is the round counter plus the fitted model; the scorecard
         is *derived* (rebuilt deterministically from the model's
         coefficients on import), and the constructor knobs (cutoff, warm-up
-        length, penalty, modes) are deliberately excluded — a restored
+        length, penalty) are deliberately excluded — a restored
         lender must be constructed with the same configuration, which the
         checkpoint layer guards with its config fingerprint.
         """

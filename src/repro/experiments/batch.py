@@ -137,19 +137,17 @@ nothing about the random schedule or the per-trial arithmetic changes:
   its own arrays;
 * the phases that are genuinely per-trial stay per-trial: each trial's AI
   system ``decide``/``update`` (scorecard scoring, the yearly refit — T
-  tiny independent IRLS fits per step under
-  ``retrain_mode="compressed"``) is invoked exactly as the serial loop
-  invokes it, on views of the stacked state.
+  tiny independent count-table fits per step) is invoked exactly as the
+  serial loop invokes it, on views of the stacked state.
 
 The engine therefore works with any ``policy_factory`` producing the
 credit loop's 0/1 decisions — only the population/filter/recording
 machinery is batched, and those are the closed-loop components
-:func:`~repro.experiments.runner.run_trial` itself constructs.  (A policy
-returning non-binary decisions is rejected loudly: the serial filter
-truncates such values to integers before counting offers, a corner whose
-implicit semantics the batched counts do not reproduce.  Such a policy
-runs with ``execution="serial"``; ``"auto"`` picks this engine whenever it
-runs trials in process without checkpointing.)
+:func:`~repro.experiments.runner.run_trial` itself constructs.  A policy
+returning other decisions than 0 and 1 is rejected, by the same check and
+with the same message as the serial filter's
+(:func:`~repro.core.filters.require_binary_decisions`), so every layout
+takes the same policies.
 
 Trade-off vs. the other execution modes: trial batching wins on few cores
 and many trials (it removes per-trial dispatch without spawning
@@ -180,7 +178,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 import numpy as np
 
 from repro.core.ai_system import AISystem, CreditScoringSystem
-from repro.core.filters import BatchedDefaultRateFilter
+from repro.core.filters import BatchedDefaultRateFilter, require_binary_decisions
 from repro.core.history import SimulationHistory
 from repro.core.planner import validate_execution_settings
 from repro.core.population import CreditPopulation
@@ -363,7 +361,7 @@ class _StepBuffers:
     Several are reused within a step: the affordability states become the
     repayment probabilities and then the clipped previous rates, read from
     the clipped-rate table at each user's cell before the block's filter
-    fold (the row-level refit reads them there); the repayment uniforms
+    fold (the fused decision reads them there); the repayment uniforms
     land in ``actions``, which the step's actions overwrite once they are
     compared; ``decisions`` holds the rate term of the scores until the
     cut-off writes the decisions over it.  ``rates`` is the one ``ADR_i``
@@ -398,14 +396,14 @@ class _CellTables:
 
     Built once per run from the stacked filter: the clipped ``ADR_i`` of
     each cell (:func:`~repro.scoring.features.clipped_default_rates`,
-    validated once) and, under the compressed refit, the cells' refit keys
+    validated once) and the cells' refit keys
     (:class:`~repro.scoring.suffstats.CellKeys`).
     """
 
-    def __init__(self, rate_filter: BatchedDefaultRateFilter, compressed: bool) -> None:
+    def __init__(self, rate_filter: BatchedDefaultRateFilter) -> None:
         self.rate_filter = rate_filter
         self.clipped_rates = clipped_default_rates(rate_filter.cell_rates)
-        self.refit_keys = CellKeys(self.clipped_rates) if compressed else None
+        self.refit_keys = CellKeys(self.clipped_rates)
 
 
 class BatchedTrialRunner:
@@ -414,9 +412,8 @@ class BatchedTrialRunner:
     Parameters
     ----------
     config:
-        The run's configuration; the policy factory reads its
-        ``retrain_mode``/``warm_start``, and its ``history_mode`` picks
-        the recording: ``"full"`` records per-trial
+        The run's configuration; its ``history_mode`` picks the
+        recording: ``"full"`` records per-trial
         :class:`~repro.core.history.SimulationHistory` objects through the
         precomputed-statistics fast ingest, ``"aggregate"`` streams all
         trials through one
@@ -592,15 +589,6 @@ class BatchedTrialRunner:
             "lenders": [system.lender for system in self._ai_systems],
             "income_threshold": thresholds.pop(),
             "cutoff_column": np.asarray(cutoffs, dtype=float)[:, None],
-            # With every lender in compressed mode each block packs its
-            # training rows into suffstats keys in one fused pass over its
-            # (trials, users) columns and counts them per trial; each trial
-            # then refits from its merged count table through the
-            # lender's retrain_from_suffstats.
-            "compressed_retrain": all(
-                system.lender.retrain_mode == "compressed"
-                for system in self._ai_systems
-            ),
         }
 
     @property
@@ -727,10 +715,10 @@ class BatchedTrialRunner:
         operation order of
         :meth:`~repro.scoring.scorecard.Scorecard.score_matrix`.  The
         clipped rates are a table read of the cells the block's filter fold
-        has not moved yet.  Under ``retrain_mode="compressed"`` the block
-        also counts every trial's offered ``(code, rate, label)`` rows —
-        the key layout the per-trial ``Lender._retrain_compressed`` builds —
-        into one count table per trial, from the cells' refit keys.
+        has not moved yet.  The block also counts every trial's offered
+        ``(code, rate, label)`` rows — the key layout the per-trial
+        :meth:`~repro.credit.lender.Lender.retrain` builds — into one count
+        table per trial, from the cells' refit keys.
         """
         self._respond(block, k, year, buffers)
         stack = self._fast_stack
@@ -759,8 +747,6 @@ class BatchedTrialRunner:
             scores += decisions
             np.greater(scores, cutoffs, out=decisions)
         offered = self._act(block, buffers)
-        if tables.refit_keys is None:
-            return []
         return tables.refit_keys.tables(
             cells, codes, buffers.repaid[:, users], offered
         )
@@ -789,20 +775,7 @@ class BatchedTrialRunner:
                     "the AI system must return one decision per user "
                     f"({decisions_row.shape[0]} != {num_users})"
                 )
-            if np.any((decisions_row != 0.0) & (decisions_row != 1.0)):
-                # The serial filter truncates fractional decisions to
-                # integers before counting offers, giving them quirky
-                # implicit semantics; rather than silently diverging from
-                # that corner, the batched engine insists on the credit
-                # loop's 0/1 contract.
-                raise ValueError(
-                    "the lockstep kernel (execution='batch', which "
-                    "'auto' plans for in-process runs) requires 0/1 "
-                    "decisions, but the AI system returned other "
-                    "values; run with execution='serial', whose "
-                    "filter truncates decisions to integers before "
-                    "counting offers"
-                )
+            require_binary_decisions(decisions_row)
             buffers.decisions[trial] = decisions_row
             step_features.append(features)
             step_observations.append(observation)
@@ -856,11 +829,7 @@ class BatchedTrialRunner:
         batched_filter = BatchedDefaultRateFilter(
             num_trials, config.num_users, num_steps
         )
-        tables = (
-            None
-            if self._fast_stack is None
-            else _CellTables(batched_filter, self._fast_stack["compressed_retrain"])
-        )
+        tables = None if self._fast_stack is None else _CellTables(batched_filter)
         histories: List[SimulationHistory] = []
         aggregate: BatchedStreamingAggregator | None = None
         if full_mode:
@@ -995,28 +964,15 @@ class BatchedTrialRunner:
         Every lender's round counter and last-scores cache advance exactly
         as in the serial ``decide``.  The delayed-feedback retrain is what
         ``CreditScoringSystem.update`` does, minus the dict and copy
-        ceremony (the lender never mutates its inputs): under
-        ``retrain_mode="compressed"`` each trial merges its blocks' count
-        tables and refits through ``retrain_from_suffstats`` (identical
-        degenerate-mask handling included) — T tiny independent
-        O(unique rows) refits per step.
+        ceremony: each trial merges its blocks' count tables and refits
+        through ``retrain_from_suffstats`` (identical degenerate-mask
+        handling included) — T tiny independent O(unique rows) refits per
+        step.
         """
         lenders: List[Lender] = self._fast_stack["lenders"]
         for trial, lender in enumerate(lenders):
             lender._rounds_seen += 1
             self._ai_systems[trial]._last_scores = buffers.scores[trial]
-        if self._fast_stack["compressed_retrain"]:
-            for trial, lender in enumerate(lenders):
-                lender.retrain_from_suffstats(
-                    merge_tables(block_tables[trial] for block_tables in tables)
-                )
-        else:
-            for trial, lender in enumerate(lenders):
-                # The probabilities' row holds the clipped previous rates,
-                # which the lender's own clipping leaves as they are.
-                lender.retrain(
-                    buffers.incomes[trial],
-                    buffers.probabilities[trial],
-                    buffers.actions[trial],
-                    offered=buffers.decisions[trial],
-                )
+            lender.retrain_from_suffstats(
+                merge_tables(block_tables[trial] for block_tables in tables)
+            )

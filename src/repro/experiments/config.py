@@ -98,20 +98,11 @@ class CaseStudyConfig:
         under a ``batch`` plan (``None`` sizes both from the usable core
         count).
     retrain_mode:
-        Yearly refit strategy of the scorecard lender: ``"exact"``
-        (default) runs the row-level IRLS on every user, reproducing the
-        paper bit for bit; ``"compressed"`` deduplicates the degenerate
-        ``(income code, previous rate, label)`` training set into a
-        :class:`~repro.scoring.suffstats.CompressedDesign` count table so
-        each IRLS iteration costs O(unique rows) instead of O(users) — the
-        lockstep kernel builds the tables per user block and merges them
-        by exact integer addition.  Compressed coefficients agree with
-        exact to solver tolerance; the equivalence suite pins identical
-        decision vectors at paper scale.
-    warm_start:
-        Seed each yearly refit's Newton iteration at the previous year's
-        parameters.  Opt-in (changes the iteration path, not the optimum),
-        so it stays off the bit-exact reproduction path.
+        Accepts only ``"compressed"`` and changes nothing: the yearly
+        refit is always the count-table fit of
+        :meth:`~repro.credit.lender.Lender.retrain`.  The field stays for
+        the benchmark harness until its next change (ROADMAP item 7), and
+        no fingerprint or cache key reads it.
     checkpoint_dir:
         Directory holding per-trial step snapshots and completed-trial
         results.  Required when ``checkpoint_every`` or ``resume`` is
@@ -164,8 +155,9 @@ class CaseStudyConfig:
     seed: int = 20240101
     history_mode: str = "full"
     max_workers: int | None = None
-    retrain_mode: str = "exact"
-    warm_start: bool = False
+    # Shim for perfbench/workloads.py, which sets it; delete in the next
+    # benchmark change (ROADMAP item 7).
+    retrain_mode: str = "compressed"
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
     resume: bool = False
@@ -176,9 +168,9 @@ class CaseStudyConfig:
             raise ValueError(
                 f'history_mode must be "full" or "aggregate", got {self.history_mode!r}'
             )
-        if self.retrain_mode not in ("exact", "compressed"):
+        if self.retrain_mode != "compressed":
             raise ValueError(
-                f'retrain_mode must be "exact" or "compressed", got {self.retrain_mode!r}'
+                f'retrain_mode accepts only "compressed", got {self.retrain_mode!r}'
             )
         require_positive(self.num_users, "num_users")
         require_positive(self.num_trials, "num_trials")

@@ -70,7 +70,12 @@ from repro.core.metrics import group_approval_series, group_average_series
 from repro.core.planner import ExecutionPlan, plan_execution
 from repro.core.streaming import AggregateHistory
 from repro.core.population import CreditPopulation
-from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
+from repro.core.supervision import (
+    SupervisorPolicy,
+    WorkerPoolFailure,
+    is_picklable,
+    kill_executor,
+)
 from repro.credit.lender import Lender
 from repro.credit.mortgage import MortgageTerms
 from repro.credit.repayment import GaussianRepaymentModel
@@ -100,12 +105,7 @@ def default_policy_factory(
 ) -> AISystem:
     """Build the paper's retraining scorecard lender for one trial."""
     return CreditScoringSystem(
-        Lender(
-            cutoff=config.cutoff,
-            warm_up_rounds=config.warm_up_rounds,
-            retrain_mode=config.retrain_mode,
-            warm_start=config.warm_start,
-        )
+        Lender(cutoff=config.cutoff, warm_up_rounds=config.warm_up_rounds)
     )
 
 
@@ -366,8 +366,6 @@ def trajectory_fingerprint_fields(config: CaseStudyConfig) -> Tuple[object, ...]
         config.warm_up_rounds,
         config.income_threshold,
         config.seed,
-        config.retrain_mode,
-        config.warm_start,
     )
 
 
@@ -375,9 +373,11 @@ def _trial_fingerprint(config: CaseStudyConfig, trial_index: int) -> str:
     """Fingerprint the parameters that define one trial's trajectory.
 
     The trial index joins :func:`trajectory_fingerprint_fields` so each
-    trial's checkpoints are distinct; the digest is byte-identical to what
-    earlier releases wrote, so existing checkpoint directories remain
-    resumable.
+    trial's checkpoints are distinct.  The fields lost the retired refit
+    knobs (``retrain_mode``, ``warm_start``) when the count-table fit
+    became the loop's one refit, so a checkpoint directory written before
+    then carries other fingerprints: its snapshots and results are refused
+    as another configuration's, never served.
     """
     return config_fingerprint(
         "trial", trial_index, *trajectory_fingerprint_fields(config)
@@ -396,7 +396,6 @@ def _plan(config: CaseStudyConfig, trials: int) -> ExecutionPlan:
         users=config.num_users,
         steps=config.num_steps,
         history_mode=config.history_mode,
-        retrain_mode=config.retrain_mode,
         checkpoint_every=config.checkpoint_every,
         resume=config.resume,
         max_workers=config.max_workers,
@@ -639,14 +638,6 @@ def _load_trial_result(
     return pickle.loads(payload["result_bytes"])
 
 
-def _is_picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
-
-
 class _OrderedTrialFolder:
     """Fold trial results into the moments in trial order, arrival-agnostic.
 
@@ -689,15 +680,14 @@ def run_experiment(
     config:
         The case-study configuration.  Its ``execution`` is resolved by
         :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
-        trials, users, steps, history/retrain modes, checkpoint knobs),
-        with ``max_workers`` as a cap.  ``"auto"`` pools several trials on
+        trials, users, steps, history mode, checkpoint knobs), with
+        ``max_workers`` as a cap.  ``"auto"`` pools several trials on
         several cores; when it runs the trials in process without
         checkpointing (one trial on any host, several on one core) it
-        picks the lockstep kernel, which requires 0/1 decisions — run a
-        policy with other decisions under ``"serial"``, whose filter
-        truncates them to integers.  Every plan is bit-identical to
-        serial, so the plan can never change a result — only its wall
-        clock.  With ``checkpoint_dir`` set, each *completed* trial
+        picks the lockstep kernel.  Every plan is bit-identical to serial,
+        so the plan can never change a result — only its wall clock; every
+        plan requires 0/1 decisions and refuses a policy with others with
+        the same error.  With ``checkpoint_dir`` set, each *completed* trial
         persists its result there under every plan; with checkpointing
         on, each running trial also snapshots its loop state every
         ``checkpoint_every`` steps; with ``resume`` the experiment skips
@@ -866,7 +856,7 @@ def _try_run_trials_in_processes(
         )
 
     attempts: Dict[int, int] = {index: 0 for index in indices}
-    if not _is_picklable(payload_for(indices[0])):
+    if not is_picklable(payload_for(indices[0])):
         return None
     results: Dict[int, TrialResult] = {}
     waiting = list(indices)

@@ -24,10 +24,10 @@ def clipped_default_rates(
 
     Values up to ``1e-9`` outside the interval are tolerated (float noise
     from upstream aggregation) and clipped exactly onto it; anything
-    further out raises.  Every retraining route — the row-level design
-    matrix, the lender's compressed path and the lockstep kernel's table of
-    each filter cell's clipped rate — shares this one definition, so serial
-    and batched runs can never disagree on which rates are acceptable.
+    further out raises.  The decision's design matrix, the lender's
+    count-table refit and the lockstep kernel's table of each filter
+    cell's clipped rate share this one definition, so serial and batched
+    runs can never disagree on which rates are acceptable.
     """
     rates = np.asarray(previous_default_rates, dtype=float)
     if rates.size and (

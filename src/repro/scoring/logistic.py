@@ -125,7 +125,6 @@ class LogisticRegression:
         features: np.ndarray,
         labels: Sequence[int] | np.ndarray,
         sample_weights: Sequence[float] | np.ndarray | None = None,
-        initial_parameters: Sequence[float] | np.ndarray | None = None,
     ) -> LogisticFit:
         """Fit the model on a design matrix and binary labels.
 
@@ -140,13 +139,6 @@ class LogisticRegression:
             make the fit the exact weighted-likelihood equivalent of
             repeating each row ``weight`` times — the sufficient-statistics
             route of :mod:`repro.scoring.suffstats`.
-        initial_parameters:
-            Optional Newton starting point ``[intercept, *coefficients]``
-            (warm start).  The yearly retraining loop seeds this with the
-            previous year's parameters, which shrinks the iteration count;
-            the optimum — and hence the converged parameters up to the
-            solver tolerance — is unchanged.  Ignored by the single-class
-            guard, which has a closed form.
 
         Returns
         -------
@@ -176,51 +168,18 @@ class LogisticRegression:
             return self._fit
 
         design = np.hstack([np.ones((x.shape[0], 1)), x])
-        if initial_parameters is None:
-            theta = np.zeros(design.shape[1])
-        else:
-            theta = np.asarray(initial_parameters, dtype=float).ravel().copy()
-            if theta.shape != (design.shape[1],):
-                raise ValueError(
-                    "initial_parameters must be [intercept, *coefficients] "
-                    f"of length {design.shape[1]}, got length {theta.shape[0]}"
-                )
-            if not np.all(np.isfinite(theta)):
-                raise ValueError("initial_parameters must be finite")
+        theta = np.zeros(design.shape[1])
         penalty = np.full(design.shape[1], self._l2_penalty)
         penalty[0] = 0.0  # do not shrink the intercept
 
-        # Warm starts can sit deep in the sigmoid's saturated region, where
-        # the clipped log-likelihood is flat and the undamped Newton step
-        # overshoots catastrophically (the Hessian is nearly singular
-        # there).  Warm-started fits therefore backtrack each step until it
-        # *strictly* improves the penalised log-likelihood — a flat plateau
-        # never accepts a flight across it — and any stall, spurious
-        # convergence (tiny step, large gradient) or exhausted iteration
-        # budget falls back to the plain cold start, so a warm start can
-        # only change the iteration path, never the robustness.  The
-        # safeguards run only when warm-started: the cold-start iteration
-        # stays byte-identical to the pre-warm-start solver.
-        damped = initial_parameters is not None
-        gradient_scale = (
-            1e-6 * max(1.0, float(weights.sum())) if damped else float("inf")
-        )
         converged = False
-        stalled = False
         iterations = 0
-        # The linear predictor of the CURRENT iterate is computed exactly
-        # once per distinct theta (here, and at the bottom of the loop after
-        # each accepted step) and shared by the sigmoid, the damped path's
-        # log-likelihood and the final reported log-likelihood — the retired
-        # code recomputed ``design @ theta`` and its clip inside
-        # ``_log_likelihood`` per damped iteration and once more for the
-        # final fit.  Same operations on the same values, so every iterate
-        # is byte-identical (asserted in tests/scoring/test_logistic.py).
+        # The linear predictor of the current iterate is computed once per
+        # theta (here, and after each step) and shared by the sigmoid and
+        # the final reported log-likelihood.
         z = design @ theta
         # Loop-invariant pieces, hoisted: the ridge diagonal added to every
-        # Hessian and the transposed design are constants of the fit, so
-        # rebuilding them per Newton iteration only cost dispatch.  The
-        # per-iteration arithmetic is unchanged operation for operation.
+        # Hessian and the transposed design are constants of the fit.
         # The errstate guard covers the raw solve gufunc (whose singular
         # signature is a quiet nan, checked after each solve) — entered
         # once per fit rather than per iteration; none of the other loop
@@ -231,8 +190,7 @@ class LogisticRegression:
         with np.errstate(all="ignore"):
             for iterations in range(1, self._max_iterations + 1):
                 z_clipped = z.clip(-_CLIP, _CLIP)
-                exp_negative = np.exp(-z_clipped)
-                p = 1.0 / (1.0 + exp_negative)  # _sigmoid(z), sharing the clip
+                p = 1.0 / (1.0 + np.exp(-z_clipped))  # _sigmoid(z), sharing the clip
                 gradient = design_transpose @ (weights * (y - p)) - penalty * theta
                 w = np.maximum(weights * p * (1.0 - p), 1e-10)
                 hessian = (design * w[:, None]).T @ design + penalty_diagonal
@@ -250,55 +208,11 @@ class LogisticRegression:
                         update = gradient / max(
                             float(np.max(np.abs(np.diag(hessian)))), 1.0
                         )
-                if damped:
-                    if float(np.abs(update).max()) < self._tolerance:
-                        # A full Newton step already below tolerance: at the
-                        # optimum (the best case of a warm start — accept
-                        # without demanding a float-representable
-                        # improvement), unless the gradient says this is a
-                        # saturation plateau rather than stationarity.
-                        if float(np.abs(gradient).max()) > gradient_scale:
-                            stalled = True
-                            break
-                        theta = theta + update
-                        z = design @ theta
-                        converged = True
-                        break
-                    # The Newton direction is an ascent direction (the
-                    # Hessian is positive definite), so some halved step
-                    # improves the objective unless the float surface is
-                    # locally flat — in which case the warm start is
-                    # abandoned below.
-                    current = self._penalised_log_likelihood(
-                        z_clipped, y, weights, theta, penalty, exp_negative
-                    )
-                    chosen = None
-                    step = update
-                    for _ in range(30):
-                        if (
-                            self._log_likelihood(
-                                design, y, weights, theta + step, penalty
-                            )
-                            > current
-                        ):
-                            chosen = step
-                            break
-                        step = 0.5 * step
-                    if chosen is None:
-                        stalled = True
-                        break
-                    update = chosen
                 theta = theta + update
                 z = design @ theta
                 if float(np.abs(update).max()) < self._tolerance:
-                    if damped and float(np.abs(gradient).max()) > gradient_scale:
-                        stalled = True  # tiny halved step far from stationarity
-                        break
                     converged = True
                     break
-
-        if damped and (stalled or not converged):
-            return self.fit(features, labels, sample_weights=sample_weights)
 
         self._fit = LogisticFit(
             coefficients=theta[1:].copy(),
@@ -341,17 +255,9 @@ class LogisticRegression:
         weights: np.ndarray,
         theta: np.ndarray,
         penalty: np.ndarray,
-        exp_negative: np.ndarray | None = None,
     ) -> float:
-        """Penalised log-likelihood from a pre-clipped linear predictor.
-
-        ``exp_negative`` (``exp(-z_clipped)``) may be shared by a caller
-        that already computed it for the sigmoid; passing it changes no
-        bits — it is the identical array the fallback recomputes.
-        """
-        if exp_negative is None:
-            exp_negative = np.exp(-z_clipped)
-        log_p = -np.log1p(exp_negative)
+        """Penalised log-likelihood from a pre-clipped linear predictor."""
+        log_p = -np.log1p(np.exp(-z_clipped))
         log_one_minus_p = -np.log1p(np.exp(z_clipped))
         likelihood = float(np.sum(weights * (y * log_p + (1.0 - y) * log_one_minus_p)))
         return likelihood - 0.5 * float(np.sum(penalty * theta**2))

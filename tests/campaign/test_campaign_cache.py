@@ -78,8 +78,6 @@ class TestJobKey:
             _single_job(num_trials=3),
             _single_job(end_year=2006),
             _single_job(start_year=2003),
-            _single_job(retrain_modes=("compressed",)),
-            _single_job(warm_start=True),
             _single_job(history_mode="full"),
             _single_job(policies=("static",)),
             _single_job(scenarios=("recession",)),

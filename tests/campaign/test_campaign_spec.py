@@ -72,8 +72,6 @@ class TestSpecValidation:
             CampaignSpec(num_trials=0)
         with pytest.raises(ValueError, match="history_mode"):
             CampaignSpec(history_mode="verbose")
-        with pytest.raises(ValueError, match="retrain modes"):
-            CampaignSpec(retrain_modes=("fast",))
         with pytest.raises(ValueError, match="execution"):
             CampaignSpec(execution="gpu")
 
@@ -83,9 +81,8 @@ class TestSpecValidation:
             policies=("retraining", "static", "uniform-limit"),
             population_sizes=(50, 100),
             seeds=(1, 2),
-            retrain_modes=("exact", "compressed"),
         )
-        assert spec.grid_size == 2 * 3 * 2 * 2 * 2
+        assert spec.grid_size == 2 * 3 * 2 * 2
 
 
 class TestExpansion:
@@ -113,15 +110,12 @@ class TestExpansion:
             num_trials=3,
             start_year=2002,
             end_year=2005,
-            retrain_modes=("compressed",),
-            warm_start=True,
         )
         (job,) = expand_campaign(spec)
         assert job.config.num_users == 70
         assert job.config.seed == 11
         assert job.config.num_trials == 3
-        assert job.config.retrain_mode == "compressed"
-        assert job.config.warm_start is True
+        assert job.job_id == "baseline/static/u70/seed11"
         # Run options never leak into the job's config: the planner decides.
         assert job.config.execution == "serial"
         assert job.config.max_workers is None

@@ -12,6 +12,7 @@ from repro.core.filters import (
     ExponentialMovingAverageFilter,
     IntegralFilter,
     LoopFilter,
+    require_binary_decisions,
 )
 from tests.core.lockstep import record_step
 
@@ -30,6 +31,42 @@ class TestDefaultRateFilter:
 
     def test_satisfies_the_protocol(self):
         assert isinstance(DefaultRateFilter(2), LoopFilter)
+
+
+class TestBinaryDecisions:
+    """The one 0/1 check the serial filter and the lockstep kernel share."""
+
+    @pytest.mark.parametrize(
+        "dtype", [bool, np.int8, np.int64, np.float32, np.float64]
+    )
+    def test_zero_one_decisions_of_any_dtype_count_alike(self, dtype):
+        # The filter counts the decisions as they come, without a cast to
+        # int, so every 0/1 dtype must record the same offers.
+        decisions = np.array([1, 0, 1, 1])
+        actions = np.array([1, 0, 0, 1])
+        expected = DefaultRateFilter(4, prior_rate=0.2).update(decisions, actions, 0)
+        observation = DefaultRateFilter(4, prior_rate=0.2).update(
+            decisions.astype(dtype), actions, 0
+        )
+        np.testing.assert_array_equal(
+            observation["user_default_rates"], expected["user_default_rates"]
+        )
+        assert observation["portfolio_rate"] == expected["portfolio_rate"]
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, 2.0, -1.0, np.nan, np.inf])
+    def test_other_values_are_refused_before_anything_is_counted(self, value):
+        loop_filter = DefaultRateFilter(3)
+        loop_filter.update(np.array([1, 1, 0]), np.array([1, 0, 0]), 0)
+        before = loop_filter.export_state()
+        decisions = np.array([1.0, value, 0.0])
+        with pytest.raises(ValueError, match="requires 0/1 decisions"):
+            require_binary_decisions(decisions)
+        with pytest.raises(ValueError, match="requires 0/1 decisions"):
+            loop_filter.update(decisions, np.zeros(3), 1)
+        after = loop_filter.export_state()
+        assert after["steps_recorded"] == before["steps_recorded"] == 1
+        np.testing.assert_array_equal(after["offers"], before["offers"])
+        np.testing.assert_array_equal(after["repayments"], before["repayments"])
 
 
 class TestDefaultRateFilterState:

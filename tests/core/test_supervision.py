@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
-from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
+from repro.core.supervision import (
+    SupervisorPolicy,
+    WorkerPoolFailure,
+    is_picklable,
+    kill_executor,
+)
+from repro.experiments.config import CaseStudyConfig
 
 
 class TestWorkerPoolFailure:
@@ -84,3 +92,42 @@ class TestKillExecutor:
         plain = Plain()
         kill_executor(plain)
         assert plain.down == (False, True)
+
+
+def _closure():
+    offset = 3
+    return lambda value: value + offset
+
+
+class TestIsPicklable:
+    """The probe both pools run on their first payload before spawning."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            7,
+            {"rates": np.arange(3.0), "races": ("white", "black")},
+            CaseStudyConfig(num_users=10, num_trials=2),
+            kill_executor,
+        ],
+        ids=["int", "arrays", "config", "module-function"],
+    )
+    def test_values_that_travel_to_a_worker(self, value):
+        assert is_picklable(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [lambda value: value, _closure(), threading.Lock()],
+        ids=["lambda", "closure", "lock"],
+    )
+    def test_values_that_keep_the_run_in_process(self, value):
+        assert not is_picklable(value)
+
+    def test_both_pools_share_the_one_probe(self):
+        from repro.campaign import runner as campaign_runner
+        from repro.experiments import runner as experiment_runner
+
+        assert experiment_runner.is_picklable is is_picklable
+        assert campaign_runner.is_picklable is is_picklable
+        assert not hasattr(experiment_runner, "_is_picklable")
+        assert not hasattr(campaign_runner, "_is_picklable")

@@ -7,6 +7,8 @@ import pytest
 
 from repro.credit.lender import Lender
 
+from tests.oracle.refit import RowLevelLender
+
 
 def training_data(n: int = 400, seed: int = 0):
     """Synthetic yearly training data: richer and cleaner users repay more."""
@@ -94,55 +96,40 @@ class TestRetraining:
             lender.retrain(incomes, previous_rates, repayments, offered=[1, 0])
 
 
-class TestCompressedRetraining:
-    def test_invalid_retrain_mode_is_rejected(self):
-        with pytest.raises(ValueError):
-            Lender(retrain_mode="subsampled")
+class TestCountTableRetraining:
+    """The count-table refit against the row-level reference refit."""
 
-    def test_mode_and_warm_start_properties(self):
-        lender = Lender(retrain_mode="compressed", warm_start=True)
-        assert lender.retrain_mode == "compressed"
-        assert lender.warm_start
-        assert Lender().retrain_mode == "exact"
-        assert not Lender().warm_start
-
-    def test_compressed_coefficients_match_exact(self):
+    def test_coefficients_match_the_row_level_fit(self):
         incomes, previous_rates, repayments = training_data()
         # Quantise the rates so the compression actually collapses rows,
         # like the loop's small-integer default-rate ratios do.
         previous_rates = np.round(previous_rates * 10) / 10
-        exact = Lender().retrain(incomes, previous_rates, repayments)
-        compressed = Lender(retrain_mode="compressed").retrain(
-            incomes, previous_rates, repayments
-        )
-        exact_points = {f.name: f.points for f in exact.factors}
-        compressed_points = {f.name: f.points for f in compressed.factors}
-        for name, value in exact_points.items():
-            assert compressed_points[name] == pytest.approx(value, abs=1e-9)
-        assert compressed.base_score == pytest.approx(exact.base_score, abs=1e-9)
+        reference = RowLevelLender().retrain(incomes, previous_rates, repayments)
+        card = Lender().retrain(incomes, previous_rates, repayments)
+        reference_points = {f.name: f.points for f in reference.factors}
+        points = {f.name: f.points for f in card.factors}
+        for name, value in reference_points.items():
+            assert points[name] == pytest.approx(value, abs=1e-9)
+        assert card.base_score == pytest.approx(reference.base_score, abs=1e-9)
 
-    def test_compressed_respects_the_offered_mask(self):
+    def test_offered_mask_matches_the_row_level_fit(self):
         incomes, previous_rates, repayments = training_data()
         previous_rates = np.round(previous_rates * 10) / 10
         offered = (np.arange(incomes.size) % 2).astype(int)
-        exact = Lender().retrain(
+        reference = RowLevelLender().retrain(
             incomes, previous_rates, repayments, offered=offered
         )
-        compressed = Lender(retrain_mode="compressed").retrain(
-            incomes, previous_rates, repayments, offered=offered
-        )
-        for left, right in zip(exact.factors, compressed.factors):
+        card = Lender().retrain(incomes, previous_rates, repayments, offered=offered)
+        for left, right in zip(reference.factors, card.factors):
             assert right.points == pytest.approx(left.points, abs=1e-9)
 
-    def test_retrain_from_suffstats_matches_direct_compressed(self):
+    def test_retrain_from_suffstats_matches_retrain(self):
         from repro.scoring.features import income_code
         from repro.scoring.suffstats import CompressedDesign
 
         incomes, previous_rates, repayments = training_data()
         previous_rates = np.round(previous_rates * 10) / 10
-        direct = Lender(retrain_mode="compressed").retrain(
-            incomes, previous_rates, repayments
-        )
+        direct = Lender().retrain(incomes, previous_rates, repayments)
         table = CompressedDesign.from_arrays(
             income_code(incomes), previous_rates, repayments
         )
@@ -161,19 +148,6 @@ class TestCompressedRetraining:
         incomes, previous_rates, repayments = training_data(50)
         previous = lender.retrain(incomes, previous_rates, repayments)
         assert lender.retrain_from_suffstats(empty) is previous
-
-    def test_warm_start_converges_to_the_same_card(self):
-        incomes, previous_rates, repayments = training_data()
-        cold = Lender()
-        warm = Lender(warm_start=True)
-        for lender in (cold, warm):
-            lender.retrain(incomes, previous_rates, repayments)
-        # Second refit on shifted labels: warm starts from the first fit.
-        shifted = 1 - repayments
-        cold_card = cold.retrain(incomes, previous_rates, shifted)
-        warm_card = warm.retrain(incomes, previous_rates, shifted)
-        for left, right in zip(cold_card.factors, warm_card.factors):
-            assert right.points == pytest.approx(left.points, abs=1e-6)
 
 
 class TestDecisions:

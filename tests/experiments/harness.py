@@ -2,9 +2,9 @@
 
 Five suites pin the engine's pinned random stream from different angles —
 the sharded engine itself (``test_engine_equivalence``), streaming
-aggregation (``test_streaming_equivalence``), retrain modes
-(``test_retrain_equivalence``), the trial-batched engine
-(``test_batch_equivalence``) and its thread counts
+aggregation (``test_streaming_equivalence``), the engine refit against
+the row-level reference (``test_retrain_equivalence``), the
+trial-batched engine (``test_batch_equivalence``) and its thread counts
 (``test_kernel_threads``) — and the planner-facing
 ``test_execution_equivalence`` pins every ``execution`` mode to the same
 stream.  They all share ONE source of truth, this module:

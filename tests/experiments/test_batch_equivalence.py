@@ -10,7 +10,7 @@ contract is that every batched trial row is **bit-identical** to its serial
   (:data:`tests.experiments.harness.ENGINE_GOLDEN` — one set of hashes
   pinning four engine generations);
 * at paper scale (1000 users, 5 trials) batched and serial runs must agree
-  array-for-array across every ``history_mode`` × ``retrain_mode`` cell;
+  array-for-array in both ``history_mode`` cells;
 * the fused fast paths (stacked decide/retrain for the default stack) and
   the generic per-trial fallback (custom policy factories) must both hold
   the contract.
@@ -80,22 +80,19 @@ class TestBatchedEngineGoldens:
 
 
 class TestBatchedMatchesSerialAcrossModes:
-    """Paper scale, every history_mode x retrain_mode cell, bit for bit."""
+    """Paper scale, both history modes, bit for bit."""
 
-    @pytest.mark.parametrize("retrain_mode", ["exact", "compressed"])
-    def test_full_mode(self, paper_config, retrain_mode):
-        serial = run_experiment(replace(paper_config, retrain_mode=retrain_mode))
-        batched = run_experiment(_batched(paper_config, retrain_mode=retrain_mode))
+    def test_full_mode(self, paper_config):
+        serial = run_experiment(paper_config)
+        batched = run_experiment(_batched(paper_config))
         assert len(serial.trials) == len(batched.trials) == paper_config.num_trials
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
             _assert_group_series_identical(serial_trial, batched_trial)
 
-    @pytest.mark.parametrize("retrain_mode", ["exact", "compressed"])
-    def test_aggregate_mode(self, paper_config, retrain_mode):
-        modes = dict(history_mode="aggregate", retrain_mode=retrain_mode)
-        serial = run_experiment(replace(paper_config, **modes))
-        batched = run_experiment(_batched(paper_config, **modes))
+    def test_aggregate_mode(self, paper_config):
+        serial = run_experiment(replace(paper_config, history_mode="aggregate"))
+        batched = run_experiment(_batched(paper_config, history_mode="aggregate"))
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_group_series_identical(serial_trial, batched_trial)
             assert np.array_equal(
@@ -112,13 +109,6 @@ class TestBatchedMatchesSerialAcrossModes:
             )
             with pytest.raises(FullHistoryRequiredError):
                 batched_trial.history.decisions_matrix()
-
-    def test_warm_start_cell(self, small_config):
-        modes = dict(retrain_mode="compressed", warm_start=True)
-        serial = run_experiment(replace(small_config, **modes))
-        batched = run_experiment(_batched(small_config, **modes))
-        for serial_trial, batched_trial in zip(serial.trials, batched.trials):
-            _assert_full_trials_identical(serial_trial, batched_trial)
 
 
 class TestBatchedRunnerSurface:
@@ -189,10 +179,11 @@ class TestBatchedRunnerSurface:
         with pytest.raises(ValueError):
             run_experiment(_batched(small_config, history_mode="bogus"))
 
-    def test_non_binary_decisions_are_rejected_loudly(self):
-        # The serial filter truncates fractional decisions before counting
-        # offers; rather than silently diverging from that corner, the
-        # batched engine refuses non-binary policies outright.
+    @pytest.mark.parametrize("execution", ["serial", "batch", "auto"])
+    @pytest.mark.parametrize("value", [0.7, 1.5])
+    def test_non_binary_decisions_are_rejected_loudly(self, execution, value):
+        # No layout gives fractional decisions a meaning: the serial filter
+        # and the kernel refuse them with one check and one message.
         class FractionalSystem:
             def __init__(self, value):
                 self.value = value
@@ -203,27 +194,15 @@ class TestBatchedRunnerSurface:
             def update(self, public_features, decisions, actions, observation, k):
                 return None
 
-        config = CaseStudyConfig(num_users=40, num_trials=2)
-        with pytest.raises(ValueError, match="0/1 decisions"):
-            run_experiment(
-                _batched(config),
-                policy_factory=lambda cfg, population: FractionalSystem(0.7),
-            )
-        # "auto" runs a single trial on the same kernel on every host, so
-        # the error names the layout that takes such decisions: the serial
-        # loop, whose filter counts 1.5 as an offer.
-        single = CaseStudyConfig(num_users=40, num_trials=1, end_year=2004)
-        with pytest.raises(ValueError, match="execution='serial'"):
-            run_experiment(
-                replace(single, execution="auto"),
-                policy_factory=lambda cfg, population: FractionalSystem(1.5),
-            )
-        serial = run_experiment(
-            single, policy_factory=lambda cfg, population: FractionalSystem(1.5)
+        # One trial: "auto" runs it on the kernel on every host.
+        config = CaseStudyConfig(
+            num_users=40, num_trials=1, end_year=2004, execution=execution
         )
-        np.testing.assert_array_equal(
-            serial.trials[0].history.decisions_matrix(), np.full((3, 40), 1.5)
-        )
+        with pytest.raises(ValueError, match="requires 0/1 decisions"):
+            run_experiment(
+                config,
+                policy_factory=lambda cfg, population: FractionalSystem(value),
+            )
 
     def test_shard_alias_rejects_non_binary_decisions_like_batch(self):
         class HalfSystem:

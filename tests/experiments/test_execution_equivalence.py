@@ -78,15 +78,6 @@ class TestExecutionModesMatchGoldens:
         assert digest(trial.history.actions_matrix()) == ENGINE_GOLDEN["trial0_actions"]
         assert digest(trial.user_default_rates) == ENGINE_GOLDEN["trial0_user_rates"]
 
-    def test_compressed_retrain_composes_with_auto(
-        self, golden_config, monkeypatch
-    ):
-        compressed = replace(golden_config, retrain_mode="compressed")
-        serial = run_experiment(compressed)
-        monkeypatch.setattr(planner, "_detect_cpu_count", lambda: 4)
-        auto = run_experiment(replace(compressed, execution="auto"))
-        assert_experiments_identical(serial, auto)
-
 
 class TestAutoIsPureWallClock:
     """The auto plan varies with the host; the stream must not."""

@@ -199,21 +199,31 @@ class TestCheckpointResume:
         for race, series in golden.group_default_rates.items():
             np.testing.assert_array_equal(series, resumed.group_default_rates[race])
 
-    def test_resume_across_compressed_retrain_mode(self, ft_config, tmp_path):
-        golden = run_trial(replace(ft_config, retrain_mode="compressed"), trial_index=0)
-        install_plan([FaultSpec(site="loop_step", kind="raise", step=7)])
-        with pytest.raises(FaultInjected):
-            run_trial(
-                _checkpointed(ft_config, tmp_path, 3, retrain_mode="compressed"),
-                trial_index=0,
+    def test_checkpoints_fingerprinted_with_the_retired_refit_knobs_are_refused(
+        self, ft_config, tmp_path, monkeypatch
+    ):
+        # Before the count-table fit became the one refit, the trajectory
+        # fields ended in (retrain_mode, warm_start).  A directory written
+        # then must be refused as another configuration's, never served.
+        snapshots, results = tmp_path / "snapshots", tmp_path / "results"
+        fields = runner_module.trajectory_fingerprint_fields
+        with monkeypatch.context() as old:
+            old.setattr(
+                runner_module,
+                "trajectory_fingerprint_fields",
+                lambda config: (*fields(config), "exact", False),
             )
-        resumed = run_trial(
-            _checkpointed(
-                ft_config, tmp_path, 3, retrain_mode="compressed", resume=True
-            ),
-            trial_index=0,
-        )
-        assert_trials_identical(golden, resumed)
+            install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
+            with pytest.raises(FaultInjected):
+                run_trial(_checkpointed(ft_config, snapshots, 3), trial_index=0)
+            clear_plan()
+            run_experiment(_checkpointed(ft_config, results))
+        with pytest.raises(CheckpointError, match="different\\s+configuration"):
+            run_trial(
+                _checkpointed(ft_config, snapshots, 3, resume=True), trial_index=0
+            )
+        with pytest.raises(CheckpointError, match="different\\s+configuration"):
+            run_experiment(_checkpointed(ft_config, results, resume=True))
 
     def test_torn_newest_snapshot_falls_back_one_boundary(
         self, ft_config, golden_trial, tmp_path

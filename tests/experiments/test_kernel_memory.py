@@ -44,7 +44,6 @@ def test_traced_peak_per_user_is_bounded(users):
         num_trials=1,
         end_year=2021,
         history_mode="aggregate",
-        retrain_mode="compressed",
         execution="batch",
         max_workers=1,
         seed=5,
@@ -150,7 +149,6 @@ def test_a_horizon_past_the_uint16_grid_matches_serial(history_mode):
         seed=8,
         end_year=2258,
         history_mode=history_mode,
-        retrain_mode="compressed",
     )
     assert config.num_steps == 257
     serial = run_trial(config, 0)

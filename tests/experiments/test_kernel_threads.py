@@ -6,8 +6,8 @@ order-dependent reduction on the calling thread over whole trial rows.
 These suites pin that contract:
 
 * the golden experiment reproduces the pinned stream at 1, 2, 3 and 8
-  kernel threads (3 threads split the 8 shards unevenly) in every
-  ``history_mode`` x ``retrain_mode`` cell, with one block per lane and,
+  kernel threads (3 threads split the 8 shards unevenly) in both
+  ``history_mode`` cells, with one block per lane and,
   below 8 threads, with one shard per block;
 * the block layout of the sizes the benchmark and the memory pins run,
   and of many trials, whose blocks keep a minimum width;
@@ -51,12 +51,6 @@ from tests.experiments.harness import (
     experiment_digests,
     group_digests,
 )
-
-MODES = [
-    (history_mode, retrain_mode)
-    for history_mode in ("full", "aggregate")
-    for retrain_mode in ("exact", "compressed")
-]
 
 
 @pytest.fixture
@@ -133,7 +127,7 @@ class TestBlockedGoldens:
     @pytest.mark.parametrize(
         "blocking, threads", GOLDEN_BLOCKINGS, indirect=["blocking"]
     )
-    @pytest.mark.parametrize("history_mode, retrain_mode", MODES)
+    @pytest.mark.parametrize("history_mode", ["full", "aggregate"])
     def test_every_thread_count_reproduces_the_serial_stream(
         self,
         threaded_host,
@@ -143,11 +137,12 @@ class TestBlockedGoldens:
         golden_serial_result,
         threads,
         history_mode,
-        retrain_mode,
     ):
-        modes = dict(history_mode=history_mode, retrain_mode=retrain_mode)
         config = replace(
-            golden_config, execution="batch", max_workers=threads, **modes
+            golden_config,
+            execution="batch",
+            max_workers=threads,
+            history_mode=history_mode,
         )
         plan = _plan(config, trials=config.num_trials)
         assert plan.trial_batch and plan.max_workers == threads
@@ -162,8 +157,8 @@ class TestBlockedGoldens:
             assert widths == {config.num_users // 8}
         serial = (
             golden_serial_result
-            if modes == dict(history_mode="full", retrain_mode="exact")
-            else run_experiment(replace(golden_config, **modes))
+            if history_mode == "full"
+            else run_experiment(replace(golden_config, history_mode=history_mode))
         )
         for index, (serial_trial, trial) in enumerate(
             zip(serial.trials, result.trials)
@@ -175,9 +170,8 @@ class TestBlockedGoldens:
                 assert group_digests(trial, index, portfolio=True) == (
                     group_digests(serial_trial, index, portfolio=True)
                 )
-            if retrain_mode == "exact":
-                assert group_digests(trial, index) == expected_group_digests(index)
-        if modes == dict(history_mode="full", retrain_mode="exact"):
+            assert group_digests(trial, index) == expected_group_digests(index)
+        if history_mode == "full":
             assert experiment_digests(result) == ENGINE_GOLDEN
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -335,7 +329,6 @@ class TestAnyBlockingIsBitIdentical:
         steps=st.integers(min_value=1, max_value=6),
         warm_up_rounds=st.integers(min_value=1, max_value=2),
         history_mode=st.sampled_from(["full", "aggregate"]),
-        retrain_mode=st.sampled_from(["exact", "compressed"]),
         seed=st.integers(min_value=0, max_value=2**16),
         block_user_trials=st.sampled_from([1, 50, 200, batch.KERNEL_BLOCK_USER_TRIALS]),
         block_min_users=st.sampled_from([1, 40, batch.KERNEL_BLOCK_MIN_USERS]),
@@ -348,7 +341,6 @@ class TestAnyBlockingIsBitIdentical:
         steps,
         warm_up_rounds,
         history_mode,
-        retrain_mode,
         seed,
         block_user_trials,
         block_min_users,
@@ -360,7 +352,6 @@ class TestAnyBlockingIsBitIdentical:
             end_year=2002 + steps - 1,
             warm_up_rounds=warm_up_rounds,
             history_mode=history_mode,
-            retrain_mode=retrain_mode,
             seed=seed,
             execution="batch",
         )
@@ -382,7 +373,6 @@ class TestAnyBlockingIsBitIdentical:
             num_trials=2,
             end_year=2008,
             history_mode="aggregate",
-            retrain_mode="compressed",
             seed=11,
             execution="batch",
         )

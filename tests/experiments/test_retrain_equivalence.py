@@ -1,171 +1,168 @@
-"""Retrain-mode equivalence suite: compression never changes a decision.
+"""The engine's refit against the row-level reference refit.
 
-``retrain_mode="exact"`` is the bit-exact reproduction path and must keep
-matching the pinned engine goldens (its IRLS iteration is untouched by the
-sufficient-statistics machinery).  ``retrain_mode="compressed"`` optimises
-the *same* penalised likelihood on the deduplicated count table, so its
-coefficients agree with exact to solver tolerance — and because decisions
-threshold the score at 0.4 with macroscopic margins, the decision vectors
-are *identical* at paper scale, which in turn makes the whole trajectory
-bit-identical (every random draw downstream of the decisions replays).
+The loop has one refit: :meth:`repro.credit.lender.Lender.retrain` counts
+the offered users' ``(income code, previous rate, label)`` rows into a
+count table and fits the weighted IRLS on its unique rows (the lockstep
+kernel builds the same table per user block and refits through
+``retrain_from_suffstats``).  The reference,
+:class:`tests.oracle.refit.RowLevelLender`, fits the same penalised
+likelihood on one row per offered user.  The suite pins:
 
-The suite pins:
-
-* exact mode (explicitly requested) against the golden digests of
-  ``test_engine_equivalence.py``;
-* compressed vs exact: identical decision/action/rate matrices at paper
-  scale (1000 users, full 2002-2020 window) across three seeds, plus
-  final-scorecard coefficient agreement ``<= 1e-9``;
-* warm-started refits: same decision vectors at paper scale.
-
-(The lockstep kernel's per-thread count tables merge into the
-whole-population table bit for bit; ``test_kernel_threads.py`` pins the
-refit coefficients across thread counts.)
-
-The CI retrain-matrix job runs this file once per (mode, execution) cell
-with ``REPRO_TEST_RETRAIN_MODE`` / ``REPRO_TEST_EXECUTION`` set; the
-execution values are the planner's layout names (``serial``, ``batch``).
-Without the variables every combination is covered, and so is ``shard``:
-the second name for ``batch`` that the benchmark harness still plans, which
-must keep every retrain-mode guarantee of the kernel it names.
+* at paper scale (1,000 users, the full 2002-2020 window) for three
+  seeds, on the serial loop and on the lockstep kernel, identical
+  decision, action and rate trajectories, and final coefficients within
+  1e-9 after the same Newton iteration count;
+* Table 1's pooled fit within 1e-12 of the row-level fit;
+* the retired refit knobs: a spec file naming ``retrain_modes`` or
+  ``warm_start`` is refused with the key named, the constructors and the
+  fit refuse the retired keywords, the configuration's ``retrain_mode``
+  accepts only ``"compressed"`` and reaches no fingerprint or job id,
+  and a cache directory written at version 1 misses.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.campaign import (
+    CampaignSpec,
+    expand_campaign,
+    load_campaign_spec,
+    run_campaign,
+)
+from repro.core.ai_system import CreditScoringSystem
+from repro.core.planner import plan_execution
+from repro.credit.lender import Lender
+from repro.experiments import table1_scorecard
 from repro.experiments.config import CaseStudyConfig
-from repro.experiments.runner import run_experiment, run_trial
+from repro.experiments.runner import run_experiment, trajectory_fingerprint_fields
+from repro.scoring.logistic import LogisticRegression
 
-from tests.experiments.harness import ENGINE_GOLDEN, digest
+from tests.oracle.refit import RowLevelLender
 
 PAPER_SEEDS = (20240101, 777, 31415)
 
 
-def _modes() -> tuple:
-    override = os.environ.get("REPRO_TEST_RETRAIN_MODE")
-    if override:
-        return (override,)
-    return ("exact", "compressed")
+def _run(config: CaseStudyConfig, lender_type: type):
+    """Run trial 0 with ``lender_type``; return it and its fitted model."""
+    lenders = []
+
+    def factory(config, population):
+        lender = lender_type(cutoff=config.cutoff, warm_up_rounds=config.warm_up_rounds)
+        lenders.append(lender)
+        return CreditScoringSystem(lender)
+
+    trial = run_experiment(config, policy_factory=factory).trials[0]
+    return trial, lenders[0].export_state()["model"]
 
 
-def _executions() -> tuple:
-    override = os.environ.get("REPRO_TEST_EXECUTION")
-    if override:
-        return (override,)
-    return ("serial", "batch", "shard")
+class TestEngineRefitMatchesTheRowLevelReference:
+    @pytest.fixture(scope="class", params=PAPER_SEEDS)
+    def reference(self, request):
+        config = CaseStudyConfig(num_users=1000, num_trials=1, seed=request.param)
+        return config, _run(config, RowLevelLender)
+
+    @pytest.fixture(scope="class", params=["serial", "batch"])
+    def engine(self, request, reference):
+        config, _ = reference
+        return _run(replace(config, execution=request.param), Lender)
+
+    def test_trajectories_agree(self, reference, engine):
+        _, (expected, _) = reference
+        trial, _ = engine
+        history, reference_history = trial.history, expected.history
+        assert np.array_equal(
+            history.decisions_matrix(), reference_history.decisions_matrix()
+        )
+        assert np.array_equal(history.actions_matrix(), reference_history.actions_matrix())
+        assert np.array_equal(trial.user_default_rates, expected.user_default_rates)
+
+    def test_final_coefficients_agree(self, reference, engine):
+        _, (_, expected_model) = reference
+        _, model = engine
+        fit, expected_fit = model.fit_result, expected_model.fit_result
+        assert fit.intercept == pytest.approx(expected_fit.intercept, abs=1e-9)
+        np.testing.assert_allclose(
+            fit.coefficients, expected_fit.coefficients, rtol=0.0, atol=1e-9
+        )
+        assert fit.iterations == expected_fit.iterations
+
+    def test_table1_pooled_fit_agrees(self, monkeypatch):
+        config = CaseStudyConfig(num_users=400, num_trials=1)
+        engine = table1_scorecard.table1_scorecard_result(config)
+        monkeypatch.setattr(table1_scorecard, "Lender", RowLevelLender)
+        reference = table1_scorecard.table1_scorecard_result(config)
+        for name in ("trained_history_points", "trained_income_points"):
+            assert getattr(engine, name) == pytest.approx(
+                getattr(reference, name), abs=1e-12
+            ), name
 
 
-MODES = _modes()
-EXECUTIONS = _executions()
-
-
-def _execution_trial(config, trial_index: int, retrain_mode: str, execution: str):
-    """Run one trial under the given execution layout.
-
-    ``serial`` drives :func:`run_trial` directly; ``batch`` (and its second
-    name ``shard``) runs the whole experiment on the trial-batched engine,
-    whose trial rows are bit-identical to their serial twins — so every
-    retrain-mode guarantee must hold there cell for cell too.
-    """
-    config = replace(config, retrain_mode=retrain_mode, execution=execution)
-    if execution in ("batch", "shard"):
-        return run_experiment(config).trials[trial_index]
-    return run_trial(config, trial_index=trial_index)
-
-
-def _final_card_points(trial_seed: int, num_users: int, mode: str, **kwargs):
-    """Run one closed loop directly and return the final scorecard params."""
-    from repro.core.ai_system import CreditScoringSystem
-    from repro.core.filters import DefaultRateFilter
-    from repro.core.loop import ClosedLoop
-    from repro.core.population import CreditPopulation
-    from repro.credit.lender import Lender
-    from repro.data.synthetic import PopulationSpec, generate_population
-
-    rng = np.random.default_rng(trial_seed)
-    population = CreditPopulation(
-        population=generate_population(PopulationSpec(size=num_users), rng)
+class TestRetiredRefitKnobs:
+    @pytest.mark.parametrize(
+        "key, value", [("retrain_modes", '["exact"]'), ("warm_start", "true")]
     )
-    system = CreditScoringSystem(Lender(retrain_mode=mode, **kwargs))
-    loop = ClosedLoop(
-        ai_system=system,
-        population=population,
-        loop_filter=DefaultRateFilter(num_users=num_users),
+    def test_spec_files_naming_them_are_refused(self, tmp_path, key, value):
+        path = tmp_path / "grid.toml"
+        path.write_text(f'name = "old"\n{key} = {value}\n')
+        with pytest.raises(ValueError, match=f"unknown spec key\\(s\\) {key}"):
+            load_campaign_spec(path)
+
+    def test_retrain_mode_accepts_only_the_count_table_fit(self):
+        assert CaseStudyConfig().retrain_mode == "compressed"
+        with pytest.raises(ValueError, match="retrain_mode"):
+            CaseStudyConfig(retrain_mode="exact")
+        with pytest.raises(ValueError, match="retrain_mode"):
+            plan_execution("auto", trials=1, users=10, steps=5, retrain_mode="exact")
+
+    @pytest.mark.parametrize(
+        "build, keyword, value",
+        [
+            (Lender, "retrain_mode", "compressed"),
+            (Lender, "warm_start", False),
+            (CaseStudyConfig, "warm_start", False),
+            (CampaignSpec, "retrain_modes", ("compressed",)),
+            (CampaignSpec, "warm_start", False),
+            (
+                partial(LogisticRegression().fit, np.eye(4, 2), [0, 1, 0, 1]),
+                "initial_parameters",
+                None,
+            ),
+        ],
+        ids=[
+            "Lender-retrain_mode",
+            "Lender-warm_start",
+            "CaseStudyConfig-warm_start",
+            "CampaignSpec-retrain_modes",
+            "CampaignSpec-warm_start",
+            "fit-initial_parameters",
+        ],
     )
-    history = loop.run(19, rng=trial_seed)
-    card = system.lender.scorecard
-    points = {factor.name: factor.points for factor in card.factors}
-    points["__base__"] = card.base_score
-    return history, points
+    def test_constructors_refuse_them(self, build, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: value})
 
-
-class TestExactModeIsThePinnedPath:
-    """Explicitly requested exact mode reproduces the engine goldens."""
-
-    def test_defaults_are_exact(self):
-        from repro.credit.lender import Lender
-
-        assert CaseStudyConfig().retrain_mode == "exact"
-        assert not CaseStudyConfig().warm_start
-        assert Lender().retrain_mode == "exact"
-
-    @pytest.mark.parametrize("execution", EXECUTIONS)
-    def test_exact_matches_engine_goldens(self, execution):
-        if "exact" not in MODES:
-            pytest.skip("matrix cell covers compressed mode only")
-        config = CaseStudyConfig().scaled(num_users=200, num_trials=2)
-        trial = _execution_trial(config, 0, "exact", execution)
-        assert (
-            digest(trial.history.decisions_matrix())
-            == ENGINE_GOLDEN["trial0_decisions"]
+    def test_the_shim_stays_out_of_fingerprints_and_job_ids(self):
+        config = CaseStudyConfig()
+        fields = trajectory_fingerprint_fields(config)
+        assert config.retrain_mode not in fields
+        assert fields[-1] == config.seed
+        (job,) = expand_campaign(
+            CampaignSpec(population_sizes=(40,), seeds=(3,), end_year=2004)
         )
-        assert digest(trial.history.actions_matrix()) == ENGINE_GOLDEN["trial0_actions"]
-        assert digest(trial.user_default_rates) == ENGINE_GOLDEN["trial0_user_rates"]
+        assert job.job_id.split("/")[2:] == ["u40", "seed3"]
 
-
-class TestCompressedMatchesExact:
-    """Identical decision vectors — hence identical trajectories — at paper scale."""
-
-    @pytest.mark.parametrize("seed", PAPER_SEEDS)
-    @pytest.mark.parametrize("execution", EXECUTIONS)
-    def test_decision_vectors_identical_at_paper_scale(self, seed, execution):
-        if "compressed" not in MODES:
-            pytest.skip("matrix cell covers exact mode only")
-        config = CaseStudyConfig(num_users=1000, num_trials=1, seed=seed)
-        exact = run_trial(config, trial_index=0)
-        compressed = _execution_trial(config, 0, "compressed", execution)
-        assert np.array_equal(
-            exact.history.decisions_matrix(), compressed.history.decisions_matrix()
+    def test_a_version_1_cache_misses(self, tmp_path, monkeypatch):
+        spec = CampaignSpec(
+            population_sizes=(40,), seeds=(3,), num_trials=1, end_year=2004
         )
-        assert np.array_equal(
-            exact.history.actions_matrix(), compressed.history.actions_matrix()
-        )
-        assert np.array_equal(
-            exact.user_default_rates, compressed.user_default_rates
-        )
-
-    @pytest.mark.parametrize("seed", PAPER_SEEDS)
-    def test_final_coefficients_agree_to_solver_tolerance(self, seed):
-        if "compressed" not in MODES:
-            pytest.skip("matrix cell covers exact mode only")
-        _, exact_points = _final_card_points(seed, 1000, "exact")
-        _, compressed_points = _final_card_points(seed, 1000, "compressed")
-        for name, value in exact_points.items():
-            assert compressed_points[name] == pytest.approx(value, abs=1e-9), name
-
-
-class TestWarmStart:
-    def test_warm_start_keeps_paper_scale_decisions(self):
-        if "compressed" not in MODES:
-            pytest.skip("matrix cell covers exact mode only")
-        config = CaseStudyConfig(num_users=1000, num_trials=1, retrain_mode="compressed")
-        cold = run_trial(config, trial_index=0)
-        warm = run_trial(replace(config, warm_start=True), trial_index=0)
-        assert np.array_equal(
-            cold.history.decisions_matrix(), warm.history.decisions_matrix()
-        )
+        with monkeypatch.context() as old:
+            old.setattr("repro.campaign.cache.CACHE_VERSION", 1)
+            assert run_campaign(spec, tmp_path).hit_rate == 0.0
+            assert run_campaign(spec, tmp_path).hit_rate == 1.0
+        assert run_campaign(spec, tmp_path).hit_rate == 0.0
+        assert run_campaign(spec, tmp_path).hit_rate == 1.0

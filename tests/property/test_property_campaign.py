@@ -11,7 +11,7 @@ Two families pin the content address's contract:
   statistical.
 * **Trajectory sensitivity.**  Perturbing any single trajectory-defining
   field — the seed, the population size, the calendar window, a mortgage
-  or model knob, the retrain mode, the arm identity or an arm parameter —
+  or model knob, the recording mode, the arm identity or an arm parameter —
   produces a different key.  A collision here would mean serving one
   configuration's curves as another's.
 """
@@ -55,8 +55,6 @@ TRAJECTORY = st.fixed_dictionaries(
         "cutoff": st.floats(min_value=0.05, max_value=0.95),
         "warm_up_rounds": st.integers(min_value=0, max_value=4),
         "history_mode": st.sampled_from(["full", "aggregate"]),
-        "retrain_mode": st.sampled_from(["exact", "compressed"]),
-        "warm_start": st.booleans(),
     }
 )
 
@@ -116,11 +114,6 @@ def test_key_is_sensitive_to_every_trajectory_field(scenario, policy, fields):
         dataclasses.replace(config, cutoff=min(0.99, config.cutoff + 0.01)),
         dataclasses.replace(config, warm_up_rounds=config.warm_up_rounds + 1),
         dataclasses.replace(config, income_threshold=config.income_threshold + 1.0),
-        dataclasses.replace(
-            config,
-            retrain_mode="compressed" if config.retrain_mode == "exact" else "exact",
-        ),
-        dataclasses.replace(config, warm_start=not config.warm_start),
         dataclasses.replace(
             config,
             history_mode="aggregate" if config.history_mode == "full" else "full",

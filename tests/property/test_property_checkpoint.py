@@ -51,19 +51,18 @@ def _config(seed: int) -> CaseStudyConfig:
     return CaseStudyConfig(num_users=30, num_trials=1, seed=seed, end_year=2012)
 
 
-#: Uninterrupted goldens, one per (seed, history_mode, retrain_mode) —
+#: Uninterrupted goldens, one per (seed, history_mode) —
 #: computed lazily so each hypothesis example pays for one resumed run,
 #: not two full ones.
 _GOLDENS: dict = {}
 
 
-def _golden(seed: int, history_mode: str, retrain_mode: str):
-    key = (seed, history_mode, retrain_mode)
+def _golden(seed: int, history_mode: str):
+    key = (seed, history_mode)
     if key not in _GOLDENS:
         clear_plan()
         _GOLDENS[key] = run_trial(
-            replace(_config(seed), history_mode=history_mode, retrain_mode=retrain_mode),
-            trial_index=0,
+            replace(_config(seed), history_mode=history_mode), trial_index=0
         )
     return _GOLDENS[key]
 
@@ -87,21 +86,19 @@ class TestResumeBitIdentity:
     @given(
         seed=st.integers(min_value=0, max_value=3),
         history_mode=st.sampled_from(["full", "aggregate"]),
-        retrain_mode=st.sampled_from(["exact", "compressed"]),
         cut=st.integers(min_value=1, max_value=NUM_STEPS - 1),
         every=st.integers(min_value=1, max_value=NUM_STEPS + 2),
     )
     @settings(max_examples=40, deadline=None)
     def test_interrupt_anywhere_resume_bit_identically(
-        self, seed, history_mode, retrain_mode, cut, every
+        self, seed, history_mode, cut, every
     ):
-        golden = _golden(seed, history_mode, retrain_mode)
+        golden = _golden(seed, history_mode)
         clear_plan()
         with tempfile.TemporaryDirectory() as snapshots:
             config = replace(
                 _config(seed),
                 history_mode=history_mode,
-                retrain_mode=retrain_mode,
                 checkpoint_dir=snapshots,
                 checkpoint_every=every,
             )
@@ -123,7 +120,7 @@ class TestResumeBitIdentity:
         parent then resumes from whatever snapshots the victim managed to
         land, and must reproduce the uninterrupted golden.
         """
-        golden = _golden(0, "full", "exact")
+        golden = _golden(0, "full")
         clear_plan()
         with tempfile.TemporaryDirectory() as snapshots:
             script = (

@@ -51,7 +51,6 @@ def plan_inputs(draw):
         users=draw(st.integers(min_value=1, max_value=1_000_000)),
         steps=draw(st.integers(min_value=0, max_value=500)),
         history_mode=draw(st.sampled_from(("full", "aggregate"))),
-        retrain_mode=draw(st.sampled_from(("exact", "compressed"))),
         checkpoint_every=checkpoint_every,
         resume=resume,
         cpu_count=draw(st.integers(min_value=1, max_value=256)),

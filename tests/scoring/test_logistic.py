@@ -82,58 +82,6 @@ class TestFitting:
         assert fit.intercept == pytest.approx(0.25, abs=0.2)
 
 
-class TestWarmStart:
-    def test_warm_start_from_the_optimum_converges_immediately(self):
-        features, labels = make_separable_data()
-        cold = LogisticRegression().fit(features, labels)
-        warm = LogisticRegression().fit(
-            features,
-            labels,
-            initial_parameters=np.concatenate([[cold.intercept], cold.coefficients]),
-        )
-        assert warm.converged
-        # The best case of a warm start must not stall into a cold refit:
-        # one Newton step below tolerance is accepted immediately.
-        assert warm.iterations == 1
-        np.testing.assert_allclose(warm.coefficients, cold.coefficients, atol=1e-6)
-
-    def test_junk_warm_start_falls_back_to_the_cold_optimum(self):
-        """Regression: a warm start deep in the saturated region used to
-        make the undamped Newton step diverge (flat clipped likelihood
-        accepts any step); the safeguard must land on the cold optimum."""
-        rng = np.random.default_rng(0)
-        features = rng.normal(size=(200, 2))
-        labels = (features[:, 0] - features[:, 1] > 0).astype(int)
-        cold = LogisticRegression().fit(features, labels)
-        for junk in ([30.0, 30.0, 30.0], [-25.0, 10.0, -40.0], [1e6, 0.0, 0.0]):
-            warm = LogisticRegression().fit(
-                features, labels, initial_parameters=junk
-            )
-            assert warm.converged
-            np.testing.assert_allclose(
-                warm.coefficients, cold.coefficients, atol=1e-6
-            )
-            assert warm.intercept == pytest.approx(cold.intercept, abs=1e-6)
-
-    def test_warm_start_does_not_change_the_cold_path(self):
-        """fit() without initial_parameters is byte-identical to the
-        pre-warm-start solver: same iteration count, same bits."""
-        features, labels = make_separable_data()
-        first = LogisticRegression().fit(features, labels)
-        second = LogisticRegression().fit(features, labels)
-        assert first.iterations == second.iterations
-        np.testing.assert_array_equal(first.coefficients, second.coefficients)
-
-    def test_invalid_initial_parameters_are_rejected(self):
-        features, labels = make_separable_data(50)
-        with pytest.raises(ValueError):
-            LogisticRegression().fit(features, labels, initial_parameters=[0.0])
-        with pytest.raises(ValueError):
-            LogisticRegression().fit(
-                features, labels, initial_parameters=[0.0, np.nan, 0.0]
-            )
-
-
 class TestDegenerateCases:
     def test_all_positive_labels_yield_intercept_only_model(self):
         features = np.random.default_rng(0).normal(size=(50, 2))
@@ -213,15 +161,15 @@ class TestValidation:
 class TestSharedLinearPredictorIterates:
     """The shared-linear-predictor IRLS produces byte-identical iterates.
 
-    The reference below is the retired implementation, verbatim: it
-    recomputed ``design @ theta`` (and its clip) inside ``_log_likelihood``
-    on every damped iteration and once more for the final fit.  The
-    refactored solver shares the per-iterate predictor instead; every
-    Newton update and the final parameters must match byte for byte.
+    The reference below is the retired implementation's cold start,
+    verbatim: it recomputed ``design @ theta`` (and its clip) for the
+    final log-likelihood.  The solver shares the per-iterate predictor
+    instead; every Newton update and the final parameters must match byte
+    for byte.
     """
 
     @staticmethod
-    def _reference_fit(features, labels, sample_weights=None, initial_parameters=None):
+    def _reference_fit(features, labels, sample_weights=None):
         _CLIP = 30.0
 
         def sigmoid(z):
@@ -244,20 +192,11 @@ class TestSharedLinearPredictorIterates:
             else np.asarray(sample_weights, dtype=float).ravel()
         )
         design = np.hstack([np.ones((x.shape[0], 1)), x])
-        theta = (
-            np.zeros(design.shape[1])
-            if initial_parameters is None
-            else np.asarray(initial_parameters, dtype=float).ravel().copy()
-        )
+        theta = np.zeros(design.shape[1])
         penalty = np.full(design.shape[1], 1e-3)
         penalty[0] = 0.0
-        damped = initial_parameters is not None
-        gradient_scale = (
-            1e-6 * max(1.0, float(weights.sum())) if damped else float("inf")
-        )
         tolerance = 1e-8
         converged = False
-        stalled = False
         iterations = 0
         updates = []
         raw_updates = []
@@ -271,39 +210,11 @@ class TestSharedLinearPredictorIterates:
             )
             update = np.linalg.solve(hessian, gradient)
             raw_updates.append(update.copy())
-            if damped:
-                if float(np.max(np.abs(update))) < tolerance:
-                    if float(np.max(np.abs(gradient))) > gradient_scale:
-                        stalled = True
-                        break
-                    theta = theta + update
-                    updates.append(update.copy())
-                    converged = True
-                    break
-                current = log_likelihood(design, y, weights, theta, penalty)
-                chosen = None
-                step = update
-                for _ in range(30):
-                    if log_likelihood(design, y, weights, theta + step, penalty) > current:
-                        chosen = step
-                        break
-                    step = 0.5 * step
-                if chosen is None:
-                    stalled = True
-                    break
-                update = chosen
             theta = theta + update
             updates.append(update.copy())
             if float(np.max(np.abs(update))) < tolerance:
-                if damped and float(np.max(np.abs(gradient))) > gradient_scale:
-                    stalled = True
-                    break
                 converged = True
                 break
-        if damped and (stalled or not converged):
-            return TestSharedLinearPredictorIterates._reference_fit(
-                features, labels, sample_weights=sample_weights
-            )
         return {
             "theta": theta,
             "iterations": iterations,
@@ -313,12 +224,10 @@ class TestSharedLinearPredictorIterates:
             "raw_updates": raw_updates,
         }
 
-    def _assert_byte_identical(self, features, labels, weights=None, initial=None):
+    def _assert_byte_identical(self, features, labels, weights=None):
         import repro.scoring.logistic as logistic_module
 
-        reference = self._reference_fit(
-            features, labels, sample_weights=weights, initial_parameters=initial
-        )
+        reference = self._reference_fit(features, labels, sample_weights=weights)
         recorded = []
         true_solve = np.linalg.solve
 
@@ -335,9 +244,7 @@ class TestSharedLinearPredictorIterates:
         logistic_module._raw_solve1 = None
         np.linalg.solve = recording_solve
         try:
-            fit = model.fit(
-                features, labels, sample_weights=weights, initial_parameters=initial
-            )
+            fit = model.fit(features, labels, sample_weights=weights)
         finally:
             np.linalg.solve = true_solve
             logistic_module._raw_solve1 = raw_solve1
@@ -364,12 +271,6 @@ class TestSharedLinearPredictorIterates:
         labels = rng.integers(0, 2, 31).astype(float)
         weights = rng.integers(1, 4000, 31).astype(float)
         self._assert_byte_identical(features, labels, weights=weights)
-
-    def test_warm_start_iterates_byte_identical(self):
-        features, labels = make_separable_data(n=90, seed=5)
-        cold = LogisticRegression(l2_penalty=1e-3).fit(features, labels)
-        initial = np.concatenate([[cold.intercept], cold.coefficients]) + 0.05
-        self._assert_byte_identical(features, labels, initial=initial)
 
     def test_raw_solve_fast_path_matches_public_wrapper(self):
         # The tiny-system fast path calls the gufunc behind

@@ -24,19 +24,20 @@ class TestParser:
         assert arguments.users == 50
         assert arguments.trials == 1
 
-    def test_retrain_mode_flags_are_parsed(self):
-        arguments = build_parser().parse_args(["fig3"])
-        assert arguments.retrain_mode == "exact"
-        assert not arguments.warm_start
-        arguments = build_parser().parse_args(
-            ["--retrain-mode", "compressed", "--warm-start", "fig3"]
-        )
-        assert arguments.retrain_mode == "compressed"
-        assert arguments.warm_start
-
-    def test_invalid_retrain_mode_is_rejected(self):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--retrain-mode", "exact"],
+            ["--retrain-mode", "compressed"],
+            ["--warm-start"],
+        ],
+        ids=["retrain-mode-exact", "retrain-mode-compressed", "warm-start"],
+    )
+    def test_retired_refit_flags_are_rejected(self, flags):
+        # The yearly refit is always the count-table fit; scripts that
+        # still pass either of the old modes fail loudly.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--retrain-mode", "subsampled", "fig3"])
+            build_parser().parse_args([*flags, "fig3"])
 
     def test_execution_flag_is_the_only_layout_flag(self):
         assert build_parser().parse_args(["fig3"]).execution == "serial"
@@ -111,24 +112,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "cross-race ADR gap" in output
         assert "2020" in output
-
-    def test_fig3_runs_with_compressed_retraining(self, capsys):
-        assert (
-            main(
-                [
-                    "--users",
-                    "80",
-                    "--trials",
-                    "1",
-                    "--retrain-mode",
-                    "compressed",
-                    "fig3",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "cross-race ADR gap" in output
 
     def test_fig3_runs_trial_batched(self, capsys):
         assert (
