@@ -19,6 +19,7 @@ error, not at job 900 of a sweep.
 
 from __future__ import annotations
 
+import functools
 import json
 import tomllib
 from dataclasses import dataclass
@@ -160,12 +161,15 @@ def _resolve_race(value: object) -> Race:
     )
 
 
+@functools.lru_cache(maxsize=32)
 def build_scenario_table(scenario: ArmRef) -> IncomeTable | None:
     """Materialise a scenario reference into its income table.
 
     ``None`` means the baseline table — :func:`run_experiment` then falls
     back to :func:`~repro.data.census.default_income_table`, keeping the
-    golden reproduction path untouched.
+    golden reproduction path untouched.  Income tables are immutable, so
+    a process keeps the tables of its 32 latest references: every job of a
+    scenario shares its table.
     """
     params = scenario.param_dict()
     if scenario.name == "baseline":

@@ -4,7 +4,7 @@ The paper closes with the question of *how to impose constraints on the
 equality of impact* and, throughout Section VI, with the observation that
 the controller's structure (integral action, stability, connectivity of the
 induced Markov graph) decides whether the loop is ergodic at all.  This
-package provides three controllers in that spirit, each implementing the
+package provides two controllers in that spirit, each implementing the
 :class:`repro.core.ai_system.AISystem` protocol so it drops straight into
 :class:`repro.core.loop.ClosedLoop`:
 
@@ -17,17 +17,12 @@ package provides three controllers in that spirit, each implementing the
   denial to an approval with a small exploration probability; this keeps
   every user's outcome graph strongly connected, which is exactly the
   condition Section VI needs for an invariant measure to exist.
-* :class:`IntegralCutoffController` — adjusts a scorecard cut-off by
-  integral feedback to track a target approval rate; the textbook integral
-  action whose effect on ergodicity the ablation E-A2 probes.
 """
 
 from repro.control.steering import ImpactSteeringPolicy
 from repro.control.exploration import EpsilonGreedyPolicy
-from repro.control.cutoff_control import IntegralCutoffController
 
 __all__ = [
     "ImpactSteeringPolicy",
     "EpsilonGreedyPolicy",
-    "IntegralCutoffController",
 ]

@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.ai_system import CreditScoringSystem
 from repro.credit.lender import Lender
 from repro.scoring.cutoff import CutoffPolicy
 from repro.utils.validation import require_non_negative
@@ -99,11 +98,3 @@ class ImpactSteeringPolicy:
             offered=np.asarray(decisions, dtype=float),
         )
 
-
-def plain_system_for_comparison(cutoff: float = 0.4, warm_up_rounds: int = 2) -> CreditScoringSystem:
-    """Return the unsteered retraining system with matching parameters.
-
-    Convenience used by the steering ablation so both arms share their
-    configuration in one place.
-    """
-    return CreditScoringSystem(Lender(cutoff=cutoff, warm_up_rounds=warm_up_rounds))

@@ -59,7 +59,7 @@ from repro.core.population import Population
 from repro.core.sharding import ShardPlan
 from repro.core.streaming import AggregateHistory
 from repro.testing.faults import fire as _fire_fault
-from repro.utils.rng import shard_seed, shard_step_generator, spawn_generator, step_generator
+from repro.utils.rng import shard_seed, spawn_generator, step_states
 
 __all__ = ["ClosedLoop"]
 
@@ -111,6 +111,9 @@ class ClosedLoop:
         # half of the hash chain is base-dependent only, so deriving it per
         # step would hash the same labels every step).
         self._shard_seeds: List[int] | None = None
+        # One generator per canonical shard, re-seated onto every step's
+        # streams instead of building new ones.
+        self._generators: List[np.random.Generator] = []
 
     @property
     def ai_system(self) -> AISystem:
@@ -161,7 +164,25 @@ class ClosedLoop:
             self._shard_seeds = [
                 shard_seed(base, shard) for shard in range(self._plan.num_shards)
             ]
-        return [step_generator(seed, k) for seed in self._shard_seeds]
+        return self._seat_generators(self._shard_seeds, k)
+
+    def _seat_generators(
+        self, shard_seeds: List[int], k: int
+    ) -> List[np.random.Generator]:
+        """Re-seat the loop's generators onto step ``k``'s shard streams.
+
+        Generator ``s`` then draws what
+        :func:`~repro.utils.rng.shard_step_generator` would for shard ``s``
+        at step ``k``.  The same generator objects serve every step, so a
+        population must not keep them past the step it is handed them.
+        """
+        if len(self._generators) != len(shard_seeds):
+            self._generators = [
+                np.random.Generator(np.random.PCG64(0)) for _ in shard_seeds
+            ]
+        for generator, state in zip(self._generators, step_states(shard_seeds, k)):
+            generator.bit_generator.state = state
+        return self._generators
 
     def run(
         self,
@@ -374,10 +395,9 @@ class ClosedLoop:
             base = int(rng)
         else:
             base = int(spawn_generator(rng).integers(_MAX_SEED))
-        rngs = [
-            shard_step_generator(base, shard, k)
-            for shard in range(self._plan.num_shards)
-        ]
+        rngs = self._seat_generators(
+            [shard_seed(base, shard) for shard in range(self._plan.num_shards)], k
+        )
         public_features, decisions, actions, observation = self._advance(k, rngs)
         return StepRecord(
             step=k,

@@ -11,22 +11,102 @@ Each year the lender
 During the warm-up years (the paper's 2002-2003) no scorecard exists and
 everyone is approved, which initialises the average default rates the later
 scorecards are trained on.
+
+Inside :func:`refit_batch` the lenders' refits are recorded rather than
+solved, and leaving the block solves all of them in one stacked Newton
+loop (:func:`~repro.scoring.logistic.fit_stack`), each with the bits of
+its own fit.  The lockstep kernel opens one around each step's refits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.scoring.cutoff import CutoffPolicy
 from repro.scoring.features import FeatureBuilder, clipped_default_rates
-from repro.scoring.logistic import LogisticRegression
+from repro.scoring.logistic import LogisticRegression, fit_stack
 from repro.scoring.scorecard import Scorecard
 from repro.scoring.suffstats import CompressedDesign
 
-__all__ = ["LenderDecision", "Lender"]
+__all__ = ["LenderDecision", "Lender", "refit_batch"]
+
+
+class _RefitBatch:
+    """The count tables recorded inside one :func:`refit_batch`, by lender.
+
+    The pending tables live here, not on the lenders: a lender keeps no
+    state of its own for a batch, so it pickles as before.
+    """
+
+    def __init__(self) -> None:
+        self._pending: Dict[int, Tuple[Lender, CompressedDesign]] = {}
+
+    def record(self, lender: "Lender", table: CompressedDesign) -> None:
+        """Record ``lender``'s refit; a later one replaces it (each fit starts cold)."""
+        self._pending[id(lender)] = (lender, table)
+
+    def holds(self, lender: "Lender") -> bool:
+        """Return whether ``lender`` has a refit waiting in this batch."""
+        return id(lender) in self._pending
+
+    def solve(self) -> None:
+        """Fit every pending table in one stack and install each card."""
+        pending = list(self._pending.values())
+        self._pending.clear()
+        if not pending:
+            return
+        models = [
+            LogisticRegression(l2_penalty=lender._l2_penalty) for lender, _ in pending
+        ]
+        fit_stack(
+            models,
+            [
+                (table.design_matrix(), table.labels, table.counts)
+                for _, table in pending
+            ],
+        )
+        for (lender, _), model in zip(pending, models):
+            lender._install_model(model)
+
+
+_ACTIVE_BATCH: contextvars.ContextVar[_RefitBatch | None] = contextvars.ContextVar(
+    "repro_refit_batch", default=None
+)
+
+
+@contextlib.contextmanager
+def refit_batch() -> Iterator[None]:
+    """Collect the lenders' refits in the block; solve them together on exit.
+
+    Inside the block :meth:`Lender.retrain` and
+    :meth:`Lender.retrain_from_suffstats` validate their input and apply
+    the degenerate-table rules at the call, then record the count table
+    instead of fitting it.  Leaving the block fits every recorded table in
+    one :func:`~repro.scoring.logistic.fit_stack` call, whose fits equal
+    the one-table fits bit for bit, so a batch changes when the cards are
+    computed, never what they are.  Reading a lender's
+    :attr:`~Lender.scorecard` (or calling :meth:`~Lender.decide`,
+    :meth:`~Lender.export_state` or :meth:`~Lender.import_state`) while its
+    table is pending solves the pending tables first.  Outside a batch a
+    refit is solved at once.  The batch belongs to the current context
+    (thread), and the tables are solved on exit even when the block
+    raises.  A batch opened inside another adds to the outer one.
+    """
+    if _ACTIVE_BATCH.get() is not None:
+        yield
+        return
+    batch = _RefitBatch()
+    token = _ACTIVE_BATCH.set(batch)
+    try:
+        yield
+    finally:
+        _ACTIVE_BATCH.reset(token)
+        batch.solve()
 
 
 @dataclass(frozen=True)
@@ -77,7 +157,10 @@ class Lender:
     O(unique rows) instead of O(users).  It optimises the penalised
     likelihood of the row-level fit, takes the same Newton steps from the
     same cold start, and agrees with it to solver tolerance (the reference
-    suite pins identical trajectories at paper scale).
+    suite pins identical trajectories at paper scale).  Inside a
+    :func:`refit_batch` the fit waits for the batch's stacked solve; the
+    scorecard, decisions and exported state always reflect every refit
+    made so far.
     """
 
     def __init__(
@@ -110,7 +193,14 @@ class Lender:
     @property
     def scorecard(self) -> Scorecard | None:
         """Return the most recently trained scorecard (``None`` before training)."""
+        self._settle()
         return self._scorecard
+
+    def _settle(self) -> None:
+        """Solve the current batch's pending refits if this lender has one."""
+        batch = _ACTIVE_BATCH.get()
+        if batch is not None and batch.holds(self):
+            batch.solve()
 
     @property
     def rounds_seen(self) -> int:
@@ -128,7 +218,7 @@ class Lender:
         previous_default_rates: Sequence[float] | np.ndarray,
         repayments: Sequence[int] | np.ndarray,
         offered: Sequence[int] | np.ndarray | None = None,
-    ) -> Scorecard:
+    ) -> None:
         """Refit the logistic model and refresh the scorecard.
 
         Parameters
@@ -149,10 +239,8 @@ class Lender:
             informative label to refit on), or raises :class:`ValueError`
             when no scorecard exists yet.
 
-        Returns
-        -------
-        Scorecard
-            The freshly trained scorecard (also stored on the lender).
+        The new card is :attr:`scorecard`; inside a :func:`refit_batch` it
+        is fitted when the batch ends or the card is read.
         """
         # The boolean comparison IS the income code (income_code merely
         # casts it to float); CompressedDesign takes the bool column
@@ -173,10 +261,11 @@ class Lender:
             offered=offered,
         )
         if offered is not None and table.num_rows < 2:
-            return self._degenerate_offered_mask()
-        return self._fit_from_table(table)
+            self._degenerate_offered_mask()
+        else:
+            self._fit_from_table(table)
 
-    def _degenerate_offered_mask(self) -> Scorecard:
+    def _degenerate_offered_mask(self) -> None:
         """Handle an offered mask selecting fewer than 2 users.
 
         Almost nobody was offered credit this round, so there is no
@@ -186,8 +275,8 @@ class Lender:
         population (the old silent fall-through) would train on labels the
         lender never observed — refuse explicitly instead.
         """
-        if self._scorecard is not None:
-            return self._scorecard
+        if self.scorecard is not None:
+            return
         raise ValueError(
             "the offered mask selects fewer than 2 users and no "
             "previous scorecard exists to fall back on; train at "
@@ -195,7 +284,7 @@ class Lender:
             "to reproduce the approve-everyone warm-up)"
         )
 
-    def retrain_from_suffstats(self, table: CompressedDesign) -> Scorecard:
+    def retrain_from_suffstats(self, table: CompressedDesign) -> None:
         """Refit from a pre-aggregated count table (chunked retraining).
 
         The lockstep kernel builds one
@@ -206,26 +295,33 @@ class Lender:
         fewer than 2 represented rows keeps the previous card, or raises
         when none exists.
         """
-        if table.num_rows < 2:
-            if self._scorecard is not None:
-                return self._scorecard
+        if table.num_rows >= 2:
+            self._fit_from_table(table)
+        elif self.scorecard is None:
             raise ValueError(
                 "the count table represents fewer than 2 offered users and "
                 "no previous scorecard exists to fall back on"
             )
-        return self._fit_from_table(table)
 
-    def _fit_from_table(self, table: CompressedDesign) -> Scorecard:
-        """Run the weighted O(unique rows) refit on a count table."""
+    def _fit_from_table(self, table: CompressedDesign) -> None:
+        """Run the weighted O(unique rows) refit on a count table.
+
+        Inside a :func:`refit_batch` the table waits for the batch's
+        stacked solve.
+        """
+        batch = _ACTIVE_BATCH.get()
+        if batch is not None:
+            batch.record(self, table)
+            return
         model = LogisticRegression(l2_penalty=self._l2_penalty)
         model.fit(
             table.design_matrix(),
             table.labels,
             sample_weights=table.counts,
         )
-        return self._install_model(model)
+        self._install_model(model)
 
-    def _install_model(self, model: LogisticRegression) -> Scorecard:
+    def _install_model(self, model: LogisticRegression) -> None:
         """Store a freshly fitted model and rebuild the scorecard from it."""
         self._model = model
         self._scorecard = Scorecard.from_logistic(
@@ -236,7 +332,6 @@ class Lender:
                 "average_default_rate": "x average default rate",
             },
         )
-        return self._scorecard
 
     def export_state(self) -> Dict[str, object]:
         """Return a picklable snapshot of the lender's learning state.
@@ -248,10 +343,12 @@ class Lender:
         lender must be constructed with the same configuration, which the
         checkpoint layer guards with its config fingerprint.
         """
+        self._settle()
         return {"rounds_seen": self._rounds_seen, "model": self._model}
 
     def import_state(self, state: Mapping[str, object]) -> None:
         """Restore the learning state captured by :meth:`export_state`."""
+        self._settle()  # a refit still pending must not land on the import
         self._rounds_seen = int(state["rounds_seen"])
         model = state.get("model")
         if model is None:
@@ -285,14 +382,15 @@ class Lender:
                 warm_up=True,
             )
         else:
-            if self._scorecard is None:
+            scorecard = self.scorecard
+            if scorecard is None:
                 raise RuntimeError("the lender must be retrained before deciding")
             features = self._feature_builder.design_matrix(incomes_array, rates_array)
-            scores = self._scorecard.score_matrix(features)
+            scores = scorecard.score_matrix(features)
             decision = LenderDecision(
                 decisions=self._cutoff_policy.decide(scores),
                 scores=scores,
-                scorecard=self._scorecard,
+                scorecard=scorecard,
                 warm_up=False,
             )
         self._rounds_seen += 1

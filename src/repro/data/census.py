@@ -20,6 +20,7 @@ always see the same distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -252,10 +253,17 @@ def default_income_table(
     -------
     IncomeTable
         Deterministic table with one :class:`BracketDistribution` per
-        ``(year, race)`` pair.
+        ``(year, race)`` pair.  The table is immutable, so each year range
+        is built once per process and every call returns that one table.
     """
     if last_year < first_year:
         raise ValueError("last_year must not precede first_year")
+    return _income_table(int(first_year), int(last_year))
+
+
+@functools.lru_cache(maxsize=None)
+def _income_table(first_year: int, last_year: int) -> IncomeTable:
+    """Build the embedded table of one year range (:func:`default_income_table`)."""
     distributions: Dict[Tuple[int, Race], BracketDistribution] = {}
     for year in range(first_year, last_year + 1):
         elapsed = year - _FIRST_YEAR

@@ -24,7 +24,7 @@ its consecutive shards whose user-trials (trials times users) stay within
 :data:`KERNEL_BLOCK_USER_TRIALS`, widened shard by shard to at least
 :data:`KERNEL_BLOCK_MIN_USERS` users where the lane allows, so every
 per-user temporary of a step is the size of a block, not of a lane.  A
-block owns every ``(trial, shard, step)`` generator of its shards, so a
+block draws every ``(trial, shard, step)`` stream of its shards, so a
 step is one pass over the lanes, each block running, without reading
 another block's users:
 
@@ -65,9 +65,27 @@ over the lanes is done, one after another over whole trial rows and
 unchanged
 (:meth:`~repro.core.streaming.BatchedStreamingAggregator.finish_step`).
 They are the only per-user work outside that pass.  The calling thread
-also keeps the refits, the generic per-trial ``decide``/``update`` path
-and full-history recording.  So neither the lanes, the blocks nor the
-thread count change any bit of any trial.
+also keeps the step's stream states, the refits, the generic per-trial
+``decide``/``update`` path and full-history recording.  So neither the
+lanes, the blocks nor the thread count change any bit of any trial.
+
+Per-trial dispatch
+------------------
+
+Two phases would otherwise pay numpy's dispatch once per trial or per
+stream, on inputs too small for the arithmetic to matter:
+
+* the streams: the calling thread computes every ``(trial, shard)``
+  stream's PCG64 state of the step in one vectorised pass
+  (:func:`~repro.utils.rng.step_states`), and each lane re-seats its one
+  generator onto each stream it draws instead of building a generator
+  per stream;
+* the refits: each trial's refit is a Newton solve on a count table of
+  about a dozen rows.  The kernel runs its update step inside a
+  :func:`~repro.credit.lender.refit_batch`, on the fused path and the
+  generic one alike, so the step's ``T`` fits are solved in one stacked
+  Newton loop (:func:`~repro.scoring.logistic.fit_stack`), each table
+  with the bits of its own fit.
 
 Cells and tables
 ----------------
@@ -119,9 +137,11 @@ nothing about the random schedule or the per-trial arithmetic changes:
 
 * trial ``t`` draws from exactly the serial streams — population
   generation from ``default_rng(derive_seed(seed, "trial", t))``, and each
-  step from the canonical per-shard generators
-  :func:`~repro.utils.rng.shard_step_generator`.  The engine draws each
-  ``(trial, shard, step)`` generator's whole consumption in two calls:
+  step from the canonical per-shard streams of
+  :func:`~repro.utils.rng.shard_step_generator`, onto which a lane
+  re-seats its generator (a re-seated PCG64 draws what a fresh one
+  does).  The engine draws each ``(trial, shard, step)`` stream's whole
+  consumption in two calls:
   ``random(2 * shard_size)`` for the bracket and in-bracket uniforms, then
   ``random(shard_size)`` for the repayment uniforms.  numpy generators
   buffer nothing between ``random`` calls, so the blocks equal the serial
@@ -136,9 +156,10 @@ nothing about the random schedule or the per-trial arithmetic changes:
   contiguous trial row — the same reduction the serial engine runs over
   its own arrays;
 * the phases that are genuinely per-trial stay per-trial: each trial's AI
-  system ``decide``/``update`` (scorecard scoring, the yearly refit — T
-  tiny independent count-table fits per step) is invoked exactly as the
-  serial loop invokes it, on views of the stacked state.
+  system ``decide``/``update`` (scorecard scoring, the yearly refit) is
+  invoked exactly as the serial loop invokes it, on views of the stacked
+  state; the step's ``T`` count-table fits are solved together, and a
+  table's fit does not depend on the tables that share its stack.
 
 The engine therefore works with any ``policy_factory`` producing the
 credit loop's 0/1 decisions — only the population/filter/recording
@@ -185,7 +206,7 @@ from repro.core.population import CreditPopulation
 from repro.core.sharding import ShardPlan
 from repro.core.streaming import AggregateHistory, BatchedStreamingAggregator
 from repro.credit.borrower import affordability_state
-from repro.credit.lender import Lender
+from repro.credit.lender import Lender, refit_batch
 from repro.credit.mortgage import MortgageTerms
 from repro.credit.repayment import GaussianRepaymentModel
 from repro.data.census import IncomeTable, Race, default_income_table
@@ -194,7 +215,7 @@ from repro.experiments.config import CaseStudyConfig
 from repro.scoring.cutoff import CutoffPolicy
 from repro.scoring.features import FeatureBuilder, clipped_default_rates
 from repro.scoring.suffstats import CellKeys, CompressedDesign, merge_tables
-from repro.utils.rng import derive_seed, shard_seed, step_generator
+from repro.utils.rng import derive_seed, shard_seed, step_states
 
 __all__ = ["BatchedTrialRunner"]
 
@@ -290,16 +311,18 @@ class _Block:
     """A run of a lane's consecutive whole shards: the unit of per-user step work.
 
     ``draws`` is the block's ``(trials, 2 * users)`` view of its lane's
-    draw scratch.  ``races`` lists, per race present, where the race's
-    bracket and in-bracket uniforms lie in the flattened ``draws`` and
-    which income slots they fill (flat positions in the ``(trials,
-    users)`` rows, counted from the block's first user), over every trial
-    of the block's shards.
+    draw scratch, and ``generator`` its lane's generator, re-seated onto
+    each ``(trial, shard, step)`` stream it draws.  ``races`` lists, per
+    race present, where the race's bracket and in-bracket uniforms lie in
+    the flattened ``draws`` and which income slots they fill (flat
+    positions in the ``(trials, users)`` rows, counted from the block's
+    first user), over every trial of the block's shards.
     """
 
     users: slice
     shards: Tuple[int, ...]
     draws: np.ndarray
+    generator: np.random.Generator
     races: Tuple[Tuple[Race, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
@@ -475,10 +498,11 @@ class BatchedTrialRunner:
         # (and its per-(year, race) bracket-CDF cache) serves every draw.
         self._sampler = self._populations[0].sampler
         # The shard half of the stream derivation is step-independent;
-        # derive each (trial, shard) seed once.
-        self._shard_seeds: List[List[int]] = [
-            [shard_seed(base, shard) for shard in range(self._plan.num_shards)]
+        # derive each (trial, shard) seed once, trial-major.
+        self._shard_seeds: List[int] = [
+            shard_seed(base, shard)
             for base in self._trial_seeds
+            for shard in range(self._plan.num_shards)
         ]
         self._lanes = self._build_lanes(threads)
         self._fast_stack = self._resolve_fast_stack()
@@ -488,7 +512,8 @@ class BatchedTrialRunner:
 
         A lane's draw scratch is sized for its widest block; each of its
         blocks draws into the scratch's first ``trials * 2 * users``
-        doubles (:meth:`_block`).
+        doubles (:meth:`_block`).  A lane also owns one generator, which
+        its blocks re-seat onto every stream they draw.
         """
         num_trials = self._config.num_trials
         lanes: List[List[_Block]] = []
@@ -497,10 +522,13 @@ class BatchedTrialRunner:
                 hi - lo for lo, hi in (self._plan.user_range(*r) for r in shard_ranges)
             )
             scratch = np.empty(num_trials * 2 * widest, dtype=float)
-            lanes.append([self._block(*r, scratch) for r in shard_ranges])
+            generator = np.random.Generator(np.random.PCG64(0))
+            lanes.append([self._block(*r, scratch, generator) for r in shard_ranges])
         return lanes
 
-    def _block(self, first: int, stop: int, scratch: np.ndarray) -> _Block:
+    def _block(
+        self, first: int, stop: int, scratch: np.ndarray, generator: np.random.Generator
+    ) -> _Block:
         """Lay out the draws of shards ``[first, stop)`` in ``scratch``.
 
         The block's draws are a ``(trials, 2 * users)`` view of the
@@ -544,6 +572,7 @@ class BatchedTrialRunner:
             users=slice(start, end),
             shards=tuple(range(first, stop)),
             draws=scratch[:draws_size].reshape(num_trials, 2 * width),
+            generator=generator,
             races=tuple(
                 (
                     race,
@@ -602,11 +631,18 @@ class BatchedTrialRunner:
         return tuple(self._ai_systems)
 
     def _respond(
-        self, block: _Block, k: int, year: int, buffers: _StepBuffers
+        self,
+        block: _Block,
+        states: List[Dict[str, object]],
+        year: int,
+        buffers: _StepBuffers,
     ) -> None:
         """Draw one block's step and compare its repayment uniforms.
 
-        Two ``random`` calls per ``(trial, shard)`` cover the serial path's
+        ``states`` holds the step's stream state of every ``(trial,
+        shard)``, trial-major (:func:`~repro.utils.rng.step_states`).  The
+        block re-seats its lane's generator onto each of its streams, and
+        two ``random`` calls per ``(trial, shard)`` cover the serial path's
         entire generator consumption for the step — bracket and in-bracket
         uniforms per race segment (``begin_step``), into the lane's scratch,
         then the repayment uniforms (``respond``), into ``actions`` — in the
@@ -616,12 +652,15 @@ class BatchedTrialRunner:
         """
         bounds = self._plan.bounds
         start = block.users.start
-        for trial, seeds in enumerate(self._shard_seeds):
+        generator = block.generator
+        bit_generator = generator.bit_generator
+        num_shards = self._plan.num_shards
+        for trial in range(self._config.num_trials):
             draws = block.draws[trial]
             uniforms = buffers.actions[trial]
             for shard in block.shards:
                 lo, hi = bounds[shard]
-                generator = step_generator(seeds[shard], k)
+                bit_generator.state = states[trial * num_shards + shard]
                 generator.random(out=draws[2 * (lo - start) : 2 * (hi - start)])
                 generator.random(out=uniforms[lo:hi])
         flat_draws = block.draws.reshape(-1)
@@ -698,7 +737,7 @@ class BatchedTrialRunner:
     def _fused_step(
         self,
         block: _Block,
-        k: int,
+        states: List[Dict[str, object]],
         year: int,
         scorecards: _Scorecards | None,
         tables: _CellTables,
@@ -720,7 +759,7 @@ class BatchedTrialRunner:
         :meth:`~repro.credit.lender.Lender.retrain` builds — into one count
         table per trial, from the cells' refit keys.
         """
-        self._respond(block, k, year, buffers)
+        self._respond(block, states, year, buffers)
         stack = self._fast_stack
         users = block.users
         decisions = buffers.decisions[:, users]
@@ -869,34 +908,39 @@ class BatchedTrialRunner:
             fused, scorecards = (
                 self._fused_round() if self._fast_stack is not None else (False, None)
             )
+            states = step_states(self._shard_seeds, k)
             step_features: List[Dict[str, np.ndarray]] = []
             if fused:
                 results = threads.map(
                     lambda block: (
-                        self._fused_step(block, k, year, scorecards, tables, buffers),
+                        self._fused_step(
+                            block, states, year, scorecards, tables, buffers
+                        ),
                         record(block.users, k),
                     )
                 )
                 self._fused_update([block_tables for block_tables, _ in results], buffers)
             else:
-                threads.map(lambda block: self._respond(block, k, year, buffers))
+                threads.map(lambda block: self._respond(block, states, year, buffers))
                 step_features, step_observations = self._generic_decisions(
                     k, buffers, portfolio
                 )
                 results = threads.map(
                     lambda block: (self._act(block, buffers), record(block.users, k))
                 )
-                for trial, system in enumerate(self._ai_systems):
-                    # The delayed-feedback retrain, exactly the serial call;
-                    # the decision and action rows are views of step
-                    # buffers that the next step rewrites.
-                    system.update(
-                        step_features[trial],
-                        buffers.decisions[trial],
-                        buffers.actions[trial],
-                        step_observations[trial],
-                        k,
-                    )
+                # The delayed-feedback retrains, exactly the serial calls,
+                # their fits solved in one stack as the batch closes; the
+                # decision and action rows are views of step buffers that
+                # the next step rewrites.
+                with refit_batch():
+                    for trial, system in enumerate(self._ai_systems):
+                        system.update(
+                            step_features[trial],
+                            buffers.decisions[trial],
+                            buffers.actions[trial],
+                            step_observations[trial],
+                            k,
+                        )
             records = [block_record for _, block_record in results]
             batched_filter.finish_step([counts for counts, _ in records])
             portfolio = batched_filter.portfolio_rates()
@@ -966,13 +1010,14 @@ class BatchedTrialRunner:
         ``CreditScoringSystem.update`` does, minus the dict and copy
         ceremony: each trial merges its blocks' count tables and refits
         through ``retrain_from_suffstats`` (identical degenerate-mask
-        handling included) — T tiny independent O(unique rows) refits per
-        step.
+        handling included), and the step's T tiny O(unique rows) fits are
+        solved in one stack as the refit batch closes.
         """
         lenders: List[Lender] = self._fast_stack["lenders"]
-        for trial, lender in enumerate(lenders):
-            lender._rounds_seen += 1
-            self._ai_systems[trial]._last_scores = buffers.scores[trial]
-            lender.retrain_from_suffstats(
-                merge_tables(block_tables[trial] for block_tables in tables)
-            )
+        with refit_batch():
+            for trial, lender in enumerate(lenders):
+                lender._rounds_seen += 1
+                self._ai_systems[trial]._last_scores = buffers.scores[trial]
+                lender.retrain_from_suffstats(
+                    merge_tables(block_tables[trial] for block_tables in tables)
+                )

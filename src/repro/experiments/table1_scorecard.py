@@ -97,11 +97,12 @@ def table1_scorecard_result(
             rates_list.append(trial.require_user_default_rates()[step - 1])
             labels_list.append(np.asarray(record.actions, dtype=float))
         lender = Lender(cutoff=run_config.cutoff, warm_up_rounds=0)
-        trained_card = lender.retrain(
+        lender.retrain(
             np.concatenate(incomes_list),
             np.concatenate(rates_list),
             np.concatenate(labels_list),
         )
+        trained_card = lender.scorecard
         points = {factor.name: factor.points for factor in trained_card.factors}
         history_points = float(points["average_default_rate"])
         income_points = float(points["income_code"])

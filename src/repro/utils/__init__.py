@@ -6,7 +6,7 @@ that every substrate package (:mod:`repro.markov`, :mod:`repro.credit`,
 argument validation, and time-series statistics.
 """
 
-from repro.utils.rng import derive_seed, spawn_generator, spawn_generators
+from repro.utils.rng import derive_seed, spawn_generator
 from repro.utils.validation import (
     require_in_range,
     require_non_negative,
@@ -26,7 +26,6 @@ from repro.utils.stats import (
 __all__ = [
     "derive_seed",
     "spawn_generator",
-    "spawn_generators",
     "require_in_range",
     "require_non_negative",
     "require_positive",

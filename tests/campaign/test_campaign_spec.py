@@ -18,6 +18,9 @@ from repro.campaign.spec import (
     policy_names,
     scenario_names,
 )
+from repro.campaign import run_campaign
+from repro.campaign import spec as spec_module
+from repro.data import census
 from repro.data.census import Race, default_income_table
 from repro.data.scenarios import widening_gap_scenario
 
@@ -147,6 +150,53 @@ class TestScenarioTables:
         bad = ArmRef("widening-gap", params=(("disadvantaged", "MARTIAN"),))
         with pytest.raises(ValueError, match="unknown race"):
             build_scenario_table(bad)
+
+    @staticmethod
+    def _scenario_spec(**kwargs):
+        return CampaignSpec(
+            name="shared-tables",
+            scenarios=(
+                "baseline",
+                "recession",
+                {"name": "widening-gap", "disadvantaged": "BLACK"},
+            ),
+            policies=("retraining", "static"),
+            population_sizes=(30,),
+            seeds=(1, 2),
+            num_trials=1,
+            start_year=2002,
+            end_year=2012,
+            **kwargs,
+        )
+
+    def test_jobs_of_one_scenario_share_one_table(self):
+        tables = {}
+        for job in expand_campaign(self._scenario_spec()):
+            tables.setdefault(job.scenario, []).append(job.income_table())
+        assert len(tables) == 3
+        for scenario_tables in tables.values():
+            assert len(scenario_tables) == 4
+            assert all(table is scenario_tables[0] for table in scenario_tables)
+        assert default_income_table() is default_income_table(2002, 2020)
+        assert default_income_table(2002, 2010) is not default_income_table()
+
+    def test_shared_tables_leave_the_campaign_series_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        spec = self._scenario_spec(execution="serial")
+        shared = run_campaign(spec, tmp_path / "shared", cpu_count=1)
+        # Every job builds its own tables again, as before they were shared.
+        monkeypatch.setattr(
+            spec_module, "build_scenario_table", build_scenario_table.__wrapped__
+        )
+        monkeypatch.setattr(census, "_income_table", census._income_table.__wrapped__)
+        assert default_income_table() is not default_income_table()
+        rebuilt = run_campaign(spec, tmp_path / "rebuilt", cpu_count=1)
+        assert [outcome.key for outcome in shared.outcomes] == [
+            outcome.key for outcome in rebuilt.outcomes
+        ]
+        for left, right in zip(shared.outcomes, rebuilt.outcomes):
+            assert pickle.dumps(left.series) == pickle.dumps(right.series)
 
     @staticmethod
     def _late_shares(table):

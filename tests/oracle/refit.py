@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.credit.lender import Lender
 from repro.scoring.logistic import LogisticRegression
-from repro.scoring.scorecard import Scorecard
 
 
 class RowLevelLender(Lender):
@@ -27,7 +26,7 @@ class RowLevelLender(Lender):
 
     def retrain(
         self, incomes, previous_default_rates, repayments, offered=None
-    ) -> Scorecard:
+    ) -> None:
         features = self.feature_builder.design_matrix(incomes, previous_default_rates)
         labels = np.asarray(repayments, dtype=float).ravel()
         if offered is not None:
@@ -35,9 +34,10 @@ class RowLevelLender(Lender):
             if mask.shape[0] != features.shape[0]:
                 raise ValueError("offered mask must have one entry per user")
             if mask.sum() < 2:
-                return self._degenerate_offered_mask()
+                self._degenerate_offered_mask()
+                return
             features = features[mask]
             labels = labels[mask]
         model = LogisticRegression(l2_penalty=self._l2_penalty)
         model.fit(features, labels)
-        return self._install_model(model)
+        self._install_model(model)

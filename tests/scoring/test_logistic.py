@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scoring.logistic import LogisticRegression
+from repro.scoring.logistic import LogisticRegression, fit_stack
 
 
 def make_separable_data(n: int = 400, seed: int = 0):
@@ -159,12 +159,14 @@ class TestValidation:
 
 
 class TestSharedLinearPredictorIterates:
-    """The shared-linear-predictor IRLS produces byte-identical iterates.
+    """The IRLS produces byte-identical iterates to a naive reference.
 
-    The reference below is the retired implementation's cold start,
-    verbatim: it recomputed ``design @ theta`` (and its clip) for the
-    final log-likelihood.  The solver shares the per-iterate predictor
-    instead; every Newton update and the final parameters must match byte
+    The reference below fits one table the slow, plain way, with the
+    solver's arithmetic spelled out: each row's linear predictor is one dot
+    product of its design row and the parameters; each gradient and
+    Hessian entry is a running sum over the rows in order, then minus
+    ``penalty * theta`` or plus the ridge diagonal; the log-likelihood is a
+    running sum too.  Every Newton step and the final fit must match byte
     for byte.
     """
 
@@ -172,17 +174,23 @@ class TestSharedLinearPredictorIterates:
     def _reference_fit(features, labels, sample_weights=None):
         _CLIP = 30.0
 
-        def sigmoid(z):
-            return 1.0 / (1.0 + np.exp(-np.clip(z, -_CLIP, _CLIP)))
+        def running_sum(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        def linear_predictor(design, theta):
+            return np.array([np.dot(row, theta) for row in design])
 
         def log_likelihood(design, y, weights, theta, penalty):
-            z = np.clip(design @ theta, -_CLIP, _CLIP)
+            z = np.clip(linear_predictor(design, theta), -_CLIP, _CLIP)
             log_p = -np.log1p(np.exp(-z))
             log_one_minus_p = -np.log1p(np.exp(z))
-            likelihood = float(
-                np.sum(weights * (y * log_p + (1.0 - y) * log_one_minus_p))
+            likelihood = running_sum(
+                weights * (y * log_p + (1.0 - y) * log_one_minus_p)
             )
-            return likelihood - 0.5 * float(np.sum(penalty * theta**2))
+            return likelihood - 0.5 * sum((penalty * theta**2).tolist())
 
         x = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float).ravel()
@@ -192,26 +200,38 @@ class TestSharedLinearPredictorIterates:
             else np.asarray(sample_weights, dtype=float).ravel()
         )
         design = np.hstack([np.ones((x.shape[0], 1)), x])
-        theta = np.zeros(design.shape[1])
-        penalty = np.full(design.shape[1], 1e-3)
+        width = design.shape[1]
+        theta = np.zeros(width)
+        penalty = np.full(width, 1e-3)
         penalty[0] = 0.0
+        ridge = np.diag(np.maximum(penalty, 1e-12))
         tolerance = 1e-8
         converged = False
         iterations = 0
-        updates = []
         raw_updates = []
         for iterations in range(1, 201):
-            z = design @ theta
-            p = sigmoid(z)
-            gradient = design.T @ (weights * (y - p)) - penalty * theta
+            z = linear_predictor(design, theta)
+            p = 1.0 / (1.0 + np.exp(-np.clip(z, -_CLIP, _CLIP)))
+            residuals = weights * (y - p)
             w = np.maximum(weights * p * (1.0 - p), 1e-10)
-            hessian = (design * w[:, None]).T @ design + np.diag(
-                np.maximum(penalty, 1e-12)
+            gradient = np.array(
+                [
+                    running_sum(design[:, a] * residuals) - penalty[a] * theta[a]
+                    for a in range(width)
+                ]
+            )
+            hessian = np.array(
+                [
+                    [
+                        running_sum(design[:, a] * design[:, b] * w) + ridge[a, b]
+                        for b in range(width)
+                    ]
+                    for a in range(width)
+                ]
             )
             update = np.linalg.solve(hessian, gradient)
             raw_updates.append(update.copy())
             theta = theta + update
-            updates.append(update.copy())
             if float(np.max(np.abs(update))) < tolerance:
                 converged = True
                 break
@@ -220,7 +240,6 @@ class TestSharedLinearPredictorIterates:
             "iterations": iterations,
             "converged": converged,
             "log_likelihood": log_likelihood(design, y, weights, theta, penalty),
-            "updates": updates,
             "raw_updates": raw_updates,
         }
 
@@ -304,3 +323,154 @@ class TestSharedLinearPredictorIterates:
             design, np.asarray(labels, dtype=float), np.ones(len(labels)), theta, penalty
         )
         assert fit.log_likelihood == expected
+
+
+def _singular_table():
+    """A table whose Hessian is singular at every step (two equal columns).
+
+    With no ridge, weights this large absorb the 1e-12 diagonal guard, so
+    the raw solve signals singularity, the public solve raises, and each
+    step is the scaled gradient.
+    """
+    column = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    return (
+        np.column_stack([column, column]),
+        np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]),
+        np.full(6, 1e5),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """One weighted table of the count-table shape: a 0/1 code and a rate."""
+    kind = draw(st.sampled_from(["mixed", "single-class", "separable", "singular"]))
+    if kind == "singular":
+        return _singular_table()
+    rows = draw(st.integers(min_value=1, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rates = np.round(rng.random(rows) * 10) / 10
+    features = np.column_stack([rng.integers(0, 2, rows).astype(float), rates])
+    if kind == "single-class":
+        labels = np.full(rows, float(rng.integers(0, 2)))
+    elif kind == "separable":
+        labels = (rates >= 0.5).astype(float)
+    else:
+        labels = rng.integers(0, 2, rows).astype(float)
+    weights = (
+        rng.integers(1, 4000, rows).astype(float)
+        if draw(st.booleans())
+        else None
+    )
+    return features, labels, weights
+
+
+def _assert_same_fit(left, right):
+    assert left.intercept == right.intercept
+    np.testing.assert_array_equal(left.coefficients, right.coefficients)
+    assert left.iterations == right.iterations
+    assert left.converged == right.converged
+    assert left.log_likelihood == right.log_likelihood
+
+
+class TestStackedSolve:
+    """A table's fit does not depend on the stack it is solved in."""
+
+    @given(
+        st.lists(_tables(), min_size=1, max_size=8),
+        st.sampled_from([0.0, 1e-3]),
+        st.sampled_from([4, 12, 200]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_fit_equals_its_one_table_fit(self, tables, l2, budget, random):
+        # Budgets of 4 and 12 stop the separable and singular tables (and
+        # some others) before they converge, while the rest converge.
+        alone = [
+            LogisticRegression(l2_penalty=l2, max_iterations=budget).fit(x, y, w)
+            for x, y, w in tables
+        ]
+        order = list(range(len(tables)))
+        random.shuffle(order)
+        models = [
+            LogisticRegression(l2_penalty=l2, max_iterations=budget) for _ in order
+        ]
+        stacked = fit_stack(models, [tables[index] for index in order])
+        for model, fit, index in zip(models, stacked, order):
+            assert model.fit_result is fit
+            _assert_same_fit(fit, alone[index])
+
+    def test_models_with_different_settings_share_one_call(self):
+        tables = [make_separable_data(n=40, seed=seed) for seed in range(4)]
+        models = [
+            LogisticRegression(l2_penalty=penalty, max_iterations=budget)
+            for penalty, budget in [(1e-3, 200), (1e-2, 200), (1e-3, 3), (1e-3, 200)]
+        ]
+        stacked = fit_stack(models, [(x, y, None) for x, y in tables])
+        for model, fit, (x, y) in zip(models, stacked, tables):
+            twin = LogisticRegression(
+                l2_penalty=model._l2_penalty, max_iterations=model._max_iterations
+            )
+            _assert_same_fit(fit, twin.fit(x, y))
+        assert stacked[2].iterations == 3 and not stacked[2].converged
+
+    def test_a_singular_table_takes_the_fallbacks_inside_a_stack(self, monkeypatch):
+        outcomes = []
+        true_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            try:
+                result = true_solve(a, b)
+            except np.linalg.LinAlgError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("solved")
+            return result
+
+        singular = _singular_table()
+        regular = (*make_separable_data(n=30, seed=2), None)
+        alone = LogisticRegression(l2_penalty=0.0).fit(*singular)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        models = [LogisticRegression(l2_penalty=0.0) for _ in range(3)]
+        fits = fit_stack(models, [regular, singular, regular])
+        # Only the singular table leaves the raw solve, every time.
+        assert outcomes == ["singular"] * alone.iterations
+        _assert_same_fit(fits[1], alone)
+        _assert_same_fit(fits[0], fits[2])
+
+    def test_the_public_solve_path_stacks_alike(self, monkeypatch):
+        import repro.scoring.logistic as logistic_module
+
+        tables = [
+            (*make_separable_data(n=20 + 5 * seed, seed=seed), None)
+            for seed in range(3)
+        ]
+        fast = fit_stack([LogisticRegression() for _ in tables], tables)
+        monkeypatch.setattr(logistic_module, "_raw_solve1", None)
+        slow = fit_stack([LogisticRegression() for _ in tables], tables)
+        alone = [LogisticRegression().fit(*table) for table in tables]
+        for left, right, single in zip(fast, slow, alone):
+            _assert_same_fit(left, right)
+            _assert_same_fit(right, single)
+
+    def test_single_class_tables_stay_outside_the_stack(self):
+        features, labels = make_separable_data(n=40, seed=5)
+        single = (features[:10], np.ones(10), None)
+        fits = fit_stack(
+            [LogisticRegression(), LogisticRegression()],
+            [single, (features, labels, None)],
+        )
+        assert fits[0].iterations == 0 and fits[0].converged
+        _assert_same_fit(fits[0], LogisticRegression().fit(*single))
+        _assert_same_fit(fits[1], LogisticRegression().fit(features, labels))
+
+    def test_one_problem_per_model(self):
+        with pytest.raises(ValueError, match="one problem per model"):
+            fit_stack([LogisticRegression()], [])
+
+    def test_every_table_is_validated(self):
+        features, labels = make_separable_data(n=20, seed=1)
+        with pytest.raises(ValueError, match="binary"):
+            fit_stack(
+                [LogisticRegression(), LogisticRegression()],
+                [(features, labels, None), (features, labels * 2, None)],
+            )

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, spawn_generator, spawn_generators
+from repro.utils.rng import (
+    derive_seed,
+    pcg64_states,
+    shard_seed,
+    shard_step_generator,
+    spawn_generator,
+    step_states,
+)
 
 
 class TestDeriveSeed:
@@ -44,16 +51,64 @@ class TestSpawnGenerator:
         assert isinstance(spawn_generator(None), np.random.Generator)
 
 
-class TestSpawnGenerators:
-    def test_one_generator_per_label(self):
-        generators = spawn_generators(7, range(4))
-        assert len(generators) == 4
+class TestVectorisedSeeding:
+    """``pcg64_states`` against numpy's own ``PCG64(seed)`` seeding."""
 
-    def test_generators_are_independent_streams(self):
-        first, second = spawn_generators(7, ["a", "b"])
-        assert not np.allclose(first.random(10), second.random(10))
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 2, 2**63 - 1, 2**64 - 1]
 
-    def test_reproducible_across_calls(self):
-        first_run = [g.random() for g in spawn_generators(7, range(3))]
-        second_run = [g.random() for g in spawn_generators(7, range(3))]
-        assert first_run == second_run
+    @classmethod
+    def seeds(cls):
+        """The edge seeds, the small ones, both sides of 2**32, and random ones."""
+        rng = np.random.default_rng(2026)
+        seeds = cls.EDGE_SEEDS + list(range(2, 200))
+        seeds += [2**32 + offset for offset in range(-100, 100)]
+        seeds += rng.integers(0, 2**32, size=500, dtype=np.uint64).tolist()
+        seeds += rng.integers(0, 2**63 - 1, size=1600, dtype=np.uint64).tolist()
+        return seeds
+
+    def test_states_equal_numpys_for_2500_seeds(self):
+        seeds = self.seeds()
+        assert len(seeds) >= 2500
+        for seed, state in zip(seeds, pcg64_states(seeds)):
+            assert state == np.random.PCG64(seed).state, seed
+
+    def test_a_reseated_generator_draws_what_a_fresh_one_draws(self):
+        seeds = self.seeds()
+        generator = np.random.Generator(np.random.PCG64(0))
+        for seed, state in zip(seeds, pcg64_states(seeds)):
+            generator.bit_generator.state = state
+            fresh = np.random.Generator(np.random.PCG64(seed))
+            np.testing.assert_array_equal(generator.random(3), fresh.random(3))
+
+    def test_reseating_drops_a_buffered_half_word(self):
+        # A 32-bit draw leaves half a 64-bit word buffered in the bit
+        # generator; the re-seated stream must not start with it.
+        generator = np.random.Generator(np.random.PCG64(0))
+        generator.integers(0, 2**16, dtype=np.uint32)
+        (state,) = pcg64_states([12345])
+        generator.bit_generator.state = state
+        fresh = np.random.Generator(np.random.PCG64(12345))
+        np.testing.assert_array_equal(
+            generator.integers(0, 2**16, size=5, dtype=np.uint32),
+            fresh.integers(0, 2**16, size=5, dtype=np.uint32),
+        )
+
+    def test_no_seeds_give_no_states(self):
+        assert pcg64_states([]) == []
+
+
+class TestStepStates:
+    """``step_states`` seats the streams ``shard_step_generator`` defines."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 20240101])
+    def test_reseated_streams_equal_the_definition(self, seed):
+        shard_seeds = [shard_seed(seed, shard) for shard in range(8)]
+        generator = np.random.Generator(np.random.PCG64(0))
+        for step in (0, 1, 18, 1022):
+            for shard, state in enumerate(step_states(shard_seeds, step)):
+                generator.bit_generator.state = state
+                expected = shard_step_generator(seed, shard, step)
+                np.testing.assert_array_equal(generator.random(4), expected.random(4))
+                np.testing.assert_array_equal(
+                    generator.standard_normal(2), expected.standard_normal(2)
+                )
