@@ -8,11 +8,10 @@ process-pool alternative only adds IPC.  The
 :class:`BatchedTrialRunner` here amortises that fixed cost across trials
 instead of across processes: the ``T`` per-trial populations are stacked
 into ``(trials, users)`` columns and every deterministic per-step phase —
-the affordability update, the probit repayment probabilities, the
-repayment comparisons, the :class:`~repro.core.filters.DefaultRateFilter`
-integer counts, the running-statistics rows of the full history and the
-streaming group aggregation — runs as single fused calls over the trial
-axis.
+the affordability update, the repayment decisions, the
+:class:`~repro.core.filters.DefaultRateFilter` integer counts, the
+running-statistics rows of the full history and the streaming group
+aggregation — runs as single fused calls over the trial axis.
 
 Lanes and blocks
 ----------------
@@ -29,7 +28,10 @@ step is one pass over the lanes, each block running, without reading
 another block's users:
 
 * the draws, into its lane's draw scratch, and the income mapping;
-* affordability, the fused decision, the probit and the actions;
+* affordability, then which users would repay if offered
+  (:meth:`~repro.credit.repayment.GaussianRepaymentModel.repays`, a
+  certified bracket of the probit, with the spent draw scratch as its
+  work arrays), the fused decision and the actions;
 * a refit count table per trial, which the calling thread merges with
   :func:`~repro.scoring.suffstats.merge_tables` (exact integer addition);
 * the filter fold (:meth:`~repro.core.filters.BatchedDefaultRateFilter.fold`):
@@ -48,9 +50,10 @@ portfolio rates, so no count row is ever summed again.
 
 :meth:`BatchedTrialRunner.run` creates a ``ThreadPoolExecutor`` for the
 lanes after the first, which the calling thread steps itself, and shuts
-it down when the steps end.  numpy and scipy release the GIL in these
-kernels, so the threads use separate cores.  With one thread the single
-lane runs inline, without a pool.  The thread count is the
+it down when the steps end.  numpy releases the GIL in these kernels
+(and scipy in the probit of the few users a bracket cannot decide), so
+the threads use separate cores.  With one thread the single lane runs
+inline, without a pool.  The thread count is the
 ``max_workers`` of the ``batch`` plan
 (:func:`~repro.core.planner.plan_execution`).  Each block writes only its
 own columns of preallocated ``(trials, users)`` step buffers, and draws
@@ -155,6 +158,11 @@ nothing about the random schedule or the per-trial arithmetic changes:
   order-dependent reduction (rate sums, group folds) runs over a
   contiguous trial row — the same reduction the serial engine runs over
   its own arrays;
+* the repayment decision is the serial engine's ``u < P(repay)``
+  exactly: :meth:`~repro.credit.repayment.GaussianRepaymentModel.repays`
+  decides it from a certified bracket of ``P`` and evaluates ``P`` where
+  the bracket cannot decide (pinned by a property against the definition
+  and by a kernel run on a coarse table, a third of it evaluated);
 * the phases that are genuinely per-trial stay per-trial: each trial's AI
   system ``decide``/``update`` (scorecard scoring, the yearly refit) is
   invoked exactly as the serial loop invokes it, on views of the stacked
@@ -381,10 +389,11 @@ class _KernelThreads:
 class _StepBuffers:
     """The ``(trials, users)`` arrays one step's phases write in place.
 
-    Several are reused within a step: the affordability states become the
-    repayment probabilities and then the clipped previous rates, read from
-    the clipped-rate table at each user's cell before the block's filter
-    fold (the fused decision reads them there); the repayment uniforms
+    Several are reused within a step: ``states`` holds the affordability
+    states until the repayment decision has read them, then the clipped
+    previous rates, read from the clipped-rate table at each user's cell
+    before the block's filter fold (the fused decision reads them there),
+    and after the last step the final states; the repayment uniforms
     land in ``actions``, which the step's actions overwrite once they are
     compared; ``decisions`` holds the rate term of the scores until the
     cut-off writes the decisions over it.  ``rates`` is the one ``ADR_i``
@@ -398,7 +407,7 @@ class _StepBuffers:
     def __init__(self, trials: int, users: int, full_mode: bool) -> None:
         shape = (trials, users)
         self.incomes = np.empty(shape, dtype=float)
-        self.probabilities = np.empty(shape, dtype=float)
+        self.states = np.empty(shape, dtype=float)
         self.decisions = np.empty(shape, dtype=float)
         self.actions = np.empty(shape, dtype=float)
         self.scores = np.empty(shape, dtype=float)
@@ -409,7 +418,7 @@ class _StepBuffers:
         self.running_actions = np.empty(shape, dtype=float) if full_mode else None
 
     def release(self) -> None:
-        """Drop every row but the incomes, probabilities and scores."""
+        """Drop every row but the incomes, states and scores."""
         self.decisions = self.actions = self.rates = self.running_actions = None
         self.codes = self.offered = self.repaid = None
 
@@ -647,8 +656,12 @@ class BatchedTrialRunner:
         uniforms per race segment (``begin_step``), into the lane's scratch,
         then the repayment uniforms (``respond``), into ``actions`` — in the
         identical stream order.  The block then maps its incomes, computes
-        affordability and the probit, and records which users would repay
-        if offered (``u < P(repay)``).
+        affordability and records which users would repay if offered
+        (``u < P(repay)``, decided by
+        :meth:`~repro.credit.repayment.GaussianRepaymentModel.repays`).
+        Once the incomes are mapped the draw scratch is spent, so its two
+        halves are the decision's work arrays, and the phase allocates no
+        block-sized array of its own.
         """
         bounds = self._plan.bounds
         start = block.users.start
@@ -670,13 +683,19 @@ class BatchedTrialRunner:
                 year, race, flat_draws[bracket_idx], flat_draws[width_idx]
             )
         users = block.users
-        states = affordability_state(
-            buffers.incomes[:, users],
-            self._terms,
-            out=buffers.probabilities[:, users],
+        affordability = affordability_state(
+            buffers.incomes[:, users], self._terms, out=buffers.states[:, users]
         )
-        probabilities = self._model.repayment_probability(states, out=states)
-        np.less(buffers.actions[:, users], probabilities, out=buffers.repaid[:, users])
+        size, shape = affordability.size, affordability.shape
+        self._model.repays(
+            buffers.actions[:, users],
+            affordability,
+            out=buffers.repaid[:, users],
+            work=(
+                flat_draws[:size].reshape(shape),
+                flat_draws[size : 2 * size].reshape(shape),
+            ),
+        )
 
     def _act(self, block: _Block, buffers: _StepBuffers) -> np.ndarray:
         """Write one block's actions; return its offered mask.
@@ -770,10 +789,10 @@ class BatchedTrialRunner:
             out=buffers.codes[:, users],
         )
         cells = tables.rate_filter.cells[:, users]
-        # The probabilities are compared already; their columns now hold
-        # the clipped previous rates.
+        # The states are decided already; their columns now hold the
+        # clipped previous rates.
         clipped_rates = tables.rate_filter.read(
-            tables.clipped_rates, cells, out=buffers.probabilities[:, users]
+            tables.clipped_rates, cells, out=buffers.states[:, users]
         )
         if scorecards is None:
             decisions.fill(1.0)
@@ -974,13 +993,13 @@ class BatchedTrialRunner:
                 )
         if num_steps == 0:
             return aggregate, histories
-        # The probabilities are spent: their rows take the final
+        # The step's states are spent: their rows take the final
         # affordability, a block at a time, which the populations copy.
         threads.map(
             lambda block: affordability_state(
                 buffers.incomes[:, block.users],
                 self._terms,
-                out=buffers.probabilities[:, block.users],
+                out=buffers.states[:, block.users],
             )
         )
         threads.shutdown()
@@ -995,7 +1014,7 @@ class BatchedTrialRunner:
                 0,
                 {
                     "incomes": buffers.incomes[trial],
-                    "affordability": buffers.probabilities[trial],
+                    "affordability": buffers.states[trial],
                 },
             )
         return aggregate, histories

@@ -103,3 +103,58 @@ class TestBorrowerState:
         poor = BorrowerState.from_income(1, Race.BLACK, 5.0, terms)
         assert wealthy.can_cover_obligation
         assert not poor.can_cover_obligation
+
+
+class TestInPlaceObligation:
+    """The obligation built in the output array keeps every state's bits."""
+
+    INCOMES = [
+        0.0, -0.0, -5.0, -1e300, 5e-324, 1e-320, 1e-310, 2.2e-308, 1e-300,
+        1e-3, 9.99, 10.0, 10.5, 50.0, 1e6, 1e300, 1e308, np.inf, -np.inf, np.nan,
+    ]
+
+    TERMS = [
+        MortgageTerms(),
+        MortgageTerms(fixed_principal=50.0),
+        MortgageTerms(annual_rate=0.0),
+        MortgageTerms(annual_rate=0.0, fixed_principal=50.0),
+        MortgageTerms(income_multiple=7.25, annual_rate=0.13, living_cost=0.0),
+    ]
+
+    @staticmethod
+    def _formula(incomes, terms):
+        """The states through ``MortgageTerms.annual_obligation``, then the floors."""
+        with np.errstate(all="ignore"):
+            obligations = np.asarray(
+                terms.annual_obligation(np.maximum(incomes, 0.0)), dtype=float
+            )
+            states = (incomes - obligations) / incomes
+        floored = ~(incomes > 0) | (states == -np.inf)
+        states[floored] = -1e6
+        return states
+
+    @pytest.mark.parametrize("terms", TERMS)
+    @pytest.mark.parametrize("layout", ["new", "out", "strided out"])
+    def test_bits_match_the_obligation_formula(self, terms, layout):
+        incomes = np.array(self.INCOMES)
+        rows = np.stack([incomes, incomes[::-1]])
+        expected = self._formula(rows, terms)
+        out = None
+        if layout == "out":
+            out = np.full(rows.shape, 3.0)
+        elif layout == "strided out":
+            out = np.full((2, 2 * incomes.size), 3.0)[:, 1::2]
+        with np.errstate(all="raise"):
+            states = affordability_state(rows, terms, out=out)
+        if out is not None:
+            assert states is out
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(states).view(np.uint64), expected.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("terms", TERMS)
+    def test_scalar_income_matches_the_formula(self, terms):
+        for income in self.INCOMES:
+            state = affordability_state(income, terms)
+            expected = self._formula(np.array([income]), terms)
+            assert state.view(np.uint64)[0] == expected.view(np.uint64)[0], income

@@ -124,7 +124,7 @@ def test_hand_over_releases_the_step_rows(monkeypatch, threads):
     )
     outcomes = runner.run()
     assert len(outcomes) == 2
-    read_by_the_copies = ["incomes", "probabilities", "scores"]
+    read_by_the_copies = ["incomes", "states", "scores"]
     assert alive_at_copies == [read_by_the_copies] * 2
     assert alive_at_hand_over == [[], []]
     assert len(stacked_rows) == 4
