@@ -12,18 +12,14 @@ against its granted core slice rather than the whole host.
 Every completed job publishes its result to the cache from inside the
 worker, atomically, before the sweep moves on — so a campaign killed at
 job K resumes by simply re-running: jobs 0..K-1 are hits, the rest
-recompute.  Worker death, hangs and raises retry under the
-:class:`~repro.core.supervision.SupervisorPolicy` budget and then degrade
-to an in-process run with a :class:`RuntimeWarning`, mirroring the trial
-pool's supervision contract.
+recompute.  The job pool is :func:`~repro.core.supervision.supervised_map`,
+the trial pool's executor too: worker death, hangs and raises retry under
+the :class:`~repro.core.supervision.SupervisorPolicy` budget and then
+degrade to an in-process run with a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -31,12 +27,7 @@ from typing import Dict, List, Tuple
 from repro.campaign.cache import CampaignJobSeries, ResultCache, job_key
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand_campaign
 from repro.core.planner import CampaignBudget, plan_campaign_jobs, plan_execution
-from repro.core.supervision import (
-    SupervisorPolicy,
-    WorkerPoolFailure,
-    is_picklable,
-    kill_executor,
-)
+from repro.core.supervision import SupervisorPolicy, supervised_map
 from repro.experiments.runner import _run_planned_experiment
 from repro.testing.faults import fire as _fire_fault
 
@@ -170,17 +161,24 @@ def plan_campaign(
 
 def _execute_job(
     job: CampaignJob,
+    key: str,
     spec: CampaignSpec,
+    cache_dir: str,
     cores_per_job: int,
     supervisor: SupervisorPolicy | None,
 ) -> CampaignJobSeries:
-    """Run one job under its granted core slice and stack its series.
+    """Run one job under its granted core slice and publish its series.
 
     The job's layout is resolved by :func:`plan_execution` against
     ``cores_per_job`` — not the host's core count — which is what keeps J
     concurrent jobs from greedily sizing J full-width pools.  The
     experiment runner executes that plan as is, so it never re-plans on
     its own host view.
+
+    The series is stored in the cache (atomically) before this returns,
+    in whichever process runs the job, so a sweep killed after this job
+    completes keeps it across the resume — no process ever holds
+    unpublished results.
     """
     config = job.config
     plan = plan_execution(
@@ -198,132 +196,23 @@ def _execute_job(
         income_table=job.income_table(),
         supervisor=supervisor,
     )
-    return CampaignJobSeries.from_experiment(result)
-
-
-def _run_campaign_job(
-    payload: Tuple[CampaignJob, CampaignSpec, str, str, int, SupervisorPolicy | None]
-) -> CampaignJobSeries:
-    """Executor entry point: run one campaign job and publish its result.
-
-    The worker stores the cache entry itself (atomically) before
-    returning, so a sweep killed after this job completes keeps it across
-    the resume — the parent process never holds unpublished results.
-    """
-    job, spec, cache_dir, key, cores_per_job, supervisor = payload
-    # Chaos-suite hook: lets a test deterministically kill/hang/fail the
-    # sweep at a chosen job to exercise campaign-level resume.
-    _fire_fault("campaign_job", trial=job.index)
-    series = _execute_job(job, spec, cores_per_job, supervisor)
+    series = CampaignJobSeries.from_experiment(result)
     ResultCache(cache_dir).store(key, series)
     return series
 
 
-def _run_jobs_supervised(
-    pending: List[CampaignJob],
-    keys: Dict[int, str],
-    spec: CampaignSpec,
-    cache_dir: str,
-    budget: CampaignBudget,
-    supervisor: SupervisorPolicy | None,
-) -> Dict[int, CampaignJobSeries]:
-    """Run pending jobs on a supervised pool; ``None``-free result map.
+def _run_campaign_job(
+    payload: Tuple[CampaignJob, str, CampaignSpec, str, int, SupervisorPolicy | None]
+) -> CampaignJobSeries:
+    """Run one campaign job from its argument tuple: the pool's worker.
 
-    Mirrors the trial pool's supervision contract: a worker death or hang
-    tears the pool down, keeps every published result, and re-runs only
-    the lost jobs after a backoff; a raise inside one job retries just
-    that job; a job past ``supervisor.max_retries`` degrades to an
-    in-process run with a :class:`RuntimeWarning` (surfacing its own
-    deterministic error, if that is what keeps killing workers).
+    The serial sweep runs jobs through here too; the pool's past-budget
+    fallback calls :func:`_execute_job` directly, past the fault hook.
     """
-    policy = supervisor or SupervisorPolicy()
-
-    def payload_for(job: CampaignJob) -> tuple:
-        return (job, spec, cache_dir, keys[job.index], budget.cores_per_job, supervisor)
-
-    results: Dict[int, CampaignJobSeries] = {}
-    attempts: Dict[int, int] = {job.index: 0 for job in pending}
-    by_index = {job.index: job for job in pending}
-    waiting = [job.index for job in pending]
-    executor: ProcessPoolExecutor | None = None
-    pool_failures = 0
-    try:
-        while waiting:
-            for index in [i for i in waiting if attempts[i] > policy.max_retries]:
-                warnings.warn(
-                    f"campaign job {by_index[index].job_id!r} exhausted its "
-                    f"retry budget ({policy.max_retries} retries); running it "
-                    "in-process",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                series = _execute_job(
-                    by_index[index], spec, budget.cores_per_job, supervisor
-                )
-                ResultCache(cache_dir).store(keys[index], series)
-                results[index] = series
-            waiting = [i for i in waiting if i not in results]
-            if not waiting:
-                break
-            failure: WorkerPoolFailure | None = None
-            try:
-                if executor is None:
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(budget.job_workers, len(waiting))
-                    )
-                future_map = {
-                    executor.submit(
-                        _run_campaign_job, payload_for(by_index[index])
-                    ): index
-                    for index in waiting
-                }
-            except (pickle.PicklingError, BrokenProcessPool) as error:
-                failure = WorkerPoolFailure("submitting jobs failed", error)
-                future_map = {}
-            outstanding = set(future_map)
-            while outstanding and failure is None:
-                done, _ = wait(
-                    outstanding, timeout=policy.timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    failure = WorkerPoolFailure(
-                        "no job completed within the supervision timeout", None
-                    )
-                    break
-                for future in done:
-                    index = future_map[future]
-                    outstanding.discard(future)
-                    try:
-                        results[index] = future.result()
-                    except BrokenProcessPool as error:
-                        failure = WorkerPoolFailure("a job worker process died", error)
-                        break
-                    except Exception:
-                        # The job itself raised: retry just this one.
-                        attempts[index] += 1
-            waiting = [i for i in waiting if i not in results]
-            if failure is not None and waiting:
-                pool_failures += 1
-                for index in waiting:
-                    attempts[index] += 1
-                kill_executor(executor)
-                executor = None
-                cause = failure.cause if failure.cause is not None else failure
-                warnings.warn(
-                    f"campaign job pool failure ({failure.reason}: {cause!r}); "
-                    f"rebuilding the pool and re-running {len(waiting)} lost "
-                    f"job(s) (pool failure {pool_failures})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                policy.sleep_before_retry(pool_failures)
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-            executor = None
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return results
+    # Chaos-suite hook: lets a test deterministically kill/hang/fail the
+    # sweep at a chosen job to exercise campaign-level resume.
+    _fire_fault("campaign_job", trial=payload[0].index)
+    return _execute_job(*payload)
 
 
 def run_campaign(
@@ -359,46 +248,38 @@ def run_campaign(
     plan = plan_campaign(spec, cache_dir, cpu_count=cpu_count)
     cache = ResultCache(cache_dir)
     outcomes: Dict[int, JobOutcome] = {}
-    pending: List[CampaignJob] = []
-    keys: Dict[int, str] = {}
+    pending: List[Tuple[CampaignJob, str]] = []
     for job, key in zip(plan.jobs, plan.keys):
-        keys[job.index] = key
         series = cache.load(key)
         if series is not None:
             outcomes[job.index] = JobOutcome(job=job, key=key, cached=True, series=series)
         else:
-            pending.append(job)
+            pending.append((job, key))
     budget = plan_campaign_jobs(
         len(pending), cpu_count=cpu_count, max_workers=spec.max_workers
     )
-    if pending:
-        computed: Dict[int, CampaignJobSeries] = {}
-        pooled = (
-            budget.job_workers > 1
-            and len(pending) > 1
-            and is_picklable(
-                (pending[0], spec, str(cache.directory), keys[pending[0].index],
-                 budget.cores_per_job, supervisor)
-            )
+    payloads = [
+        (job, key, spec, str(cache.directory), budget.cores_per_job, supervisor)
+        for job, key in pending
+    ]
+    computed = supervised_map(
+        _run_campaign_job,
+        range(len(payloads)),
+        lambda position, failures: payloads[position],
+        lambda position: _execute_job(*payloads[position]),
+        workers=budget.job_workers,
+        policy=supervisor,
+        pool="campaign job pool",
+        label=lambda position: f"campaign job {pending[position][0].job_id!r}",
+    )
+    if computed is None:
+        computed = {
+            position: _run_campaign_job(payload)
+            for position, payload in enumerate(payloads)
+        }
+    for position, (job, key) in enumerate(pending):
+        outcomes[job.index] = JobOutcome(
+            job=job, key=key, cached=False, series=computed[position]
         )
-        if pooled:
-            computed = _run_jobs_supervised(
-                pending, keys, spec, str(cache.directory), budget, supervisor
-            )
-        else:
-            for job in pending:
-                # Same chaos hook as the pooled worker, so the serial path
-                # can be killed (and resumed) at a chosen job too.
-                _fire_fault("campaign_job", trial=job.index)
-                series = _execute_job(job, spec, budget.cores_per_job, supervisor)
-                cache.store(keys[job.index], series)
-                computed[job.index] = series
-        for job in pending:
-            outcomes[job.index] = JobOutcome(
-                job=job,
-                key=keys[job.index],
-                cached=False,
-                series=computed[job.index],
-            )
     ordered = tuple(outcomes[job.index] for job in plan.jobs)
     return CampaignResult(spec=spec, outcomes=ordered, budget=budget)

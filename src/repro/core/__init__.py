@@ -47,7 +47,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.loop import ClosedLoop
-from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure
+from repro.core.supervision import SupervisorPolicy
 from repro.core.sharding import NUM_CANONICAL_SHARDS, ShardPlan
 from repro.core.history import (
     FullHistoryRequiredError,
@@ -95,7 +95,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointSpec",
     "SupervisorPolicy",
-    "WorkerPoolFailure",
     "load_latest_checkpoint",
     "read_checkpoint",
     "write_checkpoint",

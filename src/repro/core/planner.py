@@ -13,14 +13,14 @@ workload shape (trials, users, steps), the host (``cpu_count``), the
 recording mode and the checkpoint knobs, it resolves a
 single ``execution`` request — ``"auto"``, ``"serial"``, ``"batch"`` or
 ``"pool"`` — into an :class:`ExecutionPlan`, which the runner executes.
-``"auto"`` pools trials when there are several trials and several cores.
-Otherwise — one trial on any host, or several trials on one core — it
-runs in process on the lockstep kernel, or on the serial loop when
-checkpointing or past the kernel's :data:`KERNEL_MAX_STEPS`.  An optional
-calibration micro-bench (:func:`measure_dispatch_overhead`) refines the
-batch-vs-serial call for several trials on one core.  Every layout
-requires the AI system's decisions to be 0/1 and refuses others with the
-same error, so a plan never decides whether a policy runs.
+``"auto"`` and ``"pool"`` pool trials when the trials, the usable cores
+and the ``max_workers`` cap are all at least two: a one-worker pool is
+the serial loop plus process overhead.  Otherwise ``"pool"`` runs the
+serial loop, and ``"auto"`` runs in process on the lockstep kernel, or on
+the serial loop when checkpointing or past the kernel's
+:data:`KERNEL_MAX_STEPS`.  Every layout requires the AI system's
+decisions to be 0/1 and refuses others with the same error, so a plan
+never decides whether a policy runs.
 
 A ``batch`` plan also sizes the kernel's threads, in
 ``ExecutionPlan.max_workers``: the smallest of the usable cores, the
@@ -64,11 +64,8 @@ validated and planned exactly like it.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.core.sharding import max_worker_shards
 
@@ -80,7 +77,6 @@ __all__ = [
     "plan_execution",
     "reset_planner_caches",
     "validate_execution_settings",
-    "measure_dispatch_overhead",
 ]
 
 #: The values the ``execution`` knob accepts.  ``"shard"`` is a second name
@@ -91,10 +87,8 @@ EXECUTION_MODES = ("auto", "serial", "batch", "pool", "shard")
 #: The modes that run the lockstep kernel.
 _KERNEL_MODES = ("batch", "shard")
 
-#: Calibration threshold: when the measured per-step dispatch overhead is
-#: below this fraction of a step's vectorized work, batching has nothing
-#: to amortise and ``auto`` keeps the serial loop.
-AUTO_BATCH_MIN_DISPATCH_FRACTION = 0.01
+#: The layouts a plan resolves to.
+_LAYOUTS = ("serial", "batch", "pool")
 
 #: Fewest user-trials (trials x users) per lockstep-kernel thread.  A
 #: thread's lane spans every trial, so its work is its users times the
@@ -133,25 +127,21 @@ KERNEL_MIN_USERS_PER_THREAD = 5_000
 KERNEL_MAX_STEPS = 1023
 
 
-#: Per-process memos of the host probes.  The core count cannot change
-#: under a running interpreter, and the dispatch-overhead micro-bench is a
-#: property of the interpreter + BLAS build, not of the workload — so a
-#: campaign planning 10k jobs pays for each probe once, not once per job.
+#: Per-process memo of the core-count probe.  The usable cores cannot
+#: change under a running interpreter, so a campaign planning 10k jobs
+#: probes once, not once per job.
 _CPU_COUNT_MEMO: Optional[int] = None
-_DISPATCH_MEMO: Dict[int, float] = {}
 
 
 def reset_planner_caches() -> None:
-    """Forget the memoized cpu-count and dispatch-overhead probes.
+    """Forget the memoized cpu-count probe.
 
     Test seam: suites that monkeypatch the probes ``os.sched_getaffinity``
     and ``os.cpu_count`` (rather than the :func:`_detect_cpu_count`
-    function itself) or want a fresh calibration probe call this between
-    cases.
+    function itself) call this between cases.
     """
     global _CPU_COUNT_MEMO
     _CPU_COUNT_MEMO = None
-    _DISPATCH_MEMO.clear()
 
 
 def _detect_cpu_count() -> int:
@@ -214,32 +204,37 @@ class ExecutionPlan:
     execution:
         The requested knob value (``"auto"``, ``"serial"``, ...).
     layout:
-        The resolved layout: ``"serial"``, ``"batch"`` or ``"pool"``.
-    trial_batch, parallel:
-        The concrete layout: the lockstep kernel, or the trial pool.
+        The resolved layout: ``"serial"``, ``"batch"`` (the lockstep
+        kernel) or ``"pool"`` (the trial pool).
     max_workers:
-        The trial pool's worker count, or a ``batch`` plan's kernel thread
-        count: the threads that run the lockstep kernel's per-user phases,
-        one chunk of whole canonical shards each (``None`` means one).
+        The trial pool's worker count (at least two), or a ``batch`` plan's
+        kernel thread count: the threads that run the lockstep kernel's
+        per-user phases, one lane of whole canonical shards each (``None``
+        means one).
     cpu_count:
         The usable core count the planner saw (the process's affinity
         mask, not the host's CPU count).  Recorded for diagnostics only —
         it is *excluded* from checkpoint fingerprints, so plans chosen on
         different hosts resume each other's checkpoints bit-identically.
-    calibrated:
-        Whether the calibration micro-bench informed the choice.
     """
 
     execution: str
     layout: str
-    trial_batch: bool
-    parallel: bool
     max_workers: Optional[int]
     cpu_count: int
-    calibrated: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
+
+    @property
+    def trial_batch(self) -> bool:
+        """Whether the plan runs the lockstep kernel."""
+        return self.layout == "batch"
+
+    @property
+    def parallel(self) -> bool:
+        """Whether the plan runs the trial pool."""
+        return self.layout == "pool"
 
     @property
     def shard_parallel(self) -> bool:
@@ -254,103 +249,29 @@ class ExecutionPlan:
         """Assert the plan's internal consistency (no forbidden combos)."""
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {self.execution!r}")
-        if self.trial_batch and self.parallel:
-            raise ValueError(
-                "a batched plan cannot also pool trials (the batched engine "
-                "owns every trial in one process)"
-            )
-        if self.parallel and (self.max_workers is None or self.max_workers < 1):
-            raise ValueError("a pooled plan needs a positive worker count")
+        if self.layout not in _LAYOUTS:
+            raise ValueError(f"layout must be one of {_LAYOUTS}, got {self.layout!r}")
+        if self.parallel and (self.max_workers is None or self.max_workers < 2):
+            raise ValueError("a pooled plan needs at least two workers")
         if self.trial_batch and self.max_workers is not None and self.max_workers < 1:
             raise ValueError("a batched plan needs a positive kernel thread count")
         if self.cpu_count < 1:
             raise ValueError("cpu_count must be positive")
-
-    def to_dict(self) -> Dict[str, object]:
-        """Return a JSON-serializable form (round-trips via :meth:`from_dict`)."""
-        return {
-            "execution": self.execution,
-            "layout": self.layout,
-            "trial_batch": self.trial_batch,
-            "parallel": self.parallel,
-            "max_workers": self.max_workers,
-            "cpu_count": self.cpu_count,
-            "calibrated": self.calibrated,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ExecutionPlan":
-        """Rebuild a plan from :meth:`to_dict` output (validates on build)."""
-        return cls(
-            execution=str(payload["execution"]),
-            layout=str(payload["layout"]),
-            trial_batch=bool(payload["trial_batch"]),
-            parallel=bool(payload["parallel"]),
-            max_workers=(
-                None
-                if payload.get("max_workers") is None
-                else int(payload["max_workers"])
-            ),
-            cpu_count=int(payload["cpu_count"]),
-            calibrated=bool(payload.get("calibrated", False)),
-        )
 
     def describe(self) -> str:
         """Return a one-line human summary of the plan."""
         pieces = [f"{self.execution}->{self.layout}"]
         if self.parallel:
             pieces.append(f"{self.max_workers} trial workers")
-        if self.trial_batch:
+        elif self.trial_batch:
             threads = self.max_workers or 1
             pieces.append(
                 f"lockstep trials on {threads} kernel thread"
                 + ("s" if threads > 1 else "")
             )
-        if not (self.parallel or self.trial_batch):
+        else:
             pieces.append("in-process")
         return ", ".join(pieces) + f" (saw {self.cpu_count} cpu)"
-
-
-def measure_dispatch_overhead(users: int, probes: int = 3) -> float:
-    """Estimate the per-step Python dispatch fraction of one loop step.
-
-    Times a trivial Python call chain (the fixed per-step cost batching
-    amortises) against one vectorized O(users) kernel (the work that
-    doesn't shrink), and returns ``dispatch / (dispatch + work)`` from the
-    best of ``probes`` runs.  The probe array is capped so calibration
-    costs milliseconds even for million-user plans.  Calibration only ever
-    tunes the *layout* — every layout is bit-identical, so a noisy probe
-    cannot perturb a trajectory.
-
-    Memoized per process on the capped probe size (the only input that
-    shapes the measurement): a calibrated 10k-job campaign probes once.
-    :func:`reset_planner_caches` forgets the memo.
-    """
-    size = max(16, min(int(users), 1 << 16))
-    memoized = _DISPATCH_MEMO.get(size)
-    if memoized is not None:
-        return memoized
-    values = np.linspace(0.0, 1.0, size)
-    out = np.empty_like(values)
-
-    def _noop(payload: Dict[str, float]) -> Dict[str, float]:
-        return payload
-
-    best_work = float("inf")
-    best_dispatch = float("inf")
-    for _ in range(max(1, probes)):
-        start = time.perf_counter()
-        np.multiply(values, 1.0000001, out=out)
-        np.clip(out, 0.0, 1.0, out=out)
-        best_work = min(best_work, time.perf_counter() - start)
-        start = time.perf_counter()
-        for _ in range(8):
-            _noop({"step": 0.0})["step"]
-        best_dispatch = min(best_dispatch, time.perf_counter() - start)
-    total = best_work + best_dispatch
-    fraction = 0.0 if total <= 0.0 else best_dispatch / total
-    _DISPATCH_MEMO[size] = fraction
-    return fraction
 
 
 def _kernel_thread_count(
@@ -387,13 +308,11 @@ def plan_execution(
     resume: bool = False,
     cpu_count: Optional[int] = None,
     max_workers: Optional[int] = None,
-    calibrate: bool = False,
 ) -> ExecutionPlan:
     """Resolve an ``execution`` request into an :class:`ExecutionPlan`.
 
     Deterministic for fixed inputs (``cpu_count`` included; it defaults to
-    the live core count) unless ``calibrate`` lets the micro-bench break a
-    batch-vs-serial tie.  ``history_mode`` is accepted for completeness —
+    the live core count).  ``history_mode`` is accepted for completeness —
     every layout supports both modes, so it does not steer the choice, but
     the signature is the stable seam where a mode-specific layout
     preference would land.  ``retrain_mode`` accepts only
@@ -401,6 +320,8 @@ def plan_execution(
     plan, which ``"auto"`` returns for every in-process run that does not
     checkpoint and has at most :data:`KERNEL_MAX_STEPS` steps, has the
     kernel thread count as its ``max_workers``, capped by ``max_workers``.
+    A ``pool`` plan has ``min(trials, cores, max_workers)`` workers, and
+    is planned only when that is at least two.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -427,78 +348,22 @@ def plan_execution(
     cores = _detect_cpu_count() if cpu_count is None else int(cpu_count)
     if cores < 1:
         raise ValueError("cpu_count must be positive")
-    checkpointing = checkpoint_every > 0 or resume
-
-    def serial_plan(requested: str, calibrated: bool = False) -> ExecutionPlan:
-        return ExecutionPlan(
-            execution=requested,
-            layout="serial",
-            trial_batch=False,
-            parallel=False,
-            max_workers=None,
-            cpu_count=cores,
-            calibrated=calibrated,
-        )
-
     if execution == "serial":
-        return serial_plan("serial")
-
-    if execution in _KERNEL_MODES:
-        # validate_execution_settings above already rejected checkpointing.
-        return ExecutionPlan(
-            execution=execution,
-            layout="batch",
-            trial_batch=True,
-            parallel=False,
-            max_workers=_kernel_thread_count(trials, users, cores, max_workers),
-            cpu_count=cores,
-        )
-
-    if execution == "pool":
-        if trials < 2:
-            return serial_plan("pool")  # nothing to pool over
-        workers = min(trials, cores if max_workers is None else max_workers)
-        return ExecutionPlan(
-            execution="pool",
-            layout="pool",
-            trial_batch=False,
-            parallel=True,
-            max_workers=max(1, workers),
-            cpu_count=cores,
-        )
-
-    # execution == "auto"
-    if trials > 1 and cores > 1:
-        workers = min(trials, cores if max_workers is None else max_workers)
-        return ExecutionPlan(
-            execution="auto",
-            layout="pool",
-            trial_batch=False,
-            parallel=True,
-            max_workers=max(1, workers),
-            cpu_count=cores,
-        )
-    # In process: one trial on any host, or several trials on one core.
-    # The lockstep kernel runs them, unless checkpointing or a horizon past
-    # its step bound forbids it or, for several trials, the calibration
-    # probe finds no per-step dispatch worth amortising.
-    if checkpointing or steps > KERNEL_MAX_STEPS:
-        return serial_plan("auto")
-    calibrated = calibrate and trials > 1
-    if (
-        calibrated
-        and measure_dispatch_overhead(users) < AUTO_BATCH_MIN_DISPATCH_FRACTION
-    ):
-        return serial_plan("auto", calibrated=True)
-    return ExecutionPlan(
-        execution="auto",
-        layout="batch",
-        trial_batch=True,
-        parallel=False,
-        max_workers=_kernel_thread_count(trials, users, cores, max_workers),
-        cpu_count=cores,
-        calibrated=calibrated,
-    )
+        return ExecutionPlan("serial", "serial", None, cores)
+    if execution not in _KERNEL_MODES:
+        workers = min(trials, cores, max_workers or cores)
+        if workers >= 2:
+            return ExecutionPlan(execution, "pool", workers, cores)
+        # One trial on any host, or several on one core (or one worker):
+        # "pool" runs them on the serial loop, and so does "auto" when
+        # checkpointing or a horizon past the kernel's step bound forbids
+        # the kernel.  validate_execution_settings above already rejected
+        # both for the kernel modes.
+        checkpointing = checkpoint_every > 0 or resume
+        if execution == "pool" or checkpointing or steps > KERNEL_MAX_STEPS:
+            return ExecutionPlan(execution, "serial", None, cores)
+    threads = _kernel_thread_count(trials, users, cores, max_workers)
+    return ExecutionPlan(execution, "batch", threads, cores)
 
 
 @dataclass(frozen=True)

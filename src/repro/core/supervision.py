@@ -1,24 +1,22 @@
 """Supervised worker-pool execution: timeouts, retries, backoff, teardown.
 
-Two supervised process pools are left: the trial pool in
-:mod:`repro.experiments.runner` and the campaign job pool in
-:mod:`repro.campaign.runner`.  They share one failure model: a worker can
-*die* (OOM kill, SIGKILL — surfaces as ``BrokenProcessPool``), *hang*
-(surfaces as a future that never completes), or *raise*.  The supervisor
-contract is the same in both pools:
+:func:`supervised_map` is the one supervised process pool.  The trial pool
+in :mod:`repro.experiments.runner` and the campaign job pool in
+:mod:`repro.campaign.runner` are both calls to it.  A worker can *die*
+(OOM kill, SIGKILL — surfaces as ``BrokenProcessPool``), *hang* (surfaces
+as a future that never completes), or *raise*.  The contract:
 
 1. every gather goes through a deadline so a hung worker becomes a
-   detected failure instead of a stuck experiment;
-2. a detected failure is retried — after an exponential backoff — from the
-   last consistent snapshot (a trial's checkpoint boundary, or the start
-   of the unit of work), with the broken pool torn down and rebuilt;
+   detected failure instead of a stuck run;
+2. a detected failure is retried from the last consistent snapshot (a
+   trial's checkpoint boundary, or the start of the unit of work); a
+   death or hang also tears the pool down and rebuilds it after an
+   exponential backoff;
 3. when the retry budget is exhausted the work degrades to the
-   bit-identical serial path with a structured :class:`RuntimeWarning`,
-   never a crashed experiment.
+   bit-identical in-process path with a :class:`RuntimeWarning`, never a
+   crashed run.
 
-:class:`SupervisorPolicy` carries the knobs; :class:`WorkerPoolFailure` is
-the internal signal that unifies death/hang/raise so the retry loop has a
-single except clause.
+:class:`SupervisorPolicy` carries the knobs.
 """
 
 from __future__ import annotations
@@ -26,27 +24,25 @@ from __future__ import annotations
 import pickle
 import threading
 import time
+import warnings
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, TypeVar
 
 __all__ = [
     "SupervisorPolicy",
-    "WorkerPoolFailure",
     "is_picklable",
     "kill_executor",
+    "supervised_map",
 ]
 
 #: Upper bound on how long :func:`kill_executor` waits for terminated
 #: workers to be reaped (a SIGTERM'd worker exits in milliseconds).
 _REAP_TIMEOUT_S = 10.0
 
-
-class WorkerPoolFailure(RuntimeError):
-    """A pooled work unit died, hung, or raised; carries the cause."""
-
-    def __init__(self, reason: str, cause: BaseException | None = None) -> None:
-        super().__init__(reason if cause is None else f"{reason}: {cause!r}")
-        self.reason = reason
-        self.cause = cause
+K = TypeVar("K")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,10 @@ class SupervisorPolicy:
     timeout:
         Liveness deadline in seconds for worker futures.  ``None`` (the
         default) waits forever — hung-worker detection is opt-in because a
-        correct deadline is workload-dependent.  Both pools treat it as
-        "some unit of work must complete within this window" and reset it
-        on every completion, so it bounds *stall*, not total runtime.
+        correct deadline is workload-dependent.  :func:`supervised_map`
+        treats it as "some unit of work must complete within this window"
+        and resets it on every completion, so it bounds *stall*, not total
+        runtime.
     backoff_base, backoff_factor, backoff_max:
         Exponential backoff between retries: attempt ``n`` sleeps
         ``min(backoff_base * backoff_factor**(n-1), backoff_max)`` seconds.
@@ -107,8 +104,8 @@ class SupervisorPolicy:
 def is_picklable(value: object) -> bool:
     """Return whether ``value`` pickles, i.e. can travel to a pool worker.
 
-    Both pools probe their first payload with this before they spawn, and
-    run in process when it fails.
+    :func:`supervised_map` probes its first payload with this before it
+    spawns, and its caller runs in process when it fails.
     """
     try:
         pickle.dumps(value)
@@ -145,3 +142,134 @@ def kill_executor(executor) -> None:
         # The management thread joins every worker once it sees the pool
         # break or shut down, then exits.
         manager.join(_REAP_TIMEOUT_S)
+
+
+def supervised_map(
+    worker: Callable[[Any], R],
+    keys: Iterable[K],
+    payload: Callable[[K, int], Any],
+    fallback: Callable[[K], R],
+    *,
+    workers: int,
+    policy: SupervisorPolicy | None,
+    pool: str,
+    label: Callable[[K], str],
+) -> Dict[K, R] | None:
+    """Run ``worker`` on every key's payload in a supervised process pool.
+
+    Parameters
+    ----------
+    worker:
+        The module-level function a pool worker runs on one payload.
+    keys:
+        The units of work (trial indices, job positions).
+    payload:
+        ``payload(key, failures)`` builds the argument a worker gets for
+        ``key`` after ``failures`` failed attempts, so a retry can resume
+        from what the failed attempt left behind.
+    fallback:
+        ``fallback(key)`` runs ``key`` in process once it has exhausted the
+        retry budget; it must compute what the worker would.
+    workers:
+        The most worker processes to start.
+    policy:
+        The retry, timeout and backoff budget (``None`` takes the
+        defaults).
+    pool, label:
+        The pool's name and ``label(key)``, one key's name, in warnings.
+
+    Returns ``None``, before any process starts, when fewer than two keys
+    or workers leave nothing to spread, or when the first payload does not
+    pickle: the caller then runs the keys in process.  Otherwise returns
+    every key's result, in completion order.  A raise inside a worker
+    warns and resubmits that key.  A worker death, or ``policy.timeout``
+    seconds without a completion, warns, kills the pool and reruns the
+    lost keys on a new one after a backoff.  Each counts as a failure of
+    every key it hit; a key past ``policy.max_retries`` failures runs
+    ``fallback`` instead, with a warning.  An exception leaving this
+    function (a fallback's own error, an interrupt) kills the pool first.
+    """
+    keys = list(keys)
+    if min(len(keys), workers) < 2 or not is_picklable(payload(keys[0], 0)):
+        return None
+    policy = policy or SupervisorPolicy()
+    failures = dict.fromkeys(keys, 0)
+    results: Dict[K, R] = {}
+    executor: ProcessPoolExecutor | None = None
+    rebuilds = 0
+    try:
+        while True:
+            for key in keys:
+                if key not in results and failures[key] > policy.max_retries:
+                    warnings.warn(
+                        f"{label(key)} exhausted its retry budget "
+                        f"({policy.max_retries} retries) in the {pool}; "
+                        "running it in process",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    results[key] = fallback(key)
+            waiting = [key for key in keys if key not in results]
+            if not waiting:
+                break
+            broken = None
+            try:
+                if executor is None:
+                    executor = ProcessPoolExecutor(
+                        max_workers=min(workers, len(waiting))
+                    )
+                futures = {
+                    executor.submit(worker, payload(key, failures[key])): key
+                    for key in waiting
+                }
+            except BrokenProcessPool as error:
+                broken, futures = f"submitting to it failed: {error!r}", {}
+            outstanding = set(futures)
+            while outstanding and broken is None:
+                done, outstanding = wait(
+                    outstanding, timeout=policy.timeout, return_when=FIRST_COMPLETED
+                )
+                if not done:
+                    broken = (
+                        f"no task completed within the {policy.timeout:g} s "
+                        "supervision timeout"
+                    )
+                for future in done:
+                    key = futures[future]
+                    try:
+                        results[key] = future.result()
+                    except BrokenProcessPool as error:
+                        broken = f"a worker process died: {error!r}"
+                    except Exception as error:
+                        failures[key] += 1
+                        warnings.warn(
+                            f"{label(key)} raised {error!r}; retrying it",
+                            RuntimeWarning,
+                            stacklevel=3,
+                        )
+            lost = [key for key in waiting if key not in results]
+            if broken is not None and lost:
+                rebuilds += 1
+                for key in lost:
+                    failures[key] += 1
+                kill_executor(executor)
+                executor = None
+                warnings.warn(
+                    f"{pool} failure ({broken}); rebuilding the pool and "
+                    f"re-running {len(lost)} lost task(s) (pool failure "
+                    f"{rebuilds})",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                policy.sleep_before_retry(rebuilds)
+    except BaseException:
+        # Workers may be hung, or still running keys nobody will read.
+        if executor is not None:
+            kill_executor(executor)
+        raise
+    if executor is not None:
+        # Every worker is idle, so waiting is instant and lets the pool's
+        # management thread close its wakeup pipe before the interpreter's
+        # atexit hook races it.
+        executor.shutdown(wait=True, cancel_futures=True)
+    return results

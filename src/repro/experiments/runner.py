@@ -18,10 +18,11 @@ and executes it:
   engine (:mod:`repro.experiments.batch`), which stacks the per-trial
   populations into ``(trials, users)`` columns and fuses the deterministic
   per-step math across the trial axis;
-* ``pool`` runs trials on a supervised process pool (the trial body is
+* ``pool`` runs trials in process workers through
+  :func:`~repro.core.supervision.supervised_map` (the trial body is
   numpy-crunching Python that holds the GIL, so threads could not overlap
-  it); inputs that cannot be pickled, or trials past the pool's retry
-  budget, run on the serial loop instead.
+  it); inputs that cannot be pickled, or trials past the retry budget, run
+  on the serial loop instead.
 
 The lockstep kernel is the one layout that spreads a trial's users over
 cores: its per-user phases run on threads, one lane of whole canonical
@@ -45,11 +46,9 @@ from __future__ import annotations
 
 import pickle
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -70,12 +69,7 @@ from repro.core.metrics import group_approval_series, group_average_series
 from repro.core.planner import ExecutionPlan, plan_execution
 from repro.core.streaming import AggregateHistory
 from repro.core.population import CreditPopulation
-from repro.core.supervision import (
-    SupervisorPolicy,
-    WorkerPoolFailure,
-    is_picklable,
-    kill_executor,
-)
+from repro.core.supervision import SupervisorPolicy, supervised_map
 from repro.credit.lender import Lender
 from repro.credit.mortgage import MortgageTerms
 from repro.credit.repayment import GaussianRepaymentModel
@@ -682,9 +676,9 @@ def run_experiment(
         :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
         trials, users, steps, history mode, checkpoint knobs), with
         ``max_workers`` as a cap.  ``"auto"`` pools several trials on
-        several cores; when it runs the trials in process without
-        checkpointing (one trial on any host, several on one core) it
-        picks the lockstep kernel.  Every plan is bit-identical to serial,
+        several cores when the cap allows two workers; when it runs the
+        trials in process without checkpointing (one trial on any host,
+        several on one core or one worker) it picks the lockstep kernel.  Every plan is bit-identical to serial,
         so the plan can never change a result — only its wall clock; every
         plan requires 0/1 decisions and refuses a policy with others with
         the same error.  With ``checkpoint_dir`` set, each *completed* trial
@@ -752,7 +746,7 @@ def _run_planned_experiment(
             )
         folder.add(trial_index, trial)
 
-    if plan.trial_batch:
+    if plan.layout == "batch":
         runner = BatchedTrialRunner(
             config,
             policy_factory or default_policy_factory,
@@ -784,163 +778,39 @@ def _run_planned_experiment(
         else:
             pending.append(trial_index)
 
-    if plan.parallel and plan.max_workers > 1 and len(pending) > 1:
-        pooled = _try_run_trials_in_processes(
-            config, plan, pending, policy_factory, terms, income_table, supervisor
+    pooled = None
+    if plan.layout == "pool":
+        # A retry resumes from the failed attempt's last step snapshot.
+        retry_config = (
+            replace(config, resume=True) if config.checkpoint_every > 0 else config
         )
-        if pooled is not None:
-            for trial_index, trial in pooled.items():
-                finish(trial_index, trial)
-            pending = [index for index in pending if index not in pooled]
-    for trial_index in pending:
-        finish(
-            trial_index,
-            run_trial(config, trial_index, policy_factory, terms, income_table),
+        pooled = supervised_map(
+            _run_trial_task,
+            pending,
+            lambda trial_index, failures: (
+                retry_config if failures else config,
+                trial_index,
+                policy_factory,
+                terms,
+                income_table,
+            ),
+            lambda trial_index: run_trial(
+                retry_config, trial_index, policy_factory, terms, income_table
+            ),
+            workers=plan.max_workers,
+            policy=supervisor,
+            pool="parallel trial pool",
+            label=lambda trial_index: f"trial {trial_index}",
         )
+    if pooled is not None:
+        for trial_index, trial in pooled.items():
+            finish(trial_index, trial)
+    else:
+        for trial_index in pending:
+            finish(
+                trial_index,
+                run_trial(config, trial_index, policy_factory, terms, income_table),
+            )
     return ExperimentResult(
         config=config, trials=tuple(folder.trials), group_moments=moments
     )
-
-
-def _try_run_trials_in_processes(
-    config: CaseStudyConfig,
-    plan: ExecutionPlan,
-    pending: Sequence[int],
-    policy_factory: PolicyFactory | None,
-    terms: MortgageTerms | None,
-    income_table: IncomeTable | None,
-    supervisor: SupervisorPolicy | None,
-) -> Dict[int, TrialResult] | None:
-    """Run trials on a supervised process pool; ``None`` for serial fallback.
-
-    The trial body holds the GIL, so processes are the only executor worth
-    having.  Inputs failing the cheap pickle probe return ``None`` before
-    anything runs and the caller takes the plain serial loop —
-    bit-identical either way.
-
-    Once trials are in flight the pool is *supervised* instead of
-    abandoned: a worker death (``BrokenProcessPool`` — previously this
-    discarded every completed trial and silently re-ran the whole
-    experiment serially) now tears the broken pool down, keeps every
-    completed result, and re-runs only the lost trials on a fresh pool
-    after an exponential backoff; a raise inside one trial retries just
-    that trial; and with ``supervisor.timeout`` set, a window in which *no*
-    trial completes is treated as a hung pool.  When step checkpointing is
-    on, a retried trial resumes from the dead worker's last snapshot
-    instead of from scratch.  A trial that exhausts
-    ``supervisor.max_retries`` degrades to an in-process serial run with
-    PR 3's ``RuntimeWarning`` shape — so the experiment completes (or
-    surfaces the trial's own deterministic error) rather than crashing on
-    infrastructure failure.
-    """
-    indices = list(pending)
-    if not indices:
-        return {}
-    workers = min(len(indices), plan.max_workers)
-    policy = supervisor or SupervisorPolicy()
-    # A retried trial may resume from the dead worker's checkpoint; the
-    # first attempt honors the config's own resume flag.
-    retry_config = (
-        replace(config, resume=True)
-        if config.checkpoint_dir is not None and config.checkpoint_every > 0
-        else config
-    )
-
-    def payload_for(trial_index: int) -> tuple:
-        return (
-            retry_config if attempts[trial_index] > 0 else config,
-            trial_index,
-            policy_factory,
-            terms,
-            income_table,
-        )
-
-    attempts: Dict[int, int] = {index: 0 for index in indices}
-    if not is_picklable(payload_for(indices[0])):
-        return None
-    results: Dict[int, TrialResult] = {}
-    waiting = list(indices)
-    executor: ProcessPoolExecutor | None = None
-    pool_failures = 0
-    try:
-        while waiting:
-            # Trials past the retry budget degrade to the in-process
-            # serial path (their own deterministic errors then surface
-            # naturally instead of being retried forever).
-            for trial_index in [i for i in waiting if attempts[i] > policy.max_retries]:
-                warnings.warn(
-                    "parallel trials fell back to the serial path: trial "
-                    f"{trial_index} exhausted its retry budget "
-                    f"({policy.max_retries} retries)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                results[trial_index] = run_trial(
-                    retry_config, trial_index, policy_factory, terms, income_table
-                )
-            waiting = [i for i in waiting if i not in results]
-            if not waiting:
-                break
-            failure: WorkerPoolFailure | None = None
-            try:
-                if executor is None:
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(workers, len(waiting))
-                    )
-                future_map = {
-                    executor.submit(_run_trial_task, payload_for(index)): index
-                    for index in waiting
-                }
-            except (pickle.PicklingError, BrokenProcessPool) as error:
-                failure = WorkerPoolFailure("submitting trials failed", error)
-                future_map = {}
-            outstanding = set(future_map)
-            while outstanding and failure is None:
-                done, _ = wait(
-                    outstanding, timeout=policy.timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    failure = WorkerPoolFailure(
-                        "no trial completed within the supervision timeout", None
-                    )
-                    break
-                for future in done:
-                    trial_index = future_map[future]
-                    outstanding.discard(future)
-                    try:
-                        results[trial_index] = future.result()
-                    except BrokenProcessPool as error:
-                        failure = WorkerPoolFailure(
-                            "a trial worker process died", error
-                        )
-                        break
-                    except Exception as error:
-                        # The trial itself raised: retry just this one.
-                        attempts[trial_index] += 1
-            waiting = [i for i in waiting if i not in results]
-            if failure is not None and waiting:
-                pool_failures += 1
-                for trial_index in waiting:
-                    attempts[trial_index] += 1
-                kill_executor(executor)
-                executor = None
-                cause = failure.cause if failure.cause is not None else failure
-                warnings.warn(
-                    f"parallel trial pool failure ({failure.reason}: {cause!r}); "
-                    f"rebuilding the pool and re-running {len(waiting)} lost "
-                    f"trial(s) (pool failure {pool_failures})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                policy.sleep_before_retry(pool_failures)
-        if executor is not None:
-            # Clean exit: every worker is idle, so waiting is instant and
-            # lets the pool's management thread close its wakeup pipe
-            # before the interpreter's atexit hook races it.
-            executor.shutdown(wait=True, cancel_futures=True)
-            executor = None
-    finally:
-        if executor is not None:
-            # Exceptional exit: workers may be hung, so don't wait on them.
-            executor.shutdown(wait=False, cancel_futures=True)
-    return results

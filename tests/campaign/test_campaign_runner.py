@@ -22,11 +22,9 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import cache as cache_module
-from repro.campaign import runner as campaign_runner
-from repro.core import planner
+from repro.core import planner, supervision
 from repro.core.supervision import SupervisorPolicy
 from repro.data.census import Race
-from repro.experiments import runner as experiment_runner
 from repro.experiments.batch import BatchedTrialRunner
 from repro.testing.faults import FAULTS_ENV, FaultSpec, clear_plan, plan_environment
 
@@ -168,8 +166,7 @@ class TestBudgetRouting:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
-        for module in (campaign_runner, experiment_runner):
-            monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(supervision, "ProcessPoolExecutor", no_pool)
         kernel_runs = []
         original_run = BatchedTrialRunner.run
 
@@ -207,6 +204,30 @@ class TestSupervision:
         for left, right in zip(result.outcomes, golden.outcomes):
             _assert_series_equal(left.series, right.series)
 
+    def test_raising_job_is_retried_with_a_warning(self, tmp_path):
+        spec = _spec()
+        golden = run_campaign(spec, tmp_path / "golden", cpu_count=1)
+        os.environ.update(
+            plan_environment(
+                [FaultSpec(site="campaign_job", kind="raise", trial=1, once=True)],
+                state_dir=tmp_path / "state",
+            )
+        )
+        with pytest.warns(
+            RuntimeWarning,
+            match=r"campaign job '.*' raised FaultInjected\(.*\); retrying it",
+        ) as caught:
+            result = run_campaign(
+                spec,
+                tmp_path / "cache",
+                cpu_count=2,
+                supervisor=FAST_SUPERVISOR,
+            )
+        assert len(caught) == 1  # a raise neither rebuilds the pool nor falls back
+        assert result.misses == spec.grid_size
+        for left, right in zip(result.outcomes, golden.outcomes):
+            _assert_series_equal(left.series, right.series)
+
     def test_persistently_raising_job_falls_back_in_process(self, tmp_path):
         # once=False: job 2 raises on *every* pooled attempt, so it burns
         # its retry budget and degrades to the in-process path — which
@@ -220,7 +241,9 @@ class TestSupervision:
                 [FaultSpec(site="campaign_job", kind="raise", trial=2, once=False)]
             )
         )
-        with pytest.warns(RuntimeWarning, match="exhausted its retry budget"):
+        with pytest.warns(RuntimeWarning, match="raised FaultInjected"), pytest.warns(
+            RuntimeWarning, match="exhausted its retry budget"
+        ):
             result = run_campaign(
                 spec,
                 tmp_path / "cache",

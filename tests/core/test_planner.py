@@ -11,7 +11,6 @@ from repro.core.planner import (
     EXECUTION_MODES,
     CampaignBudget,
     ExecutionPlan,
-    measure_dispatch_overhead,
     plan_campaign_jobs,
     plan_execution,
     validate_execution_settings,
@@ -46,6 +45,15 @@ class TestExplicitModes:
         plan = _plan("pool", trials=1)
         assert plan.layout == "serial"
         assert plan.execution == "pool"  # the request is preserved
+
+    def test_one_worker_never_plans_a_pool(self):
+        # A one-worker pool is the serial loop plus process overhead: with
+        # one worker allowed, "auto" runs in process on the kernel and
+        # "pool" on the serial loop, as on a one-core host.
+        auto = _plan("auto", cpu_count=2, max_workers=1)
+        assert (auto.layout, auto.max_workers) == ("batch", 1)
+        assert _plan("pool", cpu_count=2, max_workers=1).layout == "serial"
+        assert _plan("pool", cpu_count=1).layout == "serial"
 
     @pytest.mark.parametrize("users", [1, 1000, 1_000_000])
     def test_shard_is_a_second_name_for_batch(self, users):
@@ -90,14 +98,6 @@ class TestAutoHeuristics:
         plan = _plan("auto", trials=1, users=100_000, **knobs)
         assert plan.layout == "serial"
         assert not plan.trial_batch
-
-    def test_single_trial_ignores_calibration(self, monkeypatch):
-        # Calibration weighs dispatch amortised across trials; one trial
-        # has none to amortise, and the kernel is the faster loop anyway.
-        monkeypatch.setattr(planner, "measure_dispatch_overhead", lambda users: 0.0)
-        plan = _plan("auto", trials=1, cpu_count=1, calibrate=True)
-        assert plan.layout == "batch"
-        assert not plan.calibrated
 
     @pytest.mark.parametrize("users", [4096, 100_000])
     def test_spare_cores_still_plan_a_plain_pool(self, users):
@@ -166,19 +166,10 @@ class TestKernelThreads:
         monkeypatch.setattr(planner, "KERNEL_MIN_USERS_PER_THREAD", 1)
         assert _plan("batch", users=3, cpu_count=8).max_workers == 3
 
-    def test_plan_round_trips_the_thread_count(self):
-        plan = _plan("auto", trials=1, users=1_000_000, cpu_count=4)
-        assert ExecutionPlan.from_dict(plan.to_dict()) == plan
-
     def test_plan_rejects_a_nonpositive_thread_count(self):
         with pytest.raises(ValueError, match="kernel thread"):
             ExecutionPlan(
-                execution="batch",
-                layout="batch",
-                trial_batch=True,
-                parallel=False,
-                max_workers=0,
-                cpu_count=4,
+                execution="batch", layout="batch", max_workers=0, cpu_count=4
             )
 
 
@@ -222,24 +213,6 @@ class TestKernelStepBound:
         assert built == []
 
 
-class TestCalibration:
-    def test_negligible_dispatch_keeps_the_serial_loop(self, monkeypatch):
-        monkeypatch.setattr(planner, "measure_dispatch_overhead", lambda users: 0.0)
-        plan = _plan("auto", cpu_count=1, calibrate=True)
-        assert plan.layout == "serial"
-        assert plan.calibrated
-
-    def test_heavy_dispatch_confirms_the_batch_choice(self, monkeypatch):
-        monkeypatch.setattr(planner, "measure_dispatch_overhead", lambda users: 0.5)
-        plan = _plan("auto", cpu_count=1, calibrate=True)
-        assert plan.layout == "batch"
-        assert plan.calibrated
-
-    def test_probe_returns_a_fraction(self):
-        fraction = measure_dispatch_overhead(500, probes=1)
-        assert 0.0 <= fraction <= 1.0
-
-
 class TestPlanSurface:
     def test_modes_constant(self):
         assert EXECUTION_MODES == ("auto", "serial", "batch", "pool", "shard")
@@ -248,15 +221,26 @@ class TestPlanSurface:
         assert "pool" in _plan("pool").describe()
         assert "in-process" in _plan("serial").describe()
 
-    def test_plan_rejects_batch_with_pools(self):
-        with pytest.raises(ValueError, match="batched plan"):
+    @pytest.mark.parametrize("layout", ["serial", "batch", "pool"])
+    def test_layout_flags_follow_the_layout(self, layout):
+        plan = ExecutionPlan(
+            execution=layout, layout=layout, max_workers=2, cpu_count=4
+        )
+        assert plan.trial_batch == (layout == "batch")
+        assert plan.parallel == (layout == "pool")
+
+    def test_layout_flags_are_read_only(self):
+        # One layout field: a plan can never be batch and pool at once.
+        plan = _plan("batch")
+        with pytest.raises(AttributeError):
+            plan.parallel = True
+        assert (plan.trial_batch, plan.parallel) == (True, False)
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_plan_rejects_a_pool_of_fewer_than_two_workers(self, workers):
+        with pytest.raises(ValueError, match="at least two workers"):
             ExecutionPlan(
-                execution="batch",
-                layout="batch",
-                trial_batch=True,
-                parallel=True,
-                max_workers=2,
-                cpu_count=4,
+                execution="pool", layout="pool", max_workers=workers, cpu_count=4
             )
 
     def test_validate_settings_rejects_none(self):
@@ -337,26 +321,6 @@ class TestPlannerMemos:
         monkeypatch.delattr(planner.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(planner.os, "cpu_count", lambda: 3)
         assert planner._detect_cpu_count() == 3
-
-    def test_dispatch_probe_is_memoized_on_the_capped_size(self):
-        first = measure_dispatch_overhead(500, probes=1)
-        assert planner._DISPATCH_MEMO  # the probe populated the memo
-        # Same capped size: the memoized fraction comes back verbatim.
-        assert measure_dispatch_overhead(500, probes=1) == first
-
-    def test_dispatch_memo_keys_on_the_capped_probe_size(self):
-        # Every size beyond the cap shares one measurement...
-        measure_dispatch_overhead(1 << 17, probes=1)
-        measure_dispatch_overhead(1 << 20, probes=1)
-        assert len(planner._DISPATCH_MEMO) == 1
-        # ...while a distinct small size probes again.
-        measure_dispatch_overhead(64, probes=1)
-        assert len(planner._DISPATCH_MEMO) == 2
-
-    def test_reset_forgets_the_dispatch_memo(self):
-        measure_dispatch_overhead(500, probes=1)
-        planner.reset_planner_caches()
-        assert not planner._DISPATCH_MEMO
 
 
 class TestCampaignBudget:

@@ -30,7 +30,7 @@ import pytest
 from repro.core.ai_system import CreditScoringSystem
 from repro.credit.lender import Lender
 from repro.experiments.config import CaseStudyConfig
-from repro.experiments.runner import run_experiment, run_trial
+from repro.experiments.runner import _plan, run_experiment, run_trial
 
 from tests.experiments.harness import (
     ENGINE_GOLDEN,
@@ -129,9 +129,9 @@ class TestParallelBitIdentity:
             )
 
     def test_one_worker_runs_serially(self, small_config, serial_result):
-        result = run_experiment(
-            replace(small_config, execution="pool", max_workers=1)
-        )
+        config = replace(small_config, execution="pool", max_workers=1)
+        assert _plan(config, trials=config.num_trials).layout == "serial"
+        result = run_experiment(config)
         for trial_left, trial_right in zip(serial_result.trials, result.trials):
             assert np.array_equal(
                 trial_left.user_default_rates, trial_right.user_default_rates

@@ -506,7 +506,13 @@ class TestSupervisedTrialPool:
                 state_dir=tmp_path,
             )
         )
-        recovered = run_experiment(_trial_pool(ft_config), supervisor=FAST_SUPERVISOR)
+        with pytest.warns(
+            RuntimeWarning, match=r"trial 2 raised FaultInjected\(.*\); retrying it"
+        ) as caught:
+            recovered = run_experiment(
+                _trial_pool(ft_config), supervisor=FAST_SUPERVISOR
+            )
+        assert len(caught) == 1  # a raise neither rebuilds the pool nor falls back
         assert_experiments_identical(golden_experiment, recovered)
 
     def test_exhausted_trial_budget_degrades_to_serial(
@@ -521,7 +527,9 @@ class TestSupervisedTrialPool:
                 state_dir=tmp_path,
             )
         )
-        with pytest.warns(RuntimeWarning, match="exhausted its retry budget"):
+        with pytest.warns(RuntimeWarning, match="trial 0 raised"), pytest.warns(
+            RuntimeWarning, match="trial 0 exhausted its retry budget"
+        ):
             recovered = run_experiment(
                 _trial_pool(ft_config),
                 supervisor=SupervisorPolicy(max_retries=0, backoff_base=0.0),
@@ -612,8 +620,10 @@ class TestSupervisedTrialPool:
         assert_experiments_identical(golden_experiment, recovered)
         assert 9 in [int(line) for line in log.read_text().split()]
         pool_failures = [w for w in caught if "pool failure" in str(w.message)]
+        raises = [w for w in caught if "retrying it" in str(w.message)]
         # A dead worker breaks the pool; a raise only retries its trial.
         assert bool(pool_failures) == (kind == "kill")
+        assert bool(raises) == (kind == "raise")
 
 
 class TestCrossPlanResume:

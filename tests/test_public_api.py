@@ -105,14 +105,14 @@ def _imports_by_module():
 
 
 def test_only_the_trial_and_job_pools_start_processes():
-    """Two supervised process pools, no more: trials and campaign jobs."""
+    """One supervised process pool, ``supervised_map``: trials and jobs call it."""
     spawners = {
         module
         for module, names in _imports_by_module().items()
         if "concurrent.futures.ProcessPoolExecutor" in names
         or any(name.split(".")[0] == "multiprocessing" for name in names)
     }
-    assert spawners == {"repro.experiments.runner", "repro.campaign.runner"}
+    assert spawners == {"repro.core.supervision"}
 
 
 def test_no_module_maps_shared_memory():
