@@ -12,7 +12,7 @@ Package layout
     The closed-loop framework and the executable Definitions 1-4.
 :mod:`repro.markov`
     Markov systems / iterated function systems, ergodicity diagnostics,
-    invariant measures, incremental ISS, coupling.
+    invariant measures, coupling and spectral diagnostics.
 :mod:`repro.scoring`
     Scorecards, logistic regression, cut-offs, WOE, calibration.
 :mod:`repro.credit`

@@ -36,8 +36,6 @@ from repro.campaign.spec import (
     CampaignSpec,
     expand_campaign,
     load_campaign_spec,
-    scenario_names,
-    policy_names,
 )
 
 __all__ = [
@@ -53,7 +51,5 @@ __all__ = [
     "job_key",
     "load_campaign_spec",
     "plan_campaign",
-    "policy_names",
     "run_campaign",
-    "scenario_names",
 ]

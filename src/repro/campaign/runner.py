@@ -262,21 +262,21 @@ def run_campaign(
         (job, key, spec, str(cache.directory), budget.cores_per_job, supervisor)
         for job, key in pending
     ]
-    computed = supervised_map(
+    computed: Dict[int, CampaignJobSeries] = {}
+    pooled = supervised_map(
         _run_campaign_job,
         range(len(payloads)),
         lambda position, failures: payloads[position],
         lambda position: _execute_job(*payloads[position]),
+        computed.__setitem__,
         workers=budget.job_workers,
         policy=supervisor,
         pool="campaign job pool",
         label=lambda position: f"campaign job {pending[position][0].job_id!r}",
     )
-    if computed is None:
-        computed = {
-            position: _run_campaign_job(payload)
-            for position, payload in enumerate(payloads)
-        }
+    if not pooled:
+        for position, payload in enumerate(payloads):
+            computed[position] = _run_campaign_job(payload)
     for position, (job, key) in enumerate(pending):
         outcomes[job.index] = JobOutcome(
             job=job, key=key, cached=False, series=computed[position]

@@ -47,8 +47,6 @@ __all__ = [
     "CampaignSpec",
     "expand_campaign",
     "load_campaign_spec",
-    "policy_names",
-    "scenario_names",
 ]
 
 #: Registered scenario names → the keyword parameters they accept.
@@ -68,16 +66,6 @@ _POLICIES: Dict[str, Tuple[str, ...]] = {
     "steering": ("gain",),
     "epsilon-greedy": ("epsilon", "exploration_seed"),
 }
-
-
-def scenario_names() -> Tuple[str, ...]:
-    """Return the registered scenario names, sorted."""
-    return tuple(sorted(_SCENARIOS))
-
-
-def policy_names() -> Tuple[str, ...]:
-    """Return the registered policy-arm names, sorted."""
-    return tuple(sorted(_POLICIES))
 
 
 @dataclass(frozen=True)

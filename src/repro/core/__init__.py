@@ -32,11 +32,8 @@ from repro.core.population import (
     PopulationPublicFeatures,
 )
 from repro.core.filters import (
-    AnomalyClippingFilter,
     CumulativeAverageFilter,
     DefaultRateFilter,
-    ExponentialMovingAverageFilter,
-    IntegralFilter,
     LoopFilter,
 )
 from repro.core.checkpoint import (
@@ -69,9 +66,6 @@ from repro.core.convergence import (
 )
 from repro.core.metrics import (
     approval_rates_by_group,
-    default_rate_series,
-    demographic_parity_gap,
-    equal_opportunity_gap,
     group_approval_series,
     group_average_series,
 )
@@ -88,9 +82,6 @@ __all__ = [
     "LoopFilter",
     "DefaultRateFilter",
     "CumulativeAverageFilter",
-    "ExponentialMovingAverageFilter",
-    "IntegralFilter",
-    "AnomalyClippingFilter",
     "ClosedLoop",
     "CheckpointError",
     "CheckpointSpec",
@@ -114,9 +105,6 @@ __all__ = [
     "ImpactGapSignificance",
     "impact_gap_significance",
     "approval_rates_by_group",
-    "default_rate_series",
-    "demographic_parity_gap",
-    "equal_opportunity_gap",
     "group_approval_series",
     "group_average_series",
 ]

@@ -203,10 +203,8 @@ def equal_impact_assessment(
     tail_length = max(1, int(round(running.shape[0] * tail_fraction)))
     tail = running[-tail_length:, :]
     user_limits = tail.mean(axis=0)
-    # Column-wise standard deviation of the shared tail window: one array
-    # operation over the (tail, users) block instead of a per-user
-    # tail_dispersion() pass over the whole matrix.  Reduction order may
-    # differ from the 1-D per-user path in the last ulp; the dispersion is a
+    # Column-wise standard deviation of the shared tail window, one array
+    # operation over the (tail, users) block.  The dispersion is a
     # tolerance-gated convergence diagnostic, not a bit-exact recorded series.
     dispersions = np.std(tail, axis=0)
     group_limits: Dict[object, float] = {}

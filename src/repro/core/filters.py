@@ -3,10 +3,11 @@
 The filter consumes each step's decisions and actions and maintains the
 aggregate signal the AI system observes and is retrained on.  The paper's
 credit case study uses the cumulative average default rate per user
-(:class:`DefaultRateFilter`); the ergodicity discussion of Section VI also
-motivates simpler generic filters — cumulative averages, exponential moving
-averages, integral (accumulating-error) filters, and an anomaly-clipping
-wrapper — which the ablation benchmarks exercise.
+(:class:`DefaultRateFilter`, and :class:`BatchedDefaultRateFilter` for the
+lockstep kernel).  :class:`CumulativeAverageFilter`, the per-user Cesàro
+average of the actions, is the generic filter that drives the loop over
+non-credit populations such as
+:class:`~repro.core.population.IFSPopulation`.
 
 Every filter implements the :class:`LoopFilter` protocol: ``observation()``
 returns the current aggregate signal (a dict of named arrays/scalars) and
@@ -28,9 +29,6 @@ __all__ = [
     "DefaultRateFilter",
     "BatchedDefaultRateFilter",
     "CumulativeAverageFilter",
-    "ExponentialMovingAverageFilter",
-    "IntegralFilter",
-    "AnomalyClippingFilter",
     "require_binary_decisions",
 ]
 
@@ -396,102 +394,3 @@ class CumulativeAverageFilter:
         self._sums += array
         self._count += 1
         return self.observation()
-
-
-class ExponentialMovingAverageFilter:
-    """Per-user exponentially weighted moving average of the actions.
-
-    A forgetting filter: ``ema <- (1 - alpha) * ema + alpha * action``.  With
-    ``alpha`` close to one it tracks recent behaviour; close to zero it
-    approaches the cumulative filter's long memory.
-    """
-
-    def __init__(self, num_users: int, alpha: float = 0.3, initial_value: float = 0.0) -> None:
-        if num_users <= 0:
-            raise ValueError("num_users must be positive")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        self._ema = np.full(num_users, float(initial_value))
-        self._alpha = float(alpha)
-        self._num_users = num_users
-
-    def observation(self) -> Observation:
-        """Return the current per-user exponential averages."""
-        return {"average_action": self._ema.copy(), "aggregate": float(self._ema.mean())}
-
-    def update(
-        self, decisions: np.ndarray, actions: np.ndarray, k: int
-    ) -> Observation:
-        """Fold in one step of actions."""
-        array = np.asarray(actions, dtype=float).ravel()
-        if array.shape != (self._num_users,):
-            raise ValueError("actions must have one entry per user")
-        self._ema = (1.0 - self._alpha) * self._ema + self._alpha * array
-        return self.observation()
-
-
-class IntegralFilter:
-    """Accumulating (integral-action) filter: the ergodicity-breaking case.
-
-    The filter integrates the gap between the aggregate action and a target:
-    ``integral <- integral + (mean(actions) - target)``.  Section VI of the
-    paper (following Fioravanti et al. 2019) highlights that feedback with
-    integral action can destroy the ergodic properties of the closed loop;
-    the ablation benchmark demonstrates the effect with this filter.
-    """
-
-    def __init__(self, target: float = 0.0, gain: float = 1.0) -> None:
-        self._target = float(target)
-        self._gain = float(gain)
-        self._integral = 0.0
-
-    @property
-    def integral(self) -> float:
-        """Return the accumulated error."""
-        return self._integral
-
-    def observation(self) -> Observation:
-        """Return the integral state."""
-        return {"integral": self._integral}
-
-    def update(
-        self, decisions: np.ndarray, actions: np.ndarray, k: int
-    ) -> Observation:
-        """Accumulate the gap between the aggregate action and the target."""
-        array = np.asarray(actions, dtype=float).ravel()
-        if array.size == 0:
-            raise ValueError("actions must be non-empty")
-        self._integral += self._gain * (float(array.mean()) - self._target)
-        return self.observation()
-
-
-class AnomalyClippingFilter:
-    """Wrapper that clips extreme actions before passing them to another filter.
-
-    The paper's Section III notes the filter "may accumulate the data, for
-    instance, before filtering out anomalies"; this wrapper implements the
-    anomaly step by clipping actions to ``[lower, upper]`` before delegating.
-    """
-
-    def __init__(self, inner: LoopFilter, lower: float, upper: float) -> None:
-        if lower > upper:
-            raise ValueError("lower must not exceed upper")
-        self._inner = inner
-        self._lower = float(lower)
-        self._upper = float(upper)
-
-    @property
-    def inner(self) -> LoopFilter:
-        """Return the wrapped filter."""
-        return self._inner
-
-    def observation(self) -> Observation:
-        """Return the wrapped filter's observation."""
-        return self._inner.observation()
-
-    def update(
-        self, decisions: np.ndarray, actions: np.ndarray, k: int
-    ) -> Observation:
-        """Clip the actions and delegate to the wrapped filter."""
-        clipped = np.clip(np.asarray(actions, dtype=float), self._lower, self._upper)
-        return self._inner.update(decisions, clipped, k)

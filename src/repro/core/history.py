@@ -14,13 +14,14 @@ fills one row of each derived series per appended step, so
 original cumulative-sum formulations are kept as ``recompute_*``
 cross-checks; the equivalence suite asserts both paths agree bit-for-bit.
 
-The record-of-dicts interface survives: the orchestrator may still append
-one :class:`StepRecord` per time step, and :attr:`SimulationHistory.records`
-is a lazy sequence view that materialises :class:`StepRecord` objects from
-the columns on demand.  One caveat: a feature/observation key that vanishes
-and later reappears keeps only its latest contiguous fragment (a
-``RuntimeWarning`` is emitted); the closed loop always records a consistent
-key set, so this only affects hand-built pathological histories.
+Steps arrive through :meth:`SimulationHistory.record_step` (or, from the
+lockstep kernel, :meth:`SimulationHistory.record_step_precomputed`), and
+:attr:`SimulationHistory.records` is a lazy sequence view that materialises
+one :class:`StepRecord` per step from the columns on demand (Table 1 reads
+it).  One caveat: a feature/observation key that vanishes and later
+reappears keeps only its latest contiguous fragment (a ``RuntimeWarning``
+is emitted); the closed loop always records a consistent key set, so this
+only affects hand-built pathological histories.
 
 This full-history store is one of two recording modes.  At million-user
 scale the ``(steps, users)`` columns make memory the binding constraint, so
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Sequence
+from typing import Dict, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -89,9 +90,8 @@ class _Column:
     ``(capacity,)`` array) or vector-per-step (backed by a
     ``(capacity, width)`` array).  ``start``/``count`` track the contiguous
     run of steps the column covers, so a key that only appears in some
-    records is reported exactly like the old record-of-dicts store: matrix
-    queries require full coverage, per-record access only shows the key
-    where it was present.
+    steps is reported consistently: matrix queries require full coverage,
+    per-record access only shows the key where it was present.
     """
 
     __slots__ = ("data", "width", "start", "count")
@@ -183,22 +183,14 @@ def _grown(old: np.ndarray, capacity: int, filled: int) -> np.ndarray:
 class SimulationHistory:
     """A full closed-loop trajectory in columnar, preallocated storage.
 
-    The public surface matches the original record-of-dicts store —
-    ``append``/``records``/matrix accessors — but storage is columnar
-    (see the module docstring) and the derived series are maintained
-    incrementally as steps arrive.
+    Storage is columnar (see the module docstring) and the derived series
+    are maintained incrementally as steps arrive.
 
     Matrix accessors return **read-only views** into the internal buffers;
     callers that need to mutate the result should copy it first.
-
-    Parameters
-    ----------
-    records:
-        Optional iterable of :class:`StepRecord` to append at construction
-        (compatibility with the old dataclass signature).
     """
 
-    def __init__(self, records: Iterable[StepRecord] | None = None) -> None:
+    def __init__(self) -> None:
         self._num_steps = 0
         self._num_users: int | None = None
         self._capacity = 0
@@ -216,26 +208,13 @@ class SimulationHistory:
         self._approvals = np.empty(0, dtype=float)
         # True while _offers_cum/_repayments_cum/_actions_cum reflect every
         # recorded step; record_step_precomputed skips maintaining them (its
-        # caller already computed the derived rows) and a later plain
-        # record_step rebuilds them first (exact — see _rebuild_cums).
+        # caller already computed the derived rows), so a later plain
+        # record_step is refused.
         self._cums_valid = True
-        if records is not None:
-            for record in records:
-                self.append(record)
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-
-    def append(self, record: StepRecord) -> None:
-        """Append one step's record."""
-        self.record_step(
-            record.step,
-            record.public_features,
-            record.decisions,
-            record.actions,
-            record.observation,
-        )
 
     def record_step(
         self,
@@ -251,10 +230,13 @@ class SimulationHistory:
         are copied straight into the preallocated arrays, so no intermediate
         per-step dicts or record objects are allocated.
         """
+        if not self._cums_valid:
+            raise ValueError(
+                "record_step cannot follow record_step_precomputed: a history "
+                "filled with precomputed rows keeps no cumulative state"
+            )
         decisions_row = np.asarray(decisions, dtype=float).ravel()
         actions_row = np.asarray(actions, dtype=float).ravel()
-        if not self._cums_valid:
-            self._rebuild_cums()
         row = self._ingest_row(
             step, public_features, observation, decisions_row, actions_row
         )
@@ -347,10 +329,9 @@ class SimulationHistory:
         history's cumulative 0/1 decisions/actions, ``running_actions`` the Cesàro
         row, ``approval`` the decision mean — or the stored series (and the
         ``recompute_*`` cross-checks) would silently disagree.  The batch
-        equivalence suite pins this bit for bit.  Mixing with the plain
-        :meth:`record_step` afterwards is supported: the cumulative vectors
-        are rebuilt exactly from the recorded 0/1 columns on the next plain
-        ingest.
+        equivalence suite pins this bit for bit.  The cumulative vectors are
+        not maintained, so a history filled this way refuses a later plain
+        :meth:`record_step`.
         """
         decisions_row = np.asarray(decisions, dtype=float).ravel()
         actions_row = np.asarray(actions, dtype=float).ravel()
@@ -376,22 +357,6 @@ class SimulationHistory:
         self._approvals[row] = float(approval)
         self._cums_valid = False
         self._num_steps += 1
-
-    def _rebuild_cums(self) -> None:
-        """Rebuild the cumulative vectors from the recorded columns.
-
-        Decisions and actions are 0/1, so their per-user column sums are
-        small integers — exact in float regardless of summation order —
-        and the rebuilt vectors equal the sequential per-step accumulation
-        bit for bit.
-        """
-        filled = self._num_steps
-        decisions = self._decisions[:filled]
-        actions = self._actions[:filled]
-        self._offers_cum = decisions.sum(axis=0)
-        self._repayments_cum = (actions * decisions).sum(axis=0)
-        self._actions_cum = actions.sum(axis=0)
-        self._cums_valid = True
 
     @staticmethod
     def _prepare_value(
@@ -486,7 +451,7 @@ class SimulationHistory:
         self._approvals[row] = np.mean(decisions_row)
 
     # ------------------------------------------------------------------
-    # Record access (compatibility surface)
+    # Record access
     # ------------------------------------------------------------------
 
     @property
@@ -629,23 +594,6 @@ class SimulationHistory:
     def recompute_approval_rates(self) -> np.ndarray:
         """Recompute the per-step approval rates from scratch (cross-check)."""
         return self.decisions_matrix().mean(axis=1)
-
-    # ------------------------------------------------------------------
-    # Grouping
-    # ------------------------------------------------------------------
-
-    def group_series(
-        self, per_user_series: np.ndarray, groups: Mapping[object, np.ndarray]
-    ) -> Dict[object, np.ndarray]:
-        """Average a ``(steps, users)`` series over each group of user indices."""
-        series = np.asarray(per_user_series, dtype=float)
-        result: Dict[object, np.ndarray] = {}
-        for key, indices in groups.items():
-            if indices.size == 0:
-                result[key] = np.full(series.shape[0], np.nan)
-            else:
-                result[key] = series[:, indices].mean(axis=1)
-        return result
 
     def _require_non_empty(self) -> None:
         if self._num_steps == 0:

@@ -54,7 +54,7 @@ import numpy as np
 from repro.core.ai_system import AISystem
 from repro.core.checkpoint import CheckpointError, CheckpointSpec, checkpoint_path
 from repro.core.filters import LoopFilter
-from repro.core.history import SimulationHistory, StepRecord
+from repro.core.history import SimulationHistory
 from repro.core.population import Population
 from repro.core.sharding import ShardPlan
 from repro.core.streaming import AggregateHistory
@@ -157,18 +157,6 @@ class ClosedLoop:
         return self._stream_base
 
     def _step_rngs(self, k: int) -> List[np.random.Generator]:
-        """Return the per-shard generators of step ``k``."""
-        base = self._stream_base
-        assert base is not None
-        if self._shard_seeds is None:
-            self._shard_seeds = [
-                shard_seed(base, shard) for shard in range(self._plan.num_shards)
-            ]
-        return self._seat_generators(self._shard_seeds, k)
-
-    def _seat_generators(
-        self, shard_seeds: List[int], k: int
-    ) -> List[np.random.Generator]:
         """Re-seat the loop's generators onto step ``k``'s shard streams.
 
         Generator ``s`` then draws what
@@ -176,11 +164,19 @@ class ClosedLoop:
         at step ``k``.  The same generator objects serve every step, so a
         population must not keep them past the step it is handed them.
         """
-        if len(self._generators) != len(shard_seeds):
-            self._generators = [
-                np.random.Generator(np.random.PCG64(0)) for _ in shard_seeds
+        base = self._stream_base
+        assert base is not None
+        if self._shard_seeds is None:
+            self._shard_seeds = [
+                shard_seed(base, shard) for shard in range(self._plan.num_shards)
             ]
-        for generator, state in zip(self._generators, step_states(shard_seeds, k)):
+        if len(self._generators) != len(self._shard_seeds):
+            self._generators = [
+                np.random.Generator(np.random.PCG64(0)) for _ in self._shard_seeds
+            ]
+        for generator, state in zip(
+            self._generators, step_states(self._shard_seeds, k)
+        ):
             generator.bit_generator.state = state
         return self._generators
 
@@ -383,40 +379,6 @@ class ClosedLoop:
             )
         return history
 
-    def step(self, k: int, rng: int | np.random.Generator | None = None) -> StepRecord:
-        """Execute one pass through the loop at time ``k``.
-
-        The base of the shard streams is resolved from ``rng`` for this
-        call only (``None`` draws fresh entropy), without touching the base
-        an earlier :meth:`run` established — a diagnostic ``step`` between
-        chunked runs therefore cannot perturb the continuation's schedule.
-        """
-        if rng is not None and not isinstance(rng, np.random.Generator):
-            base = int(rng)
-        else:
-            base = int(spawn_generator(rng).integers(_MAX_SEED))
-        rngs = self._seat_generators(
-            [shard_seed(base, shard) for shard in range(self._plan.num_shards)], k
-        )
-        public_features, decisions, actions, observation = self._advance(k, rngs)
-        return StepRecord(
-            step=k,
-            public_features={
-                name: np.asarray(value, dtype=float).copy()
-                for name, value in public_features.items()
-            },
-            decisions=decisions.copy(),
-            actions=actions.copy(),
-            observation={
-                name: (
-                    np.asarray(value, dtype=float).copy()
-                    if np.ndim(value) > 0
-                    else float(value)
-                )
-                for name, value in observation.items()
-            },
-        )
-
     def _advance(self, k: int, rngs: List[np.random.Generator]):
         """Run one pass through the loop and return its raw pieces.
 
@@ -424,9 +386,8 @@ class ClosedLoop:
         population consumes the whole list (advancing each shard on its own
         stream), a legacy population gets the single shard-0 generator.
         Returns ``(public_features, decisions, actions, observation_after)``
-        without any defensive copying — the caller either hands them to the
-        history's columnar ingest (which copies into its own buffers) or
-        wraps them in a :class:`StepRecord` with explicit copies.
+        without any defensive copying: the caller hands them to the
+        history's columnar ingest, which copies into its own buffers.
         """
         population_rng = rngs if self._shard_aware else rngs[0]
         public_features = self._population.begin_step(k, population_rng)

@@ -1,9 +1,8 @@
-"""Group-fairness metrics computed on closed-loop histories.
+"""Group metrics computed on closed-loop histories.
 
-These are the conventional single-shot fairness quantities (demographic
-parity, equal opportunity, per-group approval rates) that the paper
-contrasts with its long-run equal-impact notion, plus helpers for turning a
-``(steps, users)`` series into per-group series.
+Per-group approval rates, the conventional single-shot quantity that the
+paper contrasts with its long-run equal-impact notion, plus helpers for
+turning a ``(steps, users)`` series into per-group series.
 """
 
 from __future__ import annotations
@@ -12,13 +11,8 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.utils.stats import max_pairwise_gap
-
 __all__ = [
     "approval_rates_by_group",
-    "demographic_parity_gap",
-    "equal_opportunity_gap",
-    "default_rate_series",
     "group_average_series",
     "group_approval_series",
 ]
@@ -39,73 +33,6 @@ def approval_rates_by_group(
     for key, indices in groups.items():
         rates[key] = float(matrix[:, indices].mean()) if indices.size else float("nan")
     return rates
-
-
-def demographic_parity_gap(
-    decisions: np.ndarray, groups: Mapping[object, np.ndarray]
-) -> float:
-    """Return the largest gap between group approval rates.
-
-    Zero means the decision rates are identical across groups (demographic
-    parity); this is a *treatment*-style, single-loop quantity.
-    """
-    rates = [
-        value
-        for value in approval_rates_by_group(decisions, groups).values()
-        if np.isfinite(value)
-    ]
-    if len(rates) < 2:
-        return 0.0
-    return max_pairwise_gap(rates)
-
-
-def equal_opportunity_gap(
-    decisions: np.ndarray,
-    qualified: np.ndarray,
-    groups: Mapping[object, np.ndarray],
-) -> float:
-    """Return the largest gap between group approval rates among the qualified.
-
-    ``qualified`` is a ``(steps, users)`` 0/1 matrix marking users who would
-    have repaid (the "truly creditworthy"); the metric compares
-    ``P(approved | qualified)`` across groups, i.e. Hardt et al.'s equal
-    opportunity.
-    """
-    decisions_matrix = np.asarray(decisions, dtype=float)
-    qualified_matrix = np.asarray(qualified, dtype=float)
-    if decisions_matrix.shape != qualified_matrix.shape:
-        raise ValueError("decisions and qualified must have the same shape")
-    rates = []
-    for indices in groups.values():
-        if indices.size == 0:
-            continue
-        mask = qualified_matrix[:, indices] == 1.0
-        total = float(mask.sum())
-        if total == 0:
-            continue
-        rates.append(float(decisions_matrix[:, indices][mask].sum() / total))
-    if len(rates) < 2:
-        return 0.0
-    return max_pairwise_gap(rates)
-
-
-def default_rate_series(
-    decisions: np.ndarray, actions: np.ndarray
-) -> np.ndarray:
-    """Return the cumulative per-user default-rate series ``ADR_i(k)``.
-
-    Defaults are "offered but not repaid"; users with no offers so far have
-    rate zero.  Mirrors
-    :meth:`repro.core.history.SimulationHistory.running_default_rates` for
-    callers who hold raw matrices rather than a history object.
-    """
-    decisions_matrix = np.asarray(decisions, dtype=float)
-    actions_matrix = np.asarray(actions, dtype=float)
-    if decisions_matrix.shape != actions_matrix.shape or decisions_matrix.ndim != 2:
-        raise ValueError("decisions and actions must be equal-shape (steps, users)")
-    offers = np.cumsum(decisions_matrix, axis=0)
-    repayments = np.cumsum(actions_matrix * decisions_matrix, axis=0)
-    return np.where(offers > 0, 1.0 - repayments / np.maximum(offers, 1e-12), 0.0)
 
 
 def group_average_series(

@@ -608,7 +608,7 @@ class StreamingAggregator(_FoldedGroups):
             int(state["num_users"]),
             groups=state["groups"],  # type: ignore[arg-type]
             prior_rate=float(state["prior_rate"]),
-            rate_bins=int(state.get("rate_bins", DEFAULT_RATE_BINS)),
+            rate_bins=int(state["rate_bins"]),
         )
         for attribute, key in (
             ("_offers_cum", "offers_cum"),
@@ -628,16 +628,11 @@ class StreamingAggregator(_FoldedGroups):
         while self._capacity < filled:
             self._grow()
         self._num_steps = filled
-        rate_hist = np.asarray(
-            state.get("rate_hist", np.zeros((filled, self._rate_bins))),
-            dtype=np.int64,
-        )
+        rate_hist = np.asarray(state["rate_hist"], dtype=np.int64)
         if rate_hist.shape != (filled, self._rate_bins):
             raise ValueError("state 'rate_hist' must be (num_steps, rate_bins)")
         self._rate_hist[:filled] = rate_hist
-        rate_low = np.asarray(
-            state.get("rate_low_counts", np.zeros(filled)), dtype=np.int64
-        ).ravel()
+        rate_low = np.asarray(state["rate_low_counts"], dtype=np.int64).ravel()
         if rate_low.shape != (filled,):
             raise ValueError("state 'rate_low_counts' must have one entry per step")
         self._rate_low_counts[:filled] = rate_low
@@ -1000,7 +995,7 @@ class AggregateHistory:
 
     Presents the same ingest surface as
     :class:`~repro.core.history.SimulationHistory` (``record_step``,
-    ``append``, ``num_steps``, ``num_users``, ``approval_rates``), but
+    ``num_steps``, ``num_users``, ``approval_rates``), but
     folds every step into a :class:`StreamingAggregator` instead of
     retaining ``(steps, users)`` matrices: public features and per-user
     observations are consumed and dropped, so the store's footprint is
@@ -1059,16 +1054,6 @@ class AggregateHistory:
     # ------------------------------------------------------------------
     # Ingest (mirrors SimulationHistory)
     # ------------------------------------------------------------------
-
-    def append(self, record: StepRecord) -> None:
-        """Fold one step's record into the aggregate series."""
-        self.record_step(
-            record.step,
-            record.public_features,
-            record.decisions,
-            record.actions,
-            record.observation,
-        )
 
     def record_step(
         self,
@@ -1215,12 +1200,6 @@ class AggregateHistory:
     def recompute_approval_rates(self) -> np.ndarray:
         """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
         raise self._full_history_required("recompute_approval_rates")
-
-    def group_series(
-        self, per_user_series: np.ndarray, groups: Mapping[object, np.ndarray]
-    ) -> Dict[object, np.ndarray]:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("group_series")
 
     @property
     def records(self) -> Iterable[StepRecord]:

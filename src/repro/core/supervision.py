@@ -28,7 +28,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Set, TypeVar
 
 __all__ = [
     "SupervisorPolicy",
@@ -149,12 +149,13 @@ def supervised_map(
     keys: Iterable[K],
     payload: Callable[[K, int], Any],
     fallback: Callable[[K], R],
+    deliver: Callable[[K, R], None],
     *,
     workers: int,
     policy: SupervisorPolicy | None,
     pool: str,
     label: Callable[[K], str],
-) -> Dict[K, R] | None:
+) -> bool:
     """Run ``worker`` on every key's payload in a supervised process pool.
 
     Parameters
@@ -170,6 +171,10 @@ def supervised_map(
     fallback:
         ``fallback(key)`` runs ``key`` in process once it has exhausted the
         retry budget; it must compute what the worker would.
+    deliver:
+        ``deliver(key, result)`` hands one key's result, from a worker or
+        the fallback, to the caller as soon as it is in, while the pool
+        keeps working on the rest.  The executor keeps no result itself.
     workers:
         The most worker processes to start.
     policy:
@@ -178,29 +183,31 @@ def supervised_map(
     pool, label:
         The pool's name and ``label(key)``, one key's name, in warnings.
 
-    Returns ``None``, before any process starts, when fewer than two keys
+    Returns ``False``, before any process starts, when fewer than two keys
     or workers leave nothing to spread, or when the first payload does not
     pickle: the caller then runs the keys in process.  Otherwise returns
-    every key's result, in completion order.  A raise inside a worker
-    warns and resubmits that key.  A worker death, or ``policy.timeout``
+    ``True`` once every key has been delivered and the pool has shut down
+    (waiting for its workers, so none outlives the call).  A raise inside a
+    worker warns and resubmits that key.  A worker death, or ``policy.timeout``
     seconds without a completion, warns, kills the pool and reruns the
     lost keys on a new one after a backoff.  Each counts as a failure of
     every key it hit; a key past ``policy.max_retries`` failures runs
     ``fallback`` instead, with a warning.  An exception leaving this
-    function (a fallback's own error, an interrupt) kills the pool first.
+    function (a fallback's or ``deliver``'s own error, an interrupt) kills
+    the pool first.
     """
     keys = list(keys)
     if min(len(keys), workers) < 2 or not is_picklable(payload(keys[0], 0)):
-        return None
+        return False
     policy = policy or SupervisorPolicy()
     failures = dict.fromkeys(keys, 0)
-    results: Dict[K, R] = {}
+    done: Set[K] = set()
     executor: ProcessPoolExecutor | None = None
     rebuilds = 0
     try:
         while True:
             for key in keys:
-                if key not in results and failures[key] > policy.max_retries:
+                if key not in done and failures[key] > policy.max_retries:
                     warnings.warn(
                         f"{label(key)} exhausted its retry budget "
                         f"({policy.max_retries} retries) in the {pool}; "
@@ -208,8 +215,9 @@ def supervised_map(
                         RuntimeWarning,
                         stacklevel=3,
                     )
-                    results[key] = fallback(key)
-            waiting = [key for key in keys if key not in results]
+                    deliver(key, fallback(key))
+                    done.add(key)
+            waiting = [key for key in keys if key not in done]
             if not waiting:
                 break
             broken = None
@@ -226,18 +234,18 @@ def supervised_map(
                 broken, futures = f"submitting to it failed: {error!r}", {}
             outstanding = set(futures)
             while outstanding and broken is None:
-                done, outstanding = wait(
+                finished, outstanding = wait(
                     outstanding, timeout=policy.timeout, return_when=FIRST_COMPLETED
                 )
-                if not done:
+                if not finished:
                     broken = (
                         f"no task completed within the {policy.timeout:g} s "
                         "supervision timeout"
                     )
-                for future in done:
+                for future in finished:
                     key = futures[future]
                     try:
-                        results[key] = future.result()
+                        result = future.result()
                     except BrokenProcessPool as error:
                         broken = f"a worker process died: {error!r}"
                     except Exception as error:
@@ -247,7 +255,10 @@ def supervised_map(
                             RuntimeWarning,
                             stacklevel=3,
                         )
-            lost = [key for key in waiting if key not in results]
+                    else:
+                        deliver(key, result)
+                        done.add(key)
+            lost = [key for key in waiting if key not in done]
             if broken is not None and lost:
                 rebuilds += 1
                 for key in lost:
@@ -272,4 +283,4 @@ def supervised_map(
         # management thread close its wakeup pipe before the interpreter's
         # atexit hook races it.
         executor.shutdown(wait=True, cancel_futures=True)
-    return results
+    return True

@@ -12,15 +12,13 @@ repayment probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.credit.mortgage import MortgageTerms
-from repro.data.census import Race
 
-__all__ = ["affordability_state", "BorrowerState"]
+__all__ = ["affordability_state"]
 
 
 def affordability_state(
@@ -65,43 +63,3 @@ def affordability_state(
     floored |= states == -np.inf
     np.copyto(states, -1e6, where=floored)
     return states
-
-
-@dataclass(frozen=True)
-class BorrowerState:
-    """Snapshot of one borrower at one time step.
-
-    Attributes
-    ----------
-    user_index:
-        Index of the user in the population.
-    race:
-        The user's (protected) race attribute — visible to the analysis but
-        never to the lender's model.
-    income:
-        Annual income in thousands of dollars.
-    affordability:
-        The private state ``x_i(k)`` of equation (10).
-    """
-
-    user_index: int
-    race: Race
-    income: float
-    affordability: float
-
-    @classmethod
-    def from_income(
-        cls, user_index: int, race: Race, income: float, terms: MortgageTerms
-    ) -> "BorrowerState":
-        """Build the snapshot from an income and the mortgage terms."""
-        return cls(
-            user_index=user_index,
-            race=race,
-            income=float(income),
-            affordability=float(affordability_state(income, terms)[0]),
-        )
-
-    @property
-    def can_cover_obligation(self) -> bool:
-        """Return whether income covers living cost plus mortgage interest."""
-        return self.affordability > 0

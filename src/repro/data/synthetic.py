@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.census import IncomeTable, Race, default_income_table, paper_race_mix
+from repro.data.census import Race, paper_race_mix
 from repro.utils.rng import spawn_generator
 from repro.utils.validation import require_probability_vector
 
@@ -118,8 +118,3 @@ def generate_population(
         dtype=np.int8,
     )
     return SyntheticPopulation(races=tuple(labels[draws]), codes=positions[draws])
-
-
-def default_population_inputs() -> Tuple[PopulationSpec, IncomeTable]:
-    """Return the paper's population spec and the default income table."""
-    return PopulationSpec(), default_income_table()

@@ -60,7 +60,8 @@ class CaseStudyConfig:
     Attributes
     ----------
     num_users:
-        Number of simulated households per trial (paper: 1000).
+        Number of simulated households per trial (paper: 1000); at least 2,
+        since the lender's first refit needs two offered users.
     num_trials:
         Number of independent trials, each with a fresh population
         (paper: 5).
@@ -77,7 +78,8 @@ class CaseStudyConfig:
     cutoff:
         Scorecard cut-off score (paper: 0.4).
     warm_up_rounds:
-        Initial years with approve-everyone decisions (paper: 2).
+        Initial years with approve-everyone decisions (paper: 2); at least
+        1, since the lender needs one year of outcomes before it can score.
     income_threshold:
         Income-code threshold in $K (paper: $15K).
     seed:
@@ -173,11 +175,21 @@ class CaseStudyConfig:
                 f'retrain_mode accepts only "compressed", got {self.retrain_mode!r}'
             )
         require_positive(self.num_users, "num_users")
+        if self.num_users < 2:
+            raise ValueError(
+                "num_users must be at least 2: the lender's first refit needs "
+                "two offered users, and with one every run would fail there"
+            )
         require_positive(self.num_trials, "num_trials")
         if self.end_year < self.start_year:
             raise ValueError("end_year must not precede start_year")
-        if self.warm_up_rounds < 0:
-            raise ValueError("warm_up_rounds must be non-negative")
+        if self.warm_up_rounds < 1:
+            raise ValueError(
+                "warm_up_rounds must be at least 1: every policy's lender "
+                "approves everyone until its first refit, and with no warm-up "
+                "round it would have to decide at step 0 before being "
+                "retrained"
+            )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError("max_workers must be positive when given")
         validate_checkpoint_settings(

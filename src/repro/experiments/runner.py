@@ -623,10 +623,6 @@ def _load_trial_result(
             "configuration; point checkpoint_dir at a fresh directory, or "
             "rerun with the original configuration"
         )
-    if "result" in payload:
-        # Legacy envelope: the whole TrialResult pickled inline.  Already
-        # materialised by read_checkpoint, so hand it over either way.
-        return payload["result"]
     if not need_full:
         return _SeriesOnlyTrial(group_default_rates=payload["group_rates"])
     return pickle.loads(payload["result_bytes"])
@@ -731,9 +727,11 @@ def _run_planned_experiment(
 
     :func:`run_experiment` plans against this host's cores; a campaign job
     hands in the plan for its own share of them.  The plan is executed as
-    given, never re-planned.  Every layout hands its completed trials to
-    the same ``finish``, so with ``checkpoint_dir`` set each one's result
-    is saved whichever layout computed it.
+    given, never re-planned.  Every layout hands each trial to the same
+    ``finish`` as soon as it completes (the trial pool too, while its other
+    workers run), so with ``checkpoint_dir`` set each one's result is saved
+    whichever layout computed it, and a parent killed mid-run keeps every
+    trial finished before the kill.
     """
     moments = GroupSeriesMoments()
     folder = _OrderedTrialFolder(moments, keep_trials)
@@ -778,12 +776,14 @@ def _run_planned_experiment(
         else:
             pending.append(trial_index)
 
-    pooled = None
+    pooled = False
     if plan.layout == "pool":
         # A retry resumes from the failed attempt's last step snapshot.
         retry_config = (
             replace(config, resume=True) if config.checkpoint_every > 0 else config
         )
+        # Each pooled trial is saved and folded as it arrives, while the
+        # pool works on the rest.
         pooled = supervised_map(
             _run_trial_task,
             pending,
@@ -797,15 +797,13 @@ def _run_planned_experiment(
             lambda trial_index: run_trial(
                 retry_config, trial_index, policy_factory, terms, income_table
             ),
+            finish,
             workers=plan.max_workers,
             policy=supervisor,
             pool="parallel trial pool",
             label=lambda trial_index: f"trial {trial_index}",
         )
-    if pooled is not None:
-        for trial_index, trial in pooled.items():
-            finish(trial_index, trial)
-    else:
+    if not pooled:
         for trial_index in pending:
             finish(
                 trial_index,

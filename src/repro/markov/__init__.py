@@ -15,31 +15,25 @@ Maps and systems
     :class:`MarkovSystem`, :class:`MarkovEdge`,
     :class:`IteratedFunctionSystem`, :class:`SignalDependentIFS`.
 Operators
-    :class:`MarkovOperator`, :func:`transition_matrix`,
-    :func:`stationary_distribution`.
+    :func:`transition_matrix`, :func:`stationary_distribution`.
 Ergodicity diagnostics
     :func:`is_strongly_connected`, :func:`is_aperiodic`, :func:`is_primitive`,
     :func:`average_contraction_factor`, :func:`check_ergodicity`,
     :class:`ErgodicityReport`.
 Invariant measures
     :class:`EmpiricalMeasure`, :func:`estimate_invariant_measure`,
-    :func:`wasserstein_distance_1d`, :func:`total_variation_distance`,
-    :func:`unique_ergodicity_diagnostic`.
-Stability
-    :func:`is_class_k`, :func:`is_class_kl`,
-    :func:`incremental_iss_diagnostic`, :func:`estimate_contraction_rate`.
+    :func:`wasserstein_distance_1d`, :func:`unique_ergodicity_diagnostic`.
 Coupling
     :func:`coupling_distance_profile`, :func:`coupling_time`.
+Spectral diagnostics
+    :class:`SpectralDiagnostics`, :func:`spectral_diagnostics`,
+    :func:`mixing_time_upper_bound`.
 """
 
 from repro.markov.maps import AffineMap, FunctionMap, StateMap
 from repro.markov.system import MarkovEdge, MarkovSystem
 from repro.markov.ifs import IteratedFunctionSystem, SignalDependentIFS
-from repro.markov.operators import (
-    MarkovOperator,
-    stationary_distribution,
-    transition_matrix,
-)
+from repro.markov.operators import stationary_distribution, transition_matrix
 from repro.markov.ergodicity import (
     ErgodicityReport,
     average_contraction_factor,
@@ -51,15 +45,8 @@ from repro.markov.ergodicity import (
 from repro.markov.invariant import (
     EmpiricalMeasure,
     estimate_invariant_measure,
-    total_variation_distance,
     unique_ergodicity_diagnostic,
     wasserstein_distance_1d,
-)
-from repro.markov.stability import (
-    estimate_contraction_rate,
-    incremental_iss_diagnostic,
-    is_class_k,
-    is_class_kl,
 )
 from repro.markov.coupling import coupling_distance_profile, coupling_time
 from repro.markov.spectral import (
@@ -76,7 +63,6 @@ __all__ = [
     "MarkovSystem",
     "IteratedFunctionSystem",
     "SignalDependentIFS",
-    "MarkovOperator",
     "transition_matrix",
     "stationary_distribution",
     "ErgodicityReport",
@@ -88,12 +74,7 @@ __all__ = [
     "EmpiricalMeasure",
     "estimate_invariant_measure",
     "wasserstein_distance_1d",
-    "total_variation_distance",
     "unique_ergodicity_diagnostic",
-    "is_class_k",
-    "is_class_kl",
-    "incremental_iss_diagnostic",
-    "estimate_contraction_rate",
     "coupling_distance_profile",
     "coupling_time",
     "SpectralDiagnostics",

@@ -3,10 +3,9 @@
 Equal impact asks for a single invariant measure to which the closed loop is
 statistically drawn regardless of initial conditions.  For systems we can
 only simulate, this module estimates that measure empirically from long
-orbits, measures distances between empirical measures (1-D Wasserstein and
-total variation on a common binning), and checks unique ergodicity
-numerically by comparing orbits started from well-separated initial
-conditions.
+orbits, measures the 1-D Wasserstein distance between empirical measures,
+and checks unique ergodicity numerically by comparing orbits started from
+well-separated initial conditions.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "EmpiricalMeasure",
     "estimate_invariant_measure",
     "wasserstein_distance_1d",
-    "total_variation_distance",
     "unique_ergodicity_diagnostic",
 ]
 
@@ -109,34 +107,6 @@ def wasserstein_distance_1d(
     qa = np.quantile(a, grid)
     qb = np.quantile(b, grid)
     return float(np.mean(np.abs(qa - qb)))
-
-
-def total_variation_distance(
-    first: Sequence[float] | np.ndarray,
-    second: Sequence[float] | np.ndarray,
-    bins: int = 20,
-) -> float:
-    """Return the total-variation distance of two sample sets on a common binning.
-
-    Both sample sets are histogrammed on ``bins`` equal-width bins spanning
-    their joint range; the distance is half the L1 distance of the resulting
-    histograms.  This is a coarse but binning-consistent estimate suitable
-    for comparing empirical invariant measures.
-    """
-    a = np.asarray(first, dtype=float).ravel()
-    b = np.asarray(second, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise ValueError("sample sets must be non-empty")
-    low = min(a.min(), b.min())
-    high = max(a.max(), b.max())
-    if high == low:
-        high = low + 1.0
-    edges = np.linspace(low, high, bins + 1)
-    hist_a, _ = np.histogram(a, bins=edges)
-    hist_b, _ = np.histogram(b, bins=edges)
-    pa = hist_a / hist_a.sum()
-    pb = hist_b / hist_b.sum()
-    return float(0.5 * np.abs(pa - pb).sum())
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ on bounded measurable functions, and its adjoint ``P*`` on probability
 measures; an invariant measure satisfies ``P* mu = mu``.  For systems whose
 state space is (or can be discretised to) a finite set, both objects reduce
 to a stochastic matrix and its left eigenvector, which this module computes
-exactly.  For continuous-state systems :class:`MarkovOperator` evaluates
-``P f`` pointwise and applies ``P*`` empirically to a particle cloud.
+exactly.
 """
 
 from __future__ import annotations
@@ -19,59 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.markov.system import MarkovSystem
-from repro.utils.rng import spawn_generator
 from repro.utils.validation import require_probability_vector
 
-__all__ = ["MarkovOperator", "transition_matrix", "stationary_distribution"]
-
-
-class MarkovOperator:
-    """The operator ``P`` (and adjoint ``P*``) of a :class:`MarkovSystem`."""
-
-    def __init__(self, system: MarkovSystem) -> None:
-        self._system = system
-
-    @property
-    def system(self) -> MarkovSystem:
-        """Return the underlying Markov system."""
-        return self._system
-
-    def apply_to_function(
-        self, function: Callable[[np.ndarray], float], state: np.ndarray
-    ) -> float:
-        """Evaluate ``P f`` at ``state``.
-
-        ``P f(x) = sum_e p_e(x) f(w_e(x))`` where the sum runs over the edges
-        leaving the vertex of ``x``.
-        """
-        vector = np.atleast_1d(np.asarray(state, dtype=float))
-        vertex = self._system.vertex_of(vector)
-        edges = self._system.outgoing_edges(vertex)
-        probabilities = self._system.edge_probabilities(vector)
-        return float(
-            sum(
-                probability * float(function(np.asarray(edge.state_map(vector), dtype=float)))
-                for edge, probability in zip(edges, probabilities)
-            )
-        )
-
-    def push_forward_particles(
-        self,
-        particles: np.ndarray,
-        rng: int | np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Apply ``P*`` empirically to a cloud of particles.
-
-        Each particle is advanced one random step of the system; the
-        resulting cloud is an empirical approximation of ``P* mu`` when the
-        input cloud approximates ``mu``.
-        """
-        generator = spawn_generator(rng)
-        particle_array = np.atleast_2d(np.asarray(particles, dtype=float))
-        advanced = [
-            self._system.step(particle, generator)[0] for particle in particle_array
-        ]
-        return np.vstack(advanced)
+__all__ = ["transition_matrix", "stationary_distribution"]
 
 
 def transition_matrix(

@@ -17,7 +17,6 @@ from repro.scoring.suffstats import CompressedDesign, merge_tables
 from repro.scoring.cutoff import CutoffPolicy
 from repro.scoring.woe import WoeBin, WoeBinning, information_value
 from repro.scoring.calibration import ScoreScaler
-from repro.scoring.counterfactual import CounterfactualExplanation, explain_decision
 
 __all__ = [
     "LogisticRegression",
@@ -34,6 +33,4 @@ __all__ = [
     "WoeBinning",
     "information_value",
     "ScoreScaler",
-    "CounterfactualExplanation",
-    "explain_decision",
 ]

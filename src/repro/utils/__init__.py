@@ -18,9 +18,6 @@ from repro.utils.stats import (
     cesaro_averages,
     gini_coefficient,
     max_pairwise_gap,
-    running_mean,
-    tail_dispersion,
-    time_average,
 )
 
 __all__ = [
@@ -34,7 +31,4 @@ __all__ = [
     "cesaro_averages",
     "gini_coefficient",
     "max_pairwise_gap",
-    "running_mean",
-    "tail_dispersion",
-    "time_average",
 ]

@@ -5,8 +5,8 @@ The central quantity in the paper is the Cesàro (running time) average
     (1 / (k + 1)) * sum_{j=0..k} y_i(j),
 
 whose convergence to a user-independent constant *is* equal impact
-(Definition 3).  The helpers here compute running averages, detect
-convergence of their tails, and quantify dispersion across users.
+(Definition 3).  The helpers here compute those averages and quantify
+how unequal per-user outcomes are.
 """
 
 from __future__ import annotations
@@ -16,25 +16,10 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "running_mean",
     "cesaro_averages",
-    "time_average",
-    "tail_dispersion",
     "max_pairwise_gap",
     "gini_coefficient",
 ]
-
-
-def running_mean(values: Sequence[float]) -> np.ndarray:
-    """Return the running mean of ``values``.
-
-    Element ``k`` of the result equals ``mean(values[: k + 1])``.  The input
-    must be non-empty.
-    """
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError("values must be a non-empty 1-D sequence")
-    return np.cumsum(array) / np.arange(1, array.size + 1)
 
 
 def cesaro_averages(series: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -42,8 +27,7 @@ def cesaro_averages(series: np.ndarray, axis: int = -1) -> np.ndarray:
 
     ``series`` may be any array of per-step observations; the result has the
     same shape, with entry ``k`` along ``axis`` equal to the mean of entries
-    ``0..k``.  This is the vectorised, multi-user counterpart of
-    :func:`running_mean`.
+    ``0..k``.
     """
     array = np.asarray(series, dtype=float)
     if array.size == 0:
@@ -53,30 +37,6 @@ def cesaro_averages(series: np.ndarray, axis: int = -1) -> np.ndarray:
     counts_shape[axis] = length
     counts = np.arange(1, length + 1, dtype=float).reshape(counts_shape)
     return np.cumsum(array, axis=axis) / counts
-
-
-def time_average(series: Sequence[float]) -> float:
-    """Return the plain time average of a scalar series."""
-    array = np.asarray(series, dtype=float)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError("series must be a non-empty 1-D sequence")
-    return float(array.mean())
-
-
-def tail_dispersion(series: Sequence[float], tail_fraction: float = 0.25) -> float:
-    """Return the standard deviation of the trailing part of ``series``.
-
-    A small tail dispersion of a running average is the practical signature
-    of convergence to a limit: once the Cesàro average has settled, its last
-    ``tail_fraction`` of samples barely move.
-    """
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    array = np.asarray(series, dtype=float)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError("series must be a non-empty 1-D sequence")
-    tail_length = max(1, int(round(array.size * tail_fraction)))
-    return float(np.std(array[-tail_length:]))
 
 
 def max_pairwise_gap(values: Sequence[float]) -> float:

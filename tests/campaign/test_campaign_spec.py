@@ -8,6 +8,12 @@ import textwrap
 
 import pytest
 
+from repro.baselines import (
+    GroupThresholdPolicy,
+    IncomeMultiplePolicy,
+    StaticCreditScoringSystem,
+    UniformLimitPolicy,
+)
 from repro.campaign.spec import (
     ArmRef,
     CampaignSpec,
@@ -15,14 +21,17 @@ from repro.campaign.spec import (
     build_scenario_table,
     expand_campaign,
     load_campaign_spec,
-    policy_names,
-    scenario_names,
 )
 from repro.campaign import run_campaign
 from repro.campaign import spec as spec_module
+from repro.control import EpsilonGreedyPolicy, ImpactSteeringPolicy
+from repro.core.ai_system import CreditScoringSystem
+from repro.core.population import CreditPopulation
 from repro.data import census
 from repro.data.census import Race, default_income_table
 from repro.data.scenarios import widening_gap_scenario
+from repro.data.synthetic import PopulationSpec, generate_population
+from repro.experiments.config import CaseStudyConfig
 
 
 class TestArmNormalization:
@@ -56,9 +65,38 @@ class TestArmNormalization:
         with pytest.raises(ValueError, match='"name"'):
             CampaignSpec(scenarios=({"downshift": 0.2},))
 
-    def test_registries_are_published(self):
-        assert "recession" in scenario_names()
-        assert "retraining" in policy_names()
+
+#: Each registered policy arm, the system it builds and parameters it passes on.
+POLICY_ARMS = [
+    ("retraining", CreditScoringSystem, {}),
+    ("static", StaticCreditScoringSystem, {"training_rounds": 3}),
+    ("uniform-limit", UniformLimitPolicy, {"max_default_rate": 0.2}),
+    ("income-multiple", IncomeMultiplePolicy, {"minimum_income": 25.0}),
+    ("parity", GroupThresholdPolicy, {"target_approval_rate": 0.7}),
+    ("steering", ImpactSteeringPolicy, {"gain": 2.0}),
+    ("epsilon-greedy", EpsilonGreedyPolicy, {"epsilon": 0.1}),
+]
+
+
+class TestRegisteredPolicies:
+    """Every registered policy arm builds its system, with its parameters."""
+
+    def test_every_registered_arm_is_listed(self):
+        assert {name for name, _, _ in POLICY_ARMS} == set(spec_module._POLICIES)
+
+    @pytest.mark.parametrize(
+        "name, system_type, params", POLICY_ARMS, ids=[arm[0] for arm in POLICY_ARMS]
+    )
+    def test_arm_builds_its_system(self, name, system_type, params):
+        (policy,) = CampaignSpec(policies=({"name": name, **params},)).policies
+        config = CaseStudyConfig(num_users=20, num_trials=1)
+        population = CreditPopulation(
+            population=generate_population(PopulationSpec(size=20), 0)
+        )
+        system = build_policy_factory(policy)(config, population)
+        assert type(system) is system_type
+        for key, value in params.items():
+            assert getattr(system, key) == value
 
 
 class TestSpecValidation:

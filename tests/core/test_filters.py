@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.filters import (
-    AnomalyClippingFilter,
     CumulativeAverageFilter,
     DefaultRateFilter,
-    ExponentialMovingAverageFilter,
-    IntegralFilter,
     LoopFilter,
     require_binary_decisions,
 )
@@ -128,62 +125,6 @@ class TestCumulativeAverageFilter:
     def test_rejects_non_positive_population(self):
         with pytest.raises(ValueError):
             CumulativeAverageFilter(0)
-
-
-class TestExponentialMovingAverageFilter:
-    def test_single_update_moves_towards_the_action(self):
-        loop_filter = ExponentialMovingAverageFilter(1, alpha=0.5, initial_value=0.0)
-        observation = loop_filter.update(np.ones(1), np.array([1.0]), 0)
-        assert observation["average_action"][0] == pytest.approx(0.5)
-
-    def test_alpha_one_tracks_the_latest_action_exactly(self):
-        loop_filter = ExponentialMovingAverageFilter(1, alpha=1.0)
-        loop_filter.update(np.ones(1), np.array([0.3]), 0)
-        assert loop_filter.observation()["average_action"][0] == pytest.approx(0.3)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverageFilter(1, alpha=0.0)
-
-    def test_rejects_wrong_action_length(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverageFilter(2).update(np.ones(2), np.ones(1), 0)
-
-
-class TestIntegralFilter:
-    def test_integrates_the_gap_to_the_target(self):
-        loop_filter = IntegralFilter(target=0.5, gain=1.0)
-        loop_filter.update(np.ones(2), np.array([1.0, 1.0]), 0)
-        assert loop_filter.integral == pytest.approx(0.5)
-        loop_filter.update(np.ones(2), np.array([0.0, 0.0]), 1)
-        assert loop_filter.integral == pytest.approx(0.0)
-
-    def test_gain_scales_the_increment(self):
-        loop_filter = IntegralFilter(target=0.0, gain=2.0)
-        loop_filter.update(np.ones(1), np.array([1.0]), 0)
-        assert loop_filter.integral == pytest.approx(2.0)
-
-    def test_rejects_empty_actions(self):
-        with pytest.raises(ValueError):
-            IntegralFilter().update(np.ones(0), np.ones(0), 0)
-
-
-class TestAnomalyClippingFilter:
-    def test_clips_before_delegating(self):
-        inner = CumulativeAverageFilter(2)
-        wrapper = AnomalyClippingFilter(inner, lower=0.0, upper=1.0)
-        observation = wrapper.update(np.ones(2), np.array([5.0, -3.0]), 0)
-        np.testing.assert_allclose(observation["average_action"], [1.0, 0.0])
-
-    def test_observation_delegates_to_inner(self):
-        inner = CumulativeAverageFilter(1, initial_value=0.2)
-        wrapper = AnomalyClippingFilter(inner, lower=0.0, upper=1.0)
-        assert wrapper.observation()["average_action"][0] == pytest.approx(0.2)
-        assert wrapper.inner is inner
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            AnomalyClippingFilter(CumulativeAverageFilter(1), lower=1.0, upper=0.0)
 
 
 class TestBatchedDefaultRateFilter:

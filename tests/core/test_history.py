@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.history import SimulationHistory, StepRecord
-from repro.data.census import Race
+from repro.core.history import SimulationHistory
 
 
 def make_history() -> SimulationHistory:
@@ -15,14 +14,12 @@ def make_history() -> SimulationHistory:
     decisions = [np.array([1.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0])]
     actions = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for step, (decision, action) in enumerate(zip(decisions, actions)):
-        history.append(
-            StepRecord(
-                step=step,
-                public_features={"income": np.array([30.0 + step, 12.0])},
-                decisions=decision,
-                actions=action,
-                observation={"user_default_rates": np.array([0.1, 0.5]), "portfolio_rate": 0.3},
-            )
+        history.record_step(
+            step,
+            {"income": np.array([30.0 + step, 12.0])},
+            decision,
+            action,
+            {"user_default_rates": np.array([0.1, 0.5]), "portfolio_rate": 0.3},
         )
     return history
 
@@ -82,36 +79,32 @@ class TestDerivedSeries:
 
     def test_default_rate_is_zero_before_any_offer(self):
         history = SimulationHistory()
-        history.append(
-            StepRecord(
-                step=0,
-                public_features={},
-                decisions=np.array([0.0, 1.0]),
-                actions=np.array([0.0, 1.0]),
-                observation={},
-            )
-        )
+        history.record_step(0, {}, np.array([0.0, 1.0]), np.array([0.0, 1.0]), {})
         rates = history.running_default_rates()
         assert rates[0, 0] == 0.0
         assert rates[0, 1] == 0.0
 
-    def test_group_series_averages_within_groups(self):
-        history = make_history()
-        rates = history.running_default_rates()
-        groups = {Race.BLACK: np.array([0]), Race.WHITE: np.array([1])}
-        series = history.group_series(rates, groups)
-        np.testing.assert_allclose(series[Race.BLACK], rates[:, 0])
-
-    def test_group_series_empty_group_is_nan(self):
-        history = make_history()
-        series = history.group_series(
-            history.running_default_rates(), {Race.ASIAN: np.array([], dtype=int)}
-        )
-        assert np.all(np.isnan(series[Race.ASIAN]))
-
     def test_approval_rates(self):
         history = make_history()
         np.testing.assert_allclose(history.approval_rates(), [1.0, 0.5, 1.0])
+
+    def test_recomputed_default_rates_match_hand_computation(self):
+        rates = make_history().recompute_running_default_rates()
+        assert rates[-1, 0] == pytest.approx(1.0 / 3.0)
+        assert rates[-1, 1] == pytest.approx(0.5)
+
+    def test_recomputed_default_rates_are_zero_without_offers(self):
+        history = SimulationHistory()
+        for step in range(3):
+            history.record_step(step, {}, np.zeros(2), np.zeros(2), {})
+        np.testing.assert_array_equal(
+            history.recompute_running_default_rates(), np.zeros((3, 2))
+        )
+
+    def test_takes_no_seed_records(self):
+        # Histories fill through record_step only.
+        with pytest.raises(TypeError):
+            SimulationHistory(records=[])
 
 
 class TestRecordStepPrecomputed:
@@ -125,7 +118,7 @@ class TestRecordStepPrecomputed:
         incomes = rng.uniform(5.0, 100.0, size=(steps, users))
         return decisions, actions, incomes
 
-    def _build_pair(self, users=30, steps=6, seed=17, precompute_until=None):
+    def _build_pair(self, users=30, steps=6, seed=17):
         from repro.credit.default_rates import user_default_rates
 
         decisions, actions, incomes = self._streams(users, steps, seed)
@@ -134,7 +127,6 @@ class TestRecordStepPrecomputed:
         offers_cum = np.zeros(users)
         repayments_cum = np.zeros(users)
         actions_cum = np.zeros(users)
-        cutover = steps if precompute_until is None else precompute_until
         for k in range(steps):
             observation = {"portfolio_rate": float(k) / steps}
             plain.record_step(
@@ -143,21 +135,16 @@ class TestRecordStepPrecomputed:
             offers_cum += decisions[k]
             repayments_cum += actions[k] * decisions[k]
             actions_cum += actions[k]
-            if k < cutover:
-                fast.record_step_precomputed(
-                    k,
-                    {"income": incomes[k]},
-                    decisions[k],
-                    actions[k],
-                    observation,
-                    running_rates=user_default_rates(offers_cum, repayments_cum),
-                    running_actions=actions_cum / float(k + 1),
-                    approval=float(np.mean(decisions[k])),
-                )
-            else:
-                fast.record_step(
-                    k, {"income": incomes[k]}, decisions[k], actions[k], observation
-                )
+            fast.record_step_precomputed(
+                k,
+                {"income": incomes[k]},
+                decisions[k],
+                actions[k],
+                observation,
+                running_rates=user_default_rates(offers_cum, repayments_cum),
+                running_actions=actions_cum / float(k + 1),
+                approval=float(np.mean(decisions[k])),
+            )
         return plain, fast
 
     def _assert_identical(self, plain, fast):
@@ -185,11 +172,13 @@ class TestRecordStepPrecomputed:
             fast.running_default_rates(), fast.recompute_running_default_rates()
         )
 
-    def test_mixing_with_plain_record_step_rebuilds_cums(self):
-        # Three precomputed steps, then plain ingest: the cums rebuild must
-        # be exact so the later incremental rows stay bit-identical.
-        plain, fast = self._build_pair(steps=8, precompute_until=3)
-        self._assert_identical(plain, fast)
+    def test_plain_record_step_after_precomputed_ingest_is_refused(self):
+        # The precomputed path keeps no cumulative state, so a plain step
+        # could not derive its rows; the refusal leaves the history intact.
+        _, fast = self._build_pair(steps=3)
+        with pytest.raises(ValueError, match="record_step_precomputed"):
+            fast.record_step(3, {"income": np.ones(30)}, np.ones(30), np.ones(30), {})
+        assert fast.num_steps == 3
 
     def test_validation_rejects_misshapen_rows(self):
         history = SimulationHistory()

@@ -187,12 +187,6 @@ class TestEdgeCases:
         with pytest.warns(RuntimeWarning, match="skipped steps"):
             history.record_step(2, {}, np.ones(2), np.ones(2), {"x": 3.0})
 
-    def test_constructor_accepts_seed_records(self):
-        source = random_history(4, 2, seed=11)
-        clone = SimulationHistory(records=list(source.records))
-        assert np.array_equal(source.decisions_matrix(), clone.decisions_matrix())
-        assert np.array_equal(source.actions_matrix(), clone.actions_matrix())
-
     def test_history_round_trips_through_pickle(self):
         history = random_history(40, 3, seed=2)
         payload = pickle.dumps(history)

@@ -7,9 +7,7 @@ import pytest
 
 from repro.core.metrics import (
     approval_rates_by_group,
-    default_rate_series,
-    demographic_parity_gap,
-    equal_opportunity_gap,
+    group_approval_series,
     group_average_series,
 )
 from repro.data.census import Race
@@ -37,58 +35,6 @@ class TestApprovalRates:
             approval_rates_by_group(np.ones(4), {Race.BLACK: np.array([0])})
 
 
-class TestDemographicParityGap:
-    def test_equal_rates_give_zero_gap(self, simple_groups):
-        decisions = np.ones((3, 4))
-        assert demographic_parity_gap(decisions, simple_groups) == pytest.approx(0.0)
-
-    def test_unequal_rates_give_the_difference(self, simple_groups):
-        decisions = np.array([[1, 1, 0, 0]], dtype=float)
-        assert demographic_parity_gap(decisions, simple_groups) == pytest.approx(1.0)
-
-    def test_single_group_gives_zero(self):
-        decisions = np.ones((2, 2))
-        assert demographic_parity_gap(decisions, {Race.BLACK: np.array([0, 1])}) == 0.0
-
-
-class TestEqualOpportunityGap:
-    def test_equal_rates_among_qualified(self, simple_groups):
-        decisions = np.array([[1, 0, 1, 0]], dtype=float)
-        qualified = np.array([[1, 0, 1, 0]], dtype=float)
-        assert equal_opportunity_gap(decisions, qualified, simple_groups) == pytest.approx(0.0)
-
-    def test_gap_when_one_group_is_underserved(self, simple_groups):
-        decisions = np.array([[0, 0, 1, 1]], dtype=float)
-        qualified = np.ones((1, 4))
-        assert equal_opportunity_gap(decisions, qualified, simple_groups) == pytest.approx(1.0)
-
-    def test_groups_without_qualified_members_are_skipped(self, simple_groups):
-        decisions = np.array([[1, 1, 1, 1]], dtype=float)
-        qualified = np.array([[1, 1, 0, 0]], dtype=float)
-        assert equal_opportunity_gap(decisions, qualified, simple_groups) == 0.0
-
-    def test_shape_mismatch_is_rejected(self, simple_groups):
-        with pytest.raises(ValueError):
-            equal_opportunity_gap(np.ones((2, 4)), np.ones((1, 4)), simple_groups)
-
-
-class TestDefaultRateSeries:
-    def test_matches_hand_computation(self):
-        decisions = np.array([[1, 1], [1, 0], [1, 1]], dtype=float)
-        actions = np.array([[1, 0], [0, 0], [1, 1]], dtype=float)
-        rates = default_rate_series(decisions, actions)
-        assert rates[-1, 0] == pytest.approx(1.0 / 3.0)
-        assert rates[-1, 1] == pytest.approx(0.5)
-
-    def test_no_offers_yield_zero_rate(self):
-        rates = default_rate_series(np.zeros((3, 2)), np.zeros((3, 2)))
-        np.testing.assert_allclose(rates, 0.0)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            default_rate_series(np.ones((2, 2)), np.ones((3, 2)))
-
-
 class TestGroupAverageSeries:
     def test_per_step_group_means(self, simple_groups):
         series = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
@@ -104,3 +50,29 @@ class TestGroupAverageSeries:
     def test_rejects_1d_series(self):
         with pytest.raises(ValueError):
             group_average_series(np.ones(5), {Race.BLACK: np.array([0])})
+
+
+class TestGroupApprovalSeries:
+    def test_per_step_approval_within_each_group(self, simple_groups):
+        decisions = np.array([[1, 0, 1, 1], [0, 0, 1, 0]], dtype=float)
+        series = group_approval_series(decisions, simple_groups)
+        np.testing.assert_allclose(series[Race.BLACK], [0.5, 0.0])
+        np.testing.assert_allclose(series[Race.WHITE], [1.0, 0.5])
+
+    def test_step_average_is_the_pooled_group_rate(self, simple_groups):
+        decisions = np.random.default_rng(5).integers(0, 2, size=(7, 4)).astype(float)
+        series = group_approval_series(decisions, simple_groups)
+        pooled = approval_rates_by_group(decisions, simple_groups)
+        for key in simple_groups:
+            assert series[key].mean() == pytest.approx(pooled[key])
+
+    def test_empty_group_is_nan_at_every_step(self):
+        series = group_approval_series(
+            np.ones((3, 2)), {Race.ASIAN: np.array([], dtype=int)}
+        )
+        assert series[Race.ASIAN].shape == (3,)
+        assert np.all(np.isnan(series[Race.ASIAN]))
+
+    def test_rejects_1d_decisions(self):
+        with pytest.raises(ValueError, match="steps, users"):
+            group_approval_series(np.ones(4), {Race.BLACK: np.array([0])})

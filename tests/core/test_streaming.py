@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.filters import BatchedDefaultRateFilter
-from repro.core.history import FullHistoryRequiredError, SimulationHistory, StepRecord
+from repro.core.history import FullHistoryRequiredError, SimulationHistory
 from repro.core.metrics import group_average_series
 from repro.core.streaming import AggregateHistory, StreamingAggregator, sequential_sum
 from tests.core.lockstep import record_step
@@ -205,6 +205,35 @@ class TestStreamingAggregator:
         with pytest.raises(ValueError):
             StreamingAggregator.from_state(bad_groups)
 
+    @pytest.mark.parametrize("key", ["rate_bins", "rate_hist", "rate_low_counts"])
+    def test_from_state_requires_every_exported_key(self, key):
+        # Every state export_state writes carries the histogram keys, so a
+        # state without one is refused rather than filled with defaults.
+        aggregator = StreamingAggregator(2, groups={"a": np.array([0])})
+        aggregator.update(np.ones(2), np.ones(2))
+        state = aggregator.export_state()
+        del state[key]
+        with pytest.raises(KeyError, match=key):
+            StreamingAggregator.from_state(state)
+
+    def test_group_accessors_follow_the_partition(self):
+        groups = {"b": np.array([1]), "a": np.array([0, 2])}
+        aggregator = StreamingAggregator(3, groups=groups)
+        assert aggregator.group_keys == ("b", "a")
+        assert aggregator.group_sizes == {"b": 1, "a": 2}
+        indices = aggregator.group_indices()
+        np.testing.assert_array_equal(indices["a"], [0, 2])
+        indices["a"][0] = 1
+        np.testing.assert_array_equal(aggregator.group_indices()["a"], [0, 2])
+
+    def test_rate_histogram_edges_split_the_unit_interval_evenly(self):
+        aggregator = StreamingAggregator(3, rate_bins=4)
+        assert aggregator.rate_bins == 4
+        edges = aggregator.rate_histogram_edges()
+        np.testing.assert_allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+        edges[0] = -1.0
+        assert aggregator.rate_histogram_edges()[0] == 0.0
+
     def test_export_state_round_trips_through_pickle(self):
         aggregator = StreamingAggregator(3, groups={"a": np.array([0, 2])})
         decisions, actions = _binary_stream(4, 3, seed=9)
@@ -230,19 +259,6 @@ class TestAggregateHistory:
         assert history.approval_rates().shape == (6,)
         assert not history.approval_rates().flags.writeable
         assert set(history.group_default_rate_series()) == {"all"}
-
-    def test_append_accepts_step_records(self):
-        history = AggregateHistory()
-        record = StepRecord(
-            step=0,
-            public_features={"income": np.array([1.0, 2.0])},
-            decisions=np.array([1.0, 0.0]),
-            actions=np.array([1.0, 0.0]),
-            observation={"portfolio_rate": 0.0},
-        )
-        history.append(record)
-        assert history.num_steps == 1
-        assert history.num_users == 2
 
     def test_rejects_non_contiguous_steps(self):
         history = AggregateHistory()
@@ -289,8 +305,6 @@ class TestAggregateHistory:
             history.record_at(0)
         with pytest.raises(FullHistoryRequiredError):
             history.records
-        with pytest.raises(FullHistoryRequiredError):
-            history.group_series(np.ones((1, 2)), {})
 
     def test_pickles_cleanly(self):
         history = AggregateHistory(groups={"a": np.array([0])})

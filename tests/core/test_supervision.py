@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -128,8 +129,6 @@ def _square_unless_three(value):
     return value * value
 
 
-
-
 def _claims(marker):
     """Whether this call is the first to create ``marker`` (once per test)."""
     try:
@@ -170,14 +169,35 @@ def _square_unless_one(value):
     return value * value
 
 
+def _first_or_after_file(payload):
+    """Key 0 returns at once; key 1 reports whether ``path`` appears in 30 s."""
+    key, path = payload
+    if key == 0:
+        return True
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if os.path.exists(path):
+            return True
+        time.sleep(0.01)
+    return False
+
+
 def _no_fallback(key):
     raise AssertionError(f"key {key} fell back")
 
 
 def _map(worker, payload, fallback=_no_fallback, keys=range(5), **overrides):
+    """Run the executor and collect what it delivers (``None`` if no pool)."""
     options = dict(workers=2, policy=FAST, pool="toy pool", label=lambda k: f"key {k}")
     options.update(overrides)
-    return supervised_map(worker, keys, payload, fallback, **options)
+    results = {}
+
+    def deliver(key, result):
+        assert key not in results, f"key {key} was delivered twice"
+        results[key] = result
+
+    pooled = supervised_map(worker, keys, payload, fallback, deliver, **options)
+    return results if pooled else None
 
 
 class TestSupervisedMap:
@@ -198,14 +218,84 @@ class TestSupervisedMap:
         ],
         ids=["unpicklable-payload", "one-key", "one-worker"],
     )
-    def test_returns_none_without_building_a_pool(
+    def test_returns_false_without_building_a_pool(
         self, monkeypatch, payload, keys, workers
     ):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
+        def deliver(key, result):
+            raise AssertionError("a result was delivered")
+
         monkeypatch.setattr(supervision, "ProcessPoolExecutor", no_pool)
-        assert _map(_square, payload, keys=keys, workers=workers) is None
+        pooled = supervised_map(
+            _square,
+            keys,
+            payload,
+            _no_fallback,
+            deliver,
+            workers=workers,
+            policy=FAST,
+            pool="toy pool",
+            label=str,
+        )
+        assert pooled is False
+
+    def test_results_reach_the_caller_while_the_pool_runs(self, tmp_path):
+        # Key 1 waits for a file the caller writes only once key 0's
+        # result has been delivered to it.
+        path = str(tmp_path / "key-0-delivered")
+        seen = {}
+
+        def deliver(key, result):
+            seen[key] = result
+            if key == 0:
+                open(path, "w").close()
+
+        pooled = supervised_map(
+            _first_or_after_file,
+            range(2),
+            lambda key, failures: (key, path),
+            _no_fallback,
+            deliver,
+            workers=2,
+            policy=FAST,
+            pool="toy pool",
+            label=str,
+        )
+        assert pooled is True
+        assert seen == {0: True, 1: True}
+
+    def test_no_worker_outlives_the_call(self):
+        before = set(multiprocessing.active_children())
+        results = _map(_square, lambda key, failures: key)
+        assert results == {key: key * key for key in range(5)}
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_an_error_in_deliver_kills_the_pool(self, monkeypatch):
+        killed = []
+
+        def record_kill(executor):
+            killed.append(executor)
+            kill_executor(executor)
+
+        def deliver(key, result):
+            raise KeyError(key)
+
+        monkeypatch.setattr(supervision, "kill_executor", record_kill)
+        with pytest.raises(KeyError):
+            supervised_map(
+                _square,
+                range(5),
+                lambda key, failures: key,
+                _no_fallback,
+                deliver,
+                workers=2,
+                policy=FAST,
+                pool="toy pool",
+                label=str,
+            )
+        assert len(killed) == 1
 
     def test_a_key_past_its_budget_runs_its_fallback(self):
         failures_seen = []

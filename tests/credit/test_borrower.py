@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.credit.borrower import BorrowerState, affordability_state
+from repro.credit.borrower import affordability_state
 from repro.credit.mortgage import MortgageTerms
-from repro.data.census import Race
 
 
 class TestAffordabilityState:
@@ -87,22 +86,6 @@ class TestAffordabilityState:
     def test_state_is_bounded_above_by_one(self, income):
         terms = MortgageTerms()
         assert affordability_state(income, terms)[0] < 1.0
-
-
-class TestBorrowerState:
-    def test_from_income_populates_affordability(self):
-        terms = MortgageTerms()
-        borrower = BorrowerState.from_income(3, Race.WHITE, 50.0, terms)
-        assert borrower.user_index == 3
-        assert borrower.race is Race.WHITE
-        assert borrower.affordability == pytest.approx(affordability_state(50.0, terms)[0])
-
-    def test_can_cover_obligation_flag(self):
-        terms = MortgageTerms()
-        wealthy = BorrowerState.from_income(0, Race.ASIAN, 100.0, terms)
-        poor = BorrowerState.from_income(1, Race.BLACK, 5.0, terms)
-        assert wealthy.can_cover_obligation
-        assert not poor.can_cover_obligation
 
 
 class TestInPlaceObligation:

@@ -47,9 +47,21 @@ class TestValidationAndScaling:
         with pytest.raises(ValueError):
             CaseStudyConfig(num_users=0)
 
+    def test_rejects_a_single_user(self):
+        # The lender's first refit would find one offered user and raise.
+        with pytest.raises(ValueError, match="two offered users"):
+            CaseStudyConfig(num_users=1)
+        assert CaseStudyConfig(num_users=2).num_users == 2
+
     def test_rejects_negative_warm_up(self):
         with pytest.raises(ValueError):
             CaseStudyConfig(warm_up_rounds=-1)
+
+    def test_rejects_a_run_without_warm_up(self):
+        # Every in-tree policy's lender would raise at step 0 instead.
+        with pytest.raises(ValueError, match="before being retrained"):
+            CaseStudyConfig(warm_up_rounds=0)
+        assert CaseStudyConfig(warm_up_rounds=1).warm_up_rounds == 1
 
     def test_scaled_copy_changes_only_the_requested_fields(self):
         config = CaseStudyConfig()

@@ -33,7 +33,8 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.streaming import StreamingAggregator
-from repro.core.supervision import SupervisorPolicy
+from repro.core import supervision
+from repro.core.supervision import SupervisorPolicy, kill_executor
 from repro.experiments import runner as runner_module
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
@@ -300,6 +301,24 @@ class TestExperimentResume:
         (tmp_path / "trial-0001.result").unlink()
         resumed = run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
         assert_experiments_identical(golden_experiment, resumed)
+
+    def test_a_result_in_the_inline_envelope_is_refused(
+        self, ft_config, golden_experiment, tmp_path
+    ):
+        # Builds older than the campaign layer pickled the whole trial under
+        # "result", stamped with a fingerprint today's configurations never
+        # produce, so resume refuses such a file instead of reading it.
+        run_experiment(_checkpointed(ft_config, tmp_path))
+        write_checkpoint(
+            tmp_path / "trial-0001.result",
+            {
+                "kind": "trial_result",
+                "fingerprint": "written-before-the-campaign-layer",
+                "result": golden_experiment.trials[1],
+            },
+        )
+        with pytest.raises(CheckpointError, match="different\\s+configuration"):
+            run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
 
     def test_unreadable_result_file_is_rerun_with_warning(
         self, ft_config, golden_experiment, tmp_path
@@ -577,6 +596,38 @@ class TestSupervisedTrialPool:
         with pytest.warns(RuntimeWarning, match="supervision timeout"):
             recovered = run_experiment(_trial_pool(ft_config), supervisor=supervisor)
         assert_experiments_identical(golden_experiment, recovered)
+
+    def test_finished_trials_are_saved_while_the_pool_runs(
+        self, ft_config, golden_experiment, tmp_path, monkeypatch
+    ):
+        # Trial 2's first attempt hangs after trials 0 and 1 finish, so the
+        # pool is killed for a rebuild while it is still running; the two
+        # finished trials' results must already be on disk by then.
+        results = tmp_path / "results"
+        os.environ.update(
+            plan_environment(
+                [FaultSpec(site="trial_worker", kind="hang", trial=2, delay=3600.0)],
+                state_dir=tmp_path / "faults",
+            )
+        )
+        saved_at_kill = []
+
+        def kill(executor):
+            saved_at_kill.append({path.name for path in results.glob("*.result")})
+            kill_executor(executor)
+
+        monkeypatch.setattr(supervision, "kill_executor", kill)
+        supervisor = SupervisorPolicy(max_retries=2, timeout=2.0, backoff_base=0.0)
+        with pytest.warns(RuntimeWarning, match="supervision timeout"):
+            recovered = run_experiment(
+                _trial_pool(_checkpointed(ft_config, results)), supervisor=supervisor
+            )
+        assert_experiments_identical(golden_experiment, recovered)
+        # A spurious timeout on a slow host may add an earlier kill.
+        assert any(
+            {"trial-0000.result", "trial-0001.result"} <= saved
+            for saved in saved_at_kill
+        ), saved_at_kill
 
     @staticmethod
     def _log_restored_steps(patch, log):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import pytest
 from repro.baselines import UniformLimitPolicy
 from repro.credit.mortgage import MortgageTerms
 from repro.data.census import Race
-from repro.experiments.runner import ExperimentResult, run_experiment, run_trial
+from repro.experiments.runner import (
+    ExperimentResult,
+    GroupSeriesMoments,
+    _OrderedTrialFolder,
+    run_experiment,
+    run_trial,
+)
 
 
 class TestRunTrial:
@@ -91,6 +98,49 @@ class TestRunExperiment:
         np.testing.assert_array_equal(
             first.stacked_user_series(), second.stacked_user_series()
         )
+
+
+class TestOrderedTrialFolder:
+    """Pooled trials arrive in completion order but fold in trial order."""
+
+    @staticmethod
+    def _trials(count):
+        rng = np.random.default_rng(8)
+        return [
+            SimpleNamespace(
+                group_default_rates={race: rng.random(4) for race in Race}
+            )
+            for _ in range(count)
+        ]
+
+    def test_out_of_order_arrivals_fold_bit_for_bit_as_in_order_ones(self):
+        trials = self._trials(4)
+        in_order = GroupSeriesMoments()
+        folder = _OrderedTrialFolder(in_order, keep_trials=True)
+        for index, trial in enumerate(trials):
+            folder.add(index, trial)
+        shuffled = GroupSeriesMoments()
+        arrivals = _OrderedTrialFolder(shuffled, keep_trials=True)
+        for index in (2, 0, 3, 1):
+            arrivals.add(index, trials[index])
+        assert [id(trial) for trial in arrivals.trials] == [id(t) for t in trials]
+        for race in Race:
+            np.testing.assert_array_equal(
+                shuffled.mean_series()[race], in_order.mean_series()[race]
+            )
+            np.testing.assert_array_equal(
+                shuffled.std_series()[race], in_order.std_series()[race]
+            )
+
+    def test_a_trial_waits_for_its_predecessors_and_is_then_dropped(self):
+        trials = self._trials(2)
+        moments = GroupSeriesMoments()
+        folder = _OrderedTrialFolder(moments, keep_trials=False)
+        folder.add(1, trials[1])
+        assert moments.num_trials == 0
+        folder.add(0, trials[0])
+        assert moments.num_trials == 2
+        assert folder.trials == []
 
 
 class TestGroupSeriesMoments:

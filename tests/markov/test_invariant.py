@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.markov.ifs import IteratedFunctionSystem
 from repro.markov.invariant import (
     EmpiricalMeasure,
     estimate_invariant_measure,
-    total_variation_distance,
     unique_ergodicity_diagnostic,
     wasserstein_distance_1d,
 )
@@ -37,6 +34,13 @@ class TestEmpiricalMeasure:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EmpiricalMeasure(samples=np.empty((0, 1)))
+
+    def test_multivariate_samples_keep_their_components(self):
+        samples = np.column_stack([np.zeros(5), np.arange(5.0), 10.0 * np.arange(5.0)])
+        measure = EmpiricalMeasure(samples=samples)
+        assert (measure.size, measure.dimension) == (5, 3)
+        np.testing.assert_allclose(measure.mean(), [0.0, 2.0, 20.0])
+        assert measure.quantile(1.0, component=2) == pytest.approx(40.0)
 
 
 class TestEstimateInvariantMeasure:
@@ -70,30 +74,27 @@ class TestDistances:
             wasserstein_distance_1d(b, a), abs=1e-9
         )
 
+    def test_wasserstein_of_point_masses_is_their_distance(self):
+        assert wasserstein_distance_1d([0.2], [0.7]) == pytest.approx(0.5)
+
+    def test_wasserstein_satisfies_the_triangle_inequality(self):
+        rng = np.random.default_rng(3)
+        a, b, c = rng.normal(size=200), rng.normal(1.0, size=200), rng.random(200)
+        assert wasserstein_distance_1d(a, c) <= (
+            wasserstein_distance_1d(a, b) + wasserstein_distance_1d(b, c) + 1e-12
+        )
+
+    def test_wasserstein_scales_with_the_samples_and_ignores_a_common_shift(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=150), rng.exponential(size=150)
+        distance = wasserstein_distance_1d(a, b)
+        scaled = wasserstein_distance_1d(3.0 * a, 3.0 * b)
+        assert scaled == pytest.approx(3.0 * distance)
+        assert wasserstein_distance_1d(a - 5.0, b - 5.0) == pytest.approx(distance)
+
     def test_wasserstein_rejects_empty(self):
         with pytest.raises(ValueError):
             wasserstein_distance_1d([], [1.0])
-
-    def test_total_variation_of_identical_samples_is_zero(self):
-        samples = np.random.default_rng(0).random(100)
-        assert total_variation_distance(samples, samples) == pytest.approx(0.0)
-
-    def test_total_variation_of_disjoint_samples_is_one(self):
-        assert total_variation_distance(np.zeros(50), np.ones(50) * 10, bins=5) == pytest.approx(
-            1.0
-        )
-
-    def test_total_variation_handles_constant_samples(self):
-        assert total_variation_distance(np.zeros(10), np.zeros(10)) == pytest.approx(0.0)
-
-    @given(st.integers(min_value=2, max_value=40))
-    @settings(max_examples=20, deadline=None)
-    def test_total_variation_is_bounded_by_one(self, bins):
-        rng = np.random.default_rng(bins)
-        a = rng.normal(size=100)
-        b = rng.normal(loc=3.0, size=100)
-        distance = total_variation_distance(a, b, bins=bins)
-        assert 0.0 <= distance <= 1.0
 
 
 class TestUniqueErgodicityDiagnostic:

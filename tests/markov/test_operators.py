@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.markov.maps import AffineMap, FunctionMap
-from repro.markov.operators import MarkovOperator, stationary_distribution, transition_matrix
+from repro.markov.operators import stationary_distribution, transition_matrix
 from repro.markov.system import MarkovEdge, MarkovSystem
 
 
@@ -24,28 +24,6 @@ def finite_two_state_system(p_stay: float = 0.7) -> MarkovSystem:
         ],
         vertex_of_state=lambda state: int(round(float(state[0]))),
     )
-
-
-class TestMarkovOperator:
-    def test_apply_to_function_is_expected_value(self):
-        system = finite_two_state_system(0.7)
-        operator = MarkovOperator(system)
-        # f(x) = x: P f(0) = 0.7*0 + 0.3*1 = 0.3
-        value = operator.apply_to_function(lambda x: float(x[0]), np.array([0.0]))
-        assert value == pytest.approx(0.3)
-
-    def test_apply_to_constant_function_is_the_constant(self):
-        system = finite_two_state_system(0.5)
-        operator = MarkovOperator(system)
-        assert operator.apply_to_function(lambda x: 4.0, np.array([1.0])) == pytest.approx(4.0)
-
-    def test_push_forward_preserves_particle_count(self, rng):
-        system = finite_two_state_system()
-        operator = MarkovOperator(system)
-        particles = np.zeros((50, 1))
-        pushed = operator.push_forward_particles(particles, rng)
-        assert pushed.shape == (50, 1)
-        assert set(np.unique(pushed)).issubset({0.0, 1.0})
 
 
 class TestTransitionMatrix:

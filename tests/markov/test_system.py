@@ -56,6 +56,31 @@ class TestConstruction:
             MarkovSystem(num_vertices=0, edges=[])
 
 
+class TestStructure:
+    def test_keeps_its_vertices_and_edges_in_order(self):
+        system = two_vertex_cycle_system()
+        assert system.num_vertices == 2
+        assert [(edge.source, edge.target) for edge in system.edges] == [(0, 1), (1, 0)]
+
+    def test_outgoing_edges_are_the_edges_leaving_a_vertex(self):
+        system = MarkovSystem(
+            num_vertices=2,
+            edges=[
+                MarkovEdge(0, 1, AffineMap.scalar(0.5, 0.0), 0.5, label="a"),
+                MarkovEdge(1, 0, AffineMap.scalar(0.5, 0.0), 1.0, label="b"),
+                MarkovEdge(0, 0, AffineMap.scalar(0.5, 0.0), 0.5, label="c"),
+            ],
+        )
+        assert [edge.label for edge in system.outgoing_edges(0)] == ["a", "c"]
+        assert [edge.label for edge in system.outgoing_edges(1)] == ["b"]
+
+    def test_edge_probability_is_a_constant_or_a_function_of_the_state(self):
+        identity = AffineMap.scalar(1.0, 0.0)
+        assert MarkovEdge(0, 0, identity, 0.3).probability_at(np.array([5.0])) == 0.3
+        halved = MarkovEdge(0, 0, identity, lambda x: float(x[0]) / 2.0)
+        assert halved.probability_at(np.array([0.8])) == pytest.approx(0.4)
+
+
 class TestAdjacencyAndProbabilities:
     def test_adjacency_matrix_of_single_vertex_self_loops(self):
         system = two_map_contractive_system()

@@ -53,7 +53,7 @@ TRAJECTORY = st.fixed_dictionaries(
         "seed": st.integers(min_value=0, max_value=2**31),
         "income_multiple": st.floats(min_value=1.0, max_value=6.0),
         "cutoff": st.floats(min_value=0.05, max_value=0.95),
-        "warm_up_rounds": st.integers(min_value=0, max_value=4),
+        "warm_up_rounds": st.integers(min_value=1, max_value=4),
         "history_mode": st.sampled_from(["full", "aggregate"]),
     }
 )

@@ -1,4 +1,4 @@
-"""Property-based tests on the fairness assessments and loop metrics."""
+"""Property-based tests on the fairness assessments."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fairness import equal_impact_assessment, equal_treatment_assessment
-from repro.core.metrics import default_rate_series, demographic_parity_gap
 from repro.data.census import Race
 
 
@@ -75,27 +74,3 @@ class TestEqualTreatmentProperties:
         responses = rng.random(shape)
         assessment = equal_treatment_assessment(decisions, responses)
         assert assessment.max_response_gap <= responses.max() - responses.min() + 1e-12
-
-
-class TestMetricsProperties:
-    @given(matrix_shapes, st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_default_rate_series_stays_in_the_unit_interval(self, shape, seed):
-        rng = np.random.default_rng(seed)
-        decisions = rng.integers(0, 2, size=shape).astype(float)
-        actions = decisions * rng.integers(0, 2, size=shape).astype(float)
-        rates = default_rate_series(decisions, actions)
-        assert np.all((rates >= 0.0) & (rates <= 1.0))
-
-    @given(matrix_shapes, st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_demographic_parity_gap_is_in_the_unit_interval(self, shape, seed):
-        rows, cols = shape
-        decisions = random_binary_matrix(rows, cols, seed)
-        half = cols // 2
-        groups = {
-            Race.BLACK: np.arange(0, half),
-            Race.WHITE: np.arange(half, cols),
-        }
-        gap = demographic_parity_gap(decisions, groups)
-        assert 0.0 <= gap <= 1.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.markov.ifs import IteratedFunctionSystem
-from repro.markov.invariant import total_variation_distance, wasserstein_distance_1d
+from repro.markov.invariant import wasserstein_distance_1d
 from repro.markov.maps import AffineMap
 from repro.markov.operators import stationary_distribution
 
@@ -76,7 +76,6 @@ class TestDistanceProperties:
     @settings(max_examples=50, deadline=None)
     def test_distance_to_itself_is_zero(self, a):
         assert wasserstein_distance_1d(a, a) == pytest.approx(0.0, abs=1e-12)
-        assert total_variation_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=60),

@@ -32,6 +32,17 @@ class TestScoreScaler:
         assert np.all(np.diff(probabilities) > 0)
         assert np.all((probabilities > 0) & (probabilities < 1))
 
+    def test_base_score_means_the_base_odds(self):
+        scaler = ScoreScaler(base_score=600.0, base_odds=30.0, points_to_double_odds=20.0)
+        assert scaler.probability_from_points(600.0) == pytest.approx(30.0 / 31.0)
+
+    def test_extreme_points_give_probabilities_not_overflows(self):
+        scaler = ScoreScaler()
+        with np.errstate(over="raise"):
+            low, high = scaler.probability_from_points([-1e9, 1e9])
+        assert 0.0 < low < 1e-12
+        assert 1.0 - 1e-12 < high <= 1.0
+
     def test_rejects_non_positive_odds(self):
         with pytest.raises(ValueError):
             ScoreScaler(base_odds=0.0)

@@ -48,6 +48,14 @@ class TestScorecard:
         with pytest.raises(ValueError):
             Scorecard(factors=[])
 
+    def test_factor_contribution_is_points_times_the_value(self):
+        assert ScorecardFactor("x", 2.5).contribution(4) == pytest.approx(10.0)
+
+    def test_factor_contribution_applies_the_transform_first(self):
+        above = ScorecardFactor("income", 30.0, transform=lambda v: float(v > 16.0))
+        assert above.contribution(20.0) == pytest.approx(30.0)
+        assert above.contribution(12.0) == 0.0
+
     def test_base_score_is_added(self):
         card = Scorecard(factors=[ScorecardFactor("x", 2.0)], base_score=10.0)
         assert card.score({"x": 1.0}) == pytest.approx(12.0)

@@ -1,13 +1,18 @@
 """Sanity checks on the public API surface.
 
 These tests guard the package's importability and the consistency of every
-``__all__`` list: each advertised name must actually exist, and the
-top-level package must re-export the objects the README's quickstart uses.
+``__all__`` list: each advertised name must actually exist and have a caller
+outside the tests, and the top-level package must re-export the objects the
+README's quickstart uses.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,8 @@ PACKAGES = [
     "repro.control",
     "repro.experiments",
     "repro.utils",
+    "repro.campaign",
+    "repro.testing",
 ]
 
 
@@ -84,9 +91,6 @@ def test_public_functions_have_docstrings():
 
 def _imports_by_module():
     """Map each ``repro`` module to the dotted names it imports."""
-    import ast
-    from pathlib import Path
-
     import repro
 
     root = Path(repro.__file__).resolve().parent
@@ -121,11 +125,72 @@ def test_no_module_maps_shared_memory():
         assert not any("shared_memory" in name for name in names), module
 
 
+#: Public names deleted because no run reached them, by the module that
+#: exported them.  They must not come back as exports.
+RETIRED_NAMES = {
+    "repro.core": (
+        "ExponentialMovingAverageFilter",
+        "IntegralFilter",
+        "AnomalyClippingFilter",
+        "default_rate_series",
+        "demographic_parity_gap",
+        "equal_opportunity_gap",
+    ),
+    "repro.markov": (
+        "MarkovOperator",
+        "total_variation_distance",
+        "is_class_k",
+        "is_class_kl",
+        "incremental_iss_diagnostic",
+        "estimate_contraction_rate",
+    ),
+    "repro.utils": ("running_mean", "time_average", "tail_dispersion"),
+    "repro.scoring": ("CounterfactualExplanation", "explain_decision"),
+    "repro.campaign": ("policy_names", "scenario_names"),
+    "repro.credit": ("BorrowerState",),
+    "repro.data.synthetic": ("default_population_inputs",),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(RETIRED_NAMES))
+def test_retired_names_stay_retired(module_name):
+    module = importlib.import_module(module_name)
+    for name in RETIRED_NAMES[module_name]:
+        assert name not in getattr(module, "__all__", ()), name
+        assert not hasattr(module, name), name
+
+
+@pytest.mark.parametrize(
+    "module_name", ["repro.scoring.counterfactual", "repro.markov.stability"]
+)
+def test_retired_modules_stay_retired(module_name):
+    assert importlib.util.find_spec(module_name) is None
+
+
+@pytest.mark.parametrize(
+    "owner, attribute",
+    [
+        ("repro.core.history:SimulationHistory", "append"),
+        ("repro.core.history:SimulationHistory", "group_series"),
+        ("repro.core.streaming:AggregateHistory", "append"),
+        ("repro.core.streaming:AggregateHistory", "group_series"),
+        ("repro.core.loop:ClosedLoop", "step"),
+    ],
+)
+def test_retired_methods_stay_retired(owner, attribute):
+    """Histories ingest through ``record_step`` only; loops advance by ``run``.
+
+    The grouped series come from :func:`repro.core.metrics.group_average_series`.
+    """
+    module_name, class_name = owner.split(":")
+    owner_class = getattr(importlib.import_module(module_name), class_name)
+    assert not hasattr(owner_class, attribute)
+
+
 def test_importing_the_package_leaves_out_scipy_stats_and_networkx():
     """``import repro`` stays lean: neither heavy module loads with it."""
     import subprocess
     import sys
-    from pathlib import Path
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
@@ -136,3 +201,98 @@ def test_importing_the_package_leaves_out_scipy_stats_and_networkx():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert completed.stdout.strip() == "[]"
+
+
+#: Public names no run reaches, each kept on purpose.
+UNREACHED_BY_DESIGN = {
+    "ConstantDecisionSystem": "the generic loop's test double of an AI system",
+    "CumulativeAverageFilter": "the generic loop's test double of a filter",
+    "reset_planner_caches": "test seam: forgets the planner's memoised probes",
+    "install_plan": "test seam: arms a fault plan in process (testing.faults)",
+    "clear_plan": "test seam: disarms the fault plan (testing.faults)",
+    "shard_step_generator": (
+        "the reference stream tests/utils/test_rng.py checks the engines' "
+        "re-seated generators against (utils.rng)"
+    ),
+}
+
+#: A dotted target string, e.g. the tracer's ``"module:Class.method"``.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
+
+
+def _docstrings(tree):
+    """Return the ids of the docstring nodes of a parsed module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                found.add(id(body[0].value))
+    return found
+
+
+def _exported_names(path):
+    """Return the names a module's ``__all__`` lists."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return {element.value for element in node.value.elts}
+    return set()
+
+
+def _referenced_names(path):
+    """Return the identifiers a file's code names (docstrings do not count).
+
+    Counted: loaded names, attributes, imports outside package
+    ``__init__`` files (an ``__init__``'s imports are its re-exports) and
+    every part of a dotted string constant.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = _docstrings(tree)
+    package_init = path.name == "__init__.py"
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not package_init:
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and _DOTTED.fullmatch(node.value)
+        ):
+            names.update(re.split(r"[.:]", node.value))
+    return names
+
+
+def test_every_public_name_is_reached_by_some_run():
+    """A name in an ``__all__`` needs a caller outside the tests.
+
+    Callers are the library itself, the examples, the benchmarks and
+    ``perfbench``.  A name only the tests use is dead weight: give it a
+    caller or delete it, or, if it is a deliberate test seam, list it in
+    ``UNREACHED_BY_DESIGN`` with the reason.
+    """
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src").rglob("*.py"))
+    exported = set().union(*(_exported_names(path) for path in sources))
+    callers = sources + [
+        path
+        for directory in ("examples", "benchmarks", "perfbench")
+        for path in sorted((root / directory).rglob("*.py"))
+    ]
+    referenced = set().union(*(_referenced_names(path) for path in callers))
+    assert exported - referenced == set(UNREACHED_BY_DESIGN)

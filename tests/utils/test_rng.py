@@ -11,6 +11,7 @@ from repro.utils.rng import (
     shard_seed,
     shard_step_generator,
     spawn_generator,
+    step_seed,
     step_states,
 )
 
@@ -49,6 +50,35 @@ class TestSpawnGenerator:
 
     def test_none_gives_a_generator(self):
         assert isinstance(spawn_generator(None), np.random.Generator)
+
+
+class TestSeedChain:
+    """A stream's seed is the base seed, then its shard, then its step."""
+
+    def test_shard_seed_hashes_the_shard_label(self):
+        assert shard_seed(42, 3) == derive_seed(42, "shard", 3)
+        assert len({shard_seed(42, shard) for shard in range(64)}) == 64
+
+    def test_step_seed_hashes_the_step_label(self):
+        parent = shard_seed(42, 3)
+        assert step_seed(parent, 5) == derive_seed(parent, "step", 5)
+        assert len({step_seed(parent, step) for step in range(64)}) == 64
+
+    def test_shard_step_generator_runs_pcg64_on_the_chained_seed(self):
+        expected = np.random.Generator(
+            np.random.PCG64(step_seed(shard_seed(42, 3), 5))
+        )
+        np.testing.assert_array_equal(
+            shard_step_generator(42, 3, 5).random(6), expected.random(6)
+        )
+
+    def test_streams_differ_across_shards_and_steps(self):
+        draws = {
+            (shard, step): shard_step_generator(42, shard, step).random(4).tobytes()
+            for shard in range(3)
+            for step in range(3)
+        }
+        assert len(set(draws.values())) == len(draws)
 
 
 class TestVectorisedSeeding:

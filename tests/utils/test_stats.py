@@ -11,29 +11,7 @@ from repro.utils.stats import (
     cesaro_averages,
     gini_coefficient,
     max_pairwise_gap,
-    running_mean,
-    tail_dispersion,
-    time_average,
 )
-
-
-class TestRunningMean:
-    def test_matches_manual_computation(self):
-        values = [1.0, 3.0, 5.0]
-        np.testing.assert_allclose(running_mean(values), [1.0, 2.0, 3.0])
-
-    def test_constant_series_is_unchanged(self):
-        np.testing.assert_allclose(running_mean([2.0] * 10), [2.0] * 10)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            running_mean([])
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_last_entry_is_plain_mean(self, values):
-        result = running_mean(values)
-        assert result[-1] == pytest.approx(np.mean(values), abs=1e-9)
 
 
 class TestCesaroAverages:
@@ -51,6 +29,13 @@ class TestCesaroAverages:
         with pytest.raises(ValueError):
             cesaro_averages(np.array([]))
 
+    def test_default_axis_averages_each_row(self):
+        series = np.array([[0.0, 2.0, 4.0], [1.0, 1.0, 4.0]])
+        np.testing.assert_allclose(
+            cesaro_averages(series), cesaro_averages(series.T, axis=0).T
+        )
+        np.testing.assert_allclose(cesaro_averages(series)[1], [1.0, 1.0, 2.0])
+
     @given(
         st.integers(min_value=1, max_value=10),
         st.integers(min_value=1, max_value=10),
@@ -60,32 +45,11 @@ class TestCesaroAverages:
         series = np.ones((rows, cols))
         assert cesaro_averages(series, axis=0).shape == (rows, cols)
 
-
-class TestTimeAverage:
-    def test_simple_mean(self):
-        assert time_average([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            time_average([])
-
-
-class TestTailDispersion:
-    def test_settled_series_has_small_dispersion(self):
-        series = np.concatenate([np.linspace(1, 0.5, 50), np.full(50, 0.5)])
-        assert tail_dispersion(series, 0.25) == pytest.approx(0.0, abs=1e-12)
-
-    def test_oscillating_tail_has_positive_dispersion(self):
-        series = np.tile([0.0, 1.0], 50)
-        assert tail_dispersion(series, 0.5) > 0.4
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            tail_dispersion([1.0, 2.0], 0.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            tail_dispersion([], 0.5)
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_last_entry_is_plain_mean(self, values):
+        result = cesaro_averages(np.asarray(values))
+        assert result[-1] == pytest.approx(np.mean(values), abs=1e-9)
 
 
 class TestMaxPairwiseGap:
@@ -94,6 +58,13 @@ class TestMaxPairwiseGap:
 
     def test_gap_matches_max_minus_min(self):
         assert max_pairwise_gap([1.0, 5.0, 2.0]) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "values", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "matrix"]
+    )
+    def test_rejects_anything_but_a_non_empty_vector(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            max_pairwise_gap(values)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -107,6 +78,12 @@ class TestGiniCoefficient:
 
     def test_concentration_gives_high_gini(self):
         assert gini_coefficient([0.0, 0.0, 0.0, 10.0]) > 0.7
+
+    @pytest.mark.parametrize("size", [2, 5, 40])
+    def test_one_holder_among_n_gives_n_minus_one_over_n(self, size):
+        values = np.zeros(size)
+        values[-1] = 3.0
+        assert gini_coefficient(values) == pytest.approx((size - 1) / size)
 
     def test_all_zero_vector_gives_zero(self):
         assert gini_coefficient([0.0, 0.0]) == 0.0
