@@ -1,13 +1,10 @@
 """Benchmark P-1: the columnar simulation engine at scale.
 
-Times the three hot paths the columnar rewrite targets, at a 20k-user
-default scale (set ``REPRO_FULL_BENCH=1`` for the full 100k-user x 20-step
-workload; ``perfbench/`` is the repeatable end-to-end benchmark):
+Times the engine's hot paths at a 20k-user default scale (set
+``REPRO_FULL_BENCH=1`` for the full 100k-user x 20-step workload;
+``perfbench/`` is the repeatable end-to-end benchmark):
 
 * one full closed-loop trial with the paper's retraining lender;
-* the incremental derived-metrics path versus the seed engine's
-  cumulative-sum recompute (kept as the ``recompute_*`` cross-checks) —
-  asserted to be at least 10x faster;
 * the vectorized IFS population versus the per-user fallback loop —
   asserted to be at least 10x faster;
 * the memory-ceiling regression of ``history_mode="aggregate"``: the
@@ -56,11 +53,6 @@ def perf_config() -> CaseStudyConfig:
     return CaseStudyConfig(num_users=_perf_users(), num_trials=1, end_year=2021)
 
 
-@pytest.fixture(scope="module")
-def perf_trial(perf_config):
-    return run_trial(perf_config, trial_index=0)
-
-
 def test_bench_engine_trial(benchmark, perf_config):
     """One full 20-step trial with the paper's retraining scorecard lender."""
     result = benchmark.pedantic(
@@ -70,43 +62,6 @@ def test_bench_engine_trial(benchmark, perf_config):
     assert result.user_default_rates.shape == (
         perf_config.num_steps,
         perf_config.num_users,
-    )
-
-
-def test_bench_incremental_metrics_vs_recompute(perf_trial):
-    """The incremental derived series must beat the full recompute by >=10x."""
-    history = perf_trial.history
-
-    def query_incremental() -> None:
-        history.running_default_rates()
-        history.running_action_averages()
-        history.approval_rates()
-
-    def query_recompute() -> None:
-        history.recompute_running_default_rates()
-        history.recompute_running_action_averages()
-        history.recompute_approval_rates()
-
-    query_incremental()  # warm-up
-    start = time.perf_counter()
-    for _ in range(200):
-        query_incremental()
-    incremental = (time.perf_counter() - start) / 200
-
-    start = time.perf_counter()
-    for _ in range(3):
-        query_recompute()
-    recompute = (time.perf_counter() - start) / 3
-
-    speedup = recompute / max(incremental, 1e-12)
-    print(
-        f"\nincremental {incremental * 1e6:.1f} us/query vs recompute "
-        f"{recompute * 1e3:.2f} ms/query ({speedup:,.0f}x)"
-    )
-    _perf_gate(speedup >= 10.0, f"incremental metrics only {speedup:.1f}x faster")
-    # And the fast path must stay exact.
-    assert np.array_equal(
-        history.running_default_rates(), history.recompute_running_default_rates()
     )
 
 

@@ -36,7 +36,8 @@ __all__ = ["CACHE_VERSION", "CampaignJobSeries", "ResultCache", "job_key"]
 
 #: Bump to invalidate every existing cache entry on a format change.
 #: Version 2: the refit knobs left the trajectory fields, so every key moved.
-CACHE_VERSION = 2
+#: Version 3: ``income_threshold`` left them too.
+CACHE_VERSION = 3
 
 
 def job_key(job: CampaignJob) -> str:

@@ -51,7 +51,7 @@ from repro.core.history import (
     SimulationHistory,
     StepRecord,
 )
-from repro.core.streaming import AggregateHistory, StreamingAggregator
+from repro.core.streaming import AggregateHistory
 from repro.core.fairness import (
     ImpactAssessment,
     TreatmentAssessment,
@@ -94,7 +94,6 @@ __all__ = [
     "SimulationHistory",
     "StepRecord",
     "AggregateHistory",
-    "StreamingAggregator",
     "FullHistoryRequiredError",
     "TreatmentAssessment",
     "ImpactAssessment",

@@ -55,9 +55,13 @@ __all__ = [
     "write_checkpoint",
 ]
 
-#: Bump on any incompatible payload-layout change; readers refuse newer
-#: versions with a clear error instead of unpickling garbage.
-CHECKPOINT_VERSION = 1
+#: Bump on any incompatible payload-layout change; readers refuse every
+#: other version with a clear error instead of unpickling garbage.
+#: Version 2: ``AggregateHistory`` absorbed the retired
+#: ``StreamingAggregator`` and ``SimulationHistory`` dropped its running
+#: rows, so version-1 snapshots and results pickle classes and layouts
+#: this build no longer has.
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"RPROCKPT"
 #: magic(8) | version(u16) | payload length(u64) | sha256(32), big-endian.
@@ -92,6 +96,11 @@ def deserialize_payload(data: bytes) -> Dict[str, object]:
         raise CheckpointError(
             f"checkpoint format v{version} is newer than this build's "
             f"v{CHECKPOINT_VERSION}; upgrade before resuming"
+        )
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format v{version} is older than this build's "
+            f"v{CHECKPOINT_VERSION}, which does not read it"
         )
     blob = data[_HEADER.size :]
     if len(blob) != length:

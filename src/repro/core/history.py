@@ -6,16 +6,14 @@ grow geometrically, so appending a step is a handful of in-place row writes
 and ``decisions_matrix`` / ``actions_matrix`` / ``public_feature_matrix``
 are O(1) slicing views instead of per-call ``np.vstack`` over Python lists.
 
-Derived metrics are *incremental*: an internal running-statistics layer
-(cumulative offers, repayments and action sums, all ``O(users)`` state)
-fills one row of each derived series per appended step, so
-``running_default_rates``, ``running_action_averages`` and
-``approval_rates`` cost O(1) per query rather than O(steps * users).  The
-original cumulative-sum formulations are kept as ``recompute_*``
-cross-checks; the equivalence suite asserts both paths agree bit-for-bit.
+The history keeps only what was recorded.  The derived series are
+computed from the columns on each call: ``running_default_rates`` applies
+:func:`~repro.credit.default_rates.user_default_rates` to the cumulative
+offers and repayments, ``running_action_averages`` is
+:func:`~repro.utils.stats.cesaro_averages` of the actions, and
+``approval_rates`` the per-step mean of the decisions.
 
-Steps arrive through :meth:`SimulationHistory.record_step` (or, from the
-lockstep kernel, :meth:`SimulationHistory.record_step_precomputed`), and
+Steps arrive through :meth:`SimulationHistory.record_step`, and
 :attr:`SimulationHistory.records` is a lazy sequence view that materialises
 one :class:`StepRecord` per step from the columns on demand (Table 1 reads
 it).  One caveat: a feature/observation key that vanishes and later
@@ -41,6 +39,7 @@ from typing import Dict, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.credit.default_rates import user_default_rates
+from repro.utils.stats import cesaro_averages
 
 __all__ = ["StepRecord", "SimulationHistory", "FullHistoryRequiredError"]
 
@@ -183,8 +182,8 @@ def _grown(old: np.ndarray, capacity: int, filled: int) -> np.ndarray:
 class SimulationHistory:
     """A full closed-loop trajectory in columnar, preallocated storage.
 
-    Storage is columnar (see the module docstring) and the derived series
-    are maintained incrementally as steps arrive.
+    Storage is columnar (see the module docstring); the derived series are
+    computed from the decision and action columns on each call.
 
     Matrix accessors return **read-only views** into the internal buffers;
     callers that need to mutate the result should copy it first.
@@ -199,18 +198,6 @@ class SimulationHistory:
         self._actions = np.empty((0, 0), dtype=float)
         self._features: Dict[str, _Column] = {}
         self._observations: Dict[str, _Column] = {}
-        # Incremental running-statistics layer (O(users) state per step).
-        self._offers_cum = np.empty(0, dtype=float)
-        self._repayments_cum = np.empty(0, dtype=float)
-        self._actions_cum = np.empty(0, dtype=float)
-        self._running_rates = np.empty((0, 0), dtype=float)
-        self._running_actions = np.empty((0, 0), dtype=float)
-        self._approvals = np.empty(0, dtype=float)
-        # True while _offers_cum/_repayments_cum/_actions_cum reflect every
-        # recorded step; record_step_precomputed skips maintaining them (its
-        # caller already computed the derived rows), so a later plain
-        # record_step is refused.
-        self._cums_valid = True
 
     # ------------------------------------------------------------------
     # Ingest
@@ -224,45 +211,20 @@ class SimulationHistory:
         actions: np.ndarray,
         observation: Mapping[str, np.ndarray | float],
     ) -> None:
-        """Write one step directly into the columns (the fast ingest path).
+        """Write one step directly into the columns.
 
-        This is what :meth:`repro.core.loop.ClosedLoop.run` calls: values
-        are copied straight into the preallocated arrays, so no intermediate
-        per-step dicts or record objects are allocated.
+        This is what :meth:`repro.core.loop.ClosedLoop.run` and the lockstep
+        kernel call: values are copied straight into the preallocated
+        arrays, so no intermediate per-step dicts or record objects are
+        allocated.  Every value is checked and prepared *before* any
+        storage mutation: a bad value leaves the history exactly as it was
+        (a half-written step would poison the column coverage
+        bookkeeping).  Public features are always per-user-shaped series:
+        scalars are promoted to width-1 columns so
+        ``public_feature_matrix`` stays 2-D.
         """
-        if not self._cums_valid:
-            raise ValueError(
-                "record_step cannot follow record_step_precomputed: a history "
-                "filled with precomputed rows keeps no cumulative state"
-            )
         decisions_row = np.asarray(decisions, dtype=float).ravel()
         actions_row = np.asarray(actions, dtype=float).ravel()
-        row = self._ingest_row(
-            step, public_features, observation, decisions_row, actions_row
-        )
-        self._update_running_stats(row)
-        self._num_steps += 1
-
-    def _ingest_row(
-        self,
-        step: int,
-        public_features: Mapping[str, np.ndarray],
-        observation: Mapping[str, np.ndarray | float],
-        decisions_row: np.ndarray,
-        actions_row: np.ndarray,
-    ) -> int:
-        """Validate and write one step's columns; return the row index.
-
-        The shared tail of both ingest paths (:meth:`record_step` and
-        :meth:`record_step_precomputed`): per-user shape checks, column
-        value preparation *before* any storage mutation (a bad value
-        leaves the history exactly as it was — a half-written step would
-        poison the column coverage bookkeeping), lazy initialisation and
-        growth, and the columnar row writes.  Public features are always
-        per-user-shaped series: scalars are promoted to width-1 columns so
-        ``public_feature_matrix`` stays 2-D.  The caller appends the
-        derived statistics for ``row`` and advances ``_num_steps``.
-        """
         expected_users = (
             self._num_users if self._num_users is not None else decisions_row.shape[0]
         )
@@ -301,61 +263,6 @@ class SimulationHistory:
             self._write_column(self._features, name, row, value)
         for name, value in observation_rows:
             self._write_column(self._observations, name, row, value)
-        return row
-
-    def record_step_precomputed(
-        self,
-        step: int,
-        public_features: Mapping[str, np.ndarray],
-        decisions: np.ndarray,
-        actions: np.ndarray,
-        observation: Mapping[str, np.ndarray | float],
-        *,
-        running_rates: np.ndarray,
-        running_actions: np.ndarray,
-        approval: float,
-    ) -> None:
-        """Ingest one step whose derived statistics are already computed.
-
-        The trial-batched engine maintains the cumulative offer/repayment
-        state for all trials at once, so per-trial histories would
-        recompute the identical ``O(users)`` running-statistics rows ``T``
-        times per step.  This ingest path stores the caller's rows directly
-        instead of running :meth:`_update_running_stats`.
-
-        The caller **must** supply exactly what the incremental layer would
-        compute for this step — ``running_rates`` equal to
-        :func:`~repro.credit.default_rates.user_default_rates` over the
-        history's cumulative 0/1 decisions/actions, ``running_actions`` the Cesàro
-        row, ``approval`` the decision mean — or the stored series (and the
-        ``recompute_*`` cross-checks) would silently disagree.  The batch
-        equivalence suite pins this bit for bit.  The cumulative vectors are
-        not maintained, so a history filled this way refuses a later plain
-        :meth:`record_step`.
-        """
-        decisions_row = np.asarray(decisions, dtype=float).ravel()
-        actions_row = np.asarray(actions, dtype=float).ravel()
-        rates_row = np.asarray(running_rates, dtype=float).ravel()
-        running_actions_row = np.asarray(running_actions, dtype=float).ravel()
-        expected_users = (
-            self._num_users if self._num_users is not None else decisions_row.shape[0]
-        )
-        for name, row_value in (
-            ("running_rates", rates_row),
-            ("running_actions", running_actions_row),
-        ):
-            if row_value.shape[0] != expected_users:
-                raise ValueError(
-                    f"{name} must have one entry per user "
-                    f"({row_value.shape[0]} != {expected_users})"
-                )
-        row = self._ingest_row(
-            step, public_features, observation, decisions_row, actions_row
-        )
-        self._running_rates[row, :] = rates_row
-        self._running_actions[row, :] = running_actions_row
-        self._approvals[row] = float(approval)
-        self._cums_valid = False
         self._num_steps += 1
 
     @staticmethod
@@ -382,24 +289,11 @@ class SimulationHistory:
         self._steps = np.empty(self._capacity, dtype=np.int64)
         self._decisions = np.empty((self._capacity, self._num_users), dtype=float)
         self._actions = np.empty((self._capacity, self._num_users), dtype=float)
-        self._offers_cum = np.zeros(self._num_users, dtype=float)
-        self._repayments_cum = np.zeros(self._num_users, dtype=float)
-        self._actions_cum = np.zeros(self._num_users, dtype=float)
-        self._running_rates = np.empty((self._capacity, self._num_users), dtype=float)
-        self._running_actions = np.empty((self._capacity, self._num_users), dtype=float)
-        self._approvals = np.empty(self._capacity, dtype=float)
 
     def _grow(self) -> None:
         """Double the row capacity of every preallocated array."""
         new_capacity = max(_INITIAL_CAPACITY, self._capacity * 2)
-        for attribute in (
-            "_decisions",
-            "_actions",
-            "_running_rates",
-            "_running_actions",
-            "_approvals",
-            "_steps",
-        ):
+        for attribute in ("_decisions", "_actions", "_steps"):
             setattr(
                 self,
                 attribute,
@@ -431,24 +325,6 @@ class SimulationHistory:
                 stacklevel=4,
             )
         column.write(row, value)
-
-    def _update_running_stats(self, row: int) -> None:
-        """Fold step ``row`` into the incremental derived series.
-
-        The updates replay, term by term, the cumulative sums of the
-        ``recompute_*`` formulations, so the incremental series are
-        bit-identical to the O(steps * users) recomputation.
-        """
-        decisions_row = self._decisions[row]
-        actions_row = self._actions[row]
-        self._offers_cum += decisions_row
-        self._repayments_cum += actions_row * decisions_row
-        self._actions_cum += actions_row
-        self._running_rates[row, :] = user_default_rates(
-            self._offers_cum, self._repayments_cum
-        )
-        self._running_actions[row, :] = self._actions_cum / float(row + 1)
-        self._approvals[row] = np.mean(decisions_row)
 
     # ------------------------------------------------------------------
     # Record access
@@ -538,7 +414,7 @@ class SimulationHistory:
         return _readonly(column.data[: self._num_steps])
 
     # ------------------------------------------------------------------
-    # Incremental derived series (O(1) per query)
+    # Derived series, computed from the columns on each call
     # ------------------------------------------------------------------
 
     def running_action_averages(self) -> np.ndarray:
@@ -546,54 +422,27 @@ class SimulationHistory:
 
         Entry ``[k, i]`` is ``(1 / (k + 1)) * sum_{j <= k} y_i(j)`` — the
         quantity whose limit Definition 3 (equal impact) constrains.
-        Maintained incrementally; O(1) per query.
         """
-        self._require_non_empty()
-        return _readonly(self._running_actions[: self._num_steps])
+        return _readonly(cesaro_averages(self.actions_matrix(), axis=0))
 
     def running_default_rates(self) -> np.ndarray:
         """Return the cumulative average default rates ``ADR_i(k)`` over time.
 
         Defaults are "offered but not repaid"; a user with no offers so far
         has rate 0 by convention, matching
-        :class:`repro.credit.default_rates.DefaultRateTracker`.
-        Maintained incrementally; O(1) per query.
-        """
-        self._require_non_empty()
-        return _readonly(self._running_rates[: self._num_steps])
-
-    def approval_rates(self) -> np.ndarray:
-        """Return the per-step fraction of approved users (O(1) per query)."""
-        self._require_non_empty()
-        return _readonly(self._approvals[: self._num_steps])
-
-    # ------------------------------------------------------------------
-    # Cross-check recomputations (the original O(steps * users) math)
-    # ------------------------------------------------------------------
-
-    def recompute_running_default_rates(self) -> np.ndarray:
-        """Recompute ``ADR_i(k)`` from scratch via cumulative sums.
-
-        Kept as a cross-check of the incremental layer; the equivalence
-        suite asserts bit-identity with :meth:`running_default_rates`.
+        :class:`repro.credit.default_rates.DefaultRateTracker`.  The
+        cumulative sums run in step order, so each row has the bits a
+        tracker fed the same steps reports.
         """
         decisions = self.decisions_matrix()
-        actions = self.actions_matrix()
         offers = np.cumsum(decisions, axis=0)
-        repayments = np.cumsum(actions * decisions, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = np.where(offers > 0, 1.0 - repayments / np.maximum(offers, 1e-12), 0.0)
-        return rates
+        repayments = np.multiply(self.actions_matrix(), decisions)
+        np.cumsum(repayments, axis=0, out=repayments)
+        return _readonly(user_default_rates(offers, repayments))
 
-    def recompute_running_action_averages(self) -> np.ndarray:
-        """Recompute the Cesàro action averages from scratch (cross-check)."""
-        from repro.utils.stats import cesaro_averages
-
-        return cesaro_averages(self.actions_matrix(), axis=0)
-
-    def recompute_approval_rates(self) -> np.ndarray:
-        """Recompute the per-step approval rates from scratch (cross-check)."""
-        return self.decisions_matrix().mean(axis=1)
+    def approval_rates(self) -> np.ndarray:
+        """Return the per-step fraction of approved users."""
+        return _readonly(self.decisions_matrix().mean(axis=1))
 
     def _require_non_empty(self) -> None:
         if self._num_steps == 0:
@@ -607,14 +456,7 @@ class SimulationHistory:
         """Pickle only the filled rows, not the over-allocated capacity."""
         state = dict(self.__dict__)
         filled = self._num_steps
-        for attribute in (
-            "_steps",
-            "_decisions",
-            "_actions",
-            "_running_rates",
-            "_running_actions",
-            "_approvals",
-        ):
+        for attribute in ("_steps", "_decisions", "_actions"):
             state[attribute] = state[attribute][:filled].copy()
         state["_features"] = {
             name: column.trimmed() for name, column in self._features.items()

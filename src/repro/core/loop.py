@@ -305,9 +305,8 @@ class ClosedLoop:
         history, the filter state, the AI system's learning state, the
         population's mutable state, and the base seed of the stateless
         random streams.  Components exposing ``export_state`` /
-        ``import_state`` (and populations exposing the shard-state hooks)
-        are captured structurally; anything else is embedded as the whole
-        object, which pickles with the payload.
+        ``import_state`` are captured structurally; anything else is
+        embedded as the whole object, which pickles with the payload.
 
         The returned dict aliases live state — serialize it
         (:func:`~repro.core.checkpoint.serialize_payload` or
@@ -317,9 +316,9 @@ class ClosedLoop:
         if self._stream_base is None:
             raise ValueError("no run in progress: the stream base is unset")
 
-        def _component(obj, export: str, import_: str) -> Dict[str, object]:
-            if hasattr(obj, export) and hasattr(obj, import_):
-                return {"kind": "state", "state": getattr(obj, export)()}
+        def _component(obj) -> Dict[str, object]:
+            if hasattr(obj, "export_state") and hasattr(obj, "import_state"):
+                return {"kind": "state", "state": obj.export_state()}
             return {"kind": "object", "object": obj}
 
         return {
@@ -327,11 +326,9 @@ class ClosedLoop:
             "num_users": int(self._population.num_users),
             "stream_base": int(self._stream_base),
             "history": history,
-            "filter": _component(self._filter, "export_state", "import_state"),
-            "ai_system": _component(self._ai_system, "export_state", "import_state"),
-            "population": _component(
-                self._population, "export_shard_state", "import_shard_state"
-            ),
+            "filter": _component(self._filter),
+            "ai_system": _component(self._ai_system),
+            "population": _component(self._population),
         }
 
     def restore_snapshot(
@@ -355,7 +352,7 @@ class ClosedLoop:
             )
         population_payload = payload["population"]
         if population_payload["kind"] == "state":
-            self._population.import_shard_state(0, population_payload["state"])
+            self._population.import_state(population_payload["state"])
         else:
             self._population = population_payload["object"]
             self._plan, self._shard_aware = _resolve_population_plan(self._population)

@@ -64,7 +64,7 @@ def group_approval_series(
     number per group, this keeps the time axis — the group-level analogue
     of :meth:`repro.core.history.SimulationHistory.approval_rates`.  The
     streaming engine maintains the same series online
-    (:meth:`repro.core.streaming.StreamingAggregator.group_approval_series`),
+    (:meth:`repro.core.streaming.AggregateHistory.group_approval_series`),
     bit-identical to this batch formulation.
     """
     matrix = np.asarray(decisions, dtype=float)

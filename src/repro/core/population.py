@@ -218,7 +218,7 @@ class CreditPopulation:
         """Return the calendar year corresponding to step ``k``."""
         return self._start_year + k
 
-    def export_shard_state(self) -> Dict[str, object]:
+    def export_state(self) -> Dict[str, object]:
         """Return the mutable per-user state of the current step."""
         return {
             "incomes": None
@@ -229,19 +229,20 @@ class CreditPopulation:
             else self._current_affordability.copy(),
         }
 
-    def import_shard_state(self, lo: int, state: Dict[str, object]) -> None:
-        """Write a shard's exported state back into users ``[lo, ...)``."""
+    def import_state(self, state: Dict[str, object]) -> None:
+        """Restore the state captured by :meth:`export_state`, as a copy."""
         incomes = state.get("incomes")
         affordability = state.get("affordability")
         if incomes is None or affordability is None:
             return
-        incomes = np.asarray(incomes, dtype=float)
-        affordability = np.asarray(affordability, dtype=float)
-        if self._current_incomes is None:
-            self._current_incomes = np.empty(self.num_users, dtype=float)
-            self._current_affordability = np.empty(self.num_users, dtype=float)
-        self._current_incomes[lo : lo + incomes.size] = incomes
-        self._current_affordability[lo : lo + affordability.size] = affordability
+        incomes = np.array(incomes, dtype=float)
+        affordability = np.array(affordability, dtype=float)
+        if incomes.shape != (self.num_users,) or affordability.shape != (
+            self.num_users,
+        ):
+            raise ValueError("state arrays must have one entry per user")
+        self._current_incomes = incomes
+        self._current_affordability = affordability
 
     def begin_step(self, k: int, rng) -> PopulationPublicFeatures:
         """Redraw incomes for step ``k`` and reveal them as public features.
@@ -416,19 +417,21 @@ class IFSPopulation:
             return [row.copy() for row in self._state_matrix]
         return [state.copy() for state in self._states]
 
-    def export_shard_state(self) -> Dict[str, object]:
+    def export_state(self) -> Dict[str, object]:
         """Return the users' current private states."""
         return {"states": self.states}
 
-    def import_shard_state(self, lo: int, state: Dict[str, object]) -> None:
-        """Write a shard's exported states back into users ``[lo, ...)``."""
+    def import_state(self, state: Dict[str, object]) -> None:
+        """Restore the private states captured by :meth:`export_state`."""
         states = state["states"]
-        for offset, user_state in enumerate(states):
+        if len(states) != self.num_users:
+            raise ValueError("state must hold one private state per user")
+        for index, user_state in enumerate(states):
             vector = np.atleast_1d(np.asarray(user_state, dtype=float))
             if self._state_matrix is not None:
-                self._state_matrix[lo + offset] = vector
+                self._state_matrix[index] = vector
             else:
-                self._states[lo + offset] = vector.copy()
+                self._states[index] = vector.copy()
 
     def begin_step(self, k: int, rng) -> PopulationPublicFeatures:
         """IFS users reveal no public features."""

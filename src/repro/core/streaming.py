@@ -6,17 +6,18 @@ engine materialises every ``(steps, users)`` column, which makes *memory*
 the binding constraint at million-user scale.  This module provides the
 ``history_mode="aggregate"`` path of the engine:
 
-* :class:`StreamingAggregator` consumes each step's decisions and actions
-  online and maintains group-level running series in ``O(users)`` running
-  state plus ``O(steps * groups)`` output — no per-user history rows are
-  ever retained.
-* :class:`AggregateHistory` wraps an aggregator behind the
-  :class:`~repro.core.history.SimulationHistory` ingest surface
-  (``record_step``/``append``/``num_steps``), so
+* :class:`AggregateHistory` consumes each step's decisions and actions
+  online through the :class:`~repro.core.history.SimulationHistory`
+  ingest surface (``record_step``/``num_steps``), so
   :meth:`~repro.core.loop.ClosedLoop.run` can record into either store.
-  Per-user accessors (``decisions_matrix`` and friends) raise
-  :class:`~repro.core.history.FullHistoryRequiredError` with a clear
+  It maintains group-level running series in ``O(users)`` running state
+  plus ``O(steps * groups)`` output — no per-user history rows are ever
+  retained — and its per-user accessors (``decisions_matrix`` and friends)
+  raise :class:`~repro.core.history.FullHistoryRequiredError` with a clear
   message instead of silently degrading.
+* :class:`BatchedStreamingAggregator` records the lockstep kernel's
+  ``T`` trials side by side and hands each trial over as an
+  :class:`AggregateHistory`.
 
 Bit-identity with the full-history path is a hard guarantee, pinned by
 ``tests/experiments/test_streaming_equivalence.py``: the full path derives
@@ -50,7 +51,7 @@ order above holds under any thread count.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +60,6 @@ from repro.core.history import FullHistoryRequiredError, StepRecord, _grown, _re
 from repro.credit.default_rates import user_default_rates
 
 __all__ = [
-    "StreamingAggregator",
     "BatchedStreamingAggregator",
     "AggregateHistory",
     "GroupFold",
@@ -85,8 +85,8 @@ def _sum_of_squares(values: np.ndarray) -> float:
 
     ``np.einsum`` reduces in its own compiled loop, with no ``(users)``
     squared temporary, and leaves no BLAS worker thread spin-waiting after
-    the call, which a threaded ``np.dot`` does.  Both aggregators use this
-    one expression, so their series stay bitwise equal.
+    the call, which a threaded ``np.dot`` does.  Both aggregate recorders
+    use this one expression, so their series stay bitwise equal.
     """
     return float(np.einsum("i,i->", values, values))
 
@@ -163,7 +163,7 @@ class GroupFold:
     """Per-group sums of per-user series in one ``np.bincount`` pass.
 
     Built once from one partition per row of a ``(rows, users)`` stack,
-    each already checked by the aggregators' group validation (in range,
+    each already checked by the recorders' group validation (in range,
     disjoint, strictly increasing): each user carries the code of its
     group, and users in no group a shared sink code that is never read.
     :meth:`sums` then folds every group of every row with a single
@@ -233,12 +233,11 @@ class GroupFold:
 
 
 class _FoldedGroups:
-    """Owns an aggregator's :class:`GroupFold`, which pickles leave out.
+    """Owns a recorder's :class:`GroupFold`, which pickles leave out.
 
     The fold's group codes (8 bytes per user) follow from the partition, so
-    pickled aggregators (checkpoints, pooled and persisted trial results)
-    omit the fold and rebuild it on load.  Aggregators pickled before the
-    fold existed load the same way.
+    pickled recorders (checkpoints, pooled and persisted trial results)
+    omit the fold and rebuild it on load.
     """
 
     _num_users: int
@@ -260,25 +259,34 @@ class _FoldedGroups:
         self._build_fold()
 
 
-class StreamingAggregator(_FoldedGroups):
-    """Online group-level aggregation of a closed-loop decision/action stream.
+class AggregateHistory(_FoldedGroups):
+    """A memory-bounded trajectory store for ``history_mode="aggregate"``.
 
-    The aggregator holds ``O(users)`` running state (cumulative offers,
-    repayments and action sums — the same cumulative quantities the
-    full-history engine folds into its derived series) and appends one row
-    per step to ``O(steps)``/``O(steps * groups)`` output series:
+    Presents the ingest surface of
+    :class:`~repro.core.history.SimulationHistory` (``record_step``,
+    ``num_steps``, ``num_users``, ``approval_rates``) but retains no
+    ``(steps, users)`` matrix: each step's decisions and actions fold into
+    ``O(users)`` running state (cumulative offers, repayments and action
+    sums, the cumulative sums the full history derives its series from),
+    and public features and observations are dropped.  Each step appends
+    one row to ``O(steps)`` / ``O(steps * groups)`` series:
 
     * per-group running average default rates — the paper's ``ADR_s(k)``;
     * per-group Cesàro action averages (Definition 3's limit quantity);
     * per-group and population-wide approval rates;
     * the pooled portfolio default rate;
-    * population-wide per-step moments of ``ADR_i(k)`` (sum, sum of
-      squares, min, max) so dispersion summaries survive without the
-      ``(steps, users)`` matrix.
+    * population-wide per-step summaries of ``ADR_i(k)`` (sum, sum of
+      squares, min, max, a fixed-bin histogram and the low-rate count), so
+      the dispersion and density figures need no ``(steps, users)``
+      matrix.
 
     Every series is bit-identical to the corresponding full-history
     derivation (see the module docstring for why the group sums are
-    sequential folds in user order).
+    sequential folds in user order).  Accessors that fundamentally need
+    per-user rows — ``decisions_matrix``, ``actions_matrix``,
+    ``running_default_rates``, ``records`` and friends — raise
+    :class:`~repro.core.history.FullHistoryRequiredError` naming the knob
+    to flip, rather than returning degraded data.
 
     Parameters
     ----------
@@ -294,6 +302,8 @@ class StreamingAggregator(_FoldedGroups):
         Portfolio default rate reported before any offer exists, matching
         :class:`~repro.credit.default_rates.DefaultRateTracker`.  A user
         never offered credit has ``ADR_i = 0``, as in the full history.
+    rate_bins:
+        Number of equal-width ``ADR_i(k)`` histogram bins on [0, 1].
     """
 
     def __init__(
@@ -313,17 +323,15 @@ class StreamingAggregator(_FoldedGroups):
         self._num_steps = 0
         self._capacity = _INITIAL_CAPACITY
         # Per-step histogram of ADR_i(k) on a fixed [0, 1] binning: integer
-        # counts, so per-shard and per-trial histograms pool exactly into
-        # the full-history histogram of the concatenated stack (the fig5
-        # density path in aggregate mode).  np.histogram is called with the
-        # explicit edge array so the bin-assignment arithmetic is the same
-        # one the full-history driver uses.
+        # counts, so per-trial histograms pool exactly into the histogram
+        # of the concatenated full-history stack (the fig5 density path in
+        # aggregate mode).  np.histogram is called with the explicit edge
+        # array so the bin-assignment arithmetic is the full-history one.
         self._rate_bins = int(rate_bins)
         self._rate_edges = np.linspace(0.0, 1.0, self._rate_bins + 1)
         self._rate_hist = np.zeros((self._capacity, self._rate_bins), dtype=np.int64)
         self._rate_low_counts = np.zeros(self._capacity, dtype=np.int64)
-        # O(users) running state — identical to SimulationHistory's
-        # incremental layer, so the derived rows agree bit for bit.
+        # O(users) running state.
         self._offers_cum = np.zeros(self._num_users, dtype=float)
         self._repayments_cum = np.zeros(self._num_users, dtype=float)
         self._actions_cum = np.zeros(self._num_users, dtype=float)
@@ -354,39 +362,43 @@ class StreamingAggregator(_FoldedGroups):
 
     @property
     def num_users(self) -> int:
-        """Return the number of users this aggregator observes."""
+        """Return the number of users this history observes."""
         return self._num_users
 
     @property
     def num_steps(self) -> int:
-        """Return the number of aggregated steps."""
+        """Return the number of recorded steps."""
         return self._num_steps
 
-    @property
-    def group_keys(self) -> Tuple[object, ...]:
-        """Return the group keys, in partition order."""
-        return tuple(self._groups)
-
-    @property
-    def group_sizes(self) -> Dict[object, int]:
-        """Return the number of users in each group."""
-        return {key: int(indices.size) for key, indices in self._groups.items()}
-
-    @property
-    def prior_rate(self) -> float:
-        """Return the portfolio rate reported before any offer exists."""
-        return self._prior_rate
-
-    def group_indices(self) -> Dict[object, np.ndarray]:
-        """Return a copy of the group partition."""
-        return {key: indices.copy() for key, indices in self._groups.items()}
+    def _require_non_empty(self) -> None:
+        if self._num_steps == 0:
+            raise ValueError("the history is empty")
 
     # ------------------------------------------------------------------
-    # Ingest
+    # Ingest (mirrors SimulationHistory)
     # ------------------------------------------------------------------
 
-    def update(self, decisions: np.ndarray, actions: np.ndarray) -> None:
-        """Fold one step of decisions and actions into the running series."""
+    def record_step(
+        self,
+        step: int,
+        public_features: Mapping[str, np.ndarray],
+        decisions: np.ndarray,
+        actions: np.ndarray,
+        observation: Mapping[str, np.ndarray | float],
+    ) -> None:
+        """Fold one step into the running series; features and observations are dropped.
+
+        Steps must arrive in order without gaps: the running series divide
+        by the step count, so a skipped or replayed step would silently
+        corrupt every Cesàro average.  The full-history store can warn and
+        keep the latest fragment; an aggregate store cannot rewind, so
+        out-of-order recording is rejected outright.
+        """
+        if step != self._num_steps:
+            raise ValueError(
+                f"aggregate histories require contiguous steps: expected step "
+                f"{self._num_steps}, got {step}"
+            )
         decisions_row = np.asarray(decisions, dtype=float).ravel()
         actions_row = np.asarray(actions, dtype=float).ravel()
         if decisions_row.shape[0] != self._num_users:
@@ -402,10 +414,11 @@ class StreamingAggregator(_FoldedGroups):
         if self._num_steps >= self._capacity:
             self._grow()
         row = self._num_steps
-        # Replay, term by term, SimulationHistory._update_running_stats so
-        # the derived per-user rows are bit-identical to the full engine;
-        # the rate fold itself is the shared single definition, at the full
-        # history's prior of 0 (the prior rate is only the portfolio's).
+        # The cumulative sums run in step order, as the full history's
+        # do, so the per-user rows are bit-identical to its derived
+        # series; the rate fold itself is the shared single definition,
+        # at the full history's prior of 0 (the prior rate is only the
+        # portfolio's).
         self._offers_cum += decisions_row
         self._repayments_cum += actions_row * decisions_row
         self._actions_cum += actions_row
@@ -453,6 +466,8 @@ class StreamingAggregator(_FoldedGroups):
             "_rate_sumsqs",
             "_rate_mins",
             "_rate_maxs",
+            "_rate_hist",
+            "_rate_low_counts",
         ):
             setattr(
                 self,
@@ -466,19 +481,21 @@ class StreamingAggregator(_FoldedGroups):
         ):
             for key in series:
                 series[key] = _grown(series[key], new_capacity, self._num_steps)
-        self._rate_hist = _grown(self._rate_hist, new_capacity, self._num_steps)
-        self._rate_low_counts = _grown(
-            self._rate_low_counts, new_capacity, self._num_steps
-        )
         self._capacity = new_capacity
 
     # ------------------------------------------------------------------
-    # Series queries
+    # Aggregate series (bit-identical to the full-history derivations)
     # ------------------------------------------------------------------
+
+    def _filled(self, series: np.ndarray) -> np.ndarray:
+        """Return the recorded rows of ``series`` as a read-only view."""
+        self._require_non_empty()
+        return _readonly(series[: self._num_steps])
 
     def _group_mean_series(
         self, sums: Mapping[object, np.ndarray]
     ) -> Dict[object, np.ndarray]:
+        self._require_non_empty()
         result: Dict[object, np.ndarray] = {}
         for key, indices in self._groups.items():
             if indices.size == 0:
@@ -504,29 +521,29 @@ class StreamingAggregator(_FoldedGroups):
         """Return the per-group per-step approval rates."""
         return self._group_mean_series(self._group_decision_sums)
 
-    def approval_rate_series(self) -> np.ndarray:
-        """Return the per-step population approval rates."""
-        return self._approvals[: self._num_steps].copy()
+    def approval_rates(self) -> np.ndarray:
+        """Return the per-step fraction of approved users."""
+        return self._filled(self._approvals)
 
     def portfolio_rate_series(self) -> np.ndarray:
         """Return the pooled default rate of all offers made up to each step."""
-        return self._portfolio[: self._num_steps].copy()
+        return self._filled(self._portfolio)
 
     def rate_sum_series(self) -> np.ndarray:
         """Return, per step, the sum of ``ADR_i(k)`` over all users."""
-        return self._rate_sums[: self._num_steps].copy()
+        return self._filled(self._rate_sums)
 
     def rate_sumsq_series(self) -> np.ndarray:
         """Return, per step, the sum of squared ``ADR_i(k)`` over all users."""
-        return self._rate_sumsqs[: self._num_steps].copy()
+        return self._filled(self._rate_sumsqs)
 
     def rate_min_series(self) -> np.ndarray:
         """Return, per step, the minimum ``ADR_i(k)`` over all users."""
-        return self._rate_mins[: self._num_steps].copy()
+        return self._filled(self._rate_mins)
 
     def rate_max_series(self) -> np.ndarray:
         """Return, per step, the maximum ``ADR_i(k)`` over all users."""
-        return self._rate_maxs[: self._num_steps].copy()
+        return self._filled(self._rate_maxs)
 
     @property
     def rate_bins(self) -> int:
@@ -538,14 +555,14 @@ class StreamingAggregator(_FoldedGroups):
         return self._rate_edges.copy()
 
     def rate_histogram_series(self) -> np.ndarray:
-        """Return the per-step ``ADR_i(k)`` histogram counts.
+        """Return the per-step ``ADR_i(k)`` histogram counts (fig5 input).
 
         A ``(steps, rate_bins)`` integer matrix.  Counts pool exactly
-        across shards and trials (integer addition), so the summed
-        histograms equal ``np.histogram`` of the concatenated full-history
-        stack step by step — the fig5 density in bounded memory.
+        across trials (integer addition), so the summed histograms equal
+        ``np.histogram`` of the concatenated full-history stack step by
+        step — the fig5 density in bounded memory.
         """
-        return self._rate_hist[: self._num_steps].copy()
+        return self._filled(self._rate_hist)
 
     def rate_low_count_series(self) -> np.ndarray:
         """Return, per step, how many users have ``ADR_i(k) <= 0.10``.
@@ -554,25 +571,25 @@ class StreamingAggregator(_FoldedGroups):
         0.10" summary (a histogram with a bin edge at 0.10 cannot recover
         it: values exactly at the threshold fall into the next bin).
         """
-        return self._rate_low_counts[: self._num_steps].copy()
+        return self._filled(self._rate_low_counts)
 
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
 
     def export_state(self) -> Dict[str, object]:
-        """Return a picklable snapshot of the aggregator's running state.
+        """Return a picklable snapshot of the history's running state.
 
         The per-user cumulative vectors, the per-step series (trimmed to
         the filled rows) and the group partition: everything
-        :meth:`from_state` needs to rebuild a live aggregator.
+        :meth:`from_state` needs to rebuild a live history.
         """
         filled = self._num_steps
         return {
             "num_users": self._num_users,
             "prior_rate": self._prior_rate,
             "num_steps": filled,
-            "groups": self.group_indices(),
+            "groups": {key: indices.copy() for key, indices in self._groups.items()},
             "rate_bins": self._rate_bins,
             "rate_hist": self._rate_hist[:filled].copy(),
             "rate_low_counts": self._rate_low_counts[:filled].copy(),
@@ -602,9 +619,9 @@ class StreamingAggregator(_FoldedGroups):
         }
 
     @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "StreamingAggregator":
-        """Rebuild a live (updatable) aggregator from a snapshot."""
-        aggregator = cls(
+    def from_state(cls, state: Mapping[str, object]) -> "AggregateHistory":
+        """Rebuild a live (recordable) history from a snapshot."""
+        history = cls(
             int(state["num_users"]),
             groups=state["groups"],  # type: ignore[arg-type]
             prior_rate=float(state["prior_rate"]),
@@ -616,11 +633,11 @@ class StreamingAggregator(_FoldedGroups):
             ("_actions_cum", "actions_cum"),
         ):
             value = np.asarray(state[key], dtype=float).ravel()
-            if value.shape != (aggregator._num_users,):
+            if value.shape != (history._num_users,):
                 raise ValueError(f"state {key!r} must have one entry per user")
-            np.copyto(getattr(aggregator, attribute), value)
-        aggregator._load_series(state)
-        return aggregator
+            np.copyto(getattr(history, attribute), value)
+        history._load_series(state)
+        return history
 
     def _load_series(self, state: Mapping[str, object]) -> None:
         """Take a snapshot's per-step series (everything but the per-user rows)."""
@@ -667,6 +684,50 @@ class StreamingAggregator(_FoldedGroups):
                     )
                 getattr(self, attribute)[group_key][:filled] = value
 
+    # ------------------------------------------------------------------
+    # Full-history-only surface: fail loudly, name the fix
+    # ------------------------------------------------------------------
+
+    def _full_history_required(self, accessor: str) -> FullHistoryRequiredError:
+        return FullHistoryRequiredError(
+            f"{accessor} requires per-user history rows, which "
+            'history_mode="aggregate" does not retain; rerun with '
+            'history_mode="full" to materialise the (steps, users) columns'
+        )
+
+    def decisions_matrix(self) -> np.ndarray:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required("decisions_matrix")
+
+    def actions_matrix(self) -> np.ndarray:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required("actions_matrix")
+
+    def public_feature_matrix(self, name: str) -> np.ndarray:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required(f"public_feature_matrix({name!r})")
+
+    def observation_series(self, name: str) -> np.ndarray:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required(f"observation_series({name!r})")
+
+    def running_default_rates(self) -> np.ndarray:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required("running_default_rates")
+
+    def running_action_averages(self) -> np.ndarray:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required("running_action_averages")
+
+    @property
+    def records(self) -> Iterable[StepRecord]:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required("records")
+
+    def record_at(self, index: int) -> StepRecord:
+        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
+        raise self._full_history_required("record_at")
+
 
 class _ChunkReductions(NamedTuple):
     """One user chunk's share of a step: every reduction exact under any split."""
@@ -679,7 +740,7 @@ class _ChunkReductions(NamedTuple):
 
 
 class BatchedStreamingAggregator(_FoldedGroups):
-    """``T`` independent streaming aggregators advanced in lockstep.
+    """``T`` independent aggregate recordings advanced in lockstep.
 
     The trial-batched engine records ``T`` trials of the same closed loop
     side by side, over one stacked
@@ -687,8 +748,8 @@ class BatchedStreamingAggregator(_FoldedGroups):
     owns no per-user counts: it reads the filter's cells, its per-trial
     step counts and totals, and the ``ADR_i(k)`` row the filter writes each
     step.  In the credit loop a user repays only when offered, so the
-    running action sums a standalone :class:`StreamingAggregator` keeps
-    equal the repayment counts, and the Cesàro row is ``r / (k + 1)`` with
+    running action sums an :class:`AggregateHistory` keeps equal the
+    repayment counts, and the Cesàro row is ``r / (k + 1)`` with
     ``r`` read from the filter's :attr:`~repro.core.filters.BatchedDefaultRateFilter.cell_repayments`
     table.  That row, rewritten in place every step, is the aggregator's
     only ``(trials, users)`` array.  A cell's rate-histogram bin and
@@ -697,8 +758,8 @@ class BatchedStreamingAggregator(_FoldedGroups):
     ``bincount``.
 
     Inputs follow the lockstep kernel's contract, the filter's: 0/1
-    decisions, and repayments (actions) only where offered.  The
-    standalone aggregator, which keeps its own counts, folds any floats.
+    decisions, and repayments (actions) only where offered.  An
+    :class:`AggregateHistory`, which keeps its own counts, folds any floats.
 
     A step is :meth:`fold` on each user chunk (chunks may run on several
     threads), then one :meth:`finish_step`.
@@ -706,9 +767,9 @@ class BatchedStreamingAggregator(_FoldedGroups):
     the approvals, decision sums, totals and portfolio rates come from
     the filter's per-trial counts, so no count row is summed again.  The
     four reductions whose bits depend on the order of their terms run over
-    whole rows, as the standalone aggregator runs them.  Every series of
-    trial ``t`` is therefore **bit-identical** to feeding trial ``t``'s
-    stream through its own :class:`StreamingAggregator` (pinned by
+    whole rows, as :class:`AggregateHistory` runs them.  Every series of
+    trial ``t`` is therefore **bit-identical** to recording trial ``t``'s
+    stream in its own :class:`AggregateHistory` (pinned by
     ``tests/core/test_streaming.py``,
     ``tests/property/test_property_streaming.py`` and the batch-equivalence
     suite).
@@ -724,7 +785,7 @@ class BatchedStreamingAggregator(_FoldedGroups):
         One group partition per trial (trials draw independent populations,
         so the race index sets differ row by row).
     rate_bins:
-        As in :class:`StreamingAggregator`, shared by every trial.
+        As in :class:`AggregateHistory`, shared by every trial.
     """
 
     def __init__(
@@ -935,12 +996,8 @@ class BatchedStreamingAggregator(_FoldedGroups):
         for (trial, key), total in zip(self._fold.keys, totals):
             store[trial][key][row] = total
 
-    def trial_state(self, trial: int) -> Dict[str, object]:
-        """Return trial ``trial``'s state as a standalone-aggregator snapshot."""
-        return self.aggregator(trial).export_state()
-
-    def aggregator(self, trial: int) -> StreamingAggregator:
-        """Return a live standalone aggregator holding trial ``trial``'s state.
+    def history(self, trial: int) -> AggregateHistory:
+        """Return trial ``trial``'s recording as a live :class:`AggregateHistory`.
 
         Its running rows are written once, straight from the filter's
         cells (the action sums are the repayments), so the filter must be
@@ -950,20 +1007,18 @@ class BatchedStreamingAggregator(_FoldedGroups):
             raise ValueError("trial index out of range")
         self._require_filter_steps(self._num_steps)
         rate_filter = self._rate_filter
-        aggregator = StreamingAggregator(
+        history = AggregateHistory(
             self._num_users,
             groups=self._groups[trial],
             prior_rate=rate_filter.prior_rate,
             rate_bins=self._rate_bins,
         )
         cells = rate_filter.cells[trial]
-        rate_filter.read(rate_filter.cell_offers, cells, out=aggregator._offers_cum)
-        rate_filter.read(
-            rate_filter.cell_repayments, cells, out=aggregator._repayments_cum
-        )
-        np.copyto(aggregator._actions_cum, aggregator._repayments_cum)
+        rate_filter.read(rate_filter.cell_offers, cells, out=history._offers_cum)
+        rate_filter.read(rate_filter.cell_repayments, cells, out=history._repayments_cum)
+        np.copyto(history._actions_cum, history._repayments_cum)
         filled = self._num_steps
-        aggregator._load_series(
+        history._load_series(
             {
                 "num_steps": filled,
                 "rate_hist": self._rate_hist[trial, :filled],
@@ -987,225 +1042,4 @@ class BatchedStreamingAggregator(_FoldedGroups):
                 },
             }
         )
-        return aggregator
-
-
-class AggregateHistory:
-    """A memory-bounded trajectory store for ``history_mode="aggregate"``.
-
-    Presents the same ingest surface as
-    :class:`~repro.core.history.SimulationHistory` (``record_step``,
-    ``num_steps``, ``num_users``, ``approval_rates``), but
-    folds every step into a :class:`StreamingAggregator` instead of
-    retaining ``(steps, users)`` matrices: public features and per-user
-    observations are consumed and dropped, so the store's footprint is
-    ``O(users)`` running state plus ``O(steps * groups)`` series.
-
-    Accessors that fundamentally need per-user rows —
-    ``decisions_matrix``, ``actions_matrix``, ``running_default_rates``,
-    ``records`` and friends — raise
-    :class:`~repro.core.history.FullHistoryRequiredError` naming the knob
-    to flip, rather than returning degraded data.
-
-    Parameters
-    ----------
-    num_users:
-        Optional user count; inferred from the first recorded step when
-        omitted.
-    groups:
-        Optional group partition forwarded to the aggregator.
-    prior_rate:
-        Portfolio prior, as in :class:`StreamingAggregator`.
-    """
-
-    def __init__(
-        self,
-        num_users: int | None = None,
-        groups: Mapping[object, np.ndarray] | None = None,
-        prior_rate: float = 0.0,
-    ) -> None:
-        self._declared_num_users = None if num_users is None else int(num_users)
-        self._groups = groups
-        self._prior_rate = float(prior_rate)
-        self._aggregator: StreamingAggregator | None = None
-        if self._declared_num_users is not None:
-            self._aggregator = StreamingAggregator(
-                self._declared_num_users, groups=self._groups, prior_rate=self._prior_rate
-            )
-
-    @classmethod
-    def from_aggregator(cls, aggregator: StreamingAggregator) -> "AggregateHistory":
-        """Wrap an existing aggregator as a history.
-
-        The trial-batched engine aggregates all trials through one
-        :class:`BatchedStreamingAggregator` and exposes each trial's slice
-        as a standalone aggregator; this constructor gives it the
-        ``AggregateHistory`` surface :class:`~repro.experiments.runner.TrialResult`
-        expects.  Further ``record_step`` calls continue the wrapped
-        aggregator.
-        """
-        history = cls.__new__(cls)
-        history._declared_num_users = aggregator.num_users
-        history._groups = aggregator.group_indices()
-        history._prior_rate = aggregator.prior_rate
-        history._aggregator = aggregator
         return history
-
-    # ------------------------------------------------------------------
-    # Ingest (mirrors SimulationHistory)
-    # ------------------------------------------------------------------
-
-    def record_step(
-        self,
-        step: int,
-        public_features: Mapping[str, np.ndarray],
-        decisions: np.ndarray,
-        actions: np.ndarray,
-        observation: Mapping[str, np.ndarray | float],
-    ) -> None:
-        """Aggregate one step; features and observations are not retained.
-
-        Steps must arrive in order without gaps: the running series divide
-        by the step count, so a skipped or replayed step would silently
-        corrupt every Cesàro average.  The full-history store can warn and
-        keep the latest fragment; an aggregate store cannot rewind, so
-        out-of-order recording is rejected outright.
-        """
-        if step != self.num_steps:
-            raise ValueError(
-                f"aggregate histories require contiguous steps: expected step "
-                f"{self.num_steps}, got {step}"
-            )
-        decisions_row = np.asarray(decisions, dtype=float).ravel()
-        if self._aggregator is None:
-            self._aggregator = StreamingAggregator(
-                decisions_row.shape[0], groups=self._groups, prior_rate=self._prior_rate
-            )
-        self._aggregator.update(decisions_row, actions)
-
-    # ------------------------------------------------------------------
-    # Shape
-    # ------------------------------------------------------------------
-
-    @property
-    def aggregator(self) -> StreamingAggregator:
-        """Return the underlying aggregator."""
-        self._require_non_empty()
-        assert self._aggregator is not None
-        return self._aggregator
-
-    @property
-    def num_steps(self) -> int:
-        """Return the number of aggregated steps."""
-        return 0 if self._aggregator is None else self._aggregator.num_steps
-
-    @property
-    def num_users(self) -> int:
-        """Return the number of users (fixed at the first recorded step)."""
-        if self._aggregator is None:
-            raise ValueError("the history is empty")
-        return self._aggregator.num_users
-
-    def _require_non_empty(self) -> None:
-        if self._aggregator is None or self._aggregator.num_steps == 0:
-            raise ValueError("the history is empty")
-
-    # ------------------------------------------------------------------
-    # Aggregate series (bit-identical to the full-history derivations)
-    # ------------------------------------------------------------------
-
-    def approval_rates(self) -> np.ndarray:
-        """Return the per-step fraction of approved users."""
-        self._require_non_empty()
-        return _readonly(self.aggregator.approval_rate_series())
-
-    def portfolio_rate_series(self) -> np.ndarray:
-        """Return the pooled portfolio default rate over time."""
-        self._require_non_empty()
-        return _readonly(self.aggregator.portfolio_rate_series())
-
-    def group_default_rate_series(self) -> Dict[object, np.ndarray]:
-        """Return the per-group ``ADR_s(k)`` series."""
-        self._require_non_empty()
-        return self.aggregator.group_default_rate_series()
-
-    def group_action_average_series(self) -> Dict[object, np.ndarray]:
-        """Return the per-group Cesàro action-average series."""
-        self._require_non_empty()
-        return self.aggregator.group_action_average_series()
-
-    def group_approval_series(self) -> Dict[object, np.ndarray]:
-        """Return the per-group per-step approval-rate series."""
-        self._require_non_empty()
-        return self.aggregator.group_approval_series()
-
-    def rate_histogram_series(self) -> np.ndarray:
-        """Return the per-step ``ADR_i(k)`` histogram counts (fig5 input)."""
-        self._require_non_empty()
-        return self.aggregator.rate_histogram_series()
-
-    def rate_histogram_edges(self) -> np.ndarray:
-        """Return the fixed bin edges of the per-step rate histograms."""
-        self._require_non_empty()
-        return self.aggregator.rate_histogram_edges()
-
-    def rate_low_count_series(self) -> np.ndarray:
-        """Return, per step, the count of users with ``ADR_i(k) <= 0.10``."""
-        self._require_non_empty()
-        return self.aggregator.rate_low_count_series()
-
-    # ------------------------------------------------------------------
-    # Full-history-only surface: fail loudly, name the fix
-    # ------------------------------------------------------------------
-
-    def _full_history_required(self, accessor: str) -> FullHistoryRequiredError:
-        return FullHistoryRequiredError(
-            f"{accessor} requires per-user history rows, which "
-            'history_mode="aggregate" does not retain; rerun with '
-            'history_mode="full" to materialise the (steps, users) columns'
-        )
-
-    def decisions_matrix(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("decisions_matrix")
-
-    def actions_matrix(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("actions_matrix")
-
-    def public_feature_matrix(self, name: str) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required(f"public_feature_matrix({name!r})")
-
-    def observation_series(self, name: str) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required(f"observation_series({name!r})")
-
-    def running_default_rates(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("running_default_rates")
-
-    def running_action_averages(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("running_action_averages")
-
-    def recompute_running_default_rates(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("recompute_running_default_rates")
-
-    def recompute_running_action_averages(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("recompute_running_action_averages")
-
-    def recompute_approval_rates(self) -> np.ndarray:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("recompute_approval_rates")
-
-    @property
-    def records(self) -> Iterable[StepRecord]:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("records")
-
-    def record_at(self, index: int) -> StepRecord:
-        """Unavailable in aggregate mode; raises FullHistoryRequiredError."""
-        raise self._full_history_required("record_at")

@@ -9,9 +9,9 @@ process-pool alternative only adds IPC.  The
 instead of across processes: the ``T`` per-trial populations are stacked
 into ``(trials, users)`` columns and every deterministic per-step phase —
 the affordability update, the repayment decisions, the
-:class:`~repro.core.filters.DefaultRateFilter` integer counts, the
-running-statistics rows of the full history and the streaming group
-aggregation — runs as single fused calls over the trial axis.
+:class:`~repro.core.filters.DefaultRateFilter` integer counts and the
+streaming group aggregation — runs as single fused calls over the trial
+axis.
 
 Lanes and blocks
 ----------------
@@ -37,10 +37,10 @@ another block's users:
 * the filter fold (:meth:`~repro.core.filters.BatchedDefaultRateFilter.fold`):
   the block's cells, its ``ADR_i(k)`` columns and its per-trial offer and
   repayment counts;
-* the recorder's share: in aggregate mode
+* in aggregate mode, the recorder's share,
   :meth:`~repro.core.streaming.BatchedStreamingAggregator.fold` (the
   Cesàro columns, ``ADR_i`` min and max, the rate histogram and low-rate
-  count, per-group decision counts), in full mode the Cesàro columns.
+  count, per-group decision counts).
 
 Every reduction a block makes is exact under any split (integer counts,
 min and max), so the calling thread merges the blocks' results by integer
@@ -128,8 +128,8 @@ distinct rate) do not outnumber a row's users.  Every table entry is the
 serial engine's function of the same integers, so each trial keeps its
 bits.  After the last step the runner drops its lanes (their block maps
 and draw scratch) and every step row but the three the lenders and
-populations copy, then builds each trial's standalone rows once, straight
-from the cells.  A runner therefore runs once.
+populations copy, then builds each aggregate-mode trial's per-user rows
+once, straight from the cells.  A runner therefore runs once.
 
 Bit-identity contract
 ---------------------
@@ -404,7 +404,7 @@ class _StepBuffers:
     step, :meth:`release` drops every row the hand-over does not read.
     """
 
-    def __init__(self, trials: int, users: int, full_mode: bool) -> None:
+    def __init__(self, trials: int, users: int) -> None:
         shape = (trials, users)
         self.incomes = np.empty(shape, dtype=float)
         self.states = np.empty(shape, dtype=float)
@@ -415,11 +415,10 @@ class _StepBuffers:
         self.offered = np.empty(shape, dtype=bool)
         self.repaid = np.empty(shape, dtype=bool)
         self.rates = np.empty(shape, dtype=float)
-        self.running_actions = np.empty(shape, dtype=float) if full_mode else None
 
     def release(self) -> None:
         """Drop every row but the incomes, states and scores."""
-        self.decisions = self.actions = self.rates = self.running_actions = None
+        self.decisions = self.actions = self.rates = None
         self.codes = self.offered = self.repaid = None
 
 
@@ -445,10 +444,9 @@ class BatchedTrialRunner:
     ----------
     config:
         The run's configuration; its ``history_mode`` picks the
-        recording: ``"full"`` records per-trial
-        :class:`~repro.core.history.SimulationHistory` objects through the
-        precomputed-statistics fast ingest, ``"aggregate"`` streams all
-        trials through one
+        recording: ``"full"`` records each trial's step in its own
+        :class:`~repro.core.history.SimulationHistory`, ``"aggregate"``
+        streams all trials through one
         :class:`~repro.core.streaming.BatchedStreamingAggregator`.
     policy_factory:
         Builder of each trial's AI system, called exactly as
@@ -865,7 +863,7 @@ class BatchedTrialRunner:
             if aggregate is None:
                 history: SimulationHistory | AggregateHistory = histories[trial]
             else:
-                history = AggregateHistory.from_aggregator(aggregate.aggregator(trial))
+                history = aggregate.history(trial)
             outcomes.append((history, population))
         return outcomes
 
@@ -897,12 +895,12 @@ class BatchedTrialRunner:
                 batched_filter,
                 [population.groups for population in self._populations],
             )
-        buffers = _StepBuffers(num_trials, config.num_users, full_mode)
+        buffers = _StepBuffers(num_trials, config.num_users)
         batched_filter.user_rates(out=buffers.rates)
         portfolio = batched_filter.portfolio_rates()
 
-        def record(users: slice, k: int) -> Tuple[np.ndarray, object]:
-            """Fold one block's step into the filter, then the recorder.
+        def record(users: slice) -> Tuple[np.ndarray, object]:
+            """Fold one block's step into the filter, then the aggregator.
 
             Returns the filter's ``(2, trials)`` offer and repayment counts
             and the aggregator's block reductions (``None`` in full mode).
@@ -910,17 +908,9 @@ class BatchedTrialRunner:
             counts = batched_filter.fold(
                 users, buffers.offered, buffers.repaid, buffers.rates
             )
-            if aggregate is not None:
-                return counts, aggregate.fold(users, buffers.decisions, buffers.rates)
-            # Full history's Cesàro row: a user repays only when offered,
-            # so the running action sums are the repayment counts.
-            running_actions = batched_filter.read(
-                batched_filter.cell_repayments,
-                batched_filter.cells[:, users],
-                out=buffers.running_actions[:, users],
-            )
-            np.divide(running_actions, float(k + 1), out=running_actions)
-            return counts, None
+            if aggregate is None:
+                return counts, None
+            return counts, aggregate.fold(users, buffers.decisions, buffers.rates)
 
         for k in range(num_steps):
             year = config.start_year + k
@@ -935,7 +925,7 @@ class BatchedTrialRunner:
                         self._fused_step(
                             block, states, year, scorecards, tables, buffers
                         ),
-                        record(block.users, k),
+                        record(block.users),
                     )
                 )
                 self._fused_update([block_tables for block_tables, _ in results], buffers)
@@ -945,7 +935,7 @@ class BatchedTrialRunner:
                     k, buffers, portfolio
                 )
                 results = threads.map(
-                    lambda block: (self._act(block, buffers), record(block.users, k))
+                    lambda block: (self._act(block, buffers), record(block.users))
                 )
                 # The delayed-feedback retrains, exactly the serial calls,
                 # their fits solved in one stack as the batch closes; the
@@ -964,10 +954,8 @@ class BatchedTrialRunner:
             batched_filter.finish_step([counts for counts, _ in records])
             portfolio = batched_filter.portfolio_rates()
             if full_mode:
-                # np.mean of a 0/1 row is its exact count over the user count.
-                approvals = batched_filter.step_counts[0] / config.num_users
                 for trial in range(num_trials):
-                    histories[trial].record_step_precomputed(
+                    histories[trial].record_step(
                         k,
                         # The history copies rows into its columns, so the
                         # fast path hands it bare views; the generic path
@@ -982,9 +970,6 @@ class BatchedTrialRunner:
                             "user_default_rates": buffers.rates[trial],
                             "portfolio_rate": float(portfolio[trial]),
                         },
-                        running_rates=buffers.rates[trial],
-                        running_actions=buffers.running_actions[trial],
-                        approval=float(approvals[trial]),
                     )
             else:
                 assert aggregate is not None
@@ -1010,12 +995,11 @@ class BatchedTrialRunner:
             for trial, system in enumerate(self._ai_systems):
                 system._last_scores = buffers.scores[trial].copy()
         for trial, population in enumerate(self._populations):
-            population.import_shard_state(
-                0,
+            population.import_state(
                 {
                     "incomes": buffers.incomes[trial],
                     "affordability": buffers.states[trial],
-                },
+                }
             )
         return aggregate, histories
 

@@ -80,15 +80,13 @@ class CaseStudyConfig:
     warm_up_rounds:
         Initial years with approve-everyone decisions (paper: 2); at least
         1, since the lender needs one year of outcomes before it can score.
-    income_threshold:
-        Income-code threshold in $K (paper: $15K).
     seed:
         Master seed; trial ``t`` derives its own stream from it.
     history_mode:
         Trajectory recording mode: ``"full"`` (default) retains every
         ``(steps, users)`` column so per-user figures and matrices are
-        available; ``"aggregate"`` streams each step through a
-        :class:`~repro.core.streaming.StreamingAggregator` and keeps only
+        available; ``"aggregate"`` streams each step through an
+        :class:`~repro.core.streaming.AggregateHistory` and keeps only
         group-level series, bounding memory at ``O(users)`` running state
         for million-user trials.  Group-level results (``ADR_s(k)``,
         approval and action-average series) are bit-identical between the
@@ -153,7 +151,6 @@ class CaseStudyConfig:
     repayment_sensitivity: float = 5.0
     cutoff: float = 0.4
     warm_up_rounds: int = 2
-    income_threshold: float = 15.0
     seed: int = 20240101
     history_mode: str = "full"
     max_workers: int | None = None

@@ -119,12 +119,12 @@ def _aggregate_result(experiment: ExperimentResult, initial_index: int) -> Fig4R
     pooled_max = np.full(num_steps, -np.inf)
     num_series = 0
     for trial in experiment.trials:
-        aggregator = trial.history.aggregator
-        total_sum += aggregator.rate_sum_series()
-        total_sumsq += aggregator.rate_sumsq_series()
-        pooled_min = np.minimum(pooled_min, aggregator.rate_min_series())
-        pooled_max = np.maximum(pooled_max, aggregator.rate_max_series())
-        num_series += aggregator.num_users
+        history = trial.history
+        total_sum += history.rate_sum_series()
+        total_sumsq += history.rate_sumsq_series()
+        pooled_min = np.minimum(pooled_min, history.rate_min_series())
+        pooled_max = np.maximum(pooled_max, history.rate_max_series())
+        num_series += history.num_users
     mean_series = total_sum / num_series
     variance = np.maximum(total_sumsq / num_series - np.square(mean_series), 0.0)
     return Fig4Result(

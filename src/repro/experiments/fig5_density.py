@@ -10,14 +10,14 @@ The driver runs end-to-end in both history modes.  In
 ``history_mode="full"`` the histogram is computed from the materialised
 ``(trials * users, steps)`` stack as before.  In
 ``history_mode="aggregate"`` the same integer counts arrive from the
-per-step histograms the :class:`~repro.core.streaming.StreamingAggregator`
+per-step histograms the :class:`~repro.core.streaming.AggregateHistory`
 accumulates online (fixed [0, 1] binning, one ``np.histogram`` with the
 identical edge array per step), pooled across trials by exact integer
 addition — so the density matrix, the modal bins and the low-ADR mass are
 **bit-identical** between the modes while the aggregate path never
 materialises a per-user matrix.  The only constraint is that the binning is
 fixed at recording time: an aggregate-mode result can only be rendered at
-the aggregator's ``rate_bins`` (the shared default,
+the history's ``rate_bins`` (the shared default,
 :data:`~repro.core.streaming.DEFAULT_RATE_BINS`).
 """
 
@@ -75,12 +75,12 @@ class Fig5Result:
 def _from_streaming_histograms(
     experiment: ExperimentResult, num_bins: int
 ) -> Fig5Result:
-    """Assemble the figure from the aggregators' per-step histograms.
+    """Assemble the figure from the histories' per-step histograms.
 
     Integer counts pool exactly across trials, so the density rows equal
     the full-history histograms of the concatenated stack bit for bit.
     """
-    first = experiment.trials[0].history.aggregator
+    first = experiment.trials[0].history
     if first.rate_bins != num_bins:
         raise ValueError(
             f"this aggregate-mode experiment recorded {first.rate_bins}-bin "
@@ -95,10 +95,10 @@ def _from_streaming_histograms(
     low_counts = np.zeros(num_steps, dtype=np.int64)
     num_series = 0
     for trial in experiment.trials:
-        aggregator = trial.history.aggregator
-        counts += aggregator.rate_histogram_series()
-        low_counts += aggregator.rate_low_count_series()
-        num_series += aggregator.num_users
+        history = trial.history
+        counts += history.rate_histogram_series()
+        low_counts += history.rate_low_count_series()
+        num_series += history.num_users
     totals = np.maximum(counts.sum(axis=1), 1)
     density = counts / totals[:, None]
     modal = centers[np.argmax(counts, axis=1)].astype(float)

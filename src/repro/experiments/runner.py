@@ -34,7 +34,7 @@ every layout yields bit-identical results.
 
 Each trial records in one of two history modes (``config.history_mode``):
 ``"full"`` retains the ``(steps, users)`` columns, ``"aggregate"`` streams
-the trajectory through a :class:`~repro.core.streaming.StreamingAggregator`
+the trajectory through an :class:`~repro.core.streaming.AggregateHistory`
 and keeps only the group-level series the paper's figures need, bounding
 memory for million-user trials.  Group-level results are bit-identical
 between modes; per-user accessors (``user_default_rates``,
@@ -358,7 +358,6 @@ def trajectory_fingerprint_fields(config: CaseStudyConfig) -> Tuple[object, ...]
         config.repayment_sensitivity,
         config.cutoff,
         config.warm_up_rounds,
-        config.income_threshold,
         config.seed,
     )
 
@@ -498,13 +497,15 @@ def _trial_result_from_history(
     """Assemble a :class:`TrialResult` from a recorded trial history.
 
     Shared by the serial trial loop and the trial-batched engine, so both
-    derive the group series through the identical calls.
+    derive the group series through the identical calls.  A full history
+    already holds ``ADR_i(k)``: the default-rate filter's observation,
+    whose prior is 0, equals its ``running_default_rates()`` bit for bit.
     """
     if isinstance(history, AggregateHistory):
         user_rates = None
         group_rates = history.group_default_rate_series()
     else:
-        user_rates = history.running_default_rates()
+        user_rates = history.observation_series("user_default_rates")
         group_rates = group_average_series(user_rates, population.groups)
     return TrialResult(
         history=history,

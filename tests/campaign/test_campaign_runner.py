@@ -22,7 +22,9 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import cache as cache_module
+from repro.core import checkpoint as checkpoint_module
 from repro.core import planner, supervision
+from repro.core.checkpoint import read_checkpoint, write_checkpoint
 from repro.core.supervision import SupervisorPolicy
 from repro.data.census import Race
 from repro.experiments.batch import BatchedTrialRunner
@@ -81,6 +83,28 @@ class TestColdWarm:
         for before, after in zip(cold.outcomes, warm.outcomes):
             assert before.key == after.key
             _assert_series_equal(before.series, after.series)
+
+    def test_a_version_1_entry_is_recomputed_with_a_warning(
+        self, tmp_path, monkeypatch
+    ):
+        # Entries share the checkpoint envelope, whose reader refuses
+        # format version 1: such an entry is recomputed, never unpickled.
+        spec = _spec()
+        cold = run_campaign(spec, tmp_path, cpu_count=1)
+        path = ResultCache(tmp_path).path_for(cold.outcomes[0].key)
+        payload = read_checkpoint(path)
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_VERSION", 1)
+            write_checkpoint(path, payload)
+        with pytest.warns(
+            RuntimeWarning, match=r"cache entry .* is unreadable .*format v1 is older"
+        ):
+            again = run_campaign(spec, tmp_path, cpu_count=1)
+        assert again.misses == 1
+        assert again.hits == spec.grid_size - 1
+        for before, after in zip(cold.outcomes, again.outcomes):
+            _assert_series_equal(before.series, after.series)
+        assert ResultCache(tmp_path).load(cold.outcomes[0].key) is not None
 
     def test_outcomes_follow_job_order(self, tmp_path):
         spec = _spec()

@@ -46,6 +46,16 @@ class TestPayloadCodec:
         with pytest.raises(CheckpointError, match="newer than this build"):
             deserialize_payload(bytes(data))
 
+    @pytest.mark.parametrize("version", [0, 1])
+    def test_older_version_is_refused_by_name(self, version):
+        # The payload is never unpickled: an older layout may pickle
+        # classes this build no longer has.
+        assert CHECKPOINT_VERSION == 2
+        data = bytearray(serialize_payload(PAYLOAD))
+        struct.pack_into(">H", data, 8, version)
+        with pytest.raises(CheckpointError, match=f"format v{version} is older"):
+            deserialize_payload(bytes(data))
+
     def test_torn_payload_is_rejected(self):
         data = serialize_payload(PAYLOAD)
         with pytest.raises(CheckpointError, match="torn checkpoint"):

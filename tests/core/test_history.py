@@ -88,108 +88,25 @@ class TestDerivedSeries:
         history = make_history()
         np.testing.assert_allclose(history.approval_rates(), [1.0, 0.5, 1.0])
 
-    def test_recomputed_default_rates_match_hand_computation(self):
-        rates = make_history().recompute_running_default_rates()
-        assert rates[-1, 0] == pytest.approx(1.0 / 3.0)
-        assert rates[-1, 1] == pytest.approx(0.5)
-
-    def test_recomputed_default_rates_are_zero_without_offers(self):
+    def test_default_rates_stay_zero_without_offers(self):
         history = SimulationHistory()
         for step in range(3):
             history.record_step(step, {}, np.zeros(2), np.zeros(2), {})
-        np.testing.assert_array_equal(
-            history.recompute_running_default_rates(), np.zeros((3, 2))
+        np.testing.assert_array_equal(history.running_default_rates(), np.zeros((3, 2)))
+
+    def test_derived_series_follow_later_steps(self):
+        # The series are computed from the columns on each call, so a step
+        # recorded after a query shows in the next one.
+        history = make_history()
+        assert history.running_default_rates().shape == (3, 2)
+        history.record_step(3, {}, np.array([1.0, 1.0]), np.array([1.0, 1.0]), {})
+        assert history.running_default_rates()[-1, 1] == pytest.approx(1.0 / 3.0)
+        np.testing.assert_allclose(history.approval_rates(), [1.0, 0.5, 1.0, 1.0])
+        np.testing.assert_allclose(
+            history.running_action_averages()[:, 1], [0.0, 0.0, 1.0 / 3.0, 0.5]
         )
 
     def test_takes_no_seed_records(self):
         # Histories fill through record_step only.
         with pytest.raises(TypeError):
             SimulationHistory(records=[])
-
-
-class TestRecordStepPrecomputed:
-    """The trusted fast ingest stores exactly what the plain path computes."""
-
-    @staticmethod
-    def _streams(users, steps, seed):
-        rng = np.random.default_rng(seed)
-        decisions = rng.integers(0, 2, size=(steps, users)).astype(float)
-        actions = rng.integers(0, 2, size=(steps, users)).astype(float) * decisions
-        incomes = rng.uniform(5.0, 100.0, size=(steps, users))
-        return decisions, actions, incomes
-
-    def _build_pair(self, users=30, steps=6, seed=17):
-        from repro.credit.default_rates import user_default_rates
-
-        decisions, actions, incomes = self._streams(users, steps, seed)
-        plain = SimulationHistory()
-        fast = SimulationHistory()
-        offers_cum = np.zeros(users)
-        repayments_cum = np.zeros(users)
-        actions_cum = np.zeros(users)
-        for k in range(steps):
-            observation = {"portfolio_rate": float(k) / steps}
-            plain.record_step(
-                k, {"income": incomes[k]}, decisions[k], actions[k], observation
-            )
-            offers_cum += decisions[k]
-            repayments_cum += actions[k] * decisions[k]
-            actions_cum += actions[k]
-            fast.record_step_precomputed(
-                k,
-                {"income": incomes[k]},
-                decisions[k],
-                actions[k],
-                observation,
-                running_rates=user_default_rates(offers_cum, repayments_cum),
-                running_actions=actions_cum / float(k + 1),
-                approval=float(np.mean(decisions[k])),
-            )
-        return plain, fast
-
-    def _assert_identical(self, plain, fast):
-        np.testing.assert_array_equal(plain.decisions_matrix(), fast.decisions_matrix())
-        np.testing.assert_array_equal(plain.actions_matrix(), fast.actions_matrix())
-        np.testing.assert_array_equal(
-            plain.public_feature_matrix("income"), fast.public_feature_matrix("income")
-        )
-        np.testing.assert_array_equal(
-            plain.observation_series("portfolio_rate"),
-            fast.observation_series("portfolio_rate"),
-        )
-        np.testing.assert_array_equal(
-            plain.running_default_rates(), fast.running_default_rates()
-        )
-        np.testing.assert_array_equal(
-            plain.running_action_averages(), fast.running_action_averages()
-        )
-        np.testing.assert_array_equal(plain.approval_rates(), fast.approval_rates())
-
-    def test_matches_plain_ingest_bitwise(self):
-        plain, fast = self._build_pair()
-        self._assert_identical(plain, fast)
-        np.testing.assert_array_equal(
-            fast.running_default_rates(), fast.recompute_running_default_rates()
-        )
-
-    def test_plain_record_step_after_precomputed_ingest_is_refused(self):
-        # The precomputed path keeps no cumulative state, so a plain step
-        # could not derive its rows; the refusal leaves the history intact.
-        _, fast = self._build_pair(steps=3)
-        with pytest.raises(ValueError, match="record_step_precomputed"):
-            fast.record_step(3, {"income": np.ones(30)}, np.ones(30), np.ones(30), {})
-        assert fast.num_steps == 3
-
-    def test_validation_rejects_misshapen_rows(self):
-        history = SimulationHistory()
-        with pytest.raises(ValueError):
-            history.record_step_precomputed(
-                0,
-                {},
-                np.ones(4),
-                np.ones(4),
-                {},
-                running_rates=np.ones(3),
-                running_actions=np.ones(4),
-                approval=1.0,
-            )

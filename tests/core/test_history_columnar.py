@@ -2,9 +2,10 @@
 
 The basic accessor semantics are covered in ``test_history.py``; this module
 exercises what the columnar rewrite added: geometric growth across the
-preallocation boundary, chunked ingestion, the incremental running-statistics
-layer (asserted bit-identical to the ``recompute_*`` cross-checks), the lazy
-records view, and the ``ndim``-based observation-shape rule.
+preallocation boundary, chunked ingestion, the series derived from the
+columns (asserted bit-identical to the per-user oracle in
+``tests/oracle/series.py``), the lazy records view, and the ``ndim``-based
+observation-shape rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.history import SimulationHistory, StepRecord
+from tests.oracle.series import running_series
 
 
 def random_history(
@@ -35,30 +37,23 @@ def random_history(
     return history
 
 
-class TestIncrementalStats:
-    """The O(users)-per-step layer must match the O(steps*users) recompute."""
+def oracle_series(history: SimulationHistory):
+    """Return the per-user oracle's series of ``history``'s columns."""
+    return running_series(
+        history.decisions_matrix().tolist(), history.actions_matrix().tolist()
+    )
+
+
+class TestDerivedSeries:
+    """The series derived from the columns equal the per-user oracle bit for bit."""
 
     @pytest.mark.parametrize("steps,users", [(1, 1), (3, 2), (50, 7), (130, 11)])
-    def test_running_default_rates_bit_identical(self, steps, users):
+    def test_series_match_the_per_user_oracle(self, steps, users):
         history = random_history(steps, users, seed=steps * 31 + users)
-        incremental = history.running_default_rates()
-        recomputed = history.recompute_running_default_rates()
-        assert np.array_equal(incremental, recomputed)
-
-    @pytest.mark.parametrize("steps,users", [(1, 1), (3, 2), (50, 7), (130, 11)])
-    def test_running_action_averages_bit_identical(self, steps, users):
-        history = random_history(steps, users, seed=steps * 13 + users)
-        assert np.array_equal(
-            history.running_action_averages(),
-            history.recompute_running_action_averages(),
-        )
-
-    @pytest.mark.parametrize("steps,users", [(1, 1), (50, 7), (130, 11)])
-    def test_approval_rates_bit_identical(self, steps, users):
-        history = random_history(steps, users, seed=steps * 7 + users)
-        assert np.array_equal(
-            history.approval_rates(), history.recompute_approval_rates()
-        )
+        adr, cesaro, approvals = oracle_series(history)
+        assert history.running_default_rates().tobytes() == np.array(adr).tobytes()
+        assert history.running_action_averages().tobytes() == np.array(cesaro).tobytes()
+        assert history.approval_rates().tobytes() == np.array(approvals).tobytes()
 
     def test_queries_are_stable_across_repeats(self):
         history = random_history(10, 4)
@@ -76,9 +71,8 @@ class TestGrowth:
         assert history.decisions_matrix().shape == (steps, 3)
         assert history.public_feature_matrix("income").shape == (steps, 3)
         assert history.observation_series("portfolio_rate").shape == (steps,)
-        assert np.array_equal(
-            history.running_default_rates(), history.recompute_running_default_rates()
-        )
+        adr, _, _ = oracle_series(history)
+        assert np.array_equal(history.running_default_rates(), np.array(adr))
 
     def test_chunked_appends_match_single_pass(self):
         rng = np.random.default_rng(9)
@@ -136,6 +130,8 @@ class TestEdgeCases:
             history.decisions_matrix(),
             history.actions_matrix(),
             history.running_default_rates(),
+            history.running_action_averages(),
+            history.approval_rates(),
             history.public_feature_matrix("income"),
         ):
             with pytest.raises(ValueError):
@@ -208,7 +204,7 @@ class TestEdgeCases:
         assert history._capacity == 64
         state = history.__getstate__()
         assert state["_decisions"].shape == (33, 50)
-        assert state["_approvals"].shape == (33,)
+        assert state["_steps"].shape == (33,)
         assert state["_features"]["income"].data.shape == (33, 50)
         clone = pickle.loads(pickle.dumps(history))
         assert clone._capacity == clone.num_steps == 33

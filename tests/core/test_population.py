@@ -243,10 +243,36 @@ class TestShardLocalStreams:
             ifs.respond(np.ones(3), 0, _shard_streams(ifs.shard_plan, 1)[:2])
 
 
-class TestShardStateHooks:
-    """export/import_shard_state: how snapshots and the kernel move state."""
+class TestStateHooks:
+    """export/import_state: how snapshots and the kernel move population state."""
 
-    def test_credit_state_lands_at_the_given_offset(self, income_table, rng):
+    def test_credit_state_round_trips(self, income_table, rng):
+        source = CreditPopulation(
+            population=generate_population(PopulationSpec(size=10), 3),
+            income_table=income_table,
+        )
+        target = CreditPopulation(
+            population=generate_population(PopulationSpec(size=10), 3),
+            income_table=income_table,
+        )
+        source.begin_step(2, rng)
+        # Before any step there is nothing to export, and importing that
+        # is a no-op.
+        empty = target.export_state()
+        assert empty == {"incomes": None, "affordability": None}
+        target.import_state(empty)
+        with pytest.raises(RuntimeError):
+            target.current_affordability
+        state = source.export_state()
+        target.import_state(state)
+        np.testing.assert_array_equal(
+            target.current_affordability, source.current_affordability
+        )
+        # The import keeps its own copy of the state.
+        state["affordability"][:] = -1.0
+        assert np.all(target.current_affordability != -1.0)
+
+    def test_credit_import_rejects_another_population_size(self, income_table, rng):
         source = CreditPopulation(
             population=generate_population(PopulationSpec(size=10), 3),
             income_table=income_table,
@@ -255,33 +281,26 @@ class TestShardStateHooks:
             population=generate_population(PopulationSpec(size=25), 3),
             income_table=income_table,
         )
-        source.begin_step(2, rng)
-        # Before any step there is nothing to export, and importing that
-        # is a no-op.
-        empty = target.export_shard_state()
-        assert empty == {"incomes": None, "affordability": None}
-        target.import_shard_state(0, empty)
-        with pytest.raises(RuntimeError):
-            target.current_affordability
-        target.import_shard_state(7, source.export_shard_state())
-        np.testing.assert_array_equal(
-            target.current_affordability[7:17], source.current_affordability
-        )
+        source.begin_step(0, rng)
+        with pytest.raises(ValueError, match="one entry per user"):
+            target.import_state(source.export_state())
 
     def test_credit_export_is_a_detached_copy(self, credit_population, rng):
         credit_population.begin_step(0, rng)
-        state = credit_population.export_shard_state()
+        state = credit_population.export_state()
         state["affordability"][:] = -1.0
         assert np.all(credit_population.current_affordability != -1.0)
 
-    def test_ifs_state_lands_at_the_given_offset(self):
+    def test_ifs_state_round_trips(self):
         source = IFSPopulation(
-            users=[make_ifs_user() for _ in range(2)],
-            initial_states=[np.array([0.25]), np.array([0.75])],
+            users=[make_ifs_user() for _ in range(3)],
+            initial_states=[np.array([0.25]), np.array([0.75]), np.array([0.5])],
         )
         target = IFSPopulation(
-            users=[make_ifs_user() for _ in range(4)],
-            initial_states=[np.array([0.0]) for _ in range(4)],
+            users=[make_ifs_user() for _ in range(3)],
+            initial_states=[np.array([0.0]) for _ in range(3)],
         )
-        target.import_shard_state(1, source.export_shard_state())
-        assert [state[0] for state in target.states] == [0.0, 0.25, 0.75, 0.0]
+        target.import_state(source.export_state())
+        assert [state[0] for state in target.states] == [0.25, 0.75, 0.5]
+        with pytest.raises(ValueError, match="one private state per user"):
+            target.import_state({"states": target.states[:2]})

@@ -1,4 +1,4 @@
-"""Tests for repro.core.streaming (StreamingAggregator, AggregateHistory)."""
+"""Tests for repro.core.streaming (AggregateHistory, BatchedStreamingAggregator)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import FullHistoryRequiredError, SimulationHistory
 from repro.core.metrics import group_average_series
-from repro.core.streaming import AggregateHistory, StreamingAggregator, sequential_sum
+from repro.core.streaming import AggregateHistory, sequential_sum
 from tests.core.lockstep import record_step
 
 
@@ -22,14 +22,21 @@ def _binary_stream(num_steps: int, num_users: int, seed: int = 0):
     return decisions, actions
 
 
-class TestStreamingAggregator:
+def _record(history, decisions, actions, start=0):
+    """Record each row of ``decisions``/``actions`` as steps ``start``, ``start + 1``, ..."""
+    for offset, (offered, repaid) in enumerate(zip(decisions, actions)):
+        history.record_step(start + offset, {}, offered, repaid, {})
+    return history
+
+
+class TestAggregateHistory:
     def test_rejects_non_positive_population(self):
         with pytest.raises(ValueError):
-            StreamingAggregator(0)
+            AggregateHistory(0)
 
     def test_rejects_out_of_range_group_indices(self):
         with pytest.raises(ValueError):
-            StreamingAggregator(4, groups={"bad": np.array([0, 4])})
+            AggregateHistory(4, groups={"bad": np.array([0, 4])})
 
     @pytest.mark.parametrize(
         "groups, reason",
@@ -44,60 +51,67 @@ class TestStreamingAggregator:
         from repro.core.streaming import BatchedStreamingAggregator
 
         with pytest.raises(ValueError, match=reason):
-            StreamingAggregator(4, groups=groups)
+            AggregateHistory(4, groups=groups)
         with pytest.raises(ValueError, match=reason):
             BatchedStreamingAggregator(BatchedDefaultRateFilter(2, 4, 1), [{}, groups])
-        with pytest.raises(ValueError, match=reason):
-            AggregateHistory(num_users=4, groups=groups)
 
     def test_rejects_wrong_row_lengths(self):
-        aggregator = StreamingAggregator(3)
+        history = AggregateHistory(3)
         with pytest.raises(ValueError):
-            aggregator.update(np.ones(2), np.ones(3))
+            history.record_step(0, {}, np.ones(2), np.ones(3), {})
         with pytest.raises(ValueError):
-            aggregator.update(np.ones(3), np.ones(4))
+            history.record_step(0, {}, np.ones(3), np.ones(4), {})
+        assert history.num_steps == 0
+
+    def test_rejects_non_contiguous_steps(self):
+        history = AggregateHistory(2)
+        history.record_step(0, {}, np.ones(2), np.ones(2), {})
+        with pytest.raises(ValueError, match="contiguous"):
+            history.record_step(2, {}, np.ones(2), np.ones(2), {})
+        with pytest.raises(ValueError, match="contiguous"):
+            history.record_step(0, {}, np.ones(2), np.ones(2), {})
+        history.record_step(1, {}, np.ones(2), np.ones(2), {})
+        assert history.num_steps == 2
 
     def test_series_shapes_track_the_step_count(self):
         groups = {"a": np.array([0, 1]), "b": np.array([2])}
-        aggregator = StreamingAggregator(3, groups=groups)
         decisions, actions = _binary_stream(5, 3)
-        for step in range(5):
-            aggregator.update(decisions[step], actions[step])
-        assert aggregator.num_steps == 5
-        assert aggregator.num_users == 3
-        assert aggregator.group_sizes == {"a": 2, "b": 1}
+        history = _record(AggregateHistory(3, groups=groups), decisions, actions)
+        assert history.num_steps == 5
+        assert history.num_users == 3
         for series in (
-            aggregator.approval_rate_series(),
-            aggregator.portfolio_rate_series(),
-            aggregator.rate_sum_series(),
-            aggregator.rate_sumsq_series(),
-            aggregator.rate_min_series(),
-            aggregator.rate_max_series(),
+            history.approval_rates(),
+            history.portfolio_rate_series(),
+            history.rate_sum_series(),
+            history.rate_sumsq_series(),
+            history.rate_min_series(),
+            history.rate_max_series(),
+            history.rate_low_count_series(),
         ):
             assert series.shape == (5,)
+            assert not series.flags.writeable
+        assert history.rate_histogram_series().shape == (5, history.rate_bins)
         for mapping in (
-            aggregator.group_default_rate_series(),
-            aggregator.group_action_average_series(),
-            aggregator.group_approval_series(),
+            history.group_default_rate_series(),
+            history.group_action_average_series(),
+            history.group_approval_series(),
         ):
             assert set(mapping) == {"a", "b"}
             assert all(series.shape == (5,) for series in mapping.values())
 
     def test_known_two_step_stream(self):
-        aggregator = StreamingAggregator(2, groups={"all": np.array([0, 1])})
-        aggregator.update(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        aggregator.update(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        history = AggregateHistory(2, groups={"all": np.array([0, 1])})
+        history.record_step(0, {}, np.array([1.0, 1.0]), np.array([1.0, 0.0]), {})
+        history.record_step(1, {}, np.array([1.0, 0.0]), np.array([1.0, 0.0]), {})
         # After step 0: user rates are (0, 1); after step 1: (0, 1).
-        np.testing.assert_allclose(
-            aggregator.group_default_rate_series()["all"], [0.5, 0.5]
-        )
-        np.testing.assert_allclose(aggregator.approval_rate_series(), [1.0, 0.5])
+        np.testing.assert_allclose(history.group_default_rate_series()["all"], [0.5, 0.5])
+        np.testing.assert_allclose(history.approval_rates(), [1.0, 0.5])
         # Offers 2 then 3, repayments 1 then 2.
         np.testing.assert_allclose(
-            aggregator.portfolio_rate_series(), [0.5, 1.0 - 2.0 / 3.0]
+            history.portfolio_rate_series(), [0.5, 1.0 - 2.0 / 3.0]
         )
         np.testing.assert_allclose(
-            aggregator.group_action_average_series()["all"], [0.5, 0.5]
+            history.group_action_average_series()["all"], [0.5, 0.5]
         )
 
     def test_prior_rate_moves_only_the_portfolio_series(self):
@@ -109,18 +123,22 @@ class TestStreamingAggregator:
         decisions[2, 0] = 1.0
         decisions[:, 3] = 0.0  # user 3 is never offered
         actions *= decisions
-        history = SimulationHistory()
-        plain = StreamingAggregator(4, groups=groups)
-        with_prior = StreamingAggregator(4, groups=groups, prior_rate=0.3)
-        for step in range(6):
-            history.record_step(step, {}, decisions[step], actions[step], {})
-            plain.update(decisions[step], actions[step])
-            with_prior.update(decisions[step], actions[step])
-        full = group_average_series(history.recompute_running_default_rates(), groups)
+        full = _record(SimulationHistory(), decisions, actions)
+        plain = _record(AggregateHistory(4, groups=groups), decisions[:5], actions[:5])
+        with_prior = _record(
+            AggregateHistory(4, groups=groups, prior_rate=0.3),
+            decisions[:5],
+            actions[:5],
+        )
+        # A restored history keeps the same semantics.
+        restored = AggregateHistory.from_state(with_prior.export_state())
+        for history in (plain, with_prior, restored):
+            history.record_step(5, {}, decisions[5], actions[5], {})
+        expected = group_average_series(full.running_default_rates(), groups)
         for key in groups:
             assert (
                 with_prior.group_default_rate_series()[key].tobytes()
-                == full[key].tobytes()
+                == expected[key].tobytes()
             )
         for name in (
             "rate_sum_series",
@@ -137,163 +155,46 @@ class TestStreamingAggregator:
         portfolio = with_prior.portfolio_rate_series()
         np.testing.assert_array_equal(portfolio[:2], [0.3, 0.3])
         np.testing.assert_array_equal(portfolio[2:], plain.portfolio_rate_series()[2:])
-        # A resumed aggregator keeps the same semantics.
-        restored = StreamingAggregator.from_state(with_prior.export_state())
-        restored.update(decisions[5], actions[5])
-        with_prior.update(decisions[5], actions[5])
         assert (
             restored.rate_sum_series().tobytes() == with_prior.rate_sum_series().tobytes()
         )
 
     def test_empty_group_reports_nan_series(self):
-        aggregator = StreamingAggregator(2, groups={"none": np.array([], dtype=int)})
-        aggregator.update(np.ones(2), np.ones(2))
-        assert np.all(np.isnan(aggregator.group_default_rate_series()["none"]))
+        history = AggregateHistory(2, groups={"none": np.array([], dtype=int)})
+        history.record_step(0, {}, np.ones(2), np.ones(2), {})
+        assert np.all(np.isnan(history.group_default_rate_series()["none"]))
 
     def test_growth_beyond_initial_capacity(self):
-        aggregator = StreamingAggregator(2, groups={"all": np.array([0, 1])})
         decisions, actions = _binary_stream(100, 2, seed=3)
-        for step in range(100):
-            aggregator.update(decisions[step], actions[step])
-        assert aggregator.num_steps == 100
-        assert aggregator.approval_rate_series().shape == (100,)
-        np.testing.assert_array_equal(
-            aggregator.approval_rate_series(), decisions.mean(axis=1)
+        history = _record(
+            AggregateHistory(2, groups={"all": np.array([0, 1])}), decisions, actions
         )
-
-    def test_from_state_rebuilds_a_live_aggregator(self):
-        groups = {"a": np.array([0, 2]), "b": np.array([1])}
-        aggregator = StreamingAggregator(3, groups=groups, prior_rate=0.1)
-        decisions, actions = _binary_stream(5, 3, seed=11)
-        for step in range(5):
-            aggregator.update(decisions[step], actions[step])
-        restored = StreamingAggregator.from_state(
-            pickle.loads(pickle.dumps(aggregator.export_state()))
-        )
-        assert restored.num_steps == 5
-        assert restored.prior_rate == 0.1
-        np.testing.assert_array_equal(
-            restored.approval_rate_series(), aggregator.approval_rate_series()
-        )
-        for key in groups:
-            np.testing.assert_array_equal(
-                restored.group_default_rate_series()[key],
-                aggregator.group_default_rate_series()[key],
-            )
-        # The restored aggregator stays live: it can keep ingesting steps
-        # and produce exactly what the uninterrupted original produces.
-        extra_decisions, extra_actions = _binary_stream(3, 3, seed=12)
-        for step in range(3):
-            restored.update(extra_decisions[step], extra_actions[step])
-            aggregator.update(extra_decisions[step], extra_actions[step])
-        np.testing.assert_array_equal(
-            restored.group_default_rate_series()["a"],
-            aggregator.group_default_rate_series()["a"],
-        )
-
-    def test_from_state_validates_shapes(self):
-        aggregator = StreamingAggregator(2, groups={"a": np.array([0])})
-        aggregator.update(np.ones(2), np.ones(2))
-        state = aggregator.export_state()
-        bad_users = dict(state, offers_cum=np.ones(3))
-        with pytest.raises(ValueError):
-            StreamingAggregator.from_state(bad_users)
-        bad_steps = dict(state, approvals=np.ones(4))
-        with pytest.raises(ValueError):
-            StreamingAggregator.from_state(bad_steps)
-        bad_groups = dict(state, group_rate_sums={"zzz": np.ones(1)})
-        with pytest.raises(ValueError):
-            StreamingAggregator.from_state(bad_groups)
-
-    @pytest.mark.parametrize("key", ["rate_bins", "rate_hist", "rate_low_counts"])
-    def test_from_state_requires_every_exported_key(self, key):
-        # Every state export_state writes carries the histogram keys, so a
-        # state without one is refused rather than filled with defaults.
-        aggregator = StreamingAggregator(2, groups={"a": np.array([0])})
-        aggregator.update(np.ones(2), np.ones(2))
-        state = aggregator.export_state()
-        del state[key]
-        with pytest.raises(KeyError, match=key):
-            StreamingAggregator.from_state(state)
-
-    def test_group_accessors_follow_the_partition(self):
-        groups = {"b": np.array([1]), "a": np.array([0, 2])}
-        aggregator = StreamingAggregator(3, groups=groups)
-        assert aggregator.group_keys == ("b", "a")
-        assert aggregator.group_sizes == {"b": 1, "a": 2}
-        indices = aggregator.group_indices()
-        np.testing.assert_array_equal(indices["a"], [0, 2])
-        indices["a"][0] = 1
-        np.testing.assert_array_equal(aggregator.group_indices()["a"], [0, 2])
-
-    def test_rate_histogram_edges_split_the_unit_interval_evenly(self):
-        aggregator = StreamingAggregator(3, rate_bins=4)
-        assert aggregator.rate_bins == 4
-        edges = aggregator.rate_histogram_edges()
-        np.testing.assert_allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
-        edges[0] = -1.0
-        assert aggregator.rate_histogram_edges()[0] == 0.0
-
-    def test_export_state_round_trips_through_pickle(self):
-        aggregator = StreamingAggregator(3, groups={"a": np.array([0, 2])})
-        decisions, actions = _binary_stream(4, 3, seed=9)
-        for step in range(4):
-            aggregator.update(decisions[step], actions[step])
-        state = pickle.loads(pickle.dumps(aggregator.export_state()))
-        assert state["num_users"] == 3
-        assert state["num_steps"] == 4
-        np.testing.assert_array_equal(
-            state["approvals"], aggregator.approval_rate_series()
-        )
-        np.testing.assert_array_equal(state["offers_cum"], decisions.sum(axis=0))
-
-
-class TestAggregateHistory:
-    def test_record_step_and_series(self):
-        history = AggregateHistory(groups={"all": np.array([0, 1])})
-        decisions, actions = _binary_stream(6, 2, seed=1)
-        for step in range(6):
-            history.record_step(step, {}, decisions[step], actions[step], {})
-        assert history.num_steps == 6
-        assert history.num_users == 2
-        assert history.approval_rates().shape == (6,)
-        assert not history.approval_rates().flags.writeable
-        assert set(history.group_default_rate_series()) == {"all"}
-
-    def test_rejects_non_contiguous_steps(self):
-        history = AggregateHistory()
-        history.record_step(0, {}, np.ones(2), np.ones(2), {})
-        with pytest.raises(ValueError, match="contiguous"):
-            history.record_step(2, {}, np.ones(2), np.ones(2), {})
-        with pytest.raises(ValueError, match="contiguous"):
-            history.record_step(0, {}, np.ones(2), np.ones(2), {})
-        history.record_step(1, {}, np.ones(2), np.ones(2), {})
-        assert history.num_steps == 2
-
-    def test_declared_num_users_is_enforced(self):
-        history = AggregateHistory(num_users=3)
-        with pytest.raises(ValueError):
-            history.record_step(0, {}, np.ones(2), np.ones(2), {})
+        assert history.num_steps == 100
+        np.testing.assert_array_equal(history.approval_rates(), decisions.mean(axis=1))
+        assert history.rate_histogram_series().shape == (100, history.rate_bins)
 
     def test_empty_history_raises(self):
-        history = AggregateHistory()
-        with pytest.raises(ValueError):
-            history.num_users
-        with pytest.raises(ValueError):
-            history.approval_rates()
+        history = AggregateHistory(2, groups={"a": np.array([0])})
         assert history.num_steps == 0
+        assert history.num_users == 2
+        for call in (
+            history.approval_rates,
+            history.portfolio_rate_series,
+            history.group_default_rate_series,
+            history.rate_sum_series,
+            history.rate_histogram_series,
+        ):
+            with pytest.raises(ValueError, match="empty"):
+                call()
 
     def test_full_history_accessors_raise_with_guidance(self):
-        history = AggregateHistory()
+        history = AggregateHistory(2)
         history.record_step(0, {}, np.ones(2), np.ones(2), {})
         for call in (
             history.decisions_matrix,
             history.actions_matrix,
             history.running_default_rates,
             history.running_action_averages,
-            history.recompute_running_default_rates,
-            history.recompute_running_action_averages,
-            history.recompute_approval_rates,
         ):
             with pytest.raises(FullHistoryRequiredError, match="history_mode"):
                 call()
@@ -306,14 +207,94 @@ class TestAggregateHistory:
         with pytest.raises(FullHistoryRequiredError):
             history.records
 
+    def test_from_state_rebuilds_a_live_history(self):
+        groups = {"a": np.array([0, 2]), "b": np.array([1])}
+        decisions, actions = _binary_stream(5, 3, seed=11)
+        history = _record(
+            AggregateHistory(3, groups=groups, prior_rate=0.1), decisions, actions
+        )
+        restored = AggregateHistory.from_state(
+            pickle.loads(pickle.dumps(history.export_state()))
+        )
+        assert restored.num_steps == 5
+        assert restored.export_state()["prior_rate"] == 0.1
+        np.testing.assert_array_equal(restored.approval_rates(), history.approval_rates())
+        for key in groups:
+            np.testing.assert_array_equal(
+                restored.group_default_rate_series()[key],
+                history.group_default_rate_series()[key],
+            )
+        # The restored history stays live: it can keep recording steps and
+        # produce exactly what the uninterrupted original produces.
+        extra_decisions, extra_actions = _binary_stream(3, 3, seed=12)
+        _record(restored, extra_decisions, extra_actions, start=5)
+        _record(history, extra_decisions, extra_actions, start=5)
+        np.testing.assert_array_equal(
+            restored.group_default_rate_series()["a"],
+            history.group_default_rate_series()["a"],
+        )
+
+    def test_from_state_validates_shapes(self):
+        history = AggregateHistory(2, groups={"a": np.array([0])})
+        history.record_step(0, {}, np.ones(2), np.ones(2), {})
+        state = history.export_state()
+        bad_users = dict(state, offers_cum=np.ones(3))
+        with pytest.raises(ValueError):
+            AggregateHistory.from_state(bad_users)
+        bad_steps = dict(state, approvals=np.ones(4))
+        with pytest.raises(ValueError):
+            AggregateHistory.from_state(bad_steps)
+        bad_groups = dict(state, group_rate_sums={"zzz": np.ones(1)})
+        with pytest.raises(ValueError):
+            AggregateHistory.from_state(bad_groups)
+
+    @pytest.mark.parametrize("key", ["rate_bins", "rate_hist", "rate_low_counts"])
+    def test_from_state_requires_every_exported_key(self, key):
+        # Every state export_state writes carries the histogram keys, so a
+        # state without one is refused rather than filled with defaults.
+        history = AggregateHistory(2, groups={"a": np.array([0])})
+        history.record_step(0, {}, np.ones(2), np.ones(2), {})
+        state = history.export_state()
+        del state[key]
+        with pytest.raises(KeyError, match=key):
+            AggregateHistory.from_state(state)
+
+    def test_group_series_follow_the_partition(self):
+        groups = {"b": np.array([1]), "a": np.array([0, 2])}
+        history = AggregateHistory(3, groups=groups)
+        history.record_step(0, {}, np.ones(3), np.array([1.0, 0.0, 1.0]), {})
+        assert list(history.group_default_rate_series()) == ["b", "a"]
+        np.testing.assert_array_equal(history.group_default_rate_series()["b"], [1.0])
+        exported = history.export_state()["groups"]
+        np.testing.assert_array_equal(exported["a"], [0, 2])
+        exported["a"][0] = 1
+        np.testing.assert_array_equal(history.export_state()["groups"]["a"], [0, 2])
+
+    def test_rate_histogram_edges_split_the_unit_interval_evenly(self):
+        history = AggregateHistory(3, rate_bins=4)
+        assert history.rate_bins == 4
+        edges = history.rate_histogram_edges()
+        np.testing.assert_allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+        edges[0] = -1.0
+        assert history.rate_histogram_edges()[0] == 0.0
+
+    def test_export_state_round_trips_through_pickle(self):
+        decisions, actions = _binary_stream(4, 3, seed=9)
+        history = _record(
+            AggregateHistory(3, groups={"a": np.array([0, 2])}), decisions, actions
+        )
+        state = pickle.loads(pickle.dumps(history.export_state()))
+        assert state["num_users"] == 3
+        assert state["num_steps"] == 4
+        np.testing.assert_array_equal(state["approvals"], history.approval_rates())
+        np.testing.assert_array_equal(state["offers_cum"], decisions.sum(axis=0))
+
     def test_pickles_cleanly(self):
-        history = AggregateHistory(groups={"a": np.array([0])})
+        history = AggregateHistory(2, groups={"a": np.array([0])})
         history.record_step(0, {}, np.ones(2), np.ones(2), {})
         clone = pickle.loads(pickle.dumps(history))
         assert clone.num_steps == 1
-        np.testing.assert_array_equal(
-            clone.approval_rates(), history.approval_rates()
-        )
+        np.testing.assert_array_equal(clone.approval_rates(), history.approval_rates())
 
 
 class TestAggregatorPickling:
@@ -334,25 +315,25 @@ class TestAggregatorPickling:
                 aggregator,
             )
 
-        single = StreamingAggregator(1000, groups=groups)
+        single = AggregateHistory(1000, groups=groups)
         batched = BatchedStreamingAggregator(
             BatchedDefaultRateFilter(2, 1000, 6), [groups, {}]
         )
         for step in range(3):
-            single.update(decisions[step], actions[step])
+            single.record_step(step, {}, decisions[step], actions[step], {})
             update_batched(batched, step)
         assert "_fold" not in single.__getstate__()
         assert "_fold" not in batched.__getstate__()
         single_clone = pickle.loads(pickle.dumps(single))
         batched_clone = pickle.loads(pickle.dumps(batched))
         for step in range(3, 6):
-            for aggregator in (single, single_clone):
-                aggregator.update(decisions[step], actions[step])
+            for history in (single, single_clone):
+                history.record_step(step, {}, decisions[step], actions[step], {})
             for aggregator in (batched, batched_clone):
                 update_batched(aggregator, step)
         for left, right in (
             (single, single_clone),
-            (batched.aggregator(0), batched_clone.aggregator(0)),
+            (batched.history(0), batched_clone.history(0)),
         ):
             for key, series in left.group_default_rate_series().items():
                 np.testing.assert_array_equal(
@@ -373,7 +354,7 @@ class TestSequentialSumHelper:
 
 
 class TestBatchedStreamingAggregator:
-    """Every trial slice of the lockstep aggregator matches its standalone twin."""
+    """Every trial of the lockstep aggregator matches its own AggregateHistory."""
 
     @staticmethod
     def _groups(num_users, seed, parts=3):
@@ -388,23 +369,21 @@ class TestBatchedStreamingAggregator:
         groups = [self._groups(users, seed + t) for t in range(trials)]
         rate_filter = BatchedDefaultRateFilter(trials, users, steps, prior_rate=0.0)
         batched = BatchedStreamingAggregator(rate_filter, groups)
-        singles = [
-            StreamingAggregator(users, groups=groups[t]) for t in range(trials)
-        ]
-        for _ in range(steps):
+        singles = [AggregateHistory(users, groups=groups[t]) for t in range(trials)]
+        for step in range(steps):
             decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
             actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
             record_step(rate_filter, decisions, actions, batched)
             for t in range(trials):
-                singles[t].update(decisions[t], actions[t])
+                singles[t].record_step(step, {}, decisions[t], actions[t], {})
         return batched, singles
 
-    def test_every_series_matches_standalone(self):
+    def test_every_series_matches_its_own_history(self):
         batched, singles = self._run_pair()
         for t, single in enumerate(singles):
-            stacked = batched.aggregator(t)
+            stacked = batched.history(t)
             np.testing.assert_array_equal(
-                stacked.approval_rate_series(), single.approval_rate_series()
+                stacked.approval_rates(), single.approval_rates()
             )
             np.testing.assert_array_equal(
                 stacked.portfolio_rate_series(), single.portfolio_rate_series()
@@ -451,7 +430,7 @@ class TestBatchedStreamingAggregator:
         for t, single in enumerate(singles):
             state = single.export_state()
             np.testing.assert_array_equal(
-                batched.aggregator(t).rate_sumsq_series(), single.rate_sumsq_series()
+                batched.history(t).rate_sumsq_series(), single.rate_sumsq_series()
             )
             rates = np.where(
                 state["offers_cum"] > 0,
@@ -484,7 +463,8 @@ class TestBatchedStreamingAggregator:
             )
             assert whole_rates.tobytes() == chunked_rates.tobytes()
         for t in range(trials):
-            left, right = whole.trial_state(t), chunked.trial_state(t)
+            left = whole.history(t).export_state()
+            right = chunked.history(t).export_state()
             for key, value in left.items():
                 if isinstance(value, np.ndarray):
                     assert value.tobytes() == right[key].tobytes(), key
@@ -492,37 +472,29 @@ class TestBatchedStreamingAggregator:
                     for group, series in value.items():
                         assert series.tobytes() == right[key][group].tobytes(), key
 
-    def test_extracted_aggregator_is_live(self):
-        # The per-trial snapshot must keep aggregating like its twin.
+    def test_handed_over_history_is_live(self):
+        # The per-trial history must keep recording like its twin.
         batched, singles = self._run_pair(trials=2, users=20, steps=3, seed=5)
-        stacked = batched.aggregator(0)
-        extra_decisions = np.ones(20)
-        extra_actions = np.zeros(20)
-        stacked.update(extra_decisions, extra_actions)
-        singles[0].update(extra_decisions, extra_actions)
-        np.testing.assert_array_equal(
-            stacked.portfolio_rate_series(), singles[0].portfolio_rate_series()
-        )
-
-    def test_from_aggregator_history_surface(self):
-        batched, singles = self._run_pair(trials=2, users=20, steps=4, seed=8)
-        history = AggregateHistory.from_aggregator(batched.aggregator(1))
-        assert history.num_steps == 4
+        history = batched.history(1)
+        assert history.num_steps == 3
         assert history.num_users == 20
         np.testing.assert_array_equal(
-            history.approval_rates(), singles[1].approval_rate_series()
+            history.approval_rates(), singles[1].approval_rates()
         )
         with pytest.raises(FullHistoryRequiredError):
             history.decisions_matrix()
-        # Further ingest continues the wrapped aggregator.
-        history.record_step(4, {}, np.ones(20), np.zeros(20), {})
-        assert history.num_steps == 5
+        for recorder in (history, singles[1]):
+            recorder.record_step(3, {}, np.ones(20), np.zeros(20), {})
+        assert history.num_steps == 4
+        np.testing.assert_array_equal(
+            history.portfolio_rate_series(), singles[1].portfolio_rate_series()
+        )
 
     def test_growth_beyond_initial_capacity(self):
         batched, singles = self._run_pair(trials=2, users=10, steps=40, seed=13)
         for t, single in enumerate(singles):
             np.testing.assert_array_equal(
-                batched.aggregator(t).portfolio_rate_series(),
+                batched.history(t).portfolio_rate_series(),
                 single.portfolio_rate_series(),
             )
 
@@ -545,7 +517,7 @@ class TestBatchedStreamingAggregator:
         with pytest.raises(ValueError):
             batched.fold(slice(None), np.ones((2, 4)), np.ones((2, 4)))
         with pytest.raises(ValueError):
-            batched.trial_state(2)
+            batched.history(2)
         # The filter folds each step first; the aggregator never runs ahead
         # of it, and a snapshot needs both at the same step.
         decisions, rates = np.ones((2, 5)), np.zeros((2, 5))
@@ -555,11 +527,11 @@ class TestBatchedStreamingAggregator:
             )
         record_step(batched.rate_filter, decisions, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="filter folds each step first"):
-            batched.trial_state(0)
+            batched.history(0)
         batched.finish_step(
             decisions, rates, [batched.fold(slice(None), decisions, rates)]
         )
-        assert batched.trial_state(0)["num_steps"] == 1
+        assert batched.history(0).num_steps == 1
 
     def test_owns_no_per_user_row_besides_the_cesaro_row(self):
         """The counts live in the filter: one copy of them per run."""
@@ -570,7 +542,7 @@ class TestBatchedStreamingAggregator:
             if isinstance(value, np.ndarray) and value.shape == (2, 7)
         ]
         assert per_user == ["_cesaro"]
-        state = batched.trial_state(1)
+        state = batched.history(1).export_state()
         rate_filter = batched.rate_filter
         repayments = rate_filter.read(rate_filter.cell_repayments)[1]
         offers = rate_filter.read(rate_filter.cell_offers)[1]

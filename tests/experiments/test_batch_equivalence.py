@@ -53,6 +53,16 @@ def _batched(config: CaseStudyConfig, **changes) -> CaseStudyConfig:
     return replace(config, execution="batch", **changes)
 
 
+class _SubclassedLender(Lender):
+    """The default lender under another type: the kernel's generic path."""
+
+
+def _generic_path_factory(config, population):
+    return CreditScoringSystem(
+        _SubclassedLender(cutoff=config.cutoff, warm_up_rounds=config.warm_up_rounds)
+    )
+
+
 class TestBatchedEngineGoldens:
     """The batched engine reproduces the pinned golden stream exactly."""
 
@@ -60,23 +70,21 @@ class TestBatchedEngineGoldens:
         result = run_experiment(_batched(small_config))
         assert experiment_digests(result) == ENGINE_GOLDEN
 
-    def test_batched_incremental_metrics_match_recompute(self, small_config):
-        # The precomputed-statistics ingest rows must satisfy the history's
-        # own cross-check recomputations bit for bit.
-        result = run_experiment(_batched(small_config))
+    @pytest.mark.parametrize(
+        "factory", [None, _generic_path_factory], ids=["fused", "generic"]
+    )
+    def test_batched_observed_rates_equal_the_derived_rates(
+        self, small_config, factory
+    ):
+        # The kernel records each trial through record_step; the filter's
+        # observed ADR_i(k) rows, which the trial result reports, must equal
+        # the rows the history derives from its columns, bit for bit.
+        result = run_experiment(_batched(small_config), policy_factory=factory)
         for trial in result.trials:
-            history = trial.history
-            assert np.array_equal(
-                history.running_default_rates(),
-                history.recompute_running_default_rates(),
-            )
-            assert np.array_equal(
-                history.running_action_averages(),
-                history.recompute_running_action_averages(),
-            )
-            assert np.array_equal(
-                history.approval_rates(), history.recompute_approval_rates()
-            )
+            derived = trial.history.running_default_rates().tobytes()
+            observed = trial.history.observation_series("user_default_rates")
+            assert observed.tobytes() == derived
+            assert trial.user_default_rates.tobytes() == derived
 
 
 class TestBatchedMatchesSerialAcrossModes:

@@ -36,6 +36,7 @@ from tests.experiments.harness import (
     ENGINE_GOLDEN,
     assert_experiments_identical,
     digest,
+    execution_modes,
     experiment_digests,
 )
 
@@ -58,20 +59,17 @@ class TestEngineBitIdentity:
     def test_experiment_matches_engine_goldens(self, serial_result):
         assert experiment_digests(serial_result) == ENGINE_GOLDEN
 
-    def test_incremental_metrics_match_recompute_cross_check(self, serial_result):
-        for trial in serial_result.trials:
-            history = trial.history
-            assert np.array_equal(
-                history.running_default_rates(),
-                history.recompute_running_default_rates(),
-            )
-            assert np.array_equal(
-                history.running_action_averages(),
-                history.recompute_running_action_averages(),
-            )
-            assert np.array_equal(
-                history.approval_rates(), history.recompute_approval_rates()
-            )
+    @pytest.mark.parametrize("execution", execution_modes())
+    def test_observed_rates_equal_the_derived_rates(self, small_config, execution):
+        # A full trial's ADR_i(k) rows are the filter's observation column;
+        # the history derives the same rows from its decision and action
+        # columns, bit for bit, on every layout.
+        result = run_experiment(replace(small_config, execution=execution))
+        for trial in result.trials:
+            derived = trial.history.running_default_rates().tobytes()
+            observed = trial.history.observation_series("user_default_rates")
+            assert observed.tobytes() == derived
+            assert trial.user_default_rates.tobytes() == derived
 
 
 class TestParallelBitIdentity:

@@ -12,14 +12,10 @@ streams), so fault tolerance must never cost a single bit.
 
 from __future__ import annotations
 
-import copyreg
 import errno
-import io
 import os
-import pickle
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +28,6 @@ from repro.core.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.core.streaming import StreamingAggregator
 from repro.core import supervision
 from repro.core.supervision import SupervisorPolicy, kill_executor
 from repro.experiments import runner as runner_module
@@ -97,24 +92,12 @@ def assert_trials_identical(left, right):
         np.testing.assert_array_equal(series, right.group_default_rates[race])
 
 
-class _PreFoldPickler(pickle.Pickler):
-    """Pickles aggregators the way builds without a group fold did.
-
-    Their whole attribute dict minus ``_fold``, bypassing the class's own
-    pickling hooks.
-    """
-
-    def reducer_override(self, obj):
-        if isinstance(obj, StreamingAggregator):
-            state = {name: value for name, value in vars(obj).items() if name != "_fold"}
-            return copyreg.__newobj__, (type(obj),), state
-        return NotImplemented
-
-
-def _dumps_without_group_fold(payload, protocol):
-    buffer = io.BytesIO()
-    _PreFoldPickler(buffer, protocol).dump(payload)
-    return buffer.getvalue()
+def _rewrite_as_version_1(path, monkeypatch):
+    """Rewrite a checkpoint file in the format-version-1 envelope."""
+    payload = read_checkpoint(path)
+    with monkeypatch.context() as old:
+        old.setattr(checkpoint_module, "CHECKPOINT_VERSION", 1)
+        write_checkpoint(path, payload)
 
 
 def assert_experiments_identical(left, right):
@@ -164,41 +147,24 @@ class TestCheckpointResume:
         for race, series in golden.group_default_rates.items():
             np.testing.assert_array_equal(series, resumed.group_default_rates[race])
 
-    def test_resume_from_snapshot_pickled_before_the_group_fold(
-        self, ft_config, tmp_path, monkeypatch
+    def test_a_version_1_snapshot_is_skipped_with_a_warning(
+        self, ft_config, golden_trial, tmp_path, monkeypatch
     ):
-        # Aggregate-mode snapshots written before the aggregators owned a
-        # GroupFold pickle the aggregator's attribute dict without one.
-        # Resume must rebuild the fold, not fail on the next recorded step.
-        golden = run_trial(replace(ft_config, history_mode="aggregate"), trial_index=0)
-        install_plan([FaultSpec(site="loop_step", kind="raise", step=10)])
+        # Version-1 snapshots pickle classes this build no longer has; the
+        # reader refuses them by version, so resume falls back one boundary.
+        install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
         with pytest.raises(FaultInjected):
-            run_trial(
-                _checkpointed(ft_config, tmp_path, 4, history_mode="aggregate"),
+            run_trial(_checkpointed(ft_config, tmp_path, 3), trial_index=0)
+        newest = list_checkpoints(tmp_path, "trial-0000")[0][1]
+        _rewrite_as_version_1(newest, monkeypatch)
+        with pytest.warns(
+            RuntimeWarning, match=r"skipping unreadable checkpoint .*format v1 is older"
+        ):
+            resumed = run_trial(
+                _checkpointed(ft_config, tmp_path, 3, resume=True),
                 trial_index=0,
             )
-        newest = list_checkpoints(tmp_path, "trial-0000")[0][1]
-        payload = read_checkpoint(newest)
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                checkpoint_module,
-                "pickle",
-                SimpleNamespace(
-                    dumps=_dumps_without_group_fold,
-                    HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
-            write_checkpoint(newest, payload)
-        with open(newest, "rb") as handle:
-            assert b"GroupFold" not in handle.read()
-        resumed = run_trial(
-            _checkpointed(
-                ft_config, tmp_path, 4, history_mode="aggregate", resume=True
-            ),
-            trial_index=0,
-        )
-        for race, series in golden.group_default_rates.items():
-            np.testing.assert_array_equal(series, resumed.group_default_rates[race])
+        assert_trials_identical(golden_trial, resumed)
 
     def test_checkpoints_fingerprinted_with_the_retired_refit_knobs_are_refused(
         self, ft_config, tmp_path, monkeypatch
@@ -319,6 +285,17 @@ class TestExperimentResume:
         )
         with pytest.raises(CheckpointError, match="different\\s+configuration"):
             run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
+
+    def test_a_version_1_result_is_rerun_with_a_warning(
+        self, ft_config, golden_experiment, tmp_path, monkeypatch
+    ):
+        run_experiment(_checkpointed(ft_config, tmp_path))
+        _rewrite_as_version_1(tmp_path / "trial-0001.result", monkeypatch)
+        with pytest.warns(
+            RuntimeWarning, match=r"re-running trial 1: .*format v1 is older"
+        ):
+            resumed = run_experiment(_checkpointed(ft_config, tmp_path, resume=True))
+        assert_experiments_identical(golden_experiment, resumed)
 
     def test_unreadable_result_file_is_rerun_with_warning(
         self, ft_config, golden_experiment, tmp_path

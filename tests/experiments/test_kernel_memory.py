@@ -87,11 +87,11 @@ def test_hand_over_releases_the_step_rows(monkeypatch, threads):
             if isinstance(value, np.ndarray)
         )
 
-    def tracked_import(self, lo, state):
+    def tracked_import(self, state):
         alive_at_copies.append(_alive(step_rows))
-        return original_import(self, lo, state)
+        return original_import(self, state)
 
-    def tracked_aggregator(self, trial):
+    def tracked_history(self, trial):
         stacked_rows.extend(
             [
                 ("cells", weakref.ref(self.rate_filter._cells)),
@@ -99,14 +99,14 @@ def test_hand_over_releases_the_step_rows(monkeypatch, threads):
             ]
         )
         alive_at_hand_over.append(_alive(step_rows))
-        return original_aggregator(self, trial)
+        return original_history(self, trial)
 
     original_buffers = batch._StepBuffers.__init__
-    original_import = CreditPopulation.import_shard_state
-    original_aggregator = BatchedStreamingAggregator.aggregator
+    original_import = CreditPopulation.import_state
+    original_history = BatchedStreamingAggregator.history
     monkeypatch.setattr(batch._StepBuffers, "__init__", tracked_buffers)
-    monkeypatch.setattr(CreditPopulation, "import_shard_state", tracked_import)
-    monkeypatch.setattr(BatchedStreamingAggregator, "aggregator", tracked_aggregator)
+    monkeypatch.setattr(CreditPopulation, "import_state", tracked_import)
+    monkeypatch.setattr(BatchedStreamingAggregator, "history", tracked_history)
     config = CaseStudyConfig(
         num_users=300, num_trials=2, seed=3, history_mode="aggregate"
     )
@@ -162,8 +162,8 @@ def test_a_horizon_past_the_uint16_grid_matches_serial(history_mode):
     if history_mode == "full":
         assert_full_trials_identical(serial, kernel)
     else:
-        left = serial.history.aggregator.export_state()
-        right = kernel.history.aggregator.export_state()
+        left = serial.history.export_state()
+        right = kernel.history.export_state()
         assert left.keys() == right.keys()
         for key, value in left.items():
             if isinstance(value, np.ndarray):

@@ -272,8 +272,8 @@ def _assert_runs_identical(config, reference, other) -> None:
         if config.history_mode == "aggregate":
             # Every aggregate series, plus the cumulative offer and
             # repayment counts the filter folds.
-            assert _state_bytes(history_a.aggregator.export_state()) == _state_bytes(
-                history_b.aggregator.export_state()
+            assert _state_bytes(history_a.export_state()) == _state_bytes(
+                history_b.export_state()
             )
         else:
             for accessor in (

@@ -113,7 +113,6 @@ def test_key_is_sensitive_to_every_trajectory_field(scenario, policy, fields):
         ),
         dataclasses.replace(config, cutoff=min(0.99, config.cutoff + 0.01)),
         dataclasses.replace(config, warm_up_rounds=config.warm_up_rounds + 1),
-        dataclasses.replace(config, income_threshold=config.income_threshold + 1.0),
         dataclasses.replace(
             config,
             history_mode="aggregate" if config.history_mode == "full" else "full",

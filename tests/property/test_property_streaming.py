@@ -1,20 +1,21 @@
 """Property-based tests on the streaming aggregation subsystem.
 
-Three families of properties pin :class:`repro.core.streaming.StreamingAggregator`:
+Three families of properties pin :class:`repro.core.streaming.AggregateHistory`:
 
-* **Stream/batch agreement** — feeding a random decision/action stream step
-  by step must agree *bit for bit* with the batch ``recompute_*`` /
-  :func:`~repro.core.metrics.group_average_series` formulations evaluated
-  on the materialised ``(steps, users)`` matrices (the aggregator replays
-  the exact float operations of the full-history engine, including the
-  sequential group summation order — see ``sequential_sum``).
+* **Stream/batch agreement** — recording a random decision/action stream
+  step by step must agree *bit for bit* with the full history's derived
+  series and :func:`~repro.core.metrics.group_average_series` evaluated
+  on the materialised ``(steps, users)`` matrices (the aggregate history
+  replays the exact float operations of the full-history engine,
+  including the sequential group summation order — see
+  ``sequential_sum``).
 * **One-pass group folds** — :class:`~repro.core.streaming.GroupFold`,
   which both aggregators use, equals ``sequential_sum(values[indices])``
   bit for bit on random partitions, with empty groups, ungrouped users,
   signed zeros, subnormals and large magnitudes.
 * **Lockstep recording** — the stacked filter plus
   :class:`~repro.core.streaming.BatchedStreamingAggregator`, folded in
-  uneven user chunks, equals one standalone aggregator and one
+  uneven user chunks, equals one aggregate history and one
   :class:`~repro.credit.default_rates.DefaultRateTracker` per trial, bit
   for bit, over short streams and over 254-256 steps, where the filter's
   integer cells fill ``uint16`` and then need ``uint32``.
@@ -30,9 +31,9 @@ from repro.core.filters import BatchedDefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.metrics import group_average_series, group_approval_series
 from repro.core.streaming import (
+    AggregateHistory,
     BatchedStreamingAggregator,
     GroupFold,
-    StreamingAggregator,
     sequential_sum,
 )
 from repro.credit.default_rates import DefaultRateTracker
@@ -56,11 +57,14 @@ def _random_partition(num_users: int, seed: int):
     return {key: np.flatnonzero(labels == key) for key in range(3)}
 
 
-def _fill_aggregator(decisions, actions, groups):
-    aggregator = StreamingAggregator(decisions.shape[1], groups=groups)
+def _record(history, decisions, actions):
     for step in range(decisions.shape[0]):
-        aggregator.update(decisions[step], actions[step])
-    return aggregator
+        history.record_step(step, {}, decisions[step], actions[step], {})
+    return history
+
+
+def _fill_aggregate(decisions, actions, groups):
+    return _record(AggregateHistory(decisions.shape[1], groups=groups), decisions, actions)
 
 
 stream_shapes = st.tuples(
@@ -76,12 +80,10 @@ class TestStreamMatchesBatchRecompute:
         num_steps, num_users = shape
         decisions, actions = _random_stream(num_steps, num_users, seed)
         groups = _random_partition(num_users, seed + 1)
-        aggregator = _fill_aggregator(decisions, actions, groups)
+        aggregator = _fill_aggregate(decisions, actions, groups)
 
-        history = SimulationHistory()
-        for step in range(num_steps):
-            history.record_step(step, {}, decisions[step], actions[step], {})
-        batch = group_average_series(history.recompute_running_default_rates(), groups)
+        history = _record(SimulationHistory(), decisions, actions)
+        batch = group_average_series(history.running_default_rates(), groups)
         streamed = aggregator.group_default_rate_series()
         for key in groups:
             np.testing.assert_array_equal(streamed[key], batch[key])
@@ -92,13 +94,11 @@ class TestStreamMatchesBatchRecompute:
         num_steps, num_users = shape
         decisions, actions = _random_stream(num_steps, num_users, seed)
         groups = _random_partition(num_users, seed + 2)
-        aggregator = _fill_aggregator(decisions, actions, groups)
+        aggregator = _fill_aggregate(decisions, actions, groups)
 
-        history = SimulationHistory()
-        for step in range(num_steps):
-            history.record_step(step, {}, decisions[step], actions[step], {})
+        history = _record(SimulationHistory(), decisions, actions)
         batch = group_average_series(
-            history.recompute_running_action_averages(), groups
+            history.running_action_averages(), groups
         )
         streamed = aggregator.group_action_average_series()
         for key in groups:
@@ -110,13 +110,11 @@ class TestStreamMatchesBatchRecompute:
         num_steps, num_users = shape
         decisions, actions = _random_stream(num_steps, num_users, seed)
         groups = _random_partition(num_users, seed + 3)
-        aggregator = _fill_aggregator(decisions, actions, groups)
+        aggregator = _fill_aggregate(decisions, actions, groups)
 
-        history = SimulationHistory()
-        for step in range(num_steps):
-            history.record_step(step, {}, decisions[step], actions[step], {})
+        history = _record(SimulationHistory(), decisions, actions)
         np.testing.assert_array_equal(
-            aggregator.approval_rate_series(), history.recompute_approval_rates()
+            aggregator.approval_rates(), history.approval_rates()
         )
         batch = group_approval_series(history.decisions_matrix(), groups)
         streamed = aggregator.group_approval_series()
@@ -128,12 +126,10 @@ class TestStreamMatchesBatchRecompute:
     def test_rate_moments_match_the_rate_matrix(self, shape, seed):
         num_steps, num_users = shape
         decisions, actions = _random_stream(num_steps, num_users, seed)
-        aggregator = _fill_aggregator(decisions, actions, groups=None)
+        aggregator = _fill_aggregate(decisions, actions, groups=None)
 
-        history = SimulationHistory()
-        for step in range(num_steps):
-            history.record_step(step, {}, decisions[step], actions[step], {})
-        rates = history.recompute_running_default_rates()
+        history = _record(SimulationHistory(), decisions, actions)
+        rates = history.running_default_rates()
         np.testing.assert_array_equal(
             aggregator.rate_min_series(), rates.min(axis=1)
         )
@@ -203,14 +199,14 @@ class TestGroupFold:
     @given(folded_stacks())
     @settings(max_examples=60, deadline=None)
     def test_both_aggregators_fold_like_the_sequential_sum(self, stack):
-        """The standalone aggregator folds its decision row as given, so any
-        value reaches the fold; the batched one takes the kernel's 0/1
-        decisions (here with signed zeros), which it counts per chunk."""
+        """The aggregate history folds its decision row as given, so any
+        value reaches the fold; the batched aggregator takes the kernel's
+        0/1 decisions (here with signed zeros), which it counts per chunk."""
         values, partitions = stack
         rows, users = values.shape
         for row, groups in enumerate(partitions):
-            single = StreamingAggregator(users, groups=groups)
-            single.update(values[row], np.zeros(users))
+            single = AggregateHistory(users, groups=groups)
+            single.record_step(0, {}, values[row], np.zeros(users), {})
             state = single.export_state()
             for key, indices in groups.items():
                 expected = sequential_sum(values[row][indices])
@@ -220,7 +216,7 @@ class TestGroupFold:
         batched = BatchedStreamingAggregator(rate_filter, partitions)
         record_step(rate_filter, binary, np.zeros_like(binary), batched)
         for row, groups in enumerate(partitions):
-            state = batched.trial_state(row)
+            state = batched.history(row).export_state()
             for key, indices in groups.items():
                 expected = sequential_sum(binary[row][indices])
                 assert _bits(state["group_decision_sums"][key][0]) == _bits(expected)
@@ -334,8 +330,8 @@ def long_lockstep_streams(draw):
     return decisions, actions, partitions, chunks
 
 
-def _series(aggregator: StreamingAggregator):
-    yield "approvals", aggregator.approval_rate_series()
+def _series(aggregator: AggregateHistory):
+    yield "approvals", aggregator.approval_rates()
     yield "portfolio", aggregator.portfolio_rate_series()
     yield "rate_sums", aggregator.rate_sum_series()
     yield "rate_sumsqs", aggregator.rate_sumsq_series()
@@ -368,16 +364,16 @@ def _assert_same_state(left, right):
 
 
 class TestLockstepRecording:
-    """The kernel's recording equals one standalone recorder per trial."""
+    """The kernel's recording equals one aggregate history per trial."""
 
     @given(lockstep_streams())
     @settings(max_examples=120, deadline=None)
-    def test_chunked_lockstep_recording_matches_standalone_trials(self, stream):
+    def test_chunked_lockstep_recording_matches_per_trial_histories(self, stream):
         decisions, actions, partitions, chunks = stream
         steps, trials, users = decisions.shape
         rate_filter = BatchedDefaultRateFilter(trials, users, steps)
         batched = BatchedStreamingAggregator(rate_filter, partitions)
-        singles = [StreamingAggregator(users, groups=groups) for groups in partitions]
+        singles = [AggregateHistory(users, groups=groups) for groups in partitions]
         trackers = [DefaultRateTracker(users) for _ in range(trials)]
         for k in range(steps):
             rates = record_step(
@@ -385,25 +381,27 @@ class TestLockstepRecording:
             )
             portfolio = rate_filter.portfolio_rates()
             for t in range(trials):
-                singles[t].update(decisions[k, t], actions[k, t])
+                singles[t].record_step(k, {}, decisions[k, t], actions[k, t], {})
                 trackers[t].record(decisions[k, t], actions[k, t])
                 assert _bits(portfolio[t]) == _bits(trackers[t].portfolio_rate())
                 assert rates[t].tobytes() == trackers[t].user_rates().tobytes()
         for t, single in enumerate(singles):
-            _assert_same_state(batched.trial_state(t), single.export_state())
-            stacked = batched.aggregator(t)
+            _assert_same_state(
+                batched.history(t).export_state(), single.export_state()
+            )
+            stacked = batched.history(t)
             for (name, left), (_, right) in zip(_series(stacked), _series(single)):
                 assert left.tobytes() == right.tobytes(), name
 
     @given(long_lockstep_streams())
     @settings(max_examples=12, deadline=None)
-    def test_cells_past_the_uint16_grid_match_standalone_trials(self, stream):
+    def test_cells_past_the_uint16_grid_match_per_trial_histories(self, stream):
         decisions, actions, partitions, chunks = stream
         steps, trials, users = decisions.shape
         rate_filter = BatchedDefaultRateFilter(trials, users, steps)
         assert rate_filter.cells.dtype == (np.uint16 if steps <= 255 else np.uint32)
         batched = BatchedStreamingAggregator(rate_filter, partitions)
-        singles = [StreamingAggregator(users, groups=groups) for groups in partitions]
+        singles = [AggregateHistory(users, groups=groups) for groups in partitions]
         trackers = [DefaultRateTracker(users) for _ in range(trials)]
         for k in range(steps):
             rates = record_step(
@@ -411,7 +409,7 @@ class TestLockstepRecording:
             )
             portfolio = rate_filter.portfolio_rates()
             for t in range(trials):
-                singles[t].update(decisions[k, t], actions[k, t])
+                singles[t].record_step(k, {}, decisions[k, t], actions[k, t], {})
                 trackers[t].record(decisions[k, t], actions[k, t])
                 assert _bits(portfolio[t]) == _bits(trackers[t].portfolio_rate())
                 assert rates[t].tobytes() == trackers[t].user_rates().tobytes()
@@ -420,4 +418,6 @@ class TestLockstepRecording:
             tracker = rate_filter.tracker_for_trial(t)
             assert tracker.offers.tobytes() == trackers[t].offers.tobytes()
             assert tracker.repayments.tobytes() == trackers[t].repayments.tobytes()
-            _assert_same_state(batched.trial_state(t), single.export_state())
+            _assert_same_state(
+                batched.history(t).export_state(), single.export_state()
+            )

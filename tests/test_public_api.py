@@ -129,6 +129,7 @@ def test_no_module_maps_shared_memory():
 #: exported them.  They must not come back as exports.
 RETIRED_NAMES = {
     "repro.core": (
+        "StreamingAggregator",
         "ExponentialMovingAverageFilter",
         "IntegralFilter",
         "AnomalyClippingFilter",
@@ -149,6 +150,7 @@ RETIRED_NAMES = {
     "repro.campaign": ("policy_names", "scenario_names"),
     "repro.credit": ("BorrowerState",),
     "repro.data.synthetic": ("default_population_inputs",),
+    "repro.core.streaming": ("StreamingAggregator",),
 }
 
 
@@ -175,12 +177,28 @@ def test_retired_modules_stay_retired(module_name):
         ("repro.core.streaming:AggregateHistory", "append"),
         ("repro.core.streaming:AggregateHistory", "group_series"),
         ("repro.core.loop:ClosedLoop", "step"),
+        ("repro.core.history:SimulationHistory", "record_step_precomputed"),
+        ("repro.core.history:SimulationHistory", "recompute_running_default_rates"),
+        ("repro.core.history:SimulationHistory", "recompute_running_action_averages"),
+        ("repro.core.history:SimulationHistory", "recompute_approval_rates"),
+        ("repro.core.streaming:AggregateHistory", "from_aggregator"),
+        ("repro.core.streaming:AggregateHistory", "aggregator"),
+        ("repro.core.streaming:BatchedStreamingAggregator", "aggregator"),
+        ("repro.core.population:CreditPopulation", "import_shard_state"),
+        ("repro.core.population:CreditPopulation", "export_shard_state"),
+        ("repro.core.population:IFSPopulation", "import_shard_state"),
+        ("repro.core.population:IFSPopulation", "export_shard_state"),
+        ("repro.experiments.config:CaseStudyConfig", "income_threshold"),
     ],
 )
 def test_retired_methods_stay_retired(owner, attribute):
     """Histories ingest through ``record_step`` only; loops advance by ``run``.
 
     The grouped series come from :func:`repro.core.metrics.group_average_series`.
+    A full history derives its running series from its columns, an aggregate
+    history is its own recorder, every component's state hooks are
+    ``export_state``/``import_state``, and the income-code threshold is the
+    ``FeatureBuilder``'s, not a run knob.
     """
     module_name, class_name = owner.split(":")
     owner_class = getattr(importlib.import_module(module_name), class_name)
